@@ -21,6 +21,11 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 (* --quiet suppresses the per-domain pool counter dumps on stderr. *)
 let quiet = ref false
 
+(* A compiled-engine replayer over a private dup of [img]. *)
+let compiled_replayer img =
+  Tea_core.Replayer.create_compiled
+    (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
+
 let run_tables ~benchmarks ~which =
   progress "[bench] preparing %d benchmarks (recording mret/ctt/tt under the DBT)..."
     (List.length benchmarks);
@@ -148,10 +153,10 @@ let run_micro () =
         ols)
     (benchmarks ())
 
-(* Head-to-head replay throughput: the packed engine vs the three Table 4
+(* Head-to-head replay throughput: the compiled engine vs the three Table 4
    reference configurations on the list-scan micro's full PC stream. The
-   ISSUE target is packed >= 5x the Global/Local reference engine. *)
-let run_packed_compare () =
+   target is compiled >= 5x the Global/Local reference engine. *)
+let run_head_to_head () =
   let image = Tea_workloads.Micro.list_scan () in
   let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
   let dbt = Tea_dbt.Stardbt.record ~strategy image in
@@ -168,7 +173,8 @@ let run_packed_compare () =
       insns.(!i) <- n;
       incr i);
   Sys.remove path;
-  progress "[bench] packed head-to-head: %d blocks from micro:listscan" n_blocks;
+  progress "[bench] compiled head-to-head: %d blocks from micro:listscan"
+    n_blocks;
   let time_replay mk_rep =
     (* best of 5, one warmup *)
     let best = ref infinity in
@@ -190,16 +196,15 @@ let run_packed_compare () =
     in
     (name, dt, rep)
   in
-  let packed_dt, packed_rep =
-    time_replay (fun () ->
-        Tea_core.Replayer.create_packed (Tea_core.Packed.freeze auto))
+  let compiled_dt, compiled_rep =
+    time_replay (fun () -> compiled_replayer (Tea_core.Packed.freeze auto))
   in
   let rows =
     [
       reference "no-global/local" Tea_core.Transition.config_no_global_local;
       reference "global/no-local" Tea_core.Transition.config_global_no_local;
       reference "global/local" Tea_core.Transition.config_global_local;
-      ("packed", packed_dt, packed_rep);
+      ("compiled", compiled_dt, compiled_rep);
     ]
   in
   List.iter
@@ -213,18 +218,18 @@ let run_packed_compare () =
     let _, dt, _ = List.nth rows 2 in
     dt
   in
-  Printf.printf "packed speedup vs global/local: %.1fx (target >= 5x)\n"
-    (gl_dt /. packed_dt);
+  Printf.printf "compiled speedup vs global/local: %.1fx (target >= 5x)\n"
+    (gl_dt /. compiled_dt);
   (* the engines must agree bit-for-bit on what they replayed *)
   let gl_rep = match List.nth rows 2 with _, _, r -> r in
   if
-    Tea_core.Replayer.coverage gl_rep <> Tea_core.Replayer.coverage packed_rep
+    Tea_core.Replayer.coverage gl_rep <> Tea_core.Replayer.coverage compiled_rep
     || Tea_core.Replayer.trace_enters gl_rep
-       <> Tea_core.Replayer.trace_enters packed_rep
+       <> Tea_core.Replayer.trace_enters compiled_rep
     || Tea_core.Replayer.tbb_counts gl_rep
-       <> Tea_core.Replayer.tbb_counts packed_rep
+       <> Tea_core.Replayer.tbb_counts compiled_rep
   then begin
-    prerr_endline "[bench] ERROR: packed and reference engines disagree";
+    prerr_endline "[bench] ERROR: compiled and reference engines disagree";
     exit 1
   end
 
@@ -417,10 +422,11 @@ let run_telemetry () =
      (tens of ms) and a series keeps the best of 8 samples plus a warmup *)
   let reps = 100 in
   let ns_per_block dt = 1e9 *. dt /. float_of_int (reps * len) in
+  let compiled = Tea_core.Compiled.of_packed packed in
   let sample () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed packed in
+      let rep = Tea_core.Replayer.create_compiled compiled in
       Tea_core.Replayer.feed_run rep ~insns starts ~len
     done;
     Unix.gettimeofday () -. t0
@@ -528,13 +534,13 @@ type repack_row = {
   rr_name : string;
   rr_hot : bool;
   rr_blocks : int;
-  rr_base_ns : float;  (** full replay, ns/block, flat image *)
+  rr_base_ns : float;  (** full compiled replay, ns/block, flat image *)
   rr_base_step_ns : float;  (** bare {!Tea_core.Packed.step}, ns/step *)
   rr_base_cycles : int;
   rr_tuned_ns : float;
   rr_tuned_step_ns : float;
   rr_tuned_cycles : int;
-  rr_ic_rate : float;
+  rr_ic_rate : float;  (** step series: {!Tea_core.Packed.step} IC hits *)
   rr_hot_edges : int;
   rr_moved : int;
 }
@@ -551,7 +557,7 @@ let run_repack_one ~strategy name =
   let profile = Tea_opt.Repack.collect flat starts ~len in
   let tuned = Tea_opt.Repack.repack flat profile in
   let run_once img =
-    let rep = Tea_core.Replayer.create_packed img in
+    let rep = compiled_replayer img in
     Tea_core.Replayer.feed_run rep ~insns starts ~len;
     rep
   in
@@ -575,16 +581,17 @@ let run_repack_one ~strategy name =
      resolution — so each sample times [reps] back-to-back replays
      (milliseconds). The two layouts are sampled interleaved so machine
      drift hits both equally; best of 5 rounds after one warmup. Two
-     series per layout: the full replay (fused loop plus per-block
-     accounting, the end-to-end number) and the bare transition function
-     ({!Tea_core.Packed.step} on the same stream, the dispatch cost the
-     pass actually targets — the per-block replay accounting is identical
-     either way and dilutes the ratio on tiny automata). *)
+     series per layout: the full compiled replay (the end-to-end number;
+     each layout compiled once, outside the timed loop) and the bare
+     transition function ({!Tea_core.Packed.step} on the same stream,
+     the dispatch cost the pass targets and the only series that
+     exercises the inline cache). *)
   let reps = 1 + (2_000_000 / max 1 len) in
   let sample img =
+    let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed img in
+      let rep = Tea_core.Replayer.create_compiled c in
       Tea_core.Replayer.feed_run rep ~insns starts ~len
     done;
     Unix.gettimeofday () -. t0
@@ -730,20 +737,20 @@ let run_repack ~smoke =
 
    For every workload: record MRET traces (superblocks give every state at
    most one in-trace successor — the chain-rich shape fusion targets),
-   freeze, profile-repack on the captured stream (the PR 4 engine is the
-   baseline), fuse the repacked image, then time baseline vs fused replay
-   of the identical stream. One hard gate per workload (exit 1): the full
-   replay snapshot — per-TBB counts, coverage, enters/exits, transition
-   stats and simulated cycles — must be bit-identical between the two
-   engines. Fusion is a pure dispatch-cost optimization; any observable
-   difference is a bug.
+   freeze, profile-repack on the captured stream (the repacked image is
+   the baseline), fuse the repacked image, then time compiled replay of
+   both images over the identical stream. One hard gate per workload
+   (exit 1): the full replay snapshot — per-TBB counts, coverage,
+   enters/exits, transition stats and simulated cycles — must be
+   bit-identical between the two images. Fusion is a pure dispatch-cost
+   optimization; any observable difference is a bug.
 
    The speedup target is scoped to loop-dominated workloads: the hot-loop
    micros plus every workload whose replay stream spends >= 50% of its
    steps inside fused chains (measured with the probe counters on one
    extra fused run). Straight-line or cold-dominated workloads fall back
-   to the verbatim one-step path and are expected near 1.0x; they are
-   reported and floor-checked, not geomean-gated. *)
+   to the ordinary per-state closures and are expected near 1.0x; they
+   are reported and floor-checked, not geomean-gated. *)
 
 type fuse_row = {
   fu_name : string;
@@ -776,7 +783,7 @@ let run_fuse_one ~strategy name =
   let profile = Tea_opt.Repack.collect baseline starts ~len in
   let fused = Tea_opt.Fuse.fuse ~profile baseline in
   let run_once img =
-    let rep = Tea_core.Replayer.create_packed img in
+    let rep = compiled_replayer img in
     Tea_core.Replayer.feed_run rep ~insns starts ~len;
     rep
   in
@@ -813,12 +820,13 @@ let run_fuse_one ~strategy name =
   in
   (* interleaved best-of-5 timing after one warmup, as in the repack
      bench: one replay of a short stream is microseconds, so each sample
-     times [reps] back-to-back replays *)
+     times [reps] back-to-back replays of the image compiled once *)
   let reps = 1 + (2_000_000 / max 1 len) in
   let sample img =
+    let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed img in
+      let rep = Tea_core.Replayer.create_compiled c in
       Tea_core.Replayer.feed_run rep ~insns starts ~len
     done;
     Unix.gettimeofday () -. t0
@@ -888,7 +896,7 @@ let run_fuse ~smoke =
     if smoke then [ "micro:listscan"; "181.mcf" ]
     else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
   in
-  progress "[bench] fuse: %d workloads, %s traces, superstate fusion over the repacked engine..."
+  progress "[bench] fuse: %d workloads, %s traces, superstate fusion over the repacked image..."
     (List.length names) strategy_name;
   let rows =
     List.map
@@ -928,21 +936,21 @@ let run_fuse ~smoke =
 
    For every workload: record condition-tree traces (branching spans are
    the dispatch shapes closure compilation specializes), freeze,
-   profile-repack and fuse on the captured stream (the PR 5+6 engine is
-   the baseline — compilation composes over both passes), compile the
-   tuned image, then time interpreted vs compiled replay of the
-   identical stream. Three hard gates per workload (exit 1): the
-   compiled TBB mapping must match the reference transition engine's on
-   the raw automaton, and the full profile and the simulated cycles must
-   be bit-identical to the interpreted tuned engine. Compilation is a
-   pure wall-clock optimization — the per-step charges are captured from
-   the same cost tables at build time, so any observable drift is a bug.
+   profile-repack and fuse on the captured stream (compilation composes
+   over both passes), compile the tuned image, then time the closure
+   build and the compiled replay of the stream. Three hard gates per
+   workload (exit 1): the compiled TBB mapping must match the reference
+   transition engine's on the raw automaton, and the full profile and
+   the simulated cycles must be bit-identical to stepping the same tuned
+   image one address at a time ({!Tea_core.Replayer.feed_addr}, i.e.
+   {!Tea_core.Packed.step}). Compilation is a pure wall-clock
+   optimization — the per-step charges are captured from the same cost
+   tables at build time, so any observable drift is a bug.
 
-   The speedup target is scoped to branchy workloads: streams spending
-   < 50% of their steps inside fused chains, so interpreted dispatch
-   actually walks spans per step — the shape the straight-line compares
-   replace. Chain-dominated streams already replay through bulk
-   accounting on both engines and are floor-checked, not geomean-gated. *)
+   Rows are tagged branchy when their streams spend < 50% of their steps
+   inside fused chains, so dispatch walks spans per step — the shape the
+   straight-line compares target; chain-dominated streams replay through
+   bulk accounting. *)
 
 type compile_row = {
   co_name : string;
@@ -952,9 +960,9 @@ type compile_row = {
   co_closures : int;
   co_fallback : int;  (** minihash-fallback states (fan-out > scan_cap) *)
   co_chained : int;  (** fused-chain matcher closures *)
-  co_base_ns : float;  (** repacked+fused interpreted replay, ns/block *)
+  co_build_ms : float;  (** one {!Tea_core.Compiled.of_packed}, best of 5 *)
   co_compiled_ns : float;
-  co_cycles : int;  (** identical across all three engines, by gate *)
+  co_cycles : int;  (** identical to step-at-a-time, by gate *)
 }
 
 let run_compile_one ~strategy name =
@@ -967,22 +975,16 @@ let run_compile_one ~strategy name =
   let _ = Tea_pinsim.Trace_capture.record image path in
   let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
   Sys.remove path;
-  (* baseline: the full PR 5+6 pipeline — profile-guided repack, then
+  (* the full tuning pipeline: profile-guided repack, then
      profile-aware fusion over the repacked layout *)
   let repacked =
     Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
   in
   let profile = Tea_opt.Repack.collect repacked starts ~len in
   let fused = Tea_opt.Fuse.fuse ~profile repacked in
-  let run_packed img =
-    let rep = Tea_core.Replayer.create_packed img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
+  let compiled, step_rep, comp_rep =
+    Tea_opt.Compile.compiled_replay fused ~insns starts ~len
   in
-  let base_rep = run_packed fused in
-  let compiled = Tea_opt.Compile.compile (Tea_core.Packed.dup fused) in
-  let comp_rep = Tea_core.Replayer.create_compiled compiled in
-  Tea_core.Replayer.feed_run comp_rep ~insns starts ~len;
   (* gate 1: TBB mapping vs the paper-faithful reference engine on the
      raw automaton — compilation must not even depend on the layout *)
   let ref_rep =
@@ -998,28 +1000,28 @@ let run_compile_one ~strategy name =
       name;
     exit 1
   end;
-  (* gates 2+3: full profile and simulated cycles vs the interpreted
-     tuned engine *)
+  (* gates 2+3: full profile and simulated cycles vs step-at-a-time
+     replay of the same image *)
   if
     not
       (Tea_parallel.Profile.equal
-         (Tea_parallel.Profile.of_replayer base_rep)
+         (Tea_parallel.Profile.of_replayer step_rep)
          (Tea_parallel.Profile.of_replayer comp_rep))
   then begin
     Printf.eprintf
-      "[bench] ERROR: %s: compiled replay profile diverged from the \
-       interpreted engine\n"
+      "[bench] ERROR: %s: compiled replay profile diverged from \
+       step-at-a-time replay\n"
       name;
     exit 1
   end;
-  if Tea_core.Replayer.cycles comp_rep <> Tea_core.Replayer.cycles base_rep
+  if Tea_core.Replayer.cycles comp_rep <> Tea_core.Replayer.cycles step_rep
   then begin
     Printf.eprintf
       "[bench] ERROR: %s: compiled replay charges different simulated \
        cycles (%d <> %d)\n"
       name
       (Tea_core.Replayer.cycles comp_rep)
-      (Tea_core.Replayer.cycles base_rep);
+      (Tea_core.Replayer.cycles step_rep);
     exit 1
   end;
   (* chain coverage of the stream, as in the fuse bench (skipped when the
@@ -1028,7 +1030,7 @@ let run_compile_one ~strategy name =
     if Tea_telemetry.Probe.enabled () then 0.0
     else begin
       Tea_telemetry.Probe.install ();
-      ignore (run_packed fused);
+      Tea_core.Replayer.feed_run (compiled_replayer fused) ~insns starts ~len;
       let snap = Tea_telemetry.Probe.uninstall () in
       let c k =
         Option.value
@@ -1040,37 +1042,42 @@ let run_compile_one ~strategy name =
       else float_of_int (c "packed.fused_steps") /. float_of_int steps
     end
   in
-  (* interleaved best-of-5 timing after one warmup; the compiled image is
-     built once outside the loop — of_packed is O(states), a one-time
-     cost amortized over the whole replay fleet, not a per-replay one *)
+  (* closure build, then replay, each best of 5 after one warmup. The
+     replay reuses one compiled image: of_packed is a one-time cost per
+     image (per session in the daemon), reported as its own column *)
+  let best_of_5 f =
+    let best = ref infinity in
+    for round = 0 to 5 do
+      let dt = f () in
+      if round > 0 && dt < !best then best := dt
+    done;
+    !best
+  in
+  (* a micro's build is well under the timer's resolution, so a sample
+     repeats builds for at least 2 ms and reports the mean *)
+  let build =
+    best_of_5 (fun () ->
+        let img = Tea_core.Packed.dup fused in
+        let t0 = Unix.gettimeofday () in
+        let n = ref 0 and dt = ref 0.0 in
+        while !dt < 2e-3 do
+          ignore (Sys.opaque_identity (Tea_core.Compiled.of_packed img));
+          incr n;
+          dt := Unix.gettimeofday () -. t0
+        done;
+        !dt /. float_of_int !n)
+  in
   let timed = Tea_opt.Compile.compile (Tea_core.Packed.dup fused) in
   let reps = 1 + (2_000_000 / max 1 len) in
-  let sample_interp () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_packed fused in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
+  let replay =
+    best_of_5 (fun () ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          let rep = Tea_core.Replayer.create_compiled timed in
+          Tea_core.Replayer.feed_run rep ~insns starts ~len
+        done;
+        Unix.gettimeofday () -. t0)
   in
-  let sample_compiled () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_compiled timed in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_i = ref infinity and best_c = ref infinity in
-  for round = 0 to 5 do
-    let i = sample_interp () in
-    let c = sample_compiled () in
-    if round > 0 then begin
-      if i < !best_i then best_i := i;
-      if c < !best_c then best_c := c
-    end
-  done;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
   {
     co_name = name;
     co_branchy = fraction < 0.5;
@@ -1079,12 +1086,12 @@ let run_compile_one ~strategy name =
     co_closures = Tea_core.Compiled.n_closures compiled;
     co_fallback = Tea_core.Compiled.fallback_states compiled;
     co_chained = Tea_core.Compiled.chained_states compiled;
-    co_base_ns = ns !best_i;
-    co_compiled_ns = ns !best_c;
+    co_build_ms = 1e3 *. build;
+    co_compiled_ns = 1e9 *. replay /. float_of_int (reps * len);
     co_cycles = Tea_core.Replayer.cycles comp_rep;
   }
 
-let compile_json ~smoke ~strategy rows ~geo_all ~geo_branchy ~floor =
+let compile_json ~smoke ~strategy rows ~geo_ns ~geo_branchy_ns ~max_build =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.bprintf buf fmt in
   add "{\n";
@@ -1105,16 +1112,15 @@ let compile_json ~smoke ~strategy rows ~geo_all ~geo_branchy ~floor =
          \"chain_matchers\": %d, \"sim_cycles\": %d,\n"
         r.co_closures r.co_fallback r.co_chained r.co_cycles;
       add
-        "     \"fused_replay_ns_per_block\": %.2f, \
-         \"compiled_replay_ns_per_block\": %.2f, \"replay_speedup\": %.3f}%s\n"
-        r.co_base_ns r.co_compiled_ns
-        (r.co_base_ns /. r.co_compiled_ns)
+        "     \"closure_build_ms\": %.5f, \"compiled_replay_ns_per_block\": \
+         %.2f}%s\n"
+        r.co_build_ms r.co_compiled_ns
         (if i = n - 1 then "" else ","))
     rows;
   add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_all;
-  add "  \"geomean_replay_speedup_branchy\": %.3f,\n" geo_branchy;
-  add "  \"min_replay_speedup\": %.3f\n" floor;
+  add "  \"geomean_compiled_ns_per_block_all\": %.3f,\n" geo_ns;
+  add "  \"geomean_compiled_ns_per_block_branchy\": %.3f,\n" geo_branchy_ns;
+  add "  \"max_closure_build_ms\": %.5f\n" max_build;
   Buffer.contents buf ^ "}\n"
 
 let run_compile ~smoke =
@@ -1126,44 +1132,36 @@ let run_compile ~smoke =
   in
   progress
     "[bench] compile: %d workloads, %s traces, closure-threaded dispatch \
-     over the repacked+fused engine..."
+     over the repacked+fused image..."
     (List.length names) strategy_name;
   let rows =
     List.map
       (fun name ->
         let r = run_compile_one ~strategy name in
         Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d closures (%d minihash, \
-           %d chain matchers)  %4.1f%% fused steps%s\n%!"
-          r.co_name r.co_base_ns r.co_compiled_ns
-          (r.co_base_ns /. r.co_compiled_ns)
-          r.co_closures r.co_fallback r.co_chained
+          "%-16s build %8.5f ms  replay %5.1f ns/block  %d closures (%d \
+           minihash, %d chain matchers)  %4.1f%% fused steps%s\n%!"
+          r.co_name r.co_build_ms r.co_compiled_ns r.co_closures r.co_fallback
+          r.co_chained
           (100.0 *. r.co_fraction)
           (if r.co_branchy then "  [branchy]" else "");
         r)
       names
   in
-  let speedup r = r.co_base_ns /. r.co_compiled_ns in
-  let geo_all = Tea_report.Stats.geomean (List.map speedup rows) in
-  let branchy = List.filter (fun r -> r.co_branchy) rows in
-  let geo_branchy =
-    Tea_report.Stats.geomean
-      (List.map speedup (if branchy = [] then rows else branchy))
+  let geo rows =
+    Tea_report.Stats.geomean (List.map (fun r -> r.co_compiled_ns) rows)
   in
-  let floor = List.fold_left (fun m r -> min m (speedup r)) infinity rows in
+  let geo_ns = geo rows in
+  let branchy = List.filter (fun r -> r.co_branchy) rows in
+  let geo_branchy_ns = geo (if branchy = [] then rows else branchy) in
+  let max_build = List.fold_left (fun m r -> max m r.co_build_ms) 0.0 rows in
   Printf.printf
-    "geomean replay speedup: %.2fx all, %.2fx branchy (target >= 1.15x); \
-     slowest workload %.2fx (floor 0.98x)\n"
-    geo_all geo_branchy floor;
-  if geo_branchy < 1.15 then
-    progress
-      "[bench] WARNING: branchy geomean %.2fx below the 1.15x target"
-      geo_branchy;
-  if floor < 0.98 then
-    progress "[bench] WARNING: a workload regressed below the 0.98x floor";
+    "geomean compiled replay %.2f ns/block all, %.2f ns/block branchy; \
+     slowest closure build %.5f ms\n"
+    geo_ns geo_branchy_ns max_build;
   let json =
-    compile_json ~smoke ~strategy:strategy_name rows ~geo_all ~geo_branchy
-      ~floor
+    compile_json ~smoke ~strategy:strategy_name rows ~geo_ns ~geo_branchy_ns
+      ~max_build
   in
   let oc = open_out "BENCH_compile.json" in
   output_string oc json;
@@ -1235,9 +1233,7 @@ let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n_events = Scenario.write_file file scn in
   let gate engine img_for =
-    let make a =
-      Tea_core.Replayer.create_packed (Tea_core.Packed.dup (img_for a))
-    in
+    let make a = compiled_replayer (img_for a) in
     let isolated = Tea_core.Multi_replayer.replay_isolated make file in
     let check how demuxed =
       if not (scn_snap_eq demuxed isolated) then begin
@@ -1269,9 +1265,7 @@ let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
       0 runs
   in
   let n_runs = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 runs in
-  let make_flat a =
-    Tea_core.Replayer.create_packed (Tea_core.Packed.dup preps.(a).sp_flat)
-  in
+  let make_flat a = compiled_replayer preps.(a).sp_flat in
   let reps = 1 + (500_000 / max 1 n_events) in
   let sample () =
     let t0 = Unix.gettimeofday () in
@@ -1802,8 +1796,8 @@ let run_retune ~smoke =
 
 (* ---- observability plane: the BENCH_observe.json trajectory ----
 
-   Two measurements. (1) Dispatch-tier profiler cost on the packed replay
-   of micro:listscan's stream, per engine tier (flat, repacked,
+   Two measurements. (1) Dispatch-tier profiler cost on the compiled
+   replay of micro:listscan's stream, per image (flat, repacked,
    repacked+fused): a disabled series and an enabled series, sampled
    interleaved so machine drift hits both, with the enabled run's hard
    gate that the tier counters sum exactly to the blocks replayed —
@@ -1819,12 +1813,15 @@ type observe_engine_row = {
   oe_enabled_ns : float;
   oe_blocks : int;  (** blocks attributed while enabled, across all reps *)
   oe_tiers : Tea_core.Tierstat.snapshot;
+  oe_fused_steps : int;  (** packed.fused_steps of the final replay *)
+  oe_chained : int;  (** {!Tea_core.Compiled.chained_states} *)
 }
 
 let run_observe_engine ~name img ~starts ~insns ~len =
   let reps = 1 + (2_000_000 / max 1 len) in
+  let compiled = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
   let run_once () =
-    let rep = Tea_core.Replayer.create_packed (Tea_core.Packed.dup img) in
+    let rep = Tea_core.Replayer.create_compiled compiled in
     Tea_core.Replayer.feed_run rep ~insns starts ~len
   in
   let sample () =
@@ -1848,10 +1845,23 @@ let run_observe_engine ~name img ~starts ~insns ~len =
     end
   done;
   (* one final instrumented replay whose snapshot we keep for the gate
-     and the report (per-run counts, not accumulated) *)
+     and the report (per-run counts, not accumulated), with the probe
+     counters on for its fused-step count (a delta, so a probe set the
+     driver already owns works too) *)
+  let own_probes = not (Tea_telemetry.Probe.enabled ()) in
+  if own_probes then Tea_telemetry.Probe.install ();
+  let fused_steps () =
+    Option.value ~default:0
+      (Tea_telemetry.Metrics.find_counter
+         (Tea_telemetry.Probe.snapshot ())
+         "packed.fused_steps")
+  in
+  let fused0 = fused_steps () in
   Tea_core.Tierstat.install ();
   run_once ();
   let snap = Tea_core.Tierstat.uninstall () in
+  let fused_steps = fused_steps () - fused0 in
+  if own_probes then ignore (Tea_telemetry.Probe.uninstall ());
   if Tea_core.Tierstat.total snap <> len then begin
     Printf.eprintf
       "[bench] ERROR: %s: tier counters sum to %d, expected %d blocks — \
@@ -1868,6 +1878,8 @@ let run_observe_engine ~name img ~starts ~insns ~len =
     oe_enabled_ns = ns !best_e;
     oe_blocks = len;
     oe_tiers = snap;
+    oe_fused_steps = fused_steps;
+    oe_chained = Tea_core.Compiled.chained_states compiled;
   }
 
 type observe_scrape = {
@@ -1934,8 +1946,8 @@ let observe_json ~smoke rows scrape =
   add "{\n";
   add "  \"bench\": \"observe\",\n";
   add "  \"smoke\": %b,\n" smoke;
-  add "  \"gate\": \"tier counters sum to blocks replayed; exposition \
-       carries tier/counter families\",\n";
+  add "  \"gate\": \"tier counters sum to blocks replayed; fuse-loop runs \
+       fused chain steps; exposition carries tier/counter families\",\n";
   add "  \"engines\": [\n";
   let n = List.length rows in
   List.iteri
@@ -1952,7 +1964,10 @@ let observe_json ~smoke rows scrape =
          \"enabled_ns_per_block\": %.2f, \"overhead_pct\": %.2f,\n"
         r.oe_name r.oe_blocks r.oe_disabled_ns r.oe_enabled_ns
         (100.0 *. ((r.oe_enabled_ns /. r.oe_disabled_ns) -. 1.0));
-      add "     \"tiers\": {%s}}%s\n" tiers (if i = n - 1 then "" else ","))
+      add
+        "     \"fused_steps\": %d, \"chain_matchers\": %d, \"tiers\": {%s}}%s\n"
+        r.oe_fused_steps r.oe_chained tiers
+        (if i = n - 1 then "" else ","))
     rows;
   add "  ],\n";
   add
@@ -1985,9 +2000,9 @@ let run_observe ~smoke =
       ~profile:(Tea_opt.Repack.collect repacked starts ~len)
       repacked
   in
-  (* listscan never fuses a chain, so the fused tier would stay silent;
-     a fourth row replays micro:nested (whose inner loop fuses at ~97%
-     of steps) on its own tuned image to exercise that tier too *)
+  (* listscan never fuses a chain, so no chain matcher would fire; a
+     fourth row replays micro:nested (whose inner loop fuses at ~97% of
+     steps) on its own tuned image to exercise the matchers too *)
   let loop_img, loop_starts, loop_insns, loop_len =
     let image = Tea_workloads.Micro.nested_loop () in
     let dbt = Tea_dbt.Stardbt.record ~strategy image in
@@ -2023,14 +2038,13 @@ let run_observe ~smoke =
         ("fuse", fused, starts, insns, len);
         ("fuse-loop", loop_img, loop_starts, loop_insns, loop_len) ]
   in
-  (* the fuse-loop row exists to prove the fused tier fires: hard gate *)
+  (* the fuse-loop row exists to prove chains fire: hard gate *)
   (match List.rev rows with
-  | last :: _
-    when last.oe_tiers.Tea_core.Tierstat.ts_totals.(Tea_core.Tierstat.t_fused)
-         = 0 ->
+  | last :: _ when last.oe_fused_steps = 0 || last.oe_chained = 0 ->
       Printf.eprintf
-        "[bench] ERROR: fuse-loop replay attributed no blocks to the fused \
-         tier\n";
+        "[bench] ERROR: fuse-loop replay ran no fused chain steps (%d steps, \
+         %d chain matchers)\n"
+        last.oe_fused_steps last.oe_chained;
       exit 1
   | _ -> ());
   let sessions = if smoke then 4 else 8 in
@@ -2102,7 +2116,7 @@ let () =
   let dispatch () =
     match args with
     | [ "micro" ] -> run_micro ()
-    | [ "packed" ] -> run_packed_compare ()
+    | [ "packed" ] -> run_head_to_head ()
     | [ "repack" ] -> run_repack ~smoke
     | [ "fuse" ] -> run_fuse ~smoke
     | [ "compile" ] -> run_compile ~smoke

@@ -223,7 +223,7 @@ let config_arg =
 
 (* One constructor for the --engine flag. [values] picks which engines a
    command accepts — serve never runs the reference engine, so it passes
-   the packed/compiled subset and unknown engines stay usage errors. *)
+   only compiled and unknown engines stay usage errors. *)
 let engine_arg_of ~doc values default =
   Arg.(
     value & opt (enum values) default
@@ -231,17 +231,16 @@ let engine_arg_of ~doc values default =
 
 let engine_name = function
   | `Reference -> "reference"
-  | `Packed -> "packed"
   | `Compiled -> "compiled"
 
 let engine_arg =
   engine_arg_of
     ~doc:
       "Transition engine: reference (paper-faithful edge lists + B+ tree, \
-       honours --config), packed (flat-array fast path) or compiled \
-       (closure-threaded dispatch specialized from the packed image; \
-       identical observables, fastest host replay)."
-    [ ("reference", `Reference); ("packed", `Packed); ("compiled", `Compiled) ]
+       honours --config) or compiled (closure-threaded dispatch \
+       specialized from a flat-array packed image; identical observables, \
+       fastest host replay)."
+    [ ("reference", `Reference); ("compiled", `Compiled) ]
     `Reference
 
 (* --jobs validates through the pool's own parser: 0, negatives and
@@ -267,8 +266,8 @@ let pgo_arg =
   let doc =
     "Profile-guided repacking: collect a replay profile first, repack the \
      packed image on it (hot states cache-dense, hot edges linear-scan \
-     first, per-state inline caches), then replay through the repacked \
-     engine. Requires --engine=packed or compiled. TBB mappings and \
+     first), then replay through the repacked image. Requires \
+     --engine=compiled. TBB mappings and \
      coverage are identical to the unrepacked replay."
   in
   Arg.(value & flag & info [ "pgo" ] ~doc)
@@ -284,7 +283,7 @@ let fuse_arg =
   let doc =
     "Superstate fusion: collapse single-successor TBB chains into \
      superstates and fast-forward monomorphic cycles, then replay through \
-     the fused engine. Requires --engine=packed or compiled; composes \
+     the fused image. Requires --engine=compiled; composes \
      with --pgo (repack first, fuse the repacked image). TBB mappings, \
      coverage and simulated cycles are identical to the unfused replay."
   in
@@ -293,8 +292,8 @@ let fuse_arg =
 let tiers_arg =
   let doc =
     "Install the dispatch-tier profiler for the replay and print the \
-     hotness report (tier mix, fusion coverage, top states) afterwards. \
-     Requires --engine=packed or compiled."
+     hotness report (tier mix, top states) afterwards. Requires \
+     --engine=compiled."
   in
   Arg.(value & flag & info [ "tiers" ] ~doc)
 
@@ -306,7 +305,7 @@ let retune_arg =
      across through the orig-id translation) and finish on the tuned \
      image. The replay summary line is identical to a plain replay at any \
      --jobs — the swap is observationally invisible. Requires \
-     --engine=packed or compiled and --pc-trace; mutually exclusive with \
+     --engine=compiled and --pc-trace; mutually exclusive with \
      --pgo/--fuse (it rebuilds its own tuning)."
   in
   Arg.(value & flag & info [ "retune" ] ~doc)
@@ -328,8 +327,7 @@ let with_jobs ?(quiet = false) jobs f =
 
 (* One deterministic summary line for any --pgo replay. Everything on it
    (layout shape, simulated cycles) is shard-invariant, keeping stdout
-   byte-identical across --jobs values; the IC hit split is chunk-local,
-   so it goes to --metrics instead. *)
+   byte-identical across --jobs values. *)
 let print_pgo_line packed ~cycles =
   Printf.printf "pgo: moved %d/%d states, %d hot-prefix edges, %d sim cycles\n"
     (Tea_opt.Repack.moved_states packed)
@@ -413,23 +411,11 @@ let tune_image ?hot_prefix ~pgo ~fuse packed starts ~len =
       let profile = Tea_opt.Repack.collect img starts ~len in
       Tea_opt.Fuse.fuse ~profile img
 
-(* one fresh replayer over a private dup of a shared image — the factory
-   every sharded and serving path passes down *)
-let make_replayer engine img =
-  match engine with
-  | `Packed -> Tea_core.Replayer.create_packed (Tea_core.Packed.dup img)
-  | `Compiled ->
-      Tea_core.Replayer.create_compiled
-        (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
-
-(* the engine value Replayer.rebind swaps in: a private dup of [img]
-   behind the same dispatch tier the session was created with *)
-let swap_engine engine img =
-  match engine with
-  | `Packed -> Tea_core.Replayer.Packed (Tea_core.Packed.dup img)
-  | `Compiled ->
-      Tea_core.Replayer.Compiled
-        (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
+(* one fresh compiled replayer over a private dup of a shared image (what
+   the sharded paths build by default) *)
+let make_replayer img =
+  Tea_core.Replayer.create_compiled
+    (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
 
 (* ---- scenario mode ----
 
@@ -447,7 +433,7 @@ let scenario_arg =
     "Adversarial replay scenario: interleave (round-robin/random schedule \
      over this workload and every --with workload, one asid each), smc \
      (periodic code-patch invalidation), or interrupt (signal cutting the \
-     trace body). Requires --engine=packed; composes with --pgo/--fuse \
+     trace body). Requires --engine=compiled; composes with --pgo/--fuse \
      (each asid's image tuned on its own stream) and --jobs."
   in
   Arg.(
@@ -500,7 +486,7 @@ let every_arg =
   in
   Arg.(value & opt (some int) None & info [ "every" ] ~docv:"N" ~doc)
 
-let run_scenario ~kind ~name ~withs ~strategy_name ~engine ~jobs ~pgo ~fuse
+let run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo ~fuse
     ~quantum ~schedule ~seed ~period ~at ~every obs =
   let module Scenario = Tea_workloads.Scenario in
   let kind_name =
@@ -559,8 +545,7 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~engine ~jobs ~pgo ~fuse
   let streams = List.map fst prepared in
   let images = Array.of_list (List.map snd prepared) in
   let img_for a = images.(a) in
-  let mk_rep img = make_replayer engine img in
-  let make a = mk_rep (img_for a) in
+  let make a = make_replayer (img_for a) in
   let scn =
     match kind with
     | `Interleave ->
@@ -583,7 +568,7 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~engine ~jobs ~pgo ~fuse
           Tea_core.Multi_replayer.snapshots
             (Tea_core.Multi_replayer.replay_events make file)
       | Some pool ->
-          Tea_parallel.Shard.replay_events pool img_for ~make:mk_rep file)
+          Tea_parallel.Shard.replay_events pool img_for file)
   in
   let isolated =
     Probe.with_span "scenario_isolated" @@ fun () ->
@@ -604,9 +589,8 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~engine ~jobs ~pgo ~fuse
   (* Everything printed is a pure function of the scenario and the tuned
      images — byte-identical whatever --jobs is. *)
   let runs = Tea_parallel.Shard.load_events file in
-  Printf.printf "scenario %s (%s engine%s%s): %d streams, %d events\n"
+  Printf.printf "scenario %s (compiled engine%s%s): %d streams, %d events\n"
     kind_name
-    (match engine with `Packed -> "packed" | `Compiled -> "compiled")
     (if pgo then " +pgo" else "")
     (if fuse then " +fuse" else "")
     (List.length streams) n_events;
@@ -634,14 +618,14 @@ let replay_cmd =
       every obs =
     with_obs obs "replay" @@ fun () ->
     if pgo && engine = `Reference then
-      or_die (Error "--pgo requires --engine=packed or compiled");
+      or_die (Error "--pgo requires --engine=compiled");
     if fuse && engine = `Reference then
-      or_die (Error "--fuse requires --engine=packed or compiled");
+      or_die (Error "--fuse requires --engine=compiled");
     if tiers && engine = `Reference then
-      or_die (Error "--tiers requires --engine=packed or compiled");
+      or_die (Error "--tiers requires --engine=compiled");
     if retune then begin
       if engine = `Reference then
-        or_die (Error "--retune requires --engine=packed or compiled");
+        or_die (Error "--retune requires --engine=compiled");
       if pgo || fuse then
         or_die (Error "--retune rebuilds its own tuning; drop --pgo/--fuse");
       if pc_trace = None then or_die (Error "--retune requires --pc-trace");
@@ -659,12 +643,8 @@ let replay_cmd =
           or_die (Error "--every requires --scenario=interrupt"));
     match scenario with
     | Some kind ->
-        let engine =
-          match engine with
-          | `Reference ->
-              or_die (Error "--scenario requires --engine=packed or compiled")
-          | (`Packed | `Compiled) as e -> e
-        in
+        if engine = `Reference then
+          or_die (Error "--scenario requires --engine=compiled");
         if tiers then
           or_die (Error "--tiers applies only to plain replay; drop --scenario");
         if pc_trace <> None then
@@ -672,7 +652,7 @@ let replay_cmd =
         if traces_file <> None then
           or_die (Error "--scenario records its own traces; drop --traces");
         ignore config_name;
-        run_scenario ~kind ~name ~withs ~strategy_name ~engine ~jobs ~pgo
+        run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo
           ~fuse ~quantum ~schedule ~seed ~period ~at ~every obs
     | None ->
         let body () =
@@ -736,9 +716,9 @@ let replay_cmd =
         | `Reference ->
             or_die
               (Error
-                 "--jobs > 1 requires --engine=packed or compiled for \
-                  --pc-trace replay")
-        | (`Packed | `Compiled) as engine ->
+                 "--jobs > 1 requires --engine=compiled for --pc-trace \
+                  replay")
+        | `Compiled ->
             let auto =
               Probe.with_span "build_automaton" (fun () ->
                   Tea_core.Builder.build traces)
@@ -750,7 +730,6 @@ let replay_cmd =
                 let starts, _, len = Tea_parallel.Shard.load_pc_trace path in
                 tune_image ~pgo ~fuse packed starts ~len
             in
-            let make = make_replayer engine in
             let profile, blocks, swapped =
               Probe.with_span "replay_pc_trace" @@ fun () ->
               with_jobs ~quiet:obs.quiet jobs (function
@@ -758,8 +737,7 @@ let replay_cmd =
                 | Some pool ->
                     if not retune then
                       let profile, blocks =
-                        Tea_parallel.Shard.replay_pc_trace pool packed ~make
-                          path
+                        Tea_parallel.Shard.replay_pc_trace pool packed path
                       in
                       (profile, blocks, None)
                     else begin
@@ -773,8 +751,8 @@ let replay_cmd =
                       in
                       let mid = len / 2 in
                       let prof1, exit1 =
-                        Tea_parallel.Shard.replay_span pool packed ~make
-                          ~insns starts ~off:0 ~len:mid
+                        Tea_parallel.Shard.replay_span pool packed ~insns
+                          starts ~off:0 ~len:mid
                       in
                       let tuned, _prof =
                         Probe.with_span "retune_build" @@ fun () ->
@@ -790,7 +768,7 @@ let replay_cmd =
                             (Tea_core.Packed.orig_state packed exit1)
                       in
                       let prof2, _ =
-                        Tea_parallel.Shard.replay_span pool tuned ~make ~entry
+                        Tea_parallel.Shard.replay_span pool tuned ~entry
                           ~insns starts ~off:mid ~len:(len - mid)
                       in
                       ( Tea_parallel.Profile.merge_all [ prof1; prof2 ],
@@ -828,7 +806,7 @@ let replay_cmd =
           match engine with
           | `Reference ->
               Tea_core.Pc_trace.replay (Tea_core.Transition.create config auto) path
-          | (`Packed | `Compiled) as eng ->
+          | `Compiled ->
               let packed = Tea_core.Packed.freeze auto in
               if retune then begin
                 (* the sequential reference for the sharded swap path:
@@ -838,7 +816,7 @@ let replay_cmd =
                   Tea_parallel.Shard.load_pc_trace path
                 in
                 let mid = len / 2 in
-                let rep = make_replayer eng packed in
+                let rep = make_replayer packed in
                 Tea_core.Replayer.feed_run rep ~insns starts ~len:mid;
                 let tuned, _prof =
                   Probe.with_span "retune_build" @@ fun () ->
@@ -847,20 +825,22 @@ let replay_cmd =
                       Tea_opt.Repack.collect img starts ~len:mid)
                     ()
                 in
-                Tea_core.Replayer.rebind rep (swap_engine eng tuned);
+                Tea_core.Replayer.rebind rep
+                  (Tea_core.Replayer.Compiled
+                     (Tea_core.Compiled.of_packed (Tea_core.Packed.dup tuned)));
                 Tea_core.Replayer.feed_run rep ~off:mid ~insns starts
                   ~len:(len - mid);
                 swapped := Some (tuned, mid, len);
                 rep
               end
-              else if eng = `Packed && not (pgo || fuse) then
+              else if not (pgo || fuse) then
                 Tea_core.Pc_trace.replay_packed packed path
               else begin
                 let starts, insns, len =
                   Tea_parallel.Shard.load_pc_trace path
                 in
                 let img = tune_image ~pgo ~fuse packed starts ~len in
-                let tuned = make_replayer eng img in
+                let tuned = make_replayer img in
                 Tea_core.Replayer.feed_run tuned ~insns starts ~len;
                 tuned
               end
@@ -876,10 +856,6 @@ let replay_cmd =
         | Some (tuned, mid, len) -> print_retune_line tuned ~mid ~len
         | None -> ());
         (match Tea_core.Replayer.engine rep with
-        | Tea_core.Replayer.Packed p ->
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
         | Tea_core.Replayer.Compiled c ->
             let p = Tea_core.Compiled.base c in
             if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
@@ -910,10 +886,6 @@ let replay_cmd =
           st.Tea_core.Transition.cache_hits st.Tea_core.Transition.global_hits
           st.Tea_core.Transition.global_misses;
         (match Tea_core.Replayer.engine rep with
-        | Tea_core.Replayer.Packed p ->
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
         | Tea_core.Replayer.Compiled c ->
             let p = Tea_core.Compiled.base c in
             if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
@@ -1035,8 +1007,6 @@ let repack_cmd =
     then or_die (Error "repacked TBB mapping diverged from the baseline");
     let base_cycles = Tea_core.Replayer.cycles baseline in
     let tuned_cycles = Tea_core.Replayer.cycles tuned in
-    let steps = (Tea_core.Replayer.stats tuned).Tea_core.Transition.steps in
-    let hits = Tea_core.Packed.ic_hits repacked in
     Printf.printf "repacked %s: %d blocks replayed, tbb mapping identical\n"
       name len;
     Printf.printf "layout: moved %d/%d states, %d hot-prefix edges (cap %d)\n"
@@ -1047,8 +1017,6 @@ let repack_cmd =
     Printf.printf "sim cycles: %d -> %d (%.3fx)\n" base_cycles tuned_cycles
       (if tuned_cycles = 0 then 1.0
        else float_of_int base_cycles /. float_of_int tuned_cycles);
-    Printf.printf "inline cache: %d/%d hits (%.1f%%)\n" hits steps
-      (if steps = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int steps);
     (match save_profile with
     | Some path ->
         Tea_opt.Repack.save_profile path
@@ -1586,14 +1554,14 @@ let all_benchmarks = function
 
 let table_pgo_arg =
   let doc =
-    "Profile-repack the packed engine on each benchmark's own stream \
-     before measuring the Table 4 Packed column."
+    "Profile-repack the compiled engine's image on each benchmark's own \
+     stream before measuring the Table 4 Compiled column."
   in
   Arg.(value & flag & info [ "pgo" ] ~doc)
 
 let table_fuse_arg =
   let doc =
-    "Superstate-fuse the Table 4 Packed column's engine (after --pgo \
+    "Superstate-fuse the Table 4 Compiled column's image (after --pgo \
      repacking when both are given) before measuring."
   in
   Arg.(value & flag & info [ "fuse" ] ~doc)
@@ -1740,12 +1708,11 @@ let serve_cmd =
   let serve_engine_arg =
     engine_arg_of
       ~doc:
-        "Session replay engine: packed (flat-array dispatch) or compiled \
-         (closure-threaded dispatch; each session compiles its own dup of \
-         the shared image). The fleet profile and the --offline-check gate \
-         are engine-invariant."
-      [ ("packed", `Packed); ("compiled", `Compiled) ]
-      `Packed
+        "Session replay engine: compiled (closure-threaded dispatch; each \
+         session compiles its own dup of the shared image) is the only \
+         value."
+      [ ("compiled", `Compiled) ]
+      `Compiled
   in
   let serve_retune_arg =
     let doc =
@@ -1828,9 +1795,9 @@ let serve_cmd =
     let finish_tiers () = Tea_core.Tierstat.uninstall () in
     match
       let srv =
-        Tea_serve.Server.create ~queue_cap ~offline_check ~engine
-          ~retain:(save_fleet <> None) ?events ?drift ~base
-          ?retune:retune_cfg ~jobs ~image listen
+        Tea_serve.Server.create ~queue_cap ~offline_check
+          ~retain:(save_fleet <> None) ?events ?drift ~base ?retune:retune_cfg
+          ~jobs ~image listen
       in
       Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
       (* clients wait for this line before connecting *)

@@ -6,21 +6,21 @@
 
    The compiled image is a pure function of the packed image it was
    built from (any TEAPK1/2/3 layout), and replay through it is
-   observationally identical to the interpreted loops in {!Replayer}:
+   observationally identical to stepping the image with {!Packed.step}:
    the per-step simulated-cycle charges are captured into each closure
-   at build time from the same tables the interpreter consults (the
+   at build time from the same tables the step consults (the
    flat binary-search charge, the repacked [edge_cost]/[miss_cost]
    tables, the fusion overlay's [fecost]), so cycles stay a pure
    function of the replayed stream. The inline cache is the one
    mechanism deliberately skipped: on repacked images an IC hit charges
    exactly what the scan that filled it charged ([ic_cost] =
    [edge_cost] of the cached edge), so dispatching without it cannot
-   move a single cycle — only the ic_hits/ic_misses split, which is
-   already excluded from {!Replayer.snapshot} as chunk-local.
+   move a single cycle — only the ic_hits/ic_misses split, which
+   {!Replayer.snapshot} excludes.
 
-   The batch-loop state the interpreted loops keep in registers —
-   cursor, batch bound, cycle accumulator, plus the two loop-invariant
-   arrays — is threaded through every closure as arguments
+   The batch-loop state — cursor, batch bound, cycle accumulator, plus
+   the two loop-invariant arrays — is threaded through every closure as
+   arguments
    [(addrs, counts, i, stop, cycles)], so the fast paths touch no
    mutable record at all. The remaining accounting is derived:
    [total] is the batch's instruction sum (a pure prefix sum computed
@@ -113,8 +113,7 @@ let of_packed packed =
   let repacked = Packed.is_repacked packed in
   let edge_cost, miss_cost =
     if repacked then
-      let v = Packed.hot_view packed in
-      (v.Packed.v_edge_cost, v.Packed.v_miss_cost)
+      Packed.hot_costs packed
     else ([||], [||])
   in
   (* The interpreted flat loop charges (halvings m + 1) search steps
@@ -150,8 +149,8 @@ let of_packed packed =
     Array.make (max 1 n_slots) (fun _ _ _ _ _ -> ())
   in
   (* Shared cross-trace dispatch: the span missed (or was empty), so
-     probe the global trace-head hash — the same fall-back tier the
-     interpreted loops end in, with the same charges. All the
+     probe the global trace-head hash — the same fall-back tier
+     {!Packed.step} ends in, with the same charges. All the
      NTE-boundary accounting (uncovered, enters, exits) lives here and
      in the NTE-edge actions; the hot paths never touch [ctx]. *)
   let dispatch_hash prev miss_extra pc addrs counts i stop cycles =

@@ -23,14 +23,13 @@
       without a single indirect jump.
 
     Replay through the compiled image is observationally identical to
-    the interpreted {!Replayer} loops — TBB mapping, coverage,
+    stepping the image with {!Packed.step} — TBB mapping, coverage,
     enter/exit counters, stats and simulated cycles (the per-step
     charges are captured from the same cost tables at build time), so
     cycles remain a pure function of the replayed stream. The only
     divergence is the inline-cache hit/miss split (compiled dispatch
     consults no IC; an IC hit charges exactly its underlying scan, so
-    no cycle moves) — the same chunk-local exception already excluded
-    from {!Replayer.snapshot}.
+    no cycle moves), which {!Replayer.snapshot} excludes.
 
     The batch-loop state (cursor, bound, cycle accumulator and the two
     loop-invariant arrays) is threaded through the closures as

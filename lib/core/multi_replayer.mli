@@ -28,9 +28,10 @@ type t
 
 val create : (int -> Replayer.t) -> t
 (** [create make]: [make asid] builds the replayer for an asid on its
-    first block (e.g. [fun a -> Replayer.create_packed (Packed.dup
-    (image_for a))] — pass each asid a {e dup} when images are shared:
-    packed stats and cycles live on the image). *)
+    first block (e.g. [fun a -> Replayer.create_compiled
+    (Compiled.of_packed (Packed.dup (image_for a)))] — pass each asid a
+    {e dup} when images are shared: stats and cycles live on the
+    image). *)
 
 val rebind : t -> (int -> Replayer.t) -> unit
 (** [rebind t make] hot-swaps every live per-asid replayer onto the
@@ -51,11 +52,12 @@ type feeder
 (** An incremental batching front-end over one {!t}: buffers consecutive
     same-asid block runs and flushes them through {!Replayer.feed_run}.
     Event-at-a-time producers (the serve daemon, streaming decoders) use
-    a feeder so they take the same batched engine loops — and the same
-    {!Tierstat} dispatch-tier attribution — as offline file replay.
+    a feeder so they take the same batched compiled dispatch — and the
+    same {!Tierstat} dispatch-tier attribution — as offline file replay.
     Equivalent to folding {!feed} (the feed_run == feed_addr property),
-    except that on a fused image batched dispatch resolves chains through
-    the fused tier. Not thread-safe: one feeder per producer. *)
+    except that batched in-trace resolutions count in the [compiled]
+    tier where {!feed}'s {!Packed.step} counts [ic]/[hot]/[search]. Not
+    thread-safe: one feeder per producer. *)
 
 val feeder : ?buf:int -> t -> feeder
 (** [buf] is the run-buffer capacity in blocks (default 4096).

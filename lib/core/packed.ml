@@ -94,8 +94,8 @@ let ic_empty = min_int
 
 (* Fibonacci multiplicative hashing; the constant is SplitMix64's golden
    gamma truncated to OCaml's int range. Exported so every probe loop —
-   insertion here, {!step}, {!head_of} and the fused batch loop in
-   {!Replayer.feed_run} — shares the one definition. *)
+   insertion here, {!step}, {!head_of} and the compiled hash fallback —
+   shares the one definition. *)
 let[@inline] hash_pc mask pc = ((pc * 0x2545F4914F6CDD1D) lsr 24) land mask
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
@@ -141,7 +141,7 @@ let halvings m =
   go m 0
 
 (* Precompute what the scan path charges so the inline cache (and the
-   fused batch loop) can charge a resolution with one table load:
+   compiled closures) can charge a resolution with one table load:
    - a hot-prefix edge at position j costs its j+1 linear probes;
    - a tail edge costs the whole prefix (k probes) plus the binary search
      over the m tail labels (halvings m + 1);
@@ -306,10 +306,6 @@ let slot_of_state t s =
 let ic_hits t = t.ic_hit_count
 
 let ic_misses t = t.ic_miss_count
-
-let add_ic t ~hits ~misses =
-  t.ic_hit_count <- t.ic_hit_count + hits;
-  t.ic_miss_count <- t.ic_miss_count + misses
 
 let reset_counters t =
   t.total_cycles <- 0;
@@ -541,39 +537,12 @@ let step t state pc =
     invalid_arg "Packed.step: state id outside the frozen image";
   if t.repacked then step_hot t state pc else step_flat t state pc
 
-(* Read-only view of every array the fused batch loop in
-   {!Replayer.run_packed} needs for the repacked dispatch, bundled so the
-   loop hoists each into a local with one record load. The IC arrays are
-   the live (mutable) ones — the loop fills them in place. *)
-type hot_view = {
-  v_offsets : int array;
-  v_labels : int array;
-  v_targets : int array;
-  v_hot_len : int array;
-  v_edge_cost : int array;
-  v_miss_cost : int array;
-  v_ic_label : int array;
-  v_ic_target : int array;
-  v_ic_cost : int array;
-  v_hash_keys : int array;
-  v_hash_vals : int array;
-}
-
-let hot_view t =
-  if not t.repacked then invalid_arg "Packed.hot_view: image is not repacked";
-  {
-    v_offsets = t.offsets;
-    v_labels = t.labels;
-    v_targets = t.targets;
-    v_hot_len = t.hot_len;
-    v_edge_cost = t.edge_cost;
-    v_miss_cost = t.miss_cost;
-    v_ic_label = t.ic_label;
-    v_ic_target = t.ic_target;
-    v_ic_cost = t.ic_cost;
-    v_hash_keys = t.hash_keys;
-    v_hash_vals = t.hash_vals;
-  }
+(* The precomputed resolution costs of a repacked layout, for the passes
+   that must charge exactly what {!step} charges without stepping:
+   compiled dispatch and chain fusion. *)
+let hot_costs t =
+  if not t.repacked then invalid_arg "Packed.hot_costs: image is not repacked";
+  (t.edge_cost, t.miss_cost)
 
 let to_raw t : raw =
   {

@@ -21,7 +21,7 @@
     reference engine's own [Transition.refresh] contract.
 
     Counters use the same {!Transition.stats} record so the Table 2–4
-    drivers run unchanged on either engine. The packed engine has no local
+    drivers run unchanged on either engine. A packed image has no local
     caches: resolutions the reference engine splits between [cache_hits]
     and [global_hits] all land in [global_hits] here ([cache_hits] stays
     0); [steps], [in_trace_hits] and [global_misses] match the reference
@@ -52,8 +52,8 @@
     {!fusion} overlay marking maximal single-successor chains of states
     (and cycles of such chains) whose next transition is forced whenever
     the incoming PC matches the chain's signature. {!step} ignores the
-    overlay entirely — only {!Replayer.feed_run}'s batch loop exploits
-    it, matching a run of upcoming PCs against the signature with one
+    overlay entirely — only {!Compiled}'s chain matchers exploit it,
+    matching a run of upcoming PCs against the signature with one
     comparison loop and charging the precomputed per-edge costs in bulk.
     {!with_fusion} re-validates the overlay against the base image
     (every chain edge must restate an existing 1-edge span verbatim,
@@ -95,7 +95,7 @@ val reset_counters : t -> unit
 
 val add_cycles : t -> int -> unit
 (** Charge simulated cycles computed outside {!step}. Used by
-    {!Replayer.feed_run}, whose fused batch loop replicates the step logic
+    {!Replayer.feed_run}, whose compiled batch replicates the step costs
     and flushes the accumulated cost once per batch. *)
 
 val automaton : t -> Automaton.t option
@@ -122,8 +122,8 @@ val head_of : t -> int -> Automaton.state option
 val hash_pc : int -> int -> int
 (** [hash_pc mask pc] — the Fibonacci-multiplicative home slot of [pc] in
     a power-of-two hash of size [mask + 1]. The single definition behind
-    head insertion, {!step}, {!head_of} and {!Replayer.feed_run}'s fused
-    probe loop. *)
+    head insertion, {!step}, {!head_of} and {!Compiled}'s hash
+    fallback. *)
 
 val build_hash : (int * int) list -> int -> int array * int array
 (** [build_hash heads n_slots] — the open-addressing (keys, vals) pair
@@ -163,29 +163,12 @@ val ic_misses : t -> int
     step is exactly one of the two; both 0 on flat images). Telemetry
     mirrors: [packed.ic_hit] / [packed.ic_miss]. *)
 
-val add_ic : t -> hits:int -> misses:int -> unit
-(** Flush IC counters accumulated outside {!step} (the fused batch
-    loop). *)
-
-(** Everything the fused batch loop needs for the repacked dispatch, as
-    one record of the live arrays (the IC arrays are mutable and filled
-    in place). *)
-type hot_view = {
-  v_offsets : int array;
-  v_labels : int array;
-  v_targets : int array;
-  v_hot_len : int array;
-  v_edge_cost : int array;
-  v_miss_cost : int array;
-  v_ic_label : int array;
-  v_ic_target : int array;
-  v_ic_cost : int array;
-  v_hash_keys : int array;
-  v_hash_vals : int array;
-}
-
-val hot_view : t -> hot_view
-(** @raise Invalid_argument on a flat image. *)
+val hot_costs : t -> int array * int array
+(** [(edge_cost, miss_cost)] of a repacked image: the simulated cycles
+    {!step} charges to resolve each pooled edge / to miss each slot's
+    whole span, precomputed from the layout. {!Compiled} and
+    {!Tea_opt.Fuse} charge from these so their cycles equal {!step}'s.
+    @raise Invalid_argument on a flat image. *)
 
 (** {2 Fusion overlay} *)
 

@@ -553,7 +553,7 @@ let replay trans path =
   rep
 
 let replay_packed packed path =
-  let rep = Replayer.create_packed packed in
+  let rep = Replayer.create_compiled (Compiled.of_packed packed) in
   iter_chunks path (fun ~starts ~insns ~len ->
       Replayer.feed_run rep ~insns starts ~len);
   rep

@@ -165,6 +165,8 @@ val replay : Transition.t -> string -> Replayer.t
     cross-system workflow (reference engine, record-at-a-time). *)
 
 val replay_packed : Packed.t -> string -> Replayer.t
-(** Same replay through the packed fast path: chunked decode feeding
-    {!Replayer.feed_run}. Identical coverage, profiles and state sequence
-    to {!replay} over the same automaton. *)
+(** Same replay through the compiled engine over the image: decode in
+    4096-block chunks ({!iter_chunks}), each fed to {!Replayer.feed_run}, so
+    memory is per chunk, not per trace. Identical coverage, profiles and
+    state sequence to {!replay} over the same automaton. Stats and
+    cycles accumulate on [packed]. *)

@@ -2,7 +2,6 @@ module Block = Tea_cfg.Block
 
 type engine =
   | Reference of Transition.t
-  | Packed of Packed.t
   | Compiled of Compiled.t
 
 type t = {
@@ -32,8 +31,6 @@ let make engine auto =
 
 let create trans = make (Reference trans) (Some (Transition.automaton trans))
 
-let create_packed packed = make (Packed packed) (Packed.automaton packed)
-
 let create_compiled compiled =
   make (Compiled compiled) (Packed.automaton (Compiled.base compiled))
 
@@ -48,8 +45,8 @@ let grow_counts t need =
   Array.blit t.counts 0 fresh 0 (Array.length t.counts);
   t.counts <- fresh
 
-(* Shared per-step accounting; inlined into both the single-address and the
-   batched entry points. *)
+(* Per-step accounting, shared by {!feed_addr} and the reference batch
+   loop. *)
 let[@inline] account t prev next insns =
   t.state <- next;
   t.total <- t.total + insns;
@@ -62,8 +59,8 @@ let[@inline] account t prev next insns =
   if prev <> Automaton.nte && next = Automaton.nte then t.exits <- t.exits + 1
 
 (* Telemetry: the replayer-level counters (steps, NTE entries/exits).
-   Per-step paths emit them directly; the batch paths flush one delta per
-   batch so the fused loop stays call-free. *)
+   The per-step path emits them directly; the batch paths flush one delta
+   per batch. *)
 let probe_step prev next =
   match Tea_telemetry.Probe.metrics () with
   | None -> ()
@@ -79,7 +76,6 @@ let feed_addr t ?(insns = 0) addr =
   let next =
     match t.engine with
     | Reference trans -> Transition.step trans prev addr
-    | Packed packed -> Packed.step packed prev addr
     | Compiled c ->
         (* single-step path: the base image's interpreted step is
            observationally identical (and updates the same stats), so
@@ -91,717 +87,11 @@ let feed_addr t ?(insns = 0) addr =
 
 let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
 
-(* Fused batch loop for the packed engine: {!Packed.step} plus the
-   per-step accounting, replicated inline so the hot loop makes no calls
-   and touches no heap records — everything accumulates in local cells
-   allocated once per batch and is flushed at the end. The replication is
-   pinned to the step-at-a-time path by the feed_run/feed_addr qcheck
-   equivalence property (state sequence, coverage, stats and cycles). *)
-let run_packed_flat t packed addrs ins ~off ~len =
-  let raw = Packed.to_raw packed in
-  let offsets = raw.Packed.offsets in
-  let labels = raw.Packed.labels in
-  let targets = raw.Packed.targets in
-  let keys = raw.Packed.hash_keys in
-  let vals = raw.Packed.hash_vals in
-  let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  (* every possible next state (targets, hash values, NTE) is < n_slots,
-     so growing the count array once up front removes the per-step check *)
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
-  let counts = t.counts in
-  let nte = Automaton.nte in
-  let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
-  let cycles = ref 0 in
-  (* Hoisted telemetry handle: [None] (one atomic load per batch) on the
-     disabled path; when enabled, hash-probe lengths are recovered from
-     the cycle deltas the loop already accumulates, so the loop body
-     itself gains no bookkeeping. *)
-  let hprobe =
-    match Tea_telemetry.Probe.metrics () with
-    | None -> None
-    | Some m -> Some (Tea_telemetry.Metrics.histogram m "packed.hash_probe_len")
-  in
-  (* Hoisted tier tally: [None] when the dispatch profiler is off, so the
-     disabled path adds one predictable branch per resolution on an
-     immutable local — same budget class as [hprobe]. *)
-  let tly = Tierstat.tally () in
-  for i = off to off + len - 1 do
-    let pc = Array.unsafe_get addrs i in
-    let prev = !state in
-    let lo = Array.unsafe_get offsets prev in
-    let hi = Array.unsafe_get offsets (prev + 1) in
-    (* in-trace: branchless lower bound over the state's sorted span *)
-    let hit =
-      if hi > lo then begin
-        let base = ref lo and l = ref (hi - lo) in
-        while !l > 1 do
-          let half = !l lsr 1 in
-          if Array.unsafe_get labels (!base + half) <= pc then
-            base := !base + half;
-          l := !l - half;
-          cycles := !cycles + Packed.cost_search_step
-        done;
-        cycles := !cycles + Packed.cost_search_step;
-        if Array.unsafe_get labels !base = pc then
-          Array.unsafe_get targets !base
-        else -1
-      end
-      else -1
-    in
-    let next =
-      if hit >= 0 then begin
-        incr in_hits;
-        (match tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state:prev);
-        hit
-      end
-      else begin
-        (* cross-trace / cold: probe the trace-head hash *)
-        cycles := !cycles + Packed.cost_hash_base;
-        let c0 = !cycles in
-        let idx = ref (Packed.hash_pc mask pc) in
-        let found = ref (-2) in
-        while !found = -2 do
-          cycles := !cycles + Packed.cost_hash_probe;
-          let k = Array.unsafe_get keys !idx in
-          if k = pc then found := Array.unsafe_get vals !idx
-          else if k < 0 then found := -1
-          else idx := (!idx + 1) land mask
-        done;
-        (match hprobe with
-        | None -> ()
-        | Some h ->
-            (* cost_hash_probe = 1 cycle per slot examined *)
-            Tea_telemetry.Metrics.observe h
-              ((!cycles - c0) / Packed.cost_hash_probe));
-        (match tly with
-        | None -> ()
-        | Some a ->
-            let tier =
-              if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-            in
-            Tierstat.bump a ~tier ~state:prev);
-        if !found >= 0 then begin
-          incr g_hits;
-          !found
-        end
-        else begin
-          incr g_miss;
-          cycles := !cycles + Transition.cost_nte_miss;
-          nte
-        end
-      end
-    in
-    let insns = Array.unsafe_get ins i in
-    state := next;
-    total := !total + insns;
-    if next <> nte then begin
-      covered := !covered + insns;
-      Array.unsafe_set counts next (1 + Array.unsafe_get counts next)
-    end;
-    if prev = nte && next <> nte then incr enters;
-    if prev <> nte && next = nte then incr exits
-  done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  Packed.add_cycles packed !cycles
-
-(* The same fused loop over a repacked image: inline cache first, then
-   the most-taken-first hot prefix, then binary search over the sorted
-   tail, then the hash path. Resolution costs come from the precomputed
-   edge_cost/miss_cost tables (an IC hit charges exactly what the scan
-   charged when the entry was filled), so simulated cycles stay a pure
-   function of the replayed stream — see the Packed docs for why that
-   keeps sharded replay bit-identical. *)
-let run_packed_hot t packed addrs ins ~off ~len =
-  let v = Packed.hot_view packed in
-  let offsets = v.Packed.v_offsets in
-  let labels = v.Packed.v_labels in
-  let targets = v.Packed.v_targets in
-  let hot_len = v.Packed.v_hot_len in
-  let edge_cost = v.Packed.v_edge_cost in
-  let miss_cost = v.Packed.v_miss_cost in
-  let ic_label = v.Packed.v_ic_label in
-  let ic_target = v.Packed.v_ic_target in
-  let ic_cost = v.Packed.v_ic_cost in
-  let keys = v.Packed.v_hash_keys in
-  let vals = v.Packed.v_hash_vals in
-  let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
-  let counts = t.counts in
-  let nte = Automaton.nte in
-  let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
-  let ic_h = ref 0 and ic_m = ref 0 in
-  let cycles = ref 0 in
-  let hprobe =
-    match Tea_telemetry.Probe.metrics () with
-    | None -> None
-    | Some m -> Some (Tea_telemetry.Metrics.histogram m "packed.hash_probe_len")
-  in
-  let tly = Tierstat.tally () in
-  for i = off to off + len - 1 do
-    let pc = Array.unsafe_get addrs i in
-    let prev = !state in
-    let next =
-      if Array.unsafe_get ic_label prev = pc then begin
-        (* monomorphic inline cache: one compare, one precomputed charge *)
-        incr ic_h;
-        incr in_hits;
-        cycles := !cycles + Array.unsafe_get ic_cost prev;
-        (match tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state:prev);
-        Array.unsafe_get ic_target prev
-      end
-      else begin
-        incr ic_m;
-        let lo = Array.unsafe_get offsets prev in
-        let hi = Array.unsafe_get offsets (prev + 1) in
-        let stop = lo + Array.unsafe_get hot_len prev in
-        (* linear scan of the most-taken-first prefix *)
-        let e = ref (-1) in
-        let j = ref lo in
-        while !e < 0 && !j < stop do
-          if Array.unsafe_get labels !j = pc then e := !j else incr j
-        done;
-        (* binary search over the sorted tail *)
-        if !e < 0 && hi > stop then begin
-          let base = ref stop and l = ref (hi - stop) in
-          while !l > 1 do
-            let half = !l lsr 1 in
-            if Array.unsafe_get labels (!base + half) <= pc then
-              base := !base + half;
-            l := !l - half
-          done;
-          if Array.unsafe_get labels !base = pc then e := !base
-        end;
-        if !e >= 0 then begin
-          incr in_hits;
-          let c = Array.unsafe_get edge_cost !e in
-          cycles := !cycles + c;
-          let tgt = Array.unsafe_get targets !e in
-          Array.unsafe_set ic_label prev pc;
-          Array.unsafe_set ic_target prev tgt;
-          Array.unsafe_set ic_cost prev c;
-          (match tly with
-          | None -> ()
-          | Some a ->
-              (* [!e < stop]: the most-taken-first prefix; otherwise the
-                 binary-search tail. *)
-              let tier =
-                if !e < stop then Tierstat.t_hot else Tierstat.t_search
-              in
-              Tierstat.bump a ~tier ~state:prev);
-          tgt
-        end
-        else begin
-          (* span miss: charge the full scan, then the hash path *)
-          cycles :=
-            !cycles + Array.unsafe_get miss_cost prev + Packed.cost_hash_base;
-          let c0 = !cycles in
-          let idx = ref (Packed.hash_pc mask pc) in
-          let found = ref (-2) in
-          while !found = -2 do
-            cycles := !cycles + Packed.cost_hash_probe;
-            let k = Array.unsafe_get keys !idx in
-            if k = pc then found := Array.unsafe_get vals !idx
-            else if k < 0 then found := -1
-            else idx := (!idx + 1) land mask
-          done;
-          (match hprobe with
-          | None -> ()
-          | Some h ->
-              Tea_telemetry.Metrics.observe h
-                ((!cycles - c0) / Packed.cost_hash_probe));
-          (match tly with
-          | None -> ()
-          | Some a ->
-              let tier =
-                if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-              in
-              Tierstat.bump a ~tier ~state:prev);
-          if !found >= 0 then begin
-            incr g_hits;
-            !found
-          end
-          else begin
-            incr g_miss;
-            cycles := !cycles + Transition.cost_nte_miss;
-            nte
-          end
-        end
-      end
-    in
-    let insns = Array.unsafe_get ins i in
-    state := next;
-    total := !total + insns;
-    if next <> nte then begin
-      covered := !covered + insns;
-      Array.unsafe_set counts next (1 + Array.unsafe_get counts next)
-    end;
-    if prev = nte && next <> nte then incr enters;
-    if prev <> nte && next = nte then incr exits
-  done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss;
-      count m "packed.ic_hit" !ic_h;
-      count m "packed.ic_miss" !ic_m);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  Packed.add_ic packed ~hits:!ic_h ~misses:!ic_m;
-  Packed.add_cycles packed !cycles
-
-(* The fused loop over an image carrying a {!Packed.fusion} overlay: when
-   the current state sits on a fused chain, a run of upcoming PCs is
-   matched against the chain's signature with one comparison loop — no
-   automaton dispatch — and the per-step accounting is charged in bulk
-   (for a cyclic chain, [full] complete iterations cost O(cycle length)
-   regardless of [full]). Observational equality with the unfused loops
-   is structural: {!Packed.with_fusion} validates that each chain edge
-   restates a 1-edge span with the exact cost the ordinary dispatch
-   charges, every chain target is in-trace, and a mismatching or
-   unchained PC falls through to a verbatim copy of the unfused
-   dispatch. Only the inline-cache hit/miss {e split} can differ (chain
-   steps consult no IC) — the same documented exception as the parallel
-   driver's chunk-local IC; it is excluded from {!snapshot}. *)
-let run_packed_fused t packed (f : Packed.fusion) addrs ins ~off ~len =
-  let raw = Packed.to_raw packed in
-  let offsets = raw.Packed.offsets in
-  let labels = raw.Packed.labels in
-  let targets = raw.Packed.targets in
-  let keys = raw.Packed.hash_keys in
-  let vals = raw.Packed.hash_vals in
-  let hot_len = raw.Packed.hot_len in
-  let repacked = Packed.is_repacked packed in
-  (* Repacked-only live arrays; empty — and never read — on a flat base. *)
-  let edge_cost, miss_cost, ic_label, ic_target, ic_cost =
-    if repacked then
-      let v = Packed.hot_view packed in
-      ( v.Packed.v_edge_cost,
-        v.Packed.v_miss_cost,
-        v.Packed.v_ic_label,
-        v.Packed.v_ic_target,
-        v.Packed.v_ic_cost )
-    else ([||], [||], [||], [||], [||])
-  in
-  let fchain = f.Packed.fchain in
-  let fpos = f.Packed.fpos in
-  let foff = f.Packed.foff in
-  let fcyc = f.Packed.fcyc in
-  let fsig = f.Packed.fsig in
-  let ftgt = f.Packed.ftgt in
-  let fecost = f.Packed.fecost in
-  (* Per-chain cost sums, hoisted once per batch: a full cycle iteration
-     charges a constant, so the fast-forward multiplies instead of
-     re-summing fecost on every chain entry. *)
-  let n_chains = Array.length foff - 1 in
-  let csums = Array.make (max 1 n_chains) 0 in
-  for c = 0 to n_chains - 1 do
-    let s = ref 0 in
-    for e = foff.(c) to foff.(c + 1) - 1 do
-      s := !s + fecost.(e)
-    done;
-    csums.(c) <- !s
-  done;
-  let mask = Array.length keys - 1 in
-  let n_slots = Array.length offsets - 1 in
-  if t.state < 0 || t.state >= n_slots then
-    invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
-  let counts = t.counts in
-  let nte = Automaton.nte in
-  let state = ref t.state in
-  let covered = ref t.covered and total = ref t.total in
-  let enters = ref t.enters and exits = ref t.exits in
-  let in_hits = ref 0 and g_hits = ref 0 and g_miss = ref 0 in
-  let ic_h = ref 0 and ic_m = ref 0 in
-  let fused_steps = ref 0 in
-  let cycles = ref 0 in
-  let hprobe =
-    match Tea_telemetry.Probe.metrics () with
-    | None -> None
-    | Some m -> Some (Tea_telemetry.Metrics.histogram m "packed.hash_probe_len")
-  in
-  let tly = Tierstat.tally () in
-  let stop = off + len in
-  let i = ref off in
-  while !i < stop do
-    let prev = !state in
-    let c = Array.unsafe_get fchain prev in
-    let matched =
-      if c < 0 then 0
-      else begin
-        let lo = Array.unsafe_get foff c in
-        let hi = Array.unsafe_get foff (c + 1) in
-        let p = Array.unsafe_get fpos prev in
-        if Array.unsafe_get fcyc c = 1 then begin
-          (* Cyclic chain: match the incoming PC run against the cycle's
-             signature, wrapping — one compare + one insns add per step. *)
-          let j = ref !i and q = ref (lo + p) and isum = ref 0 in
-          while
-            !j < stop && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q
-          do
-            isum := !isum + Array.unsafe_get ins !j;
-            incr j;
-            incr q;
-            if !q = hi then q := lo
-          done;
-          let m = !j - !i in
-          if m > 0 then begin
-            let l = hi - lo in
-            (* Short matches (the common exit-every-lap-or-two case) skip
-               the division entirely; only long fast-forwards pay it, where
-               it is amortized over >= 2l steps. *)
-            let full =
-              if m < l then 0 else if m - l < l then 1 else m / l
-            in
-            let rem = m - (full * l) in
-            (* [full] complete iterations: every edge taken [full] times,
-               the cycle cost charged as one multiply — the fast-forward. *)
-            if full > 0 then begin
-              cycles := !cycles + (full * Array.unsafe_get csums c);
-              for e = lo to hi - 1 do
-                let tgt = Array.unsafe_get ftgt e in
-                Array.unsafe_set counts tgt (full + Array.unsafe_get counts tgt)
-              done
-            end;
-            (* [rem] leftover steps from position [p], wrapping once. *)
-            let e = ref (lo + p) in
-            for _ = 1 to rem do
-              cycles := !cycles + Array.unsafe_get fecost !e;
-              let tgt = Array.unsafe_get ftgt !e in
-              Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
-              incr e;
-              if !e = hi then e := lo
-            done;
-            (* Tier attribution: the source of the edge at ring position
-               [q] is the previous position's target — a fixed property of
-               the cycle, so the charge is independent of how the match
-               splits across batches. *)
-            (match tly with
-            | None -> ()
-            | Some a ->
-                if full > 0 then
-                  for e = lo to hi - 1 do
-                    let src =
-                      Array.unsafe_get ftgt (if e = lo then hi - 1 else e - 1)
-                    in
-                    Tierstat.bump_n a ~tier:Tierstat.t_fused ~state:src full
-                  done;
-                let e = ref (lo + p) in
-                for _ = 1 to rem do
-                  let src =
-                    Array.unsafe_get ftgt (if !e = lo then hi - 1 else !e - 1)
-                  in
-                  Tierstat.bump a ~tier:Tierstat.t_fused ~state:src;
-                  incr e;
-                  if !e = hi then e := lo
-                done);
-            covered := !covered + !isum;
-            total := !total + !isum;
-            in_hits := !in_hits + m;
-            (* the edge that produced the final state sits just before the
-               next expected position [!q] — no second division *)
-            let last = if !q = lo then hi - 1 else !q - 1 in
-            state := Array.unsafe_get ftgt last;
-            i := !j
-          end;
-          m
-        end
-        else begin
-          (* Straight chain: match linearly up to the chain's end. *)
-          let j = ref !i and q = ref (lo + p) and isum = ref 0 in
-          while
-            !q < hi && !j < stop
-            && Array.unsafe_get addrs !j = Array.unsafe_get fsig !q
-          do
-            isum := !isum + Array.unsafe_get ins !j;
-            incr j;
-            incr q
-          done;
-          let m = !j - !i in
-          if m > 0 then begin
-            for e = lo + p to lo + p + m - 1 do
-              cycles := !cycles + Array.unsafe_get fecost e;
-              let tgt = Array.unsafe_get ftgt e in
-              Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt)
-            done;
-            (* Entry state [prev] sources the first matched edge; each
-               later edge's source is the previous edge's target. *)
-            (match tly with
-            | None -> ()
-            | Some a ->
-                let src = ref prev in
-                for e = lo + p to lo + p + m - 1 do
-                  Tierstat.bump a ~tier:Tierstat.t_fused ~state:!src;
-                  src := Array.unsafe_get ftgt e
-                done);
-            covered := !covered + !isum;
-            total := !total + !isum;
-            in_hits := !in_hits + m;
-            state := Array.unsafe_get ftgt (lo + p + m - 1);
-            i := !j
-          end;
-          m
-        end
-      end
-    in
-    if matched = 0 then begin
-      (* Unchained state, or the stream diverged from the chain signature:
-         one verbatim unfused dispatch step (IC/prefix/tail/hash when
-         repacked, binary search/hash when flat), so costs and counters
-         stay bit-identical to the unfused loops. *)
-      let pc = Array.unsafe_get addrs !i in
-      let next =
-        if repacked then begin
-          if Array.unsafe_get ic_label prev = pc then begin
-            incr ic_h;
-            incr in_hits;
-            cycles := !cycles + Array.unsafe_get ic_cost prev;
-            (match tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state:prev);
-            Array.unsafe_get ic_target prev
-          end
-          else begin
-            incr ic_m;
-            let lo = Array.unsafe_get offsets prev in
-            let hi = Array.unsafe_get offsets (prev + 1) in
-            let hstop = lo + Array.unsafe_get hot_len prev in
-            let e = ref (-1) in
-            let j = ref lo in
-            while !e < 0 && !j < hstop do
-              if Array.unsafe_get labels !j = pc then e := !j else incr j
-            done;
-            if !e < 0 && hi > hstop then begin
-              let base = ref hstop and l = ref (hi - hstop) in
-              while !l > 1 do
-                let half = !l lsr 1 in
-                if Array.unsafe_get labels (!base + half) <= pc then
-                  base := !base + half;
-                l := !l - half
-              done;
-              if Array.unsafe_get labels !base = pc then e := !base
-            end;
-            if !e >= 0 then begin
-              incr in_hits;
-              let cst = Array.unsafe_get edge_cost !e in
-              cycles := !cycles + cst;
-              let tgt = Array.unsafe_get targets !e in
-              Array.unsafe_set ic_label prev pc;
-              Array.unsafe_set ic_target prev tgt;
-              Array.unsafe_set ic_cost prev cst;
-              (match tly with
-              | None -> ()
-              | Some a ->
-                  let tier =
-                    if !e < hstop then Tierstat.t_hot else Tierstat.t_search
-                  in
-                  Tierstat.bump a ~tier ~state:prev);
-              tgt
-            end
-            else begin
-              cycles :=
-                !cycles + Array.unsafe_get miss_cost prev
-                + Packed.cost_hash_base;
-              let c0 = !cycles in
-              let idx = ref (Packed.hash_pc mask pc) in
-              let found = ref (-2) in
-              while !found = -2 do
-                cycles := !cycles + Packed.cost_hash_probe;
-                let k = Array.unsafe_get keys !idx in
-                if k = pc then found := Array.unsafe_get vals !idx
-                else if k < 0 then found := -1
-                else idx := (!idx + 1) land mask
-              done;
-              (match hprobe with
-              | None -> ()
-              | Some h ->
-                  Tea_telemetry.Metrics.observe h
-                    ((!cycles - c0) / Packed.cost_hash_probe));
-              (match tly with
-              | None -> ()
-              | Some a ->
-                  let tier =
-                    if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-                  in
-                  Tierstat.bump a ~tier ~state:prev);
-              if !found >= 0 then begin
-                incr g_hits;
-                !found
-              end
-              else begin
-                incr g_miss;
-                cycles := !cycles + Transition.cost_nte_miss;
-                nte
-              end
-            end
-          end
-        end
-        else begin
-          let lo = Array.unsafe_get offsets prev in
-          let hi = Array.unsafe_get offsets (prev + 1) in
-          let hit =
-            if hi > lo then begin
-              let base = ref lo and l = ref (hi - lo) in
-              while !l > 1 do
-                let half = !l lsr 1 in
-                if Array.unsafe_get labels (!base + half) <= pc then
-                  base := !base + half;
-                l := !l - half;
-                cycles := !cycles + Packed.cost_search_step
-              done;
-              cycles := !cycles + Packed.cost_search_step;
-              if Array.unsafe_get labels !base = pc then
-                Array.unsafe_get targets !base
-              else -1
-            end
-            else -1
-          in
-          if hit >= 0 then begin
-            incr in_hits;
-            (match tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state:prev);
-            hit
-          end
-          else begin
-            cycles := !cycles + Packed.cost_hash_base;
-            let c0 = !cycles in
-            let idx = ref (Packed.hash_pc mask pc) in
-            let found = ref (-2) in
-            while !found = -2 do
-              cycles := !cycles + Packed.cost_hash_probe;
-              let k = Array.unsafe_get keys !idx in
-              if k = pc then found := Array.unsafe_get vals !idx
-              else if k < 0 then found := -1
-              else idx := (!idx + 1) land mask
-            done;
-            (match hprobe with
-            | None -> ()
-            | Some h ->
-                Tea_telemetry.Metrics.observe h
-                  ((!cycles - c0) / Packed.cost_hash_probe));
-            (match tly with
-            | None -> ()
-            | Some a ->
-                let tier =
-                  if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss
-                in
-                Tierstat.bump a ~tier ~state:prev);
-            if !found >= 0 then begin
-              incr g_hits;
-              !found
-            end
-            else begin
-              incr g_miss;
-              cycles := !cycles + Transition.cost_nte_miss;
-              nte
-            end
-          end
-        end
-      in
-      let insns = Array.unsafe_get ins !i in
-      state := next;
-      total := !total + insns;
-      if next <> nte then begin
-        covered := !covered + insns;
-        Array.unsafe_set counts next (1 + Array.unsafe_get counts next)
-      end;
-      if prev = nte && next <> nte then incr enters;
-      if prev <> nte && next = nte then incr exits;
-      incr i
-    end
-    else fused_steps := !fused_steps + matched
-  done;
-  (match Tea_telemetry.Probe.metrics () with
-  | None -> ()
-  | Some m ->
-      let open Tea_telemetry.Metrics in
-      count m "replayer.steps" len;
-      count m "replayer.trace_enters" (!enters - t.enters);
-      count m "replayer.trace_exits" (!exits - t.exits);
-      count m "packed.in_trace_hit" !in_hits;
-      count m "packed.global_hit" !g_hits;
-      count m "packed.global_miss" !g_miss;
-      count m "packed.fused_steps" !fused_steps;
-      if repacked then begin
-        count m "packed.ic_hit" !ic_h;
-        count m "packed.ic_miss" !ic_m
-      end);
-  t.state <- !state;
-  t.covered <- !covered;
-  t.total <- !total;
-  t.enters <- !enters;
-  t.exits <- !exits;
-  let st = Packed.stats packed in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + !in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + !g_hits;
-  st.Transition.global_misses <- st.Transition.global_misses + !g_miss;
-  if repacked then Packed.add_ic packed ~hits:!ic_h ~misses:!ic_m;
-  Packed.add_cycles packed !cycles
-
-let run_packed t packed addrs ins ~off ~len =
-  match Packed.fusion_of packed with
-  | Some f -> run_packed_fused t packed f addrs ins ~off ~len
-  | None ->
-      if Packed.is_repacked packed then
-        run_packed_hot t packed addrs ins ~off ~len
-      else run_packed_flat t packed addrs ins ~off ~len
-
 (* Batch replay through the closure-threaded compiled image: the
    threading itself lives in {!Compiled}; this wrapper validates the
    entry state, grows the count array once (every closure writes
    straight into it), applies the batch's deltas and flushes the same
-   telemetry/stats the interpreted loops flush. In-trace hits are
+   telemetry/stats {!Packed.step} bumps one at a time. In-trace hits are
    derived ([len - hash hits - hash misses]): every step resolves
    in-span / on-chain, in the global hash, or not at all. *)
 let run_compiled t c addrs ins ~off ~len =
@@ -846,24 +136,24 @@ let feed_run t ?(off = 0) ?insns addrs ~len =
   | Some a when Array.length a < off + len ->
       invalid_arg "Replayer.feed_run: insns array shorter than len"
   | _ -> ());
-  (* reuse a cached all-zero scratch instead of allocating a fresh
-     array on every no-insns batch *)
-  let scratch_ins () =
-    match insns with
-    | Some a -> a
-    | None ->
-        if len = 0 then no_insns
-        else begin
-          if Array.length t.zeros < off + len then
-            t.zeros <- Array.make (off + len) 0;
-          t.zeros
-        end
-  in
   (* The engine match is hoisted out of the loop: one branchy dispatch per
      batch, not one per block. *)
   match t.engine with
-  | Packed packed -> run_packed t packed addrs (scratch_ins ()) ~off ~len
-  | Compiled c -> run_compiled t c addrs (scratch_ins ()) ~off ~len
+  | Compiled c ->
+      (* reuse a cached all-zero scratch instead of allocating a fresh
+         array on every no-insns batch *)
+      let ins =
+        match insns with
+        | Some a -> a
+        | None ->
+            if len = 0 then no_insns
+            else begin
+              if Array.length t.zeros < off + len then
+                t.zeros <- Array.make (off + len) 0;
+              t.zeros
+            end
+      in
+      run_compiled t c addrs ins ~off ~len
   | Reference trans ->
       let enters0 = t.enters and exits0 = t.exits in
       (match insns with
@@ -910,7 +200,6 @@ let trace_exits t = t.exits
    byte-identical to the flat engine's. *)
 let repacked_of t =
   match t.engine with
-  | Packed p when Packed.is_repacked p -> Some p
   | Compiled c when Packed.is_repacked (Compiled.base c) ->
       Some (Compiled.base c)
   | _ -> None
@@ -941,13 +230,11 @@ let automaton t = t.auto
 let stats t =
   match t.engine with
   | Reference trans -> Transition.stats trans
-  | Packed packed -> Packed.stats packed
   | Compiled c -> Packed.stats (Compiled.base c)
 
 let cycles t =
   match t.engine with
   | Reference trans -> Transition.cycles trans
-  | Packed packed -> Packed.cycles packed
   | Compiled c -> Packed.cycles (Compiled.base c)
 
 let trace_profile t id =
@@ -965,7 +252,6 @@ let trace_profile t id =
 let transition t =
   match t.engine with
   | Reference trans -> trans
-  | Packed _ -> invalid_arg "Replayer.transition: packed engine"
   | Compiled _ -> invalid_arg "Replayer.transition: compiled engine"
 
 (* Hot image swap. Replay state lives in three places: the per-slot
@@ -978,7 +264,6 @@ let transition t =
    the new image so a snapshot taken right after rebind equals one taken
    right before — the swap is observationally a no-op. *)
 let image_of_engine who = function
-  | Packed p -> p
   | Compiled c -> Compiled.base c
   | Reference _ -> invalid_arg (who ^ ": reference engine cannot be swapped")
 
@@ -1012,8 +297,6 @@ let rebind t engine' =
   sn.Transition.global_misses <-
     sn.Transition.global_misses + so.Transition.global_misses;
   Packed.add_cycles new_img (Packed.cycles old_img);
-  Packed.add_ic new_img ~hits:(Packed.ic_hits old_img)
-    ~misses:(Packed.ic_misses old_img);
   t.engine <- engine'
 
 (* Everything a replayer accumulates, as one immutable value. Every field

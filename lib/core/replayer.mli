@@ -7,34 +7,31 @@
     example) — without any trace code existing. Per-state execution
     counters are the profile the paper collects this way.
 
-    Three interchangeable transition engines drive a replayer:
+    Two transition engines drive a replayer:
 
     - the {b reference} engine ({!Transition}), faithful to the paper's
       per-state edge lists plus B+ tree / linked-list containers with
-      their simulated-cycle cost model;
-    - the {b packed} engine ({!Packed}), flat-array compiled for replay
-      throughput;
-    - the {b compiled} engine ({!Compiled}), the packed image specialized
-      into closure-threaded dispatch — each state a preapplied closure
-      jumping straight to its successor's closure.
+      their simulated-cycle cost model — the differential oracle;
+    - the {b compiled} engine ({!Compiled}), a flat-array {!Packed} image
+      (flat, repacked or fused) specialized into closure-threaded
+      dispatch — each state a preapplied closure jumping straight to its
+      successor's closure. Batches ({!feed_run}) run the closures;
+      single addresses ({!feed_addr}) step the underlying image with
+      {!Packed.step}.
 
-    All produce bit-identical state sequences, coverage and profiles
+    Both produce bit-identical state sequences, coverage and profiles
     (property-tested in [test_packed.ml] / [test_compile.ml]); they
     differ only in speed and in how cross-trace resolutions split across
     the stats counters. *)
 
 type engine =
   | Reference of Transition.t
-  | Packed of Packed.t
   | Compiled of Compiled.t
 
 type t
 
 val create : Transition.t -> t
 (** A replayer on the reference engine. *)
-
-val create_packed : Packed.t -> t
-(** A replayer on the packed fast path. *)
 
 val create_compiled : Compiled.t -> t
 (** A replayer on the closure-threaded compiled engine. Stats and cycles
@@ -63,15 +60,16 @@ val feed_run : t -> ?off:int -> ?insns:int array -> int array -> len:int -> unit
     parallel driver hands each shard its chunk). Equivalent to [len]
     calls to {!feed_addr}.
 
-    On an image carrying a fusion overlay ({!Packed.is_fused}) the batch
-    loop dispatches through superstate chains: runs of addresses that
-    match a chain's PC signature are absorbed by one comparison loop and
-    charged in bulk, with every observable (mapping, coverage, counts,
-    stats, simulated cycles) still exactly as if each address had been
-    fed singly. Signature matching never looks past [off + len - 1] — a
-    run that would continue into the next batch simply resumes matching
-    on the next call, which is what keeps sharded replay over a fused
-    image bit-identical to the sequential one.
+    On a compiled image carrying a fusion overlay ({!Packed.is_fused})
+    the batch dispatches through superstate chain matchers: runs of
+    addresses that match a chain's PC signature are absorbed by one
+    comparison loop and charged in bulk, with every observable (mapping,
+    coverage, counts, stats, simulated cycles) still exactly as if each
+    address had been fed singly. Every closure is bounded by
+    [off + len - 1] — a run that would continue into the next batch
+    simply resumes matching on the next call, which is what keeps
+    sharded replay over a fused image bit-identical to the sequential
+    one.
     @raise Invalid_argument when [off..off+len) exceeds either array. *)
 
 val state : t -> Automaton.state
@@ -80,23 +78,23 @@ val set_state : t -> Automaton.state -> unit
 (** Overwrite the current automaton state without stepping — the parallel
     driver's entry-state stitching, and cross-execution resumption. No
     accounting happens; coverage, enter/exit counters and stats are
-    untouched. The id is validated lazily: the packed batch loop rejects
+    untouched. The id is validated lazily: the compiled batch rejects
     ids outside the frozen image on the next feed.
     @raise Invalid_argument on a negative id. *)
 
 val rebind : t -> engine -> unit
 (** [rebind t engine'] hot-swaps the replayer onto a different image of
-    the {e same} automaton — flat, repacked, fused or compiled — without
+    the {e same} automaton — flat, repacked or fused — without
     losing any accumulated accounting: per-state counts and the current
     state are translated through the orig-id permutation
     ({!Packed.orig_state} on the old layout, {!Packed.slot_of_state} on
-    the new), and the old image's engine stats, inline-cache split and
-    simulated cycles are added onto the new image's counters. A
+    the new), and the old image's engine stats and simulated cycles are
+    added onto the new image's counters. A
     {!snapshot} taken immediately after [rebind] equals one taken
     immediately before; subsequent feeds dispatch through the new image.
-    The caller must hand over a private image (a {!Packed.dup} sibling,
-    or {!Compiled.of_packed} of one) exactly as at creation — counters
-    are mutable and must not be shared.
+    The caller must hand over a private image ({!Compiled.of_packed} of
+    a {!Packed.dup} sibling) exactly as at creation — counters are
+    mutable and must not be shared.
     @raise Invalid_argument when either engine is [Reference], or the
     images disagree on slot count (different automata). *)
 
@@ -114,11 +112,10 @@ val trace_exits : t -> int
 
 val tbb_counts : t -> (Automaton.state * int) list
 (** Execution count per TEA state, sorted by state id. On a repacked
-    packed image ({!Tea_opt.Repack}) ids are translated back to the
-    original automaton's, so the mapping is byte-identical to the flat
-    engine's. ({!state}/{!set_state} by contrast stay in the engine's own
-    — possibly permuted — id space; the parallel driver depends on
-    that.) *)
+    image ({!Tea_opt.Repack}) ids are translated back to the original
+    automaton's, so the mapping is byte-identical to the flat image's.
+    ({!state}/{!set_state} by contrast stay in the engine's own —
+    possibly permuted — id space; the parallel driver depends on that.) *)
 
 val count_of_state : t -> Automaton.state -> int
 (** Count for an {e original} automaton state id (translated on repacked
@@ -141,7 +138,7 @@ val cycles : t -> int
 
 val transition : t -> Transition.t
 (** The reference engine.
-    @raise Invalid_argument on a packed- or compiled-engine replayer. *)
+    @raise Invalid_argument on a compiled-engine replayer. *)
 
 (** {2 Snapshots}
 

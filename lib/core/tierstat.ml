@@ -1,4 +1,4 @@
-(* Dispatch-tier profiler for the packed replay engine.
+(* Dispatch-tier profiler for replay over packed images.
 
    Mirrors Tea_telemetry.Probe's global-installation pattern: a single
    atomic installation, one tally per domain (registered lazily under a
@@ -10,15 +10,14 @@
    from. Slot ids are translated back to automaton state ids at report
    boundaries via [Packed.orig_state]. *)
 
-let n_tiers = 7
+let n_tiers = 6
 let t_ic = 0
 let t_hot = 1
 let t_search = 2
 let t_hash = 3
 let t_miss = 4
-let t_fused = 5
-let t_compiled = 6
-let tier_names = [| "ic"; "hot"; "search"; "hash"; "miss"; "fused"; "compiled" |]
+let t_compiled = 5
+let tier_names = [| "ic"; "hot"; "search"; "hash"; "miss"; "compiled" |]
 let tier_name i = tier_names.(i)
 
 type tally = {

@@ -1,8 +1,9 @@
-(** Dispatch-tier profiler for the packed replay engine.
+(** Dispatch-tier profiler for replay over packed images.
 
-    When installed, the replay loops attribute every resolved block to
-    exactly one dispatch tier — the mechanism that found the edge —
-    charged to the source state (packed slot id) the dispatch ran from:
+    When installed, {!Packed.step} and the {!Compiled} batch attribute
+    every resolved block to exactly one dispatch tier — the mechanism
+    that found the edge — charged to the source state (packed slot id)
+    the dispatch ran from:
 
     - [ic]: per-state monomorphic inline-cache hit (repacked images);
     - [hot]: hot-prefix linear-scan hit (repacked images);
@@ -10,8 +11,6 @@
       tail after the hot prefix on repacked ones);
     - [hash]: global trace-head hash-table hit after the span missed;
     - [miss]: unresolved — the replayer cut to the not-in-trace state;
-    - [fused]: resolved in bulk by a fused superstate chain (TEAPK3
-      overlay fast-forward);
     - [compiled]: resolved by the closure-threaded compiled engine
       ({!Compiled}) — straight-line compares (or a chain matcher) jumping
       directly to the successor's closure, no tier ladder consulted.
@@ -32,11 +31,10 @@ val t_hot : int
 val t_search : int
 val t_hash : int
 val t_miss : int
-val t_fused : int
 val t_compiled : int
 
 val tier_name : int -> string
-(** ["ic" | "hot" | "search" | "hash" | "miss" | "fused" | "compiled"]. *)
+(** ["ic" | "hot" | "search" | "hash" | "miss" | "compiled"]. *)
 
 (** {2 Installation} *)
 

@@ -5,11 +5,15 @@ module Replayer = Tea_core.Replayer
 let compile packed = Compiled.of_packed packed
 
 let compiled_replay src ?insns addrs ~len =
-  let baseline = Replayer.create_packed (Packed.dup src) in
-  Replayer.feed_run baseline ?insns addrs ~len;
   let compiled = Compiled.of_packed (Packed.dup src) in
   let tuned = Replayer.create_compiled compiled in
+  (* first, so feed_run validates [len] and [insns] for both sides *)
   Replayer.feed_run tuned ?insns addrs ~len;
+  let baseline = Replayer.create_compiled (Compiled.of_packed (Packed.dup src)) in
+  for i = 0 to len - 1 do
+    let insns = match insns with Some a -> a.(i) | None -> 0 in
+    Replayer.feed_addr baseline ~insns addrs.(i)
+  done;
   (compiled, baseline, tuned)
 
 let describe c =

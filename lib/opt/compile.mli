@@ -12,10 +12,10 @@
     bulk-accounting matcher closure.
 
     Compilation is observationally the identity: TBB mappings, coverage,
-    enter/exit counters, stats and simulated cycles are exactly the
-    interpreted engine's (property-tested in [test_compile.ml]), with
-    the usual inline-cache hit/miss-split exception (cycle-neutral; see
-    {!Tea_core.Compiled}). *)
+    enter/exit counters, stats and simulated cycles are exactly those of
+    stepping the image one address at a time with {!Tea_core.Packed.step}
+    (property-tested in [test_compile.ml]), with the usual inline-cache
+    hit/miss-split exception (cycle-neutral; see {!Tea_core.Compiled}). *)
 
 val compile : Tea_core.Packed.t -> Tea_core.Compiled.t
 (** [compile packed] = {!Tea_core.Compiled.of_packed}. The compiled
@@ -29,11 +29,13 @@ val compiled_replay :
   len:int ->
   Tea_core.Compiled.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [compiled_replay src addrs ~len] — side-by-side replay of one
-    stream: a baseline over a {!Tea_core.Packed.dup} of [src], then the
-    same stream through the compiled dispatch of another dup. Returns
-    [(compiled, baseline_replayer, compiled_replayer)]; [src]'s own
-    counters are untouched. The two replayers' snapshots must be equal —
-    the compilation-is-identity gate the bench driver enforces. *)
+    stream: a step-at-a-time baseline ({!Tea_core.Replayer.feed_addr},
+    hence {!Tea_core.Packed.step}) over a {!Tea_core.Packed.dup} of
+    [src], then the same stream batched through the compiled dispatch of
+    another dup. Returns [(compiled, baseline_replayer,
+    compiled_replayer)]; [src]'s own counters are untouched. The two
+    replayers' snapshots must be equal — the compilation-is-identity
+    gate. *)
 
 val describe : Tea_core.Compiled.t -> string
 (** Human-readable image statistics: closure count, fan-out-degree

@@ -1,5 +1,6 @@
 module Packed = Tea_core.Packed
 module Replayer = Tea_core.Replayer
+module Compiled = Tea_core.Compiled
 
 let default_min_chain = 2
 
@@ -138,8 +139,9 @@ let fuse ?(min_chain = default_min_chain) ?profile
   in
   let kept = List.filter keep (decompose next) in
   (* Whole-image coverage gate: every dispatch from an unchained state —
-     or past a signature divergence — pays the fused loop's heavier
-     verbatim path, whether or not any chain nearby matched. When the
+     or past a signature divergence — pays the chain matcher's
+     fall-through to the ordinary closure, whether or not any chain
+     nearby matched. When the
      profile says chain matching would absorb too small a share of the
      stream's dispatches to recoup that, the honest answer is not to
      fuse this image at all. *)
@@ -188,8 +190,7 @@ let fuse ?(min_chain = default_min_chain) ?profile
        flavor — that equality is what makes bulk charging exact). *)
     let cost_of lo =
       if Packed.is_repacked packed then
-        let v = Packed.hot_view packed in
-        v.Packed.v_edge_cost.(lo)
+        (fst (Packed.hot_costs packed)).(lo)
       else Packed.cost_search_step
     in
     List.iteri
@@ -209,9 +210,9 @@ let fuse ?(min_chain = default_min_chain) ?profile
 
 let fused_replay ?min_chain ?profile ?min_expected_run ?min_coverage src ?insns
     addrs ~len =
-  let baseline = Replayer.create_packed (Packed.dup src) in
+  let baseline = Replayer.create_compiled (Compiled.of_packed (Packed.dup src)) in
   Replayer.feed_run baseline ?insns addrs ~len;
   let fused = fuse ?min_chain ?profile ?min_expected_run ?min_coverage src in
-  let tuned = Replayer.create_packed (Packed.dup fused) in
+  let tuned = Replayer.create_compiled (Compiled.of_packed (Packed.dup fused)) in
   Replayer.feed_run tuned ?insns addrs ~len;
   (fused, baseline, tuned)

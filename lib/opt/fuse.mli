@@ -4,7 +4,8 @@
     is {e forced} — exactly one edge, landing in-trace: straight-line
     trace bodies and steady-state loop backbones. Classic trace/
     superblock DBTs dispatch such regions as one unit; this pass makes
-    the packed engine do the same without changing what replay observes.
+    the compiled engine do the same without changing what replay
+    observes.
 
     {!fuse} collapses maximal runs of forced states into {e superstate
     chains} described by a {!Tea_core.Packed.fusion} overlay: per chain,
@@ -22,11 +23,8 @@
     enter/exit counters, engine stats and simulated cycles are exactly
     those of the unfused image (property-tested in [test_fuse.ml];
     {!Tea_core.Packed.with_fusion} re-validates the overlay against the
-    base image, including on TEAPK3 deserialization). The only visible
-    difference is the inline-cache hit/miss {e split} on a repacked
-    base — chain steps consult no IC — the same documented exception as
-    the parallel driver's chunk-local IC. Fusion composes with
-    {!Repack}: fuse the repacked image to stack both wins. *)
+    base image, including on TEAPK3 deserialization). Fusion composes
+    with {!Repack}: fuse the repacked image to stack both wins. *)
 
 val default_min_chain : int
 (** Minimum member count for a straight chain to be emitted (2). Cyclic
@@ -60,8 +58,8 @@ val fuse :
     (default {!default_min_expected_run}), and the image is fused at all
     only when the kept chains would absorb at least [min_coverage]
     (default {!default_min_coverage}) of the stream's profiled
-    dispatches — every step the matcher does {e not} absorb runs the
-    fused loop's heavier verbatim path, so sparse chain coverage is a
+    dispatches — every step the matcher does {e not} absorb pays its
+    fall-through to the ordinary closure, so sparse chain coverage is a
     net loss. This is how fusion composes with PGO: the same stream
     that guided {!Repack.repack} gates out chains the stream escapes
     every lap or two, where per-entry matching overhead outweighs the
@@ -82,8 +80,8 @@ val fused_replay :
   len:int ->
   Tea_core.Packed.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [fused_replay src addrs ~len] — side-by-side replay of one stream:
-    a baseline over a {!Tea_core.Packed.dup} of [src], then the same
-    stream over [fuse src]. Returns
+    a compiled baseline over a {!Tea_core.Packed.dup} of [src], then the
+    same stream through a compiled dup of [fuse src]. Returns
     [(fused, baseline_replayer, fused_replayer)]; [src]'s own counters
     are untouched. The two replayers' snapshots must be equal — the
     fusion-is-identity gate the bench driver enforces. *)

@@ -14,8 +14,9 @@
       profile-weighted scan cost, with the source layout (prefix 0) always
       a candidate, so on the profiling stream the repacked image never
       charges more simulated cycles than the source;
-    + a per-state monomorphic inline cache in front of any scan
-      ({!Tea_core.Packed.ic_hits}).
+    + a per-state monomorphic inline cache in front of any scan in
+      {!Tea_core.Packed.step} ({!Tea_core.Packed.ic_hits}); compiled
+      batch dispatch tests edges in the same span order instead.
 
     Repacking is a pure permutation: replay over the repacked image
     produces identical TBB mappings (ids translate at reporting
@@ -79,7 +80,8 @@ val pgo_replay :
   len:int ->
   Tea_core.Packed.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [pgo_replay src addrs ~len] — the whole profile-guided cycle on one
-    stream: replay a baseline over a {!Tea_core.Packed.dup} of [src],
-    {!collect}, {!repack}, replay again over the repacked image. Returns
-    [(repacked, baseline_replayer, repacked_replayer)] for side-by-side
-    comparison; [src]'s own counters are untouched. *)
+    stream: replay a compiled baseline over a {!Tea_core.Packed.dup} of
+    [src], {!collect}, {!repack}, replay again through a compiled dup of
+    the repacked image. Returns [(repacked, baseline_replayer,
+    repacked_replayer)] for side-by-side comparison; the counters of
+    [src] and of the returned image are untouched. *)

@@ -25,7 +25,8 @@ let edge_labels packed =
 let resolve packed pc =
   match Packed.head_of packed pc with Some s -> s | None -> Automaton.nte
 
-let default_make p = Replayer.create_packed (Packed.dup p)
+let default_make p =
+  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup p))
 
 let replay_span pool packed ?(make = default_make) ?entry ?insns starts ~off
     ~len =

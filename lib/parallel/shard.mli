@@ -31,20 +31,17 @@
     boundary and resumes (from the carried state, which bulk accounting
     maintains exactly) in the next chunk's replay. Because fusion is
     observationally the identity, sync-point detection, entry-state
-    stitching and the merged profile are all untouched; only the
-    inline-cache hit/miss split can differ, the same exception already
-    documented for chunk-local ICs (property-tested for 1/2/4 domains in
-    [test_fuse.ml]).
+    stitching and the merged profile are all untouched (property-tested
+    for 1/2/4 domains in [test_fuse.ml]).
 
-    {b Engine choice.} Workers and the stitching driver build their
-    replayers through the [make] factory (default: a packed-engine
-    replayer over a {!Tea_core.Packed.dup} sibling). Passing a factory
-    that compiles its dup ({!Tea_core.Replayer.create_compiled} over
-    {!Tea_core.Compiled.of_packed}) runs every shard through
-    closure-threaded dispatch; sync-point detection stays on the shared
-    packed image, and since compiled dispatch is batch-bounded exactly
-    like the interpreted loops, the merged profile remains bit-identical
-    at any job count (property-tested in [test_compile.ml]). *)
+    {b Replayer factory.} Workers and the stitching driver build their
+    replayers through the [make] factory (default: a compiled-engine
+    replayer, {!Tea_core.Replayer.create_compiled} over
+    {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
+    sibling). Sync-point detection stays on the shared packed image,
+    and since compiled dispatch is bounded by each batch, the merged
+    profile is bit-identical at any job count (property-tested in
+    [test_compile.ml]). *)
 
 val replay_span :
   Pool.t ->

@@ -7,7 +7,6 @@ type row = {
   no_global_local : float;
   global_no_local : float;
   global_local : float;
-  packed : float;
   compiled : float;
 }
 
@@ -35,9 +34,6 @@ let measure ?(params = Cost_params.default) ?(pgo = false) ?(fuse = false)
     no_global_local = replay_with Transition.config_no_global_local traces;
     global_no_local = replay_with Transition.config_global_no_local traces;
     global_local = replay_with Transition.config_global_local traces;
-    packed =
-      replay_with ~engine:`Packed ~pgo ~fuse Transition.config_global_local
-        traces;
     compiled =
       replay_with ~engine:`Compiled ~pgo ~fuse Transition.config_global_local
         traces;

@@ -7,13 +7,11 @@
     - No Global / Local: linked-list container + per-state local caches;
     - Global / No Local: B+ tree, no caches;
     - Global / Local: both (the configuration behind Tables 2 and 3);
-    - Packed: the flat-array {!Tea_core.Packed} engine — our beyond-paper
-      column showing what the transition function costs once compiled;
-    - Compiled: the closure-threaded {!Tea_core.Compiled} dispatch over
-      the same packed image. Simulated cycles are engine-identical to
-      Packed by construction, so equal columns {e are} the cycle-identity
-      gate — the win is host ns/block, which Table 4's simulated ratios
-      deliberately exclude. *)
+    - Compiled: the closure-threaded {!Tea_core.Compiled} dispatch over a
+      flat-array {!Tea_core.Packed} image — our beyond-paper column
+      showing what the transition function costs once compiled. Its host
+      ns/block win is deliberately excluded from Table 4's simulated
+      ratios. *)
 
 type row = {
   native : float;            (** 1.00 by construction *)
@@ -22,7 +20,6 @@ type row = {
   no_global_local : float;
   global_no_local : float;
   global_local : float;
-  packed : float;
   compiled : float;
 }
 
@@ -35,7 +32,7 @@ val measure :
   Tea_isa.Image.t ->
   row
 (** Slowdowns normalized to the native run of the same image. [pgo]
-    (default false) profile-repacks the packed column's image on the
+    (default false) profile-repacks the compiled column's image on the
     measured stream first, and [fuse] (default false) superstate-fuses it
     ({!Pintool_replay.replay}'s [?pgo] / [?fuse]); the reference columns
     are unaffected. *)

@@ -3,7 +3,7 @@ module Packed = Tea_core.Packed
 module Replayer = Tea_core.Replayer
 module Builder = Tea_core.Builder
 
-type engine = [ `Reference | `Packed | `Compiled ]
+type engine = [ `Reference | `Compiled ]
 
 type result = {
   coverage : float;
@@ -23,25 +23,24 @@ let replay ?(params = Cost_params.default)
     ?(transition = Transition.config_global_local) ?(engine = `Reference)
     ?(pgo = false) ?(fuse = false) ?fuel ~traces image =
   if pgo && engine = `Reference then
-    invalid_arg "Pintool_replay.replay: pgo requires the packed engine";
+    invalid_arg "Pintool_replay.replay: pgo requires the compiled engine";
   if fuse && engine = `Reference then
-    invalid_arg "Pintool_replay.replay: fuse requires the packed engine";
+    invalid_arg "Pintool_replay.replay: fuse requires the compiled engine";
   let auto = Builder.build traces in
+  let compiled img = Replayer.create_compiled (Tea_core.Compiled.of_packed img) in
   let rep =
     match engine with
     | `Reference -> Replayer.create (Transition.create transition auto)
-    | `Packed -> Replayer.create_packed (Packed.freeze auto)
-    | `Compiled ->
-        Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.freeze auto))
+    | `Compiled -> compiled (Packed.freeze auto)
   in
   (* §4.1: step the TEA on taken/fall-through edges (merged logical blocks),
      not on Pin's fragment boundaries. *)
   let analysis_calls = ref 0 in
   (* PGO/fusion path: buffer the edge stream during the (single) Pin run,
      then profile-repack and/or superstate-fuse the packed image and
-     batch-replay the optimized engine — the pintool analogue of
-     `tea_tool repack` / `tea_tool fuse`. One analysis call per emitted
-     block either way. *)
+     batch-replay it through freshly specialized closures — the pintool
+     analogue of `tea_tool repack` / `tea_tool fuse`. One analysis call
+     per emitted block either way. *)
   let tune = pgo || fuse in
   let pgo_addrs = ref [||] and pgo_insns = ref [||] and pgo_len = ref 0 in
   let push addr insns =
@@ -69,15 +68,9 @@ let replay ?(params = Cost_params.default)
   let rep =
     if not tune then rep
     else begin
-      let flat, recreate =
+      let flat =
         match Replayer.engine rep with
-        | Replayer.Packed flat -> (flat, Replayer.create_packed)
-        | Replayer.Compiled c ->
-            (* tuning rebuilds the image, so the closures must be
-               re-specialized over the tuned layout *)
-            ( Tea_core.Compiled.base c,
-              fun img ->
-                Replayer.create_compiled (Tea_core.Compiled.of_packed img) )
+        | Replayer.Compiled c -> Tea_core.Compiled.base c
         | Replayer.Reference _ -> assert false
       in
       let img =
@@ -95,7 +88,7 @@ let replay ?(params = Cost_params.default)
           let profile = Tea_opt.Repack.collect img !pgo_addrs ~len:!pgo_len in
           Tea_opt.Fuse.fuse ~profile img
       in
-      let tuned = recreate img in
+      let tuned = compiled img in
       Replayer.feed_run tuned ~insns:!pgo_insns !pgo_addrs ~len:!pgo_len;
       tuned
     end

@@ -5,14 +5,12 @@
     stream through it, collecting coverage and per-TBB profiles on the
     *unmodified* executable. *)
 
-type engine = [ `Reference | `Packed | `Compiled ]
+type engine = [ `Reference | `Compiled ]
 (** Which transition engine drives the replayer: the paper-faithful
-    {!Tea_core.Transition} (configured by [?transition]), the flat-array
-    {!Tea_core.Packed} fast path (which ignores [?transition] — it has no
-    container/cache knobs), or the closure-threaded
-    {!Tea_core.Compiled} dispatch over the same packed image
-    (observationally identical to [`Packed], including simulated
-    cycles). *)
+    {!Tea_core.Transition} (configured by [?transition]) or the
+    closure-threaded {!Tea_core.Compiled} dispatch over a flat-array
+    {!Tea_core.Packed} image (which ignores [?transition] — it has no
+    container/cache knobs). *)
 
 type result = {
   coverage : float;
@@ -39,14 +37,14 @@ val replay :
   Tea_isa.Image.t ->
   result * Tea_core.Replayer.t
 (** The returned replayer retains per-state profiles for inspection.
-    [engine] defaults to [`Reference]. With [~pgo:true] (packed or
-    compiled engine — [Invalid_argument] on the reference one) the edge
+    [engine] defaults to [`Reference]. With [~pgo:true] (compiled
+    engine only — [Invalid_argument] on the reference one) the edge
     stream of the single simulated run is buffered, used to
     {!Tea_opt.Repack.repack} the image, and replayed through the
     repacked engine; coverage, profiles and analysis-call counts are
     identical to the non-PGO run, simulated transition cycles can only
-    improve. [~fuse:true] (packed or compiled engine) additionally runs
+    improve. [~fuse:true] (compiled engine only) additionally runs
     {!Tea_opt.Fuse.fuse} over the (possibly repacked) image and replays
     through the superstate-fused engine; the passes compose, and every
-    observable is still identical (on [`Compiled] the closures are
-    re-specialized over the tuned image). *)
+    observable is still identical (the closures are re-specialized over
+    the tuned image). *)

@@ -83,7 +83,7 @@ val table4 :
   ?fuel:int ->
   bench list ->
   table4_row list
-(** [pgo] profile-repacks the packed column's engine on each benchmark's
+(** [pgo] profile-repacks the compiled column's image on each benchmark's
     own stream before measuring, [fuse] superstate-fuses it; both compose
     ({!Tea_pinsim.Overhead.measure}). *)
 

@@ -1,5 +1,5 @@
-(* Hotness report over a dispatch-tier snapshot: overall tier mix and
-   fusion coverage, then the top-N states by blocks resolved with their
+(* Hotness report over a dispatch-tier snapshot: overall tier mix, then
+   the top-N states by blocks resolved with their
    per-tier split. Pure function of the snapshot (sorting breaks ties on
    state id), so deterministic runs render deterministically. *)
 
@@ -23,9 +23,6 @@ let render ?(top = default_top) ?image (s : Tierstat.snapshot) =
     in
     Buffer.add_string buf
       (Printf.sprintf "blocks: %d  %s\n" total mix);
-    Buffer.add_string buf
-      (Printf.sprintf "fusion coverage: %s\n"
-         (pct s.Tierstat.ts_totals.(Tierstat.t_fused)));
     (* per-state rows, translated out of slot space when the image is
        repacked so ids match the TBB mappings everywhere else *)
     let translate =

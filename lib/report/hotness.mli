@@ -1,6 +1,5 @@
-(** Hotness report for the dispatch-tier profiler: overall tier mix,
-    fusion coverage, and the top-N states by blocks resolved with their
-    per-tier split.
+(** Hotness report for the dispatch-tier profiler: overall tier mix and
+    the top-N states by blocks resolved with their per-tier split.
 
     When [image] is a repacked {!Tea_core.Packed} image, per-state rows
     translate slot ids back to automaton ids

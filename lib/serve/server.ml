@@ -50,7 +50,6 @@ let default_retune =
 
 type t = {
   mutable image : Core.Packed.t;  (* current epoch's dispatch image *)
-  engine : [ `Packed | `Compiled ];
   pool : P.Pool.t;
   queue_cap : int;
   offline_check : bool;
@@ -93,18 +92,15 @@ type t = {
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 (* Per-asid replayer factory for a session's demuxed replay. Every
-   session (and the offline re-check) dups the shared image, so
-   compiled images — single-domain by construction — are never shared
-   across sessions or workers. *)
-let factory_of t img _asid =
-  let img = Core.Packed.dup img in
-  match t.engine with
-  | `Packed -> Core.Replayer.create_packed img
-  | `Compiled -> Core.Replayer.create_compiled (Core.Compiled.of_packed img)
+   session (and the offline re-check) compiles its own dup of the shared
+   image, so compiled images — single-domain by construction — are never
+   shared across sessions or workers. *)
+let factory_of img _asid =
+  Core.Replayer.create_compiled (Core.Compiled.of_packed (Core.Packed.dup img))
 
-let session_factory t asid = factory_of t t.image asid
+let session_factory t asid = factory_of t.image asid
 
-let create ?(queue_cap = 16384) ?(offline_check = false) ?(engine = `Packed)
+let create ?(queue_cap = 16384) ?(offline_check = false)
     ?(retain = false) ?events ?drift ?base ?retune ~jobs ~image addr =
   if queue_cap < 1 then invalid_arg "Server.create: queue_cap must be >= 1";
   (match (retune, drift, base) with
@@ -149,7 +145,6 @@ let create ?(queue_cap = 16384) ?(offline_check = false) ?(engine = `Packed)
   let stop_r, stop_w = Unix.pipe () in
   {
     image;
-    engine;
     pool = P.Pool.create ~jobs;
     queue_cap;
     offline_check;
@@ -509,7 +504,7 @@ let swap_image t cfg (img, prof) =
   List.iter
     (fun s ->
       if (not s.scrape) && s.failed = None then begin
-        Core.Multi_replayer.rebind s.multi (factory_of t img);
+        Core.Multi_replayer.rebind s.multi (factory_of img);
         s.swapped <- (s.evs, t.epoch) :: s.swapped;
         incr rebound
       end)
@@ -720,7 +715,7 @@ let offline_profile t =
       Core.Pc_trace.decoder_finish dec;
       let events = Array.of_list (List.rev !evs) in
       let m =
-        Core.Multi_replayer.create (factory_of t (image_of_epoch t epoch0))
+        Core.Multi_replayer.create (factory_of (image_of_epoch t epoch0))
       in
       let fdr = Core.Multi_replayer.feeder m in
       let pending = ref swaps in
@@ -728,7 +723,7 @@ let offline_profile t =
         match !pending with
         | (at, ep) :: rest when at <= i ->
             Core.Multi_replayer.feeder_flush fdr;
-            Core.Multi_replayer.rebind m (factory_of t (image_of_epoch t ep));
+            Core.Multi_replayer.rebind m (factory_of (image_of_epoch t ep));
             pending := rest;
             maybe_swap i
         | _ -> ()

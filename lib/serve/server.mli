@@ -69,7 +69,6 @@ val default_retune : retune
 val create :
   ?queue_cap:int ->
   ?offline_check:bool ->
-  ?engine:[ `Packed | `Compiled ] ->
   ?retain:bool ->
   ?events:Tea_observe.Events.t ->
   ?drift:Tea_observe.Drift.t ->
@@ -83,11 +82,9 @@ val create :
     bounds each session's decoded-event queue; [offline_check] (default
     false) retains every completed session's raw bytes so
     {!offline_profile} can re-derive the fleet profile sequentially.
-    [engine] (default [`Packed]) selects the dispatch engine each
-    session's per-asid replayers run on: [`Compiled] closure-threads a
-    private {!Tea_core.Compiled.of_packed} of a
-    {!Tea_core.Packed.dup} per asid — observationally identical, so the
-    fleet profile and the offline re-check are unchanged.
+    Each session's per-asid replayers run on the compiled engine: a
+    private {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
+    of the current image per asid.
     [events] attaches a structured JSONL event log (session lifecycle,
     pool stalls, drift crossings, retune/swap); [drift] attaches a
     profile-drift comparator re-measured against the fleet profile

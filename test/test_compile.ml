@@ -1,14 +1,15 @@
 (* Differential tests of the closure-threaded compiled engine
    (Tea_core.Compiled behind Tea_opt.Compile): compiled replay must be
    observationally identical — TBB mapping, coverage, enter/exit
-   counters, stats and simulated cycles — to the interpreted packed
-   engine over flat, repacked and fused images, fed in one batch or
-   split at an arbitrary seam; TBB-identical to the reference engine;
-   sharded replay through compiled workers must merge to the sequential
-   profile at jobs 1/2/4; demuxed multi-asid replay through compiled
-   engines must match the packed demux; and the dispatch-tier
-   attribution of a compiled replay must stay a total partition of the
-   blocks replayed. *)
+   counters, stats and simulated cycles — to stepping the packed image
+   one address at a time ({!Packed.step}) over flat, repacked and fused
+   images, fed in one batch, split at an arbitrary seam or chopped into
+   many short batches; TBB-identical to the reference engine; sharded
+   replay through compiled workers must merge to the sequential profile
+   at jobs 1/2/4; demuxed multi-asid replay through compiled engines
+   must match step-at-a-time isolated per-asid replay; and the
+   dispatch-tier attribution of a compiled replay must stay a total
+   partition of the blocks replayed. *)
 
 open Tea_isa
 module I = Insn
@@ -114,17 +115,20 @@ let variants w addrs ~len =
   let tuned = Repack.repack flat (Repack.collect flat addrs ~len) in
   (auto, [ flat; tuned; Fuse.fuse tuned ])
 
-let packed_snapshot ?cut img ~insns addrs ~len =
-  let rep = Replayer.create_packed (Packed.dup img) in
-  (match cut with
-  | Some c when c > 0 && c < len ->
-      Replayer.feed_run rep ~insns addrs ~len:c;
-      Replayer.feed_run rep ~off:c ~insns addrs ~len:(len - c)
-  | _ -> Replayer.feed_run rep ~insns addrs ~len);
+let compiled_make img = Replayer.create_compiled (Compile.compile (Packed.dup img))
+
+(* The oracle every batch property compares against: the same image
+   stepped one address at a time ({!Replayer.feed_addr} on a compiled
+   replayer runs {!Packed.step} on its base image). *)
+let stepped img ~insns addrs ~len =
+  let rep = compiled_make img in
+  for i = 0 to len - 1 do
+    Replayer.feed_addr rep ~insns:insns.(i) addrs.(i)
+  done;
   rep
 
 let compiled_replayer ?cut img ~insns addrs ~len =
-  let rep = Replayer.create_compiled (Compile.compile (Packed.dup img)) in
+  let rep = compiled_make img in
   (match cut with
   | Some c when c > 0 && c < len ->
       Replayer.feed_run rep ~insns addrs ~len:c;
@@ -145,7 +149,7 @@ let prop_compiled_is_identity =
       let _, imgs = variants w addrs ~len in
       List.for_all
         (fun img ->
-          let base = packed_snapshot img ~insns addrs ~len in
+          let base = stepped img ~insns addrs ~len in
           let once = compiled_replayer img ~insns addrs ~len in
           let split =
             compiled_replayer ~cut:(min cut len) img ~insns addrs ~len
@@ -177,29 +181,31 @@ let prop_compiled_equals_reference =
           && Replayer.trace_exits reference = Replayer.trace_exits comp)
         imgs)
 
-(* feed_addr single-stepping through the compiled engine must equal the
-   batched path — the batch bound is the only loop-carried variable. *)
+(* feed_addr single-stepping must equal the stream chopped into many
+   short feed_run batches (1..7 blocks, drawn per workload) — every cut
+   lands somewhere different, including inside fused chains and region
+   runs, and the batch bound is the only loop-carried variable. *)
 let prop_compiled_feed_addr =
   QCheck.Test.make ~name:"compiled feed_run == repeated feed_addr" ~count:100
-    gen_workload (fun w ->
+    (QCheck.pair gen_workload (QCheck.int_range 1 7))
+    (fun (w, batch) ->
       let addrs, insns, len = arrays_of_stream w.w_stream in
       let _, imgs = variants w addrs ~len in
       List.for_all
         (fun img ->
-          let one =
-            Replayer.create_compiled (Compile.compile (Packed.dup img))
-          in
-          List.iter
-            (fun (addr, ins) -> Replayer.feed_addr one ~insns:ins addr)
-            w.w_stream;
-          let batched = compiled_replayer img ~insns addrs ~len in
+          let one = stepped img ~insns addrs ~len in
+          let batched = compiled_make img in
+          let off = ref 0 in
+          while !off < len do
+            let n = min batch (len - !off) in
+            Replayer.feed_run batched ~off:!off ~insns addrs ~len:n;
+            off := !off + n
+          done;
           Replayer.snapshot one = Replayer.snapshot batched
           && Replayer.state one = Replayer.state batched)
         imgs)
 
 (* ---------------- sharded replay through compiled workers ------------ *)
-
-let compiled_make img = Replayer.create_compiled (Compile.compile (Packed.dup img))
 
 let prop_sharded_compiled_replay =
   QCheck.Test.make ~name:"compiled shards: jobs 1/2/4 == sequential" ~count:15
@@ -208,9 +214,7 @@ let prop_sharded_compiled_replay =
       let _, imgs = variants w addrs ~len in
       List.for_all
         (fun img ->
-          let pseq =
-            Profile.of_replayer (packed_snapshot img ~insns addrs ~len)
-          in
+          let pseq = Profile.of_replayer (stepped img ~insns addrs ~len) in
           List.for_all
             (fun jobs ->
               let pn =
@@ -230,8 +234,9 @@ let with_tmp f =
 
 (* Two asids with independent automata, interleaved with invalidations
    (SMC) in one PCTR3 stream: demuxed replay through per-asid compiled
-   engines must produce exactly the per-asid packed snapshots, and
-   demux-first sharding with compiled workers must merge to them. *)
+   engines must produce exactly the snapshots of replaying each asid's
+   projection in isolation, one event (so one {!Packed.step}) at a time,
+   and demux-first sharding with compiled workers must merge to them. *)
 let prop_multi_asid_compiled =
   QCheck.Test.make ~name:"multi-asid demux: compiled == packed" ~count:25
     (QCheck.pair gen_workload gen_workload)
@@ -257,14 +262,9 @@ let prop_multi_asid_compiled =
       with_tmp (fun path ->
           let _ = Scenario.write_file path scn in
           let packed_for asid = imgs.(asid) in
-          let seq make =
-            Multi.snapshots
-              (Multi.replay_events
-                 (fun asid -> make (packed_for asid))
-                 path)
-          in
-          let want = seq (fun img -> Replayer.create_packed (Packed.dup img)) in
-          let got = seq compiled_make in
+          let make asid = compiled_make (packed_for asid) in
+          let want = Multi.replay_isolated make path in
+          let got = Multi.snapshots (Multi.replay_events make path) in
           let sharded =
             Pool.with_pool ~jobs:2 (fun pool ->
                 Shard.replay_events pool packed_for ~make:compiled_make path)

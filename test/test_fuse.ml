@@ -1,5 +1,6 @@
-(* Tests of the superstate chain-fusion pass (Tea_opt.Fuse) and the fused
-   replay loop behind it: fusion must be observationally the identity
+(* Tests of the superstate chain-fusion pass (Tea_opt.Fuse) and the
+   compiled chain matchers behind it: fusion must be observationally the
+   identity
    (TBB mapping, coverage, stats, simulated cycles) on any workload, over
    flat and repacked bases, sequentially and sharded; the TEAPK3
    serialization must round-trip and leave unfused images byte-identical;
@@ -13,6 +14,7 @@ module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
 module Builder = Tea_core.Builder
 module Packed = Tea_core.Packed
+module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Serialize = Tea_core.Serialize
 module Repack = Tea_opt.Repack
@@ -96,12 +98,14 @@ let arrays_of_stream stream =
     Array.of_list (List.map snd stream),
     List.length stream )
 
-(* Batched replay through feed_run — the entry point that dispatches to
-   the fused loop when the image carries an overlay — optionally split
-   into two batches at [cut] to exercise the batch-boundary rule (a
-   chain match never crosses a batch seam). *)
+let compiled img = Replayer.create_compiled (Compiled.of_packed (Packed.dup img))
+
+(* Batched replay through feed_run — the entry point that runs the
+   compiled chain matchers when the image carries an overlay —
+   optionally split into two batches at [cut] to exercise the
+   batch-boundary rule (a chain match never crosses a batch seam). *)
 let batch_snapshot ?cut img ~insns addrs ~len =
-  let rep = Replayer.create_packed (Packed.dup img) in
+  let rep = compiled img in
   (match cut with
   | Some c when c > 0 && c < len ->
       Replayer.feed_run rep ~insns addrs ~len:c;
@@ -111,9 +115,7 @@ let batch_snapshot ?cut img ~insns addrs ~len =
 
 (* The tentpole property: fusing any image — flat or repacked — changes
    no replay observable, whether the stream is fed in one batch or
-   split. (Only the ic_hit/ic_miss split may differ on a repacked base:
-   chain steps consult no inline cache; the split is excluded from
-   snapshots by construction.) *)
+   split. *)
 let prop_fusion_is_identity =
   QCheck.Test.make ~name:"fusion is observationally the identity" ~count:150
     (QCheck.pair gen_workload (QCheck.int_range 0 200))
@@ -140,11 +142,11 @@ let prop_fused_feed_run_equals_feed_addr =
       let flat = Packed.freeze auto in
       let fused = Fuse.fuse flat in
       let addrs, insns, len = arrays_of_stream w.w_stream in
-      let one = Replayer.create_packed (Packed.dup fused) in
+      let one = compiled fused in
       List.iter
         (fun (addr, ins) -> Replayer.feed_addr one ~insns:ins addr)
         w.w_stream;
-      let batched = Replayer.create_packed (Packed.dup fused) in
+      let batched = compiled fused in
       Replayer.feed_run batched ~insns addrs ~len;
       Replayer.snapshot one = Replayer.snapshot batched
       && Replayer.state one = Replayer.state batched)
@@ -182,12 +184,10 @@ let prop_teapk3_roundtrip =
 
    Same bar as PR 4: --jobs N merges to --jobs 1 counter for counter.
    Chain matching is bounded by each chunk's end, so sync-point
-   stitching needs no new rule — only the chunk-local ic split (and the
-   fused_steps probe, which depends on where seams fall) may differ. *)
+   stitching needs no new rule — only the fused_steps probe, which
+   depends on where seams fall, may differ. *)
 
-let variable_counter = function
-  | "packed.ic_hit" | "packed.ic_miss" | "packed.fused_steps" -> true
-  | _ -> false
+let variable_counter = function "packed.fused_steps" -> true | _ -> false
 
 let snapshots_equal_mod_ic s1 s4 =
   List.filter (fun (n, _) -> not (variable_counter n)) s1.Metrics.s_counters

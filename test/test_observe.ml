@@ -191,9 +191,8 @@ let test_exposition_render () =
   Metrics.observe_value reg "lat" 3;
   let tiers =
     {
-      Tierstat.ts_totals = [| 3; 0; 1; 0; 0; 2; 4 |];
-      ts_states =
-        [ (0, [| 3; 0; 0; 0; 0; 0; 0 |]); (4, [| 0; 0; 1; 0; 0; 2; 4 |]) ];
+      Tierstat.ts_totals = [| 3; 0; 1; 0; 0; 4 |];
+      ts_states = [ (0, [| 3; 0; 0; 0; 0; 0 |]); (4, [| 0; 0; 1; 0; 0; 4 |]) ];
     }
   in
   let got =
@@ -220,11 +219,9 @@ let test_exposition_render () =
      tea_dispatch_tier_total{tier=\"search\"} 1\n\
      tea_dispatch_tier_total{tier=\"hash\"} 0\n\
      tea_dispatch_tier_total{tier=\"miss\"} 0\n\
-     tea_dispatch_tier_total{tier=\"fused\"} 2\n\
      tea_dispatch_tier_total{tier=\"compiled\"} 4\n\
      # TYPE tea_dispatch_state_total counter\n\
      tea_dispatch_state_total{state=\"6\",tier=\"search\"} 1\n\
-     tea_dispatch_state_total{state=\"6\",tier=\"fused\"} 2\n\
      tea_dispatch_state_total{state=\"6\",tier=\"compiled\"} 4\n\
      tea_dispatch_state_total{state=\"10\",tier=\"ic\"} 3\n\
      # TYPE tea_drift_l1 gauge\n\
@@ -298,6 +295,9 @@ let t2 = Trace.linear ~id:1 ~kind:"test" [ block_at 0x400; block_at 0x300 ]
 
 let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
 
+let compiled img =
+  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+
 let fixture_starts () =
   Array.init 60 (fun i ->
       List.nth [ 0x100; 0x200; 0x300; 0x400; 0x300 ] (i mod 5))
@@ -340,7 +340,7 @@ let offline_of_bytes image s =
   output_string oc s;
   close_out oc;
   let m =
-    Multi.replay_events (fun _ -> Replayer.create_packed (Packed.dup image)) path
+    Multi.replay_events (fun _ -> compiled image) path
   in
   Profile.merge_all (List.map snd (Multi.snapshots m))
 
@@ -413,35 +413,52 @@ let prop_tier_sum =
         snap.Tierstat.ts_states;
       Tierstat.total snap = blocks && state_sums = snap.Tierstat.ts_totals)
 
+(* A tier snapshot with every in-trace resolution folded into one
+   column: event-at-a-time feeding steps the image ({!Packed.step}:
+   ic/hot/search), the batching feeder runs the compiled closures
+   (compiled, chain matchers included), and both resolve the hash and
+   miss tiers identically. *)
+let in_trace_folded (s : Tierstat.snapshot) =
+  let fold row =
+    Array.mapi
+      (fun t v ->
+        if t = Tierstat.t_hash || t = Tierstat.t_miss then v
+        else if t = Tierstat.t_compiled then
+          row.(Tierstat.t_ic) + row.(Tierstat.t_hot) + row.(Tierstat.t_search)
+          + v
+        else 0)
+      row
+  in
+  {
+    Tierstat.ts_totals = fold s.Tierstat.ts_totals;
+    ts_states = List.map (fun (st, row) -> (st, fold row)) s.Tierstat.ts_states;
+  }
+
 let test_feeder_feed_tiers () =
-  (* event-at-a-time feeding and the batching feeder attribute tiers
-     identically on flat and repacked images (fused images resolve
-     batched runs through the fused tier by design, so they are out of
-     scope here — the live==offline gate covers them, both sides
-     batched) *)
+  (* event-at-a-time feeding and the batching feeder attribute every
+     block to the same source state and the same in-trace / hash / miss
+     resolution, on flat, repacked and fused images *)
   let evs = List.concat_map stamped_of_bytes (mixed_streams ()) in
+  let fused () = Tea_opt.Fuse.fuse (fixture_repacked ()) in
+  check Alcotest.bool "fixture fuses" true (Packed.is_fused (fused ()));
   List.iter
     (fun image_of ->
       let image = image_of () in
       let fed, () =
         with_tierstat (fun () ->
-            let m =
-              Multi.create (fun _ -> Replayer.create_packed (Packed.dup image))
-            in
+            let m = Multi.create (fun _ -> compiled image) in
             List.iter (fun (asid, ev) -> Multi.feed m ~asid ev) evs)
       in
-      let image = image_of () in
       let batched, () =
         with_tierstat (fun () ->
-            let m =
-              Multi.create (fun _ -> Replayer.create_packed (Packed.dup image))
-            in
+            let m = Multi.create (fun _ -> compiled image) in
             let f = Multi.feeder ~buf:3 m in
             List.iter (fun (asid, ev) -> Multi.feeder_feed f ~asid ev) evs;
             Multi.feeder_flush f)
       in
-      check tierstat "feeder == feed" fed batched)
-    [ fixture_packed; fixture_repacked ]
+      check tierstat "feeder == feed" (in_trace_folded fed)
+        (in_trace_folded batched))
+    [ fixture_packed; fixture_repacked; fused ]
 
 (* ---------------- the live gate ---------------- *)
 

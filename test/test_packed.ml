@@ -1,8 +1,10 @@
-(* Differential tests of the packed flat-array replay engine against the
-   reference Transition engine: same DFA, two implementations. The packed
-   engine must reproduce the reference engine's state sequences, coverage
-   and profiles bit-for-bit on arbitrary automata and address streams —
-   that equivalence is what makes the fast path trustworthy. *)
+(* Differential tests of the packed flat-array image — stepped one address
+   at a time ({!Packed.step}) and batch-replayed through the compiled
+   engine — against the reference Transition engine: same DFA, two
+   implementations. Replay over the packed image must reproduce the
+   reference engine's state sequences, coverage and profiles bit-for-bit
+   on arbitrary automata and address streams — that equivalence is what
+   makes the fast path trustworthy. *)
 
 open Tea_isa
 module I = Insn
@@ -12,6 +14,7 @@ module Automaton = Tea_core.Automaton
 module Builder = Tea_core.Builder
 module Transition = Tea_core.Transition
 module Packed = Tea_core.Packed
+module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Serialize = Tea_core.Serialize
 module Pc_trace = Tea_core.Pc_trace
@@ -20,6 +23,9 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+
+(* A compiled-engine replayer over [img] (stats accumulate on [img]). *)
+let compiled img = Replayer.create_compiled (Compiled.of_packed img)
 
 (* Fixtures shared with test_core: T1 cycles 0x100->0x200->0x300->0x100,
    T2 chains 0x400->0x300 (0x300 duplicated across traces). *)
@@ -125,8 +131,8 @@ let feed_one rep addr insns =
   Replayer.feed_addr rep ~insns addr;
   Replayer.state rep
 
-(* The differential property: reference and packed replays of the same
-   workload agree on every observable. *)
+(* The differential property: reference and packed-image replays of the
+   same workload agree on every observable. *)
 let prop_packed_equals_reference =
   QCheck.Test.make ~name:"packed replay == reference replay" ~count:300
     gen_workload (fun w ->
@@ -140,7 +146,7 @@ let prop_packed_equals_reference =
       in
       let packed_img = Packed.freeze auto in
       let packed =
-        observe (Replayer.create_packed packed_img) w.w_stream feed_one
+        observe (compiled packed_img) w.w_stream feed_one
       in
       let rs, ri, rc, rg, rm = reference.o_stats in
       let ps, pi, pc, pg, pm = packed.o_stats in
@@ -165,8 +171,8 @@ let prop_serialized_packed_equals_fresh =
       let auto = Builder.build w.w_traces in
       let packed = Packed.freeze auto in
       let loaded = Serialize.packed_of_binary (Serialize.packed_to_binary packed) in
-      let a = observe (Replayer.create_packed packed) w.w_stream feed_one in
-      let b = observe (Replayer.create_packed loaded) w.w_stream feed_one in
+      let a = observe (compiled packed) w.w_stream feed_one in
+      let b = observe (compiled loaded) w.w_stream feed_one in
       a = b
       && Packed.n_states loaded = Packed.n_states packed
       && Packed.n_edges loaded = Packed.n_edges packed
@@ -183,7 +189,7 @@ let prop_feed_run_equals_feed_addr =
       let engines =
         [
           (fun () -> Replayer.create (Transition.create (config_of w.w_config) auto));
-          (fun () -> Replayer.create_packed (Packed.freeze auto));
+          (fun () -> compiled (Packed.freeze auto));
         ]
       in
       List.for_all
@@ -198,8 +204,8 @@ let prop_feed_run_equals_feed_addr =
           && Replayer.tbb_counts one = Replayer.tbb_counts batched
           && Replayer.trace_enters one = Replayer.trace_enters batched
           && Replayer.trace_exits one = Replayer.trace_exits batched
-          (* the packed batch loop replicates the step logic inline, so the
-             simulated cost accounting must agree exactly too *)
+          (* the compiled batch captures the step costs at build time, so
+             the simulated cost accounting must agree exactly too *)
           && s1.Transition.steps = s2.Transition.steps
           && s1.Transition.in_trace_hits = s2.Transition.in_trace_hits
           && s1.Transition.cache_hits = s2.Transition.cache_hits
@@ -293,7 +299,7 @@ let test_state_insns () =
 (* ---------------- Replayer fast path ---------------- *)
 
 let test_feed_run_validation () =
-  let rep = Replayer.create_packed (Packed.freeze (Builder.build [ t1 ])) in
+  let rep = compiled (Packed.freeze (Builder.build [ t1 ])) in
   let addrs = [| 0x100; 0x200 |] in
   Alcotest.check_raises "len too large"
     (Invalid_argument "Replayer.feed_run: len out of range") (fun () ->
@@ -309,9 +315,9 @@ let test_feed_run_validation () =
   check Alcotest.int "one step" 1 (Replayer.stats rep).Transition.steps
 
 let test_packed_replayer_profile () =
-  (* mirror of test_core's replayer profile test, on the packed engine *)
+  (* mirror of test_core's replayer profile test, on the compiled engine *)
   let auto = Builder.build [ t1 ] in
-  let rep = Replayer.create_packed (Packed.freeze auto) in
+  let rep = compiled (Packed.freeze auto) in
   let addrs = [| 0x100; 0x200; 0x300; 0x100; 0x200; 0x300; 0x999 |] in
   Replayer.feed_run rep ~insns:(Array.make 7 1) addrs ~len:7;
   check Alcotest.int "covered" 6 (Replayer.covered_insns rep);
@@ -323,27 +329,70 @@ let test_packed_replayer_profile () =
     (Replayer.trace_profile rep 0)
 
 let test_transition_accessor_raises () =
-  let rep = Replayer.create_packed (Packed.freeze (Builder.build [ t1 ])) in
+  let rep = compiled (Packed.freeze (Builder.build [ t1 ])) in
   Alcotest.check_raises "no reference engine"
-    (Invalid_argument "Replayer.transition: packed engine") (fun () ->
+    (Invalid_argument "Replayer.transition: compiled engine") (fun () ->
       ignore (Replayer.transition rep))
 
-let test_pc_trace_replay_packed () =
-  (* capture a real execution once; offline packed replay must match the
-     offline reference replay on every observable *)
-  let img = Tea_workloads.Micro.list_scan () in
+(* A workload's mret automaton and its captured PC trace file. *)
+let capture_workload img =
   let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
   let dbt = Tea_dbt.Stardbt.record ~strategy img in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let auto = Builder.build traces in
+  let auto = Builder.build (Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set) in
   let path = Filename.temp_file "tea_pk" ".trc" in
   let n = Tea_pinsim.Trace_capture.record img path in
+  (auto, path, n)
+
+(* Chunked replay of [path] must equal one whole-array feed_run over a
+   flat and a tuned (repacked, then fused) image alike: the 4096-block
+   chunk cuts must be invisible, including where they land inside a
+   fused chain. *)
+let check_chunked_equals_whole name auto path =
+  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
+  check Alcotest.bool (name ^ ": several chunks") true (len > 2 * 4096);
+  let flat = Packed.freeze auto in
+  let repacked =
+    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
+  in
+  let tuned =
+    Tea_opt.Fuse.fuse
+      ~profile:(Tea_opt.Repack.collect repacked starts ~len)
+      repacked
+  in
+  List.iter
+    (fun (kind, image) ->
+      let chunked = Pc_trace.replay_packed (Packed.dup image) path in
+      let whole = compiled (Packed.dup image) in
+      Replayer.feed_run whole ~insns starts ~len;
+      check Alcotest.bool
+        (Printf.sprintf "%s %s: chunked replay == whole-array feed_run" name
+           kind)
+        true
+        (Tea_parallel.Profile.equal
+           (Tea_parallel.Profile.of_replayer chunked)
+           (Tea_parallel.Profile.of_replayer whole)))
+    [ ("flat", flat); ("tuned", tuned) ];
+  tuned
+
+let test_pc_trace_replay_packed () =
+  (* capture a real execution once; offline chunked replay must match the
+     offline reference replay on every observable *)
+  let auto, path, n = capture_workload (Tea_workloads.Micro.list_scan ()) in
   check Alcotest.bool "captured blocks" true (n > 1000);
   let reference =
     Pc_trace.replay (Transition.create Transition.config_global_local auto) path
   in
   let packed = Pc_trace.replay_packed (Packed.freeze auto) path in
+  ignore (check_chunked_equals_whole "listscan" auto path);
   Sys.remove path;
+  (* profile-gated fusion keeps no listscan chain; micro:nested's inner
+     loop fuses *)
+  let nested, nested_path, _ =
+    capture_workload (Tea_workloads.Micro.nested_loop ())
+  in
+  let tuned = check_chunked_equals_whole "nested" nested nested_path in
+  Sys.remove nested_path;
+  check Alcotest.bool "nested tuned image is fused" true (Packed.is_fused tuned);
   check (Alcotest.float 0.0) "coverage" (Replayer.coverage reference)
     (Replayer.coverage packed);
   check Alcotest.int "enters" (Replayer.trace_enters reference)
@@ -436,7 +485,7 @@ let test_save_load_packed_file () =
 
 (* ---------------- Table 4 engine column (end to end) ---------------- *)
 
-let test_overhead_ordering_with_packed () =
+let test_overhead_ordering_with_compiled () =
   let p = Option.get (Tea_workloads.Spec2000.by_name "168.wupwise") in
   let img = Tea_workloads.Spec2000.image p in
   let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
@@ -449,10 +498,11 @@ let test_overhead_ordering_with_packed () =
   check Alcotest.bool "Global/Local fastest reference config" true
     (row.global_local <= row.global_no_local
     && row.global_local <= row.no_global_local);
-  (* ...and the packed engine beats the best reference configuration *)
-  check Alcotest.bool "Packed <= Global/Local" true (row.packed <= row.global_local);
-  check Alcotest.bool "Packed still slower than bare Pin" true
-    (row.packed >= row.without_pintool)
+  (* ...and the compiled engine beats the best reference configuration *)
+  check Alcotest.bool "Compiled <= Global/Local" true
+    (row.compiled <= row.global_local);
+  check Alcotest.bool "Compiled still slower than bare Pin" true
+    (row.compiled >= row.without_pintool)
 
 let () =
   Alcotest.run "tea_packed"
@@ -488,7 +538,7 @@ let () =
         ] );
       ( "overhead",
         [
-          Alcotest.test_case "table4 ordering incl. packed" `Slow
-            test_overhead_ordering_with_packed;
+          Alcotest.test_case "table4 ordering incl. compiled" `Slow
+            test_overhead_ordering_with_compiled;
         ] );
     ]

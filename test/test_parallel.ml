@@ -12,6 +12,7 @@ module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
 module Builder = Tea_core.Builder
 module Packed = Tea_core.Packed
+module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Pc_trace = Tea_core.Pc_trace
 module Pool = Tea_parallel.Pool
@@ -32,6 +33,8 @@ let t1 =
 let t2 = Trace.linear ~id:1 ~kind:"test" [ block_at 0x400; block_at 0x300 ]
 
 let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
+
+let compiled img = Replayer.create_compiled (Compiled.of_packed img)
 
 (* A looping stream over the fixture: in-trace runs, cross-trace hops and
    cold blocks (0x999 is in no trace — a sync point in every lap). *)
@@ -146,7 +149,7 @@ let test_pool_concurrent_shutdown () =
 (* ---------------- Profile ---------------- *)
 
 let profile_of_run stream =
-  let rep = Replayer.create_packed (fixture_packed ()) in
+  let rep = compiled (fixture_packed ()) in
   Array.iter (fun a -> Replayer.feed_addr rep ~insns:1 a) stream;
   (Profile.of_replayer rep, rep)
 
@@ -192,11 +195,11 @@ let test_profile_split_merge () =
   let whole, _ = profile_of_run stream in
   List.iter
     (fun k ->
-      let rep_a = Replayer.create_packed (fixture_packed ()) in
+      let rep_a = compiled (fixture_packed ()) in
       Array.iteri
         (fun i a -> if i < k then Replayer.feed_addr rep_a ~insns:1 a)
         stream;
-      let rep_b = Replayer.create_packed (fixture_packed ()) in
+      let rep_b = compiled (fixture_packed ()) in
       Replayer.set_state rep_b (Replayer.state rep_a);
       Array.iteri
         (fun i a -> if i >= k then Replayer.feed_addr rep_b ~insns:1 a)
@@ -255,9 +258,12 @@ let gen_workload =
         (List.length w.w_traces) (List.length w.w_stream))
     gen
 
+(* The oracle: the image stepped one address at a time. *)
 let sequential_profile packed ~starts ~insns ~len =
-  let rep = Replayer.create_packed (Packed.dup packed) in
-  Replayer.feed_run rep ~insns starts ~len;
+  let rep = compiled (Packed.dup packed) in
+  for i = 0 to len - 1 do
+    Replayer.feed_addr rep ~insns:insns.(i) starts.(i)
+  done;
   Profile.of_replayer rep
 
 (* The tentpole property: sharded replay == sequential replay, exactly,
@@ -340,18 +346,18 @@ let test_feed_run_off () =
   let stream = fixture_stream 60 in
   let insns = Array.map (fun _ -> 1) stream in
   let with_off =
-    let rep = Replayer.create_packed (fixture_packed ()) in
+    let rep = compiled (fixture_packed ()) in
     Replayer.feed_run rep ~off:20 ~insns stream ~len:30;
     Profile.of_replayer rep
   in
   let with_sub =
-    let rep = Replayer.create_packed (fixture_packed ()) in
+    let rep = compiled (fixture_packed ()) in
     Replayer.feed_run rep
       ~insns:(Array.sub insns 20 30)
       (Array.sub stream 20 30) ~len:30;
     Profile.of_replayer rep
   in
-  check profile "packed: off == sub-array copy" with_sub with_off;
+  check profile "compiled: off == sub-array copy" with_sub with_off;
   let reference off =
     let auto = Builder.build [ t1; t2 ] in
     let rep =
@@ -367,7 +373,7 @@ let test_feed_run_off () =
   in
   check profile "reference: off == sub-array copy" (reference false)
     (reference true);
-  let rep = Replayer.create_packed (fixture_packed ()) in
+  let rep = compiled (fixture_packed ()) in
   Alcotest.check_raises "off+len out of range"
     (Invalid_argument "Replayer.feed_run: len out of range") (fun () ->
       Replayer.feed_run rep ~off:40 stream ~len:30);
@@ -379,14 +385,14 @@ let test_feed_run_off () =
    across repeated batches of different sizes (regrowth included). *)
 let test_feed_run_no_insns_scratch () =
   let a =
-    let rep = Replayer.create_packed (fixture_packed ()) in
+    let rep = compiled (fixture_packed ()) in
     Replayer.feed_run rep (fixture_stream 10) ~len:10;
     Replayer.feed_run rep (fixture_stream 300) ~len:300;
     Replayer.feed_run rep ~off:5 (fixture_stream 40) ~len:35;
     Profile.of_replayer rep
   in
   let b =
-    let rep = Replayer.create_packed (fixture_packed ()) in
+    let rep = compiled (fixture_packed ()) in
     Replayer.feed_run rep ~insns:(Array.make 10 0) (fixture_stream 10) ~len:10;
     Replayer.feed_run rep ~insns:(Array.make 300 0) (fixture_stream 300)
       ~len:300;
@@ -398,7 +404,7 @@ let test_feed_run_no_insns_scratch () =
   check Alcotest.int "no coverage accrued" 0 a.Profile.covered
 
 let test_set_state_validation () =
-  let rep = Replayer.create_packed (fixture_packed ()) in
+  let rep = compiled (fixture_packed ()) in
   Alcotest.check_raises "negative id"
     (Invalid_argument "Replayer.set_state: negative state id") (fun () ->
       Replayer.set_state rep (-1));

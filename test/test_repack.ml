@@ -14,6 +14,7 @@ module Trace = Tea_traces.Trace
 module Automaton = Tea_core.Automaton
 module Builder = Tea_core.Builder
 module Packed = Tea_core.Packed
+module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Serialize = Tea_core.Serialize
 module Repack = Tea_opt.Repack
@@ -24,6 +25,8 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
+
+let compiled img = Replayer.create_compiled (Compiled.of_packed (Packed.dup img))
 
 (* ---------------- Random workload generation ----------------
 
@@ -98,8 +101,11 @@ type observation = {
   o_stats : int * int * int * int;
 }
 
+(* Step-at-a-time replay over [img] itself (a compiled replayer's
+   feed_addr runs {!Packed.step} on its base image), so the image's
+   stats, cycles and inline-cache counters record exactly this stream. *)
 let observe img stream =
-  let rep = Replayer.create_packed img in
+  let rep = Replayer.create_compiled (Compiled.of_packed img) in
   let states =
     List.map
       (fun (addr, insns) ->
@@ -165,8 +171,8 @@ let prop_repack_pure_permutation =
         ])
 
 (* Batched feed_run on a repacked image must stay exactly len feed_addr
-   calls — the fused run_packed_hot loop replicates the IC/prefix/tail
-   step inline, and this property pins the replication. *)
+   calls — the compiled closures charge the IC/prefix/tail costs
+   {!Packed.step} charges, and this property pins the replication. *)
 let prop_feed_run_equals_feed_addr =
   QCheck.Test.make ~name:"repacked feed_run == repeated feed_addr"
     ~count:100 gen_workload (fun w ->
@@ -175,22 +181,18 @@ let prop_feed_run_equals_feed_addr =
       let addrs, insns, len = arrays_of_stream w.w_stream in
       let prof = Repack.collect flat addrs ~len in
       let tuned = Repack.repack flat prof in
-      let img1 = Packed.dup tuned in
-      let one = Replayer.create_packed img1 in
+      let one = compiled tuned in
       List.iter
         (fun (addr, ins) -> Replayer.feed_addr one ~insns:ins addr)
         w.w_stream;
-      let img2 = Packed.dup tuned in
-      let batched = Replayer.create_packed img2 in
+      let batched = compiled tuned in
       Replayer.feed_run batched ~insns addrs ~len;
       let s1 = Replayer.stats one and s2 = Replayer.stats batched in
       Replayer.state one = Replayer.state batched
       && Replayer.coverage one = Replayer.coverage batched
       && Replayer.tbb_counts one = Replayer.tbb_counts batched
       && s1 = s2
-      && Replayer.cycles one = Replayer.cycles batched
-      && Packed.ic_hits img2 = Packed.ic_hits img1
-      && Packed.ic_misses img2 = Packed.ic_misses img1)
+      && Replayer.cycles one = Replayer.cycles batched)
 
 (* Profiles of disjoint chunks merge into the whole-stream profile when
    the later chunk is collected from the state the walk carried in. *)
@@ -206,7 +208,7 @@ let prop_collect_merges =
       let whole = Repack.collect flat addrs ~len in
       let first = Repack.collect flat addrs ~len:cut in
       let mid =
-        let rep = Replayer.create_packed (Packed.dup flat) in
+        let rep = compiled flat in
         Replayer.feed_run rep addrs ~len:cut;
         Replayer.state rep
       in
@@ -236,26 +238,8 @@ let prop_teapk2_roundtrip =
 
 (* ---------------- sharded replay over a repacked image ----------------
 
-   The satellite acceptance bar: --jobs 4 merges to --jobs 1, profile and
-   probe counter for counter. The one documented exception is the
-   ic_hit/ic_miss split: each shard worker steps a dup sibling whose
-   inline cache starts cold, so the split is chunk-local — but every step
-   is exactly one of the two, so the sum is invariant. *)
-
-let ic_counter = function
-  | "packed.ic_hit" | "packed.ic_miss" -> true
-  | _ -> false
-
-let counter snap name =
-  Option.value ~default:0 (Metrics.find_counter snap name)
-
-let ic_sum snap = counter snap "packed.ic_hit" + counter snap "packed.ic_miss"
-
-let snapshots_equal_mod_ic s1 s4 =
-  List.filter (fun (n, _) -> not (ic_counter n)) s1.Metrics.s_counters
-  = List.filter (fun (n, _) -> not (ic_counter n)) s4.Metrics.s_counters
-  && s1.Metrics.s_histograms = s4.Metrics.s_histograms
-  && ic_sum s1 = ic_sum s4
+   The acceptance bar: --jobs 4 merges to --jobs 1, profile and probe
+   counter for counter. *)
 
 let sharded_snapshot img ~insns addrs ~len jobs =
   Probe.install ();
@@ -277,7 +261,7 @@ let prop_sharded_repacked_replay =
       let tuned = Repack.repack flat (Repack.collect flat addrs ~len) in
       let p1, s1 = sharded_snapshot tuned ~insns addrs ~len 1 in
       let p4, s4 = sharded_snapshot tuned ~insns addrs ~len 4 in
-      Tea_parallel.Profile.equal p1 p4 && snapshots_equal_mod_ic s1 s4)
+      Tea_parallel.Profile.equal p1 p4 && Metrics.equal s1 s4)
 
 (* ---------------- layout unit tests ---------------- *)
 
@@ -353,10 +337,11 @@ let test_profile_shape_mismatch () =
     (Invalid_argument "Repack.merge: profiles from different images")
     (fun () -> ignore (Repack.merge prof (Repack.empty_profile flat)))
 
-(* The IC charges the precomputed cost the scan would have charged, so a
-   warm cache changes wall clock and the hit counters — never the
-   simulated cycles. Two consecutive replays of the same stream over one
-   image (cold then warm IC) must charge identical cycles. *)
+(* {!Packed.step}'s IC charges the precomputed cost the scan would have
+   charged, so a warm cache changes wall clock and the hit counters —
+   never the simulated cycles. Two consecutive step-at-a-time replays of
+   the same stream over one image (cold then warm IC) must charge
+   identical cycles. *)
 let test_ic_cost_neutral () =
   let auto = Builder.build [ fan_trace ] in
   let flat = Packed.freeze auto in
@@ -371,8 +356,8 @@ let test_ic_cost_neutral () =
        delta — the point is replaying over the SAME image so the second
        run starts with a warm inline cache *)
     let before = Packed.cycles tuned in
-    let rep = Replayer.create_packed tuned in
-    Replayer.feed_run rep stream ~len;
+    let rep = Replayer.create_compiled (Compiled.of_packed tuned) in
+    Array.iter (fun pc -> Replayer.feed_addr rep pc) stream;
     (Packed.cycles tuned - before, Replayer.tbb_counts rep)
   in
   let c1, t1 = run () in
@@ -496,11 +481,11 @@ let test_pgo_replay_listscan () =
     (Replayer.coverage baseline) (Replayer.coverage tuned_rep);
   check Alcotest.bool "never more simulated cycles" true
     (Replayer.cycles tuned_rep <= Replayer.cycles baseline);
-  check Alcotest.bool "ic observed every step" true
-    (Packed.ic_hits tuned + Packed.ic_misses tuned = len);
-  (* src counters untouched by the pgo cycle *)
+  (* src and returned-image counters untouched by the pgo cycle *)
   check Alcotest.int "src stats untouched" 0
-    (Packed.stats flat).Tea_core.Transition.steps
+    (Packed.stats flat).Tea_core.Transition.steps;
+  check Alcotest.int "repacked image stats untouched" 0
+    (Packed.stats tuned).Tea_core.Transition.steps
 
 (* ---------------- --metrics golden with IC counters ---------------- *)
 
@@ -538,12 +523,11 @@ let check_golden_file name actual =
         Alcotest.failf "golden mismatch for %s (actual output in %s)" name got
       end
 
-(* The text dump `tea_tool replay micro:listscan --engine=packed --pgo
+(* The text dump `tea_tool replay micro:listscan --engine=compiled --pgo
    --metrics` produces: the flat profiling replay and the repacked replay
-   back to back, so the snapshot carries the packed.ic_hit/ic_miss split
-   alongside the counters metrics_listscan.txt already freezes. Every
-   counter is simulated-time or event-count, so the rendering is stable
-   byte for byte. *)
+   back to back, alongside the counters metrics_listscan.txt already
+   freezes. Every counter is simulated-time or event-count, so the
+   rendering is stable byte for byte. *)
 let test_metrics_repack_golden () =
   let image = Tea_workloads.Micro.list_scan () in
   let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
@@ -555,7 +539,7 @@ let test_metrics_repack_golden () =
         let r = Tea_dbt.Stardbt.record ~strategy image in
         let traces = Tea_traces.Trace_set.to_list r.Tea_dbt.Stardbt.set in
         let _ =
-          Tea_pinsim.Pintool_replay.replay ~engine:`Packed ~pgo:true ~traces
+          Tea_pinsim.Pintool_replay.replay ~engine:`Compiled ~pgo:true ~traces
             image
         in
         Probe.uninstall ())
@@ -593,7 +577,7 @@ let () =
         [
           Alcotest.test_case "pgo_replay on listscan" `Quick
             test_pgo_replay_listscan;
-          Alcotest.test_case "--metrics golden with IC counters" `Quick
+          Alcotest.test_case "--metrics golden" `Quick
             test_metrics_repack_golden;
         ] );
     ]

@@ -61,15 +61,10 @@ let tuned_of base starts len =
 
 (* ---------------- forced mid-stream swaps, offline ---------------- *)
 
-let make_rep engine img =
-  match engine with
-  | `Packed -> Replayer.create_packed (Packed.dup img)
-  | `Compiled -> Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+let engine_of img = Replayer.Compiled (Tea_core.Compiled.of_packed (Packed.dup img))
 
-let engine_of engine img =
-  match engine with
-  | `Packed -> Replayer.Packed (Packed.dup img)
-  | `Compiled -> Replayer.Compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+let make_rep img =
+  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
 
 (* segment bounds from sorted distinct cut positions *)
 let segments_of_cuts cuts len =
@@ -82,14 +77,10 @@ let segments_of_cuts cuts len =
 
 (* sequential reference: one replayer, rebound in place at every cut *)
 let run_rebind epochs segs ~insns starts =
-  let img0, eng0 = epochs 0 in
-  let rep = make_rep eng0 img0 in
+  let rep = make_rep (epochs 0) in
   List.iteri
     (fun i (lo, hi) ->
-      if i > 0 then begin
-        let img, eng = epochs i in
-        Replayer.rebind rep (engine_of eng img)
-      end;
+      if i > 0 then Replayer.rebind rep (engine_of (epochs i));
       Replayer.feed_run rep ~off:lo ~insns starts ~len:(hi - lo))
     segs;
   (Profile.of_replayer rep, Replayer.tbb_counts rep)
@@ -102,7 +93,7 @@ let run_spans pool epochs segs ~insns starts =
   let prev = ref None in
   List.iteri
     (fun i (lo, hi) ->
-      let img, eng = epochs i in
+      let img = epochs i in
       (match !prev with
       | Some prev_img ->
           entry :=
@@ -113,7 +104,7 @@ let run_spans pool epochs segs ~insns starts =
               !entry
       | None -> ());
       let p, exit_state =
-        Shard.replay_span pool img ~make:(make_rep eng) ?entry:!entry ~insns
+        Shard.replay_span pool img ~make:make_rep ?entry:!entry ~insns
           starts ~off:lo ~len:(hi - lo)
       in
       profs := p :: !profs;
@@ -144,15 +135,12 @@ let prop_forced_swaps =
       let segs = segments_of_cuts cuts len in
       let base = flat () in
       let repacked, fused = tuned_of base starts len in
-      (* epoch ladder: flat -> repacked -> fused -> fused(compiled) -> … *)
-      let ladder =
-        [| (base, `Packed); (repacked, `Packed); (fused, `Packed);
-           (fused, `Compiled) |]
-      in
+      (* epoch ladder: flat -> repacked -> fused -> flat -> … *)
+      let ladder = [| base; repacked; fused |] in
       let epochs i = ladder.(i mod Array.length ladder) in
       let seq_prof, seq_tbb = run_rebind epochs segs ~insns starts in
       (* TBBs are layout-invariant: identical to a no-swap flat replay *)
-      let rep0 = make_rep `Packed (flat ()) in
+      let rep0 = make_rep (flat ()) in
       Replayer.feed_run rep0 ~insns starts ~len;
       seq_tbb = Replayer.tbb_counts rep0
       && List.for_all
@@ -169,7 +157,7 @@ let test_rebind_basics () =
   let insns = Array.make len 1 in
   let repacked, fused = tuned_of base starts len in
   (* rebind refuses a reference engine and mismatched automata *)
-  let rep = make_rep `Packed base in
+  let rep = make_rep base in
   Alcotest.check_raises "reference engine"
     (Invalid_argument "Replayer.rebind: reference engine cannot be swapped")
     (fun () ->
@@ -180,10 +168,10 @@ let test_rebind_basics () =
   (* a full swap chain carries cycles and stats: total steps equal the
      no-swap replay's *)
   Replayer.feed_run rep ~insns starts ~len:20;
-  Replayer.rebind rep (engine_of `Packed repacked);
+  Replayer.rebind rep (engine_of repacked);
   Replayer.feed_run rep ~off:20 ~insns starts ~len:(len - 20);
-  Replayer.rebind rep (engine_of `Compiled fused);
-  let rep0 = make_rep `Packed (flat ()) in
+  Replayer.rebind rep (engine_of fused);
+  let rep0 = make_rep (flat ()) in
   Replayer.feed_run rep0 ~insns starts ~len;
   check Alcotest.int "steps survive swaps"
     (Replayer.stats rep0).Tea_core.Transition.steps

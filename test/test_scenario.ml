@@ -13,6 +13,7 @@ module Block = Tea_cfg.Block
 module Trace = Tea_traces.Trace
 module Builder = Tea_core.Builder
 module Packed = Tea_core.Packed
+module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Pc_trace = Tea_core.Pc_trace
 module Multi = Tea_core.Multi_replayer
@@ -20,6 +21,9 @@ module Scenario = Tea_workloads.Scenario
 module Pool = Tea_parallel.Pool
 module Profile = Tea_parallel.Profile
 module Shard = Tea_parallel.Shard
+
+(* A compiled-engine replayer over a private dup of [img]. *)
+let compiled img = Replayer.create_compiled (Compiled.of_packed (Packed.dup img))
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -260,7 +264,7 @@ let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
 
 let fixture_make =
   let img = lazy (fixture_packed ()) in
-  fun _ -> Replayer.create_packed (Packed.dup (Lazy.force img))
+  fun _ -> compiled (Lazy.force img)
 
 let feed_blocks m asid addrs =
   List.iter
@@ -414,7 +418,7 @@ let snap_eq a b =
 let gate_scenario ?(jobs = [ 1 ]) ~engine wls scn =
   let selected = Array.of_list wls in
   let img_for a = engine_of selected.(a) engine in
-  let make a = Replayer.create_packed (Packed.dup (img_for a)) in
+  let make a = compiled (img_for a) in
   with_tmp @@ fun path ->
   let _ = Scenario.write_file path scn in
   let isolated = Multi.replay_isolated make path in

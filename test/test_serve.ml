@@ -292,7 +292,11 @@ let offline_of_bytes image s =
   output_string oc s;
   close_out oc;
   let m =
-    Multi.replay_events (fun _ -> Replayer.create_packed (Packed.dup image)) path
+    Multi.replay_events
+      (fun _ ->
+        Replayer.create_compiled
+          (Tea_core.Compiled.of_packed (Packed.dup image)))
+      path
   in
   Profile.merge_all (List.map snd (Multi.snapshots m))
 
