@@ -137,22 +137,8 @@ let close_writer w =
 
 (* ---- decoding ----
 
-   All formats decode from a whole-file string: one read, then a tight
-   index loop — measurably faster than the per-byte [input_byte] channel
-   loop the v1 decoder used, and it makes truncation checks exact. *)
-
-let read_varint_s s pos =
-  let len = String.length s in
-  let rec go shift acc =
-    if !pos >= len then raise (Corrupt "truncated varint");
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift > 56 then raise (Corrupt "varint too long")
-    else go (shift + 7) acc
-  in
-  go 0 0
+   One record kernel ([decode]) serves every consumer; see the interface
+   for its contract. *)
 
 (* Whole-input slurp. [in_channel_length] only works on seekable files —
    on a pipe, FIFO, socket or tty the underlying lseek fails — so those
@@ -198,354 +184,366 @@ let classify_magic s len =
   let could_grow_into m =
     len < String.length m && String.sub s 0 len = String.sub m 0 len
   in
-  if matches magic_v2 then `Found (2, String.length magic_v2)
-  else if matches magic_v3 then `Found (3, String.length magic_v3)
-  else if matches magic then `Found (1, String.length magic)
+  if matches magic_v2 then `Found (V2, String.length magic_v2)
+  else if matches magic_v3 then `Found (V3, String.length magic_v3)
+  else if matches magic then `Found (V1, String.length magic)
   else if could_grow_into magic_v2 || could_grow_into magic_v3
           || could_grow_into magic then `Short
   else raise (Corrupt "bad magic")
 
-let sniff s =
-  match classify_magic s (String.length s) with
-  | `Found vp -> vp
-  | `Short -> raise (Corrupt "truncated header")
+let tag_switch = tok_switch
 
-let fold_v1 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let rec loop acc prev =
-    if !pos >= len then acc
+let tag_invalidate = tok_invalidate
+
+let tag_interrupt = tok_interrupt
+
+let event_of_ctl ~tag ~arg =
+  if tag = tag_switch then Switch { asid = arg }
+  else if tag = tag_invalidate then Invalidate { asid = arg }
+  else Interrupt
+
+(* Per-asid state. Real streams switch among a few small asids every few
+   blocks, so those index an array; any other int a stream names goes to
+   a hash table. Absent keys read as [default]. *)
+module Asid_map = struct
+  type 'a t = { default : 'a; mutable lo : 'a array; hi : (int, 'a) Hashtbl.t }
+
+  let lo_limit = 4096
+
+  let create default = { default; lo = Array.make 8 default; hi = Hashtbl.create 8 }
+
+  let get m a =
+    if a < Array.length m.lo then m.lo.(a)
+    else if a < lo_limit then m.default
+    else Option.value ~default:m.default (Hashtbl.find_opt m.hi a)
+
+  let set m a v =
+    if a >= lo_limit then Hashtbl.replace m.hi a v
     else begin
-      let delta = unzigzag (read_varint_s s pos) in
-      let insns = read_varint_s s pos in
-      let start = prev + delta in
-      loop (f acc ~start ~insns) start
+      if a >= Array.length m.lo then begin
+        let lo = Array.make (min lo_limit (2 * (a + 1))) m.default in
+        Array.blit m.lo 0 lo 0 (Array.length m.lo);
+        m.lo <- lo
+      end;
+      m.lo.(a) <- v
     end
-  in
-  loop init 0
+end
 
-(* Shared v2/v3 dictionary state, rebuilt as tokens stream in. *)
-type dict = {
+type kernel = {
+  fmt : format;
+  base : int; (* first dictionary token *)
   mutable ddelta : int array;
   mutable dinsns : int array;
-  mutable cap : int;
-  mutable next : int;
-  base : int; (* first dictionary id for this format *)
+  mutable next : int; (* next dictionary token to be defined *)
+  mutable prev : int; (* current asid's previous start address *)
+  mutable asid : int;
+  parked : int Asid_map.t; (* v3: prev of every non-current asid *)
+  mutable pos : int; (* read position in the buffer *)
+  mutable mark : int; (* first byte of the record being decoded *)
 }
 
-let dict_create base =
-  { ddelta = Array.make 256 0; dinsns = Array.make 256 0; cap = 256; next = base; base }
+let kernel fmt pos =
+  let base = first_dict_id fmt in
+  { fmt; base; ddelta = Array.make 256 0; dinsns = Array.make 256 0; next = base;
+    prev = 0; asid = 0; parked = Asid_map.create 0; pos; mark = pos }
 
-let dict_register d delta insns =
-  if d.next < dict_cap then begin
-    if d.next >= d.cap then begin
-      let ncap = 2 * d.cap in
-      let nd = Array.make ncap 0 and ni = Array.make ncap 0 in
-      Array.blit d.ddelta 0 nd 0 d.cap;
-      Array.blit d.dinsns 0 ni 0 d.cap;
-      d.ddelta <- nd;
-      d.dinsns <- ni;
-      d.cap <- ncap
+exception Need_more
+
+let corrupt msg = raise (Corrupt msg)
+
+(* The one varint reader: LEB128 of at most 9 bytes, i.e. 63 bits, the
+   width of an OCaml int, so a ninth byte with its continuation bit set
+   is corrupt. [Need_more] at [lim]. *)
+let rec varint_from k b lim p acc shift =
+  if p >= lim then raise_notrace Need_more;
+  let c = Char.code (Bytes.unsafe_get b p) in
+  let acc = acc lor ((c land 0x7F) lsl shift) in
+  if c < 0x80 then begin
+    k.pos <- p + 1;
+    acc
+  end
+  else if shift = 56 then corrupt "varint too long"
+  else varint_from k b lim (p + 1) acc (shift + 7)
+
+let varint k b lim = varint_from k b lim k.pos 0 0
+
+(* An operand the writer never emits negative, though 9 bytes can set
+   the sign bit. *)
+let nonneg k b lim what =
+  let v = varint k b lim in
+  if v < 0 then corrupt ("negative " ^ what);
+  v
+
+(* [Array.blit] into a major-heap array pays the write barrier per
+   element; an int copy needs none. *)
+let copy_ints src dst n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i : int)
+  done
+
+let register k delta insns =
+  if k.next < dict_cap then begin
+    if k.next = Array.length k.ddelta then begin
+      let nd = Array.make (2 * k.next) 0 and ni = Array.make (2 * k.next) 0 in
+      copy_ints k.ddelta nd k.next;
+      copy_ints k.dinsns ni k.next;
+      k.ddelta <- nd;
+      k.dinsns <- ni
     end;
-    d.ddelta.(d.next) <- delta;
-    d.dinsns.(d.next) <- insns;
-    d.next <- d.next + 1
+    k.ddelta.(k.next) <- delta;
+    k.dinsns.(k.next) <- insns;
+    k.next <- k.next + 1
   end
 
-let fold_v2 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let d = dict_create 1 in
-  let rec loop acc prev =
-    if !pos >= len then acc
-    else begin
-      let token = read_varint_s s pos in
-      let delta, insns =
-        if token = tok_literal then begin
-          let delta = unzigzag (read_varint_s s pos) in
-          let insns = read_varint_s s pos in
-          dict_register d delta insns;
-          (delta, insns)
+(* Decode every complete record of [b.[k.pos..lim)], calling [block] per
+   block record and [ctl] per v3 event (with the asid it lands on — for a
+   switch, the asid switched to). On return [k.pos] is [lim] or the first
+   byte of a record cut off at [lim]. *)
+let decode k b lim ~block ~ctl =
+  try
+    while k.pos < lim do
+      let p = k.pos in
+      k.mark <- p;
+      (* a v1 record is a bare literal; a token is one byte in the
+         steady state, read inline *)
+      let t =
+        if k.fmt = V1 then tok_literal
+        else if Bytes.unsafe_get b p < '\x80' then begin
+          k.pos <- p + 1;
+          Char.code (Bytes.unsafe_get b p)
         end
-        else if token < d.next then (d.ddelta.(token), d.dinsns.(token))
-        else raise (Corrupt "bad dictionary token")
+        else varint k b lim
       in
-      let start = prev + delta in
-      loop (f acc ~start ~insns) start
-    end
-  in
-  loop init 0
-
-(* v3: the v2 dictionary loop plus the event tokens and per-asid delta
-   chains. [f] sees every event with the asid it lands on — for [Switch]
-   that is the asid being switched {e to}. *)
-let fold_v3 s start_pos init f =
-  let len = String.length s in
-  let pos = ref start_pos in
-  let d = dict_create (first_dict_id V3) in
-  let parked = Hashtbl.create 8 in
-  let cur_asid = ref 0 in
-  let prev = ref 0 in
-  let rec loop acc =
-    if !pos >= len then acc
-    else begin
-      let token = read_varint_s s pos in
-      if token = tok_switch then begin
-        let asid = read_varint_s s pos in
-        if asid <> !cur_asid then begin
-          Hashtbl.replace parked !cur_asid !prev;
-          prev :=
-            (match Hashtbl.find_opt parked asid with Some p -> p | None -> 0);
-          cur_asid := asid
+      if t >= k.base then begin
+        (* [next] never exceeds the dictionary arrays' length *)
+        if t >= k.next then corrupt "bad dictionary token";
+        let start = k.prev + Array.unsafe_get k.ddelta t in
+        k.prev <- start;
+        block ~asid:k.asid ~start ~insns:(Array.unsafe_get k.dinsns t)
+      end
+      else if t = tok_literal then begin
+        let delta = unzigzag (varint k b lim) in
+        let insns = nonneg k b lim "instruction count" in
+        if k.fmt <> V1 then register k delta insns;
+        let start = k.prev + delta in
+        k.prev <- start;
+        block ~asid:k.asid ~start ~insns
+      end
+      (* only v3 gets here with a positive token *)
+      else if t = tok_interrupt then ctl ~asid:k.asid ~tag:t ~arg:0
+      else if t > 0 then begin
+        let a = nonneg k b lim "asid" in
+        (* each asid runs its own delta chain *)
+        if t = tok_switch && a <> k.asid then begin
+          Asid_map.set k.parked k.asid k.prev;
+          k.prev <- Asid_map.get k.parked a;
+          k.asid <- a
         end;
-        loop (f acc ~asid (Switch { asid }))
+        ctl ~asid:k.asid ~tag:t ~arg:a
       end
-      else if token = tok_invalidate then begin
-        let asid = read_varint_s s pos in
-        loop (f acc ~asid:!cur_asid (Invalidate { asid }))
-      end
-      else if token = tok_interrupt then loop (f acc ~asid:!cur_asid Interrupt)
-      else begin
-        let delta, insns =
-          if token = tok_literal then begin
-            let delta = unzigzag (read_varint_s s pos) in
-            let insns = read_varint_s s pos in
-            dict_register d delta insns;
-            (delta, insns)
-          end
-          else if token < d.next then (d.ddelta.(token), d.dinsns.(token))
-          else raise (Corrupt "bad dictionary token")
-        in
-        let start = !prev + delta in
-        prev := start;
-        loop (f acc ~asid:!cur_asid (Block { start; insns }))
-      end
-    end
+      else corrupt "bad dictionary token"
+    done
+  with Need_more -> k.pos <- k.mark
+
+(* ---- whole-buffer consumers ---- *)
+
+(* [s] is only ever read, so the kernel decodes it in place. *)
+let decode_string s ~block ~ctl =
+  let lim = String.length s in
+  let k =
+    match classify_magic s lim with
+    | `Found (fmt, hlen) -> kernel fmt hlen
+    | `Short -> corrupt "truncated header"
   in
-  loop init
+  decode k (Bytes.unsafe_of_string s) lim ~block ~ctl;
+  if k.pos < lim then corrupt "truncated varint"
+
+let decode_file path = decode_string (read_all path)
+
+let single_stream ~asid:_ ~tag:_ ~arg:_ =
+  corrupt "v3 event stream is not a single PC stream (use fold_events)"
+
+let fold path init f =
+  let acc = ref init in
+  decode_file path ~ctl:single_stream ~block:(fun ~asid:_ ~start ~insns ->
+      acc := f !acc ~start ~insns);
+  !acc
 
 let fold_events path init f =
-  let s = read_all path in
-  let version, pos0 = sniff s in
-  match version with
-  | 1 ->
-      fold_v1 s pos0 init (fun acc ~start ~insns ->
-          f acc ~asid:0 (Block { start; insns }))
-  | 2 ->
-      fold_v2 s pos0 init (fun acc ~start ~insns ->
-          f acc ~asid:0 (Block { start; insns }))
-  | _ -> fold_v3 s pos0 init f
-
-(* The single-stream view. A v3 file folds iff it is a plain block
-   stream: any Switch/Invalidate/Interrupt means the caller would be
-   silently replaying an interleaved or cut stream against one automaton,
-   so it is rejected rather than mis-decoded. *)
-let fold path init f =
-  let s = read_all path in
-  let version, pos0 = sniff s in
-  match version with
-  | 1 -> fold_v1 s pos0 init f
-  | 2 -> fold_v2 s pos0 init f
-  | _ ->
-      fold_v3 s pos0 init (fun acc ~asid:_ ev ->
-          match ev with
-          | Block { start; insns } -> f acc ~start ~insns
-          | Switch _ | Invalidate _ | Interrupt ->
-              raise
-                (Corrupt
-                   "v3 event stream is not a single PC stream (use \
-                    fold_events)"))
+  let acc = ref init in
+  decode_file path
+    ~block:(fun ~asid ~start ~insns -> acc := f !acc ~asid (Block { start; insns }))
+    ~ctl:(fun ~asid ~tag ~arg -> acc := f !acc ~asid (event_of_ctl ~tag ~arg));
+  !acc
 
 let length path =
-  fold_events path 0 (fun n ~asid:_ ev ->
-      match ev with Block _ -> n + 1 | _ -> n)
+  let n = ref 0 in
+  decode_file path
+    ~block:(fun ~asid:_ ~start:_ ~insns:_ -> incr n)
+    ~ctl:(fun ~asid:_ ~tag:_ ~arg:_ -> ());
+  !n
+
+let iter_chunks ?(chunk = 4096) path f =
+  if chunk <= 0 then invalid_arg "Pc_trace.iter_chunks: chunk must be positive";
+  let starts = Array.make chunk 0 and insns_buf = Array.make chunk 0 in
+  let fill = ref 0 in
+  decode_file path ~ctl:single_stream ~block:(fun ~asid:_ ~start ~insns ->
+      let i = !fill in
+      starts.(i) <- start;
+      insns_buf.(i) <- insns;
+      fill := i + 1;
+      if i + 1 = chunk then begin
+        fill := 0;
+        f ~starts ~insns:insns_buf ~len:chunk
+      end);
+  if !fill > 0 then f ~starts ~insns:insns_buf ~len:!fill
+
+type run = { starts : int array; insns : int array; len : int }
+
+(* Every block record takes at least one byte, so a stream's byte count
+   bounds its block count. *)
+let load path =
+  let s = read_all path in
+  let starts = Array.make (String.length s) 0 in
+  let insns = Array.make (String.length s) 0 in
+  let n = ref 0 in
+  decode_string s ~ctl:single_stream ~block:(fun ~asid:_ ~start ~insns:ins ->
+      let i = !n in
+      starts.(i) <- start;
+      insns.(i) <- ins;
+      n := i + 1);
+  { starts; insns; len = !n }
+
+type bucket = {
+  mutable bs : int array;
+  mutable bi : int array;
+  mutable bn : int;
+  mutable runs : run list; (* newest first *)
+}
+
+let new_bucket () = { bs = [||]; bi = [||]; bn = 0; runs = [] }
+
+let cut b =
+  if b.bn > 0 then begin
+    b.runs <- { starts = b.bs; insns = b.bi; len = b.bn } :: b.runs;
+    b.bs <- [||];
+    b.bi <- [||];
+    b.bn <- 0
+  end
+
+let demux s =
+  let none = new_bucket () in
+  let buckets = Asid_map.create none and made = ref [] in
+  (* the current asid's bucket, so a block costs no lookup *)
+  let cur_asid = ref (-1) and cur = ref none in
+  let block ~asid ~start ~insns =
+    if asid <> !cur_asid then begin
+      if Asid_map.get buckets asid == none then begin
+        Asid_map.set buckets asid (new_bucket ());
+        made := asid :: !made
+      end;
+      cur := Asid_map.get buckets asid;
+      cur_asid := asid
+    end;
+    let b = !cur in
+    if b.bn = Array.length b.bs then begin
+      (* doubling, capped at the byte bound on blocks *)
+      let cap = min (String.length s) (max 1024 (2 * b.bn)) in
+      let bs = Array.make cap 0 and bi = Array.make cap 0 in
+      copy_ints b.bs bs b.bn;
+      copy_ints b.bi bi b.bn;
+      b.bs <- bs;
+      b.bi <- bi
+    end;
+    b.bs.(b.bn) <- start;
+    b.bi.(b.bn) <- insns;
+    b.bn <- b.bn + 1
+  in
+  (* a cut aimed at an asid with no blocks yet is a no-op, like the
+     demuxed replayer's cut of an unmaterialized entry *)
+  let ctl ~asid ~tag ~arg =
+    if tag = tag_invalidate then cut (Asid_map.get buckets arg)
+    else if tag = tag_interrupt then cut (Asid_map.get buckets asid)
+  in
+  decode_string s ~block ~ctl;
+  List.sort Int.compare !made
+  |> List.map (fun a ->
+         let b = Asid_map.get buckets a in
+         cut b;
+         (a, List.rev b.runs))
 
 (* ---- incremental decoding ----
 
    The daemon path: trace bytes arrive over a socket in arbitrary chunks
    (a frame can split a varint, even the magic), so the decoder keeps the
-   undecoded suffix buffered and replays each *complete* record as it
-   materializes. Record parsing is transactional — all of a record's
-   varints are read before any decoder state (dictionary, delta chains,
-   current asid) is committed, so a chunk boundary in the middle of a
-   literal simply parks the bytes until the next feed. The whole-file
-   folds above stay the fast path for seekable files. *)
+   undecoded suffix buffered and runs the kernel over it after every
+   feed; a record cut by the chunk boundary stays buffered until the next
+   feed completes it. *)
 
 type decoder = {
-  mutable dbuf : Bytes.t; (* buffered input; [dpos..dlen) undecoded *)
-  mutable dlen : int;
-  mutable dpos : int;
-  mutable dversion : int; (* 0 until the magic is sniffed *)
-  mutable ddict : dict;
-  dparked : (int, int) Hashtbl.t;
-  mutable dcur_asid : int;
-  mutable dprev : int;
-  mutable dfinished : bool;
+  mutable buf : Bytes.t; (* buffered input; [k.pos..len) undecoded *)
+  mutable len : int;
+  mutable k : kernel option; (* [None] until the magic is sniffed *)
+  mutable finished : bool;
 }
 
-exception Need_more
-
 let decoder () =
-  {
-    dbuf = Bytes.create 4096;
-    dlen = 0;
-    dpos = 0;
-    dversion = 0;
-    ddict = dict_create 1;
-    dparked = Hashtbl.create 8;
-    dcur_asid = 0;
-    dprev = 0;
-    dfinished = false;
-  }
+  { buf = Bytes.create 4096; len = 0; k = None; finished = false }
 
-let decoder_format d =
-  match d.dversion with
-  | 1 -> Some V1
-  | 2 -> Some V2
-  | 3 -> Some V3
-  | _ -> None
+let decoder_format d = Option.map (fun k -> k.fmt) d.k
 
-let decoder_pending d = d.dlen - d.dpos
+let decoder_pending d =
+  match d.k with Some k -> d.len - k.pos | None -> d.len
 
 (* Append [s.[off..off+len)], compacting the consumed prefix first so the
    buffer never grows past (pending record + one feed). *)
-let decoder_append d s off len =
-  if d.dpos > 0 then begin
-    Bytes.blit d.dbuf d.dpos d.dbuf 0 (d.dlen - d.dpos);
-    d.dlen <- d.dlen - d.dpos;
-    d.dpos <- 0
-  end;
-  let need = d.dlen + len in
-  if need > Bytes.length d.dbuf then begin
-    let cap = ref (2 * Bytes.length d.dbuf) in
+let append d s off len =
+  (match d.k with
+  | Some k when k.pos > 0 ->
+      Bytes.blit d.buf k.pos d.buf 0 (d.len - k.pos);
+      d.len <- d.len - k.pos;
+      k.pos <- 0
+  | _ -> ());
+  let need = d.len + len in
+  if need > Bytes.length d.buf then begin
+    let cap = ref (2 * Bytes.length d.buf) in
     while !cap < need do
       cap := 2 * !cap
     done;
     let nb = Bytes.create !cap in
-    Bytes.blit d.dbuf 0 nb 0 d.dlen;
-    d.dbuf <- nb
+    Bytes.blit d.buf 0 nb 0 d.len;
+    d.buf <- nb
   end;
-  Bytes.blit_string s off d.dbuf d.dlen len;
-  d.dlen <- need
+  Bytes.blit_string s off d.buf d.len len;
+  d.len <- need
 
-let dread_varint buf len pos =
-  let rec go shift acc =
-    if !pos >= len then raise Need_more;
-    let b = Char.code (Bytes.unsafe_get buf !pos) in
-    incr pos;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift > 56 then raise (Corrupt "varint too long")
-    else go (shift + 7) acc
-  in
-  go 0 0
-
-(* One record, transactionally: parse fully (raising [Need_more] without
-   side effects on a chunk boundary), then commit and emit. Returns false
-   when the buffer holds no complete record. *)
-let decoder_step d emit =
-  if d.dpos >= d.dlen then false
-  else begin
-    let pos = ref d.dpos in
-    let buf = d.dbuf and len = d.dlen in
-    let action =
-      try
-        let v = d.dversion in
-        if v = 1 then begin
-          let delta = unzigzag (dread_varint buf len pos) in
-          let insns = dread_varint buf len pos in
-          Some (`Blk (delta, insns, false))
-        end
-        else begin
-          let token = dread_varint buf len pos in
-          if v = 3 && token = tok_switch then
-            Some (`Sw (dread_varint buf len pos))
-          else if v = 3 && token = tok_invalidate then
-            Some (`Inv (dread_varint buf len pos))
-          else if v = 3 && token = tok_interrupt then Some `Irq
-          else if token = tok_literal then begin
-            let delta = unzigzag (dread_varint buf len pos) in
-            let insns = dread_varint buf len pos in
-            Some (`Blk (delta, insns, true))
-          end
-          else if token < d.ddict.next then
-            Some (`Blk (d.ddict.ddelta.(token), d.ddict.dinsns.(token), false))
-          else raise (Corrupt "bad dictionary token")
-        end
-      with Need_more -> None
-    in
-    match action with
-    | None -> false
-    | Some action ->
-        d.dpos <- !pos;
-        (match action with
-        | `Blk (delta, insns, register) ->
-            if register then dict_register d.ddict delta insns;
-            let start = d.dprev + delta in
-            d.dprev <- start;
-            emit ~asid:d.dcur_asid (Block { start; insns })
-        | `Sw asid ->
-            if asid <> d.dcur_asid then begin
-              Hashtbl.replace d.dparked d.dcur_asid d.dprev;
-              d.dprev <-
-                (match Hashtbl.find_opt d.dparked asid with
-                | Some p -> p
-                | None -> 0);
-              d.dcur_asid <- asid
-            end;
-            emit ~asid (Switch { asid })
-        | `Inv asid -> emit ~asid:d.dcur_asid (Invalidate { asid })
-        | `Irq -> emit ~asid:d.dcur_asid Interrupt);
-        true
-  end
-
-let decoder_feed d ?(off = 0) ?len s emit =
-  if d.dfinished then invalid_arg "Pc_trace.decoder_feed: decoder finished";
+let decoder_feed_ints d ?(off = 0) ?len s ~block ~ctl =
+  if d.finished then invalid_arg "Pc_trace.decoder_feed: decoder finished";
   let len = match len with Some l -> l | None -> String.length s - off in
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Pc_trace.decoder_feed: bad substring";
-  decoder_append d s off len;
-  if d.dversion = 0 then begin
-    (* longest magic is 7 bytes; classify on what we have *)
-    let hl = min d.dlen 7 in
-    let head = Bytes.sub_string d.dbuf d.dpos hl in
-    match classify_magic head hl with
-    | `Short -> () (* keep buffering the header *)
-    | `Found (v, hlen) ->
-        d.dpos <- d.dpos + hlen;
-        d.dversion <- v;
-        d.ddict <- dict_create (first_dict_id (match v with 1 -> V1 | 2 -> V2 | _ -> V3))
+  append d s off len;
+  if Option.is_none d.k then begin
+    (* the longest magic is 7 bytes; classify on what we have *)
+    let hl = min d.len 7 in
+    match classify_magic (Bytes.sub_string d.buf 0 hl) hl with
+    | `Short -> ()
+    | `Found (fmt, hlen) -> d.k <- Some (kernel fmt hlen)
   end;
-  if d.dversion <> 0 then
-    while decoder_step d emit do
-      ()
-    done
+  match d.k with Some k -> decode k d.buf d.len ~block ~ctl | None -> ()
+
+let decoder_feed d ?off ?len s emit =
+  decoder_feed_ints d ?off ?len s
+    ~block:(fun ~asid ~start ~insns -> emit ~asid (Block { start; insns }))
+    ~ctl:(fun ~asid ~tag ~arg -> emit ~asid (event_of_ctl ~tag ~arg))
 
 let decoder_finish d =
-  if not d.dfinished then begin
-    if d.dversion = 0 then raise (Corrupt "truncated header");
-    if d.dpos < d.dlen then raise (Corrupt "truncated varint");
-    d.dfinished <- true
+  if not d.finished then begin
+    (match d.k with
+    | None -> corrupt "truncated header"
+    | Some k -> if k.pos < d.len then corrupt "truncated varint");
+    d.finished <- true
   end
-
-let default_chunk = 4096
-
-let iter_chunks ?(chunk = default_chunk) path f =
-  if chunk <= 0 then invalid_arg "Pc_trace.iter_chunks: chunk must be positive";
-  let starts = Array.make chunk 0 and insns_buf = Array.make chunk 0 in
-  let fill = ref 0 in
-  let flush () =
-    if !fill > 0 then begin
-      f ~starts ~insns:insns_buf ~len:!fill;
-      fill := 0
-    end
-  in
-  fold path () (fun () ~start ~insns ->
-      starts.(!fill) <- start;
-      insns_buf.(!fill) <- insns;
-      incr fill;
-      if !fill = chunk then flush ());
-  flush ()
 
 let replay trans path =
   let rep = Replayer.create trans in

@@ -20,8 +20,7 @@
       entries), [k >= 1] repeats dictionary pair [k]. Replay streams
       revisit the same few (delta, insns) pairs in loops, so
       steady-state records compress to ~1 byte — typically 3–4x smaller
-      files than v1 — and all formats decode from a whole-file buffer in
-      one tight index loop rather than per-byte channel reads.
+      files than v1.
     - {b v3} (magic ["PCTR3\n"]): the v2 coding extended to multi-process
       interleaved streams. Low tokens are reserved for events — [1]
       switches the current address-space id ([asid], varint operand),
@@ -30,7 +29,18 @@
       runs its own delta chain (the previous start address is parked on
       switch-out and restored on switch-in), so interleaving does not
       destroy the delta/dictionary locality the coder feeds on. A stream
-      starts in asid 0. *)
+      starts in asid 0.
+
+    {b Decoding.} Every reader below — the whole-file folds, {!load},
+    {!demux} and the streaming decoder — runs one record kernel over a
+    byte buffer: whole files are decoded in place from {!read_all}'s
+    string, streams from the decoder's buffer. The kernel commits each
+    record on its own and passes blocks to its consumer as unboxed ints,
+    so decoding a block allocates nothing; only the [event]-valued
+    entry points ({!fold_events}, {!decoder_feed}) build values. Varints
+    are at most 9 bytes (63 bits); a longer one, a negative instruction
+    count or a negative asid operand is [Corrupt], with the same message
+    on the whole-file and the streaming path. *)
 
 type format = V1 | V2 | V3
 
@@ -115,6 +125,29 @@ val iter_chunks :
     its asid boundaries erased (demultiplex with {!fold_events} or
     [Multi_replayer] first). @raise Corrupt on bad framing. *)
 
+(** {2 Unboxed consumers} *)
+
+type run = { starts : int array; insns : int array; len : int }
+(** One contiguous single-asid block run; only [0..len-1] is valid
+    (arrays may be over-allocated). *)
+
+val load : string -> run
+(** Decode a trace file's blocks into one run, with {!fold}'s acceptance
+    rules (a v3 file with events is rejected). Both arrays are sized once
+    from the file's byte count: a block record takes at least one byte,
+    so that bounds the block count and the arrays never grow or copy.
+    @raise Corrupt on bad framing. *)
+
+val demux : string -> (int * run list) list
+(** [demux bytes] splits a complete stream's bytes (any format, as
+    {!read_all} returns them) into per-asid runs, cut at every
+    invalidation of the asid and every interrupt on it. Sorted by asid,
+    runs in stream order; asids with no blocks are absent, and a cut aimed
+    at an asid with no blocks so far is a no-op (the lazy-entry rule of
+    {!Multi_replayer}). Each asid's arrays grow by doubling, capped at the
+    stream's block bound; the current asid's bucket is cached, so a block
+    costs no lookup. @raise Corrupt on bad framing. *)
+
 (** {2 Incremental (streaming) decoding}
 
     The replay-as-a-service ingestion path: trace bytes arrive over a
@@ -144,9 +177,33 @@ val decoder_feed :
     later feed completes them; decoder state (dictionary, per-asid delta
     chains) commits only on complete records.
     @raise Corrupt on bad framing (foreign magic, undefined dictionary
-    token, over-long varint) — the decoder is then poisoned and must be
-    discarded.
+    token, over-long varint, negative instruction count or asid) — the
+    decoder is then poisoned and must be discarded.
     @raise Invalid_argument on a bad substring or a finished decoder. *)
+
+val tag_switch : int
+val tag_invalidate : int
+val tag_interrupt : int
+(** The [~tag] values {!decoder_feed_ints} passes for [Switch],
+    [Invalidate] and [Interrupt]. *)
+
+val event_of_ctl : tag:int -> arg:int -> event
+(** The event a [(tag, arg)] control record stands for. *)
+
+val decoder_feed_ints :
+  decoder ->
+  ?off:int ->
+  ?len:int ->
+  string ->
+  block:(asid:int -> start:int -> insns:int -> unit) ->
+  ctl:(asid:int -> tag:int -> arg:int -> unit) ->
+  unit
+(** {!decoder_feed} without event values: [block] gets each block's
+    fields, [ctl] each event's tag and operand ([arg] is the target asid
+    of a switch or invalidation, [0] for an interrupt). [~asid] is
+    stamped as in {!decoder_feed}. Decoding allocates nothing per
+    record, so the cost is the callbacks'. Same errors as
+    {!decoder_feed}. *)
 
 val decoder_finish : decoder -> unit
 (** Declare end-of-stream. Idempotent.

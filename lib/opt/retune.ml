@@ -3,10 +3,9 @@
    repacked+fused image", without stopping replay.
 
    The serve daemon retains each completed session's raw trace bytes.
-   A retune pass decodes those bytes back into per-asid block segments
-   (cut at invalidations/interrupts, exactly the demux-first discipline
-   of Tea_parallel.Shard.load_events — rebuilt here over in-memory
-   strings because the daemon retains bytes, not files), walks them
+   A retune pass demuxes those bytes back into per-asid block segments
+   (Pc_trace.demux, cut at invalidations/interrupts — the same runs
+   Tea_parallel.Shard.load_events shards), walks them
    through Repack.collect to get an edge profile, and rebuilds the
    tuning ladder from the *flat* source image: collect -> repack ->
    collect again over the repacked layout -> fuse. Rebuilding from flat
@@ -21,70 +20,16 @@
 module Packed = Tea_core.Packed
 module Pc_trace = Tea_core.Pc_trace
 
-type segment = { starts : int array; len : int }
+type segment = Pc_trace.run
 
-(* -- decoding retained streams back into collectable segments -- *)
-
-type bucket = { mutable bs : int array; mutable bn : int; mutable segs : segment list }
-
+(* each retained string is one complete session stream: its own demux,
+   its own asid buckets — sessions never share automata *)
 let segments_of_raws raws =
-  let buckets : (int, bucket) Hashtbl.t = Hashtbl.create 8 in
-  let bucket a =
-    match Hashtbl.find_opt buckets a with
-    | Some b -> b
-    | None ->
-        let b = { bs = Array.make 1024 0; bn = 0; segs = [] } in
-        Hashtbl.add buckets a b;
-        b
-  in
-  let cut b =
-    if b.bn > 0 then begin
-      b.segs <- { starts = b.bs; len = b.bn } :: b.segs;
-      b.bs <- Array.make 1024 0;
-      b.bn <- 0
-    end
-  in
-  let emit ~asid ev =
-    match ev with
-    | Pc_trace.Block { start; insns = _ } ->
-        let b = bucket asid in
-        if b.bn = Array.length b.bs then begin
-          let s' = Array.make (2 * b.bn) 0 in
-          Array.blit b.bs 0 s' 0 b.bn;
-          b.bs <- s'
-        end;
-        b.bs.(b.bn) <- start;
-        b.bn <- b.bn + 1
-    | Pc_trace.Invalidate { asid = target } -> (
-        match Hashtbl.find_opt buckets target with
-        | Some b -> cut b
-        | None -> ())
-    | Pc_trace.Interrupt -> (
-        match Hashtbl.find_opt buckets asid with
-        | Some b -> cut b
-        | None -> ())
-    | Pc_trace.Switch _ -> ()
-  in
-  (* each retained string is one complete session stream: private
-     decoder, private asid buckets — sessions never share automata *)
-  let out = ref [] in
-  List.iter
-    (fun raw ->
-      Hashtbl.reset buckets;
-      let dec = Pc_trace.decoder () in
-      Pc_trace.decoder_feed dec raw emit;
-      Pc_trace.decoder_finish dec;
-      Hashtbl.iter
-        (fun _ b ->
-          cut b;
-          out := List.rev_append b.segs !out)
-        buckets)
-    raws;
-  !out
+  List.concat_map (fun raw -> List.concat_map snd (Pc_trace.demux raw)) raws
 
 let collect_segments img segs =
   List.fold_left
-    (fun acc { starts; len } ->
+    (fun acc { Pc_trace.starts; len; _ } ->
       Repack.merge acc (Repack.collect img starts ~len))
     (Repack.empty_profile img) segs
 

@@ -19,17 +19,16 @@
     returns is always in original automaton ids and epochs never
     compound permutations. *)
 
-type segment = { starts : int array; len : int }
-(** One gap-free run of block start addresses for one asid (only
-    [starts.(0..len-1)] is valid; the array may be over-allocated). *)
+type segment = Tea_core.Pc_trace.run
+(** One gap-free run of blocks for one asid (only [0..len-1] is valid;
+    the arrays may be over-allocated). *)
 
 val segments_of_raws : string list -> segment list
-(** Decode complete raw trace streams (any {!Tea_core.Pc_trace} format,
-    one string per retained session) and demux into per-asid segments,
-    cut at invalidations and interrupts — the same segmentation the
+(** {!Tea_core.Pc_trace.demux} each complete raw trace stream (any
+    format, one string per retained session) into per-asid segments, cut
+    at invalidations and interrupts — the same segmentation the
     replayer's cut semantics induce, so collecting over the segments
-    sees exactly the automaton walks replay performed. Insn counts are
-    dropped: edge profiles count visits, not coverage.
+    sees exactly the automaton walks replay performed.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
 
 val collect_segments :

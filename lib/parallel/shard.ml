@@ -118,21 +118,8 @@ let replay_arrays pool packed ?make ?insns starts ~len =
   fst (replay_span pool packed ?make ?insns starts ~off:0 ~len)
 
 let load_pc_trace path =
-  let starts = ref (Array.make 4096 0) and insns = ref (Array.make 4096 0) in
-  let n = ref 0 in
-  Pc_trace.fold path () (fun () ~start ~insns:ins ->
-      let cap = Array.length !starts in
-      if !n = cap then begin
-        let s' = Array.make (2 * cap) 0 and i' = Array.make (2 * cap) 0 in
-        Array.blit !starts 0 s' 0 !n;
-        Array.blit !insns 0 i' 0 !n;
-        starts := s';
-        insns := i'
-      end;
-      !starts.(!n) <- start;
-      !insns.(!n) <- ins;
-      incr n);
-  (!starts, !insns, !n)
+  let { Pc_trace.starts; insns; len } = Pc_trace.load path in
+  (starts, insns, len)
 
 let replay_pc_trace pool packed ?make path =
   let starts, insns, len = load_pc_trace path in
@@ -151,68 +138,9 @@ let replay_pc_trace pool packed ?make path =
    straddle an asid or a cut by construction, and the per-run profiles
    merge additively into exactly the per-asid sequential snapshot. *)
 
-type run = { starts : int array; insns : int array; len : int }
+type run = Pc_trace.run = { starts : int array; insns : int array; len : int }
 
-type bucket = {
-  mutable bs : int array;
-  mutable bi : int array;
-  mutable bn : int;
-  mutable segs : run list; (* newest first *)
-}
-
-let load_events path =
-  let buckets : (int, bucket) Hashtbl.t = Hashtbl.create 8 in
-  let bucket a =
-    match Hashtbl.find_opt buckets a with
-    | Some b -> b
-    | None ->
-        let b =
-          { bs = Array.make 1024 0; bi = Array.make 1024 0; bn = 0; segs = [] }
-        in
-        Hashtbl.add buckets a b;
-        b
-  in
-  let cut b =
-    if b.bn > 0 then begin
-      b.segs <- { starts = b.bs; insns = b.bi; len = b.bn } :: b.segs;
-      b.bs <- Array.make 1024 0;
-      b.bi <- Array.make 1024 0;
-      b.bn <- 0
-    end
-  in
-  Pc_trace.fold_events path () (fun () ~asid ev ->
-      match ev with
-      | Pc_trace.Block { start; insns } ->
-          let b = bucket asid in
-          let cap = Array.length b.bs in
-          if b.bn = cap then begin
-            let s' = Array.make (2 * cap) 0 and i' = Array.make (2 * cap) 0 in
-            Array.blit b.bs 0 s' 0 b.bn;
-            Array.blit b.bi 0 i' 0 b.bn;
-            b.bs <- s';
-            b.bi <- i'
-          end;
-          b.bs.(b.bn) <- start;
-          b.bi.(b.bn) <- insns;
-          b.bn <- b.bn + 1
-      (* a cut for an asid with no blocks yet mirrors the demuxed
-         replayer's no-op on an unmaterialized entry: [bucket] is only
-         consulted, never forced, when there is nothing to cut *)
-      | Pc_trace.Invalidate { asid = target } -> (
-          match Hashtbl.find_opt buckets target with
-          | Some b -> cut b
-          | None -> ())
-      | Pc_trace.Interrupt -> (
-          match Hashtbl.find_opt buckets asid with
-          | Some b -> cut b
-          | None -> ())
-      | Pc_trace.Switch _ -> ());
-  Hashtbl.fold
-    (fun a b acc ->
-      cut b;
-      if b.segs = [] then acc else (a, List.rev b.segs) :: acc)
-    buckets []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let load_events path = Pc_trace.demux (Pc_trace.read_all path)
 
 let replay_events pool packed_for ?make path =
   load_events path

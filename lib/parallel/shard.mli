@@ -86,9 +86,12 @@ val replay_arrays :
 
 val load_pc_trace : string -> int array * int array * int
 (** Decode a {!Tea_core.Pc_trace} file into [(starts, insns, len)]
-    (arrays may be over-allocated; only [0..len-1] is valid). Decoding is
-    inherently sequential — the format is delta-coded — so the parallel
-    path decodes once up front instead of streaming.
+    ({!Tea_core.Pc_trace.load}). Both arrays are sized once from the
+    file's byte count — every block record takes at least one byte, so
+    blocks <= bytes — and are over-allocated by the bytes a record takes
+    beyond one; only [0..len-1] is valid. Decoding is inherently
+    sequential — the format is delta-coded — so the parallel path decodes
+    once up front instead of streaming.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
 
 val replay_pc_trace :
@@ -114,13 +117,18 @@ val replay_pc_trace :
     or a cut by construction; per-run profiles merge additively into
     exactly the per-asid sequential snapshot, at any job count. *)
 
-type run = { starts : int array; insns : int array; len : int }
+type run = Tea_core.Pc_trace.run = {
+  starts : int array;
+  insns : int array;
+  len : int;
+}
 (** One contiguous single-asid block run; only [0..len-1] is valid
     (arrays may be over-allocated). *)
 
 val load_events : string -> (int * run list) list
-(** Decode any {!Tea_core.Pc_trace} format into per-asid runs, sorted by
-    asid, runs in stream order. Asids with no blocks are absent (matching
+(** Read a {!Tea_core.Pc_trace} file of any format and
+    {!Tea_core.Pc_trace.demux} it into per-asid runs, sorted by asid,
+    runs in stream order. Asids with no blocks are absent (matching
     the lazy-entry rule of {!Tea_core.Multi_replayer}); a cut aimed at an
     asid with no blocks so far is a no-op.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)

@@ -23,21 +23,25 @@ type t = {
   mutable len : int;  (* live records *)
 }
 
+(* control tags are the decoder's, so its records enqueue as they come *)
 let tag_block = 0
-let tag_switch = 1
-let tag_invalidate = 2
-let tag_interrupt = 3
+let tag_switch = Tea_core.Pc_trace.tag_switch
+let tag_invalidate = Tea_core.Pc_trace.tag_invalidate
+let tag_interrupt = Tea_core.Pc_trace.tag_interrupt
 
 let create () = { buf = Array.make (256 * 4) 0; cap = 256; head = 0; len = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 
-(* doubling copy, unwrapping the ring so [head] restarts at 0 *)
+(* doubling copy, unwrapping the ring so [head] restarts at 0; a plain
+   int loop, since [Array.blit] into a major-heap array pays the write
+   barrier per element *)
 let grow t =
   let cap' = t.cap * 2 in
   let buf' = Array.make (cap' * 4) 0 in
-  for i = 0 to t.len - 1 do
-    Array.blit t.buf ((t.head + i) land (t.cap - 1) * 4) buf' (i * 4) 4
+  let mask = (t.cap * 4) - 1 and h = t.head * 4 in
+  for j = 0 to (t.len * 4) - 1 do
+    Array.unsafe_set buf' j (Array.unsafe_get t.buf ((h + j) land mask) : int)
   done;
   t.buf <- buf';
   t.cap <- cap';
@@ -52,12 +56,15 @@ let push_raw t tag asid a b =
   t.buf.(i + 3) <- b;
   t.len <- t.len + 1
 
+let push_block t ~asid ~start ~insns = push_raw t tag_block asid start insns
+let push_ctl t ~asid ~tag ~arg = push_raw t tag asid arg 0
+
 let push t ~asid (ev : Tea_core.Pc_trace.event) =
   match ev with
-  | Block { start; insns } -> push_raw t tag_block asid start insns
-  | Switch { asid = a } -> push_raw t tag_switch asid a 0
-  | Invalidate { asid = a } -> push_raw t tag_invalidate asid a 0
-  | Interrupt -> push_raw t tag_interrupt asid 0 0
+  | Block { start; insns } -> push_block t ~asid ~start ~insns
+  | Switch { asid = a } -> push_ctl t ~asid ~tag:tag_switch ~arg:a
+  | Invalidate { asid = a } -> push_ctl t ~asid ~tag:tag_invalidate ~arg:a
+  | Interrupt -> push_ctl t ~asid ~tag:tag_interrupt ~arg:0
 
 let tag t = t.buf.(t.head * 4)
 let asid t = t.buf.((t.head * 4) + 1)

@@ -23,6 +23,15 @@ val is_empty : t -> bool
 val push : t -> asid:int -> Tea_core.Pc_trace.event -> unit
 (** Append one event for [asid]. *)
 
+val push_block : t -> asid:int -> start:int -> insns:int -> unit
+(** [push] of a [Block], from its fields: allocation-free once the ring
+    is warm. *)
+
+val push_ctl : t -> asid:int -> tag:int -> arg:int -> unit
+(** [push] of a control record as {!Tea_core.Pc_trace.decoder_feed_ints}
+    passes it; the decoder's tags are {!tag_switch}, {!tag_invalidate}
+    and {!tag_interrupt}. *)
+
 (** {2 Head-record accessors}
 
     Valid only when [not (is_empty t)]; {!drop} consumes the record.

@@ -285,12 +285,16 @@ let on_frame t s (f : Frame.frame) =
       (match s.raw with
       | Some b -> Buffer.add_string b f.payload
       | None -> ());
-      Core.Pc_trace.decoder_feed s.dec f.payload (fun ~asid ev ->
-          (* [evs] numbers stream positions for the swap schedule; by
-             the time a swap can happen (a drain-cycle boundary) every
-             pushed event has been fed, so the count is exact *)
+      (* [evs] numbers stream positions for the swap schedule; by the
+         time a swap can happen (a drain-cycle boundary) every pushed
+         event has been fed, so the count is exact *)
+      Core.Pc_trace.decoder_feed_ints s.dec f.payload
+        ~block:(fun ~asid ~start ~insns ->
           s.evs <- s.evs + 1;
-          Evq.push s.queue ~asid ev)
+          Evq.push_block s.queue ~asid ~start ~insns)
+        ~ctl:(fun ~asid ~tag ~arg ->
+          s.evs <- s.evs + 1;
+          Evq.push_ctl s.queue ~asid ~tag ~arg)
     end
     else if f.Frame.tag = Frame.tag_end then s.ended <- true
     else fail_session s (Printf.sprintf "unexpected frame tag %C" f.Frame.tag)
@@ -389,11 +393,7 @@ let drain_cycle t =
                 end
                 else
                   Core.Multi_replayer.feeder_feed s.fdr ~asid
-                    (if tag = Evq.tag_switch then
-                       Core.Pc_trace.Switch { asid = a }
-                     else if tag = Evq.tag_invalidate then
-                       Core.Pc_trace.Invalidate { asid = a }
-                     else Core.Pc_trace.Interrupt)
+                    (Core.Pc_trace.event_of_ctl ~tag ~arg:a)
               done;
               Core.Multi_replayer.feeder_flush s.fdr
             with e ->

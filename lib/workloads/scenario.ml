@@ -18,21 +18,8 @@ let stream ~asid ~name ~starts ~insns ~len =
   { asid; name; starts; insns; len }
 
 let load_stream ~asid ~name path =
-  let starts = ref (Array.make 1024 0) and insns = ref (Array.make 1024 0) in
-  let n = ref 0 in
-  Pc_trace.fold path () (fun () ~start ~insns:ins ->
-      let cap = Array.length !starts in
-      if !n = cap then begin
-        let s' = Array.make (2 * cap) 0 and i' = Array.make (2 * cap) 0 in
-        Array.blit !starts 0 s' 0 !n;
-        Array.blit !insns 0 i' 0 !n;
-        starts := s';
-        insns := i'
-      end;
-      !starts.(!n) <- start;
-      !insns.(!n) <- ins;
-      incr n);
-  stream ~asid ~name ~starts:!starts ~insns:!insns ~len:!n
+  let { Pc_trace.starts; insns; len } = Pc_trace.load path in
+  stream ~asid ~name ~starts ~insns ~len
 
 (* Emitters track the stream's current asid themselves (a v3 stream opens
    in asid 0), so a scenario only pays a Switch record when the scheduled

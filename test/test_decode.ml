@@ -1,0 +1,351 @@
+(* The PC-trace decode kernel that every trace consumer runs on.
+
+   - Hostile varints (over-long, sign bit set where the writer never sets
+     it) are typed [Corrupt] errors, with one message on every path.
+   - Decoding a block allocates nothing: the presized loader, the demux
+     and the int-callback streaming feed stay under a minor-words budget
+     per block (deterministic, untimed).
+   - The presized loader and the demux equal arrays built from the
+     whole-file folds, in arrays no larger than the file.
+   - On truncated and bit-flipped input, whole-file and randomly chunked
+     streaming decode agree: same events, or the same [Corrupt]. *)
+
+module Pc_trace = Tea_core.Pc_trace
+module Shard = Tea_parallel.Shard
+module Evq = Tea_serve.Evq
+
+let check = Alcotest.check
+let qtest = QCheck_alcotest.to_alcotest
+
+let with_tmp f =
+  let path = Filename.temp_file "tea_test_decode" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let write_bytes path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let bytes_of_events format events =
+  with_tmp @@ fun path ->
+  let w = Pc_trace.open_writer ~format path in
+  List.iter (Pc_trace.write_event w) events;
+  Pc_trace.close_writer w;
+  Pc_trace.read_all path
+
+type outcome = ((int * Pc_trace.event) list, string) result
+
+let outcome =
+  Alcotest.testable
+    (fun fmt -> function
+      | Ok l -> Format.fprintf fmt "Ok <%d events>" (List.length l)
+      | Error m -> Format.fprintf fmt "Error %S" m)
+    ( = )
+
+let whole s : outcome =
+  with_tmp @@ fun path ->
+  write_bytes path s;
+  match Pc_trace.fold_events path [] (fun acc ~asid ev -> (asid, ev) :: acc) with
+  | l -> Ok (List.rev l)
+  | exception Pc_trace.Corrupt m -> Error m
+
+(* feed [s] in pieces of the given sizes (cycled), then finish *)
+let streamed sizes s : outcome =
+  let d = Pc_trace.decoder () in
+  let got = ref [] in
+  let n = String.length s in
+  let sizes = Array.of_list (if sizes = [] then [ n + 1 ] else sizes) in
+  match
+    let off = ref 0 and i = ref 0 in
+    while !off < n do
+      let k = min (max 1 sizes.(!i mod Array.length sizes)) (n - !off) in
+      Pc_trace.decoder_feed d ~off:!off ~len:k s (fun ~asid ev ->
+          got := (asid, ev) :: !got);
+      off := !off + k;
+      incr i
+    done;
+    Pc_trace.decoder_finish d
+  with
+  | () -> Ok (List.rev !got)
+  | exception Pc_trace.Corrupt m -> Error m
+
+(* ---------------- hostile varints ---------------- *)
+
+let ff8 = String.make 8 '\xff'
+
+(* nine bytes, every payload bit set: the 63-bit pattern of -1 *)
+let minus_one = ff8 ^ "\x7f"
+
+(* ten bytes: one more than a 63-bit int holds *)
+let ten_bytes = String.make 9 '\x80' ^ "\x01"
+
+let hostile =
+  [
+    ("v2 literal, insns -1", "PCTR2\n\x00\x00" ^ minus_one, "negative instruction count");
+    ("v1 record, insns -1", "TEAPC1\n\x00" ^ minus_one, "negative instruction count");
+    ("v3 literal, insns -1", "PCTR3\n\x00\x00" ^ minus_one, "negative instruction count");
+    ("v1 delta, 10-byte varint", "TEAPC1\n" ^ ten_bytes ^ "\x00", "varint too long");
+    ("v2 insns, 10-byte varint", "PCTR2\n\x00\x00" ^ ten_bytes, "varint too long");
+    ("v2 token, 10-byte varint", "PCTR2\n" ^ ten_bytes, "varint too long");
+    ("v2 token -1", "PCTR2\n" ^ minus_one, "bad dictionary token");
+    ("v3 switch to asid -1", "PCTR3\n\x01" ^ minus_one, "negative asid");
+    ("v3 invalidate asid -1", "PCTR3\n\x02" ^ minus_one, "negative asid");
+  ]
+
+let test_hostile_varints () =
+  List.iter
+    (fun (name, bytes, msg) ->
+      check outcome (name ^ ": whole file") (Error msg) (whole bytes);
+      List.iter
+        (fun chunk ->
+          check outcome
+            (Printf.sprintf "%s: streamed in %d-byte chunks" name chunk)
+            (Error msg) (streamed [ chunk ] bytes))
+        [ 1; 2; 5; 1000 ];
+      with_tmp (fun path ->
+          write_bytes path bytes;
+          Alcotest.check_raises (name ^ ": demux") (Pc_trace.Corrupt msg)
+            (fun () -> ignore (Shard.load_events path));
+          Alcotest.check_raises (name ^ ": load") (Pc_trace.Corrupt msg)
+            (fun () -> ignore (Shard.load_pc_trace path))))
+    hostile
+
+let test_widest_varints () =
+  (* nine bytes with the sign bit clear are still valid: the largest
+     count the writer can emit round-trips *)
+  check outcome "insns = max_int"
+    (Ok [ (0, Pc_trace.Block { start = 0; insns = max_int }) ])
+    (whole ("TEAPC1\n\x00" ^ ff8 ^ "\x3f"));
+  let s = bytes_of_events Pc_trace.V2 [ Pc_trace.Block { start = 0x10; insns = max_int } ] in
+  check outcome "writer's max_int, streamed" (whole s) (streamed [ 1 ] s);
+  check outcome "writer's max_int, whole"
+    (Ok [ (0, Pc_trace.Block { start = 0x10; insns = max_int }) ])
+    (whole s)
+
+(* ---------------- allocation budget ---------------- *)
+
+let n_blocks = 120_000
+
+(* a loop nest with a slowly drifting outer body: mostly dictionary
+   hits, a literal now and then *)
+let block_at i =
+  let start = 0x8048000 + ((i mod 37) * 16) + ((i / 4000) * 0x1000) in
+  Pc_trace.Block { start; insns = 1 + (i mod 5) }
+
+let v2_events = List.init n_blocks block_at
+
+(* three asids switching every 8 blocks, with rare cuts *)
+let v3_events =
+  List.concat
+    (List.init n_blocks (fun i ->
+         let sw = if i mod 8 = 0 then [ Pc_trace.Switch { asid = i / 8 mod 3 } ] else [] in
+         let cut =
+           if i mod 5003 = 0 then [ Pc_trace.Invalidate { asid = 1 } ]
+           else if i mod 7001 = 0 then [ Pc_trace.Interrupt ]
+           else []
+         in
+         sw @ cut @ [ block_at i ]))
+
+let budget = 0.05
+
+let words_per_block name f =
+  let w0 = Gc.minor_words () in
+  let blocks = f () in
+  let per = (Gc.minor_words () -. w0) /. float_of_int blocks in
+  check Alcotest.int (name ^ ": every block decoded") n_blocks blocks;
+  check Alcotest.bool
+    (Printf.sprintf "%s: %.4f minor words/block <= %.2f" name per budget)
+    true (per <= budget)
+
+let feed_ints s ~block ~ctl =
+  let d = Pc_trace.decoder () in
+  let n = String.length s in
+  let off = ref 0 in
+  while !off < n do
+    let k = min 65536 (n - !off) in
+    Pc_trace.decoder_feed_ints d ~off:!off ~len:k s ~block ~ctl;
+    off := !off + k
+  done;
+  Pc_trace.decoder_finish d
+
+let test_allocation_budget () =
+  let v2 = bytes_of_events Pc_trace.V2 v2_events in
+  let v3 = bytes_of_events Pc_trace.V3 v3_events in
+  with_tmp @@ fun path ->
+  write_bytes path v2;
+  words_per_block "load_pc_trace (PCTR2)" (fun () ->
+      let _, _, len = Shard.load_pc_trace path in
+      len);
+  let demuxed s () =
+    List.fold_left
+      (fun acc (_, runs) ->
+        List.fold_left (fun acc r -> acc + r.Pc_trace.len) acc runs)
+      0 (Pc_trace.demux s)
+  in
+  words_per_block "demux (PCTR2)" (demuxed v2);
+  words_per_block "demux (PCTR3)" (demuxed v3);
+  let count s () =
+    let n = ref 0 in
+    feed_ints s
+      ~block:(fun ~asid:_ ~start:_ ~insns:_ -> incr n)
+      ~ctl:(fun ~asid:_ ~tag:_ ~arg:_ -> ());
+    !n
+  in
+  words_per_block "streaming feed (PCTR2)" (count v2);
+  words_per_block "streaming feed (PCTR3)" (count v3);
+  (* the daemon's ingest: feed straight into the unboxed event queue *)
+  words_per_block "streaming feed into Evq (PCTR3)" (fun () ->
+      let q = Evq.create () in
+      feed_ints v3
+        ~block:(fun ~asid ~start ~insns -> Evq.push_block q ~asid ~start ~insns)
+        ~ctl:(fun ~asid ~tag ~arg -> Evq.push_ctl q ~asid ~tag ~arg);
+      let n = ref 0 in
+      while not (Evq.is_empty q) do
+        if Evq.tag q = Evq.tag_block then incr n;
+        Evq.drop q
+      done;
+      !n)
+
+(* ---------------- loaders == folds ---------------- *)
+
+let gen_events =
+  let open QCheck.Gen in
+  let block =
+    map2
+      (fun start insns -> Pc_trace.Block { start; insns })
+      (oneof [ int_range 0 0xFFF; int_range 0 0xFFFFFFF ])
+      (int_range 0 300)
+  in
+  let ev =
+    frequency
+      [ (8, block);
+        (1, map (fun asid -> Pc_trace.Switch { asid }) (int_range 0 3));
+        (1, map (fun asid -> Pc_trace.Invalidate { asid }) (int_range 0 3));
+        (1, return Pc_trace.Interrupt) ]
+  in
+  let format = oneofl [ Pc_trace.V1; Pc_trace.V2; Pc_trace.V3 ] in
+  format >>= fun f ->
+  list_size (int_range 0 300) ev >|= fun evs ->
+  let evs =
+    if f = Pc_trace.V3 then evs
+    else List.filter (function Pc_trace.Block _ -> true | _ -> false) evs
+  in
+  (f, evs)
+
+let print_case (f, evs) =
+  Printf.sprintf "%s, %d events"
+    (match f with Pc_trace.V1 -> "v1" | Pc_trace.V2 -> "v2" | Pc_trace.V3 -> "v3")
+    (List.length evs)
+
+(* The demux contract, straight from the event fold: per-asid runs cut
+   at invalidations of the asid and interrupts on it. *)
+let reference_demux path =
+  let open_ = Hashtbl.create 8 and closed = Hashtbl.create 8 in
+  let cut a =
+    match Hashtbl.find_opt open_ a with
+    | Some (_ :: _ as run) ->
+        Hashtbl.replace closed a (List.rev run :: Option.value ~default:[] (Hashtbl.find_opt closed a));
+        Hashtbl.replace open_ a []
+    | _ -> ()
+  in
+  Pc_trace.fold_events path () (fun () ~asid ev ->
+      match ev with
+      | Pc_trace.Block { start; insns } ->
+          Hashtbl.replace open_ asid
+            ((start, insns) :: Option.value ~default:[] (Hashtbl.find_opt open_ asid))
+      | Pc_trace.Invalidate { asid = a } -> cut a
+      | Pc_trace.Interrupt -> cut asid
+      | Pc_trace.Switch _ -> ());
+  Hashtbl.fold (fun a _ acc -> a :: acc) open_ []
+  |> List.sort compare
+  |> List.map (fun a ->
+         cut a;
+         (a, List.rev (Hashtbl.find closed a)))
+
+let pairs r = List.init r.Pc_trace.len (fun i -> (r.Pc_trace.starts.(i), r.Pc_trace.insns.(i)))
+
+let prop_loaders_equal_folds =
+  QCheck.Test.make ~name:"load_pc_trace and demux == fold/fold_events (v1/v2/v3)"
+    ~count:200
+    (QCheck.make ~print:print_case gen_events)
+    (fun (format, events) ->
+      let s = bytes_of_events format events in
+      let bytes = String.length s in
+      with_tmp @@ fun path ->
+      write_bytes path s;
+      let fits a = Array.length a <= bytes in
+      let single =
+        match Pc_trace.fold path [] (fun acc ~start ~insns -> (start, insns) :: acc) with
+        | l -> Ok (List.rev l)
+        | exception Pc_trace.Corrupt m -> Error m
+      in
+      let loaded =
+        match Shard.load_pc_trace path with
+        | starts, insns, len ->
+            if not (fits starts && fits insns) then QCheck.Test.fail_report "load arrays exceed the byte count";
+            Ok (pairs { Pc_trace.starts; insns; len })
+        | exception Pc_trace.Corrupt m -> Error m
+      in
+      let runs = Pc_trace.demux s in
+      List.iter
+        (fun (_, rs) ->
+          List.iter
+            (fun r ->
+              if not (fits r.Pc_trace.starts && fits r.Pc_trace.insns) then
+                QCheck.Test.fail_report "demux arrays exceed the byte count")
+            rs)
+        runs;
+      loaded = single
+      && List.map (fun (a, rs) -> (a, List.map pairs rs)) runs = reference_demux path
+      && Shard.load_events path = runs)
+
+(* ---------------- damaged input: whole file == streamed ---------------- *)
+
+let gen_damaged =
+  let open QCheck.Gen in
+  gen_events >>= fun (format, events) ->
+  let s = bytes_of_events format events in
+  let n = String.length s in
+  let flip =
+    map2 (fun pos bit -> `Flip (pos, bit)) (int_range 0 (max 0 (n - 1))) (int_range 0 7)
+  in
+  list_size (int_range 1 3)
+    (frequency [ (3, flip); (1, map (fun k -> `Cut k) (int_range 0 n)) ])
+  >>= fun damage ->
+  list_size (int_range 1 6) (int_range 1 40) >|= fun sizes ->
+  let b = Bytes.of_string s in
+  let len =
+    List.fold_left
+      (fun len d ->
+        match d with
+        | `Flip (pos, bit) ->
+            if pos < len then
+              Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+            len
+        | `Cut k -> min len k)
+      n damage
+  in
+  (Bytes.sub_string b 0 len, sizes)
+
+let prop_damaged_whole_equals_streamed =
+  QCheck.Test.make ~name:"truncated/bit-flipped: whole file == chunked stream"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, sizes) ->
+         Printf.sprintf "%S in chunks %s" s
+           (String.concat "," (List.map string_of_int sizes)))
+       gen_damaged)
+    (fun (s, sizes) -> whole s = streamed sizes s)
+
+let () =
+  Alcotest.run "tea_decode"
+    [
+      ( "kernel",
+        [
+          Alcotest.test_case "hostile varints are Corrupt" `Quick test_hostile_varints;
+          Alcotest.test_case "widest valid varints" `Quick test_widest_varints;
+          Alcotest.test_case "allocation budget per block" `Quick test_allocation_budget;
+          qtest prop_loaders_equal_folds;
+          qtest prop_damaged_whole_equals_streamed;
+        ] );
+    ]
