@@ -1539,11 +1539,11 @@ let run_serve ~smoke =
    every client session replays chain B — the image is mistuned for the
    traffic it actually gets. The no-retune daemon stays mistuned
    forever; the --retune daemon detects the drift, rebuilds in the
-   background and hot-swaps to a B-tuned image. Rows report replay-only
+   background and hot-swaps to a B-tuned image. Rows report pool-side
    ns/block (Server.drain_totals deltas: pool busy time over completed
-   sessions, excluding socket I/O and decode) before the swap, after the
-   swap, and on the baseline daemon over the same windows, plus the
-   measured swap pause. Hard gates: fleet == offline across the swap on
+   sessions — decode and replay, excluding socket I/O and framing)
+   before the swap, after the swap, and on the baseline daemon over the
+   same windows, plus the measured swap pause. Hard gates: fleet == offline across the swap on
    both daemons, and post-swap steady-state throughput >= 1.15x the
    no-retune daemon. *)
 

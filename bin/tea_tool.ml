@@ -1670,7 +1670,7 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let queue_cap_arg =
-    let doc = "Per-session decoded-event queue bound (backpressure knob)." in
+    let doc = "Bound on undecoded payload bytes per session (backpressure knob)." in
     Arg.(value & opt int 16384 & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
   let offline_check_arg =

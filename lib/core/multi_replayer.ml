@@ -112,8 +112,8 @@ let feeder_flush f =
   f.f_fill <- 0
 
 (* The allocation-free hot path: producers that already hold the block's
-   fields as ints (the daemon's unboxed event queue) feed them straight
-   into the run buffer without ever re-boxing a [Pc_trace.event]. *)
+   fields as ints (the streaming decoder in [feeder_decode]) feed them
+   straight into the run buffer without ever boxing a [Pc_trace.event]. *)
 let feeder_block f ~asid ~start ~insns =
   let e = entry_for f.f_t asid in
   (match f.f_for with
@@ -134,9 +134,35 @@ let feeder_feed f ~asid ev =
       f.f_for <- None;
       feed f.f_t ~asid ev
 
+(* The one decode-into-replay path: the daemon's drain task runs it on
+   every payload, file replay on every chunk. Blocks reach the run buffer
+   as unboxed ints; only control records build an event. *)
+let feeder_decode f dec ?off ?len s =
+  let ctls = ref 0 and blocks = ref 0 in
+  Pc_trace.decoder_feed_ints dec ?off ?len s
+    ~block:(fun ~asid ~start ~insns ->
+      incr blocks;
+      feeder_block f ~asid ~start ~insns)
+    ~ctl:(fun ~asid ~tag ~arg ->
+      incr ctls;
+      feeder_feed f ~asid (Pc_trace.event_of_ctl ~tag ~arg));
+  (!ctls + !blocks, !blocks)
+
+let replay_chunk = 65536
+
+(* Fed in chunks so the decoder's buffer stays one chunk long instead of
+   holding a second copy of the file. *)
 let replay_file t path =
-  let f = feeder t in
-  Pc_trace.fold_events path () (fun () ~asid ev -> feeder_feed f ~asid ev);
+  let f = feeder t and dec = Pc_trace.decoder () in
+  let s = Pc_trace.read_all path in
+  let n = String.length s in
+  let off = ref 0 in
+  while !off < n do
+    let len = min replay_chunk (n - !off) in
+    ignore (feeder_decode f dec ~off:!off ~len s);
+    off := !off + len
+  done;
+  Pc_trace.decoder_finish dec;
   feeder_flush f
 
 let replay_events make path =

@@ -77,11 +77,24 @@ val feeder_flush : feeder -> unit
     drain cycle, end of stream) — a feeder holds no state besides the
     pending run, so flushing is always safe. *)
 
+val feeder_decode :
+  feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int * int
+(** [feeder_decode f dec s] feeds [s.[off..off+len)] to the streaming
+    decoder [dec] ({!Pc_trace.decoder_feed_ints}) and every event it
+    completes straight into [f]: blocks through {!feeder_block}, with no
+    event value built, control records through {!feeder_feed}. Returns
+    [(events, blocks)] completed by this chunk; a record cut at the end of
+    the chunk stays in [dec] for the next call. Does not flush [f].
+    @raise Pc_trace.Corrupt as {!Pc_trace.decoder_feed} — events before
+    the bad record have been fed. *)
+
 val replay_file : t -> string -> unit
-(** Replay a trace file of any {!Pc_trace.format}, batching consecutive
-    same-asid block runs through {!Replayer.feed_run} (a {!feeder}).
-    Equivalent to folding {!feed} over {!Pc_trace.fold_events}.
-    @raise Pc_trace.Corrupt on bad framing. *)
+(** Replay a trace file of any {!Pc_trace.format}: {!Pc_trace.read_all},
+    then {!feeder_decode} chunk by chunk, then {!Pc_trace.decoder_finish}
+    and {!feeder_flush}. Equivalent to folding {!feed} over
+    {!Pc_trace.fold_events}.
+    @raise Pc_trace.Corrupt on bad framing, with the whole-file
+    messages. *)
 
 val replay_events : (int -> Replayer.t) -> string -> t
 (** [create] + [replay_file]. *)

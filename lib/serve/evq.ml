@@ -1,20 +1,15 @@
-(* Unboxed per-session event queue.
+(* Unboxed event queue.
 
-   The drain cycle is the daemon's hot loop: every decoded trace event
-   crosses it exactly once, on a pool worker. A [(int * Pc_trace.event)
-   Queue.t] makes that crossing expensive out of proportion to the
-   replay work itself — each event costs a queue cell, a tuple and a
-   constructor block, all allocated on the driver thread and chased as
-   scattered minor/major-heap pointers by whichever worker domain drains
-   the session. At packed-engine speeds (~2-5 ns/block) the pointer
-   chasing dominates the drain window.
-
-   Instead, events are flattened at enqueue time into stride-4 int
-   records [tag; asid; a; b] in one growable power-of-two ring: the
-   driver writes fields, the worker streams them back out of a dense
+   A [(int * Pc_trace.event) Queue.t] costs a queue cell, a tuple and a
+   constructor block per event, chased as scattered heap pointers by the
+   consumer. Instead, events are flattened at enqueue time into stride-4
+   int records [tag; asid; a; b] in one growable power-of-two ring: the
+   producer writes fields, the consumer streams them back out of a dense
    array — no allocation after the ring warms up, no pointer chasing,
    and the common Block case never rebuilds an event value (see
-   {!Tea_core.Multi_replayer.feeder_block}). *)
+   {!Tea_core.Multi_replayer.feeder_block}). The daemon no longer queues
+   events (it queues raw bytes, see server.ml); the benchmark replica
+   does. *)
 
 type t = {
   mutable buf : int array;  (* cap * 4 ints, stride-4 records *)

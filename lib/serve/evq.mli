@@ -1,14 +1,14 @@
-(** Unboxed per-session event queue for the daemon's drain cycle.
+(** Unboxed event queue: a FIFO of {!Tea_core.Pc_trace.event}s
+    flattened into stride-4 int records in one growable ring. No queue
+    cells, no tuples, no constructor blocks — a producer enqueues
+    fields, a consumer streams them back out of a dense array.
 
-    A FIFO of {!Tea_core.Pc_trace.event}s flattened into stride-4 int
-    records in one growable ring — the driver thread enqueues fields,
-    a pool worker streams them back out of a dense array. No queue
-    cells, no tuples, no constructor blocks: at packed-engine replay
-    speeds the pointer chasing of a [Queue.t] of boxed events is what
-    dominated the drain window, and this removes it. Single-producer /
-    single-consumer is guaranteed externally (the bulk-synchronous
-    drive loop never reads a session's socket while a worker drains its
-    queue), so no synchronisation is needed here. *)
+    No longer on the daemon's path: {!Server} queues raw payload bytes
+    and its pool workers decode them straight into the replayer. Kept
+    for the benchmark's in-process replica of the older ingest, which
+    decodes into this queue and drains it as separate ledger layers.
+    Not synchronised: one producer and one consumer, ordered by the
+    caller. *)
 
 type t
 

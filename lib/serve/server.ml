@@ -2,20 +2,22 @@ module Core = Tea_core
 module P = Tea_parallel
 module Metrics = Tea_telemetry.Metrics
 
-(* One connected client. The driver owns [fd]/[parser_]/[dec] and pushes
-   decoded events onto [queue]; a pool worker drains [queue] into [multi]
-   during a bulk-synchronous map cycle (the driver is blocked inside
-   [Pool.map] for the whole cycle, so queue and replayer are never touched
+(* One connected client. The driver owns [fd]/[parser_] and queues each
+   data frame's payload, undecoded, on [pending]; a pool worker decodes
+   [pending] through [dec] straight into [multi] during a
+   bulk-synchronous map cycle (the driver is blocked inside [Pool.map]
+   for the whole cycle, so queue, decoder and replayer are never touched
    from two threads at once — the pool's mutex orders cycle N's worker
    against cycle N+1's). *)
 type session = {
   id : int;  (* 1-based accept order, for the event log *)
   fd : Unix.file_descr;
   parser_ : Frame.parser_;
-  dec : Core.Pc_trace.decoder;
+  dec : Core.Pc_trace.decoder;  (* worker-side: holds a record cut at a payload end *)
   multi : Core.Multi_replayer.t;
   fdr : Core.Multi_replayer.feeder;  (* batches drain-cycle events *)
-  queue : Evq.t;  (* unboxed event ring, see evq.mli *)
+  pending : string Queue.t;  (* data payloads not yet decoded, in order *)
+  mutable pending_bytes : int;  (* their total length: the backpressure gauge *)
   raw : Buffer.t option;  (* retained bytes for the offline differential *)
   epoch0 : int;  (* image epoch the session was accepted under *)
   mutable evs : int;  (* events decoded so far (swap-schedule positions) *)
@@ -285,16 +287,10 @@ let on_frame t s (f : Frame.frame) =
       (match s.raw with
       | Some b -> Buffer.add_string b f.payload
       | None -> ());
-      (* [evs] numbers stream positions for the swap schedule; by the
-         time a swap can happen (a drain-cycle boundary) every pushed
-         event has been fed, so the count is exact *)
-      Core.Pc_trace.decoder_feed_ints s.dec f.payload
-        ~block:(fun ~asid ~start ~insns ->
-          s.evs <- s.evs + 1;
-          Evq.push_block s.queue ~asid ~start ~insns)
-        ~ctl:(fun ~asid ~tag ~arg ->
-          s.evs <- s.evs + 1;
-          Evq.push_ctl s.queue ~asid ~tag ~arg)
+      if n > 0 then begin
+        Queue.push f.payload s.pending;
+        s.pending_bytes <- s.pending_bytes + n
+      end
     end
     else if f.Frame.tag = Frame.tag_end then s.ended <- true
     else fail_session s (Printf.sprintf "unexpected frame tag %C" f.Frame.tag)
@@ -307,10 +303,11 @@ let read_session t chunk s =
       fail_session s "connection reset"
   | 0 -> if not s.ended then fail_session s "eof before end-of-stream"
   | k -> (
-      try Frame.parser_feed s.parser_ (Bytes.sub_string chunk 0 k) (on_frame t s)
-      with
-      | Frame.Corrupt msg -> fail_session s ("bad framing: " ^ msg)
-      | Core.Pc_trace.Corrupt msg -> fail_session s ("corrupt trace: " ^ msg))
+      (* no copy of the read: the parser copies [chunk] into its own
+         buffer before returning and hands out each payload as a fresh
+         string, so nothing aliases [chunk] when the next read reuses it *)
+      try Frame.parser_feed s.parser_ ~len:k (Bytes.unsafe_to_string chunk) (on_frame t s)
+      with Frame.Corrupt msg -> fail_session s ("bad framing: " ^ msg))
 
 let accept_limit_reached t until_sessions =
   match until_sessions with Some n -> t.accepted >= n | None -> false
@@ -333,7 +330,8 @@ let rec accept_all t until_sessions =
             dec = Core.Pc_trace.decoder ();
             multi;
             fdr = Core.Multi_replayer.feeder multi;
-            queue = Evq.create ();
+            pending = Queue.create ();
+            pending_bytes = 0;
             raw = (if t.retain then Some (Buffer.create 4096) else None);
             epoch0 = t.epoch;
             evs = 0;
@@ -354,53 +352,48 @@ let rec accept_all t until_sessions =
 
 (* ---- replay (pool workers, bulk-synchronous) ---- *)
 
+(* One session's task: decode its queued payloads straight into its
+   feeder, then flush, so a completed session's profile is always fully
+   materialized. The feeder batches consecutive same-asid blocks through
+   Replayer.feed_run — the same engine loops (and the same dispatch-tier
+   attribution) offline replay takes. [evs] numbers stream positions for
+   the swap schedule; swaps happen only between cycles, when every queued
+   payload has been decoded, so the count is exact there. *)
+let drain_session t s =
+  let t0 = now_ns () in
+  let n = ref 0 in
+  (try
+     while not (Queue.is_empty s.pending) do
+       let evs, blocks =
+         Core.Multi_replayer.feeder_decode s.fdr s.dec (Queue.pop s.pending)
+       in
+       s.evs <- s.evs + evs;
+       n := !n + blocks
+     done;
+     Core.Multi_replayer.feeder_flush s.fdr
+   with
+   (* the queued payloads precede, in the stream, whatever failure the
+      driver may have seen since, so the corrupt record is the error to
+      report *)
+   | Core.Pc_trace.Corrupt msg -> s.failed <- Some ("corrupt trace: " ^ msg)
+   | e -> fail_session s ("replay error: " ^ Printexc.to_string e));
+  Queue.clear s.pending;
+  s.pending_bytes <- 0;
+  P.Pool.add_units t.pool !n;
+  s.blocks <- s.blocks + !n;
+  s.busy_ns <- s.busy_ns + (now_ns () - t0)
+
 let drain_cycle t =
-  let ready =
-    List.filter (fun s -> s.failed = None && not (Evq.is_empty s.queue))
-      t.sessions
-  in
+  let ready = List.filter (fun s -> s.pending_bytes > 0) t.sessions in
   if ready <> [] then begin
     let arr = Array.of_list ready in
     Array.iter
       (fun s ->
-        Metrics.observe_value t.reg "serve.queue_depth" (Evq.length s.queue))
+        Metrics.observe_value t.reg "serve.queue_depth" s.pending_bytes)
       arr;
     ignore
       (P.Pool.map t.pool
-         ~f:(fun i ->
-           let s = arr.(i) in
-           let t0 = now_ns () in
-           let n = ref 0 in
-           (* The feeder batches consecutive same-asid blocks through
-              Replayer.feed_run — the same engine loops (and the same
-              dispatch-tier attribution) offline replay takes — and is
-              flushed before the task ends, so a completed session's
-              profile is always fully materialized. *)
-           (try
-              let q = s.queue in
-              while not (Evq.is_empty q) do
-                let tag = Evq.tag q
-                and asid = Evq.asid q
-                and a = Evq.f1 q
-                and b = Evq.f2 q in
-                Evq.drop q;
-                if tag = Evq.tag_block then begin
-                  (* the unboxed fast path: fields go straight into the
-                     feeder's run buffer, no event value is rebuilt *)
-                  Core.Multi_replayer.feeder_block s.fdr ~asid ~start:a
-                    ~insns:b;
-                  incr n
-                end
-                else
-                  Core.Multi_replayer.feeder_feed s.fdr ~asid
-                    (Core.Pc_trace.event_of_ctl ~tag ~arg:a)
-              done;
-              Core.Multi_replayer.feeder_flush s.fdr
-            with e ->
-              s.failed <- Some ("replay error: " ^ Printexc.to_string e));
-           P.Pool.add_units t.pool !n;
-           s.blocks <- s.blocks + !n;
-           s.busy_ns <- s.busy_ns + (now_ns () - t0))
+         ~f:(fun i -> drain_session t arr.(i))
          (Array.length arr))
   end
 
@@ -467,7 +460,8 @@ let finalize t =
         match s.failed with
         | Some msg -> drop t s msg
         | None ->
-            if s.ended && Evq.is_empty s.queue then
+            (* [drain_cycle] has decoded every queued payload *)
+            if s.ended then
               match Core.Pc_trace.decoder_finish s.dec with
               | () -> complete t s
               | exception Core.Pc_trace.Corrupt msg ->
@@ -487,8 +481,8 @@ let profile_visits (prof : Tea_opt.Repack.profile) =
   !acc
 
 (* Install a freshly built image as the next epoch. Runs between drain
-   cycles, which is what makes it safe and exact: every session queue is
-   empty and every feeder flushed, so each session's [evs] counter is
+   cycles, which is what makes it safe and exact: every queued payload is
+   decoded and every feeder flushed, so each session's [evs] counter is
    precisely the stream position the swap lands on — recorded in the
    schedule the offline differential replays. Live replayers are
    rebound in place (counts/state/stats carried through the orig-id
@@ -600,11 +594,15 @@ let run ?until_sessions t =
       (t.stop_r :: (if accepting then [ t.listen_fd ] else []))
       @ List.filter_map
           (fun s ->
-            (* backpressure: a session at queue capacity is not read this
-               cycle; its socket buffer fills and the client's writes
-               block until the pool drains it *)
+            (* backpressure: a session with [queue_cap] undecoded bytes
+               is not read this cycle; its socket buffer fills and the
+               client's writes block until the pool drains it. A block
+               record takes at least one byte, so this bounds queued
+               blocks too. Every drain cycle decodes everything queued,
+               so as the loop stands no session reaches this check
+               with bytes pending. *)
             if s.failed = None && not s.ended then begin
-              if Evq.length s.queue < t.queue_cap then begin
+              if s.pending_bytes < t.queue_cap then begin
                 s.stalled <- false;
                 Some s.fd
               end
@@ -614,7 +612,7 @@ let run ?until_sessions t =
                   emit_ev t "pool_stall"
                     [
                       ("session", Tea_observe.Events.I s.id);
-                      ("depth", Tea_observe.Events.I (Evq.length s.queue));
+                      ("depth", Tea_observe.Events.I s.pending_bytes);
                     ]
                 end;
                 None

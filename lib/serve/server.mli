@@ -7,27 +7,32 @@
     image), and per-session profiles are associative, so they fold into
     one live {e fleet profile} exactly.
 
-    Architecture (the panda-il-trace shape: ingestion never blocks on
-    analysis):
+    Architecture (the panda-il-trace shape: the producer pushes raw
+    bytes, the workers decode):
 
     - a single {b driver} thread owns all I/O: it [select]s over the
       listener, a stop pipe and every live session socket, accepts new
-      sessions, parses {!Frame}s and feeds the bytes through each
-      session's incremental {!Tea_core.Pc_trace.decoder} onto a {b
-      bounded per-session event queue};
-    - each cycle, every session with queued events becomes one task on a
-      {!Tea_parallel.Pool} — sessions replay {e in parallel across} the
-      pool while each session's own events stay strictly ordered (one
-      task per session per cycle, ordered by the pool mutex);
-    - {b backpressure} is per-session: a session whose queue is at
-      capacity is dropped from the read set until the pool drains it, so
-      its kernel socket buffer fills and {e that client's} writes block —
-      a slow consumer throttles its own producer, never the fleet;
-    - a completed session (end-of-stream frame received and queue
-      drained) folds its profile into the fleet and gets the profile
+      sessions, parses {!Frame}s and queues each data frame's payload,
+      undecoded, on a {b per-session byte queue} — about one byte per
+      block crosses to the workers, not a decoded event record;
+    - each cycle, every session with queued bytes becomes one task on a
+      {!Tea_parallel.Pool}: the task runs the session's incremental
+      {!Tea_core.Pc_trace.decoder} over its payloads straight into its
+      replayer ({!Tea_core.Multi_replayer.feeder_decode}), so sessions
+      decode and replay {e in parallel across} the pool while each
+      session's own bytes stay strictly ordered (one task per session
+      per cycle, ordered by the pool mutex);
+    - {b backpressure} is per-session: a session holding [queue_cap]
+      undecoded bytes is dropped from the read set until the pool drains
+      it, so its kernel socket buffer fills and {e that client's} writes
+      block — a slow consumer throttles its own producer, never the
+      fleet;
+    - a completed session (end-of-stream frame received and every byte
+      decoded) folds its profile into the fleet and gets the profile
       echoed back; a {b mid-stream disconnect} (EOF, reset, bad framing,
-      corrupt trace) discards the partial session — other sessions and
-      the fleet profile are untouched.
+      corrupt trace — the last found by the worker, with the same
+      ["corrupt trace: ..."] message) discards the partial session —
+      other sessions and the fleet profile are untouched.
 
     The daemon gate: the fleet profile of [n] concurrent sessions equals
     the merged profiles of replaying each session's stream offline,
@@ -43,11 +48,11 @@
     replayers are rebound in place ({!Tea_core.Multi_replayer.rebind}),
     the swap position is recorded per session, and the image {e epoch}
     (0 = boot) is bumped, evented ([swap]) and exposed as a
-    [tea_image_epoch] gauge. Because queues are empty and feeders
-    flushed at a drain-cycle boundary, {!offline_profile} can replay
-    each stream against the exact same image at the exact same
-    positions: fleet == offline stays bit-exact across any number of
-    swaps. *)
+    [tea_image_epoch] gauge. Because every queued byte is decoded and
+    every feeder flushed at a drain-cycle boundary, {!offline_profile}
+    can replay each stream against the exact same image at the exact
+    same positions: fleet == offline stays bit-exact across any number
+    of swaps. *)
 
 type t
 
@@ -79,7 +84,10 @@ val create :
   Frame.addr ->
   t
 (** Bind, listen and spawn the worker pool. [queue_cap] (default 16384)
-    bounds each session's decoded-event queue; [offline_check] (default
+    bounds the undecoded payload bytes a session may hold and still be
+    read (a block record is at least one byte, so it bounds queued
+    blocks too); every drain cycle decodes all queued bytes, so the
+    bound is checked, not normally hit. [offline_check] (default
     false) retains every completed session's raw bytes so
     {!offline_profile} can re-derive the fleet profile sequentially.
     Each session's per-asid replayers run on the compiled engine: a
@@ -151,8 +159,9 @@ val swap_pause_ns : t -> int
     every live session) — the "stop" part of stop-the-fleet, measured. *)
 
 val drain_totals : t -> int * int
-(** [(busy_ns, blocks)] summed over completed sessions — the replay
-    work the pool did, excluding socket I/O and decode. Steady-state
+(** [(busy_ns, blocks)] summed over completed sessions — the decode
+    and replay work the pool did, excluding socket I/O and framing.
+    Steady-state
     ns/block between two samples is the retune bench's throughput
     measure. *)
 
@@ -166,8 +175,9 @@ val metrics : t -> Tea_telemetry.Metrics.snapshot
 (** Registry counters ([serve.sessions_completed], [serve.bytes_in],
     [serve.blocks], [serve.frames], [serve.disconnects], ...) and
     per-session histograms ([serve.session_bytes],
-    [serve.session_blocks], [serve.session_ns_per_block],
-    [serve.queue_depth]) merged with the pool's per-domain counters.
+    [serve.session_blocks], [serve.session_ns_per_block] (decode plus
+    replay), [serve.queue_depth] (undecoded bytes per session at each
+    drain cycle)) merged with the pool's per-domain counters.
     Read when {!run} is not mid-cycle (e.g. after it returned). *)
 
 val drift_distance : t -> (float * float) option

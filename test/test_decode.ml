@@ -2,8 +2,9 @@
 
    - Hostile varints (over-long, sign bit set where the writer never sets
      it) are typed [Corrupt] errors, with one message on every path.
-   - Decoding a block allocates nothing: the presized loader, the demux
-     and the int-callback streaming feed stay under a minor-words budget
+   - Decoding a block allocates nothing: the presized loader, the demux,
+     the int-callback streaming feed and the daemon's drain path (decode
+     straight into a compiled replayer) stay under a minor-words budget
      per block (deterministic, untimed).
    - The presized loader and the demux equal arrays built from the
      whole-file folds, in arrays no larger than the file.
@@ -11,6 +12,7 @@
      streaming decode agree: same events, or the same [Corrupt]. *)
 
 module Pc_trace = Tea_core.Pc_trace
+module Multi = Tea_core.Multi_replayer
 module Shard = Tea_parallel.Shard
 module Evq = Tea_serve.Evq
 
@@ -168,6 +170,19 @@ let feed_ints s ~block ~ctl =
   done;
   Pc_trace.decoder_finish d
 
+(* One cyclic trace per outer step of [block_at]'s loop nest, so the
+   drain path below runs in-trace dispatch, not only misses. *)
+let loop_image () =
+  let block_at addr =
+    Tea_cfg.Block.make Tea_cfg.Block.Branch
+      [ (addr, Tea_isa.Insn.Jmp (Tea_isa.Insn.Abs 0)) ]
+  in
+  Tea_core.Packed.freeze
+    (Tea_core.Builder.build
+       (List.init (n_blocks / 4000) (fun k ->
+            Tea_traces.Trace.linear ~id:k ~kind:"test" ~cycle:true
+              (List.init 37 (fun i -> block_at (0x8048000 + (k * 0x1000) + (i * 16)))))))
+
 let test_allocation_budget () =
   let v2 = bytes_of_events Pc_trace.V2 v2_events in
   let v3 = bytes_of_events Pc_trace.V3 v3_events in
@@ -193,7 +208,29 @@ let test_allocation_budget () =
   in
   words_per_block "streaming feed (PCTR2)" (count v2);
   words_per_block "streaming feed (PCTR3)" (count v3);
-  (* the daemon's ingest: feed straight into the unboxed event queue *)
+  (* the daemon's drain path: decode each payload straight into a feeder
+     over a compiled replayer. One untimed pass first: a fresh replayer's
+     set-up is paid once per session, not per block. *)
+  let rep =
+    Tea_core.Replayer.create_compiled (Tea_core.Compiled.of_packed (loop_image ()))
+  in
+  let drain () =
+    let f = Multi.feeder (Multi.create (fun _ -> rep)) in
+    let dec = Pc_trace.decoder () in
+    let n = String.length v2 and blocks = ref 0 in
+    let off = ref 0 in
+    while !off < n do
+      let len = min 65536 (n - !off) in
+      blocks := !blocks + snd (Multi.feeder_decode f dec ~off:!off ~len v2);
+      off := !off + len
+    done;
+    Pc_trace.decoder_finish dec;
+    Multi.feeder_flush f;
+    !blocks
+  in
+  ignore (drain ());
+  words_per_block "feeder_decode into a compiled replayer (PCTR2)" drain;
+  (* the benchmark replica's ingest: feed into the unboxed event queue *)
   words_per_block "streaming feed into Evq (PCTR3)" (fun () ->
       let q = Evq.create () in
       feed_ints v3

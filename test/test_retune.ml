@@ -48,6 +48,18 @@ let traces =
 
 let flat () = Packed.freeze (Builder.build traces)
 
+(* [traces] plus a two-way branch (0x600 to 0x700 or 0x800, both back to
+   0x600): a state whose edge costs change when repacking reorders its
+   span, so a swap landing at a different stream position changes the
+   profile's cycles *)
+let branchy () =
+  Packed.freeze
+    (Builder.build
+       (traces
+       @ [ Trace.make ~id:3 ~kind:"test"
+             [| block_at 0x600; block_at 0x700; block_at 0x800 |]
+             [| [ 1; 2 ]; [ 0 ]; [ 0 ] |] ]))
+
 (* the hot/cold address pool random streams draw from (0x900 is cold) *)
 let pool_addrs = [| 0x100; 0x200; 0x300; 0x400; 0x500; 0x900 |]
 
@@ -228,9 +240,9 @@ let with_tmp suffix f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let bytes_of_events events =
+let bytes_of_events ?(format = Pc_trace.V2) events =
   with_tmp ".trc" @@ fun path ->
-  let w = Pc_trace.open_writer ~format:Pc_trace.V2 path in
+  let w = Pc_trace.open_writer ~format path in
   List.iter (Pc_trace.write_event w) events;
   Pc_trace.close_writer w;
   Pc_trace.read_all path
@@ -252,11 +264,32 @@ let epoch_gauge text =
          | [ "tea_image_epoch"; v ] -> int_of_string_opt v
          | _ -> None)
 
+(* a v3 stream over the branch, with switches and interrupts
+   throughout, so a swap landing mid-stream sits at an event index that
+   differs from its block index *)
+let across_stream () =
+  bytes_of_events ~format:Pc_trace.V3
+    (List.concat
+       (List.init 60 (fun i ->
+            (if i mod 5 = 0 then [ Pc_trace.Switch { asid = i / 5 mod 2 } ] else [])
+            @ (if i mod 11 = 0 then [ Pc_trace.Interrupt ] else [])
+            @ [ Pc_trace.Block
+                  { start = List.nth [ 0x600; 0x800; 0x600; 0x700 ] (i mod 4); insns = 1 } ])))
+
+let send_frames fd s ~lo ~hi =
+  let off = ref lo in
+  while !off < hi do
+    let k = min 5 (hi - !off) in
+    Frame.send fd Frame.tag_data (String.sub s !off k);
+    off := !off + k
+  done
+
 (* a daemon that must swap: the drift reference points at a state the
    traffic never visits, so every completed session measures maximal
-   drift and the up=1 trigger fires immediately *)
+   drift and the up=1 trigger fires immediately. One session stays open
+   across the swap, half sent before it and half after. *)
 let run_swapping_daemon ~jobs =
-  let base = flat () in
+  let base = branchy () in
   let drift = Drift.create ~threshold:0.2 [ (5000, 100) ] in
   let retune = { Server.default_retune with up = 1; cooldown = 0 } in
   let srv =
@@ -266,8 +299,16 @@ let run_swapping_daemon ~jobs =
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
   let driver = Domain.spawn (fun () -> Server.run srv) in
   let addr = Server.addr srv in
-  let s = stream_of [ 0x100; 0x200; 0x300 ] 40 in
+  (* the retune profile prefers 0x800 after 0x600, so the swap
+     reorders that span *)
+  let s =
+    stream_of [ 0x100; 0x200; 0x300; 0x600; 0x800; 0x600; 0x800; 0x600; 0x700 ] 40
+  in
   let s2 = stream_of [ 0x400; 0x300; 0x500 ] 30 in
+  let across = across_stream () in
+  let half = String.length across / 2 in
+  let across_fd = Frame.connect addr in
+  send_frames across_fd across ~lo:0 ~hi:half;
   let sent = ref 0 in
   (* phase 1: traffic until the scrape shows the epoch bumped *)
   let deadline = 400 in
@@ -287,6 +328,12 @@ let run_swapping_daemon ~jobs =
     ignore (Client.replay_string addr s2);
     incr sent
   done;
+  send_frames across_fd across ~lo:half ~hi:(String.length across);
+  Frame.send across_fd Frame.tag_end "";
+  (match Frame.recv across_fd with
+  | Some f when f.Frame.tag = Frame.tag_profile -> incr sent
+  | _ -> Alcotest.fail "the session open across the swap got no profile");
+  Unix.close across_fd;
   Server.stop srv;
   Domain.join driver;
   check Alcotest.int "all sessions completed" !sent (Server.completed srv);

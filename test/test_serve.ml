@@ -303,35 +303,49 @@ let offline_of_bytes image s =
 (* Run a daemon over [streams] (raw trace bytes), all sessions open and
    interleaved concurrently from this domain in [chunk]-byte data frames,
    plus one mid-stream disconnect per element of [aborts] (a prefix of
-   bytes sent with no end-of-stream frame). Returns the fleet profile,
-   the daemon's own offline differential, and each session's reply. *)
-let serve_sessions ~jobs ~image ?(chunk = 5) ?(aborts = []) streams =
-  let n = List.length streams + List.length aborts in
+   bytes sent with no end-of-stream frame) and one session per element
+   of [corrupt], interleaved like [streams] but expected to be refused.
+   Returns the fleet profile, the daemon's own offline differential,
+   each session's reply and each corrupt session's error message. *)
+let serve_sessions ~jobs ~image ?(chunk = 5) ?queue_cap ?(aborts = [])
+    ?(corrupt = []) streams =
+  let n = List.length streams + List.length aborts + List.length corrupt in
   let srv =
-    Server.create ~offline_check:true ~jobs ~image
+    Server.create ?queue_cap ~offline_check:true ~jobs ~image
       (Frame.Unix_sock (sock_path ()))
   in
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
   let driver = Domain.spawn (fun () -> Server.run ~until_sessions:n srv) in
   let fds = List.map (fun _ -> Frame.connect (Server.addr srv)) streams in
+  let bad_fds = List.map (fun _ -> Frame.connect (Server.addr srv)) corrupt in
   let abort_fds = List.map (fun _ -> Frame.connect (Server.addr srv)) aborts in
+  (* a refused session's socket may already be closed by the server:
+     swallow the write failure, its error frame is still there to read *)
+  let send_bad fd tag payload =
+    try Frame.send fd tag payload
+    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
   (* interleave: one chunk per session per lap, so all sessions are
      mid-stream at the server simultaneously, with frames splitting
      records (and the magic) at arbitrary byte offsets *)
-  let offs = Array.make (List.length streams) 0 in
+  let sessions =
+    List.map (fun (fd, s) -> (Frame.send fd, s)) (List.combine fds streams)
+    @ List.map (fun (fd, s) -> (send_bad fd, s)) (List.combine bad_fds corrupt)
+  in
+  let offs = Array.make (List.length sessions) 0 in
   let progressed = ref true in
   while !progressed do
     progressed := false;
     List.iteri
-      (fun i (fd, s) ->
+      (fun i (send, s) ->
         let len = String.length s in
         if offs.(i) < len then begin
           let k = min chunk (len - offs.(i)) in
-          Frame.send fd Frame.tag_data (String.sub s offs.(i) k);
+          send Frame.tag_data (String.sub s offs.(i) k);
           offs.(i) <- offs.(i) + k;
           progressed := true
         end)
-      (List.combine fds streams)
+      sessions
   done;
   (* the disconnects: a prefix, then a close with no end frame *)
   List.iter2
@@ -341,6 +355,7 @@ let serve_sessions ~jobs ~image ?(chunk = 5) ?(aborts = []) streams =
       Unix.close fd)
     abort_fds aborts;
   List.iter (fun fd -> Frame.send fd Frame.tag_end "") fds;
+  List.iter (fun fd -> send_bad fd Frame.tag_end "") bad_fds;
   let replies =
     List.map
       (fun fd ->
@@ -351,12 +366,22 @@ let serve_sessions ~jobs ~image ?(chunk = 5) ?(aborts = []) streams =
         | None -> Alcotest.fail "server closed without a reply")
       fds
   in
-  List.iter Unix.close fds;
+  let errors =
+    List.map
+      (fun fd ->
+        match Frame.recv fd with
+        | Some f when f.Frame.tag = Frame.tag_error -> f.Frame.payload
+        | Some f -> Alcotest.failf "corrupt session got reply tag %C" f.Frame.tag
+        | None -> Alcotest.fail "server closed a corrupt session silently")
+      bad_fds
+  in
+  List.iter Unix.close (fds @ bad_fds);
   Domain.join driver;
   check Alcotest.int "completed" (List.length streams) (Server.completed srv);
-  check Alcotest.int "disconnected" (List.length aborts)
+  check Alcotest.int "disconnected"
+    (List.length aborts + List.length corrupt)
     (Server.disconnected srv);
-  (Server.fleet_profile srv, Server.offline_profile srv, replies)
+  (Server.fleet_profile srv, Server.offline_profile srv, replies, errors)
 
 let mixed_streams () =
   (* v2 block-only sessions and v3 event sessions, some hitting the
@@ -389,10 +414,10 @@ let mixed_streams () =
     v2 [ 0x300; 0x400 ];
     v3 ]
 
-let test_daemon_gate () =
-  (* the acceptance gate: >= 8 concurrent sessions, mixed formats, one
-     mid-stream disconnect, fleet == offline at jobs 1/2/4 — on the flat
-     and the repacked+fused image *)
+(* the acceptance gate: >= 8 concurrent sessions, mixed formats, one
+   mid-stream disconnect, fleet == offline at jobs 1/2/4 — on the flat
+   and the repacked+fused image *)
+let daemon_gate ?queue_cap () =
   List.iter
     (fun image_of ->
       let streams = mixed_streams () in
@@ -401,9 +426,9 @@ let test_daemon_gate () =
       in
       List.iter
         (fun jobs ->
-          let fleet, offline, replies =
-            serve_sessions ~jobs ~image:(image_of ()) ~aborts:[ List.hd streams ]
-              streams
+          let fleet, offline, replies, _ =
+            serve_sessions ~jobs ~image:(image_of ()) ?queue_cap
+              ~aborts:[ List.hd streams ] streams
           in
           check profile
             (Printf.sprintf "fleet == offline (jobs %d)" jobs)
@@ -421,13 +446,57 @@ let test_daemon_gate () =
         [ 1; 2; 4 ])
     [ fixture_packed; fixture_tuned ]
 
+let test_daemon_gate () = daemon_gate ()
+
+(* The tightest cap: before every read the driver checks a session's
+   undecoded bytes against one byte. The gate must hold exactly as at
+   the default cap. *)
+let test_daemon_backpressure () = daemon_gate ~queue_cap:1 ()
+
+(* nine bytes with the continuation bit, then one more: a token no
+   63-bit varint can hold *)
+let ten_byte_varint = String.make 9 '\x80' ^ "\x01"
+
+(* a valid PCTR2 prefix, long enough to span several frames, cut by an
+   over-long varint at a record boundary *)
+let corrupt_stream () =
+  bytes_of_events ~format:Pc_trace.V2
+    (List.init 40 (fun i ->
+         Pc_trace.Block { start = List.nth [ 0x100; 0x200; 0x300 ] (i mod 3); insns = 1 }))
+  ^ ten_byte_varint
+
+let test_daemon_corrupt_mid_stream () =
+  (* the corrupt record is decoded on a pool worker, mid-cycle, next to
+     clean sessions: only its own session fails, with the decoder's
+     message *)
+  let streams = mixed_streams () in
+  List.iter
+    (fun jobs ->
+      let image = fixture_packed () in
+      let fleet, offline, _, errors =
+        serve_sessions ~jobs ~image ~corrupt:[ corrupt_stream () ] streams
+      in
+      check
+        Alcotest.(list string)
+        "refused with the decoder's message"
+        [ "corrupt trace: varint too long" ]
+        errors;
+      check profile
+        (Printf.sprintf "clean sessions: fleet == offline (jobs %d)" jobs)
+        offline fleet;
+      check profile
+        (Printf.sprintf "clean sessions: fleet == independent reference (jobs %d)" jobs)
+        (Profile.merge_all (List.map (offline_of_bytes image) streams))
+        fleet)
+    [ 1; 2; 4 ]
+
 let test_daemon_disconnect_isolation () =
   (* the same streams with and without a rude client: identical fleet *)
   let streams = mixed_streams () in
   let image = fixture_packed () in
-  let clean, _, _ = serve_sessions ~jobs:2 ~image streams in
+  let clean, _, _, _ = serve_sessions ~jobs:2 ~image streams in
   let image = fixture_packed () in
-  let rude, _, _ =
+  let rude, _, _, _ =
     serve_sessions ~jobs:2 ~image
       ~aborts:[ List.hd streams; List.nth streams 4 ]
       streams
@@ -441,7 +510,7 @@ let test_daemon_client_module () =
     Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ()))
   in
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
-  let driver = Domain.spawn (fun () -> Server.run ~until_sessions:2 srv) in
+  let driver = Domain.spawn (fun () -> Server.run ~until_sessions:4 srv) in
   let s = List.hd (mixed_streams ()) in
   let p = Client.replay_string ~chunk:3 (Server.addr srv) s in
   check profile "client profile" (offline_of_bytes image s) p;
@@ -449,9 +518,26 @@ let test_daemon_client_module () =
   (match Client.replay_string (Server.addr srv) "FOOBARBAZ" with
   | _ -> Alcotest.fail "corrupt stream must be rejected"
   | exception Client.Server_error _ -> ());
+  (* so does one that turns corrupt after several valid frames *)
+  (match Client.replay_string ~chunk:3 (Server.addr srv) (corrupt_stream ()) with
+  | _ -> Alcotest.fail "mid-stream corrupt stream must be rejected"
+  | exception Client.Server_error msg ->
+      check Alcotest.string "mid-stream corrupt message"
+        "corrupt trace: varint too long" msg);
+  (* a corrupt payload and a bad frame in one write: the payload comes
+     first in the stream, so its error is the one reported *)
+  let fd = Frame.connect (Server.addr srv) in
+  let wire = Frame.encode Frame.tag_data (corrupt_stream ()) ^ Frame.encode 'Z' "" in
+  ignore (Unix.write_substring fd wire 0 (String.length wire));
+  (match Frame.recv fd with
+  | Some f when f.Frame.tag = Frame.tag_error ->
+      check Alcotest.string "earliest error reported"
+        "corrupt trace: varint too long" f.Frame.payload
+  | _ -> Alcotest.fail "expected an error reply");
+  Unix.close fd;
   Domain.join driver;
   check Alcotest.int "one completed" 1 (Server.completed srv);
-  check Alcotest.int "one rejected" 1 (Server.disconnected srv)
+  check Alcotest.int "three rejected" 3 (Server.disconnected srv)
 
 let prop_daemon_random_streams =
   (* satellite 4's differential: random event streams through concurrent
@@ -469,7 +555,7 @@ let prop_daemon_random_streams =
       let expect =
         Profile.merge_all (List.map (offline_of_bytes image) streams)
       in
-      let fleet, offline, _ = serve_sessions ~jobs ~image streams in
+      let fleet, offline, _, _ = serve_sessions ~jobs ~image streams in
       Profile.equal fleet offline && Profile.equal fleet expect)
 
 let () =
@@ -494,6 +580,10 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "gate: fleet == offline" `Quick test_daemon_gate;
+          Alcotest.test_case "gate under backpressure (queue_cap 1)" `Quick
+            test_daemon_backpressure;
+          Alcotest.test_case "corrupt mid-stream next to clean sessions" `Quick
+            test_daemon_corrupt_mid_stream;
           Alcotest.test_case "disconnect isolation" `Quick
             test_daemon_disconnect_isolation;
           Alcotest.test_case "client module" `Quick test_daemon_client_module;
