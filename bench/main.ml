@@ -508,7 +508,7 @@ let run_telemetry () =
 
    Traces are recorded with the condition-tree strategy: MRET superblocks
    give every state at most one in-trace successor, so there is no edge
-   span to reorder and the only repacking lever is the inline cache; tree
+   span to reorder and the only repacking lever is state order; tree
    traces produce the branching spans (2-4 edges) whose dispatch cost the
    pass exists to cut. Wall-clock numbers are machine-dependent and are
    reported, not gated. *)
@@ -540,7 +540,6 @@ type repack_row = {
   rr_tuned_ns : float;
   rr_tuned_step_ns : float;
   rr_tuned_cycles : int;
-  rr_ic_rate : float;  (** step series: {!Tea_core.Packed.step} IC hits *)
   rr_hot_edges : int;
   rr_moved : int;
 }
@@ -584,8 +583,7 @@ let run_repack_one ~strategy name =
      series per layout: the full compiled replay (the end-to-end number;
      each layout compiled once, outside the timed loop) and the bare
      transition function ({!Tea_core.Packed.step} on the same stream,
-     the dispatch cost the pass targets and the only series that
-     exercises the inline cache). *)
+     the hot-prefix-then-search dispatch the pass's cost model prices). *)
   let reps = 1 + (2_000_000 / max 1 len) in
   let sample img =
     let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
@@ -622,8 +620,6 @@ let run_repack_one ~strategy name =
   let best_b, best_t = interleaved sample in
   let step_b, step_t = interleaved sample_step in
   let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  let hits = Tea_core.Packed.ic_hits tuned
-  and misses = Tea_core.Packed.ic_misses tuned in
   {
     rr_name = name;
     rr_hot = List.mem_assoc name repack_micro_set;
@@ -634,9 +630,6 @@ let run_repack_one ~strategy name =
     rr_tuned_ns = ns best_t;
     rr_tuned_step_ns = ns step_t;
     rr_tuned_cycles = tuned_cycles;
-    rr_ic_rate =
-      (if hits + misses = 0 then 0.0
-       else float_of_int hits /. float_of_int (hits + misses));
     rr_hot_edges = Tea_core.Packed.hot_edges tuned;
     rr_moved = Tea_opt.Repack.moved_states tuned;
   }
@@ -662,10 +655,10 @@ let repack_json ~smoke ~strategy rows ~geo_replay ~geo_step ~geo_hot
         r.rr_base_ns r.rr_base_step_ns r.rr_base_cycles;
       add
         "     \"repacked\": {\"replay_ns_per_block\": %.2f, \"step_ns\": \
-         %.2f, \"sim_cycles\": %d, \"ic_hit_rate\": %.4f, \"hot_edges\": \
-         %d, \"moved_states\": %d},\n"
-        r.rr_tuned_ns r.rr_tuned_step_ns r.rr_tuned_cycles r.rr_ic_rate
-        r.rr_hot_edges r.rr_moved;
+         %.2f, \"sim_cycles\": %d, \"hot_edges\": %d, \"moved_states\": \
+         %d},\n"
+        r.rr_tuned_ns r.rr_tuned_step_ns r.rr_tuned_cycles r.rr_hot_edges
+        r.rr_moved;
       add
         "     \"replay_speedup\": %.3f, \"step_speedup\": %.3f, \
          \"cycle_ratio\": %.4f}%s\n"
@@ -696,13 +689,13 @@ let run_repack ~smoke =
         let r = run_repack_one ~strategy name in
         Printf.printf
           "%-16s replay %5.1f -> %5.1f ns (%.2fx)  step %5.1f -> %5.1f ns \
-           (%.2fx)  cycles %.3fx  ic %5.1f%%  %d hot edges, %d moved\n%!"
+           (%.2fx)  cycles %.3fx  %d hot edges, %d moved\n%!"
           r.rr_name r.rr_base_ns r.rr_tuned_ns
           (r.rr_base_ns /. r.rr_tuned_ns)
           r.rr_base_step_ns r.rr_tuned_step_ns
           (r.rr_base_step_ns /. r.rr_tuned_step_ns)
           (float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-          (100.0 *. r.rr_ic_rate) r.rr_hot_edges r.rr_moved;
+          r.rr_hot_edges r.rr_moved;
         r)
       names
   in

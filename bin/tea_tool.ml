@@ -1174,9 +1174,7 @@ let info_cmd =
      image's dispatch layout. Edges inside a state's hot prefix resolve by
      linear scan ("hot"), the tail by binary search ("search"); per-state
      span misses fall through to the trace-head hash ("hash/miss" — the
-     split needs the stream, not just counts). IC hits depend on repeat
-     patterns the profile doesn't record, so they land in their underlying
-     scan tier here. *)
+     split needs the stream, not just counts). *)
   let print_profile_mix packed (prof : Tea_opt.Repack.profile) =
     let raw = Tea_core.Packed.to_raw packed in
     let n_slots = Tea_core.Packed.n_slots packed in
@@ -1669,10 +1667,6 @@ let serve_cmd =
     let doc = "Exit after serving $(docv) sessions (runs forever without it)." in
     Arg.(value & opt (some int) None & info [ "sessions" ] ~docv:"N" ~doc)
   in
-  let queue_cap_arg =
-    let doc = "Bound on undecoded payload bytes per session (backpressure knob)." in
-    Arg.(value & opt int 16384 & info [ "queue-cap" ] ~docv:"N" ~doc)
-  in
   let offline_check_arg =
     let doc =
       "Retain every completed session's bytes and, on exit, verify the \
@@ -1683,7 +1677,7 @@ let serve_cmd =
   let events_arg =
     let doc =
       "Append structured JSONL events (session open/close/abort, \
-       drift-threshold crossings, pool stalls) to $(docv)."
+       drift-threshold crossings, retunes and swaps) to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
@@ -1747,7 +1741,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "save-fleet-profile" ] ~docv:"FILE" ~doc)
   in
-  let run name strategy_name listen engine jobs pgo fuse sessions queue_cap
+  let run name strategy_name listen engine jobs pgo fuse sessions
       offline_check events_path drift_profile drift_threshold retune
       retune_cooldown save_fleet obs =
     with_obs obs "serve" @@ fun () ->
@@ -1795,7 +1789,7 @@ let serve_cmd =
     let finish_tiers () = Tea_core.Tierstat.uninstall () in
     match
       let srv =
-        Tea_serve.Server.create ~queue_cap ~offline_check
+        Tea_serve.Server.create ~offline_check
           ~retain:(save_fleet <> None) ?events ?drift ~base ?retune:retune_cfg
           ~jobs ~image listen
       in
@@ -1863,7 +1857,7 @@ let serve_cmd =
        ~doc:"Run the replay-as-a-service daemon over a shared packed image")
     Term.(
       const run $ workload_arg $ strategy_arg $ listen_arg $ serve_engine_arg
-      $ jobs_arg $ pgo_arg $ fuse_arg $ sessions_arg $ queue_cap_arg
+      $ jobs_arg $ pgo_arg $ fuse_arg $ sessions_arg
       $ offline_check_arg $ events_arg $ drift_profile_arg
       $ drift_threshold_arg $ serve_retune_arg $ retune_cooldown_arg
       $ save_fleet_arg $ obs_term)

@@ -8,15 +8,10 @@
    built from (any TEAPK1/2/3 layout), and replay through it is
    observationally identical to stepping the image with {!Packed.step}:
    the per-step simulated-cycle charges are captured into each closure
-   at build time from the same tables the step consults (the
-   flat binary-search charge, the repacked [edge_cost]/[miss_cost]
-   tables, the fusion overlay's [fecost]), so cycles stay a pure
-   function of the replayed stream. The inline cache is the one
-   mechanism deliberately skipped: on repacked images an IC hit charges
-   exactly what the scan that filled it charged ([ic_cost] =
-   [edge_cost] of the cached edge), so dispatching without it cannot
-   move a single cycle — only the ic_hits/ic_misses split, which
-   {!Replayer.snapshot} excludes.
+   at build time from the same tables the step consults (the image's
+   [edge_cost]/[miss_cost], {!Packed.resolution_costs}, and the fusion
+   overlay's [fecost]), so cycles stay a pure function of the replayed
+   stream.
 
    The batch-loop state — cursor, batch bound, cycle accumulator, plus
    the two loop-invariant arrays — is threaded through every closure as
@@ -110,26 +105,7 @@ let of_packed packed =
   let mask = Array.length keys - 1 in
   let n_slots = Array.length offsets - 1 in
   let nte = Automaton.nte in
-  let repacked = Packed.is_repacked packed in
-  let edge_cost, miss_cost =
-    if repacked then
-      Packed.hot_costs packed
-    else ([||], [||])
-  in
-  (* The interpreted flat loop charges (halvings m + 1) search steps
-     for any lookup in a state with span size m >= 1 — hit or miss —
-     and nothing on an empty span. *)
-  let flat_span_cost m =
-    if m = 0 then 0 else (Packed.halvings m + 1) * Packed.cost_search_step
-  in
-  let cost_of_edge s e =
-    if repacked then edge_cost.(e)
-    else flat_span_cost (offsets.(s + 1) - offsets.(s))
-  in
-  let cost_of_miss s =
-    if repacked then miss_cost.(s)
-    else flat_span_cost (offsets.(s + 1) - offsets.(s))
-  in
+  let edge_cost, miss_cost = Packed.resolution_costs packed in
   let ctx =
     {
       ins = [||];
@@ -227,7 +203,7 @@ let of_packed packed =
     incr n_closures;
     let lo = offsets.(s) and hi = offsets.(s + 1) in
     let deg = hi - lo in
-    let mc = cost_of_miss s in
+    let mc = miss_cost.(s) in
     let miss pc addrs counts i stop cycles =
       dispatch_hash s mc pc addrs counts i stop cycles
     in
@@ -243,7 +219,7 @@ let of_packed packed =
     else if deg = 1 && s <> nte && targets.(lo) <> nte then begin
       (* the common monomorphic shape, fully inlined *)
       let l0 = labels.(lo) and t0 = targets.(lo) in
-      let c0 = cost_of_edge s lo in
+      let c0 = edge_cost.(lo) in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
           ctx.halt <- s;
@@ -267,7 +243,7 @@ let of_packed packed =
          compares, profile-hot successor first *)
       let l0 = labels.(lo) and t0 = targets.(lo) in
       let l1 = labels.(lo + 1) and t1 = targets.(lo + 1) in
-      let c0 = cost_of_edge s lo and c1 = cost_of_edge s (lo + 1) in
+      let c0 = edge_cost.(lo) and c1 = edge_cost.(lo + 1) in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
           ctx.halt <- s;
@@ -298,7 +274,7 @@ let of_packed packed =
       let labs = Array.sub labels lo deg in
       let acts =
         Array.init deg (fun k ->
-            edge_action s targets.(lo + k) (cost_of_edge s (lo + k)))
+            edge_action s targets.(lo + k) edge_cost.(lo + k))
       in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
@@ -332,7 +308,7 @@ let of_packed packed =
       let hmask = Array.length hkeys - 1 in
       let acts =
         Array.init deg (fun k ->
-            edge_action s targets.(lo + k) (cost_of_edge s (lo + k)))
+            edge_action s targets.(lo + k) edge_cost.(lo + k))
       in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
@@ -383,10 +359,8 @@ let of_packed packed =
   let r_l1 = Array.make (max 1 n_slots) npc in
   let r_t1 = Array.make (max 1 n_slots) 0 in
   let r_c1 = Array.make (max 1 n_slots) 0 in
-  let missc = Array.make (max 1 n_slots) 0 in
   let region_members = ref 0 in
   for s = 0 to n_slots - 1 do
-    missc.(s) <- cost_of_miss s;
     let lo = offsets.(s) and hi = offsets.(s + 1) in
     let deg = hi - lo in
     let chainf = Array.length fchain > 0 && fchain.(s) >= 0 in
@@ -402,11 +376,11 @@ let of_packed packed =
       incr region_members;
       r_l0.(s) <- labels.(lo);
       r_t0.(s) <- targets.(lo);
-      r_c0.(s) <- cost_of_edge s lo;
+      r_c0.(s) <- edge_cost.(lo);
       if deg = 2 then begin
         r_l1.(s) <- labels.(lo + 1);
         r_t1.(s) <- targets.(lo + 1);
-        r_c1.(s) <- cost_of_edge s (lo + 1)
+        r_c1.(s) <- edge_cost.(lo + 1)
       end
     end
   done;
@@ -451,7 +425,7 @@ let of_packed packed =
         if Array.unsafe_get r_l0 c <> npc then
           (* a region slot whose whole span just missed: exactly the
              interpreted span miss — on to the trace-head hash *)
-          dispatch_hash c (Array.unsafe_get missc c) pc addrs counts !j stop
+          dispatch_hash c (Array.unsafe_get miss_cost c) pc addrs counts !j stop
             !cy
         else (Array.unsafe_get nodes c) addrs counts !j stop !cy
       end

@@ -37,18 +37,17 @@ type fusion = {
 (* The arrays live directly in [t] (rather than behind a nested [raw]
    record) so the step path loads each one with a single indirection.
 
-   A repacked image ([repacked = true]) additionally carries:
+   Every image carries:
    - [hot_len]: per-slot length of the most-taken-first linear prefix of
-     the span (the remainder stays label-sorted for binary search);
-   - [edge_cost] / [miss_cost]: the simulated cycles the scan path would
-     charge to resolve each edge / to miss the whole span, precomputed
-     from the layout so the inline cache can charge them without scanning;
+     the span (the remainder stays label-sorted for binary search); all
+     zero on a flat image;
+   - [edge_cost] / [miss_cost]: the simulated cycles {!step} charges to
+     resolve each edge / to miss the whole span, derived from the layout
+     once so every engine charges from the same table;
    - [orig_of] / [slot_of]: the slot <-> original-state-id permutation
-     (reporting translates at the boundary; replay runs in slot space);
-   - [ic_label]/[ic_target]/[ic_cost]: the per-state monomorphic inline
-     cache, the packed analogue of DBT trace chaining. These three arrays
-     are the only flat arrays mutated during replay, so {!dup} gives each
-     sibling its own copies. *)
+     (reporting translates at the boundary; replay runs in slot space),
+     the identity on a flat image.
+   No flat array mutates during replay; only the counter block does. *)
 type t = {
   offsets : int array;
   labels : int array;
@@ -62,19 +61,14 @@ type t = {
   hot_len : int array;
   orig_of : int array;
   slot_of : int array;
-  edge_cost : int array; (* [||] unless repacked *)
-  miss_cost : int array; (* [||] unless repacked *)
-  ic_label : int array; (* [||] unless repacked; min_int = empty *)
-  ic_target : int array;
-  ic_cost : int array;
+  edge_cost : int array;
+  miss_cost : int array;
   fusion : fusion option; (* immutable overlay; shared by {!dup} *)
   repacked : bool;
   mask : int; (* Array.length hash_keys - 1 *)
   auto : Automaton.t option;
   st : Transition.stats;
   mutable total_cycles : int;
-  mutable ic_hit_count : int;
-  mutable ic_miss_count : int;
 }
 
 (* Cost constants. A binary-search halving is a compare plus a conditional
@@ -87,10 +81,6 @@ let cost_search_step = 1
 let cost_hash_base = 2
 
 let cost_hash_probe = 1
-
-(* The inline cache never fires on this label: real PCs are non-negative
-   and -1 is the hash tombstone, so the empty IC slot sits below both. *)
-let ic_empty = min_int
 
 (* Fibonacci multiplicative hashing; the constant is SplitMix64's golden
    gamma truncated to OCaml's int range. Exported so every probe loop —
@@ -140,13 +130,15 @@ let halvings m =
   let rec go len acc = if len <= 1 then acc else go (len - (len lsr 1)) (acc + 1) in
   go m 0
 
-(* Precompute what the scan path charges so the inline cache (and the
-   compiled closures) can charge a resolution with one table load:
+(* What the scan charges, precomputed so {!step}, the compiled closures
+   and chain fusion all charge a resolution with one table load:
    - a hot-prefix edge at position j costs its j+1 linear probes;
    - a tail edge costs the whole prefix (k probes) plus the binary search
      over the m tail labels (halvings m + 1);
    - a span miss costs the same full scan (prefix + search), after which
-     the hash path charges its own costs on top. *)
+     the hash path charges its own costs on top.
+   A flat image is the k = 0 case: every edge and every miss of an
+   m-edge span costs halvings m + 1, an empty span nothing. *)
 let derive_costs offsets hot_len =
   let n_slots = Array.length offsets - 1 in
   let edge_cost = Array.make offsets.(n_slots) 0 in
@@ -179,9 +171,7 @@ let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     end
     else orig_of (* identity; never mutated, safe to share *)
   in
-  let edge_cost, miss_cost =
-    if repacked then derive_costs offsets hot_len else ([||], [||])
-  in
+  let edge_cost, miss_cost = derive_costs offsets hot_len in
   {
     offsets;
     labels;
@@ -197,17 +187,12 @@ let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     slot_of;
     edge_cost;
     miss_cost;
-    ic_label = (if repacked then Array.make n_slots ic_empty else [||]);
-    ic_target = (if repacked then Array.make n_slots (-1) else [||]);
-    ic_cost = (if repacked then Array.make n_slots 0 else [||]);
     fusion = None;
     repacked;
     mask = Array.length hash_keys - 1;
     auto;
     st = Transition.fresh_stats ();
     total_cycles = 0;
-    ic_hit_count = 0;
-    ic_miss_count = 0;
   }
 
 let freeze auto =
@@ -254,26 +239,11 @@ let freeze auto =
     ~state_insns ~hash_keys ~hash_vals ~hot_len:(Array.make n_slots 0)
     ~orig_of:(identity n_slots) ~auto:(Some auto) ~repacked:false
 
-(* The flat arrays are immutable after freeze; only the counter block —
-   and, for repacked images, the inline-cache arrays — mutate during
-   replay. Sharing those across domains would race, so a parallel driver
-   gives each worker its own counters (and IC) over the same layout. *)
-let dup t =
-  {
-    t with
-    st = Transition.fresh_stats ();
-    total_cycles = 0;
-    ic_hit_count = 0;
-    ic_miss_count = 0;
-    ic_label =
-      (if t.repacked then Array.make (Array.length t.ic_label) ic_empty
-       else t.ic_label);
-    ic_target =
-      (if t.repacked then Array.make (Array.length t.ic_target) (-1)
-       else t.ic_target);
-    ic_cost =
-      (if t.repacked then Array.make (Array.length t.ic_cost) 0 else t.ic_cost);
-  }
+(* The flat arrays are immutable after freeze; only the counter block
+   mutates during replay. Sharing it across domains would race, so a
+   parallel driver gives each worker its own counters over the same
+   layout. *)
+let dup t = { t with st = Transition.fresh_stats (); total_cycles = 0 }
 
 let n_slots t = Array.length t.offsets - 1
 
@@ -303,19 +273,8 @@ let orig_state t s =
 let slot_of_state t s =
   if s >= 0 && s < Array.length t.slot_of then t.slot_of.(s) else s
 
-let ic_hits t = t.ic_hit_count
-
-let ic_misses t = t.ic_miss_count
-
 let reset_counters t =
   t.total_cycles <- 0;
-  t.ic_hit_count <- 0;
-  t.ic_miss_count <- 0;
-  if t.repacked then begin
-    Array.fill t.ic_label 0 (Array.length t.ic_label) ic_empty;
-    Array.fill t.ic_target 0 (Array.length t.ic_target) (-1);
-    Array.fill t.ic_cost 0 (Array.length t.ic_cost) 0
-  end;
   let st = t.st in
   st.Transition.steps <- 0;
   st.Transition.in_trace_hits <- 0;
@@ -341,34 +300,19 @@ let head_of t pc =
 (* The hot path is written with tail-recursive helpers carrying their
    accumulators in arguments: without flambda a [ref] is a minor-heap
    allocation, and five of those per step cost more than the search itself.
-   Each helper charges its simulated cycles into [total_cycles] at its
+   A helper that charges ([probe]) does so into [total_cycles] at its
    terminal case, so the accounting is identical to the obvious loop. *)
 
-(* Branchless lower-bound over a sorted span; charges one
-   [cost_search_step] per halving plus one for the final compare. *)
-let rec lower_bound t labels pc base len cost =
-  if len <= 1 then begin
-    t.total_cycles <- t.total_cycles + cost + cost_search_step;
-    base
-  end
-  else
-    let half = len lsr 1 in
-    let base =
-      if Array.unsafe_get labels (base + half) <= pc then base + half else base
-    in
-    lower_bound t labels pc base (len - half) (cost + cost_search_step)
-
-(* Cost-free lower bound for repacked spans: the resolution cost comes
-   from the precomputed [edge_cost]/[miss_cost] tables instead of being
-   charged per halving. *)
-let rec lower_bound_pure labels pc base len =
+(* Branchless lower bound over a sorted span. It charges nothing: the
+   resolution cost comes from the [edge_cost]/[miss_cost] tables. *)
+let rec lower_bound labels pc base len =
   if len <= 1 then base
   else
     let half = len lsr 1 in
     let base =
       if Array.unsafe_get labels (base + half) <= pc then base + half else base
     in
-    lower_bound_pure labels pc base (len - half)
+    lower_bound labels pc base (len - half)
 
 let rec scan_prefix labels pc i stop =
   if i >= stop then -1
@@ -429,120 +373,49 @@ let step_hash t m a ~state pc =
     Automaton.nte
   end
 
-let step_flat t state pc =
+(* One dispatch for every layout: the hot prefix (empty on a flat image),
+   then binary search over the sorted tail, then the hash path. The
+   charge is the layout's precomputed [edge_cost] / [miss_cost]. *)
+let step t state pc =
+  if state < 0 || state + 1 >= Array.length t.offsets then
+    invalid_arg "Packed.step: state id outside the frozen image";
   let st = t.st in
   st.Transition.steps <- st.Transition.steps + 1;
-  let lo = Array.unsafe_get t.offsets state in
-  let hi = Array.unsafe_get t.offsets (state + 1) in
-  (* In-trace transition: lower-bound over the state's sorted span, then
-     one equality check. *)
-  let hit =
-    if hi > lo then begin
-      let b = lower_bound t t.labels pc lo (hi - lo) 0 in
-      if Array.unsafe_get t.labels b = pc then Array.unsafe_get t.targets b
-      else -1
-    end
-    else -1
-  in
   (* [m] is [None] whenever telemetry is off, so the disabled per-step
      cost is one atomic load and the option matches below; same deal for
      the tier tally [a]. *)
   let m = Tea_telemetry.Probe.metrics () in
   let a = Tierstat.tally () in
-  if hit >= 0 then begin
+  let lo = Array.unsafe_get t.offsets state in
+  let hi = Array.unsafe_get t.offsets (state + 1) in
+  let tl = lo + Array.unsafe_get t.hot_len state in
+  let e =
+    let e = scan_prefix t.labels pc lo tl in
+    if e >= 0 || hi <= tl then e
+    else
+      let b = lower_bound t.labels pc tl (hi - tl) in
+      if Array.unsafe_get t.labels b = pc then b else -1
+  in
+  if e >= 0 then begin
     st.Transition.in_trace_hits <- st.Transition.in_trace_hits + 1;
+    t.total_cycles <- t.total_cycles + Array.unsafe_get t.edge_cost e;
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.in_trace_hit" 1);
     (match a with
     | None -> ()
     | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state);
-    hit
-  end
-  else step_hash t m a ~state pc
-
-(* Repacked dispatch: monomorphic inline cache, then the most-taken-first
-   linear prefix, then binary search over the sorted tail, then the hash
-   path. An IC hit charges exactly the [edge_cost] the scan charged when
-   the entry was filled — for a fixed layout that cost is a function of
-   (state, pc) alone, so simulated cycles are independent of IC history
-   and sharded replay stays bit-identical to sequential. Only the
-   [ic_hit]/[ic_miss] telemetry split observes the cache itself. *)
-let step_hot t state pc =
-  let st = t.st in
-  st.Transition.steps <- st.Transition.steps + 1;
-  let m = Tea_telemetry.Probe.metrics () in
-  let a = Tierstat.tally () in
-  if Array.unsafe_get t.ic_label state = pc then begin
-    st.Transition.in_trace_hits <- st.Transition.in_trace_hits + 1;
-    t.ic_hit_count <- t.ic_hit_count + 1;
-    t.total_cycles <- t.total_cycles + Array.unsafe_get t.ic_cost state;
-    (match m with
-    | None -> ()
-    | Some m ->
-        Tea_telemetry.Metrics.count m "packed.ic_hit" 1;
-        Tea_telemetry.Metrics.count m "packed.in_trace_hit" 1);
-    (match a with
-    | None -> ()
-    | Some a -> Tierstat.bump a ~tier:Tierstat.t_ic ~state);
-    Array.unsafe_get t.ic_target state
+    Array.unsafe_get t.targets e
   end
   else begin
-    t.ic_miss_count <- t.ic_miss_count + 1;
-    (match m with
-    | None -> ()
-    | Some m -> Tea_telemetry.Metrics.count m "packed.ic_miss" 1);
-    let lo = Array.unsafe_get t.offsets state in
-    let hi = Array.unsafe_get t.offsets (state + 1) in
-    let k = Array.unsafe_get t.hot_len state in
-    let e =
-      let e = scan_prefix t.labels pc lo (lo + k) in
-      if e >= 0 then e
-      else begin
-        let tl = lo + k in
-        if hi <= tl then -1
-        else
-          let b = lower_bound_pure t.labels pc tl (hi - tl) in
-          if Array.unsafe_get t.labels b = pc then b else -1
-      end
-    in
-    if e >= 0 then begin
-      st.Transition.in_trace_hits <- st.Transition.in_trace_hits + 1;
-      let c = Array.unsafe_get t.edge_cost e in
-      t.total_cycles <- t.total_cycles + c;
-      let tgt = Array.unsafe_get t.targets e in
-      Array.unsafe_set t.ic_label state pc;
-      Array.unsafe_set t.ic_target state tgt;
-      Array.unsafe_set t.ic_cost state c;
-      (match m with
-      | None -> ()
-      | Some m -> Tea_telemetry.Metrics.count m "packed.in_trace_hit" 1);
-      (match a with
-      | None -> ()
-      | Some a ->
-          (* [e < lo + k] identifies the hot prefix; the tail is binary
-             search. *)
-          let tier = if e < lo + k then Tierstat.t_hot else Tierstat.t_search in
-          Tierstat.bump a ~tier ~state);
-      tgt
-    end
-    else begin
-      t.total_cycles <- t.total_cycles + Array.unsafe_get t.miss_cost state;
-      step_hash t m a ~state pc
-    end
+    t.total_cycles <- t.total_cycles + Array.unsafe_get t.miss_cost state;
+    step_hash t m a ~state pc
   end
 
-let step t state pc =
-  if state < 0 || state + 1 >= Array.length t.offsets then
-    invalid_arg "Packed.step: state id outside the frozen image";
-  if t.repacked then step_hot t state pc else step_flat t state pc
-
-(* The precomputed resolution costs of a repacked layout, for the passes
-   that must charge exactly what {!step} charges without stepping:
-   compiled dispatch and chain fusion. *)
-let hot_costs t =
-  if not t.repacked then invalid_arg "Packed.hot_costs: image is not repacked";
-  (t.edge_cost, t.miss_cost)
+(* The precomputed resolution costs, for the passes that must charge
+   exactly what {!step} charges without stepping: compiled dispatch and
+   chain fusion. *)
+let resolution_costs t = (t.edge_cost, t.miss_cost)
 
 let to_raw t : raw =
   {
@@ -562,7 +435,8 @@ let to_raw t : raw =
 let of_raw ?auto ?(repacked = false) (r : raw) =
   let fail fmt = Printf.ksprintf invalid_arg ("Packed.of_raw: " ^^ fmt) in
   let n_slots = Array.length r.offsets - 1 in
-  if n_slots < 0 then fail "empty offsets array";
+  (* slot 0 is NTE, where every replay starts *)
+  if n_slots < 1 then fail "image has no NTE slot";
   if r.offsets.(0) <> 0 then fail "offsets must start at 0";
   for i = 0 to n_slots - 1 do
     if r.offsets.(i + 1) < r.offsets.(i) then fail "offsets must be monotone"
@@ -573,6 +447,7 @@ let of_raw ?auto ?(repacked = false) (r : raw) =
   Array.iter
     (fun d -> if d < 0 || d >= n_slots then fail "edge target out of range")
     r.targets;
+  Array.iter (fun l -> if l < 0 then fail "negative edge label") r.labels;
   if Array.length r.hot_len <> n_slots then fail "hot_len length mismatch";
   if Array.length r.orig_of <> n_slots then fail "orig_of length mismatch";
   if repacked then begin
@@ -630,9 +505,14 @@ let of_raw ?auto ?(repacked = false) (r : raw) =
   if hsize < 1 || hsize land (hsize - 1) <> 0 then
     fail "hash size must be a power of two";
   if Array.length r.hash_vals <> hsize then fail "hash array length mismatch";
+  (* every probe loop stops only at a match or an empty slot, so a full
+     table would loop forever on an absent PC *)
+  if not (Array.exists (fun k -> k < 0) r.hash_keys) then
+    fail "hash table has no empty slot";
   Array.iteri
     (fun i k ->
-      if k >= 0 && (r.hash_vals.(i) < 0 || r.hash_vals.(i) >= n_slots) then
+      (* a trace head is a real state: NTE (slot 0) never enters one *)
+      if k >= 0 && (r.hash_vals.(i) < 1 || r.hash_vals.(i) >= n_slots) then
         fail "hash value out of range")
     r.hash_keys;
   make_t ~offsets:r.offsets ~labels:r.labels ~targets:r.targets
@@ -690,9 +570,8 @@ let with_fusion t (f : fusion) =
     if owner.(e) < 0 then fail "chain position %d has no owning slot" e
   done;
   (* Every chain edge must restate an existing 1-edge span verbatim, with
-     the exact simulated cost the ordinary dispatch charges to resolve it
-     (a 1-edge span costs one search step under binary search, hot-prefix
-     scan and IC hit alike, or its precomputed edge_cost when repacked). *)
+     the exact simulated cost the ordinary dispatch charges to resolve it:
+     its precomputed edge_cost. *)
   for e = 0 to n_fedges - 1 do
     let s = owner.(e) in
     let lo = t.offsets.(s) and hi = t.offsets.(s + 1) in
@@ -702,9 +581,7 @@ let with_fusion t (f : fusion) =
     if t.targets.(lo) <> f.ftgt.(e) then
       fail "ftgt mismatch at slot %d (chain edge %d)" s e;
     if f.ftgt.(e) = 0 then fail "chain edge %d targets NTE" e;
-    let expect =
-      if t.repacked then t.edge_cost.(lo) else cost_search_step
-    in
+    let expect = t.edge_cost.(lo) in
     if f.fecost.(e) <> expect then
       fail "fecost mismatch at chain edge %d (%d, dispatch charges %d)" e
         f.fecost.(e) expect
@@ -720,8 +597,8 @@ let with_fusion t (f : fusion) =
     if f.fcyc.(c) = 1 && f.ftgt.(hi - 1) <> owner.(lo) then
       fail "cyclic chain %d does not close on its first member" c
   done;
-  (* A fresh sibling (as {!dup}: own counters, own IC) carrying the
-     overlay, so attaching fusion never aliases live mutable state. *)
+  (* A fresh sibling (as {!dup}: own counters) carrying the overlay, so
+     attaching fusion never aliases live mutable state. *)
   { (dup t) with fusion = Some f }
 
 let fusion_of t = t.fusion

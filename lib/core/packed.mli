@@ -31,20 +31,20 @@
 
     {!Tea_opt.Repack} produces a second flavor of image
     ({!is_repacked} = true) from a replay profile: states renumbered
-    hotness-descending (NTE pinned at slot 0), each edge span split into a
-    most-taken-first linear-scan {e hot prefix} plus a label-sorted
-    binary-search tail, and a per-state monomorphic {e inline cache}
-    (last label/target pair — the packed analogue of DBT trace chaining)
-    consulted before any scan. Replay runs in {e slot} space; the
+    hotness-descending (NTE pinned at slot 0) and each edge span split
+    into a most-taken-first linear-scan {e hot prefix} plus a
+    label-sorted binary-search tail. Replay runs in {e slot} space; the
     {!orig_state} / {!slot_of_state} permutation translates ids at
-    reporting boundaries, so externally visible TBB mappings are identical
-    to the flat image's. An IC hit charges the precomputed cost the scan
-    would have charged ({e edge_cost}), keeping simulated cycles a pure
-    function of the replayed stream — independent of IC history — which is
-    what keeps sharded parallel replay bit-identical to sequential. IC
-    effectiveness is observable via {!ic_hits} / {!ic_misses} and the
-    [packed.ic_hit] / [packed.ic_miss] telemetry probes, and in wall
-    clock.
+    reporting boundaries, so externally visible TBB mappings are
+    identical to the flat image's.
+
+    A flat image is the special case whose hot prefixes are all empty,
+    so there is one dispatch and one cost table for both: every image
+    precomputes what resolving each edge and missing each span costs
+    ({!resolution_costs}), and {!step}, {!Compiled} and
+    {!Tea_opt.Fuse} all charge from it. Simulated cycles are therefore a
+    pure function of the layout and the replayed stream, which is what
+    keeps sharded parallel replay bit-identical to sequential.
 
     {2 Fused images}
 
@@ -68,16 +68,16 @@ val freeze : Automaton.t -> t
 
 val dup : t -> t
 (** A sibling image sharing the same (immutable) flat arrays but with
-    fresh, zeroed {!stats} and {!cycles} counters — and, for repacked
-    images, a fresh (empty) inline cache, the one mutable part of the
-    layout. Siblings are safe to step concurrently from different
-    domains. O(1) flat, O(states) repacked. *)
+    fresh, zeroed {!stats} and {!cycles} counters. Siblings are safe to
+    step concurrently from different domains. O(1). *)
 
 val step : t -> Automaton.state -> int -> Automaton.state
 (** [step t state pc] — the DFA transition on label [pc]. Same semantics
     as {!Transition.step}: in-trace edge first, then trace-head lookup,
-    else NTE. Accumulates {!cycles} and {!stats}. On a repacked image the
-    in-trace resolution order is inline cache, hot prefix, sorted tail.
+    else NTE. Accumulates {!cycles} and {!stats}. The in-trace
+    resolution order is hot prefix (empty on a flat image), then binary
+    search over the sorted tail; the charge comes from
+    {!resolution_costs}.
     @raise Invalid_argument on a state id the frozen image never
     contained. *)
 
@@ -90,8 +90,7 @@ val cycles : t -> int
     engine-independent {!Transition.cost_nte_miss} on misses). *)
 
 val reset_counters : t -> unit
-(** Zero {!stats}, {!cycles} and the IC counters; empty the inline cache
-    of a repacked image so a re-run starts cold. *)
+(** Zero {!stats} and {!cycles}. *)
 
 val add_cycles : t -> int -> unit
 (** Charge simulated cycles computed outside {!step}. Used by
@@ -156,19 +155,14 @@ val orig_state : t -> Automaton.state -> Automaton.state
 val slot_of_state : t -> Automaton.state -> Automaton.state
 (** Original automaton state id → slot id (inverse of {!orig_state}). *)
 
-val ic_hits : t -> int
-
-val ic_misses : t -> int
-(** Inline-cache hit/miss split of [steps] on a repacked image (every
-    step is exactly one of the two; both 0 on flat images). Telemetry
-    mirrors: [packed.ic_hit] / [packed.ic_miss]. *)
-
-val hot_costs : t -> int array * int array
-(** [(edge_cost, miss_cost)] of a repacked image: the simulated cycles
-    {!step} charges to resolve each pooled edge / to miss each slot's
-    whole span, precomputed from the layout. {!Compiled} and
-    {!Tea_opt.Fuse} charge from these so their cycles equal {!step}'s.
-    @raise Invalid_argument on a flat image. *)
+val resolution_costs : t -> int array * int array
+(** [(edge_cost, miss_cost)]: the simulated cycles {!step} charges to
+    resolve each pooled edge / to miss each slot's whole span,
+    precomputed from the layout. A hot-prefix edge at position [j] costs
+    [j + 1] probes; a tail edge or a miss costs the whole prefix plus
+    [halvings m + 1] over the [m] tail labels (nothing for an empty
+    tail). {!Compiled} and {!Tea_opt.Fuse} charge from these so their
+    cycles equal {!step}'s. The arrays are shared: do not mutate. *)
 
 (** {2 Fusion overlay} *)
 
@@ -193,8 +187,8 @@ type fusion = {
 }
 
 val with_fusion : t -> fusion -> t
-(** A fresh sibling of [t] (as {!dup}: own zeroed counters and inline
-    cache) carrying the overlay.
+(** A fresh sibling of [t] (as {!dup}: own zeroed counters) carrying the
+    overlay.
     Validates the overlay against the base arrays: chain ids/positions
     in range and bijective onto pooled slots, NTE never chained, every
     chain edge an exact restatement of a 1-edge span ([fsig]/[ftgt]
@@ -220,8 +214,9 @@ val chain_lengths : t -> int array
 
     The exact flat arrays, for serialization ({!Serialize}) and
     white-box tests. [of_raw] validates shape invariants (offset
-    monotonicity, per-span label discipline, targets and hash values in
-    range, [orig_of] a permutation) and raises [Invalid_argument] on
+    monotonicity, per-span label discipline, non-negative labels,
+    targets and hash values in range, at least one empty hash slot,
+    [orig_of] a permutation) and raises [Invalid_argument] on
     violation. *)
 
 type raw = {
@@ -246,8 +241,9 @@ type raw = {
 val to_raw : t -> raw
 
 val of_raw : ?auto:Automaton.t -> ?repacked:bool -> raw -> t
-(** [repacked] (default false) selects which span discipline is validated
-    and which step dispatch the image uses; [auto] re-attaches the source
+(** [repacked] (default false) selects which span discipline is
+    validated (and which on-disk format {!Serialize} writes); [auto]
+    re-attaches the source
     automaton (repacking preserves it so per-trace profiles keep
     working). *)
 

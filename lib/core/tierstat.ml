@@ -10,14 +10,12 @@
    from. Slot ids are translated back to automaton state ids at report
    boundaries via [Packed.orig_state]. *)
 
-let n_tiers = 6
-let t_ic = 0
-let t_hot = 1
-let t_search = 2
-let t_hash = 3
-let t_miss = 4
-let t_compiled = 5
-let tier_names = [| "ic"; "hot"; "search"; "hash"; "miss"; "compiled" |]
+let n_tiers = 4
+let t_search = 0
+let t_hash = 1
+let t_miss = 2
+let t_compiled = 3
+let tier_names = [| "search"; "hash"; "miss"; "compiled" |]
 let tier_name i = tier_names.(i)
 
 type tally = {

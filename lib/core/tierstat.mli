@@ -5,10 +5,9 @@
     that found the edge — charged to the source state (packed slot id)
     the dispatch ran from:
 
-    - [ic]: per-state monomorphic inline-cache hit (repacked images);
-    - [hot]: hot-prefix linear-scan hit (repacked images);
-    - [search]: binary-search hit (the whole span on flat images, the
-      tail after the hot prefix on repacked ones);
+    - [search]: in-span hit of the step-at-a-time {!Packed.step}, by
+      hot-prefix scan or by binary search over the sorted tail (both
+      charged from the layout's one cost table);
     - [hash]: global trace-head hash-table hit after the span missed;
     - [miss]: unresolved — the replayer cut to the not-in-trace state;
     - [compiled]: resolved by the closure-threaded compiled engine
@@ -26,15 +25,13 @@
 
 val n_tiers : int
 
-val t_ic : int
-val t_hot : int
 val t_search : int
 val t_hash : int
 val t_miss : int
 val t_compiled : int
 
 val tier_name : int -> string
-(** ["ic" | "hot" | "search" | "hash" | "miss" | "compiled"]. *)
+(** ["search" | "hash" | "miss" | "compiled"]. *)
 
 (** {2 Installation} *)
 

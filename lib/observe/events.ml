@@ -1,7 +1,7 @@
 (* Structured JSONL event log. One JSON object per line, flushed per
    event so an external tail (or the CI smoke job) sees events as they
    happen. The sink is mutexed — emission is cheap and rare (session
-   lifecycle, drift crossings, stalls), never per-block — and the no-op
+   lifecycle, drift crossings, swaps), never per-block — and the no-op
    default is simply "no sink constructed": call sites hold a
    [t option] and skip everything on [None]. *)
 

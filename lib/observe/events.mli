@@ -2,7 +2,7 @@
     event.
 
     Events are rare control-plane facts — session open/close/abort,
-    drift-threshold crossings, pool stalls — never per-block, so the
+    drift-threshold crossings, retune and swap — never per-block, so the
     cost model is "free when absent": producers hold a [t option] and
     the disabled path is the [None] branch, preserving the telemetry
     layer's bench-gated disabled-overhead budget.

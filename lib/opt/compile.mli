@@ -14,8 +14,7 @@
     Compilation is observationally the identity: TBB mappings, coverage,
     enter/exit counters, stats and simulated cycles are exactly those of
     stepping the image one address at a time with {!Tea_core.Packed.step}
-    (property-tested in [test_compile.ml]), with the usual inline-cache
-    hit/miss-split exception (cycle-neutral; see {!Tea_core.Compiled}). *)
+    (property-tested in [test_compile.ml]). *)
 
 val compile : Tea_core.Packed.t -> Tea_core.Compiled.t
 (** [compile packed] = {!Tea_core.Compiled.of_packed}. The compiled

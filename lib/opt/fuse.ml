@@ -184,15 +184,10 @@ let fuse ?(min_chain = default_min_chain) ?profile
     let ftgt = Array.make n_fedges 0 in
     let fecost = Array.make n_fedges 0 in
     (* Each member contributes its single forced edge, at the exact
-       simulated cost the unfused dispatch charges to resolve it: the
-       precomputed edge_cost on a repacked base, one search step flat
-       (a 1-edge span resolves in one probe under every dispatch
-       flavor — that equality is what makes bulk charging exact). *)
-    let cost_of lo =
-      if Packed.is_repacked packed then
-        (fst (Packed.hot_costs packed)).(lo)
-      else Packed.cost_search_step
-    in
+       simulated cost the unfused dispatch charges to resolve it — the
+       image's precomputed edge_cost — which is what makes bulk charging
+       exact. *)
+    let edge_cost, _ = Packed.resolution_costs packed in
     List.iteri
       (fun c ch ->
         List.iteri
@@ -201,7 +196,7 @@ let fuse ?(min_chain = default_min_chain) ?profile
             let lo = offsets.(s) in
             fsig.(e) <- labels.(lo);
             ftgt.(e) <- targets.(lo);
-            fecost.(e) <- cost_of lo)
+            fecost.(e) <- edge_cost.(lo))
           ch.members)
       kept;
     Packed.with_fusion packed

@@ -4,7 +4,7 @@
     common path; TEA's DFA makes the same redundancy explicit, and replay
     profiles say exactly which transitions are hot. This pass consumes a
     replay {!profile} (per-state visit counts, per-edge taken counts,
-    per-state scan misses) and rebuilds the image three ways:
+    per-state scan misses) and rebuilds the image two ways:
 
     + states renumbered hotness-descending (NTE pinned at slot 0) so the
       hot working set is cache-dense;
@@ -13,10 +13,8 @@
       is chosen {e per state} by exact minimization of the
       profile-weighted scan cost, with the source layout (prefix 0) always
       a candidate, so on the profiling stream the repacked image never
-      charges more simulated cycles than the source;
-    + a per-state monomorphic inline cache in front of any scan in
-      {!Tea_core.Packed.step} ({!Tea_core.Packed.ic_hits}); compiled
-      batch dispatch tests edges in the same span order instead.
+      charges more simulated cycles than the source. Compiled batch
+      dispatch tests edges in the same span order.
 
     Repacking is a pure permutation: replay over the repacked image
     produces identical TBB mappings (ids translate at reporting
@@ -31,7 +29,7 @@ type profile = {
 
 val empty_profile : Tea_core.Packed.t -> profile
 (** All-zero counts shaped for this image. Repacking with it is the
-    identity layout (plus the inline cache). *)
+    identity layout. *)
 
 val collect :
   ?state:Tea_core.Automaton.state ->

@@ -16,7 +16,7 @@ val create : unit -> t
 (** An empty queue (256-record initial ring, doubling as needed). *)
 
 val length : t -> int
-(** Queued events — the backpressure gauge. *)
+(** Queued events (the queue-depth gauge). *)
 
 val is_empty : t -> bool
 

@@ -17,7 +17,7 @@ type session = {
   multi : Core.Multi_replayer.t;
   fdr : Core.Multi_replayer.feeder;  (* batches drain-cycle events *)
   pending : string Queue.t;  (* data payloads not yet decoded, in order *)
-  mutable pending_bytes : int;  (* their total length: the backpressure gauge *)
+  mutable pending_bytes : int;  (* their total length: the queue-depth gauge *)
   raw : Buffer.t option;  (* retained bytes for the offline differential *)
   epoch0 : int;  (* image epoch the session was accepted under *)
   mutable evs : int;  (* events decoded so far (swap-schedule positions) *)
@@ -27,7 +27,6 @@ type session = {
   mutable scrape : bool;  (* a metrics observer, not a replay session *)
   mutable counted : bool;  (* bumped serve.sessions_accepted yet? *)
   mutable opened : bool;  (* session_open event emitted yet? *)
-  mutable stalled : bool;  (* currently deselected by backpressure *)
   mutable bytes_in : int;
   mutable blocks : int;
   mutable busy_ns : int;  (* wall time inside drain tasks *)
@@ -53,7 +52,6 @@ let default_retune =
 type t = {
   mutable image : Core.Packed.t;  (* current epoch's dispatch image *)
   pool : P.Pool.t;
-  queue_cap : int;
   offline_check : bool;
   retain : bool;  (* keep completed streams (offline check/retune/save) *)
   base : Core.Packed.t option;  (* flat source image for rebuilds *)
@@ -102,9 +100,8 @@ let factory_of img _asid =
 
 let session_factory t asid = factory_of t.image asid
 
-let create ?(queue_cap = 16384) ?(offline_check = false)
-    ?(retain = false) ?events ?drift ?base ?retune ~jobs ~image addr =
-  if queue_cap < 1 then invalid_arg "Server.create: queue_cap must be >= 1";
+let create ?(offline_check = false) ?(retain = false) ?events ?drift ?base
+    ?retune ~jobs ~image addr =
   (match (retune, drift, base) with
   | Some _, None, _ ->
       invalid_arg "Server.create: retune requires a drift monitor"
@@ -148,7 +145,6 @@ let create ?(queue_cap = 16384) ?(offline_check = false)
   {
     image;
     pool = P.Pool.create ~jobs;
-    queue_cap;
     offline_check;
     retain = offline_check || retain || retune <> None;
     base;
@@ -341,7 +337,6 @@ let rec accept_all t until_sessions =
             scrape = false;
             counted = false;
             opened = false;
-            stalled = false;
             bytes_in = 0;
             blocks = 0;
             busy_ns = 0;
@@ -594,31 +589,10 @@ let run ?until_sessions t =
       (t.stop_r :: (if accepting then [ t.listen_fd ] else []))
       @ List.filter_map
           (fun s ->
-            (* backpressure: a session with [queue_cap] undecoded bytes
-               is not read this cycle; its socket buffer fills and the
-               client's writes block until the pool drains it. A block
-               record takes at least one byte, so this bounds queued
-               blocks too. Every drain cycle decodes everything queued,
-               so as the loop stands no session reaches this check
-               with bytes pending. *)
-            if s.failed = None && not s.ended then begin
-              if s.pending_bytes < t.queue_cap then begin
-                s.stalled <- false;
-                Some s.fd
-              end
-              else begin
-                if not s.stalled then begin
-                  s.stalled <- true;
-                  emit_ev t "pool_stall"
-                    [
-                      ("session", Tea_observe.Events.I s.id);
-                      ("depth", Tea_observe.Events.I s.pending_bytes);
-                    ]
-                end;
-                None
-              end
-            end
-            else None)
+            (* every drain cycle decodes everything queued, so a
+               session's undecoded bytes are bounded by the frames one
+               read completes *)
+            if s.failed = None && not s.ended then Some s.fd else None)
           t.sessions
     in
     (* with a rebuild in flight, wake periodically so the finished

@@ -22,11 +22,10 @@
       decode and replay {e in parallel across} the pool while each
       session's own bytes stay strictly ordered (one task per session
       per cycle, ordered by the pool mutex);
-    - {b backpressure} is per-session: a session holding [queue_cap]
-      undecoded bytes is dropped from the read set until the pool drains
-      it, so its kernel socket buffer fills and {e that client's} writes
-      block — a slow consumer throttles its own producer, never the
-      fleet;
+    - every drain cycle decodes everything queued before the next
+      [select], so a session's undecoded bytes are bounded by the frames
+      one socket read completes (the [serve.queue_depth] histogram
+      records them per task);
     - a completed session (end-of-stream frame received and every byte
       decoded) folds its profile into the fleet and gets the profile
       echoed back; a {b mid-stream disconnect} (EOF, reset, bad framing,
@@ -72,7 +71,6 @@ val default_retune : retune
     no snapshot file. *)
 
 val create :
-  ?queue_cap:int ->
   ?offline_check:bool ->
   ?retain:bool ->
   ?events:Tea_observe.Events.t ->
@@ -83,18 +81,14 @@ val create :
   image:Tea_core.Packed.t ->
   Frame.addr ->
   t
-(** Bind, listen and spawn the worker pool. [queue_cap] (default 16384)
-    bounds the undecoded payload bytes a session may hold and still be
-    read (a block record is at least one byte, so it bounds queued
-    blocks too); every drain cycle decodes all queued bytes, so the
-    bound is checked, not normally hit. [offline_check] (default
+(** Bind, listen and spawn the worker pool. [offline_check] (default
     false) retains every completed session's raw bytes so
     {!offline_profile} can re-derive the fleet profile sequentially.
     Each session's per-asid replayers run on the compiled engine: a
     private {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
     of the current image per asid.
     [events] attaches a structured JSONL event log (session lifecycle,
-    pool stalls, drift crossings, retune/swap); [drift] attaches a
+    drift crossings, retune/swap); [drift] attaches a
     profile-drift comparator re-measured against the fleet profile
     after every completed session. Both default to off — the disabled
     path adds no work to the drain cycle.
@@ -107,8 +101,8 @@ val create :
 
     A [Unix_sock] path is unlinked first; [Tcp] port 0 binds an
     ephemeral port (read it back with {!addr}).
-    @raise Invalid_argument when [jobs < 1], [queue_cap < 1], or
-    [retune] is given without [drift]/[base].
+    @raise Invalid_argument when [jobs < 1], or [retune] is given
+    without [drift]/[base].
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val addr : t -> Frame.addr

@@ -191,8 +191,8 @@ let test_exposition_render () =
   Metrics.observe_value reg "lat" 3;
   let tiers =
     {
-      Tierstat.ts_totals = [| 3; 0; 1; 0; 0; 4 |];
-      ts_states = [ (0, [| 3; 0; 0; 0; 0; 0 |]); (4, [| 0; 0; 1; 0; 0; 4 |]) ];
+      Tierstat.ts_totals = [| 3; 0; 1; 4 |];
+      ts_states = [ (0, [| 3; 0; 0; 0 |]); (4, [| 0; 0; 1; 4 |]) ];
     }
   in
   let got =
@@ -214,16 +214,14 @@ let test_exposition_render () =
      tea_histogram_quantile{name=\"lat\",q=\"0.95\"} 4\n\
      tea_histogram_quantile{name=\"lat\",q=\"0.99\"} 4\n\
      # TYPE tea_dispatch_tier_total counter\n\
-     tea_dispatch_tier_total{tier=\"ic\"} 3\n\
-     tea_dispatch_tier_total{tier=\"hot\"} 0\n\
-     tea_dispatch_tier_total{tier=\"search\"} 1\n\
+     tea_dispatch_tier_total{tier=\"search\"} 3\n\
      tea_dispatch_tier_total{tier=\"hash\"} 0\n\
-     tea_dispatch_tier_total{tier=\"miss\"} 0\n\
+     tea_dispatch_tier_total{tier=\"miss\"} 1\n\
      tea_dispatch_tier_total{tier=\"compiled\"} 4\n\
      # TYPE tea_dispatch_state_total counter\n\
-     tea_dispatch_state_total{state=\"6\",tier=\"search\"} 1\n\
+     tea_dispatch_state_total{state=\"6\",tier=\"miss\"} 1\n\
      tea_dispatch_state_total{state=\"6\",tier=\"compiled\"} 4\n\
-     tea_dispatch_state_total{state=\"10\",tier=\"ic\"} 3\n\
+     tea_dispatch_state_total{state=\"10\",tier=\"search\"} 3\n\
      # TYPE tea_drift_l1 gauge\n\
      tea_drift_l1 0.5\n\
      # TYPE tea_drift_threshold gauge\n\
@@ -415,18 +413,16 @@ let prop_tier_sum =
 
 (* A tier snapshot with every in-trace resolution folded into one
    column: event-at-a-time feeding steps the image ({!Packed.step}:
-   ic/hot/search), the batching feeder runs the compiled closures
-   (compiled, chain matchers included), and both resolve the hash and
-   miss tiers identically. *)
+   search), the batching feeder runs the compiled closures (compiled,
+   chain matchers included), and both resolve the hash and miss tiers
+   identically. *)
 let in_trace_folded (s : Tierstat.snapshot) =
   let fold row =
     Array.mapi
       (fun t v ->
-        if t = Tierstat.t_hash || t = Tierstat.t_miss then v
-        else if t = Tierstat.t_compiled then
-          row.(Tierstat.t_ic) + row.(Tierstat.t_hot) + row.(Tierstat.t_search)
-          + v
-        else 0)
+        if t = Tierstat.t_compiled then row.(Tierstat.t_search) + v
+        else if t = Tierstat.t_search then 0
+        else v)
       row
   in
   {
@@ -522,7 +518,7 @@ let test_live_equals_offline () =
               check feps "threshold" Drift.default_threshold th
           | None -> Alcotest.fail "drift_distance expected");
           check Alcotest.bool "tier family exposed" true
-            (contains last "tea_dispatch_tier_total{tier=\"ic\"}");
+            (contains last "tea_dispatch_tier_total{tier=\"compiled\"}");
           check Alcotest.bool "drift gauge exposed" true
             (contains last "tea_drift_l1 0\n");
           check Alcotest.bool "session histograms exposed" true

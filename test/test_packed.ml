@@ -18,6 +18,8 @@ module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Serialize = Tea_core.Serialize
 module Pc_trace = Tea_core.Pc_trace
+module Repack = Tea_opt.Repack
+module Fuse = Tea_opt.Fuse
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -432,6 +434,31 @@ let test_packed_binary_rejects_garbage () =
   let good = Serialize.packed_to_binary (Packed.freeze (Builder.build [ t1 ])) in
   reject (good ^ "\x00")
 
+(* TEAPK1 bytes for an arbitrary raw image, bypassing the writer (which
+   only ever sees images [of_raw] already accepted): the magic, then nine
+   u32-length-prefixed u32 arrays. *)
+let teapk1_of_raw (r : Packed.raw) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "TEAPK1";
+  let u32 v = Buffer.add_int32_le buf (Int32.of_int v) in
+  List.iter
+    (fun a ->
+      u32 (Array.length a);
+      Array.iter u32 a)
+    Packed.
+      [
+        r.offsets;
+        r.labels;
+        r.targets;
+        r.state_trace;
+        r.state_tbb;
+        r.state_start;
+        r.state_insns;
+        r.hash_keys;
+        r.hash_vals;
+      ];
+  Buffer.contents buf
+
 let test_of_raw_validation () =
   let p = Packed.freeze (Builder.build [ t1; t2 ]) in
   let r = Packed.to_raw p in
@@ -464,10 +491,182 @@ let test_of_raw_validation () =
       Array.iteri
         (fun i k -> if k >= 0 then c.Packed.hash_vals.(i) <- 9999)
         c.Packed.hash_keys);
+  expect_invalid "hash table with no empty slot" (fun c ->
+      Array.iteri
+        (fun i _ ->
+          c.Packed.hash_keys.(i) <- 0x10000 + i;
+          c.Packed.hash_vals.(i) <- 1)
+        c.Packed.hash_keys);
+  expect_invalid "negative edge label" (fun c -> c.Packed.labels.(0) <- -1);
+  (* every probe loop stops only at a match or an empty slot: a one-slot
+     table holding 0x100 would spin forever on a lookup of 0x200 *)
+  let full = { r with Packed.hash_keys = [| 0x100 |]; hash_vals = [| 1 |] } in
+  (match Packed.of_raw full with
+  | _ -> Alcotest.fail "of_raw accepted a hash table with no empty slot"
+  | exception Invalid_argument _ -> ());
+  (match Serialize.packed_of_binary (teapk1_of_raw full) with
+  | _ -> Alcotest.fail "packed_of_binary accepted a full hash table"
+  | exception Serialize.Parse_error _ -> ());
+  (* an image with no slots has no NTE for replay to start in *)
+  (match
+     Packed.of_raw
+       {
+         Packed.offsets = [| 0 |];
+         labels = [||];
+         targets = [||];
+         state_trace = [||];
+         state_tbb = [||];
+         state_start = [||];
+         state_insns = [||];
+         hash_keys = Array.make 8 (-1);
+         hash_vals = Array.make 8 0;
+         hot_len = [||];
+         orig_of = [||];
+       }
+   with
+  | _ -> Alcotest.fail "of_raw accepted an image with no slots"
+  | exception Invalid_argument _ -> ());
   (* the untouched raw image is accepted *)
   let reloaded = Packed.of_raw r in
   check Alcotest.int "roundtrip states" (Packed.n_states p)
     (Packed.n_states reloaded)
+
+(* ---------------- TEAPK1-3 byte fuzz ---------------- *)
+
+(* A 3-state cycle of single-successor states: always fuses into a
+   cyclic chain, so the fused flavor really writes TEAPK3. *)
+let loop_trace =
+  Trace.linear ~id:99 ~kind:"test" ~cycle:true
+    [ block_at 0x100; block_at 0x200; block_at 0x300 ]
+
+(* The flat (TEAPK1), repacked (TEAPK2) or repacked+fused (TEAPK3) image
+   of a generated workload. *)
+let fuzz_image w flavor =
+  let flat = Packed.freeze (Builder.build (loop_trace :: w.w_traces)) in
+  if flavor = 0 then flat
+  else
+    let addrs = Array.of_list (0x100 :: List.map fst w.w_stream) in
+    let len = Array.length addrs in
+    let tuned = Repack.repack flat (Repack.collect flat addrs ~len) in
+    if flavor = 1 then tuned else Fuse.fuse ~min_chain:1 tuned
+
+let u32_at s p =
+  Char.code s.[p]
+  lor (Char.code s.[p + 1] lsl 8)
+  lor (Char.code s.[p + 2] lsl 16)
+  lor (Char.code s.[p + 3] lsl 24)
+
+(* Byte offsets of every array-length field of a well-formed image: after
+   the magic (and TEAPK3's flags word) each array is a u32 length and
+   that many u32 values. *)
+let length_fields s =
+  let rec go p acc =
+    if p + 4 > String.length s then List.rev acc
+    else go (p + 4 + (4 * u32_at s p)) (p :: acc)
+  in
+  go (if String.sub s 0 6 = "TEAPK3" then 10 else 6) []
+
+type fuzz = {
+  f_work : workload;
+  f_flavor : int;  (** 0 flat, 1 repacked, 2 fused *)
+  f_mutation : int;  (** 0 truncate, 1 flip bytes, 2 inflate a length *)
+  f_picks : int list;  (** positions / values, reduced modulo the size *)
+  f_seed : int;  (** replay stream *)
+}
+
+let gen_fuzz =
+  let open QCheck.Gen in
+  let gen rand =
+    {
+      f_work = QCheck.gen gen_workload rand;
+      f_flavor = int_range 0 2 rand;
+      f_mutation = int_range 0 2 rand;
+      f_picks = list_size (int_range 2 8) (int_range 0 0x3FFFFFFF) rand;
+      f_seed = int_range 0 0xFFFF rand;
+    }
+  in
+  QCheck.make
+    ~print:(fun f ->
+      Printf.sprintf "flavor=%d mutation=%d picks=[%s] seed=%d" f.f_flavor
+        f.f_mutation
+        (String.concat ";" (List.map string_of_int f.f_picks))
+        f.f_seed)
+    gen
+
+let mutate f s =
+  let n = String.length s in
+  let picks = Array.of_list f.f_picks in
+  match f.f_mutation with
+  | 0 -> String.sub s 0 (picks.(0) mod n)
+  | 1 ->
+      let b = Bytes.of_string s in
+      for i = 0 to (Array.length picks / 2) - 1 do
+        let p = picks.(2 * i) mod n in
+        let x = 1 + (picks.((2 * i) + 1) mod 255) in
+        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x))
+      done;
+      Bytes.to_string b
+  | _ ->
+      let b = Bytes.of_string s in
+      let fields = Array.of_list (length_fields s) in
+      let p = fields.(picks.(0) mod Array.length fields) in
+      let old = u32_at s p in
+      let v =
+        match picks.(1) mod 4 with
+        | 0 -> old + 1
+        | 1 -> old + 1 + (picks.(1) / 4 mod 1000)
+        | 2 -> 0x7FFFFFFF
+        | _ -> 0xFFFFFFFE
+      in
+      Bytes.set_int32_le b p (Int32.of_int v);
+      Bytes.to_string b
+
+(* A short stream over the image's own labels and trace heads plus
+   arbitrary PCs, so in-span hits, hash hits and misses all occur. *)
+let fuzz_stream img seed =
+  let rand = Random.State.make [| seed |] in
+  let r = Packed.to_raw img in
+  let heads =
+    Array.of_list (List.filter (fun k -> k >= 0) (Array.to_list r.Packed.hash_keys))
+  in
+  let pick a =
+    if Array.length a = 0 then Random.State.int rand 0x2000
+    else a.(Random.State.int rand (Array.length a))
+  in
+  let addrs =
+    Array.init 64 (fun _ ->
+        match Random.State.int rand 3 with
+        | 0 -> pick r.Packed.labels
+        | 1 -> pick heads
+        | _ -> Random.State.int rand 0x2000)
+  in
+  (addrs, Array.init 64 (fun _ -> Random.State.int rand 5))
+
+(* Corrupt image bytes must surface as a typed [Parse_error]; anything
+   the loader does accept must be an image both engines replay, and
+   replay identically. *)
+let prop_teapk_fuzz =
+  QCheck.Test.make ~name:"mutated TEAPK1-3 bytes: Parse_error or replayable"
+    ~count:1000 gen_fuzz (fun f ->
+      let src = fuzz_image f.f_work f.f_flavor in
+      (* the fused flavor really carries an overlay (TEAPK3) *)
+      (f.f_flavor < 2 || Packed.is_fused src)
+      &&
+      match Serialize.packed_of_binary (mutate f (Serialize.packed_to_binary src)) with
+      | exception Serialize.Parse_error _ -> true
+      | img ->
+          let addrs, insns = fuzz_stream img f.f_seed in
+          let len = Array.length addrs in
+          let batched = compiled (Packed.dup img) in
+          Replayer.feed_run batched ~insns addrs ~len;
+          let stepped = compiled (Packed.dup img) in
+          Array.iteri
+            (fun i a -> Replayer.feed_addr stepped ~insns:insns.(i) a)
+            addrs;
+          Replayer.state batched = Replayer.state stepped
+          && Replayer.cycles batched = Replayer.cycles stepped
+          && Replayer.tbb_counts batched = Replayer.tbb_counts stepped
+          && Replayer.coverage batched = Replayer.coverage stepped)
 
 let test_save_load_packed_file () =
   let img = Tea_workloads.Micro.branchy_loop () in
@@ -534,6 +733,7 @@ let () =
           Alcotest.test_case "binary header" `Quick test_packed_binary_header;
           Alcotest.test_case "rejects garbage" `Quick test_packed_binary_rejects_garbage;
           Alcotest.test_case "of_raw validation" `Quick test_of_raw_validation;
+          qtest prop_teapk_fuzz;
           Alcotest.test_case "save/load file" `Quick test_save_load_packed_file;
         ] );
       ( "overhead",

@@ -2,7 +2,7 @@
    repacked packed-image flavor it produces: repacking must be a pure
    permutation (identical replay observables through the id translation,
    cycles changed only per the documented scan-cost model and never upward
-   on the profiling stream), the inline cache must be cost-neutral, the
+   on the profiling stream), the
    TEAPK2 serialization must round-trip, and sharded replay over a
    repacked image must merge to the sequential profile counter for
    counter. *)
@@ -103,7 +103,7 @@ type observation = {
 
 (* Step-at-a-time replay over [img] itself (a compiled replayer's
    feed_addr runs {!Packed.step} on its base image), so the image's
-   stats, cycles and inline-cache counters record exactly this stream. *)
+   stats and cycles record exactly this stream. *)
 let observe img stream =
   let rep = Replayer.create_compiled (Compiled.of_packed img) in
   let states =
@@ -132,8 +132,7 @@ let observe img stream =
 (* The tentpole property: for any automaton and any profile — empty,
    collected on the replayed stream, or collected on a different
    (mismatched) stream — repacking changes no replay observable. Cycles
-   are equal under the empty profile (identity layout, cost-neutral IC)
-   and never larger under the matching profile (the per-span argmin keeps
+   are equal under the empty profile (identity layout) and never larger under the matching profile (the per-span argmin keeps
    the source layout as a candidate); a mismatched profile may cost more,
    by design. *)
 let prop_repack_pure_permutation =
@@ -161,9 +160,7 @@ let prop_repack_pure_permutation =
                 if Packed.slot_of_state tuned (Packed.orig_state tuned s) <> s
                 then ok := false
               done;
-              !ok)
-          (* every step hit or missed the inline cache, exactly once *)
-          && Packed.ic_hits tuned + Packed.ic_misses tuned = len)
+              !ok))
         [
           (Repack.empty_profile flat, fun c -> c = flat_cycles);
           (collected, fun c -> c <= flat_cycles);
@@ -336,38 +333,6 @@ let test_profile_shape_mismatch () =
   Alcotest.check_raises "merge rejects too"
     (Invalid_argument "Repack.merge: profiles from different images")
     (fun () -> ignore (Repack.merge prof (Repack.empty_profile flat)))
-
-(* {!Packed.step}'s IC charges the precomputed cost the scan would have
-   charged, so a warm cache changes wall clock and the hit counters —
-   never the simulated cycles. Two consecutive step-at-a-time replays of
-   the same stream over one image (cold then warm IC) must charge
-   identical cycles. *)
-let test_ic_cost_neutral () =
-  let auto = Builder.build [ fan_trace ] in
-  let flat = Packed.freeze auto in
-  let stream =
-    Array.of_list
-      ([ 0x1000 ] @ List.concat (List.init 20 (fun _ -> [ 0x2000; 0x1000 ])))
-  in
-  let len = Array.length stream in
-  let tuned = Repack.repack flat (Repack.collect flat stream ~len) in
-  let run () =
-    (* cycles accumulate on the shared image, so charge each run by its
-       delta — the point is replaying over the SAME image so the second
-       run starts with a warm inline cache *)
-    let before = Packed.cycles tuned in
-    let rep = Replayer.create_compiled (Compiled.of_packed tuned) in
-    Array.iter (fun pc -> Replayer.feed_addr rep pc) stream;
-    (Packed.cycles tuned - before, Replayer.tbb_counts rep)
-  in
-  let c1, t1 = run () in
-  let hits_cold = Packed.ic_hits tuned in
-  let c2, t2 = run () in
-  let hits_warm = Packed.ic_hits tuned - hits_cold in
-  check Alcotest.int "cycles identical cold vs warm" c1 c2;
-  check Alcotest.(list (pair int int)) "profiles identical" t1 t2;
-  check Alcotest.bool "warm cache hits at least as often" true
-    (hits_warm >= hits_cold)
 
 (* ---------------- build_hash sizing (satellite fix) ---------------- *)
 
@@ -566,8 +531,6 @@ let () =
             test_empty_profile_is_identity;
           Alcotest.test_case "shape mismatch rejected" `Quick
             test_profile_shape_mismatch;
-          Alcotest.test_case "inline cache is cost-neutral" `Quick
-            test_ic_cost_neutral;
           Alcotest.test_case "build_hash dedupes before sizing" `Quick
             test_build_hash_dedupes_before_sizing;
           Alcotest.test_case "of_raw repacked validation" `Quick

@@ -307,11 +307,11 @@ let offline_of_bytes image s =
    of [corrupt], interleaved like [streams] but expected to be refused.
    Returns the fleet profile, the daemon's own offline differential,
    each session's reply and each corrupt session's error message. *)
-let serve_sessions ~jobs ~image ?(chunk = 5) ?queue_cap ?(aborts = [])
-    ?(corrupt = []) streams =
+let serve_sessions ~jobs ~image ?(chunk = 5) ?(aborts = []) ?(corrupt = [])
+    streams =
   let n = List.length streams + List.length aborts + List.length corrupt in
   let srv =
-    Server.create ?queue_cap ~offline_check:true ~jobs ~image
+    Server.create ~offline_check:true ~jobs ~image
       (Frame.Unix_sock (sock_path ()))
   in
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
@@ -417,7 +417,7 @@ let mixed_streams () =
 (* the acceptance gate: >= 8 concurrent sessions, mixed formats, one
    mid-stream disconnect, fleet == offline at jobs 1/2/4 — on the flat
    and the repacked+fused image *)
-let daemon_gate ?queue_cap () =
+let test_daemon_gate () =
   List.iter
     (fun image_of ->
       let streams = mixed_streams () in
@@ -427,7 +427,7 @@ let daemon_gate ?queue_cap () =
       List.iter
         (fun jobs ->
           let fleet, offline, replies, _ =
-            serve_sessions ~jobs ~image:(image_of ()) ?queue_cap
+            serve_sessions ~jobs ~image:(image_of ())
               ~aborts:[ List.hd streams ] streams
           in
           check profile
@@ -445,13 +445,6 @@ let daemon_gate ?queue_cap () =
             replies streams)
         [ 1; 2; 4 ])
     [ fixture_packed; fixture_tuned ]
-
-let test_daemon_gate () = daemon_gate ()
-
-(* The tightest cap: before every read the driver checks a session's
-   undecoded bytes against one byte. The gate must hold exactly as at
-   the default cap. *)
-let test_daemon_backpressure () = daemon_gate ~queue_cap:1 ()
 
 (* nine bytes with the continuation bit, then one more: a token no
    63-bit varint can hold *)
@@ -580,8 +573,6 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "gate: fleet == offline" `Quick test_daemon_gate;
-          Alcotest.test_case "gate under backpressure (queue_cap 1)" `Quick
-            test_daemon_backpressure;
           Alcotest.test_case "corrupt mid-stream next to clean sessions" `Quick
             test_daemon_corrupt_mid_stream;
           Alcotest.test_case "disconnect isolation" `Quick
