@@ -1,14 +1,27 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   (default mode) and runs Bechamel microbenchmarks of the operations each
-   table stresses (mode "micro").
+   (default mode), runs Bechamel microbenchmarks of the operations each
+   table stresses, and measures the replay engine's tuning ladder, the
+   multi-asid scenarios, the retuning daemon and the observability plane.
+   Every mode that writes a BENCH_<mode>.json file writes it in one row
+   schema, and `validate` checks any such file against its mode's
+   required gates and metrics.
 
    Usage:
      dune exec bench/main.exe                 # all 26 benchmarks, Tables 1-4
      dune exec bench/main.exe -- quick        # 8-benchmark subset
+     dune exec bench/main.exe -- table1 ...   # a single table (--smoke: 3 benchmarks)
      dune exec bench/main.exe -- micro        # Bechamel microbenchmarks
-     dune exec bench/main.exe -- table1 ...   # a single table *)
+     dune exec bench/main.exe -- packed       # compiled vs reference engines
+     dune exec bench/main.exe -- telemetry    # disabled-probe cost gate
+     dune exec bench/main.exe -- ablation | extensions
+     dune exec bench/main.exe -- ladder | scenario | retune | observe [--smoke]
+     dune exec bench/main.exe -- validate BENCH_ladder.json ...
+
+   --telemetry FILE and --metrics wrap any mode but telemetry and
+   validate in the probe set, as in tea_tool. *)
 
 module Experiments = Tea_report.Experiments
+module Json = Tea_benchmark.Json
 
 let quick_set =
   [
@@ -18,13 +31,105 @@ let quick_set =
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
-(* --quiet suppresses the per-domain pool counter dumps on stderr. *)
-let quiet = ref false
+let die fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("[bench] ERROR: " ^ s);
+      exit 1)
+    fmt
 
 (* A compiled-engine replayer over a private dup of [img]. *)
 let compiled_replayer img =
   Tea_core.Replayer.create_compiled
     (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
+
+(* ---- shared fixtures: workloads, recording, capture, tuning, timing ---- *)
+
+(* the hot-loop micros the per-workload benches run before the SPEC set *)
+let micro_set =
+  [
+    ("micro:listscan", fun () -> Tea_workloads.Micro.list_scan ());
+    ("micro:copy", fun () -> Tea_workloads.Micro.copy_loop ());
+    ("micro:nested", fun () -> Tea_workloads.Micro.nested_loop ());
+    ("micro:branchy", fun () -> Tea_workloads.Micro.branchy_loop ());
+  ]
+
+let workload_image name =
+  match List.assoc_opt name micro_set with
+  | Some f -> f ()
+  | None -> (
+      match Tea_workloads.Spec2000.by_name name with
+      | Some p -> Tea_workloads.Spec2000.image p
+      | None -> invalid_arg ("bench: unknown workload " ^ name))
+
+(* Record [strategy] traces under the DBT: the automaton and its flat
+   packed image. *)
+let record ~strategy image =
+  let strategy = Option.get (Tea_traces.Registry.by_name strategy) in
+  let dbt = Tea_dbt.Stardbt.record ~strategy image in
+  let auto =
+    Tea_core.Builder.build (Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set)
+  in
+  (auto, Tea_core.Packed.freeze auto)
+
+(* The image's full PC stream, captured once: (starts, insns, len). *)
+let capture image =
+  let path = Filename.temp_file "tea_bench" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (Tea_pinsim.Trace_capture.record image path);
+  Tea_parallel.Shard.load_pc_trace path
+
+(* The tuning rungs above a flat image: profile-guided repack on the
+   stream, then profile-aware fusion over the repacked layout (the
+   profile is re-collected so chain selection sees this stream's
+   continuation fractions). *)
+let tune flat starts ~len =
+  let repacked =
+    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
+  in
+  ( repacked,
+    Tea_opt.Fuse.fuse ~profile:(Tea_opt.Repack.collect repacked starts ~len)
+      repacked )
+
+(* Best of 5 rounds after one warmup, every series sampled once per round
+   so machine drift hits all of them alike. *)
+let interleaved_best samplers =
+  let best = Array.make (List.length samplers) infinity in
+  for round = 0 to 5 do
+    List.iteri
+      (fun i sample ->
+        let dt = sample () in
+        if round > 0 then best.(i) <- min best.(i) dt)
+      samplers
+  done;
+  best
+
+(* One replay of a short stream is microseconds, far below timer
+   resolution, so a sample times [reps] back-to-back replays. *)
+let reps_for len = 1 + (2_000_000 / max 1 len)
+
+(* A sampler timing [reps] compiled replays of the stream over [img],
+   compiled once outside the timed loop. *)
+let replay_sampler ~reps img starts insns ~len =
+  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+  fun () ->
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      Tea_core.Replayer.feed_run
+        (Tea_core.Replayer.create_compiled c)
+        ~insns starts ~len
+    done;
+    Unix.gettimeofday () -. t0
+
+(* Replay steps spent inside fused chains, read from the compiled batch's
+   own delta rather than the probe set, so the count is the same whether
+   or not the harness runs under --telemetry/--metrics. *)
+let fused_steps img starts insns ~len =
+  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+  let counts = Array.make (Tea_core.Packed.n_slots img) 0 in
+  (Tea_core.Compiled.run c ~state:Tea_core.Automaton.nte ~counts starts insns
+     ~len)
+    .Tea_core.Compiled.d_fused_steps
 
 let run_tables ~benchmarks ~which =
   progress "[bench] preparing %d benchmarks (recording mret/ctt/tt under the DBT)..."
@@ -153,26 +258,16 @@ let run_micro () =
         ols)
     (benchmarks ())
 
+
 (* Head-to-head replay throughput: the compiled engine vs the three Table 4
    reference configurations on the list-scan micro's full PC stream. The
    target is compiled >= 5x the Global/Local reference engine. *)
 let run_head_to_head () =
   let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let auto = Tea_core.Builder.build traces in
+  let auto, packed = record ~strategy:"mret" image in
   (* Capture the block stream once and decode it once: both engines replay
      the identical pre-decoded (starts, insns) arrays. *)
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts = Array.make n_blocks 0 and insns = Array.make n_blocks 0 in
-  let i = ref 0 in
-  Tea_core.Pc_trace.fold path () (fun () ~start ~insns:n ->
-      starts.(!i) <- start;
-      insns.(!i) <- n;
-      incr i);
-  Sys.remove path;
+  let starts, insns, n_blocks = capture image in
   progress "[bench] compiled head-to-head: %d blocks from micro:listscan"
     n_blocks;
   let time_replay mk_rep =
@@ -197,7 +292,7 @@ let run_head_to_head () =
     (name, dt, rep)
   in
   let compiled_dt, compiled_rep =
-    time_replay (fun () -> compiled_replayer (Tea_core.Packed.freeze auto))
+    time_replay (fun () -> compiled_replayer packed)
   in
   let rows =
     [
@@ -228,109 +323,7 @@ let run_head_to_head () =
        <> Tea_core.Replayer.trace_enters compiled_rep
     || Tea_core.Replayer.tbb_counts gl_rep
        <> Tea_core.Replayer.tbb_counts compiled_rep
-  then begin
-    prerr_endline "[bench] ERROR: compiled and reference engines disagree";
-    exit 1
-  end
-
-(* The parallel driver, measured: the full table sweep at --jobs 1/2/4
-   (asserting byte-identical tables), then the sharded PC-trace replay on
-   a captured stream (asserting profile equality). Speedup is bounded by
-   the machine's cores; the byte-identity checks hold everywhere. *)
-let run_parallel_compare ~benchmarks =
-  let module Pool = Tea_parallel.Pool in
-  (* warm the generated-image cache so the sequential baseline doesn't
-     pay one-time generation the parallel runs then get for free *)
-  List.iter
-    (fun n ->
-      match Tea_workloads.Spec2000.by_name n with
-      | Some p -> ignore (Tea_workloads.Spec2000.image p)
-      | None -> ())
-    benchmarks;
-  let sweep pool =
-    let benches = Experiments.prepare ?pool ~benchmarks () in
-    String.concat "\n"
-      [
-        Experiments.render_table1 (Experiments.table1 ?pool benches);
-        Experiments.render_table2 (Experiments.table2 ?pool benches);
-        Experiments.render_table3 (Experiments.table3 ?pool benches);
-        Experiments.render_table4 (Experiments.table4 ?pool benches);
-      ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  progress "[bench] parallel table sweep: %d benchmarks, jobs 1 vs 2 vs 4..."
-    (List.length benchmarks);
-  let seq_out, seq_dt = time (fun () -> sweep None) in
-  Printf.printf "table sweep, jobs 1: %6.1fs (baseline)\n%!" seq_dt;
-  List.iter
-    (fun jobs ->
-      let out, dt =
-        time (fun () ->
-            Pool.with_pool ~jobs (fun pool ->
-                let out = sweep (Some pool) in
-                if not !quiet then
-                  prerr_string
-                    (Tea_report.Stats.render ~title:"pool domains"
-                       (Pool.metrics_snapshot pool));
-                out))
-      in
-      if out <> seq_out then begin
-        prerr_endline "[bench] ERROR: parallel sweep differs from sequential";
-        exit 1
-      end;
-      Printf.printf "table sweep, jobs %d: %6.1fs  speedup %.2fx  (byte-identical)\n%!"
-        jobs dt (seq_dt /. dt))
-    [ 2; 4 ];
-  (* sharded offline replay on a real captured stream *)
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let packed = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  progress "[bench] sharded pc-trace replay: %d blocks from micro:listscan"
-    n_blocks;
-  let replay_at jobs =
-    Pool.with_pool ~jobs (fun pool ->
-        (* best of 5, one warmup *)
-        let best = ref infinity and last = ref None in
-        for round = 0 to 5 do
-          let p, dt =
-            time (fun () ->
-                Tea_parallel.Shard.replay_arrays pool packed ~insns starts ~len)
-          in
-          if round > 0 && dt < !best then best := dt;
-          last := Some p
-        done;
-        (Option.get !last, !best))
-  in
-  let seq_profile, seq_replay_dt = replay_at 1 in
-  List.iter
-    (fun jobs ->
-      let profile, dt = replay_at jobs in
-      if not (Tea_parallel.Profile.equal profile seq_profile) then begin
-        prerr_endline "[bench] ERROR: sharded replay profile differs";
-        exit 1
-      end;
-      Printf.printf
-        "replay, jobs %d: %8.1f ns/block  %.1f Mcycles simulated  speedup \
-         %.2fx  (profile identical)\n"
-        jobs
-        (1e9 *. dt /. float_of_int len)
-        (float_of_int profile.Tea_parallel.Profile.cycles /. 1e6)
-        (seq_replay_dt /. dt))
-    [ 1; 2; 4 ];
-  Printf.printf
-    "note: wall-clock speedup is bounded by available cores (this machine \
-     recommends %d domains)\n"
-    (Domain.recommended_domain_count ())
+  then die "compiled and reference engines disagree"
 
 let run_ablations () =
   progress "[bench] ablation: selection strategies (incl. MFET)...";
@@ -400,768 +393,462 @@ let run_extensions () =
 
    The probes compiled into the hot paths must cost nothing when nothing
    is installed: the disabled entry point is one atomic load and a
-   branch. This mode pins that down empirically on the packed replay of
-   micro:listscan's full PC stream — two independent best-of-N series
-   with telemetry disabled must agree within 2% (any systematic probe
-   cost would show up as much more than scheduler noise on this loop),
-   and the telemetry-enabled series is reported alongside for scale. *)
+   branch. This mode pins that down empirically on the compiled replay
+   of micro:listscan's full PC stream: two disabled series, alternated
+   sample by sample over 101 pairs so slow machine drift (frequency
+   scaling, neighbours) hits both equally and the series swap which
+   samples first on every other pair, must agree within 2% in the
+   median of their per-pair ratios — a statistic one noisy pair cannot
+   move, where any systematic probe cost would show on every pair. The
+   telemetry-enabled series is reported alongside for scale. *)
 let run_telemetry () =
   let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let packed = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  progress "[bench] telemetry overhead gate: %d blocks from micro:listscan"
-    n_blocks;
-  (* one replay of the stream is ~100us — far too short to time against
-     gettimeofday noise, so each sample times [reps] back-to-back replays
-     (tens of ms) and a series keeps the best of 8 samples plus a warmup *)
+  let _, packed = record ~strategy:"mret" image in
+  let starts, insns, len = capture image in
+  progress "[bench] telemetry overhead gate: %d blocks from micro:listscan" len;
+  (* one replay of the stream is ~100us, so each sample times [reps]
+     back-to-back replays (tens of ms) *)
   let reps = 100 in
   let ns_per_block dt = 1e9 *. dt /. float_of_int (reps * len) in
-  let compiled = Tea_core.Compiled.of_packed packed in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_compiled compiled in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
+  let sample = replay_sampler ~reps packed starts insns ~len in
+  let median xs =
+    let s = Array.copy xs in
+    Array.sort compare s;
+    s.(Array.length s / 2)
   in
-  let series () =
-    let best = ref infinity in
-    for round = 0 to 8 do
-      let dt = sample () in
-      if round > 0 && dt < !best then best := dt
-    done;
-    !best
+  ignore (sample ());
+  let pairs =
+    Array.init 101 (fun i ->
+        if i mod 2 = 0 then
+          let a = sample () in
+          (a, sample ())
+        else
+          let b = sample () in
+          (sample (), b))
   in
-  (* the two disabled series are interleaved sample-by-sample so slow
-     machine drift (frequency scaling, neighbours) hits both equally;
-     what remains is per-sample noise, which best-of-8 suppresses *)
-  let disabled_pair () =
-    let best_a = ref infinity and best_b = ref infinity in
-    for round = 0 to 8 do
-      let a = sample () in
-      let b = sample () in
-      if round > 0 then begin
-        if a < !best_a then best_a := a;
-        if b < !best_b then best_b := b
-      end
-    done;
-    (!best_a, !best_b)
+  let drift =
+    abs_float (median (Array.map (fun (a, b) -> a /. b) pairs) -. 1.0)
   in
-  let rec measure attempts =
-    let a, b = disabled_pair () in
-    let drift = abs_float (a -. b) /. min a b in
-    if drift <= 0.02 || attempts <= 1 then (a, b, drift)
-    else begin
-      progress "[bench] drift %.2f%% > 2%%, re-measuring (%d attempts left)"
-        (100.0 *. drift) (attempts - 1);
-      measure (attempts - 1)
-    end
-  in
-  let a, b, drift = measure 3 in
+  let disabled = median (Array.map fst pairs) in
   Printf.printf
-    "telemetry disabled: %8.1f ns/block vs %8.1f ns/block  (drift %.2f%%, \
-     gate 2%%)\n"
-    (ns_per_block a) (ns_per_block b) (100.0 *. drift);
-  if drift > 0.02 then begin
-    prerr_endline
-      "[bench] ERROR: disabled-telemetry replay drifts more than 2% — the \
-       no-op probe path is not free";
-    exit 1
-  end;
+    "telemetry disabled: %8.1f ns/block vs %8.1f ns/block  (median per-pair \
+     drift %.2f%% over %d pairs, gate 2%%)\n"
+    (ns_per_block disabled)
+    (ns_per_block (median (Array.map snd pairs)))
+    (100.0 *. drift) (Array.length pairs);
+  if drift > 0.02 then
+    die
+      "disabled-telemetry replay drifts more than 2%% — the no-op probe path \
+       is not free";
   Tea_telemetry.Probe.install ();
-  let e = series () in
+  let enabled = median (Array.init 9 (fun _ -> sample ())) in
   let snap = Tea_telemetry.Probe.uninstall () in
-  Printf.printf "telemetry enabled:  %8.1f ns/block  (+%.1f%% vs best disabled)\n"
-    (ns_per_block e)
-    (100.0 *. ((e /. min a b) -. 1.0));
+  Printf.printf "telemetry enabled:  %8.1f ns/block  (+%.1f%% vs disabled)\n"
+    (ns_per_block enabled)
+    (100.0 *. ((enabled /. disabled) -. 1.0));
   let steps =
-    match
-      List.assoc_opt "replayer.steps" snap.Tea_telemetry.Metrics.s_counters
-    with
-    | Some n -> n
-    | None -> 0
+    Option.value ~default:0
+      (Tea_telemetry.Metrics.find_counter snap "replayer.steps")
   in
   Printf.printf "probe counters collected while enabled: replayer.steps=%d\n"
     steps;
-  if steps <> 9 * reps * len then begin
-    prerr_endline "[bench] ERROR: enabled-telemetry run missed replay steps";
-    exit 1
-  end
+  if steps <> 9 * reps * len then
+    die "enabled-telemetry run missed replay steps"
 
-(* ---- profile-guided repacking: the BENCH_repack.json trajectory ----
+(* ---- one BENCH row schema ----
 
-   For every workload: record traces, freeze the flat image, capture the
-   PC stream once, collect a profile on that stream, repack, then time
-   flat vs repacked replay of the identical stream. Two hard gates per
-   workload (exit 1, not report lines): the TBB mappings must be
-   byte-identical, and the repacked image must never charge more
-   simulated cycles than the flat one on its own profiling stream — the
-   per-state argmin always has the source layout as a candidate, so a
-   violation is a bug, not a tuning miss.
+   Every BENCH_<mode>.json is
+     {"bench": mode, "smoke": bool, "gates": [...],
+      "rows": [{"workload", "engine", "jobs", "metric", "value"}, ...]}.
+   [gates] names the hard gates the run enforced; a failing gate exits 1
+   before anything is written, so a gate listed in a file is a gate that
+   held. Summary values (geomeans, floors, configuration) are rows with
+   workload "*". Each mode declares a [spec] next to its runner: the gates
+   it must list, the workloads it must cover, the rows derived from other
+   rows (recomputed and compared on validation) and the invariants its
+   rows must satisfy. The writer validates the rows against the spec
+   before writing, and `validate` re-checks a file against the same spec
+   after the fact. *)
 
-   Traces are recorded with the condition-tree strategy: MRET superblocks
-   give every state at most one in-trace successor, so there is no edge
-   span to reorder and the only repacking lever is state order; tree
-   traces produce the branching spans (2-4 edges) whose dispatch cost the
-   pass exists to cut. Wall-clock numbers are machine-dependent and are
-   reported, not gated. *)
-
-let repack_micro_set =
-  (* the listscan-class hot-loop workloads behind the geomean gate *)
-  [
-    ("micro:listscan", fun () -> Tea_workloads.Micro.list_scan ());
-    ("micro:copy", fun () -> Tea_workloads.Micro.copy_loop ());
-    ("micro:nested", fun () -> Tea_workloads.Micro.nested_loop ());
-    ("micro:branchy", fun () -> Tea_workloads.Micro.branchy_loop ());
-  ]
-
-let repack_image name =
-  match List.assoc_opt name repack_micro_set with
-  | Some f -> f ()
-  | None -> (
-      match Tea_workloads.Spec2000.by_name name with
-      | Some p -> Tea_workloads.Spec2000.image p
-      | None -> invalid_arg ("bench repack: unknown workload " ^ name))
-
-type repack_row = {
-  rr_name : string;
-  rr_hot : bool;
-  rr_blocks : int;
-  rr_base_ns : float;  (** full compiled replay, ns/block, flat image *)
-  rr_base_step_ns : float;  (** bare {!Tea_core.Packed.step}, ns/step *)
-  rr_base_cycles : int;
-  rr_tuned_ns : float;
-  rr_tuned_step_ns : float;
-  rr_tuned_cycles : int;
-  rr_hot_edges : int;
-  rr_moved : int;
+type row = {
+  workload : string;
+  engine : string;
+  jobs : int;
+  metric : string;
+  value : float;
 }
 
-let run_repack_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  let profile = Tea_opt.Repack.collect flat starts ~len in
-  let tuned = Tea_opt.Repack.repack flat profile in
-  let run_once img =
-    let rep = compiled_replayer img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
-  in
-  let base_rep = run_once flat and tuned_rep = run_once tuned in
-  if
-    Tea_core.Replayer.tbb_counts base_rep
-    <> Tea_core.Replayer.tbb_counts tuned_rep
-  then begin
-    Printf.eprintf "[bench] ERROR: %s: repacked TBB mapping differs\n" name;
-    exit 1
-  end;
-  let base_cycles = Tea_core.Replayer.cycles base_rep in
-  let tuned_cycles = Tea_core.Replayer.cycles tuned_rep in
-  if tuned_cycles > base_cycles then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: repacked charges more simulated cycles (%d > %d)\n"
-      name tuned_cycles base_cycles;
-    exit 1
-  end;
-  (* One replay of a short stream is microseconds — far below timer
-     resolution — so each sample times [reps] back-to-back replays
-     (milliseconds). The two layouts are sampled interleaved so machine
-     drift hits both equally; best of 5 rounds after one warmup. Two
-     series per layout: the full compiled replay (the end-to-end number;
-     each layout compiled once, outside the timed loop) and the bare
-     transition function ({!Tea_core.Packed.step} on the same stream,
-     the hot-prefix-then-search dispatch the pass's cost model prices). *)
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let sample img =
-    let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_compiled c in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let sample_step img =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let s = ref Tea_core.Automaton.nte in
-      for i = 0 to len - 1 do
-        s := Tea_core.Packed.step img !s (Array.unsafe_get starts i)
-      done;
-      ignore (Sys.opaque_identity !s)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let interleaved f =
-    let best_b = ref infinity and best_t = ref infinity in
-    for round = 0 to 5 do
-      let b = f flat in
-      let t = f tuned in
-      if round > 0 then begin
-        if b < !best_b then best_b := b;
-        if t < !best_t then best_t := t
-      end
-    done;
-    (!best_b, !best_t)
-  in
-  let best_b, best_t = interleaved sample in
-  let step_b, step_t = interleaved sample_step in
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    rr_name = name;
-    rr_hot = List.mem_assoc name repack_micro_set;
-    rr_blocks = len;
-    rr_base_ns = ns best_b;
-    rr_base_step_ns = ns step_b;
-    rr_base_cycles = base_cycles;
-    rr_tuned_ns = ns best_t;
-    rr_tuned_step_ns = ns step_t;
-    rr_tuned_cycles = tuned_cycles;
-    rr_hot_edges = Tea_core.Packed.hot_edges tuned;
-    rr_moved = Tea_opt.Repack.moved_states tuned;
-  }
+let row ?(jobs = 1) workload engine metric value =
+  { workload; engine; jobs; metric; value }
 
-let repack_json ~smoke ~strategy rows ~geo_replay ~geo_step ~geo_hot
-    ~geo_cycles =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"repack\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"hot_prefix_cap\": %d,\n" Tea_opt.Repack.default_hot_prefix;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add "    {\"name\": %S, \"hot\": %b, \"blocks\": %d,\n" r.rr_name
-        r.rr_hot r.rr_blocks;
-      add
-        "     \"baseline\": {\"replay_ns_per_block\": %.2f, \"step_ns\": \
-         %.2f, \"sim_cycles\": %d},\n"
-        r.rr_base_ns r.rr_base_step_ns r.rr_base_cycles;
-      add
-        "     \"repacked\": {\"replay_ns_per_block\": %.2f, \"step_ns\": \
-         %.2f, \"sim_cycles\": %d, \"hot_edges\": %d, \"moved_states\": \
-         %d},\n"
-        r.rr_tuned_ns r.rr_tuned_step_ns r.rr_tuned_cycles r.rr_hot_edges
-        r.rr_moved;
-      add
-        "     \"replay_speedup\": %.3f, \"step_speedup\": %.3f, \
-         \"cycle_ratio\": %.4f}%s\n"
-        (r.rr_base_ns /. r.rr_tuned_ns)
-        (r.rr_base_step_ns /. r.rr_tuned_step_ns)
-        (float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-        (if i = n - 1 then "" else ","))
+let rowi ?jobs workload engine metric n =
+  row ?jobs workload engine metric (float_of_int n)
+
+exception Invalid of string
+
+let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
+let expect cond fmt = Printf.ksprintf (fun s -> if not cond then raise (Invalid s)) fmt
+
+let value ?(jobs = 1) rows workload engine metric =
+  match
+    List.find_opt
+      (fun r ->
+        r.workload = workload && r.engine = engine && r.metric = metric
+        && r.jobs = jobs)
+      rows
+  with
+  | Some r -> r.value
+  | None -> invalid "missing row %s / %s / jobs %d / %s" workload engine jobs metric
+
+type spec = {
+  gates : string list;
+  workloads : smoke:bool -> string list;  (** exactly the non-"*" workloads *)
+  derive : smoke:bool -> row list -> row list;
+  check : smoke:bool -> row list -> unit;
+}
+
+let close_to a b = abs_float (a -. b) <= (1e-3 *. abs_float b) +. 1e-9
+
+(* The checks every file gets, then its mode's own. Raises [Invalid]. *)
+let check_rows spec ~smoke ~gates rows =
+  List.iter
+    (fun g -> expect (List.mem g gates) "required gate missing: %S" g)
+    spec.gates;
+  let seen = Hashtbl.create 256 in
+  List.iter
+    (fun r ->
+      let key = (r.workload, r.engine, r.jobs, r.metric) in
+      expect (not (Hashtbl.mem seen key)) "duplicate row %s / %s / %s"
+        r.workload r.engine r.metric;
+      Hashtbl.add seen key ();
+      expect
+        (Float.is_finite r.value && r.value >= 0.0)
+        "%s / %s / %s: value %g is not a finite non-negative number"
+        r.workload r.engine r.metric r.value;
+      expect (r.jobs >= 1) "%s / %s: jobs %d < 1" r.workload r.engine r.jobs)
     rows;
-  add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_replay;
-  add "  \"geomean_step_speedup_all\": %.3f,\n" geo_step;
-  add "  \"geomean_step_speedup_hot\": %.3f,\n" geo_hot;
-  add "  \"geomean_cycle_ratio\": %.4f\n" geo_cycles;
-  Buffer.contents buf ^ "}\n"
-
-let run_repack ~smoke =
-  let strategy_name = "ctt" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
-  progress "[bench] repack: %d workloads, %s traces, profile-guided layout..."
-    (List.length names) strategy_name;
-  let rows =
-    List.map
-      (fun name ->
-        let r = run_repack_one ~strategy name in
-        Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  step %5.1f -> %5.1f ns \
-           (%.2fx)  cycles %.3fx  %d hot edges, %d moved\n%!"
-          r.rr_name r.rr_base_ns r.rr_tuned_ns
-          (r.rr_base_ns /. r.rr_tuned_ns)
-          r.rr_base_step_ns r.rr_tuned_step_ns
-          (r.rr_base_step_ns /. r.rr_tuned_step_ns)
-          (float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-          r.rr_hot_edges r.rr_moved;
-        r)
-      names
-  in
-  let geo f = Tea_report.Stats.geomean (List.map f rows) in
-  let step_speedup r = r.rr_base_step_ns /. r.rr_tuned_step_ns in
-  let geo_replay = geo (fun r -> r.rr_base_ns /. r.rr_tuned_ns) in
-  let geo_step = geo step_speedup in
-  let geo_hot =
-    Tea_report.Stats.geomean
+  let covered =
+    List.sort_uniq compare
       (List.filter_map
-         (fun r -> if r.rr_hot then Some (step_speedup r) else None)
+         (fun r -> if r.workload = "*" then None else Some r.workload)
          rows)
   in
-  let geo_cycles =
-    geo (fun r ->
-        float_of_int r.rr_tuned_cycles /. float_of_int r.rr_base_cycles)
-  in
-  Printf.printf
-    "geomean replay speedup %.2fx; step speedup %.2fx all, %.2fx hot-loop \
-     (target >= 1.2x); cycle ratio %.3fx\n"
-    geo_replay geo_step geo_hot geo_cycles;
-  let json =
-    repack_json ~smoke ~strategy:strategy_name rows ~geo_replay ~geo_step
-      ~geo_hot ~geo_cycles
-  in
-  let oc = open_out "BENCH_repack.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_repack.json (%d workloads)" (List.length rows)
+  let want = List.sort_uniq compare (spec.workloads ~smoke) in
+  expect (covered = want) "workloads [%s], expected [%s]"
+    (String.concat ", " covered) (String.concat ", " want);
+  List.iter
+    (fun d ->
+      let v = value ~jobs:d.jobs rows d.workload d.engine d.metric in
+      expect (close_to v d.value) "%s / %s / %s: %g, recomputed %g" d.workload
+        d.engine d.metric v d.value)
+    (spec.derive ~smoke rows);
+  spec.check ~smoke rows
 
-(* ---- superstate fusion: the BENCH_fuse.json trajectory ----
+(* Shortest exact text for integers, six significant digits otherwise. *)
+let num v =
+  if Float.is_integer v && abs_float v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
 
-   For every workload: record MRET traces (superblocks give every state at
-   most one in-trace successor — the chain-rich shape fusion targets),
-   freeze, profile-repack on the captured stream (the repacked image is
-   the baseline), fuse the repacked image, then time compiled replay of
-   both images over the identical stream. One hard gate per workload
-   (exit 1): the full replay snapshot — per-TBB counts, coverage,
-   enters/exits, transition stats and simulated cycles — must be
-   bit-identical between the two images. Fusion is a pure dispatch-cost
-   optimization; any observable difference is a bug.
-
-   The speedup target is scoped to loop-dominated workloads: the hot-loop
-   micros plus every workload whose replay stream spends >= 50% of its
-   steps inside fused chains (measured with the probe counters on one
-   extra fused run). Straight-line or cold-dominated workloads fall back
-   to the ordinary per-state closures and are expected near 1.0x; they
-   are reported and floor-checked, not geomean-gated. *)
-
-type fuse_row = {
-  fu_name : string;
-  fu_loopy : bool;
-  fu_blocks : int;
-  fu_fraction : float;  (** share of replay steps handled inside chains *)
-  fu_chains : int;
-  fu_cyclic : int;
-  fu_states : int;  (** states covered by chains *)
-  fu_base_ns : float;  (** PGO-repacked replay, ns/block *)
-  fu_fused_ns : float;
-  fu_cycles : int;  (** identical for both engines, by gate *)
-}
-
-let run_fuse_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  (* baseline: PR 4's best engine — profile-guided repacked *)
-  let baseline =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  (* profile-aware fusion: re-collect over the repacked layout so chain
-     selection sees this stream's continuation fractions *)
-  let profile = Tea_opt.Repack.collect baseline starts ~len in
-  let fused = Tea_opt.Fuse.fuse ~profile baseline in
-  let run_once img =
-    let rep = compiled_replayer img in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len;
-    rep
-  in
-  let base_rep = run_once baseline and fused_rep = run_once fused in
-  if
-    not
-      (Tea_parallel.Profile.equal
-         (Tea_parallel.Profile.of_replayer base_rep)
-         (Tea_parallel.Profile.of_replayer fused_rep))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: fused replay diverged from the repacked baseline\n"
-      name;
-    exit 1
-  end;
-  (* chain coverage of the stream, from the probe counters (skipped when
-     the harness itself runs under --telemetry/--metrics — the probe set
-     is already installed and owned by the driver) *)
-  let fraction =
-    if Tea_telemetry.Probe.enabled () then 0.0
-    else begin
-      Tea_telemetry.Probe.install ();
-      ignore (run_once fused);
-      let snap = Tea_telemetry.Probe.uninstall () in
-      let c k =
-        Option.value
-          (List.assoc_opt k snap.Tea_telemetry.Metrics.s_counters)
-          ~default:0
-      in
-      let steps = c "replayer.steps" in
-      if steps = 0 then 0.0
-      else float_of_int (c "packed.fused_steps") /. float_of_int steps
-    end
-  in
-  (* interleaved best-of-5 timing after one warmup, as in the repack
-     bench: one replay of a short stream is microseconds, so each sample
-     times [reps] back-to-back replays of the image compiled once *)
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let sample img =
-    let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      let rep = Tea_core.Replayer.create_compiled c in
-      Tea_core.Replayer.feed_run rep ~insns starts ~len
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_b = ref infinity and best_f = ref infinity in
-  for round = 0 to 5 do
-    let b = sample baseline in
-    let f = sample fused in
-    if round > 0 then begin
-      if b < !best_b then best_b := b;
-      if f < !best_f then best_f := f
-    end
-  done;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    fu_name = name;
-    fu_loopy = List.mem_assoc name repack_micro_set || fraction >= 0.5;
-    fu_blocks = len;
-    fu_fraction = fraction;
-    fu_chains = Tea_core.Packed.n_chains fused;
-    fu_cyclic = Tea_core.Packed.n_cyclic_chains fused;
-    fu_states = Tea_core.Packed.fused_edges fused;
-    fu_base_ns = ns !best_b;
-    fu_fused_ns = ns !best_f;
-    fu_cycles = Tea_core.Replayer.cycles fused_rep;
-  }
-
-let fuse_json ~smoke ~strategy rows ~geo_all ~geo_loopy ~floor =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"fuse\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"min_chain\": %d,\n" Tea_opt.Fuse.default_min_chain;
-  add "  \"min_expected_run\": %.1f,\n" Tea_opt.Fuse.default_min_expected_run;
-  add "  \"min_coverage\": %.2f,\n" Tea_opt.Fuse.default_min_coverage;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
+(* Validate [rows] (plus the spec's derived rows, appended) and write
+   BENCH_<bench>.json. An invalid row set exits 1, writing nothing. *)
+let write_bench spec ~bench ~smoke rows =
+  let rows = rows @ spec.derive ~smoke rows in
+  let gates = spec.gates in
+  (try check_rows spec ~smoke ~gates rows
+   with Invalid msg -> die "%s: %s" bench msg);
+  let file = "BENCH_" ^ bench ^ ".json" in
+  let last = List.length rows - 1 in
+  let oc = open_out file in
+  Printf.fprintf oc "{\"bench\": %s, \"smoke\": %b,\n \"gates\": [%s],\n \"rows\": [\n"
+    (Json.escape bench) smoke
+    (String.concat ",\n  " (List.map Json.escape gates));
   List.iteri
     (fun i r ->
-      add
-        "    {\"name\": %S, \"loopy\": %b, \"blocks\": %d, \
-         \"fused_step_fraction\": %.4f,\n"
-        r.fu_name r.fu_loopy r.fu_blocks r.fu_fraction;
-      add
-        "     \"chains\": %d, \"cyclic_chains\": %d, \"fused_states\": %d, \
-         \"sim_cycles\": %d,\n"
-        r.fu_chains r.fu_cyclic r.fu_states r.fu_cycles;
-      add
-        "     \"baseline_replay_ns_per_block\": %.2f, \
-         \"fused_replay_ns_per_block\": %.2f, \"replay_speedup\": %.3f}%s\n"
-        r.fu_base_ns r.fu_fused_ns
-        (r.fu_base_ns /. r.fu_fused_ns)
-        (if i = n - 1 then "" else ","))
+      Printf.fprintf oc
+        "  {\"workload\": %s, \"engine\": %s, \"jobs\": %d, \"metric\": %s, \
+         \"value\": %s}%s\n"
+        (Json.escape r.workload) (Json.escape r.engine) r.jobs
+        (Json.escape r.metric) (num r.value)
+        (if i = last then "" else ","))
     rows;
-  add "  ],\n";
-  add "  \"geomean_replay_speedup_all\": %.3f,\n" geo_all;
-  add "  \"geomean_replay_speedup_loopy\": %.3f,\n" geo_loopy;
-  add "  \"min_replay_speedup\": %.3f\n" floor;
-  Buffer.contents buf ^ "}\n"
-
-let run_fuse ~smoke =
-  let strategy_name = "mret" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
-  progress "[bench] fuse: %d workloads, %s traces, superstate fusion over the repacked image..."
-    (List.length names) strategy_name;
-  let rows =
-    List.map
-      (fun name ->
-        let r = run_fuse_one ~strategy name in
-        Printf.printf
-          "%-16s replay %5.1f -> %5.1f ns (%.2fx)  %d chains (%d cyclic, %d \
-           states)  %4.1f%% fused steps%s\n%!"
-          r.fu_name r.fu_base_ns r.fu_fused_ns
-          (r.fu_base_ns /. r.fu_fused_ns)
-          r.fu_chains r.fu_cyclic r.fu_states
-          (100.0 *. r.fu_fraction)
-          (if r.fu_loopy then "  [loopy]" else "");
-        r)
-      names
-  in
-  let speedup r = r.fu_base_ns /. r.fu_fused_ns in
-  let geo_all = Tea_report.Stats.geomean (List.map speedup rows) in
-  let loopy = List.filter (fun r -> r.fu_loopy) rows in
-  let geo_loopy =
-    Tea_report.Stats.geomean (List.map speedup (if loopy = [] then rows else loopy))
-  in
-  let floor = List.fold_left (fun m r -> min m (speedup r)) infinity rows in
-  Printf.printf
-    "geomean replay speedup: %.2fx all, %.2fx loop-dominated (target >= \
-     1.3x); slowest workload %.2fx (floor 0.95x)\n"
-    geo_all geo_loopy floor;
-  if floor < 0.95 then
-    progress "[bench] WARNING: a workload regressed below the 0.95x floor";
-  let json = fuse_json ~smoke ~strategy:strategy_name rows ~geo_all ~geo_loopy ~floor in
-  let oc = open_out "BENCH_fuse.json" in
-  output_string oc json;
+  output_string oc " ]}\n";
   close_out oc;
-  progress "[bench] wrote BENCH_fuse.json (%d workloads)" (List.length rows)
+  progress "[bench] wrote %s (%d rows, %d gates held)" file (List.length rows)
+    (List.length gates)
 
-(* ---- closure-threaded dispatch: the BENCH_compile.json trajectory ----
+(* ---- the tuning ladder: the BENCH_ladder.json trajectory ----
 
-   For every workload: record condition-tree traces (branching spans are
-   the dispatch shapes closure compilation specializes), freeze,
-   profile-repack and fuse on the captured stream (compilation composes
-   over both passes), compile the tuned image, then time the closure
-   build and the compiled replay of the stream. Three hard gates per
-   workload (exit 1): the compiled TBB mapping must match the reference
-   transition engine's on the raw automaton, and the full profile and
-   the simulated cycles must be bit-identical to stepping the same tuned
-   image one address at a time ({!Tea_core.Replayer.feed_addr}, i.e.
-   {!Tea_core.Packed.step}). Compilation is a pure wall-clock
-   optimization — the per-step charges are captured from the same cost
-   tables at build time, so any observable drift is a bug.
+   For every workload, capture the PC stream once. For each trace
+   selection strategy, record traces and build three rungs on that
+   stream: the flat image, profile-guided repack, and profile-aware
+   fusion over the repacked layout. Condition-tree (ctt) traces give the
+   branching spans repacking reorders and closure compilation
+   specializes; MRET superblocks give the chain-rich shape fusion
+   targets. Hard gates, all enforced before anything is timed (exit 1):
+   - every rung's compiled TBB mapping equals the reference Transition
+     engine's on the raw automaton;
+   - every rung's compiled Profile (simulated cycles included) equals
+     step-at-a-time replay of the same image ({!Tea_core.Packed.step},
+     the cycle reference);
+   - repack never charges more simulated cycles than flat: the per-state
+     argmin always has the source layout as a candidate, so a violation
+     is a bug, not a tuning miss;
+   - fuse's Profile equals repack's: fusion is a pure dispatch-cost
+     optimization.
+   Then the compiled replay of all six rungs is timed, interleaved in the
+   same rounds. A fuse rung is loopy when at least half its replay steps
+   run inside fused chains, branchy otherwise. Wall-clock numbers are
+   machine-dependent and reported, not gated. *)
 
-   Rows are tagged branchy when their streams spend < 50% of their steps
-   inside fused chains, so dispatch walks spans per step — the shape the
-   straight-line compares target; chain-dominated streams replay through
-   bulk accounting. *)
+let ladder_strategies = [ "ctt"; "mret" ]
+let ladder_rungs = [ "flat"; "repack"; "fuse" ]
 
-type compile_row = {
-  co_name : string;
-  co_branchy : bool;  (** fused-step fraction < 0.5 — span-walk dominated *)
-  co_blocks : int;
-  co_fraction : float;  (** share of replay steps handled inside chains *)
-  co_closures : int;
-  co_fallback : int;  (** minihash-fallback states (fan-out > scan_cap) *)
-  co_chained : int;  (** fused-chain matcher closures *)
-  co_build_ms : float;  (** one {!Tea_core.Compiled.of_packed}, best of 5 *)
-  co_compiled_ns : float;
-  co_cycles : int;  (** identical to step-at-a-time, by gate *)
-}
+let ladder_workloads ~smoke =
+  if smoke then [ "micro:listscan"; "181.mcf" ]
+  else List.map fst micro_set @ Tea_workloads.Spec2000.names
 
-let run_compile_one ~strategy name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let auto = Tea_core.Builder.build traces in
-  let flat = Tea_core.Packed.freeze auto in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  (* the full tuning pipeline: profile-guided repack, then
-     profile-aware fusion over the repacked layout *)
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
+let ladder_gates =
+  [
+    "compiled TBB mapping == reference Transition engine, every rung";
+    "compiled Profile and cycles == step-at-a-time replay, every rung";
+    "repack sim_cycles <= flat sim_cycles";
+    "fuse Profile == repack Profile";
+  ]
+
+(* One workload: gate every rung, time them all, return its rows. *)
+let ladder_workload name =
+  let image = workload_image name in
+  let starts, insns, len = capture image in
+  let rungs =
+    List.concat_map
+      (fun strategy ->
+        let auto, flat = record ~strategy image in
+        let repacked, fused = tune flat starts ~len in
+        let reference =
+          Tea_core.Replayer.create
+            (Tea_core.Transition.create Tea_core.Transition.config_global_local
+               auto)
+        in
+        Tea_core.Replayer.feed_run reference ~insns starts ~len;
+        let gate rung img =
+          let engine = strategy ^ "/" ^ rung in
+          let _, step, comp =
+            Tea_opt.Compile.compiled_replay img ~insns starts ~len
+          in
+          if
+            Tea_core.Replayer.tbb_counts comp
+            <> Tea_core.Replayer.tbb_counts reference
+          then
+            die "%s %s: compiled TBB mapping diverged from the reference engine"
+              name engine;
+          let p = Tea_parallel.Profile.of_replayer comp in
+          if not (Tea_parallel.Profile.equal p (Tea_parallel.Profile.of_replayer step))
+          then
+            die
+              "%s %s: compiled Profile or cycles diverged from step-at-a-time \
+               replay"
+              name engine;
+          (rung, engine, img, p)
+        in
+        let ((_, _, _, pf) as f) = gate "flat" flat in
+        let ((_, _, _, pr) as r) = gate "repack" repacked in
+        let ((_, _, _, pu) as u) = gate "fuse" fused in
+        let cycles (p : Tea_parallel.Profile.t) = p.cycles in
+        if cycles pr > cycles pf then
+          die "%s %s: repacked charges more simulated cycles (%d > %d)" name
+            strategy (cycles pr) (cycles pf);
+        if not (Tea_parallel.Profile.equal pu pr) then
+          die "%s %s: fused replay diverged from the repacked rung" name strategy;
+        [ f; r; u ])
+      ladder_strategies
   in
-  let profile = Tea_opt.Repack.collect repacked starts ~len in
-  let fused = Tea_opt.Fuse.fuse ~profile repacked in
-  let compiled, step_rep, comp_rep =
-    Tea_opt.Compile.compiled_replay fused ~insns starts ~len
+  let reps = reps_for len in
+  let best =
+    interleaved_best
+      (List.map
+         (fun (_, _, img, _) -> replay_sampler ~reps img starts insns ~len)
+         rungs)
   in
-  (* gate 1: TBB mapping vs the paper-faithful reference engine on the
-     raw automaton — compilation must not even depend on the layout *)
-  let ref_rep =
-    Tea_core.Replayer.create
-      (Tea_core.Transition.create Tea_core.Transition.config_global_local auto)
-  in
-  Tea_core.Replayer.feed_run ref_rep ~insns starts ~len;
-  if Tea_core.Replayer.tbb_counts ref_rep <> Tea_core.Replayer.tbb_counts comp_rep
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled TBB mapping diverged from the reference \
-       engine\n"
-      name;
-    exit 1
-  end;
-  (* gates 2+3: full profile and simulated cycles vs step-at-a-time
-     replay of the same image *)
-  if
-    not
-      (Tea_parallel.Profile.equal
-         (Tea_parallel.Profile.of_replayer step_rep)
-         (Tea_parallel.Profile.of_replayer comp_rep))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled replay profile diverged from \
-       step-at-a-time replay\n"
-      name;
-    exit 1
-  end;
-  if Tea_core.Replayer.cycles comp_rep <> Tea_core.Replayer.cycles step_rep
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: compiled replay charges different simulated \
-       cycles (%d <> %d)\n"
-      name
-      (Tea_core.Replayer.cycles comp_rep)
-      (Tea_core.Replayer.cycles step_rep);
-    exit 1
-  end;
-  (* chain coverage of the stream, as in the fuse bench (skipped when the
-     driver itself owns the probe set) *)
-  let fraction =
-    if Tea_telemetry.Probe.enabled () then 0.0
-    else begin
-      Tea_telemetry.Probe.install ();
-      Tea_core.Replayer.feed_run (compiled_replayer fused) ~insns starts ~len;
-      let snap = Tea_telemetry.Probe.uninstall () in
-      let c k =
-        Option.value
-          (List.assoc_opt k snap.Tea_telemetry.Metrics.s_counters)
-          ~default:0
+  rowi name "capture" "blocks" len
+  :: List.concat
+       (List.mapi
+          (fun i (rung, engine, img, (p : Tea_parallel.Profile.t)) ->
+            let r = row name engine and ri = rowi name engine in
+            let extra =
+              match rung with
+              | "repack" ->
+                  [
+                    ri "hot_edges" (Tea_core.Packed.hot_edges img);
+                    ri "moved_states" (Tea_opt.Repack.moved_states img);
+                  ]
+              | "fuse" ->
+                  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+                  [
+                    r "fused_step_fraction"
+                      (float_of_int (fused_steps img starts insns ~len)
+                      /. float_of_int (max 1 len));
+                    ri "chains" (Tea_core.Packed.n_chains img);
+                    ri "cyclic_chains" (Tea_core.Packed.n_cyclic_chains img);
+                    ri "fused_states" (Tea_core.Packed.fused_edges img);
+                    ri "closures" (Tea_core.Compiled.n_closures c);
+                    ri "chain_matchers" (Tea_core.Compiled.chained_states c);
+                    ri "minihash_fallback_states"
+                      (Tea_core.Compiled.fallback_states c);
+                  ]
+              | _ -> []
+            in
+            ri "sim_cycles" p.cycles
+            :: r "ns_per_block" (1e9 *. best.(i) /. float_of_int (reps * len))
+            :: extra)
+          rungs)
+
+(* The summary rows, from the per-workload rows: per rung, the geomean
+   ns/block; per tuning step, the geomean and slowest speedup over the
+   rung below and the geomean cycle ratio; for fusion, the speedup over
+   loopy workloads and the ns/block over branchy ones (each falling back
+   to every workload when the class is empty); and the tuning passes'
+   configuration. *)
+let ladder_summary ~smoke rows =
+  let workloads = ladder_workloads ~smoke in
+  let geo f ws = Tea_report.Stats.geomean (List.map f (if ws = [] then workloads else ws)) in
+  List.concat_map
+    (fun s ->
+      let e rung = s ^ "/" ^ rung in
+      let v rung m w = value rows w (e rung) m in
+      let ns rung = v rung "ns_per_block" in
+      let loopy, branchy =
+        List.partition (fun w -> v "fuse" "fused_step_fraction" w >= 0.5) workloads
       in
-      let steps = c "replayer.steps" in
-      if steps = 0 then 0.0
-      else float_of_int (c "packed.fused_steps") /. float_of_int steps
-    end
-  in
-  (* closure build, then replay, each best of 5 after one warmup. The
-     replay reuses one compiled image: of_packed is a one-time cost per
-     image (per session in the daemon), reported as its own column *)
-  let best_of_5 f =
-    let best = ref infinity in
-    for round = 0 to 5 do
-      let dt = f () in
-      if round > 0 && dt < !best then best := dt
-    done;
-    !best
-  in
-  (* a micro's build is well under the timer's resolution, so a sample
-     repeats builds for at least 2 ms and reports the mean *)
-  let build =
-    best_of_5 (fun () ->
-        let img = Tea_core.Packed.dup fused in
-        let t0 = Unix.gettimeofday () in
-        let n = ref 0 and dt = ref 0.0 in
-        while !dt < 2e-3 do
-          ignore (Sys.opaque_identity (Tea_core.Compiled.of_packed img));
-          incr n;
-          dt := Unix.gettimeofday () -. t0
-        done;
-        !dt /. float_of_int !n)
-  in
-  let timed = Tea_opt.Compile.compile (Tea_core.Packed.dup fused) in
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let replay =
-    best_of_5 (fun () ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          let rep = Tea_core.Replayer.create_compiled timed in
-          Tea_core.Replayer.feed_run rep ~insns starts ~len
-        done;
-        Unix.gettimeofday () -. t0)
-  in
+      List.map
+        (fun rung -> row "*" (e rung) "geomean_ns_per_block" (geo (ns rung) []))
+        ladder_rungs
+      @ List.concat_map
+          (fun (lo, hi) ->
+            let speedup w = ns lo w /. ns hi w in
+            [
+              row "*" (e hi) "geomean_speedup" (geo speedup []);
+              row "*" (e hi) "min_speedup"
+                (List.fold_left (fun m w -> min m (speedup w)) infinity workloads);
+              row "*" (e hi) "geomean_cycle_ratio"
+                (geo (fun w -> v hi "sim_cycles" w /. v lo "sim_cycles" w) []);
+            ])
+          [ ("flat", "repack"); ("repack", "fuse") ]
+      @ [
+          row "*" (e "fuse") "geomean_speedup_loopy"
+            (geo (fun w -> ns "repack" w /. ns "fuse" w) loopy);
+          row "*" (e "fuse") "geomean_ns_per_block_branchy"
+            (geo (ns "fuse") branchy);
+        ])
+    ladder_strategies
+  @ [
+      rowi "*" "config" "hot_prefix_cap" Tea_opt.Repack.default_hot_prefix;
+      rowi "*" "config" "min_chain" Tea_opt.Fuse.default_min_chain;
+      row "*" "config" "min_expected_run" Tea_opt.Fuse.default_min_expected_run;
+      row "*" "config" "min_coverage" Tea_opt.Fuse.default_min_coverage;
+      rowi "*" "config" "scan_cap" Tea_core.Compiled.scan_cap;
+    ]
+
+(* every rung's metrics, beyond the sim_cycles and ns_per_block all carry *)
+let ladder_rung_metrics = function
+  | "repack" -> [ "hot_edges"; "moved_states" ]
+  | "fuse" ->
+      [
+        "fused_step_fraction"; "chains"; "cyclic_chains"; "fused_states";
+        "closures"; "chain_matchers"; "minihash_fallback_states";
+      ]
+  | _ -> []
+
+let ladder_check ~smoke rows =
+  List.iter
+    (fun w ->
+      expect (value rows w "capture" "blocks" > 0.0) "%s: no blocks" w;
+      List.iter
+        (fun s ->
+          let v rung m = value rows w (s ^ "/" ^ rung) m in
+          List.iter
+            (fun rung ->
+              expect (v rung "sim_cycles" > 0.0) "%s %s/%s: no cycles" w s rung;
+              expect (v rung "ns_per_block" > 0.0) "%s %s/%s: no time" w s rung;
+              List.iter (fun m -> ignore (v rung m)) (ladder_rung_metrics rung))
+            ladder_rungs;
+          expect
+            (v "repack" "sim_cycles" <= v "flat" "sim_cycles")
+            "%s %s: repack charges more cycles than flat" w s;
+          expect
+            (v "fuse" "sim_cycles" = v "repack" "sim_cycles")
+            "%s %s: fuse cycles differ from repack" w s;
+          expect
+            (v "fuse" "fused_step_fraction" <= 1.0)
+            "%s %s: fused-step fraction above 1" w s;
+          expect
+            (v "fuse" "cyclic_chains" <= v "fuse" "chains")
+            "%s %s: more cyclic chains than chains" w s;
+          expect (v "fuse" "closures" > 0.0) "%s %s: no closures" w s)
+        ladder_strategies)
+    (ladder_workloads ~smoke);
+  List.iter
+    (fun s ->
+      expect
+        (value rows "*" (s ^ "/repack") "geomean_cycle_ratio" <= 1.0)
+        "%s: repacking raised geomean simulated cycles" s)
+    ladder_strategies;
+  expect
+    (List.exists
+       (fun r -> r.metric = "fused_step_fraction" && r.value < 0.5)
+       rows)
+    "no branchy fuse rung";
+  expect (value rows "*" "config" "min_chain" >= 1.0) "min_chain < 1";
+  expect (value rows "*" "config" "min_expected_run" > 0.0) "min_expected_run <= 0";
+  expect
+    (let c = value rows "*" "config" "min_coverage" in
+     c > 0.0 && c <= 1.0)
+    "min_coverage outside (0, 1]";
+  expect (value rows "*" "config" "scan_cap" >= 2.0) "scan_cap < 2"
+
+let ladder_spec =
   {
-    co_name = name;
-    co_branchy = fraction < 0.5;
-    co_blocks = len;
-    co_fraction = fraction;
-    co_closures = Tea_core.Compiled.n_closures compiled;
-    co_fallback = Tea_core.Compiled.fallback_states compiled;
-    co_chained = Tea_core.Compiled.chained_states compiled;
-    co_build_ms = 1e3 *. build;
-    co_compiled_ns = 1e9 *. replay /. float_of_int (reps * len);
-    co_cycles = Tea_core.Replayer.cycles comp_rep;
+    gates = ladder_gates;
+    workloads = ladder_workloads;
+    derive = ladder_summary;
+    check = ladder_check;
   }
 
-let compile_json ~smoke ~strategy rows ~geo_ns ~geo_branchy_ns ~max_build =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"compile\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"scan_cap\": %d,\n" Tea_core.Compiled.scan_cap;
-  add "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": %S, \"branchy\": %b, \"blocks\": %d, \
-         \"fused_step_fraction\": %.4f,\n"
-        r.co_name r.co_branchy r.co_blocks r.co_fraction;
-      add
-        "     \"closures\": %d, \"minihash_fallback_states\": %d, \
-         \"chain_matchers\": %d, \"sim_cycles\": %d,\n"
-        r.co_closures r.co_fallback r.co_chained r.co_cycles;
-      add
-        "     \"closure_build_ms\": %.5f, \"compiled_replay_ns_per_block\": \
-         %.2f}%s\n"
-        r.co_build_ms r.co_compiled_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"geomean_compiled_ns_per_block_all\": %.3f,\n" geo_ns;
-  add "  \"geomean_compiled_ns_per_block_branchy\": %.3f,\n" geo_branchy_ns;
-  add "  \"max_closure_build_ms\": %.5f\n" max_build;
-  Buffer.contents buf ^ "}\n"
-
-let run_compile ~smoke =
-  let strategy_name = "ctt" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let names =
-    if smoke then [ "micro:listscan"; "181.mcf" ]
-    else List.map fst repack_micro_set @ Tea_workloads.Spec2000.names
-  in
+let run_ladder ~smoke =
+  let names = ladder_workloads ~smoke in
   progress
-    "[bench] compile: %d workloads, %s traces, closure-threaded dispatch \
-     over the repacked+fused image..."
-    (List.length names) strategy_name;
+    "[bench] ladder: %d workloads x %s traces, flat -> repack -> fuse, \
+     compiled replay..."
+    (List.length names)
+    (String.concat "/" ladder_strategies);
   let rows =
-    List.map
+    List.concat_map
       (fun name ->
-        let r = run_compile_one ~strategy name in
-        Printf.printf
-          "%-16s build %8.5f ms  replay %5.1f ns/block  %d closures (%d \
-           minihash, %d chain matchers)  %4.1f%% fused steps%s\n%!"
-          r.co_name r.co_build_ms r.co_compiled_ns r.co_closures r.co_fallback
-          r.co_chained
-          (100.0 *. r.co_fraction)
-          (if r.co_branchy then "  [branchy]" else "");
-        r)
+        let rows = ladder_workload name in
+        List.iter
+          (fun s ->
+            let v rung m = value rows name (s ^ "/" ^ rung) m in
+            let ns rung = v rung "ns_per_block" in
+            let frac = v "fuse" "fused_step_fraction" in
+            Printf.printf
+              "%-16s %-4s flat %5.1f  repack %5.1f ns (%.2fx, cycles %.3fx)  \
+               fuse %5.1f ns (%.2fx)  %4.1f%% fused steps  [%s]\n%!"
+              name s (ns "flat") (ns "repack")
+              (ns "flat" /. ns "repack")
+              (v "repack" "sim_cycles" /. v "flat" "sim_cycles")
+              (ns "fuse")
+              (ns "repack" /. ns "fuse")
+              (100.0 *. frac)
+              (if frac >= 0.5 then "loopy" else "branchy"))
+          ladder_strategies;
+        rows)
       names
   in
-  let geo rows =
-    Tea_report.Stats.geomean (List.map (fun r -> r.co_compiled_ns) rows)
-  in
-  let geo_ns = geo rows in
-  let branchy = List.filter (fun r -> r.co_branchy) rows in
-  let geo_branchy_ns = geo (if branchy = [] then rows else branchy) in
-  let max_build = List.fold_left (fun m r -> max m r.co_build_ms) 0.0 rows in
-  Printf.printf
-    "geomean compiled replay %.2f ns/block all, %.2f ns/block branchy; \
-     slowest closure build %.5f ms\n"
-    geo_ns geo_branchy_ns max_build;
-  let json =
-    compile_json ~smoke ~strategy:strategy_name rows ~geo_ns ~geo_branchy_ns
-      ~max_build
-  in
-  let oc = open_out "BENCH_compile.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_compile.json (%d workloads, identity gates \
-            passed)"
-    (List.length rows)
+  List.iter
+    (fun r ->
+      if r.workload = "*" && r.engine <> "config" then
+        Printf.printf "%-12s %-28s %.3f\n" r.engine r.metric r.value)
+    (ladder_summary ~smoke rows);
+  write_bench ladder_spec ~bench:"ladder" ~smoke rows
 
 (* ---- adversarial scenarios: the BENCH_scenario.json trajectory ----
 
@@ -1169,13 +856,13 @@ let run_compile ~smoke =
    multi-asid interleaving (round-robin and seeded-random schedules over
    all bases at once), self-modifying code (periodic invalidation per
    base) and mid-trace interrupts (a periodic signal per base). Every row
-   enforces the PR's hard gate before it is timed — demuxed replay
+   enforces its hard gate before it is timed — demuxed replay
    (sequential [Multi_replayer] AND demux-first sharding at jobs 2 and 4,
    over flat AND repack+fuse-tuned per-asid images) must produce per-asid
    Profile snapshots equal to replaying each asid's projection in
    isolation; any divergence exits 1. Timing is the sequential demuxed
-   replay of the synthesized event file (decode included), best-of-5
-   after one warmup. *)
+   replay of the synthesized event file over the flat images (decode
+   included), best-of-5 after one warmup. *)
 
 module Scenario = Tea_workloads.Scenario
 
@@ -1185,35 +872,40 @@ type scn_prep = {
   sp_tuned : Tea_core.Packed.t;  (** repacked then fused on its own stream *)
 }
 
-let scn_prep ~strategy asid name =
-  let image = repack_image name in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
+let scn_prep asid name =
+  let image = workload_image name in
+  let _, flat = record ~strategy:"mret" image in
   let path = Filename.temp_file "tea_bench" ".trc" in
   let _ = Tea_pinsim.Trace_capture.record image path in
   let stream = Scenario.load_stream ~asid ~name path in
   Sys.remove path;
-  let starts = stream.Scenario.starts and len = stream.Scenario.len in
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  let tuned =
-    Tea_opt.Fuse.fuse
-      ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-      repacked
+  let _, tuned =
+    tune flat stream.Scenario.starts ~len:stream.Scenario.len
   in
   { sp_stream = stream; sp_flat = flat; sp_tuned = tuned }
 
-type scenario_row = {
-  sc_label : string;
-  sc_kind : string;
-  sc_asids : int;
-  sc_events : int;
-  sc_blocks : int;
-  sc_runs : int;  (** per-asid NTE-entry runs after invalidation/interrupt cuts *)
-  sc_ns : float;  (** sequential demuxed replay, ns/event, decode included *)
-}
+let scn_engines = [ "flat"; "repack+fuse" ]
+
+let scn_gates =
+  List.concat_map
+    (fun engine ->
+      List.map
+        (Printf.sprintf
+           "%s demuxed == isolated per-asid Profile equality, jobs %d" engine)
+        [ 1; 2; 4 ])
+    scn_engines
+
+let scn_bases ~smoke =
+  if smoke then [ "micro:listscan"; "micro:copy"; "181.mcf" ]
+  else [ "micro:listscan"; "micro:copy"; "micro:branchy"; "181.mcf"; "164.gzip" ]
+
+(* Row labels: two interleavings over all bases, then one smc and one
+   interrupt row per base. *)
+let scn_workloads ~smoke =
+  let bases = scn_bases ~smoke in
+  [ "interleave-rr"; "interleave-rand" ]
+  @ List.map (( ^ ) "smc:") bases
+  @ List.map (( ^ ) "interrupt:") bases
 
 let scn_snap_eq a b =
   List.length a = List.length b
@@ -1221,31 +913,26 @@ let scn_snap_eq a b =
        (fun (x, p) (y, q) -> x = y && Tea_parallel.Profile.equal p q)
        a b
 
-let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
+let run_scenario_row ~label (preps : scn_prep array) scn =
   let file = Filename.temp_file "tea_scn" ".trc" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n_events = Scenario.write_file file scn in
   let gate engine img_for =
     let make a = compiled_replayer (img_for a) in
     let isolated = Tea_core.Multi_replayer.replay_isolated make file in
-    let check how demuxed =
-      if not (scn_snap_eq demuxed isolated) then begin
-        Printf.eprintf
-          "[bench] ERROR: %s: %s demuxed replay (%s) diverged from isolated \
-           per-asid replay\n"
-          label engine how;
-        exit 1
-      end
+    let check jobs demuxed =
+      if not (scn_snap_eq demuxed isolated) then
+        die "%s: %s demuxed replay (jobs %d) diverged from isolated per-asid \
+             replay"
+          label engine jobs
     in
-    check "sequential"
+    check 1
       (Tea_core.Multi_replayer.snapshots
          (Tea_core.Multi_replayer.replay_events make file));
     List.iter
       (fun jobs ->
         Tea_parallel.Pool.with_pool ~jobs (fun pool ->
-            check
-              (Printf.sprintf "jobs %d" jobs)
-              (Tea_parallel.Shard.replay_events pool img_for file)))
+            check jobs (Tea_parallel.Shard.replay_events pool img_for file)))
       [ 2; 4 ]
   in
   gate "flat" (fun a -> preps.(a).sp_flat);
@@ -1260,270 +947,83 @@ let run_scenario_row ~label ~kind (preps : scn_prep array) scn =
   let n_runs = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 runs in
   let make_flat a = compiled_replayer preps.(a).sp_flat in
   let reps = 1 + (500_000 / max 1 n_events) in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Tea_core.Multi_replayer.replay_events make_flat file)
-    done;
-    Unix.gettimeofday () -. t0
+  let best =
+    interleaved_best
+      [
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to reps do
+            ignore (Tea_core.Multi_replayer.replay_events make_flat file)
+          done;
+          Unix.gettimeofday () -. t0);
+      ]
   in
-  let best = ref infinity in
-  for round = 0 to 5 do
-    let dt = sample () in
-    if round > 0 && dt < !best then best := dt
-  done;
+  let ns = 1e9 *. best.(0) /. float_of_int (reps * n_events) in
+  Printf.printf
+    "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
+     [gate ok]\n%!"
+    label (List.length runs) n_events blocks n_runs ns;
+  let r = rowi label "flat" in
+  [
+    r "asids" (List.length runs);
+    r "events" n_events;
+    r "blocks" blocks;
+    r "runs" n_runs;
+    row label "flat" "ns_per_event" ns;
+  ]
+
+let scn_check ~smoke rows =
+  let n_bases = List.length (scn_bases ~smoke) in
+  List.iter
+    (fun w ->
+      let v = value rows w "flat" in
+      expect (v "events" >= v "blocks" && v "blocks" > 0.0)
+        "%s: events < blocks or no blocks" w;
+      expect (v "runs" >= 1.0) "%s: no runs" w;
+      expect (v "ns_per_event" > 0.0) "%s: no time" w;
+      let want = if String.starts_with ~prefix:"interleave" w then n_bases else 1 in
+      expect (v "asids" = float_of_int want) "%s: %g asids, expected %d" w
+        (v "asids") want)
+    (scn_workloads ~smoke)
+
+let scenario_spec =
   {
-    sc_label = label;
-    sc_kind = kind;
-    sc_asids = List.length runs;
-    sc_events = n_events;
-    sc_blocks = blocks;
-    sc_runs = n_runs;
-    sc_ns = 1e9 *. !best /. float_of_int (reps * n_events);
+    gates = scn_gates;
+    workloads = scn_workloads;
+    derive = (fun ~smoke:_ _ -> []);
+    check = scn_check;
   }
 
-let scenario_json ~smoke ~strategy ~bases rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"scenario\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"strategy\": %S,\n" strategy;
-  add "  \"bases\": [%s],\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") bases));
-  add "  \"jobs_gated\": [1, 2, 4],\n";
-  add "  \"engines_gated\": [\"flat\", \"repack+fuse\"],\n";
-  add "  \"gate\": \"demuxed == isolated per-asid Profile equality\",\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": %S, \"kind\": %S, \"asids\": %d, \"events\": %d, \
-         \"blocks\": %d, \"runs\": %d, \"replay_ns_per_event\": %.2f}%s\n"
-        r.sc_label r.sc_kind r.sc_asids r.sc_events r.sc_blocks r.sc_runs
-        r.sc_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
-
 let run_scenario ~smoke =
-  let strategy_name = "mret" in
-  let strategy = Option.get (Tea_traces.Registry.by_name strategy_name) in
-  let bases =
-    if smoke then [ "micro:listscan"; "micro:copy"; "181.mcf" ]
-    else [ "micro:listscan"; "micro:copy"; "micro:branchy"; "181.mcf"; "164.gzip" ]
-  in
+  let bases = scn_bases ~smoke in
   progress
-    "[bench] scenario: %d bases, %s traces, gating demuxed vs isolated at \
+    "[bench] scenario: %d bases, mret traces, gating demuxed vs isolated at \
      jobs 1/2/4, flat and repack+fuse..."
-    (List.length bases) strategy_name;
-  let preps =
-    Array.of_list (List.mapi (fun i n -> scn_prep ~strategy i n) bases)
-  in
+    (List.length bases);
+  let preps = Array.of_list (List.mapi scn_prep bases) in
   let streams = Array.to_list (Array.map (fun p -> p.sp_stream) preps) in
   let interrupt_every s = max 32 (s.Scenario.len / 8) in
-  let rows =
-    [ ("interleave-rr", "interleave",
+  let scenarios =
+    [ ("interleave-rr",
        Scenario.interleave ~quantum:8 ~schedule:Scenario.Round_robin streams);
-      ("interleave-rand", "interleave",
+      ("interleave-rand",
        Scenario.interleave ~quantum:8 ~schedule:(Scenario.Random_sched 42)
          streams) ]
     @ List.map
-        (fun s ->
-          ("smc:" ^ s.Scenario.name, "smc", Scenario.smc ~period:64 s))
+        (fun s -> ("smc:" ^ s.Scenario.name, Scenario.smc ~period:64 s))
         streams
     @ List.map
         (fun s ->
-          ( "interrupt:" ^ s.Scenario.name, "interrupt",
+          ( "interrupt:" ^ s.Scenario.name,
             Scenario.interrupt ~every:(interrupt_every s) s ))
         streams
   in
   let rows =
-    List.map
-      (fun (label, kind, scn) ->
-        let r = run_scenario_row ~label ~kind preps scn in
-        Printf.printf
-          "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
-           [gate ok]\n%!"
-          r.sc_label r.sc_asids r.sc_events r.sc_blocks r.sc_runs r.sc_ns;
-        r)
-      rows
-  in
-  let json = scenario_json ~smoke ~strategy:strategy_name ~bases rows in
-  let oc = open_out "BENCH_scenario.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_scenario.json (%d rows, all gates passed)"
-    (List.length rows)
-
-(* ---- replay-as-a-service: the BENCH_serve.json trajectory ----
-
-   Rows measure daemon ingest throughput: 8 concurrent client domains
-   stream a workload's captured PC-trace over a unix socket (half as raw
-   v2, half re-encoded as a 2-asid v3 event stream), plus one adversarial
-   mid-stream disconnect, into a single shared packed image at jobs
-   1/2/4. Every row enforces the daemon gate before it is reported: the
-   fleet profile folded from the concurrent sessions must equal the
-   sequential offline replay of the same streams; any divergence exits
-   1. *)
-
-type serve_row = {
-  sv_base : string;
-  sv_jobs : int;
-  sv_sessions : int;
-  sv_blocks : int;  (** total across completed sessions *)
-  sv_bytes : int;  (** trace bytes ingested *)
-  sv_wall_ms : float;
-  sv_ns : float;  (** wall ns per replayed block *)
-}
-
-let serve_session_streams captured_path ~sessions =
-  let v2 = Tea_core.Pc_trace.read_all captured_path in
-  (* the v3 variant: the same block stream cut into 64-block quanta
-     alternating between two asids — the daemon demuxes it per session *)
-  let v3 =
-    let tmp = Filename.temp_file "tea_bench_v3" ".trc" in
-    let w = Tea_core.Pc_trace.open_writer ~format:Tea_core.Pc_trace.V3 tmp in
-    let i = ref 0 in
-    Tea_core.Pc_trace.fold_events captured_path () (fun () ~asid:_ ev ->
-        (match ev with
-        | Tea_core.Pc_trace.Block _ ->
-            if !i mod 64 = 0 then
-              Tea_core.Pc_trace.switch_asid w (!i / 64 mod 2);
-            incr i
-        | _ -> ());
-        Tea_core.Pc_trace.write_event w ev);
-    Tea_core.Pc_trace.close_writer w;
-    let s = Tea_core.Pc_trace.read_all tmp in
-    Sys.remove tmp;
-    s
-  in
-  List.init sessions (fun i -> if i mod 2 = 0 then v2 else v3)
-
-let run_serve_row ~base ~jobs ~streams image =
-  let sock = Filename.temp_file "tea_bench_serve" ".sock" in
-  Sys.remove sock;
-  let srv =
-    Tea_serve.Server.create ~offline_check:true ~jobs ~image
-      (Tea_serve.Frame.Unix_sock sock)
-  in
-  Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
-  let addr = Tea_serve.Server.addr srv in
-  let n = List.length streams in
-  let driver =
-    Domain.spawn (fun () -> Tea_serve.Server.run ~until_sessions:(n + 1) srv)
-  in
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    List.map
-      (fun s ->
-        Domain.spawn (fun () ->
-            ignore (Tea_serve.Client.replay_string ~chunk:8192 addr s)))
-      streams
-  in
-  (* the rude client: a prefix of a stream, then a close with no end *)
-  let fd = Tea_serve.Frame.connect addr in
-  Tea_serve.Frame.send fd Tea_serve.Frame.tag_data
-    (String.sub (List.hd streams) 0 100);
-  Unix.close fd;
-  List.iter Domain.join clients;
-  Domain.join driver;
-  let wall = Unix.gettimeofday () -. t0 in
-  let fleet = Tea_serve.Server.fleet_profile srv in
-  let offline = Tea_serve.Server.offline_profile srv in
-  if not (Tea_parallel.Profile.equal fleet offline) then begin
-    Printf.eprintf
-      "[bench] ERROR: serve %s jobs %d: fleet profile diverged from \
-       sequential offline replay\n"
-      base jobs;
-    exit 1
-  end;
-  if Tea_serve.Server.disconnected srv <> 1 then begin
-    Printf.eprintf
-      "[bench] ERROR: serve %s jobs %d: expected exactly 1 disconnect, got \
-       %d\n"
-      base jobs
-      (Tea_serve.Server.disconnected srv);
-    exit 1
-  end;
-  let blocks = fleet.Tea_parallel.Profile.steps in
-  let bytes = List.fold_left (fun a s -> a + String.length s) 0 streams in
-  {
-    sv_base = base;
-    sv_jobs = jobs;
-    sv_sessions = n;
-    sv_blocks = blocks;
-    sv_bytes = bytes;
-    sv_wall_ms = 1e3 *. wall;
-    sv_ns = 1e9 *. wall /. float_of_int (max 1 blocks);
-  }
-
-let serve_json ~smoke rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"serve\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"gate\": \"fleet profile == sequential offline replay, 1 rude \
-       disconnect tolerated\",\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"base\": %S, \"jobs\": %d, \"sessions\": %d, \"blocks\": %d, \
-         \"bytes\": %d, \"wall_ms\": %.2f, \"ingest_ns_per_block\": %.2f}%s\n"
-        r.sv_base r.sv_jobs r.sv_sessions r.sv_blocks r.sv_bytes r.sv_wall_ms
-        r.sv_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
-
-let run_serve ~smoke =
-  let bases =
-    if smoke then [ "micro:listscan" ] else [ "micro:listscan"; "181.mcf" ]
-  in
-  let sessions = 8 in
-  progress
-    "[bench] serve: %d bases, %d concurrent sessions + 1 disconnect, gating \
-     fleet vs offline at jobs 1/2/4..."
-    (List.length bases) sessions;
-  let rows =
     List.concat_map
-      (fun base ->
-        let image = repack_image base in
-        let path = Filename.temp_file "tea_bench_serve" ".trc" in
-        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-        let _ = Tea_pinsim.Trace_capture.record image path in
-        let packed =
-          let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-          let dbt = Tea_dbt.Stardbt.record ~strategy image in
-          Tea_core.Packed.freeze
-            (Tea_core.Builder.build
-               (Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set))
-        in
-        let streams = serve_session_streams path ~sessions in
-        List.map
-          (fun jobs ->
-            let r = run_serve_row ~base ~jobs ~streams packed in
-            Printf.printf
-              "serve %-16s jobs %d  %d sessions  %8d blocks  %7.1f ms  \
-               %6.1f ns/block  [gate ok]\n%!"
-              r.sv_base r.sv_jobs r.sv_sessions r.sv_blocks r.sv_wall_ms
-              r.sv_ns;
-            r)
-          [ 1; 2; 4 ])
-      bases
+      (fun (label, scn) -> run_scenario_row ~label preps scn)
+      scenarios
   in
-  let json = serve_json ~smoke rows in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_serve.json (%d rows, all gates passed)"
-    (List.length rows)
+  write_bench scenario_spec ~bench:"scenario" ~smoke rows
 
 (* ---- closed-loop continuous PGO: the BENCH_retune.json trajectory ----
 
@@ -1539,17 +1039,6 @@ let run_serve ~smoke =
    same windows, plus the measured swap pause. Hard gates: fleet == offline across the swap on
    both daemons, and post-swap steady-state throughput >= 1.15x the
    no-retune daemon. *)
-
-type retune_row = {
-  rt_jobs : int;
-  rt_sessions : int;  (** per daemon, measurement sessions (post warmup) *)
-  rt_swaps : int;
-  rt_baseline_ns : float;  (** no-retune daemon, post window *)
-  rt_pre_ns : float;  (** retune daemon, before the swap landed *)
-  rt_post_ns : float;  (** retune daemon, after the swap *)
-  rt_speedup : float;  (** baseline_ns / post_ns — the gated number *)
-  rt_pause_ms : float;  (** cumulative wall time inside swaps *)
-}
 
 let retune_fixture () =
   let block_at addr =
@@ -1646,11 +1135,8 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
       | Some e when e >= 1 -> swapped := true
       | _ -> ()
     done;
-    if not !swapped then begin
-      Printf.eprintf
-        "[bench] ERROR: retune jobs %d: daemon never swapped its image\n" jobs;
-      exit 1
-    end
+    if not !swapped then
+      die "retune jobs %d: daemon never swapped its image" jobs
   end
   else
     for _ = 1 to pre do
@@ -1666,14 +1152,11 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
   Domain.join driver;
   let fleet = Tea_serve.Server.fleet_profile srv in
   if not (Tea_parallel.Profile.equal fleet (Tea_serve.Server.offline_profile srv))
-  then begin
-    Printf.eprintf
-      "[bench] ERROR: retune jobs %d (%s): fleet profile diverged from \
-       sequential offline replay\n"
+  then
+    die "retune jobs %d (%s): fleet profile diverged from sequential offline \
+         replay"
       jobs
-      (if retune then "retune" else "baseline");
-    exit 1
-  end;
+      (if retune then "retune" else "no-retune");
   let window ns ns' blk blk' =
     float_of_int (ns' - ns) /. float_of_int (max 1 (blk' - blk))
   in
@@ -1683,31 +1166,55 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
     Tea_serve.Server.epoch srv,
     Tea_serve.Server.swap_pause_ns srv )
 
-let retune_json ~smoke rows =
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"retune\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add
-    "  \"gate\": \"fleet == offline across the swap; post-swap throughput \
-     >= 1.15x the no-retune daemon\",\n";
-  add "  \"floor\": 1.15,\n";
-  add "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"jobs\": %d, \"sessions\": %d, \"swaps\": %d, \
-         \"baseline_ns_per_block\": %.2f, \"pre_swap_ns_per_block\": %.2f, \
-         \"post_swap_ns_per_block\": %.2f, \"speedup_post\": %.3f, \
-         \"swap_pause_ms\": %.3f}%s\n"
-        r.rt_jobs r.rt_sessions r.rt_swaps r.rt_baseline_ns r.rt_pre_ns
-        r.rt_post_ns r.rt_speedup r.rt_pause_ms
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ]\n";
-  Buffer.contents buf ^ "}\n"
+
+let retune_floor = 1.15
+
+let retune_jobs ~smoke = if smoke then [ 1 ] else [ 1; 2 ]
+
+let retune_gates =
+  [
+    "retune daemon hot-swapped its image";
+    "fleet == offline across the swap, retune and no-retune daemons";
+    "post-swap throughput >= 1.15x the no-retune daemon";
+  ]
+
+(* the gated number: no-retune ns/block over post-swap ns/block *)
+let retune_speedups ~smoke rows =
+  List.map
+    (fun jobs ->
+      let v = value ~jobs rows "phase-shift" in
+      row ~jobs "phase-shift" "retune" "speedup_post"
+        (v "no-retune" "ns_per_block" /. v "retune" "post_swap_ns_per_block"))
+    (retune_jobs ~smoke)
+
+let retune_check ~smoke rows =
+  List.iter
+    (fun jobs ->
+      let v = value ~jobs rows "phase-shift" "retune" in
+      expect (v "sessions" > 0.0) "jobs %d: no sessions" jobs;
+      expect (v "swaps" >= 1.0) "jobs %d: no hot swap" jobs;
+      expect (v "pre_swap_ns_per_block" > 0.0) "jobs %d: no pre-swap time" jobs;
+      expect (v "post_swap_ns_per_block" > 0.0) "jobs %d: no post-swap time" jobs;
+      expect
+        (value ~jobs rows "phase-shift" "no-retune" "ns_per_block" > 0.0)
+        "jobs %d: no no-retune time" jobs;
+      expect (v "swap_pause_ms" >= 0.0) "jobs %d: negative swap pause" jobs;
+      expect
+        (v "speedup_post" >= retune_floor)
+        "jobs %d: post-swap speedup %.3fx below the %.2fx floor" jobs
+        (v "speedup_post") retune_floor)
+    (retune_jobs ~smoke);
+  expect
+    (List.for_all (fun r -> List.mem r.jobs (retune_jobs ~smoke)) rows)
+    "rows outside the measured job counts"
+
+let retune_spec =
+  {
+    gates = retune_gates;
+    workloads = (fun ~smoke:_ -> [ "phase-shift" ]);
+    derive = retune_speedups;
+    check = retune_check;
+  }
 
 let run_retune ~smoke =
   let flat, a_starts, b_starts = retune_fixture () in
@@ -1725,17 +1232,16 @@ let run_retune ~smoke =
   in
   let warm = retune_session_bytes a_starts in
   let session = retune_session_bytes b_starts in
-  let jobs_list = if smoke then [ 1 ] else [ 1; 2 ] in
   let post = if smoke then 3 else 6 in
   progress
     "[bench] retune: phase-shift fixture (image tuned on chain A, traffic \
-     on chain B), gating post-swap vs no-retune at 1.15x...";
+     on chain B), gating post-swap vs no-retune at %.2fx..."
+    retune_floor;
   let rows =
-    List.map
+    List.concat_map
       (fun jobs ->
         (* cross-daemon wall-clock noise is the dominant error term, so
-           run the daemon pair twice and keep the better round — the
-           best-of discipline the repack/fuse benches use *)
+           run the daemon pair twice and keep the better round *)
         let round () =
           let pre_r, post_r, pre_sessions, swaps, pause_ns =
             run_retune_daemon ~jobs ~retune:true ~drift_ref ~base:flat
@@ -1753,39 +1259,28 @@ let run_retune ~smoke =
           if speedup_of r1 >= speedup_of r2 then r1 else r2
         in
         let speedup = post_b /. post_r in
-        let r =
-          {
-            rt_jobs = jobs;
-            rt_sessions = pre_sessions + post;
-            rt_swaps = swaps;
-            rt_baseline_ns = post_b;
-            rt_pre_ns = pre_r;
-            rt_post_ns = post_r;
-            rt_speedup = speedup;
-            rt_pause_ms = 1e-6 *. float_of_int pause_ns;
-          }
-        in
+        let pause_ms = 1e-6 *. float_of_int pause_ns in
         Printf.printf
           "retune jobs %d  %2d sessions  %d swap(s)  baseline %6.1f \
            ns/block  post-swap %6.1f ns/block  %.2fx  pause %.3f ms\n%!"
-          r.rt_jobs r.rt_sessions r.rt_swaps r.rt_baseline_ns r.rt_post_ns
-          r.rt_speedup r.rt_pause_ms;
-        if speedup < 1.15 then begin
-          Printf.eprintf
-            "[bench] ERROR: retune jobs %d: post-swap speedup %.3fx below \
-             the 1.15x floor — the hot swap did not pay for itself\n"
-            jobs speedup;
-          exit 1
-        end;
-        r)
-      jobs_list
+          jobs (pre_sessions + post) swaps post_b post_r speedup pause_ms;
+        if speedup < retune_floor then
+          die
+            "retune jobs %d: post-swap speedup %.3fx below the %.2fx floor — \
+             the hot swap did not pay for itself"
+            jobs speedup retune_floor;
+        let r = row ~jobs "phase-shift" "retune" in
+        [
+          rowi ~jobs "phase-shift" "retune" "sessions" (pre_sessions + post);
+          rowi ~jobs "phase-shift" "retune" "swaps" swaps;
+          r "pre_swap_ns_per_block" pre_r;
+          r "post_swap_ns_per_block" post_r;
+          r "swap_pause_ms" pause_ms;
+          row ~jobs "phase-shift" "no-retune" "ns_per_block" post_b;
+        ])
+      (retune_jobs ~smoke)
   in
-  let json = retune_json ~smoke rows in
-  let oc = open_out "BENCH_retune.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_retune.json (%d rows, all gates passed)"
-    (List.length rows)
+  write_bench retune_spec ~bench:"retune" ~smoke rows
 
 (* ---- observability plane: the BENCH_observe.json trajectory ----
 
@@ -1794,94 +1289,68 @@ let run_retune ~smoke =
    repacked+fused): a disabled series and an enabled series, sampled
    interleaved so machine drift hits both, with the enabled run's hard
    gate that the tier counters sum exactly to the blocks replayed —
-   attribution is total, never sampled-ish. (2) Scrape latency against a
+   attribution is total, never sampled-ish. A fourth row (fuse-loop)
+   replays micro:nested on its own tuned image, whose inner loop fuses,
+   and gates that its chain matchers fire. (2) Scrape latency against a
    live daemon: sessions stream while tea_serve answers exposition
    scrapes; each scrape is timed round-trip and the format is sanity
    checked. Overhead numbers are machine-dependent and reported, not
-   gated (CI re-gates the disabled path via `bench telemetry`). *)
+   gated (`bench telemetry` gates the disabled probe path). *)
 
-type observe_engine_row = {
-  oe_name : string;
-  oe_disabled_ns : float;
-  oe_enabled_ns : float;
-  oe_blocks : int;  (** blocks attributed while enabled, across all reps *)
-  oe_tiers : Tea_core.Tierstat.snapshot;
-  oe_fused_steps : int;  (** packed.fused_steps of the final replay *)
-  oe_chained : int;  (** {!Tea_core.Compiled.chained_states} *)
-}
+let obs_engines =
+  [
+    ("micro:listscan", "flat"); ("micro:listscan", "repack");
+    ("micro:listscan", "fuse"); ("micro:nested", "fuse-loop");
+  ]
 
-let run_observe_engine ~name img ~starts ~insns ~len =
-  let reps = 1 + (2_000_000 / max 1 len) in
-  let compiled = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
-  let run_once () =
-    let rep = Tea_core.Replayer.create_compiled compiled in
-    Tea_core.Replayer.feed_run rep ~insns starts ~len
+let obs_scrapes = 32
+let obs_sessions ~smoke = if smoke then 4 else 8
+
+let run_observe_engine ~workload ~engine img starts insns ~len =
+  let reps = reps_for len in
+  let sample = replay_sampler ~reps img starts insns ~len in
+  let best =
+    interleaved_best
+      [
+        sample;
+        (fun () ->
+          Tea_core.Tierstat.install ();
+          let dt = sample () in
+          ignore (Tea_core.Tierstat.uninstall ());
+          dt);
+      ]
   in
-  let sample () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      run_once ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* interleaved: a disabled sample then an enabled sample per round, so
-     machine drift hits both series equally; best of 5 after one warmup *)
-  let best_d = ref infinity and best_e = ref infinity in
-  for round = 0 to 5 do
-    let d = sample () in
-    Tea_core.Tierstat.install ();
-    let e = sample () in
-    ignore (Tea_core.Tierstat.uninstall ());
-    if round > 0 then begin
-      if d < !best_d then best_d := d;
-      if e < !best_e then best_e := e
-    end
-  done;
   (* one final instrumented replay whose snapshot we keep for the gate
-     and the report (per-run counts, not accumulated), with the probe
-     counters on for its fused-step count (a delta, so a probe set the
-     driver already owns works too) *)
-  let own_probes = not (Tea_telemetry.Probe.enabled ()) in
-  if own_probes then Tea_telemetry.Probe.install ();
-  let fused_steps () =
-    Option.value ~default:0
-      (Tea_telemetry.Metrics.find_counter
-         (Tea_telemetry.Probe.snapshot ())
-         "packed.fused_steps")
-  in
-  let fused0 = fused_steps () in
+     and the report (per-run counts, not accumulated) *)
   Tea_core.Tierstat.install ();
-  run_once ();
+  Tea_core.Replayer.feed_run (compiled_replayer img) ~insns starts ~len;
   let snap = Tea_core.Tierstat.uninstall () in
-  let fused_steps = fused_steps () - fused0 in
-  if own_probes then ignore (Tea_telemetry.Probe.uninstall ());
-  if Tea_core.Tierstat.total snap <> len then begin
-    Printf.eprintf
-      "[bench] ERROR: %s: tier counters sum to %d, expected %d blocks — \
-       dispatch attribution is not total\n"
-      name
-      (Tea_core.Tierstat.total snap)
-      len;
-    exit 1
-  end;
+  if Tea_core.Tierstat.total snap <> len then
+    die
+      "%s: tier counters sum to %d, expected %d blocks — dispatch \
+       attribution is not total"
+      engine (Tea_core.Tierstat.total snap) len;
   let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  {
-    oe_name = name;
-    oe_disabled_ns = ns !best_d;
-    oe_enabled_ns = ns !best_e;
-    oe_blocks = len;
-    oe_tiers = snap;
-    oe_fused_steps = fused_steps;
-    oe_chained = Tea_core.Compiled.chained_states compiled;
-  }
-
-type observe_scrape = {
-  os_sessions : int;
-  os_scrapes : int;
-  os_bytes : int;  (** exposition payload size of the last scrape *)
-  os_best_us : float;
-  os_mean_us : float;
-}
+  Printf.printf
+    "%-9s tierstat off %6.1f ns/block, on %6.1f ns/block (+%.1f%%)  [tier \
+     sum == %d blocks]\n%!"
+    engine (ns best.(0)) (ns best.(1))
+    (100.0 *. ((best.(1) /. best.(0)) -. 1.0))
+    len;
+  let r = row workload engine and ri = rowi workload engine in
+  [
+    ri "blocks" len;
+    r "disabled_ns_per_block" (ns best.(0));
+    r "enabled_ns_per_block" (ns best.(1));
+    ri "fused_steps" (fused_steps img starts insns ~len);
+    ri "chain_matchers"
+      (Tea_core.Compiled.chained_states
+         (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img)));
+  ]
+  @ List.init Tea_core.Tierstat.n_tiers (fun t ->
+        ri
+          ("tier_" ^ Tea_core.Tierstat.tier_name t)
+          snap.Tea_core.Tierstat.ts_totals.(t))
 
 let run_observe_scrape ~jobs image streams =
   let sock = Filename.temp_file "tea_bench_observe" ".sock" in
@@ -1900,9 +1369,8 @@ let run_observe_scrape ~jobs image streams =
       streams
   in
   (* scrape while the fleet is streaming: time each round trip *)
-  let n_scrapes = 32 in
   let best = ref infinity and sum = ref 0.0 and last = ref "" in
-  for _ = 1 to n_scrapes do
+  for _ = 1 to obs_scrapes do
     let t0 = Unix.gettimeofday () in
     let text = Tea_serve.Client.scrape addr in
     let dt = Unix.gettimeofday () -. t0 in
@@ -1920,141 +1388,184 @@ let run_observe_scrape ~jobs image streams =
     go 0
   in
   if not (contains "tea_dispatch_tier_total" !last && contains "tea_counter" !last)
-  then begin
-    prerr_endline
-      "[bench] ERROR: scraped exposition is missing expected families";
-    exit 1
-  end;
-  {
-    os_sessions = List.length streams;
-    os_scrapes = n_scrapes;
-    os_bytes = String.length !last;
-    os_best_us = 1e6 *. !best;
-    os_mean_us = 1e6 *. !sum /. float_of_int n_scrapes;
-  }
+  then die "scraped exposition is missing expected families";
+  let best_us = 1e6 *. !best and mean_us = 1e6 *. !sum /. float_of_int obs_scrapes in
+  Printf.printf
+    "scrape: %d scrapes against %d streaming sessions, %d bytes exposition, \
+     best %.0f us, mean %.0f us\n%!"
+    obs_scrapes (List.length streams) (String.length !last) best_us mean_us;
+  let r = row ~jobs "daemon" "flat" and ri = rowi ~jobs "daemon" "flat" in
+  [
+    ri "sessions" (List.length streams);
+    ri "scrapes" obs_scrapes;
+    ri "exposition_bytes" (String.length !last);
+    r "best_us" best_us;
+    r "mean_us" mean_us;
+  ]
 
-let observe_json ~smoke rows scrape =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "{\n";
-  add "  \"bench\": \"observe\",\n";
-  add "  \"smoke\": %b,\n" smoke;
-  add "  \"gate\": \"tier counters sum to blocks replayed; fuse-loop runs \
-       fused chain steps; exposition carries tier/counter families\",\n";
-  add "  \"engines\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
+let obs_gates =
+  [
+    "tier counters sum to blocks replayed, every engine";
+    "fuse-loop replay runs fused chain steps";
+    "exposition carries tier and counter families";
+  ]
+
+let obs_check ~smoke rows =
+  List.iter
+    (fun (w, e) ->
+      let v = value rows w e in
+      expect (v "blocks" > 0.0) "%s: no blocks" e;
+      expect (v "disabled_ns_per_block" > 0.0) "%s: no disabled time" e;
+      expect (v "enabled_ns_per_block" > 0.0) "%s: no enabled time" e;
+      ignore (v "fused_steps", v "chain_matchers");
       let tiers =
-        String.concat ", "
-          (List.init Tea_core.Tierstat.n_tiers (fun t ->
-               Printf.sprintf "\"%s\": %d"
-                 (Tea_core.Tierstat.tier_name t)
-                 r.oe_tiers.Tea_core.Tierstat.ts_totals.(t)))
+        List.init Tea_core.Tierstat.n_tiers (fun t ->
+            v ("tier_" ^ Tea_core.Tierstat.tier_name t))
       in
-      add
-        "    {\"name\": %S, \"blocks\": %d, \"disabled_ns_per_block\": %.2f, \
-         \"enabled_ns_per_block\": %.2f, \"overhead_pct\": %.2f,\n"
-        r.oe_name r.oe_blocks r.oe_disabled_ns r.oe_enabled_ns
-        (100.0 *. ((r.oe_enabled_ns /. r.oe_disabled_ns) -. 1.0));
-      add
-        "     \"fused_steps\": %d, \"chain_matchers\": %d, \"tiers\": {%s}}%s\n"
-        r.oe_fused_steps r.oe_chained tiers
-        (if i = n - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add
-    "  \"scrape\": {\"sessions\": %d, \"scrapes\": %d, \"exposition_bytes\": \
-     %d, \"best_us\": %.1f, \"mean_us\": %.1f}\n"
-    scrape.os_sessions scrape.os_scrapes scrape.os_bytes scrape.os_best_us
-    scrape.os_mean_us;
-  Buffer.contents buf ^ "}\n"
+      expect
+        (List.fold_left ( +. ) 0.0 tiers = v "blocks")
+        "%s: tier counts do not sum to the blocks replayed" e)
+    obs_engines;
+  expect
+    (value rows "micro:listscan" "repack" "tier_compiled" > 0.0)
+    "repacked replay never resolved through compiled dispatch";
+  let loop = value rows "micro:nested" "fuse-loop" in
+  expect
+    (loop "fused_steps" > 0.0 && loop "chain_matchers" > 0.0)
+    "fuse-loop replay never ran a fused chain";
+  let s = value ~jobs:2 rows "daemon" "flat" in
+  expect
+    (s "sessions" = float_of_int (obs_sessions ~smoke))
+    "scrape ran against %g sessions, expected %d" (s "sessions")
+    (obs_sessions ~smoke);
+  expect (s "scrapes" = float_of_int obs_scrapes) "expected %d scrapes" obs_scrapes;
+  expect (s "exposition_bytes" > 0.0) "empty exposition";
+  expect
+    (s "best_us" > 0.0 && s "mean_us" >= s "best_us")
+    "scrape latency: best %g us, mean %g us" (s "best_us") (s "mean_us")
+
+let observe_spec =
+  {
+    gates = obs_gates;
+    workloads =
+      (fun ~smoke:_ -> "daemon" :: List.sort_uniq compare (List.map fst obs_engines));
+    derive = (fun ~smoke:_ _ -> []);
+    check = obs_check;
+  }
 
 let run_observe ~smoke =
   let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-  let path = Filename.temp_file "tea_bench" ".trc" in
-  let n_blocks = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  let stream = Tea_core.Pc_trace.read_all path in
-  Sys.remove path;
+  let _, flat = record ~strategy:"mret" image in
+  let starts, insns, len = capture image in
   progress
     "[bench] observe: %d blocks from micro:listscan; tier-profiler overhead \
      per engine, then live scrape latency..."
-    n_blocks;
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  let fused =
-    Tea_opt.Fuse.fuse
-      ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-      repacked
-  in
-  (* listscan never fuses a chain, so no chain matcher would fire; a
-     fourth row replays micro:nested (whose inner loop fuses at ~97% of
-     steps) on its own tuned image to exercise the matchers too *)
-  let loop_img, loop_starts, loop_insns, loop_len =
-    let image = Tea_workloads.Micro.nested_loop () in
-    let dbt = Tea_dbt.Stardbt.record ~strategy image in
-    let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-    let flat = Tea_core.Packed.freeze (Tea_core.Builder.build traces) in
-    let path = Filename.temp_file "tea_bench" ".trc" in
-    ignore (Tea_pinsim.Trace_capture.record image path);
-    let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-    Sys.remove path;
-    let repacked =
-      Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-    in
-    let fused =
-      Tea_opt.Fuse.fuse
-        ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-        repacked
-    in
-    (fused, starts, insns, len)
+    len;
+  let repacked, fused = tune flat starts ~len in
+  (* listscan never fuses a chain, so no chain matcher would fire; the
+     fuse-loop row replays micro:nested (whose inner loop fuses at ~97%
+     of steps) on its own tuned image to exercise the matchers too *)
+  let nested = Tea_workloads.Micro.nested_loop () in
+  let l_starts, l_insns, l_len = capture nested in
+  let _, loop_img = tune (snd (record ~strategy:"mret" nested)) l_starts ~len:l_len in
+  let on_stream img = (img, (starts, insns, len)) in
+  let image_for = function
+    | "flat" -> on_stream flat
+    | "repack" -> on_stream repacked
+    | "fuse" -> on_stream fused
+    | _ -> (loop_img, (l_starts, l_insns, l_len))
   in
   let rows =
-    List.map
-      (fun (name, img, starts, insns, len) ->
-        let r = run_observe_engine ~name img ~starts ~insns ~len in
-        Printf.printf
-          "%-9s tierstat off %6.1f ns/block, on %6.1f ns/block (+%.1f%%)  \
-           [tier sum == %d blocks]\n%!"
-          r.oe_name r.oe_disabled_ns r.oe_enabled_ns
-          (100.0 *. ((r.oe_enabled_ns /. r.oe_disabled_ns) -. 1.0))
-          r.oe_blocks;
-        r)
-      [ ("flat", flat, starts, insns, len);
-        ("repack", repacked, starts, insns, len);
-        ("fuse", fused, starts, insns, len);
-        ("fuse-loop", loop_img, loop_starts, loop_insns, loop_len) ]
+    List.concat_map
+      (fun (workload, engine) ->
+        let img, (starts, insns, len) = image_for engine in
+        run_observe_engine ~workload ~engine img starts insns ~len)
+      obs_engines
   in
-  (* the fuse-loop row exists to prove chains fire: hard gate *)
-  (match List.rev rows with
-  | last :: _ when last.oe_fused_steps = 0 || last.oe_chained = 0 ->
-      Printf.eprintf
-        "[bench] ERROR: fuse-loop replay ran no fused chain steps (%d steps, \
-         %d chain matchers)\n"
-        last.oe_fused_steps last.oe_chained;
-      exit 1
-  | _ -> ());
-  let sessions = if smoke then 4 else 8 in
+  let loop = value rows "micro:nested" "fuse-loop" in
+  if loop "fused_steps" = 0.0 || loop "chain_matchers" = 0.0 then
+    die "fuse-loop replay ran no fused chain steps (%g steps, %g chain matchers)"
+      (loop "fused_steps") (loop "chain_matchers");
+  let stream =
+    let path = Filename.temp_file "tea_bench" ".trc" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    ignore (Tea_pinsim.Trace_capture.record image path);
+    Tea_core.Pc_trace.read_all path
+  in
   let scrape =
-    run_observe_scrape ~jobs:2 flat (List.init sessions (fun _ -> stream))
+    run_observe_scrape ~jobs:2 flat
+      (List.init (obs_sessions ~smoke) (fun _ -> stream))
   in
-  Printf.printf
-    "scrape: %d scrapes against %d streaming sessions, %d bytes exposition, \
-     best %.0f us, mean %.0f us\n"
-    scrape.os_scrapes scrape.os_sessions scrape.os_bytes scrape.os_best_us
-    scrape.os_mean_us;
-  let json = observe_json ~smoke rows scrape in
-  let oc = open_out "BENCH_observe.json" in
-  output_string oc json;
-  close_out oc;
-  progress "[bench] wrote BENCH_observe.json (%d engines, all gates passed)"
-    (List.length rows)
+  write_bench observe_spec ~bench:"observe" ~smoke (rows @ scrape)
+
+(* ---- validate: check BENCH files against their mode's spec ---- *)
+
+let specs =
+  [
+    ("ladder", ladder_spec);
+    ("scenario", scenario_spec);
+    ("retune", retune_spec);
+    ("observe", observe_spec);
+  ]
+
+let read_bench path =
+  let doc = Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  let field k conv v =
+    try conv (Json.member k v) with Json.Error m -> invalid "%s: %s" k m
+  in
+  let bench = field "bench" Json.to_str doc in
+  let smoke = field "smoke" Json.to_bool doc in
+  let gates = field "gates" (fun g -> List.map Json.to_str (Json.to_list g)) doc in
+  let rows =
+    field "rows"
+      (fun rs ->
+        List.map
+          (fun r ->
+            let jobs = field "jobs" Json.to_num r in
+            expect (Float.is_integer jobs) "jobs %g is not an integer" jobs;
+            {
+              workload = field "workload" Json.to_str r;
+              engine = field "engine" Json.to_str r;
+              jobs = int_of_float jobs;
+              metric = field "metric" Json.to_str r;
+              value = field "value" Json.to_num r;
+            })
+          (Json.to_list rs))
+      doc
+  in
+  (bench, smoke, gates, rows)
+
+let validate_file path =
+  match read_bench path with
+  | exception Json.Error m -> Error ("not JSON: " ^ m)
+  | exception Sys_error m -> Error m
+  | exception Invalid m -> Error m
+  | bench, smoke, gates, rows -> (
+      match List.assoc_opt bench specs with
+      | None -> Error (Printf.sprintf "unknown bench %S" bench)
+      | Some spec -> (
+          match check_rows spec ~smoke ~gates rows with
+          | () ->
+              Ok
+                (Printf.sprintf "%s%s, %d rows, %d gates" bench
+                   (if smoke then " (smoke)" else "")
+                   (List.length rows) (List.length gates))
+          | exception Invalid m -> Error m))
+
+let run_validate files =
+  let ok =
+    List.fold_left
+      (fun ok path ->
+        match validate_file path with
+        | Ok what ->
+            Printf.printf "%s: ok (%s)\n" path what;
+            ok
+        | Error why ->
+            Printf.printf "%s: INVALID: %s\n" path why;
+            false)
+      true files
+  in
+  if not ok then exit 1
 
 (* Same observability surface as tea_tool: --telemetry FILE writes a
    Chrome trace (or JSONL for a .jsonl suffix), --metrics dumps the probe
@@ -2088,6 +1599,14 @@ let with_obs ~trace_out ~metrics name f =
    smoke target is `main.exe -- table4 --smoke'. *)
 let smoke_set = [ "168.wupwise"; "181.mcf"; "253.perlbmk" ]
 
+let usage () =
+  prerr_endline
+    "usage: main.exe [quick | micro | packed | ladder | scenario | retune | \
+     observe | telemetry | ablation | extensions | table1 table2 table3 \
+     table4] [--smoke] [--telemetry FILE] [--metrics]\n\
+    \       main.exe validate BENCH_FILE...";
+  exit 2
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke = List.mem "--smoke" args in
@@ -2095,54 +1614,41 @@ let () =
     | [] -> (List.rev acc, trace_out, metrics)
     | "--telemetry" :: file :: rest -> parse acc (Some file) metrics rest
     | "--metrics" :: rest -> parse acc trace_out true rest
-    | ("--quiet" | "-q") :: rest ->
-        quiet := true;
-        parse acc trace_out metrics rest
     | "--smoke" :: rest -> parse acc trace_out metrics rest
     | a :: rest -> parse (a :: acc) trace_out metrics rest
   in
-  let args, trace_out, metrics = parse [] None false args in
   let table_benchmarks =
     if smoke then smoke_set else Tea_workloads.Spec2000.names
   in
-  let root = "bench." ^ match args with [] -> "all" | a :: _ -> a in
-  let dispatch () =
-    match args with
-    | [ "micro" ] -> run_micro ()
-    | [ "packed" ] -> run_head_to_head ()
-    | [ "repack" ] -> run_repack ~smoke
-    | [ "fuse" ] -> run_fuse ~smoke
-    | [ "compile" ] -> run_compile ~smoke
-    | [ "scenario" ] -> run_scenario ~smoke
-    | [ "serve" ] -> run_serve ~smoke
-    | [ "retune" ] -> run_retune ~smoke
-    | [ "observe" ] -> run_observe ~smoke
-    | [ "parallel" ] -> run_parallel_compare ~benchmarks:table_benchmarks
-    | [ "quick" ] -> run_tables ~benchmarks:quick_set ~which:[]
-    | [ "ablation" ] -> run_ablations ()
-    | [ "extensions" ] -> run_extensions ()
-    | [] ->
-        run_tables ~benchmarks:table_benchmarks ~which:[];
-        print_newline ();
-        run_ablations ();
-        print_newline ();
-        run_extensions ()
-    | which
-      when List.for_all
-             (fun a -> String.length a > 5 && String.sub a 0 5 = "table")
-             which ->
-        run_tables ~benchmarks:table_benchmarks ~which
-    | _ ->
-        prerr_endline
-          "usage: main.exe [quick | micro | packed | repack | fuse | \
-           compile | scenario | serve | retune | observe | parallel | telemetry | \
-           ablation | extensions | table1 table2 table3 table4] [--smoke] \
-           [--telemetry FILE] [--metrics] [--quiet]";
-        exit 2
-  in
+  let args, trace_out, metrics = parse [] None false args in
   match args with
+  | "validate" :: (_ :: _ as files) -> run_validate files
   | [ "telemetry" ] ->
       (* installs/uninstalls the probe set itself — not wrapped in
          [with_obs], which would double-install *)
       run_telemetry ()
-  | _ -> with_obs ~trace_out ~metrics root dispatch
+  | _ ->
+      let root = "bench." ^ match args with [] -> "all" | a :: _ -> a in
+      with_obs ~trace_out ~metrics root @@ fun () ->
+      match args with
+      | [ "micro" ] -> run_micro ()
+      | [ "packed" ] -> run_head_to_head ()
+      | [ "ladder" ] -> run_ladder ~smoke
+      | [ "scenario" ] -> run_scenario ~smoke
+      | [ "retune" ] -> run_retune ~smoke
+      | [ "observe" ] -> run_observe ~smoke
+      | [ "quick" ] -> run_tables ~benchmarks:quick_set ~which:[]
+      | [ "ablation" ] -> run_ablations ()
+      | [ "extensions" ] -> run_extensions ()
+      | [] ->
+          run_tables ~benchmarks:table_benchmarks ~which:[];
+          print_newline ();
+          run_ablations ();
+          print_newline ();
+          run_extensions ()
+      | which
+        when List.for_all
+               (fun a -> String.length a > 5 && String.sub a 0 5 = "table")
+               which ->
+          run_tables ~benchmarks:table_benchmarks ~which
+      | _ -> usage ()

@@ -51,8 +51,8 @@ let test_table_arity () =
 
 (* ---------------- Experiments (reduced subset) ---------------- *)
 
-let benches =
-  lazy (Experiments.prepare ~benchmarks:[ "171.swim"; "181.mcf" ] ())
+let subset = [ "171.swim"; "181.mcf" ]
+let benches = lazy (Experiments.prepare ~benchmarks:subset ())
 
 let test_table1_shape () =
   let rows = Experiments.table1 (Lazy.force benches) in
@@ -112,6 +112,28 @@ let test_renderings () =
   check Alcotest.bool "recording title" true (contains t3 "Recording");
   let t4 = Experiments.render_table4 (Experiments.table4 b) in
   check Alcotest.bool "config columns" true (contains t4 "Global / Local")
+
+(* Tables 1-4 rendered from benchmarks prepared and tabulated across a
+   pool of 2 or 4 domains are byte-identical to the sequential render. *)
+let test_jobs_invariance () =
+  let render ?pool b =
+    String.concat "\n"
+      [
+        Experiments.render_table1 (Experiments.table1 ?pool b);
+        Experiments.render_table2 (Experiments.table2 ?pool b);
+        Experiments.render_table3 (Experiments.table3 ?pool b);
+        Experiments.render_table4 (Experiments.table4 ?pool b);
+      ]
+  in
+  let seq = render (Lazy.force benches) in
+  List.iter
+    (fun jobs ->
+      let par =
+        Tea_parallel.Pool.with_pool ~jobs (fun pool ->
+            render ~pool (Experiments.prepare ~pool ~benchmarks:subset ()))
+      in
+      check Alcotest.string (Printf.sprintf "jobs %d" jobs) seq par)
+    [ 2; 4 ]
 
 (* ---------------- Ablations ---------------- *)
 
@@ -180,6 +202,7 @@ let () =
           Alcotest.test_case "table3" `Slow test_table3_shape;
           Alcotest.test_case "table4" `Slow test_table4_shape;
           Alcotest.test_case "renderings" `Slow test_renderings;
+          Alcotest.test_case "jobs 1/2/4 byte-identical" `Slow test_jobs_invariance;
           Alcotest.test_case "unknown benchmark" `Quick test_prepare_unknown_benchmark;
         ] );
       ( "ablations",
