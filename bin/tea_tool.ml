@@ -256,9 +256,12 @@ let jobs_conv =
 
 let jobs_arg =
   let doc =
-    "Worker domains to shard the work across (1 = plain sequential path; \
-     must be >= 1). Stdout is byte-identical whatever $(docv) is; the \
-     per-domain observability counters go to stderr."
+    "Worker domains to run independent inputs on (1 = plain sequential \
+     path; must be >= 1): the asids of a --scenario stream, the benchmarks \
+     of a table, the sessions of serve. One --pc-trace stream is one \
+     sequential walk whatever $(docv) is. Stdout is byte-identical \
+     whatever $(docv) is; the per-domain observability counters go to \
+     stderr."
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -326,7 +329,7 @@ let with_jobs ?(quiet = false) jobs f =
         r)
 
 (* One deterministic summary line for any --pgo replay. Everything on it
-   (layout shape, simulated cycles) is shard-invariant, keeping stdout
+   (layout shape, simulated cycles) is jobs-invariant, keeping stdout
    byte-identical across --jobs values. *)
 let print_pgo_line packed ~cycles =
   Printf.printf "pgo: moved %d/%d states, %d hot-prefix edges, %d sim cycles\n"
@@ -336,7 +339,7 @@ let print_pgo_line packed ~cycles =
     cycles
 
 (* The fusion summary is a pure function of the image, so it is
-   shard-invariant like the pgo line. CI strips it (`grep -v '^fuse:'`)
+   jobs-invariant like the pgo line. CI strips it (`grep -v '^fuse:'`)
    when byte-diffing fused stdout against unfused. *)
 let print_fuse_line packed =
   Printf.printf "fuse: %d chains (%d cyclic) covering %d states\n"
@@ -358,7 +361,7 @@ let print_retune_line tuned ~mid ~len =
    replay, scenario, repack, fuse, compile and serve all want the same
    pipeline: record the workload and freeze its automaton into a flat
    packed image, capture the workload's own block stream as the tuning
-   input, walk the --pgo/--fuse ladder over it, and hand sharded or
+   input, walk the --pgo/--fuse ladder over it, and hand pool or
    serving paths a fresh-replayer factory. One definition of each step
    instead of a copy per subcommand. *)
 
@@ -412,7 +415,7 @@ let tune_image ?hot_prefix ~pgo ~fuse packed starts ~len =
       Tea_opt.Fuse.fuse ~profile img
 
 (* one fresh compiled replayer over a private dup of a shared image (what
-   the sharded paths build by default) *)
+   Shard builds by default) *)
 let make_replayer img =
   Tea_core.Replayer.create_compiled
     (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
@@ -422,8 +425,8 @@ let make_replayer img =
    Adversarial replay scenarios: interleaved multi-asid streams,
    self-modifying code (periodic invalidation), mid-trace interrupts.
    The scenario is synthesized into a temporary PCTR3 event file, the
-   demuxed replay (sequential Multi_replayer at --jobs 1, demux-first
-   sharding at --jobs > 1) is gated against replaying each asid's
+   demuxed replay (sequential Multi_replayer at --jobs 1, one pool task
+   per asid at --jobs > 1) is gated against replaying each asid's
    projection in isolation — full per-asid Profile equality, the PR's
    hard gate — and one deterministic, jobs-invariant summary is
    printed. *)
@@ -657,7 +660,7 @@ let replay_cmd =
     | None ->
         let body () =
           run_replay name strategy_name traces_file config_name pc_trace
-            engine jobs pgo fuse retune obs
+            engine jobs pgo fuse retune
         in
         if not tiers then ignore (body ())
         else begin
@@ -671,30 +674,9 @@ let replay_cmd =
               raise e
         end
   and run_replay name strategy_name traces_file config_name pc_trace engine
-      jobs pgo fuse retune obs =
-    (* `--pc-trace -' and other non-seekable inputs: the replay paths read
-       the file several times (length, PGO collection, replay), so a
-       stream — stdin, a FIFO, /dev/stdin — is spooled to a temp file
-       once and replayed from there *)
-    let needs_spool = function
-      | "-" -> true
-      | path -> (
-          match (Unix.stat path).Unix.st_kind with
-          | Unix.S_REG -> false
-          | _ -> true
-          | exception Unix.Unix_error _ -> false (* let open_in report it *))
-    in
-    let pc_trace, cleanup_spool =
-      match pc_trace with
-      | Some path when needs_spool path ->
-          let tmp = Filename.temp_file "tea_stdin" ".pctrace" in
-          let oc = open_out_bin tmp in
-          output_string oc (Tea_core.Pc_trace.read_all path);
-          close_out oc;
-          (Some tmp, fun () -> try Sys.remove tmp with Sys_error _ -> ())
-      | p -> (p, fun () -> ())
-    in
-    Fun.protect ~finally:cleanup_spool @@ fun () ->
+      jobs pgo fuse retune =
+    (* every path below reads the trace once, so `--pc-trace -', a FIFO
+       or /dev/stdin replays straight from the stream *)
     let image = or_die (resolve_workload name) in
     let config = config_name in
     let traces =
@@ -708,109 +690,33 @@ let replay_cmd =
     in
     let engine_name = engine_name engine in
     match pc_trace with
-    | Some path when jobs > 1 ->
-        (* sharded offline replay: chunk the decoded trace across domains
-           with entry-state stitching; the merged profile (and this line)
-           is bit-identical to the sequential replay *)
-        (match engine with
-        | `Reference ->
-            or_die
-              (Error
-                 "--jobs > 1 requires --engine=compiled for --pc-trace \
-                  replay")
-        | `Compiled ->
-            let auto =
-              Probe.with_span "build_automaton" (fun () ->
-                  Tea_core.Builder.build traces)
-            in
-            let packed = Tea_core.Packed.freeze auto in
-            let packed =
-              if not (pgo || fuse) then packed
-              else
-                let starts, _, len = Tea_parallel.Shard.load_pc_trace path in
-                tune_image ~pgo ~fuse packed starts ~len
-            in
-            let profile, blocks, swapped =
-              Probe.with_span "replay_pc_trace" @@ fun () ->
-              with_jobs ~quiet:obs.quiet jobs (function
-                | None -> assert false (* jobs > 1 *)
-                | Some pool ->
-                    if not retune then
-                      let profile, blocks =
-                        Tea_parallel.Shard.replay_pc_trace pool packed path
-                      in
-                      (profile, blocks, None)
-                    else begin
-                      (* segmented sharded replay: first half on the flat
-                         image, rebuild, second half on the tuned image
-                         entered through the orig-id translated exit
-                         state — the merged profile equals the sequential
-                         swapped run bit-for-bit *)
-                      let starts, insns, len =
-                        Tea_parallel.Shard.load_pc_trace path
-                      in
-                      let mid = len / 2 in
-                      let prof1, exit1 =
-                        Tea_parallel.Shard.replay_span pool packed ~insns
-                          starts ~off:0 ~len:mid
-                      in
-                      let tuned, _prof =
-                        Probe.with_span "retune_build" @@ fun () ->
-                        Tea_opt.Retune.build ~src:packed
-                          ~profile_of:(fun img ->
-                            Tea_opt.Repack.collect img starts ~len:mid)
-                          ()
-                      in
-                      let entry =
-                        if exit1 = Tea_core.Automaton.nte then exit1
-                        else
-                          Tea_core.Packed.slot_of_state tuned
-                            (Tea_core.Packed.orig_state packed exit1)
-                      in
-                      let prof2, _ =
-                        Tea_parallel.Shard.replay_span pool tuned ~entry
-                          ~insns starts ~off:mid ~len:(len - mid)
-                      in
-                      ( Tea_parallel.Profile.merge_all [ prof1; prof2 ],
-                        len,
-                        Some (tuned, mid, len) )
-                    end)
-            in
-            Printf.printf
-              "offline replay of %s (%s engine): %d blocks, coverage %.1f%%, \
-               %d trace entries\n"
-              path engine_name blocks
-              (100.0 *. Tea_parallel.Profile.coverage profile)
-              profile.Tea_parallel.Profile.enters;
-            if pgo then
-              print_pgo_line packed
-                ~cycles:profile.Tea_parallel.Profile.cycles;
-            if fuse then print_fuse_line packed;
-            (match swapped with
-            | Some (tuned, mid, len) ->
-                print_retune_line tuned ~mid ~len;
-                Some tuned
-            | None -> Some packed))
     | Some path ->
-        (* fully offline: no program execution, just the trace file *)
+        (* fully offline: no program execution, just the trace file. One
+           stream is one sequential walk, so this path serves every
+           --jobs *)
         let auto =
           Probe.with_span "build_automaton" (fun () ->
               Tea_core.Builder.build traces)
         in
         let swapped = ref None in
-        let rep =
+        let profile, blocks, image =
           Probe.with_span "replay_pc_trace"
-            ~post:(fun rep ->
-              [ ("sim_cycles", string_of_int (Tea_core.Replayer.cycles rep)) ])
+            ~post:(fun (p, _, _) ->
+              [ ("sim_cycles", string_of_int p.Tea_parallel.Profile.cycles) ])
           @@ fun () ->
           match engine with
           | `Reference ->
-              Tea_core.Pc_trace.replay (Tea_core.Transition.create config auto) path
+              let p =
+                Tea_parallel.Profile.of_replayer
+                  (Tea_core.Pc_trace.replay
+                     (Tea_core.Transition.create config auto)
+                     path)
+              in
+              (p, p.Tea_parallel.Profile.steps, None)
           | `Compiled ->
               let packed = Tea_core.Packed.freeze auto in
               if retune then begin
-                (* the sequential reference for the sharded swap path:
-                   replay half, rebuild from what was seen, rebind the
+                (* replay half, rebuild from what was seen, rebind the
                    live replayer in place, finish on the tuned image *)
                 let starts, insns, len =
                   Tea_parallel.Shard.load_pc_trace path
@@ -831,10 +737,14 @@ let replay_cmd =
                 Tea_core.Replayer.feed_run rep ~off:mid ~insns starts
                   ~len:(len - mid);
                 swapped := Some (tuned, mid, len);
-                rep
+                (Tea_parallel.Profile.of_replayer rep, len, Some tuned)
               end
               else if not (pgo || fuse) then
-                Tea_core.Pc_trace.replay_packed packed path
+                let p, blocks =
+                  Tea_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+                      Tea_parallel.Shard.replay_pc_trace pool packed path)
+                in
+                (p, blocks, Some packed)
               else begin
                 let starts, insns, len =
                   Tea_parallel.Shard.load_pc_trace path
@@ -842,26 +752,25 @@ let replay_cmd =
                 let img = tune_image ~pgo ~fuse packed starts ~len in
                 let tuned = make_replayer img in
                 Tea_core.Replayer.feed_run tuned ~insns starts ~len;
-                tuned
+                (Tea_parallel.Profile.of_replayer tuned, len, Some img)
               end
         in
         Printf.printf
           "offline replay of %s (%s engine): %d blocks, coverage %.1f%%, %d \
            trace entries\n"
-          path engine_name
-          (Tea_core.Pc_trace.length path)
-          (100.0 *. Tea_core.Replayer.coverage rep)
-          (Tea_core.Replayer.trace_enters rep);
+          path engine_name blocks
+          (100.0 *. Tea_parallel.Profile.coverage profile)
+          profile.Tea_parallel.Profile.enters;
         (match !swapped with
         | Some (tuned, mid, len) -> print_retune_line tuned ~mid ~len
         | None -> ());
-        (match Tea_core.Replayer.engine rep with
-        | Tea_core.Replayer.Compiled c ->
-            let p = Tea_core.Compiled.base c in
-            if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
-            if fuse then print_fuse_line p;
-            Some p
-        | Tea_core.Replayer.Reference _ -> None)
+        Option.iter
+          (fun p ->
+            if pgo then
+              print_pgo_line p ~cycles:profile.Tea_parallel.Profile.cycles;
+            if fuse then print_fuse_line p)
+          image;
+        image
     | None ->
         if jobs > 1 then
           or_die (Error "--jobs > 1 applies only to --pc-trace offline replay");

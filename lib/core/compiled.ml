@@ -28,13 +28,12 @@
    Batch bounding: every closure's first act is [i >= stop], and chain
    matchers never compare past [stop], so a run that would cross a
    batch boundary halts at it and resumes (from the carried state) on
-   the next [run] — exactly the property that keeps sharded replay
-   bit-identical to sequential at any job count.
+   the next [run] — exactly the property that keeps a trace file
+   streamed in batches bit-identical to one whole-array run.
 
    A compiled image owns one mutable rare-path context shared by all
    its closures, so a [t] must not be run from two domains at once;
-   sharded replay builds one per worker (over a {!Packed.dup}
-   sibling). *)
+   pool replay builds one per task (over a {!Packed.dup} sibling). *)
 
 (* Rare-path accumulators and batch-return slots; the hot paths never
    touch this record. *)

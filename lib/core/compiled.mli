@@ -32,10 +32,10 @@
     The batch-loop state (cursor, bound, cycle accumulator and the two
     loop-invariant arrays) is threaded through the closures as
     arguments, so the hot paths keep it in registers; every closure is
-    bounded by the threaded [stop], so sharded replay over a compiled
-    image is bit-identical to sequential at any job count. A [t] owns
-    one mutable rare-path context shared by its closures: it must not
-    be run from two domains concurrently — build one per worker over a
+    bounded by the threaded [stop], so replay over a compiled image in
+    batches is bit-identical to one whole-array run. A [t] owns one
+    mutable rare-path context shared by its closures: it must not be
+    run from two domains concurrently — build one per pool task over a
     {!Packed.dup} sibling. *)
 
 type t

@@ -44,7 +44,7 @@
     ({!resolution_costs}), and {!step}, {!Compiled} and
     {!Tea_opt.Fuse} all charge from it. Simulated cycles are therefore a
     pure function of the layout and the replayed stream, which is what
-    keeps sharded parallel replay bit-identical to sequential.
+    keeps replay output the same at any job count.
 
     {2 Fused images}
 

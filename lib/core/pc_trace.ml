@@ -549,9 +549,3 @@ let replay trans path =
   let rep = Replayer.create trans in
   fold path () (fun () ~start ~insns -> Replayer.feed_addr rep ~insns start);
   rep
-
-let replay_packed packed path =
-  let rep = Replayer.create_compiled (Compiled.of_packed packed) in
-  iter_chunks path (fun ~starts ~insns ~len ->
-      Replayer.feed_run rep ~insns starts ~len);
-  rep

@@ -220,10 +220,3 @@ val decoder_pending : decoder -> int
 val replay : Transition.t -> string -> Replayer.t
 (** Replay a TEA against a trace file: the offline half of the
     cross-system workflow (reference engine, record-at-a-time). *)
-
-val replay_packed : Packed.t -> string -> Replayer.t
-(** Same replay through the compiled engine over the image: decode in
-    4096-block chunks ({!iter_chunks}), each fed to {!Replayer.feed_run}, so
-    memory is per chunk, not per trace. Identical coverage, profiles and
-    state sequence to {!replay} over the same automaton. Stats and
-    cycles accumulate on [packed]. *)

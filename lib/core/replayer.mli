@@ -56,9 +56,8 @@ val feed_run : t -> ?off:int -> ?insns:int array -> int array -> len:int -> unit
     address. [insns] is a parallel per-block instruction-count array
     indexed like [addrs] (all 0 when absent — served from a scratch array
     cached on [t], no per-batch allocation). [off] defaults to 0; a
-    nonzero [off] replays a suffix without an [Array.sub] copy (how the
-    parallel driver hands each shard its chunk). Equivalent to [len]
-    calls to {!feed_addr}.
+    nonzero [off] replays a suffix without an [Array.sub] copy. Equivalent
+    to [len] calls to {!feed_addr}.
 
     On a compiled image carrying a fusion overlay ({!Packed.is_fused})
     the batch dispatches through superstate chain matchers: runs of
@@ -67,16 +66,16 @@ val feed_run : t -> ?off:int -> ?insns:int array -> int array -> len:int -> unit
     coverage, counts, stats, simulated cycles) still exactly as if each
     address had been fed singly. Every closure is bounded by
     [off + len - 1] — a run that would continue into the next batch
-    simply resumes matching on the next call, which is what keeps
-    sharded replay over a fused image bit-identical to the sequential
-    one.
+    simply resumes matching on the next call, which is what keeps a
+    trace file streamed in batches over a fused image bit-identical to
+    one whole-array run.
     @raise Invalid_argument when [off..off+len) exceeds either array. *)
 
 val state : t -> Automaton.state
 
 val set_state : t -> Automaton.state -> unit
-(** Overwrite the current automaton state without stepping — the parallel
-    driver's entry-state stitching, and cross-execution resumption. No
+(** Overwrite the current automaton state without stepping — the NTE
+    re-entry at a demuxed run's cut, and cross-execution resumption. No
     accounting happens; coverage, enter/exit counters and stats are
     untouched. The id is validated lazily: the compiled batch rejects
     ids outside the frozen image on the next feed.
@@ -146,8 +145,8 @@ val transition : t -> Transition.t
     enter/exit counters, engine stats, simulated cycles — as one
     immutable value. Every field is an integer total, so snapshots of
     disjoint step ranges merge by pointwise addition; that additive
-    algebra is what makes sharded parallel replay bit-identical to the
-    sequential run ({!Tea_parallel.Profile}). *)
+    algebra is what lets per-run and per-session profiles fold into
+    fleet totals ({!Tea_parallel.Profile}). *)
 
 type snapshot = {
   counts : (Automaton.state * int) list;

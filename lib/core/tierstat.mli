@@ -73,7 +73,7 @@ val uninstall : unit -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum — associative, commutative, [empty]-neutral, so
-    sharded replay merges to the sequential totals. *)
+    per-domain snapshots merge to the sequential totals. *)
 
 val merge_all : snapshot list -> snapshot
 val equal : snapshot -> snapshot -> bool

@@ -5,7 +5,7 @@
    The serve daemon retains each completed session's raw trace bytes.
    A retune pass demuxes those bytes back into per-asid block segments
    (Pc_trace.demux, cut at invalidations/interrupts — the same runs
-   Tea_parallel.Shard.load_events shards), walks them
+   Tea_parallel.Shard.replay_events replays), walks them
    through Repack.collect to get an edge profile, and rebuilds the
    tuning ladder from the *flat* source image: collect -> repack ->
    collect again over the repacked layout -> fuse. Rebuilding from flat
@@ -15,7 +15,7 @@
 
    The rebuild runs in a background domain (a builder below) while the
    caller keeps replaying on the current image; the swap itself is the
-   caller's job (Replayer.rebind at a sync point). *)
+   caller's job (Replayer.rebind between batches). *)
 
 module Packed = Tea_core.Packed
 module Pc_trace = Tea_core.Pc_trace

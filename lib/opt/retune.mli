@@ -10,8 +10,9 @@
     from the {e flat} source image ({!build}), and do it all in a
     background domain ({!launch}/{!poll}) while replay continues on the
     current image. The swap itself is the caller's
-    ({!Tea_core.Replayer.rebind} at a sync point — a drain-cycle
-    boundary in the serve daemon, a chunk seam offline).
+    ({!Tea_core.Replayer.rebind} between batches — a drain-cycle
+    boundary in the serve daemon, the trace's midpoint in offline
+    [replay --retune]).
 
     Rebuilding from the flat image every generation — rather than
     re-permuting the current one — keeps each epoch exactly one

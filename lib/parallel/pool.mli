@@ -1,6 +1,6 @@
 (** A persistent Domain-based worker pool (OCaml 5 [Domain]s).
 
-    The table drivers and the sharded PC-trace replayer both reduce to the
+    The table drivers and the per-asid PC-trace replay both reduce to the
     same shape: [n] independent tasks, results wanted in task order. The
     pool spawns its domains once and reuses them across every {!map} —
     domain spawn is milliseconds, a table-sweep task is seconds, but the

@@ -6,9 +6,9 @@
     its simulated cycles. All fields are integer sums over the steps
     replayed, so profiles of disjoint step ranges combine by pointwise
     addition: {!merge} is associative and commutative with {!empty} as
-    identity, and a sharded parallel replay merges to exactly the
-    sequential profile as long as every step was replayed once from the
-    state the sequential run would have been in (see {!Shard}). *)
+    identity, and profiles of disjoint runs merge to exactly the profile
+    of replaying them all, as long as every step was replayed once from
+    the state the sequential run would have been in. *)
 
 type t = Tea_core.Replayer.snapshot = {
   counts : (Tea_core.Automaton.state * int) list;

@@ -1,71 +1,24 @@
-(** Sharded offline replay: one PC trace, [n] domains, the sequential
-    profile — exactly.
+(** Offline replay of PC-trace files and arrays: independent inputs in
+    parallel, never one stream split.
 
-    A TEA replay is a DFA walk, so chunking a PC trace naively breaks at
-    the seams: a worker starting mid-trace does not know the automaton
-    state its chunk begins in. The packed image makes the fix cheap. The
-    DFA's step is [in_trace_edge(state, pc)], else [head(pc)], else NTE —
-    so at any index whose PC appears in {b no} state's in-trace label set,
-    the next state is [head(pc)]-or-NTE {e regardless of the current
-    state}. Call such indices {b sync points}. Real traces are full of
-    them (every cold block is one).
+    A TEA replay is one sequential DFA walk per PC stream, and the trace
+    format is delta- and dictionary-coded, so decoding one stream is
+    serial too. This module therefore parallelises only what is
+    independent: the asids of a PCTR3 file, each replayed on its own
+    replayer by one pool task. A single-asid file streams through one
+    replayer in {!Tea_core.Pc_trace.iter_chunks} batches; its profile is
+    the same at any job count because the same one walk produces it.
 
-    Each worker scans its chunk for the first sync point [k], seeds a
-    private {!Tea_core.Replayer} (over a {!Tea_core.Packed.dup} sibling of
-    the shared image) with that entry-independent state, and replays the
-    exact suffix [k+1 .. hi). The driver then stitches sequentially:
-    chunk 0 is replayed whole from NTE; for every later chunk it replays
-    only the short uncertain prefix [lo .. k] from the true carried-in
-    state (asserting it lands on the state the worker assumed) and adopts
-    the worker's exit state. Every index is thus replayed exactly once,
-    from exactly the state the sequential run would have been in — so the
-    {!Profile.merge} of all the pieces is bit-identical to the sequential
-    profile, including stats and simulated cycles (property-tested for
-    1/2/4 domains). A chunk with no sync point degrades gracefully: the
-    driver replays it entirely.
-
-    {b Fused images and chunk boundaries.} The scheme carries over
-    unchanged to an image with a fusion overlay: superstate matching in
-    {!Tea_core.Replayer.feed_run} is bounded by the batch it was handed,
-    so a signature run never reads across a chunk seam — it ends at the
-    boundary and resumes (from the carried state, which bulk accounting
-    maintains exactly) in the next chunk's replay. Because fusion is
-    observationally the identity, sync-point detection, entry-state
-    stitching and the merged profile are all untouched (property-tested
-    for 1/2/4 domains in [test_fuse.ml]).
-
-    {b Replayer factory.} Workers and the stitching driver build their
-    replayers through the [make] factory (default: a compiled-engine
-    replayer, {!Tea_core.Replayer.create_compiled} over
-    {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
-    sibling). Sync-point detection stays on the shared packed image,
-    and since compiled dispatch is bounded by each batch, the merged
-    profile is bit-identical at any job count (property-tested in
-    [test_compile.ml]). *)
-
-val replay_span :
-  Pool.t ->
-  Tea_core.Packed.t ->
-  ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
-  ?entry:Tea_core.Automaton.state ->
-  ?insns:int array ->
-  int array ->
-  off:int ->
-  len:int ->
-  Profile.t * Tea_core.Automaton.state
-(** [replay_span pool packed ~entry starts ~off ~len] — shard
-    [starts.(off..off+len-1)] across the pool, entering the span in
-    state [entry] (default NTE), and return the merged profile together
-    with the true exit state of the walk. The generalization that makes
-    {e segmented} sharded replay possible: replay a prefix span, swap
-    images ({!Tea_core.Replayer.rebind} semantics — translate the exit
-    state through [orig_of] and pass it as the next span's [entry]),
-    replay the rest, and the merged profiles equal the sequential
-    swapped run bit-for-bit — chunk seams and span seams commute with
-    the same sync-point argument. [entry] only affects chunk 0 (and the
-    stitching driver's start); every other chunk enters at its own sync
-    point exactly as before.
-    @raise Invalid_argument when [off..off+len) exceeds either array. *)
+    {b Replayer factory.} Every replayer is built through the [make]
+    factory (default: a compiled-engine replayer,
+    {!Tea_core.Replayer.create_compiled} over
+    {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup} sibling).
+    It must dup — never share mutable counters — and its engine must be
+    observationally identical to the packed one. Batch seams are
+    invisible to the profile: superstate and compiled-region matching in
+    {!Tea_core.Replayer.feed_run} ends at each batch's end and resumes
+    from the carried state in the next batch (property-tested over fused
+    images in [test_fuse.ml]). *)
 
 val replay_arrays :
   Pool.t ->
@@ -75,13 +28,11 @@ val replay_arrays :
   int array ->
   len:int ->
   Profile.t
-(** [replay_arrays pool packed ~insns starts ~len] — shard
-    [starts.(0..len-1)] (entry state NTE) across the pool and merge.
-    [insns] is the parallel per-block instruction-count array (coverage
-    counts 0 per block when absent). Workers credit replayed blocks to
-    {!Pool.add_units}. [make] builds each worker's private replayer from
-    the shared image — it must dup (never share mutable counters), and
-    its engine must be observationally identical to the packed one.
+(** [replay_arrays pool packed ~insns starts ~len] — replay
+    [starts.(0..len-1)] from NTE in one {!Tea_core.Replayer.feed_run} on
+    the caller. [insns] is the parallel per-block instruction-count array
+    (coverage counts 0 per block when absent). The replayed blocks are
+    credited to {!Pool.add_units}.
     @raise Invalid_argument when [len] exceeds either array. *)
 
 val load_pc_trace : string -> int array * int array * int
@@ -89,9 +40,7 @@ val load_pc_trace : string -> int array * int array * int
     ({!Tea_core.Pc_trace.load}). Both arrays are sized once from the
     file's byte count — every block record takes at least one byte, so
     blocks <= bytes — and are over-allocated by the bytes a record takes
-    beyond one; only [0..len-1] is valid. Decoding is inherently
-    sequential — the format is delta-coded — so the parallel path decodes
-    once up front instead of streaming.
+    beyond one; only [0..len-1] is valid.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
 
 val replay_pc_trace :
@@ -100,22 +49,23 @@ val replay_pc_trace :
   ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
   string ->
   Profile.t * int
-(** [load_pc_trace] then [replay_arrays]; returns the merged profile and
-    the block count. Bit-identical to
-    {!Tea_core.Pc_trace.replay_packed} over the same image. *)
+(** Stream a single-stream {!Tea_core.Pc_trace} file through one
+    [make packed] replayer on the caller, one
+    {!Tea_core.Replayer.feed_run} per {!Tea_core.Pc_trace.iter_chunks}
+    batch, so memory is per batch, not per trace. Returns the profile and
+    the block count, and credits the blocks to {!Pool.add_units}. The
+    profile equals one [feed_run] over {!load_pc_trace}'s arrays.
+    @raise Tea_core.Pc_trace.Corrupt on bad framing, with
+    {!load_pc_trace}'s message for the same bytes. *)
 
 (** {2 Multi-asid event streams}
 
-    {!replay_arrays} assumes one uncut single-asid stream — its sync-point
-    stitching carries a single automaton state across chunk seams, so a
-    seam landing on an asid switch would stitch against the wrong
-    automaton. The multi-asid path therefore demuxes {e first}: the v3
-    event stream is split into per-asid runs, cut at every
-    invalidation/interrupt (each run re-enters at NTE, matching the
-    demuxed {!Tea_core.Multi_replayer} cut, which does no accounting),
-    and each run is sharded independently. Seams never straddle an asid
-    or a cut by construction; per-run profiles merge additively into
-    exactly the per-asid sequential snapshot, at any job count. *)
+    A v3 event stream is demuxed into per-asid runs, cut at every
+    invalidation/interrupt. Each asid is one pool task: its runs replay
+    in stream order on one replayer, each entered at NTE by
+    {!Tea_core.Replayer.set_state} (no accounting, as in the demuxed
+    {!Tea_core.Multi_replayer} cut). Asids share nothing, so nothing is
+    stitched, and each asid's profile is the same at any job count. *)
 
 type run = Tea_core.Pc_trace.run = {
   starts : int array;
@@ -139,10 +89,12 @@ val replay_events :
   ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
   string ->
   (int * Profile.t) list
-(** [replay_events pool packed_for path] — demux, then shard each asid's
-    runs over [packed_for asid] (workers dup the image internally via
-    [make]; a shared image per asid is fine) and merge per asid. The
-    result equals
+(** [replay_events pool packed_for path] — {!load_events}, then replay
+    each asid's runs over [packed_for asid] on its own pool task
+    (replayers dup the image via [make]; a shared image per asid is
+    fine). The result, sorted by asid, equals
     {!Tea_core.Multi_replayer.snapshots} of a sequential demuxed replay
-    over the same images, at any [--jobs] — the interleaved-replay hard
-    gate. *)
+    over the same images, at any job count — the interleaved-replay hard
+    gate.
+    @raise Tea_core.Pc_trace.Corrupt on bad framing, with
+    {!load_events}'s message for the same bytes. *)

@@ -5,7 +5,7 @@
     self-modifying code, and interrupted mid-trace. Each builder here
     turns recorded per-workload block streams into a {!Tea_core.Pc_trace}
     v3 event stream exhibiting one of those hazards, deterministically —
-    so replay equivalence (demuxed vs. isolated, sharded vs. sequential)
+    so replay equivalence (demuxed vs. isolated, pool vs. sequential)
     can be gated on exactly the adversarial cases.
 
     Builders are emit-style: they call a callback per event, so the same

@@ -9,11 +9,16 @@
    - The presized loader and the demux equal arrays built from the
      whole-file folds, in arrays no larger than the file.
    - On truncated and bit-flipped input, whole-file and randomly chunked
-     streaming decode agree: same events, or the same [Corrupt]. *)
+     streaming decode agree: same events, or the same [Corrupt]. The
+     streaming file replay agrees with the whole-file load it replaced,
+     and the per-asid replay with the demux: same blocks, or the same
+     [Corrupt]. *)
 
 module Pc_trace = Tea_core.Pc_trace
 module Multi = Tea_core.Multi_replayer
 module Shard = Tea_parallel.Shard
+module Pool = Tea_parallel.Pool
+module Profile = Tea_parallel.Profile
 module Evq = Tea_serve.Evq
 
 let check = Alcotest.check
@@ -71,6 +76,51 @@ let streamed sizes s : outcome =
   | () -> Ok (List.rev !got)
   | exception Pc_trace.Corrupt m -> Error m
 
+(* ---------------- replay entry points vs their loaders ---------------- *)
+
+(* a small image over the low addresses the generators draw from *)
+let image =
+  lazy
+    (let block_at a =
+       Tea_cfg.Block.make Tea_cfg.Block.Branch
+         [ (a, Tea_isa.Insn.Jmp (Tea_isa.Insn.Abs 0)) ]
+     in
+     Tea_core.Packed.freeze
+       (Tea_core.Builder.build
+          [ Tea_traces.Trace.linear ~id:0 ~kind:"test" ~cycle:true
+              [ block_at 0x0; block_at 0x1; block_at 0x2 ] ]))
+
+let corrupt_msg f =
+  match f () with v -> Ok v | exception Pc_trace.Corrupt m -> Error m
+
+(* Shard.replay_pc_trace gives load_pc_trace's block count and the
+   profile of one replay over its arrays, or raises its Corrupt message;
+   Shard.replay_events covers load_events' asids, or raises its message *)
+let replays_agree_with_loads path =
+  let image = Lazy.force image in
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let single =
+    match
+      ( corrupt_msg (fun () -> Shard.load_pc_trace path),
+        corrupt_msg (fun () -> Shard.replay_pc_trace pool image path) )
+    with
+    | Ok (starts, insns, len), Ok (p, blocks) ->
+        blocks = len
+        && Profile.equal p (Shard.replay_arrays pool image ~insns starts ~len)
+    | Error loaded, Error replayed -> loaded = replayed
+    | _ -> false
+  in
+  let events =
+    match
+      ( corrupt_msg (fun () -> Shard.load_events path),
+        corrupt_msg (fun () -> Shard.replay_events pool (fun _ -> image) path) )
+    with
+    | Ok runs, Ok profiles -> List.map fst runs = List.map fst profiles
+    | Error loaded, Error replayed -> loaded = replayed
+    | _ -> false
+  in
+  single && events
+
 (* ---------------- hostile varints ---------------- *)
 
 let ff8 = String.make 8 '\xff'
@@ -109,7 +159,9 @@ let test_hostile_varints () =
           Alcotest.check_raises (name ^ ": demux") (Pc_trace.Corrupt msg)
             (fun () -> ignore (Shard.load_events path));
           Alcotest.check_raises (name ^ ": load") (Pc_trace.Corrupt msg)
-            (fun () -> ignore (Shard.load_pc_trace path))))
+            (fun () -> ignore (Shard.load_pc_trace path));
+          check Alcotest.bool (name ^ ": replays") true
+            (replays_agree_with_loads path)))
     hostile
 
 let test_widest_varints () =
@@ -364,6 +416,25 @@ let gen_damaged =
   in
   (Bytes.sub_string b 0 len, sizes)
 
+(* Damage the single-stream loaders must turn into Corrupt, mixed into
+   the random cases: a PCTR2 file cut mid-record, one whose last byte
+   gained a continuation bit, and an undamaged PCTR3 file with a
+   Switch, which only the per-asid path accepts. *)
+let named_damage =
+  let blocks =
+    List.map
+      (fun start -> Pc_trace.Block { start; insns = 3 })
+      [ 0x0; 0x1; 0x2; 0x40000; 0x0 ]
+  in
+  let v2 = bytes_of_events Pc_trace.V2 blocks in
+  let n = String.length v2 in
+  let flipped = Bytes.of_string v2 in
+  Bytes.set flipped (n - 1) (Char.chr (Char.code v2.[n - 1] lor 0x80));
+  [ String.sub v2 0 (n - 1);
+    Bytes.to_string flipped;
+    bytes_of_events Pc_trace.V3
+      (blocks @ (Pc_trace.Switch { asid = 1 } :: blocks)) ]
+
 let prop_damaged_whole_equals_streamed =
   QCheck.Test.make ~name:"truncated/bit-flipped: whole file == chunked stream"
     ~count:300
@@ -371,8 +442,14 @@ let prop_damaged_whole_equals_streamed =
        ~print:(fun (s, sizes) ->
          Printf.sprintf "%S in chunks %s" s
            (String.concat "," (List.map string_of_int sizes)))
-       gen_damaged)
-    (fun (s, sizes) -> whole s = streamed sizes s)
+       QCheck.Gen.(
+         frequency
+           [ (9, gen_damaged); (1, oneofl named_damage >|= fun s -> (s, [ 3 ])) ]))
+    (fun (s, sizes) ->
+      whole s = streamed sizes s
+      && with_tmp (fun path ->
+             write_bytes path s;
+             replays_agree_with_loads path))
 
 let () =
   Alcotest.run "tea_decode"

@@ -2,7 +2,7 @@
    compiled chain matchers behind it: fusion must be observationally the
    identity
    (TBB mapping, coverage, stats, simulated cycles) on any workload, over
-   flat and repacked bases, sequentially and sharded; the TEAPK3
+   flat and repacked bases, in whole arrays and streamed batches; the TEAPK3
    serialization must round-trip and leave unfused images byte-identical;
    Packed.with_fusion must reject corrupt overlays; and the `info`
    description of the listscan image is frozen as a golden. *)
@@ -180,12 +180,11 @@ let prop_teapk3_roundtrip =
           && Serialize.packed_to_binary loaded = bin)
         [ (flat, "TEAPK1"); (tuned, "TEAPK2") ])
 
-(* ---------------- sharded replay over a fused image ----------------
+(* ---------------- pool replay over a fused image ----------------
 
-   Same bar as PR 4: --jobs N merges to --jobs 1 counter for counter.
-   Chain matching is bounded by each chunk's end, so sync-point
-   stitching needs no new rule — only the fused_steps probe, which
-   depends on where seams fall, may differ. *)
+   --jobs N gives --jobs 1's profile counter for counter, and the same
+   probe counters and histograms except fused_steps, which counts
+   chain matches and so depends on where batch seams fall. *)
 
 let variable_counter = function "packed.fused_steps" -> true | _ -> false
 
@@ -225,6 +224,63 @@ let prop_sharded_fused_replay =
             [ 2; 4 ]
           && Tea_parallel.Profile.equal p1 pseq)
         [ flat; tuned ])
+
+(* A PC-trace file streamed in 4096-block batches, with seams inside
+   fused chains and inside a cyclic chain's spin: chain matching ends at
+   each batch's end and resumes from the carried state, so the streamed
+   profile equals one feed_run over the whole file, cycles included.
+   Each 18-block lap is a 5-block straight chain, a cold block, one
+   entry into the 0x7000/0x8000 cycle spinning 5 laps, and a cold block;
+   4096 mod 18 = 10 lands in the spin, 8192 mod 18 = 2 in the chain. *)
+let test_stream_seams_in_chains () =
+  let straight =
+    Trace.make ~id:0 ~kind:"fix"
+      (Array.map block_at [| 0x1000; 0x2000; 0x3000; 0x4000; 0x5000 |])
+      [| [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [] |]
+  in
+  let cycle =
+    Trace.make ~id:1 ~kind:"fix"
+      (Array.map block_at [| 0x6000; 0x7000; 0x8000 |])
+      [| [ 1 ]; [ 2 ]; [ 1 ] |]
+  in
+  let flat = Packed.freeze (Builder.build [ straight; cycle ]) in
+  let fused = Fuse.fuse flat in
+  check Alcotest.bool "straight and cyclic chains" true
+    (Packed.n_chains fused >= 2 && Packed.n_cyclic_chains fused >= 1);
+  let lap =
+    [ 0x1000; 0x2000; 0x3000; 0x4000; 0x5000; 0x9990; 0x6000 ]
+    @ List.concat (List.init 5 (fun _ -> [ 0x7000; 0x8000 ]))
+    @ [ 0x9990 ]
+  in
+  let path = Filename.temp_file "tea_fuse_seams" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let w = Tea_core.Pc_trace.open_writer path in
+  for i = 0 to 599 do
+    List.iteri
+      (fun j a -> Tea_core.Pc_trace.write w ~start:a ~insns:(1 + ((i + j) mod 3)))
+      lap
+  done;
+  Tea_core.Pc_trace.close_writer w;
+  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
+  check Alcotest.int "blocks" (600 * 18) len;
+  check Alcotest.bool "seams inside chains" true
+    (starts.(4095) = 0x7000 && starts.(4096) = 0x8000
+    && starts.(8191) = 0x2000 && starts.(8192) = 0x3000);
+  let whole = batch_snapshot fused ~insns starts ~len in
+  check Alcotest.bool "fusion is the identity" true
+    (whole = batch_snapshot flat ~insns starts ~len);
+  List.iter
+    (fun jobs ->
+      let streamed, blocks =
+        Tea_parallel.Pool.with_pool ~jobs (fun pool ->
+            Tea_parallel.Shard.replay_pc_trace pool fused path)
+      in
+      check Alcotest.int "streamed block count" len blocks;
+      check Alcotest.bool
+        (Printf.sprintf "jobs %d: streamed == one feed_run" jobs)
+        true
+        (Tea_parallel.Profile.equal streamed whole))
+    [ 1; 2 ]
 
 (* ---------------- chain decomposition units ---------------- *)
 
@@ -513,6 +569,8 @@ let () =
           qtest prop_fused_feed_run_equals_feed_addr;
           qtest prop_teapk3_roundtrip;
           qtest prop_sharded_fused_replay;
+          Alcotest.test_case "stream seams inside chains" `Quick
+            test_stream_seams_in_chains;
         ] );
       ( "decomposition",
         [

@@ -345,6 +345,12 @@ let capture_workload img =
   let n = Tea_pinsim.Trace_capture.record img path in
   (auto, path, n)
 
+(* [path] streamed through Shard.replay_pc_trace over a dup of [image] *)
+let streamed image path =
+  fst
+    (Tea_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+         Tea_parallel.Shard.replay_pc_trace pool image path))
+
 (* Chunked replay of [path] must equal one whole-array feed_run over a
    flat and a tuned (repacked, then fused) image alike: the 4096-block
    chunk cuts must be invisible, including where they land inside a
@@ -363,15 +369,14 @@ let check_chunked_equals_whole name auto path =
   in
   List.iter
     (fun (kind, image) ->
-      let chunked = Pc_trace.replay_packed (Packed.dup image) path in
+      let chunked = streamed image path in
       let whole = compiled (Packed.dup image) in
       Replayer.feed_run whole ~insns starts ~len;
       check Alcotest.bool
         (Printf.sprintf "%s %s: chunked replay == whole-array feed_run" name
            kind)
         true
-        (Tea_parallel.Profile.equal
-           (Tea_parallel.Profile.of_replayer chunked)
+        (Tea_parallel.Profile.equal chunked
            (Tea_parallel.Profile.of_replayer whole)))
     [ ("flat", flat); ("tuned", tuned) ];
   tuned
@@ -384,7 +389,7 @@ let test_pc_trace_replay_packed () =
   let reference =
     Pc_trace.replay (Transition.create Transition.config_global_local auto) path
   in
-  let packed = Pc_trace.replay_packed (Packed.freeze auto) path in
+  let packed = streamed (Packed.freeze auto) path in
   ignore (check_chunked_equals_whole "listscan" auto path);
   Sys.remove path;
   (* profile-gated fusion keeps no listscan chain; micro:nested's inner
@@ -395,16 +400,14 @@ let test_pc_trace_replay_packed () =
   let tuned = check_chunked_equals_whole "nested" nested nested_path in
   Sys.remove nested_path;
   check Alcotest.bool "nested tuned image is fused" true (Packed.is_fused tuned);
-  check (Alcotest.float 0.0) "coverage" (Replayer.coverage reference)
-    (Replayer.coverage packed);
-  check Alcotest.int "enters" (Replayer.trace_enters reference)
-    (Replayer.trace_enters packed);
-  check Alcotest.int "exits" (Replayer.trace_exits reference)
-    (Replayer.trace_exits packed);
-  check Alcotest.(list (pair int int)) "profiles"
-    (Replayer.tbb_counts reference) (Replayer.tbb_counts packed);
-  check Alcotest.int "steps" (Replayer.stats reference).Transition.steps
-    (Replayer.stats packed).Transition.steps
+  let reference = Tea_parallel.Profile.of_replayer reference in
+  check (Alcotest.float 0.0) "coverage"
+    (Tea_parallel.Profile.coverage reference)
+    (Tea_parallel.Profile.coverage packed);
+  check Alcotest.int "enters" reference.enters packed.enters;
+  check Alcotest.int "exits" reference.exits packed.exits;
+  check Alcotest.(list (pair int int)) "profiles" reference.counts packed.counts;
+  check Alcotest.int "steps" reference.steps packed.steps
 
 (* ---------------- Serialization ---------------- *)
 

@@ -1,9 +1,9 @@
 (* The parallel replay driver: the Domain pool, the mergeable Profile
-   algebra, and the sharded PC-trace replay with entry-state stitching.
-   The headline property is exactness — a sharded parallel replay must
-   merge to the bit-identical profile of the sequential run (per-state
-   counts, coverage, enter/exit counters, stats and simulated cycles) for
-   any workload and any domain count. *)
+   algebra, and Shard's array and PC-trace file replay. The headline
+   property is exactness — replay through Shard at any domain count must
+   give the bit-identical profile of the address-at-a-time sequential run
+   (per-state counts, coverage, enter/exit counters, stats and simulated
+   cycles) for any workload. *)
 
 open Tea_isa
 module I = Insn
@@ -37,7 +37,7 @@ let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
 let compiled img = Replayer.create_compiled (Compiled.of_packed img)
 
 (* A looping stream over the fixture: in-trace runs, cross-trace hops and
-   cold blocks (0x999 is in no trace — a sync point in every lap). *)
+   cold blocks (0x999 and 0x555 are in no trace). *)
 let fixture_stream n =
   let lap = [ 0x100; 0x200; 0x300; 0x100; 0x999; 0x400; 0x300; 0x555 ] in
   Array.init n (fun i -> List.nth lap (i mod List.length lap))
@@ -187,9 +187,9 @@ let test_profile_merge_assoc_comm () =
     (float_of_int m.Profile.covered /. float_of_int m.Profile.total)
     (Profile.coverage m)
 
-(* Splitting one replay at an arbitrary point and stitching with
-   [set_state] must merge back to the whole-run profile — the single-seam
-   version of what the sharded driver does at every chunk boundary. *)
+(* Splitting one replay at an arbitrary point and carrying the state
+   across with [set_state] must merge back to the whole-run profile: the
+   profile algebra is additive over disjoint step ranges. *)
 let test_profile_split_merge () =
   let stream = fixture_stream 50 in
   let whole, _ = profile_of_run stream in
@@ -266,8 +266,8 @@ let sequential_profile packed ~starts ~insns ~len =
   done;
   Profile.of_replayer rep
 
-(* The tentpole property: sharded replay == sequential replay, exactly,
-   for 1, 2 and 4 domains — whatever the automaton and stream. *)
+(* Shard replay == address-at-a-time replay, exactly, for 1, 2 and 4
+   domains — whatever the automaton and stream. *)
 let prop_shard_equals_sequential =
   QCheck.Test.make ~name:"sharded parallel replay == sequential (jobs 1/2/4)"
     ~count:60 gen_workload (fun w ->
@@ -332,12 +332,17 @@ let test_shard_pc_trace () =
       Pc_trace.close_writer w;
       let packed = fixture_packed () in
       let seq =
-        Profile.of_replayer (Pc_trace.replay_packed (Packed.dup packed) path)
+        sequential_profile packed ~starts ~insns:(Array.make 700 2) ~len:700
       in
-      Pool.with_pool ~jobs:3 (fun pool ->
-          let par, blocks = Shard.replay_pc_trace pool packed path in
-          check Alcotest.int "block count" 700 blocks;
-          check profile "pc-trace shard == replay_packed" seq par))
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let par, blocks = Shard.replay_pc_trace pool packed path in
+              check Alcotest.int "block count" 700 blocks;
+              check profile
+                (Printf.sprintf "jobs %d: pc-trace file == sequential" jobs)
+                seq par))
+        [ 1; 3 ])
 
 (* ---------------- Replayer satellites ---------------- *)
 

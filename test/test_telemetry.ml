@@ -118,8 +118,8 @@ let replay_snapshot packed path jobs =
       (profile, Probe.uninstall ()))
 
 (* The acceptance bar: every probe counter and histogram of a --jobs 4 run
-   merges to exactly the --jobs 1 values (shard stitching replays every
-   step once from the true entry state). *)
+   equals the --jobs 1 values (one stream is one walk at any job count,
+   so every step is replayed once from the true state). *)
 let test_parallel_probe_equality () =
   let packed, path = listscan_fixture () in
   Fun.protect
