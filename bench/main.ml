@@ -79,17 +79,13 @@ let capture image =
   ignore (Tea_pinsim.Trace_capture.record image path);
   Tea_parallel.Shard.load_pc_trace path
 
-(* The tuning rungs above a flat image: profile-guided repack on the
-   stream, then profile-aware fusion over the repacked layout (the
-   profile is re-collected so chain selection sees this stream's
-   continuation fractions). *)
+(* The tuning rungs above a flat image, both from the stream's one
+   profile: profile-guided repack, then the same ladder with
+   profile-aware fusion on top. *)
 let tune flat starts ~len =
-  let repacked =
-    Tea_opt.Repack.repack flat (Tea_opt.Repack.collect flat starts ~len)
-  in
-  ( repacked,
-    Tea_opt.Fuse.fuse ~profile:(Tea_opt.Repack.collect repacked starts ~len)
-      repacked )
+  let profile = Tea_opt.Repack.collect flat starts ~len in
+  let build fuse = Tea_opt.Retune.build ~fuse ~profile flat in
+  (build false, build true)
 
 (* Best of 5 rounds after one warmup, every series sampled once per round
    so machine drift hits all of them alike. *)
@@ -126,7 +122,7 @@ let replay_sampler ~reps img starts insns ~len =
    or not the harness runs under --telemetry/--metrics. *)
 let fused_steps img starts insns ~len =
   let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
-  let counts = Array.make (Tea_core.Packed.n_slots img) 0 in
+  let counts = Array.make (Tea_core.Packed.n_counters img) 0 in
   (Tea_core.Compiled.run c ~state:Tea_core.Automaton.nte ~counts starts insns
      ~len)
     .Tea_core.Compiled.d_fused_steps
@@ -221,12 +217,14 @@ let benchmarks () =
   (* The packed engine's version of the same cross-trace step. *)
   let step_packed =
     let packed = Tea_core.Packed.freeze auto in
+    let counts = Array.make (Tea_core.Packed.n_counters packed) 0 in
     let i = ref 0 in
     Test.make ~name:"table4/step-packed"
       (Staged.stage (fun () ->
            incr i;
            let pc = addrs.(!i mod n) in
-           Sys.opaque_identity (Tea_core.Packed.step packed Tea_core.Automaton.nte pc)))
+           Sys.opaque_identity
+             (Tea_core.Packed.step packed counts Tea_core.Automaton.nte pc)))
   in
   [
     table1;
@@ -1108,7 +1106,7 @@ let run_retune_daemon ~jobs ~retune ~drift_ref ~base ~image ~warm ~session
              keeps later B sessions (still far from the phase-A drift
              reference) from churning out redundant rebuilds inside the
              measurement window *)
-          { Tea_serve.Server.default_retune with up = 1; cooldown = 1000 }
+          { Tea_serve.Server.up = 1; cooldown = 1000 }
         ~jobs ~image
         (Tea_serve.Frame.Unix_sock sock)
     else
@@ -1223,12 +1221,8 @@ let run_retune ~smoke =
      profile-aware rebuild can only come from live traffic *)
   let mistuned = flat in
   let drift_ref =
-    let prof =
-      Tea_opt.Repack.collect flat a_starts ~len:(Array.length a_starts)
-    in
-    List.filter
-      (fun (_, v) -> v > 0)
-      (Array.to_list (Array.mapi (fun i v -> (i, v)) prof.Tea_opt.Repack.visits))
+    Tea_opt.Repack.visit_counts
+      (Tea_opt.Repack.collect flat a_starts ~len:(Array.length a_starts))
   in
   let warm = retune_session_bytes a_starts in
   let session = retune_session_bytes b_starts in

@@ -41,14 +41,6 @@ let or_die = function
       prerr_endline ("tea_tool: " ^ msg);
       exit 1
 
-(* An edge profile's per-state visits as the (id, count) pairs the drift
-   comparator consumes. Ids are the slots of the image the profile was
-   collected over — automaton ids when that image was flat. *)
-let visits_counts (prof : Tea_opt.Repack.profile) =
-  List.filter
-    (fun (_, v) -> v > 0)
-    (Array.to_list (Array.mapi (fun i v -> (i, v)) prof.Tea_opt.Repack.visits))
-
 (* ---- observability ----
 
    Every data-producing subcommand takes the same three flags. With none
@@ -394,25 +386,18 @@ let with_captured_trace image f =
 
 let capture_stream image = with_captured_trace image Tea_parallel.Shard.load_pc_trace
 
-(* the --pgo/--fuse tuning ladder over a profiling stream: repack on the
-   flat-image profile, then fuse gated by a profile re-collected over the
-   repacked layout (so chain selection sees the layout it will fuse).
+(* the --pgo/--fuse tuning ladder over a profiling stream's flat-image
+   edge profile ({!Tea_opt.Retune.build}: repack, then fuse gated by the
+   same counts in the repacked layout); --fuse alone fuses structurally.
    Identity when both flags are off. *)
 let tune_image ?hot_prefix ~pgo ~fuse packed starts ~len =
-  let img =
-    if not pgo then packed
-    else
-      Probe.with_span "pgo_repack" @@ fun () ->
-      Tea_opt.Repack.repack ?hot_prefix packed
-        (Tea_opt.Repack.collect packed starts ~len)
-  in
-  if not fuse then img
-  else
-    Probe.with_span "fuse" @@ fun () ->
-    if not pgo then Tea_opt.Fuse.fuse img
-    else
-      let profile = Tea_opt.Repack.collect img starts ~len in
-      Tea_opt.Fuse.fuse ~profile img
+  if pgo then
+    Probe.with_span "pgo_tune" @@ fun () ->
+    Tea_opt.Retune.build ~fuse ?hot_prefix
+      ~profile:(Tea_opt.Repack.collect packed starts ~len)
+      packed
+  else if fuse then Probe.with_span "fuse" @@ fun () -> Tea_opt.Fuse.fuse packed
+  else packed
 
 (* one fresh compiled replayer over a private dup of a shared image (what
    Shard builds by default) *)
@@ -724,12 +709,13 @@ let replay_cmd =
                 let mid = len / 2 in
                 let rep = make_replayer packed in
                 Tea_core.Replayer.feed_run rep ~insns starts ~len:mid;
-                let tuned, _prof =
+                (* the half-replayed replayer's own counts are the
+                   profile: no second walk *)
+                let tuned =
                   Probe.with_span "retune_build" @@ fun () ->
-                  Tea_opt.Retune.build ~src:packed
-                    ~profile_of:(fun img ->
-                      Tea_opt.Repack.collect img starts ~len:mid)
-                    ()
+                  Tea_opt.Retune.build
+                    ~profile:(Tea_core.Replayer.edge_profile rep)
+                    packed
                 in
                 Tea_core.Replayer.rebind rep
                   (Tea_core.Replayer.Compiled
@@ -1083,62 +1069,38 @@ let info_cmd =
      image's dispatch layout. Edges inside a state's hot prefix resolve by
      linear scan ("hot"), the tail by binary search ("search"); per-state
      span misses fall through to the trace-head hash ("hash/miss" — the
-     split needs the stream, not just counts). *)
+     split needs the stream, not just counts). TEAEP profiles are in
+     original-id space, so they are permuted into the image's layout
+     first. *)
   let print_profile_mix packed (prof : Tea_opt.Repack.profile) =
-    let raw = Tea_core.Packed.to_raw packed in
-    let n_slots = Tea_core.Packed.n_slots packed in
     if
-      Array.length prof.Tea_opt.Repack.visits <> n_slots
-      || Array.length prof.Tea_opt.Repack.taken
-         <> Tea_core.Packed.n_edges packed
+      Array.length prof.visits <> Tea_core.Packed.n_slots packed
+      || Array.length prof.taken <> Tea_core.Packed.n_edges packed
     then
       or_die
         (Error
            "profile shape does not match the image (collected over a \
             different layout?)");
-    (* TEAEP profiles are indexed in original automaton-id space (the
-       flat layout `repack --save-profile' collects over — the same
-       space serve's fleet counts live in), so a repacked image's spans
-       are walked through the orig_of translation: slot [s] holds the
-       same edge set as original state [orig_of.(s)], and sorting the
-       span by label recovers the flat edge order. Identity on flat
-       images. *)
-    let flat_off = Array.make (n_slots + 1) 0 in
-    for s = 0 to n_slots - 1 do
-      let o = raw.Tea_core.Packed.orig_of.(s) in
-      flat_off.(o + 1) <-
-        raw.Tea_core.Packed.offsets.(s + 1) - raw.Tea_core.Packed.offsets.(s)
-    done;
-    for o = 0 to n_slots - 1 do
-      flat_off.(o + 1) <- flat_off.(o) + flat_off.(o + 1)
-    done;
-    let hot = ref 0 and search = ref 0 and fallthrough = ref 0 in
-    for s = 0 to n_slots - 1 do
-      let lo = raw.Tea_core.Packed.offsets.(s)
-      and hi = raw.Tea_core.Packed.offsets.(s + 1) in
-      let k = raw.Tea_core.Packed.hot_len.(s) in
-      let o = raw.Tea_core.Packed.orig_of.(s) in
-      let span = Array.init (hi - lo) (fun i -> lo + i) in
-      Array.sort
-        (fun a b ->
-          Int.compare raw.Tea_core.Packed.labels.(a)
-            raw.Tea_core.Packed.labels.(b))
-        span;
-      Array.iteri
-        (fun i e ->
-          let n = prof.Tea_opt.Repack.taken.(flat_off.(o) + i) in
-          if e < lo + k then hot := !hot + n else search := !search + n)
-        span;
-      fallthrough := !fallthrough + prof.Tea_opt.Repack.misses.(o)
-    done;
-    let total = !hot + !search + !fallthrough in
+    let p = Tea_opt.Repack.permute packed prof in
+    let raw = Tea_core.Packed.to_raw packed in
+    let hot = ref 0 and search = ref 0 in
+    Array.iteri
+      (fun s k ->
+        let lo = raw.offsets.(s) in
+        for e = lo to raw.offsets.(s + 1) - 1 do
+          if e < lo + k then hot := !hot + p.taken.(e)
+          else search := !search + p.taken.(e)
+        done)
+      raw.hot_len;
+    let fallthrough = Array.fold_left ( + ) 0 p.misses in
+    let total = !hot + !search + fallthrough in
     let pct n =
       Tea_report.Stats.percent1
         (float_of_int n /. float_of_int (max 1 total))
     in
     Printf.printf
       "profile: %d resolutions  hot=%s search=%s hash/miss=%s\n" total
-      (pct !hot) (pct !search) (pct !fallthrough)
+      (pct !hot) (pct !search) (pct fallthrough)
   in
   let run path profile baseline =
     let packed =
@@ -1157,10 +1119,10 @@ let info_cmd =
     | Some ppath ->
         let prof = load_teaep ppath in
         print_profile_mix packed prof;
-        let live = visits_counts prof in
+        let live = Tea_opt.Repack.visit_counts prof in
         let ref_counts =
           match baseline with
-          | Some bpath -> Some (visits_counts (load_teaep bpath), live)
+          | Some bpath -> Some (Tea_opt.Repack.visit_counts (load_teaep bpath), live)
           | None ->
               (* A repacked image's slot order IS its baked hotness
                  ranking (hotness-descending renumbering, NTE pinned at
@@ -1557,10 +1519,12 @@ let prepare_serve_image name strategy_name pgo fuse =
   if not (pgo || fuse) then (packed, packed, None)
   else begin
     let starts, _, len = capture_stream image in
-    let ref_counts =
-      visits_counts (Tea_opt.Repack.collect packed starts ~len)
+    let profile = Tea_opt.Repack.collect packed starts ~len in
+    let tuned =
+      if pgo then Tea_opt.Retune.build ~fuse ~profile packed
+      else Tea_opt.Fuse.fuse packed
     in
-    (tune_image ~pgo ~fuse packed starts ~len, packed, Some ref_counts)
+    (tuned, packed, Some (Tea_opt.Repack.visit_counts profile))
   end
 
 let serve_cmd =
@@ -1641,9 +1605,9 @@ let serve_cmd =
   let save_fleet_arg =
     let doc =
       "On shutdown, write the whole fleet's traffic as a TEAEP1 edge \
-       profile over the flat base image — feed it back as the next \
-       boot's `--drift-profile' (or `repack' input) to close the loop \
-       across restarts."
+       profile in flat-image ids — the sessions' own replay counts, \
+       summed — and feed it back as the next boot's `--drift-profile' \
+       (or `repack' input) to close the loop across restarts."
     in
     Arg.(
       value
@@ -1662,7 +1626,7 @@ let serve_cmd =
       match drift_profile with
       | Some path -> (
           match Tea_opt.Repack.load_profile path with
-          | prof -> Some (visits_counts prof)
+          | prof -> Some (Tea_opt.Repack.visit_counts prof)
           | exception Failure msg ->
               or_die (Error (Printf.sprintf "%s: %s" path msg)))
       | None -> tuning_ref
@@ -1683,10 +1647,7 @@ let serve_cmd =
     let retune_cfg =
       if not retune then None
       else
-        Some
-          { Tea_serve.Server.default_retune with
-            cooldown = retune_cooldown;
-            fuse = true }
+        Some { Tea_serve.Server.default_retune with cooldown = retune_cooldown }
     in
     let events = Option.map Tea_observe.Events.open_file events_path in
     Fun.protect
@@ -1698,9 +1659,8 @@ let serve_cmd =
     let finish_tiers () = Tea_core.Tierstat.uninstall () in
     match
       let srv =
-        Tea_serve.Server.create ~offline_check
-          ~retain:(save_fleet <> None) ?events ?drift ~base ?retune:retune_cfg
-          ~jobs ~image listen
+        Tea_serve.Server.create ~offline_check ?events ?drift ~base
+          ?retune:retune_cfg ~jobs ~image listen
       in
       Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
       (* clients wait for this line before connecting *)

@@ -10,10 +10,16 @@ type trace_stats = {
    reconstituted from bytes has none, so analyses degrade to empty. *)
 let automaton_of rep = Replayer.automaton rep
 
+(* count lookup over one derivation of the replayer's per-state counts *)
+let counter rep =
+  let counts = Replayer.state_counts rep in
+  fun s -> if s >= 0 && s < Array.length counts then counts.(s) else 0
+
 let per_trace rep =
   match automaton_of rep with
   | None -> []
   | Some auto ->
+  let count_of_state = counter rep in
   List.filter_map
     (fun id ->
       let states = Automaton.states_of_trace auto id in
@@ -24,7 +30,7 @@ let per_trace rep =
         let entries = ref 0 and execs = ref 0 and insns = ref 0 in
         List.iter
           (fun s ->
-            let c = Replayer.count_of_state rep s in
+            let c = count_of_state s in
             execs := !execs + c;
             (match Automaton.state_info auto s with
             | Some info ->
@@ -68,12 +74,13 @@ let side_exit_candidates ?(n = 10) rep =
   match automaton_of rep with
   | None -> []
   | Some auto ->
+  let count_of_state = counter rep in
   let sites = ref [] in
   Automaton.iter_live
     (fun s info ->
       let out_edges = List.length (Automaton.edges_of auto s) in
       if out_edges = 0 then
-        let executions = Replayer.count_of_state rep s in
+        let executions = count_of_state s in
         if executions > 0 then
           sites :=
             {

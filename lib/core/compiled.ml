@@ -17,7 +17,10 @@
    the two loop-invariant arrays — is threaded through every closure as
    arguments
    [(addrs, counts, i, stop, cycles)], so the fast paths touch no
-   mutable record at all. The remaining accounting is derived:
+   mutable record at all. [counts] is the replayer's counter array
+   ({!Packed.n_counters}): each step bumps the counter of the edge it
+   took, an index captured at build time. The remaining accounting is
+   derived:
    [total] is the batch's instruction sum (a pure prefix sum computed
    once per [run]), [covered] is [total] minus the instructions of the
    rare steps that land in NTE (accumulated only on the hash-miss and
@@ -87,6 +90,12 @@ type delta = {
    optimization, invisible to the cost model. *)
 let scan_cap = 8
 
+(* dispatch-tier attribution of one compiled-resolved step *)
+let[@inline] tally ctx s =
+  match ctx.tly with
+  | None -> ()
+  | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:s
+
 let base t = t.base
 let n_closures t = t.n_closures
 let degree_histogram t = t.degree_hist
@@ -103,6 +112,12 @@ let of_packed packed =
   let vals = raw.Packed.hash_vals in
   let mask = Array.length keys - 1 in
   let n_slots = Array.length offsets - 1 in
+  let orig_of = raw.Packed.orig_of in
+  (* counter indices ({!Packed.n_counters}): edges by flat-layout id,
+     then head entries, then span misses, by original state id *)
+  let eo = Array.init (Array.length labels) (Packed.edge_orig packed) in
+  let heads0 = Array.length labels in
+  let misses0 = heads0 + n_slots in
   let nte = Automaton.nte in
   let edge_cost, miss_cost = Packed.resolution_costs packed in
   let ctx =
@@ -128,7 +143,8 @@ let of_packed packed =
      {!Packed.step} ends in, with the same charges. All the
      NTE-boundary accounting (uncovered, enters, exits) lives here and
      in the NTE-edge actions; the hot paths never touch [ctx]. *)
-  let dispatch_hash prev miss_extra pc addrs counts i stop cycles =
+  let dispatch_hash prev mi miss_extra pc addrs counts i stop cycles =
+    Array.unsafe_set counts mi (1 + Array.unsafe_get counts mi);
     let cycles = cycles + miss_extra + Packed.cost_hash_base in
     let idx = ref (Packed.hash_pc mask pc) in
     let found = ref (-2) in
@@ -153,7 +169,8 @@ let of_packed packed =
       let next = !found in
       ctx.g_hits <- ctx.g_hits + 1;
       if prev = nte then ctx.enters <- ctx.enters + 1;
-      Array.unsafe_set counts next (1 + Array.unsafe_get counts next);
+      let hi = heads0 + Array.unsafe_get orig_of next in
+      Array.unsafe_set counts hi (1 + Array.unsafe_get counts hi);
       (Array.unsafe_get nodes next) addrs counts (i + 1) stop cycles
     end
     else begin
@@ -164,31 +181,27 @@ let of_packed packed =
         (cycles + Transition.cost_nte_miss)
     end
   in
-  (* One resolved in-span edge: account (source, target and cost are
-     all compile-time constants of the closure) and jump to the
-     target's closure. Specialized on the NTE-ness of both ends so the
-     common in-trace edge touches no rare-path state. *)
-  let edge_action src tgt cost : int array -> int array -> int -> int -> int -> unit =
+  (* One resolved in-span edge: account (source, target, cost and edge
+     counter are all compile-time constants of the closure) and jump to
+     the target's closure. Specialized on the NTE-ness of both ends so
+     the common in-trace edge touches no rare-path state. *)
+  let edge_action src e : int array -> int array -> int -> int -> int -> unit =
+    let tgt = targets.(e) and cost = edge_cost.(e) and oe = eo.(e) in
     if tgt <> nte then
       if src <> nte then fun addrs counts i stop cycles ->
-        (match ctx.tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:src);
-        Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
+        tally ctx src;
+        Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
         (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
       else fun addrs counts i stop cycles ->
-        (match ctx.tly with
-        | None -> ()
-        | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:src);
+        tally ctx src;
         ctx.enters <- ctx.enters + 1;
-        Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
+        Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
         (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
     else fun addrs counts i stop cycles ->
-      (match ctx.tly with
-      | None -> ()
-      | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:src);
+      tally ctx src;
       ctx.uncovered <- ctx.uncovered + Array.unsafe_get ctx.ins i;
       if src <> nte then ctx.exits <- ctx.exits + 1;
+      Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
       (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
   in
   let n_closures = ref 0 in
@@ -202,9 +215,9 @@ let of_packed packed =
     incr n_closures;
     let lo = offsets.(s) and hi = offsets.(s + 1) in
     let deg = hi - lo in
-    let mc = miss_cost.(s) in
+    let mc = miss_cost.(s) and mi = misses0 + orig_of.(s) in
     let miss pc addrs counts i stop cycles =
-      dispatch_hash s mc pc addrs counts i stop cycles
+      dispatch_hash s mi mc pc addrs counts i stop cycles
     in
     if deg = 0 then fun addrs counts i stop cycles ->
       if i >= stop then begin
@@ -215,66 +228,13 @@ let of_packed packed =
         let pc = Array.unsafe_get addrs i in
         miss pc addrs counts i stop cycles
       end
-    else if deg = 1 && s <> nte && targets.(lo) <> nte then begin
-      (* the common monomorphic shape, fully inlined *)
-      let l0 = labels.(lo) and t0 = targets.(lo) in
-      let c0 = edge_cost.(lo) in
-      fun addrs counts i stop cycles ->
-        if i >= stop then begin
-          ctx.halt <- s;
-          ctx.halt_cycles <- cycles
-        end
-        else begin
-          let pc = Array.unsafe_get addrs i in
-          if pc = l0 then begin
-            (match ctx.tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:s);
-            Array.unsafe_set counts t0 (1 + Array.unsafe_get counts t0);
-            (Array.unsafe_get nodes t0) addrs counts (i + 1) stop (cycles + c0)
-          end
-          else miss pc addrs counts i stop cycles
-        end
-    end
-    else if deg = 2 && s <> nte && targets.(lo) <> nte && targets.(lo + 1) <> nte
-    then begin
-      (* the bimodal branchy shape fusion cannot chain: two immediate
-         compares, profile-hot successor first *)
-      let l0 = labels.(lo) and t0 = targets.(lo) in
-      let l1 = labels.(lo + 1) and t1 = targets.(lo + 1) in
-      let c0 = edge_cost.(lo) and c1 = edge_cost.(lo + 1) in
-      fun addrs counts i stop cycles ->
-        if i >= stop then begin
-          ctx.halt <- s;
-          ctx.halt_cycles <- cycles
-        end
-        else begin
-          let pc = Array.unsafe_get addrs i in
-          if pc = l0 then begin
-            (match ctx.tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:s);
-            Array.unsafe_set counts t0 (1 + Array.unsafe_get counts t0);
-            (Array.unsafe_get nodes t0) addrs counts (i + 1) stop (cycles + c0)
-          end
-          else if pc = l1 then begin
-            (match ctx.tly with
-            | None -> ()
-            | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:s);
-            Array.unsafe_set counts t1 (1 + Array.unsafe_get counts t1);
-            (Array.unsafe_get nodes t1) addrs counts (i + 1) stop (cycles + c1)
-          end
-          else miss pc addrs counts i stop cycles
-        end
-    end
     else if deg <= scan_cap then begin
       (* short linear scan over captured span copies, in span (profile)
-         order; also the low-degree shape when NTE is involved *)
+         order. In-trace fan-out-1/2 states run in the region below, so
+         this serves NTE-touching spans, degrees 3..8, and a chain
+         member's fall-through, which always misses its one edge. *)
       let labs = Array.sub labels lo deg in
-      let acts =
-        Array.init deg (fun k ->
-            edge_action s targets.(lo + k) edge_cost.(lo + k))
-      in
+      let acts = Array.init deg (fun k -> edge_action s (lo + k)) in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
           ctx.halt <- s;
@@ -305,10 +265,7 @@ let of_packed packed =
       in
       let hkeys, hvals = Packed.build_hash pairs deg in
       let hmask = Array.length hkeys - 1 in
-      let acts =
-        Array.init deg (fun k ->
-            edge_action s targets.(lo + k) edge_cost.(lo + k))
-      in
+      let acts = Array.init deg (fun k -> edge_action s (lo + k)) in
       fun addrs counts i stop cycles ->
         if i >= stop then begin
           ctx.halt <- s;
@@ -330,15 +287,26 @@ let of_packed packed =
         end
     end
   in
-  let fchain =
+  let fchain, fedge =
     match Packed.fusion_of packed with
-    | Some f -> f.Packed.fchain
-    | None -> [||]
+    | Some f ->
+        (* each chain edge restates its member's one-edge span, so its
+           counter is that edge's *)
+        let fedge = Array.make (Array.length f.Packed.fsig) 0 in
+        Array.iteri
+          (fun s c ->
+            if c >= 0 then
+              fedge.(f.Packed.foff.(c) + f.Packed.fpos.(s)) <- eo.(offsets.(s)))
+          f.Packed.fchain;
+        (f.Packed.fchain, fedge)
+    | None -> ([||], [||])
   in
   (* Straight-line region compilation. The subgraph of in-trace states
      with fan-out 1 or 2 whose successors are all in-trace — the
      monomorphic and bimodal-branch shapes — is flattened into shared
-     tables (one or two label/target/cost triples per slot; [npc] marks
+     tables (one or two label/target/counter-and-cost triples per slot,
+     the edge counter index and its cost packed into one int so a step
+     loads no more than it did before edges were counted; [npc] marks
      slots outside the region), and every member state's closure is a
      region runner: a tight loop that tests the current PC against the
      slot's successor labels with straight-line compares and steps
@@ -354,10 +322,12 @@ let of_packed packed =
   let npc = min_int in
   let r_l0 = Array.make (max 1 n_slots) npc in
   let r_t0 = Array.make (max 1 n_slots) 0 in
-  let r_c0 = Array.make (max 1 n_slots) 0 in
+  let r_ec0 = Array.make (max 1 n_slots) 0 in
   let r_l1 = Array.make (max 1 n_slots) npc in
   let r_t1 = Array.make (max 1 n_slots) 0 in
-  let r_c1 = Array.make (max 1 n_slots) 0 in
+  let r_ec1 = Array.make (max 1 n_slots) 0 in
+  (* a 1- or 2-edge span charges at most 2 per resolution *)
+  let ec e = (eo.(e) lsl 8) lor edge_cost.(e) in
   let region_members = ref 0 in
   for s = 0 to n_slots - 1 do
     let lo = offsets.(s) and hi = offsets.(s + 1) in
@@ -375,11 +345,11 @@ let of_packed packed =
       incr region_members;
       r_l0.(s) <- labels.(lo);
       r_t0.(s) <- targets.(lo);
-      r_c0.(s) <- edge_cost.(lo);
+      r_ec0.(s) <- ec lo;
       if deg = 2 then begin
         r_l1.(s) <- labels.(lo + 1);
         r_t1.(s) <- targets.(lo + 1);
-        r_c1.(s) <- edge_cost.(lo + 1)
+        r_ec1.(s) <- ec (lo + 1)
       end
     end
   done;
@@ -396,20 +366,22 @@ let of_packed packed =
           (match tly with
           | None -> ()
           | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:c);
-          cy := !cy + Array.unsafe_get r_c0 c;
-          let t0 = Array.unsafe_get r_t0 c in
-          Array.unsafe_set counts t0 (1 + Array.unsafe_get counts t0);
-          cur := t0;
+          let ec0 = Array.unsafe_get r_ec0 c in
+          cy := !cy + (ec0 land 0xff);
+          let e0 = ec0 lsr 8 in
+          Array.unsafe_set counts e0 (1 + Array.unsafe_get counts e0);
+          cur := Array.unsafe_get r_t0 c;
           incr j
         end
         else if pc = Array.unsafe_get r_l1 c then begin
           (match tly with
           | None -> ()
           | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:c);
-          cy := !cy + Array.unsafe_get r_c1 c;
-          let t1 = Array.unsafe_get r_t1 c in
-          Array.unsafe_set counts t1 (1 + Array.unsafe_get counts t1);
-          cur := t1;
+          let ec1 = Array.unsafe_get r_ec1 c in
+          cy := !cy + (ec1 land 0xff);
+          let e1 = ec1 lsr 8 in
+          Array.unsafe_set counts e1 (1 + Array.unsafe_get counts e1);
+          cur := Array.unsafe_get r_t1 c;
           incr j
         end
         else live := false
@@ -424,7 +396,9 @@ let of_packed packed =
         if Array.unsafe_get r_l0 c <> npc then
           (* a region slot whose whole span just missed: exactly the
              interpreted span miss — on to the trace-head hash *)
-          dispatch_hash c (Array.unsafe_get miss_cost c) pc addrs counts !j stop
+          dispatch_hash c
+            (misses0 + Array.unsafe_get orig_of c)
+            (Array.unsafe_get miss_cost c) pc addrs counts !j stop
             !cy
         else (Array.unsafe_get nodes c) addrs counts !j stop !cy
       end
@@ -484,16 +458,16 @@ let of_packed packed =
                 if full > 0 then begin
                   cycles := !cycles + (full * csum);
                   for e = lo to hi - 1 do
-                    let tgt = Array.unsafe_get ftgt e in
-                    Array.unsafe_set counts tgt
-                      (full + Array.unsafe_get counts tgt)
+                    let oe = Array.unsafe_get fedge e in
+                    Array.unsafe_set counts oe
+                      (full + Array.unsafe_get counts oe)
                   done
                 end;
                 let e = ref (lo + p) in
                 for _ = 1 to rem do
                   cycles := !cycles + Array.unsafe_get fecost !e;
-                  let tgt = Array.unsafe_get ftgt !e in
-                  Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt);
+                  let oe = Array.unsafe_get fedge !e in
+                  Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
                   incr e;
                   if !e = hi then e := lo
                 done;
@@ -551,8 +525,8 @@ let of_packed packed =
                 let cycles = ref cycles in
                 for e = lo + p to lo + p + m - 1 do
                   cycles := !cycles + Array.unsafe_get fecost e;
-                  let tgt = Array.unsafe_get ftgt e in
-                  Array.unsafe_set counts tgt (1 + Array.unsafe_get counts tgt)
+                  let oe = Array.unsafe_get fedge e in
+                  Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe)
                 done;
                 (match ctx.tly with
                 | None -> ()
@@ -597,6 +571,9 @@ let of_packed packed =
   }
 
 let run t ~state ~counts ?(off = 0) addrs ins ~len =
+  (* the closures index [counts] unchecked *)
+  if Array.length counts <> Packed.n_counters t.base then
+    invalid_arg "Compiled.run: counter array does not match the image";
   let c = t.ctx in
   c.ins <- ins;
   c.halt <- state;

@@ -8,9 +8,7 @@
     per-step image indirection. Shapes by fan-out degree:
 
     - degree 0: straight to the global trace-head hash;
-    - degree 1 / 2: fully inlined immediate compares (the monomorphic
-      and bimodal-branch shapes), accounting specialized at build time;
-    - degree 3..8: a short linear scan over captured span copies;
+    - degree up to 8: a short linear scan over captured span copies;
     - degree > 8: a per-state O(1) minihash finds the edge (wall-clock
       only — the simulated charge is still the edge's);
     - fused-chain members: a single matcher closure that compares the
@@ -76,12 +74,13 @@ val run :
   delta
 (** [run t ~state ~counts ~off addrs ins ~len] replays
     [addrs.(off..off+len-1)] (with parallel per-block instruction
-    counts [ins]) starting in slot [state], bumping per-slot execution
-    counts directly into [counts] (caller-grown to at least
-    {!Packed.n_slots} [base]). The caller validates [state], [off] and
-    [len] ({!Replayer.feed_run} does). Dispatch-tier attribution: every
-    compiled-resolved step bumps the [compiled] tier; hash resolutions
-    bump [hash]/[miss] — a total partition of the batch. *)
+    counts [ins]) starting in slot [state], bumping each step's counter
+    in [counts] ({!Packed.n_counters}) exactly as {!Packed.step} does.
+    The caller validates [state], [off] and [len] ({!Replayer.feed_run}
+    does). Dispatch-tier attribution: every compiled-resolved step bumps
+    the [compiled] tier; hash resolutions bump [hash]/[miss] — a total
+    partition of the batch.
+    @raise Invalid_argument when [counts] has the wrong length. *)
 
 (** {2 Image statistics} *)
 

@@ -192,6 +192,9 @@ let snapshots t =
          let e = Hashtbl.find t.table a in
          (a, Replayer.snapshot e.rep))
 
+let add_edge_counts t acc =
+  Hashtbl.iter (fun _ e -> Replayer.add_edge_counts e.rep acc) t.table
+
 (* Per-asid projection of an interleaved file: asid [a] keeps its blocks
    and interrupts in stream order plus every invalidation {e targeting}
    it (wherever in the interleaving it was issued). Switches vanish —

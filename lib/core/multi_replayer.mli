@@ -56,7 +56,7 @@ type feeder
     same {!Tierstat} dispatch-tier attribution — as offline file replay.
     Equivalent to folding {!feed} (the feed_run == feed_addr property),
     except that batched in-trace resolutions count in the [compiled]
-    tier where {!feed}'s {!Packed.step} counts [ic]/[hot]/[search]. Not
+    tier where {!feed}'s {!Packed.step} counts [search]. Not
     thread-safe: one feeder per producer. *)
 
 val feeder : ?buf:int -> t -> feeder
@@ -117,6 +117,9 @@ val interrupts : t -> int -> int
 val snapshots : t -> (int * Replayer.snapshot) list
 (** Per-asid profile snapshots, sorted by asid — the demuxed side of the
     demuxed-vs-isolated gate. *)
+
+val add_edge_counts : t -> int array -> unit
+(** {!Replayer.add_edge_counts} of every asid's replayer into [acc]. *)
 
 val project : string -> (int * Pc_trace.event list) list
 (** Per-asid projection of a trace file, sorted by asid: each asid keeps

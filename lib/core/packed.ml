@@ -24,6 +24,12 @@ type raw = {
    {!with_fusion} validates that every chain edge restates an existing
    1-edge span verbatim, so a fused image can never replay differently
    from its unfused source. *)
+type edge_profile = {
+  visits : int array;
+  taken : int array;
+  misses : int array;
+}
+
 type fusion = {
   fchain : int array;
   fpos : int array;
@@ -46,7 +52,9 @@ type fusion = {
      once so every engine charges from the same table;
    - [orig_of] / [slot_of]: the slot <-> original-state-id permutation
      (reporting translates at the boundary; replay runs in slot space),
-     the identity on a flat image.
+     the identity on a flat image, and [edge_orig] its edge analogue
+     (pooled edge -> its index in the flat image), which replay counts
+     in.
    No flat array mutates during replay; only the counter block does. *)
 type t = {
   offsets : int array;
@@ -61,6 +69,7 @@ type t = {
   hot_len : int array;
   orig_of : int array;
   slot_of : int array;
+  edge_orig : int array;
   edge_cost : int array;
   miss_cost : int array;
   fusion : fusion option; (* immutable overlay; shared by {!dup} *)
@@ -160,6 +169,25 @@ let derive_costs offsets hot_len =
 
 let identity n = Array.init n (fun i -> i)
 
+(* Flat-layout edge ids from any layout: original state [o]'s span starts
+   where the spans of states [0 .. o-1] end, in label order (labels are
+   distinct within a span, so the rank is well defined). *)
+let derive_edge_orig offsets labels orig_of slot_of =
+  let n_slots = Array.length offsets - 1 in
+  let deg s = offsets.(s + 1) - offsets.(s) in
+  let orig_off = Array.make (n_slots + 1) 0 in
+  for o = 0 to n_slots - 1 do
+    orig_off.(o + 1) <- orig_off.(o) + deg slot_of.(o)
+  done;
+  let edge_orig = Array.make (Array.length labels) 0 in
+  for s = 0 to n_slots - 1 do
+    let lo = offsets.(s) in
+    let order = Array.init (deg s) (fun k -> lo + k) in
+    Array.sort (fun a b -> Int.compare labels.(a) labels.(b)) order;
+    Array.iteri (fun rank e -> edge_orig.(e) <- orig_off.(orig_of.(s)) + rank) order
+  done;
+  edge_orig
+
 let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     ~state_insns ~hash_keys ~hash_vals ~hot_len ~orig_of ~auto ~repacked =
   let n_slots = Array.length offsets - 1 in
@@ -171,6 +199,7 @@ let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     end
     else orig_of (* identity; never mutated, safe to share *)
   in
+  let edge_orig = derive_edge_orig offsets labels orig_of slot_of in
   let edge_cost, miss_cost = derive_costs offsets hot_len in
   {
     offsets;
@@ -185,6 +214,7 @@ let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     hot_len;
     orig_of;
     slot_of;
+    edge_orig;
     edge_cost;
     miss_cost;
     fusion = None;
@@ -273,6 +303,43 @@ let orig_state t s =
 let slot_of_state t s =
   if s >= 0 && s < Array.length t.slot_of then t.slot_of.(s) else s
 
+let edge_orig t e = t.edge_orig.(e)
+
+(* Edge counters, in original-id space: taken per flat-layout edge, then
+   head entries per state, then span misses per state. *)
+let n_counters t = n_edges t + (2 * n_slots t)
+
+let check_counters who t counts =
+  if Array.length counts <> n_counters t then
+    invalid_arg (who ^ ": counter array does not match the image")
+
+let edge_profile t counts =
+  check_counters "Packed.edge_profile" t counts;
+  let n = n_slots t and ne = n_edges t in
+  let taken = Array.sub counts 0 ne in
+  let misses = Array.sub counts (ne + n) n in
+  let visits = Array.copy misses in
+  for s = 0 to n - 1 do
+    let o = t.orig_of.(s) in
+    for e = t.offsets.(s) to t.offsets.(s + 1) - 1 do
+      visits.(o) <- visits.(o) + taken.(t.edge_orig.(e))
+    done
+  done;
+  { visits; taken; misses }
+
+(* Steps that landed in each state: head entries plus resolved in-edges. *)
+let state_counts t counts =
+  check_counters "Packed.state_counts" t counts;
+  let n = n_slots t and ne = n_edges t in
+  let c = Array.sub counts ne n in
+  Array.iteri
+    (fun e tgt ->
+      let o = t.orig_of.(tgt) in
+      c.(o) <- c.(o) + counts.(t.edge_orig.(e)))
+    t.targets;
+  c.(Automaton.nte) <- 0;
+  c
+
 let reset_counters t =
   t.total_cycles <- 0;
   let st = t.st in
@@ -334,9 +401,10 @@ let rec probe t keys vals mask pc i cost =
   else probe t keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
 
 (* Shared cold tail: hash the PC and probe for a trace head, charging the
-   hash-path costs and bumping the cross-trace counters. [state] is the
-   dispatch source, only used for tier attribution ([a]). *)
-let step_hash t m a ~state pc =
+   hash-path costs and bumping the cross-trace counters and the head the
+   hash found. [state] is the dispatch source, only used for tier
+   attribution ([a]). *)
+let step_hash t counts m a ~state pc =
   let st = t.st in
   t.total_cycles <- t.total_cycles + cost_hash_base;
   let c0 = t.total_cycles in
@@ -359,6 +427,8 @@ let step_hash t m a ~state pc =
     (match a with
     | None -> ()
     | Some a -> Tierstat.bump a ~tier:Tierstat.t_hash ~state);
+    let hi = n_edges t + Array.unsafe_get t.orig_of found in
+    counts.(hi) <- counts.(hi) + 1;
     found
   end
   else begin
@@ -375,8 +445,10 @@ let step_hash t m a ~state pc =
 
 (* One dispatch for every layout: the hot prefix (empty on a flat image),
    then binary search over the sorted tail, then the hash path. The
-   charge is the layout's precomputed [edge_cost] / [miss_cost]. *)
-let step t state pc =
+   charge is the layout's precomputed [edge_cost] / [miss_cost]; the
+   count goes to the resolved edge, or to the span miss (and the head the
+   hash found), in [counts]' original-id layout. *)
+let step t counts state pc =
   if state < 0 || state + 1 >= Array.length t.offsets then
     invalid_arg "Packed.step: state id outside the frozen image";
   let st = t.st in
@@ -405,11 +477,15 @@ let step t state pc =
     (match a with
     | None -> ()
     | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state);
+    let oe = Array.unsafe_get t.edge_orig e in
+    counts.(oe) <- counts.(oe) + 1;
     Array.unsafe_get t.targets e
   end
   else begin
     t.total_cycles <- t.total_cycles + Array.unsafe_get t.miss_cost state;
-    step_hash t m a ~state pc
+    let mi = n_edges t + n_slots t + Array.unsafe_get t.orig_of state in
+    counts.(mi) <- counts.(mi) + 1;
+    step_hash t counts m a ~state pc
   end
 
 (* The precomputed resolution costs, for the passes that must charge
@@ -627,15 +703,5 @@ let chain_lengths t =
         (fun c -> f.foff.(c + 1) - f.foff.(c))
 
 let check t auto =
-  let fresh = freeze auto in
-  let a = to_raw t and b = to_raw fresh in
-  if
-    a.offsets = b.offsets && a.labels = b.labels && a.targets = b.targets
-    && a.state_trace = b.state_trace
-    && a.state_tbb = b.state_tbb
-    && a.state_start = b.state_start
-    && a.state_insns = b.state_insns
-    && a.hash_keys = b.hash_keys && a.hash_vals = b.hash_vals
-    && a.hot_len = b.hot_len && a.orig_of = b.orig_of
-  then Ok ()
+  if to_raw t = to_raw (freeze auto) then Ok ()
   else Error "packed image is stale: the automaton changed since freeze"

@@ -71,15 +71,16 @@ val dup : t -> t
     fresh, zeroed {!stats} and {!cycles} counters. Siblings are safe to
     step concurrently from different domains. O(1). *)
 
-val step : t -> Automaton.state -> int -> Automaton.state
-(** [step t state pc] — the DFA transition on label [pc]. Same semantics
-    as {!Transition.step}: in-trace edge first, then trace-head lookup,
-    else NTE. Accumulates {!cycles} and {!stats}. The in-trace
-    resolution order is hot prefix (empty on a flat image), then binary
-    search over the sorted tail; the charge comes from
-    {!resolution_costs}.
+val step : t -> int array -> Automaton.state -> int -> Automaton.state
+(** [step t counts state pc] — the DFA transition on label [pc]. Same
+    semantics as {!Transition.step}: in-trace edge first, then trace-head
+    lookup, else NTE. Accumulates {!cycles} and {!stats}, and bumps the
+    step's edge counter in [counts] (see {!n_counters}) exactly as the
+    {!Compiled} batch does. The in-trace resolution order is hot prefix
+    (empty on a flat image), then binary search over the sorted tail; the
+    charge comes from {!resolution_costs}.
     @raise Invalid_argument on a state id the frozen image never
-    contained. *)
+    contained, or a [counts] array too short for the image. *)
 
 val stats : t -> Transition.stats
 
@@ -154,6 +155,39 @@ val orig_state : t -> Automaton.state -> Automaton.state
 
 val slot_of_state : t -> Automaton.state -> Automaton.state
 (** Original automaton state id → slot id (inverse of {!orig_state}). *)
+
+val edge_orig : t -> int -> int
+(** Pooled edge index → its index in the flat image of the same
+    automaton (spans in original-state order, each sorted by label): the
+    edge analogue of {!orig_state}, derived from the layout. *)
+
+(** {2 Edge counters}
+
+    Replay counts in one int array per replayer, in original-id space,
+    so the counts mean the same on every layout and survive a hot swap
+    untouched: [[0, n_edges)] times each flat-layout edge was resolved,
+    then per original state the hash hits that entered it as a trace
+    head, then per original state the span scans from it that found no
+    edge. Every step bumps one edge or miss counter (a hash hit also its
+    head); per-state counts and the edge profile derive from them. *)
+
+type edge_profile = {
+  visits : int array;  (** per state: steps taken from it *)
+  taken : int array;  (** per edge: times resolved *)
+  misses : int array;  (** per state: span scans that found no edge *)
+}
+
+val n_counters : t -> int
+(** [n_edges + 2 * n_slots]: the length of a counter array. *)
+
+val edge_profile : t -> int array -> edge_profile
+(** A counter array's edge profile, in original ids (the TEAEP1 layout):
+    on any layout, {!Tea_opt.Repack.collect} over the flat image on the
+    same walks. @raise Invalid_argument on a wrong-length array. *)
+
+val state_counts : t -> int array -> int array
+(** Per original state id, the steps that landed in it (0 for NTE).
+    @raise Invalid_argument on a wrong-length array. *)
 
 val resolution_costs : t -> int array * int array
 (** [(edge_cost, miss_cost)]: the simulated cycles {!step} charges to

@@ -7,7 +7,9 @@ type engine =
 type t = {
   mutable engine : engine; (* swapped in place by [rebind] *)
   auto : Automaton.t option;
-  mutable counts : int array; (* execution count per state id, grown on demand *)
+  mutable counts : int array;
+      (* reference: count per state id, grown on demand; compiled: the
+         original-id edge counters ({!Packed.n_counters}) *)
   mutable state : Automaton.state;
   mutable covered : int;
   mutable total : int;
@@ -16,11 +18,11 @@ type t = {
   mutable zeros : int array; (* cached all-zero insns batch, grown on demand *)
 }
 
-let make engine auto =
+let make engine auto counts =
   {
     engine;
     auto;
-    counts = Array.make 256 0;
+    counts;
     state = Automaton.nte;
     covered = 0;
     total = 0;
@@ -29,10 +31,13 @@ let make engine auto =
     zeros = [||];
   }
 
-let create trans = make (Reference trans) (Some (Transition.automaton trans))
+let create trans =
+  make (Reference trans) (Some (Transition.automaton trans)) (Array.make 256 0)
 
 let create_compiled compiled =
-  make (Compiled compiled) (Packed.automaton (Compiled.base compiled))
+  let base = Compiled.base compiled in
+  make (Compiled compiled) (Packed.automaton base)
+    (Array.make (Packed.n_counters base) 0)
 
 let engine t = t.engine
 
@@ -46,17 +51,20 @@ let grow_counts t need =
   t.counts <- fresh
 
 (* Per-step accounting, shared by {!feed_addr} and the reference batch
-   loop. *)
+   loop; the reference engine also counts the state ([account_ref]). *)
 let[@inline] account t prev next insns =
   t.state <- next;
   t.total <- t.total + insns;
-  if next <> Automaton.nte then begin
-    t.covered <- t.covered + insns;
-    if next >= Array.length t.counts then grow_counts t next;
-    Array.unsafe_set t.counts next (1 + Array.unsafe_get t.counts next)
-  end;
+  if next <> Automaton.nte then t.covered <- t.covered + insns;
   if prev = Automaton.nte && next <> Automaton.nte then t.enters <- t.enters + 1;
   if prev <> Automaton.nte && next = Automaton.nte then t.exits <- t.exits + 1
+
+let[@inline] account_ref t prev next insns =
+  account t prev next insns;
+  if next <> Automaton.nte then begin
+    if next >= Array.length t.counts then grow_counts t next;
+    Array.unsafe_set t.counts next (1 + Array.unsafe_get t.counts next)
+  end
 
 (* Telemetry: the replayer-level counters (steps, NTE entries/exits).
    The per-step path emits them directly; the batch paths flush one delta
@@ -73,23 +81,21 @@ let probe_step prev next =
 
 let feed_addr t ?(insns = 0) addr =
   let prev = t.state in
-  let next =
-    match t.engine with
-    | Reference trans -> Transition.step trans prev addr
-    | Compiled c ->
-        (* single-step path: the base image's interpreted step is
-           observationally identical (and updates the same stats), so
-           the compiled closures stay batch-only *)
-        Packed.step (Compiled.base c) prev addr
-  in
-  account t prev next insns;
-  probe_step prev next
+  (match t.engine with
+  | Reference trans ->
+      account_ref t prev (Transition.step trans prev addr) insns
+  | Compiled c ->
+      (* single-step path: the base image's interpreted step is
+         observationally identical (and updates the same stats and
+         counters), so the compiled closures stay batch-only *)
+      account t prev (Packed.step (Compiled.base c) t.counts prev addr) insns);
+  probe_step prev t.state
 
 let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
 
 (* Batch replay through the closure-threaded compiled image: the
    threading itself lives in {!Compiled}; this wrapper validates the
-   entry state, grows the count array once (every closure writes
+   entry state, hands over the counter array (every closure writes
    straight into it), applies the batch's deltas and flushes the same
    telemetry/stats {!Packed.step} bumps one at a time. In-trace hits are
    derived ([len - hash hits - hash misses]): every step resolves
@@ -99,7 +105,6 @@ let run_compiled t c addrs ins ~off ~len =
   let n_slots = Packed.n_slots base in
   if t.state < 0 || t.state >= n_slots then
     invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  if Array.length t.counts < n_slots then grow_counts t (n_slots - 1);
   let d = Compiled.run c ~state:t.state ~counts:t.counts ~off addrs ins ~len in
   let in_hits = len - d.Compiled.d_g_hits - d.Compiled.d_g_miss in
   (match Tea_telemetry.Probe.metrics () with
@@ -161,13 +166,13 @@ let feed_run t ?(off = 0) ?insns addrs ~len =
           for i = off to off + len - 1 do
             let prev = t.state in
             let next = Transition.step trans prev (Array.unsafe_get addrs i) in
-            account t prev next (Array.unsafe_get ins i)
+            account_ref t prev next (Array.unsafe_get ins i)
           done
       | None ->
           for i = off to off + len - 1 do
             let prev = t.state in
             let next = Transition.step trans prev (Array.unsafe_get addrs i) in
-            account t prev next 0
+            account_ref t prev next 0
           done);
       (match Tea_telemetry.Probe.metrics () with
       | None -> ()
@@ -194,36 +199,33 @@ let trace_enters t = t.enters
 
 let trace_exits t = t.exits
 
-(* Replay runs in the engine's own id space; on a repacked image that is
-   the permuted slot space, so reporting translates back to original
-   automaton ids here — the one boundary — keeping TBB mappings
-   byte-identical to the flat engine's. *)
-let repacked_of t =
+(* Per-state counts by original id: the reference engine's own, or
+   derived from the compiled engine's original-id edge counters. *)
+let state_counts t =
   match t.engine with
-  | Compiled c when Packed.is_repacked (Compiled.base c) ->
-      Some (Compiled.base c)
-  | _ -> None
+  | Reference _ -> Array.copy t.counts
+  | Compiled c -> Packed.state_counts (Compiled.base c) t.counts
 
 let tbb_counts t =
+  let counts = state_counts t in
   let acc = ref [] in
-  (match repacked_of t with
-  | None ->
-      for s = Array.length t.counts - 1 downto 0 do
-        if t.counts.(s) > 0 then acc := (s, t.counts.(s)) :: !acc
-      done
-  | Some p ->
-      for s = Array.length t.counts - 1 downto 0 do
-        if t.counts.(s) > 0 then
-          acc := (Packed.orig_state p s, t.counts.(s)) :: !acc
-      done;
-      acc := List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc);
+  for s = Array.length counts - 1 downto 0 do
+    if counts.(s) > 0 then acc := (s, counts.(s)) :: !acc
+  done;
   !acc
 
-let count_of_state t s =
-  let s =
-    match repacked_of t with None -> s | Some p -> Packed.slot_of_state p s
-  in
-  if s >= 0 && s < Array.length t.counts then t.counts.(s) else 0
+let edge_profile t =
+  match t.engine with
+  | Compiled c -> Packed.edge_profile (Compiled.base c) t.counts
+  | Reference _ -> invalid_arg "Replayer.edge_profile: reference engine"
+
+let add_edge_counts t acc =
+  match t.engine with
+  | Compiled _ ->
+      if Array.length acc <> Array.length t.counts then
+        invalid_arg "Replayer.add_edge_counts: counter arrays differ";
+      Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) t.counts
+  | Reference _ -> invalid_arg "Replayer.add_edge_counts: reference engine"
 
 let automaton t = t.auto
 
@@ -241,10 +243,14 @@ let trace_profile t id =
   match t.auto with
   | None -> []
   | Some auto ->
+      let counts = state_counts t in
       List.filter_map
         (fun s ->
           match Automaton.state_info auto s with
-          | Some info -> Some (info.Automaton.tbb_index, count_of_state t s)
+          | Some info ->
+              Some
+                ( info.Automaton.tbb_index,
+                  if s < Array.length counts then counts.(s) else 0 )
           | None -> None)
         (Automaton.states_of_trace auto id)
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -254,15 +260,12 @@ let transition t =
   | Reference trans -> trans
   | Compiled _ -> invalid_arg "Replayer.transition: compiled engine"
 
-(* Hot image swap. Replay state lives in three places: the per-slot
-   counts array and current state (slot space of the old image), and the
-   engine stats/cycles (accumulated on the old image's counters). All of
-   it survives a layout change through the orig-id permutation: slot
+(* Hot image swap. The edge counters are in original-id space and stay
+   as they are; the current state crosses the orig-id permutation (slot
    [s] of the old image and slot [slot_of_state new (orig_state old s)]
-   of the new one are the same automaton state, and NTE is pinned to
-   slot 0 in every layout. Stats and cycles are carried additively onto
-   the new image so a snapshot taken right after rebind equals one taken
-   right before — the swap is observationally a no-op. *)
+   of the new one are the same automaton state, NTE pinned to slot 0);
+   engine stats and cycles are carried additively onto the new image, so
+   a snapshot taken right after rebind equals one taken right before. *)
 let image_of_engine who = function
   | Compiled c -> Compiled.base c
   | Reference _ -> invalid_arg (who ^ ": reference engine cannot be swapped")
@@ -270,21 +273,11 @@ let image_of_engine who = function
 let rebind t engine' =
   let old_img = image_of_engine "Replayer.rebind" t.engine in
   let new_img = image_of_engine "Replayer.rebind" engine' in
-  if Packed.n_slots new_img <> Packed.n_slots old_img then
-    invalid_arg "Replayer.rebind: images describe different automata";
-  let n_slots = Packed.n_slots old_img in
-  (* counts: old slot space -> orig ids -> new slot space *)
-  let fresh = Array.make (max (Array.length t.counts) (max n_slots 256)) 0 in
-  let limit = min (Array.length t.counts) n_slots in
-  for s = 0 to limit - 1 do
-    let c = Array.unsafe_get t.counts s in
-    if c > 0 then begin
-      let s' = Packed.slot_of_state new_img (Packed.orig_state old_img s) in
-      fresh.(s') <- fresh.(s') + c
-    end
-  done;
-  t.counts <- fresh;
-  if t.state <> Automaton.nte && t.state < n_slots then
+  if
+    Packed.n_slots new_img <> Packed.n_slots old_img
+    || Packed.n_edges new_img <> Packed.n_edges old_img
+  then invalid_arg "Replayer.rebind: images describe different automata";
+  if t.state <> Automaton.nte && t.state < Packed.n_slots old_img then
     t.state <- Packed.slot_of_state new_img (Packed.orig_state old_img t.state);
   (* carry engine-side accounting onto the new image *)
   let so = Packed.stats old_img and sn = Packed.stats new_img in

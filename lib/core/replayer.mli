@@ -4,8 +4,9 @@
     The automaton state then *is* the precise answer to "which TBB of which
     trace is executing right now" — including distinguishing the different
     instances of a duplicated block (the paper's \$\$T1.next vs \$\$T2.next
-    example) — without any trace code existing. Per-state execution
-    counters are the profile the paper collects this way.
+    example) — without any trace code existing. The replay's counters
+    are the profile the paper collects this way (per state on the
+    reference engine, per edge on the compiled one).
 
     Two transition engines drive a replayer:
 
@@ -84,18 +85,18 @@ val set_state : t -> Automaton.state -> unit
 val rebind : t -> engine -> unit
 (** [rebind t engine'] hot-swaps the replayer onto a different image of
     the {e same} automaton — flat, repacked or fused — without
-    losing any accumulated accounting: per-state counts and the current
-    state are translated through the orig-id permutation
-    ({!Packed.orig_state} on the old layout, {!Packed.slot_of_state} on
-    the new), and the old image's engine stats and simulated cycles are
-    added onto the new image's counters. A
-    {!snapshot} taken immediately after [rebind] equals one taken
-    immediately before; subsequent feeds dispatch through the new image.
+    losing any accumulated accounting: the edge counters are in
+    original-id space and carry over as they are, the current state is
+    translated through the orig-id permutation ({!Packed.orig_state} on
+    the old layout, {!Packed.slot_of_state} on the new), and the old
+    image's engine stats and simulated cycles are added onto the new
+    image's counters. A {!snapshot} or {!edge_profile} taken
+    immediately after [rebind] equals one taken immediately before.
     The caller must hand over a private image ({!Compiled.of_packed} of
     a {!Packed.dup} sibling) exactly as at creation — counters are
     mutable and must not be shared.
     @raise Invalid_argument when either engine is [Reference], or the
-    images disagree on slot count (different automata). *)
+    images disagree on slot or edge count (different automata). *)
 
 val covered_insns : t -> int
 
@@ -110,15 +111,26 @@ val trace_exits : t -> int
 (** Trace → NTE transitions taken. *)
 
 val tbb_counts : t -> (Automaton.state * int) list
-(** Execution count per TEA state, sorted by state id. On a repacked
-    image ({!Tea_opt.Repack}) ids are translated back to the original
-    automaton's, so the mapping is byte-identical to the flat image's.
-    ({!state}/{!set_state} by contrast stay in the engine's own —
-    possibly permuted — id space; the parallel driver depends on that.) *)
+(** Execution count per TEA state, sorted by state id. Ids are the
+    original automaton's on every layout, so the mapping is
+    byte-identical to the flat image's. ({!state}/{!set_state} by
+    contrast stay in the engine's own — possibly permuted — id space;
+    the parallel driver depends on that.) *)
 
-val count_of_state : t -> Automaton.state -> int
-(** Count for an {e original} automaton state id (translated on repacked
-    images, like {!tbb_counts}). *)
+val state_counts : t -> int array
+(** The same counts as a fresh array indexed by original state id. *)
+
+val edge_profile : t -> Packed.edge_profile
+(** The compiled engine's own counts as an original-id edge profile:
+    {!Tea_opt.Repack.collect} over the flat image on the same walks,
+    whatever layouts (across {!rebind}) replayed them.
+    @raise Invalid_argument on a reference-engine replayer. *)
+
+val add_edge_counts : t -> int array -> unit
+(** [add_edge_counts t acc] adds the compiled engine's raw counters
+    ({!Packed.n_counters}) into [acc], the way a fleet sums profiles.
+    @raise Invalid_argument on a reference engine or a wrong-length
+    [acc]. *)
 
 val trace_profile : t -> int -> (int * int) list
 (** [trace_profile t id]: (tbb_index, executions) for one trace, sorted by

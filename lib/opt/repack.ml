@@ -3,7 +3,7 @@ module Replayer = Tea_core.Replayer
 module Compiled = Tea_core.Compiled
 module Automaton = Tea_core.Automaton
 
-type profile = {
+type profile = Packed.edge_profile = {
   visits : int array;
   taken : int array;
   misses : int array;
@@ -15,6 +15,9 @@ let empty_profile packed =
     taken = Array.make (Packed.n_edges packed) 0;
     misses = Array.make (Packed.n_slots packed) 0;
   }
+
+let visit_counts p =
+  List.filter (fun (_, v) -> v > 0) (List.mapi (fun i v -> (i, v)) (Array.to_list p.visits))
 
 let merge a b =
   if
@@ -78,6 +81,18 @@ let collect ?(state = Automaton.nte) packed ?(off = 0) addrs ~len =
     end
   done;
   p
+
+(* Repacking is a pure permutation, so the walk over [img]'s layout
+   visits the image of every state and edge the flat walk visits: the
+   original-id profile, re-indexed. *)
+let permute img (p : profile) =
+  if not (Packed.is_repacked img) then p
+  else
+    {
+      visits = Array.init (Packed.n_slots img) (fun s -> p.visits.(Packed.orig_state img s));
+      taken = Array.init (Packed.n_edges img) (fun e -> p.taken.(Packed.edge_orig img e));
+      misses = Array.init (Packed.n_slots img) (fun s -> p.misses.(Packed.orig_state img s));
+    }
 
 let default_hot_prefix = 4
 

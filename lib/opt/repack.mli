@@ -21,11 +21,14 @@
     boundaries) and identical coverage/stats; simulated cycles change only
     through the documented scan-cost model. *)
 
-type profile = {
+type profile = Tea_core.Packed.edge_profile = {
   visits : int array;  (** per source slot: steps taken from this state *)
   taken : int array;   (** per source edge index: times resolved *)
   misses : int array;  (** per source slot: span scans that found no edge *)
 }
+(** In original ids when read off a replay
+    ({!Tea_core.Replayer.edge_profile}) or collected over a flat image;
+    in the walked image's slots and edges otherwise. *)
 
 val empty_profile : Tea_core.Packed.t -> profile
 (** All-zero counts shaped for this image. Repacking with it is the
@@ -42,6 +45,15 @@ val collect :
     stream over the image's own layout, from [state] (default NTE).
     Touches none of the engine's counters or telemetry.
     @raise Invalid_argument on a bad range or state id. *)
+
+val permute : Tea_core.Packed.t -> profile -> profile
+(** [permute img p] re-indexes an original-id profile into [img]'s own
+    slot/edge space: what {!collect} over [img] returns on the same
+    walks. *)
+
+val visit_counts : profile -> (int * int) list
+(** Nonzero per-state visits as sorted [(id, count)] pairs — the shape
+    {!Tea_observe.Drift.create} takes. *)
 
 val merge : profile -> profile -> profile
 (** Pointwise sum; profiles of disjoint stream chunks merge into the

@@ -74,19 +74,13 @@ let replay ?(params = Cost_params.default)
         | Replayer.Reference _ -> assert false
       in
       let img =
-        if not pgo then flat
-        else
-          Tea_opt.Repack.repack flat
-            (Tea_opt.Repack.collect flat !pgo_addrs ~len:!pgo_len)
-      in
-      let img =
-        if not fuse then img
-        else if not pgo then Tea_opt.Fuse.fuse img
-        else
-          (* pgo+fuse composition: the captured stream, re-collected
-             over the repacked layout, gates chain selection *)
-          let profile = Tea_opt.Repack.collect img !pgo_addrs ~len:!pgo_len in
-          Tea_opt.Fuse.fuse ~profile img
+        if pgo then
+          (* the tuning ladder on the captured stream's profile; with
+             fuse, the same counts gate chain selection *)
+          Tea_opt.Retune.build ~fuse
+            ~profile:(Tea_opt.Repack.collect flat !pgo_addrs ~len:!pgo_len)
+            flat
+        else Tea_opt.Fuse.fuse flat
       in
       let tuned = compiled img in
       Replayer.feed_run tuned ~insns:!pgo_insns !pgo_addrs ~len:!pgo_len;

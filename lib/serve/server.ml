@@ -18,7 +18,7 @@ type session = {
   fdr : Core.Multi_replayer.feeder;  (* batches drain-cycle events *)
   pending : string Queue.t;  (* data payloads not yet decoded, in order *)
   mutable pending_bytes : int;  (* their total length: the queue-depth gauge *)
-  raw : Buffer.t option;  (* retained bytes for the offline differential *)
+  raw : Buffer.t option;  (* bytes kept for the offline differential *)
   epoch0 : int;  (* image epoch the session was accepted under *)
   mutable evs : int;  (* events decoded so far (swap-schedule positions) *)
   mutable swapped : (int * int) list;  (* (event index, new epoch), newest first *)
@@ -37,26 +37,20 @@ type session = {
 type retune = {
   up : int;  (* consecutive over-threshold sessions before a rebuild *)
   cooldown : int;  (* sessions ignored by the trigger after a swap *)
-  fuse : bool;  (* fuse the repacked generation *)
-  save_profile : string option;  (* TEAEP1 snapshot path per rebuild *)
 }
 
 let default_retune =
   {
     up = Tea_observe.Trigger.default_up;
     cooldown = Tea_observe.Trigger.default_cooldown;
-    fuse = true;
-    save_profile = None;
   }
 
 type t = {
   mutable image : Core.Packed.t;  (* current epoch's dispatch image *)
   pool : P.Pool.t;
-  offline_check : bool;
-  retain : bool;  (* keep completed streams (offline check/retune/save) *)
+  offline_check : bool;  (* keep streams and epoch images for the oracle *)
   base : Core.Packed.t option;  (* flat source image for rebuilds *)
-  retune : retune option;
-  trigger : Tea_observe.Trigger.t option;  (* Some iff retune is Some *)
+  trigger : Tea_observe.Trigger.t option;  (* Some iff the closed loop is on *)
   listen_fd : Unix.file_descr;
   bound : Frame.addr;
   unix_path : string option;
@@ -67,7 +61,7 @@ type t = {
   mutable drift : Tea_observe.Drift.t option;  (* None = no drift monitor *)
   mutable drift_over : bool;  (* above threshold at last measurement? *)
   mutable epoch : int;  (* 0 = boot image; bumped by every swap *)
-  mutable epoch_images : (int * Core.Packed.t) list;  (* epoch -> image *)
+  mutable epoch_images : (int * Core.Packed.t) list;  (* offline_check *)
   mutable builder : Tea_opt.Retune.builder option;  (* rebuild in flight *)
   mutable fleet_gen : int;  (* bumped per completion; trigger tick unit *)
   mutable checked_gen : int;  (* fleet_gen last observed by the trigger *)
@@ -81,11 +75,12 @@ type t = {
   mutable disconnected_n : int;
   fleet_m : Mutex.t;
   mutable fleet : P.Profile.t;
+  fleet_edges : int array;  (* completed sessions' counters, summed *)
   mutable retained : (string * int * (int * int) list) list;
-      (* completed streams, newest first: raw bytes, accept epoch, and
-         the (event index, new epoch) swap schedule oldest-first — the
-         recipe the offline differential needs to replay the exact same
-         image at the exact same stream positions *)
+      (* offline_check only — completed streams, newest first: raw bytes,
+         accept epoch, and the (event index, new epoch) swap schedule
+         oldest-first — the recipe the offline differential needs to
+         replay the exact same image at the exact same stream positions *)
   mutable closed : bool;
 }
 
@@ -100,8 +95,8 @@ let factory_of img _asid =
 
 let session_factory t asid = factory_of t.image asid
 
-let create ?(offline_check = false) ?(retain = false) ?events ?drift ?base
-    ?retune ~jobs ~image addr =
+let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
+    addr =
   (match (retune, drift, base) with
   | Some _, None, _ ->
       invalid_arg "Server.create: retune requires a drift monitor"
@@ -146,9 +141,7 @@ let create ?(offline_check = false) ?(retain = false) ?events ?drift ?base
     image;
     pool = P.Pool.create ~jobs;
     offline_check;
-    retain = offline_check || retain || retune <> None;
     base;
-    retune;
     trigger =
       (match retune with
       | None -> None
@@ -164,7 +157,7 @@ let create ?(offline_check = false) ?(retain = false) ?events ?drift ?base
     drift;
     drift_over = false;
     epoch = 0;
-    epoch_images = [ (0, image) ];
+    epoch_images = (if offline_check then [ (0, image) ] else []);
     builder = None;
     fleet_gen = 0;
     checked_gen = 0;
@@ -178,6 +171,7 @@ let create ?(offline_check = false) ?(retain = false) ?events ?drift ?base
     disconnected_n = 0;
     fleet_m = Mutex.create ();
     fleet = P.Profile.empty;
+    fleet_edges = Array.make (Core.Packed.n_counters image) 0;
     retained = [];
     closed = false;
   }
@@ -215,7 +209,7 @@ let exposition t =
     ~tiers:(Core.Tierstat.snapshot ())
     ~translate:(fun st -> Core.Packed.orig_state t.image st)
     ?drift:(drift_distance t)
-    ?epoch:(match t.retune with None -> None | Some _ -> Some t.epoch)
+    ?epoch:(Option.map (fun _ -> t.epoch) t.trigger)
     (metrics t)
 
 let emit_ev t kind fields =
@@ -325,10 +319,14 @@ let rec accept_all t until_sessions =
             parser_ = Frame.parser_ ();
             dec = Core.Pc_trace.decoder ();
             multi;
-            fdr = Core.Multi_replayer.feeder multi;
+            (* a run buffer of at most 256 words is a minor-heap
+               allocation: a session's largest per-session buffer then
+               dies young instead of cycling the major GC, which no
+               longer has kept streams to amortize against *)
+            fdr = Core.Multi_replayer.feeder ~buf:256 multi;
             pending = Queue.create ();
             pending_bytes = 0;
-            raw = (if t.retain then Some (Buffer.create 4096) else None);
+            raw = (if t.offline_check then Some (Buffer.create 4096) else None);
             epoch0 = t.epoch;
             evs = 0;
             swapped = [];
@@ -414,6 +412,7 @@ let complete t s =
   Mutex.lock t.fleet_m;
   t.fleet <- P.Profile.merge t.fleet prof;
   Mutex.unlock t.fleet_m;
+  Core.Multi_replayer.add_edge_counts s.multi t.fleet_edges;
   t.completed_n <- t.completed_n + 1;
   t.fleet_gen <- t.fleet_gen + 1;
   t.drain_ns <- t.drain_ns + s.busy_ns;
@@ -467,28 +466,21 @@ let finalize t =
 
 (* ---- closed-loop retune (driver thread) ---- *)
 
-let profile_visits (prof : Tea_opt.Repack.profile) =
-  let acc = ref [] in
-  let v = prof.Tea_opt.Repack.visits in
-  for i = Array.length v - 1 downto 0 do
-    if v.(i) > 0 then acc := (i, v.(i)) :: !acc
-  done;
-  !acc
-
 (* Install a freshly built image as the next epoch. Runs between drain
    cycles, which is what makes it safe and exact: every queued payload is
    decoded and every feeder flushed, so each session's [evs] counter is
    precisely the stream position the swap lands on — recorded in the
-   schedule the offline differential replays. Live replayers are
-   rebound in place (counts/state/stats carried through the orig-id
-   permutation), and the drift monitor is re-referenced to the profile
+   schedule the offline differential replays (the new image is kept for
+   it only under offline_check). Live replayers are rebound in place
+   (orig-id counters, stats and cycles carried over, the state
+   translated), and the drift monitor is re-referenced to the profile
    the new layout was tuned for, so the gauge measures staleness of the
    {e current} image, not the boot one. *)
-let swap_image t cfg (img, prof) =
+let swap_image t (img, prof) =
   let t0 = now_ns () in
   t.epoch <- t.epoch + 1;
   t.image <- img;
-  t.epoch_images <- (t.epoch, img) :: t.epoch_images;
+  if t.offline_check then t.epoch_images <- (t.epoch, img) :: t.epoch_images;
   let rebound = ref 0 in
   List.iter
     (fun s ->
@@ -504,11 +496,8 @@ let swap_image t cfg (img, prof) =
         Some
           (Tea_observe.Drift.create ~k:(Tea_observe.Drift.k d)
              ~threshold:(Tea_observe.Drift.threshold d)
-             (profile_visits prof));
+             (Tea_opt.Repack.visit_counts prof));
       t.drift_over <- false
-  | None -> ());
-  (match cfg.save_profile with
-  | Some path -> Tea_opt.Repack.save_profile path prof
   | None -> ());
   let pause = now_ns () - t0 in
   t.swap_pause_ns <- t.swap_pause_ns + pause;
@@ -523,11 +512,11 @@ let swap_image t cfg (img, prof) =
 (* One retune tick, between drain cycles: harvest a finished background
    rebuild (and swap), then — one observation per completed session, so
    hysteresis is measured in sessions, not select wakeups — ask the
-   trigger whether to launch the next rebuild over a snapshot of the
-   streams retained so far. *)
+   trigger whether to launch the next rebuild over a copy of the fleet's
+   edge counters so far. *)
 let retune_tick t =
-  match (t.retune, t.trigger) with
-  | Some cfg, Some trig ->
+  match t.trigger with
+  | Some trig ->
       (match t.builder with
       | Some b -> (
           match Tea_opt.Retune.poll b with
@@ -538,7 +527,7 @@ let retune_tick t =
                 [ ("error", Tea_observe.Events.S (Printexc.to_string e)) ]
           | Some (Ok built) ->
               t.builder <- None;
-              swap_image t cfg built)
+              swap_image t built)
       | None -> ());
       if Option.is_none t.builder && t.fleet_gen > t.checked_gen then begin
         let ticks = t.fleet_gen - t.checked_gen in
@@ -555,25 +544,22 @@ let retune_tick t =
               if Tea_observe.Trigger.observe trig over then fire := true
             done;
             if !fire then begin
-              let raws = List.rev_map (fun (r, _, _) -> r) t.retained in
+              let counts = Array.copy t.fleet_edges in
               let base = Option.get t.base in
               emit_ev t "retune_start"
                 [
                   ("distance", Tea_observe.Events.F dist);
-                  ("streams", Tea_observe.Events.I (List.length raws));
+                  ("streams", Tea_observe.Events.I t.completed_n);
                 ];
               Metrics.count t.reg "serve.retunes" 1;
               t.builder <-
                 Some
                   (Tea_opt.Retune.launch (fun () ->
-                       let segs = Tea_opt.Retune.segments_of_raws raws in
-                       Tea_opt.Retune.build ~fuse:cfg.fuse ~src:base
-                         ~profile_of:(fun img ->
-                           Tea_opt.Retune.collect_segments img segs)
-                         ()))
+                       let profile = Core.Packed.edge_profile base counts in
+                       (Tea_opt.Retune.build ~profile base, profile)))
             end
       end
-  | _ -> ()
+  | None -> ()
 
 (* ---- the driver loop ---- *)
 
@@ -710,19 +696,7 @@ let offline_profile t =
         (P.Profile.merge_all (List.map snd (Core.Multi_replayer.snapshots m))))
     P.Profile.empty (List.rev t.retained)
 
-(* The fleet's traffic as an edge profile over the flat base image, in
-   orig-id space — what [serve --save-fleet-profile] persists as TEAEP1
-   so the next daemon start (or an offline repack) can seed tuning from
-   real traffic. A pure function of the retained streams: collect walks
-   the base image; epochs are irrelevant. *)
-let fleet_edge_profile t =
-  match t.base with
-  | None -> invalid_arg "Server.fleet_edge_profile: created without ~base"
-  | Some base ->
-      if not t.retain then
-        invalid_arg "Server.fleet_edge_profile: stream retention is off";
-      let segs =
-        Tea_opt.Retune.segments_of_raws
-          (List.rev_map (fun (r, _, _) -> r) t.retained)
-      in
-      Tea_opt.Retune.collect_segments base segs
+(* What [serve --save-fleet-profile] persists as TEAEP1 so the next
+   daemon start can seed tuning from real traffic. The counters are
+   layout-independent, so any epoch's image reads them. *)
+let fleet_edge_profile t = Core.Packed.edge_profile t.image t.fleet_edges

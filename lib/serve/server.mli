@@ -41,8 +41,9 @@
     {b Closed-loop continuous PGO.} With [~retune] the daemon re-tunes
     itself: after each completed session the drift gauge is fed to a
     {!Tea_observe.Trigger}; when it fires, a background domain rebuilds
-    the repack→fuse ladder from the {e flat base image} and the traffic
-    retained so far ({!Tea_opt.Retune}), and the finished image is
+    the repack→fuse ladder from the {e flat base image} and the fleet
+    edge profile so far ({!fleet_edge_profile}, {!Tea_opt.Retune}) — no
+    served stream is kept — and the finished image is
     hot-swapped in between two drain cycles — every live session's
     replayers are rebound in place ({!Tea_core.Multi_replayer.rebind}),
     the swap position is recorded per session, and the image {e epoch}
@@ -60,19 +61,14 @@ type retune = {
       (** consecutive over-threshold sessions before a rebuild fires *)
   cooldown : int;
       (** completed sessions the trigger ignores after a swap *)
-  fuse : bool;  (** fuse the repacked generation *)
-  save_profile : string option;
-      (** write each rebuild's orig-space edge-profile snapshot (TEAEP1)
-          to this path *)
 }
 
 val default_retune : retune
-(** {!Tea_observe.Trigger.default_up} / [default_cooldown], fusing,
-    no snapshot file. *)
+(** {!Tea_observe.Trigger.default_up} / [default_cooldown]. Every rebuild
+    repacks and fuses. *)
 
 val create :
   ?offline_check:bool ->
-  ?retain:bool ->
   ?events:Tea_observe.Events.t ->
   ?drift:Tea_observe.Drift.t ->
   ?base:Tea_core.Packed.t ->
@@ -82,8 +78,9 @@ val create :
   Frame.addr ->
   t
 (** Bind, listen and spawn the worker pool. [offline_check] (default
-    false) retains every completed session's raw bytes so
-    {!offline_profile} can re-derive the fleet profile sequentially.
+    false) keeps every completed session's raw bytes and every epoch's
+    image (memory that grows with traffic) so {!offline_profile} can
+    re-derive the fleet profile sequentially.
     Each session's per-asid replayers run on the compiled engine: a
     private {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
     of the current image per asid.
@@ -93,11 +90,9 @@ val create :
     after every completed session. Both default to off — the disabled
     path adds no work to the drain cycle.
 
-    [base] is the flat (unfused, unrepacked) source image rebuilds and
-    {!fleet_edge_profile} collect over; [retune] enables the closed
-    loop and requires both [drift] and [base]. [retain] forces stream
-    retention without [offline_check] (implied by [offline_check] and
-    [retune]) — what {!fleet_edge_profile} needs.
+    [base] is the flat (unfused, unrepacked) source image rebuilds start
+    from; [retune] enables the closed loop and requires both [drift] and
+    [base].
 
     A [Unix_sock] path is unlinked first; [Tcp] port 0 binds an
     ephemeral port (read it back with {!addr}).
@@ -136,7 +131,7 @@ val disconnected : t -> int
     the fleet. *)
 
 val offline_profile : t -> Tea_parallel.Profile.t
-(** Sequential reference replay: every retained completed-session stream
+(** Sequential reference replay: every kept completed-session stream
     replayed offline, one fresh replayer per session, honouring the
     session's recorded swap schedule (same image epoch at the same
     stream positions), merged. With the daemon gate this is
@@ -160,10 +155,10 @@ val drain_totals : t -> int * int
     measure. *)
 
 val fleet_edge_profile : t -> Tea_opt.Repack.profile
-(** The retained traffic collected as an edge profile over the flat
-    [base] image — orig-id space, {!Tea_opt.Repack.save_profile}-ready
-    (the [serve --save-fleet-profile] payload).
-    @raise Invalid_argument without [~base] or stream retention. *)
+(** The completed sessions' replay counters, summed, as an orig-id edge
+    profile: {!Tea_opt.Repack.collect} of the same traffic over the flat
+    image, whatever epochs replayed it — the [serve --save-fleet-profile]
+    payload. *)
 
 val metrics : t -> Tea_telemetry.Metrics.snapshot
 (** Registry counters ([serve.sessions_completed], [serve.bytes_in],

@@ -242,14 +242,25 @@ let test_freeze_shape () =
 let test_step_matches_reference_fixture () =
   let auto = Builder.build [ t1; t2 ] in
   let p = Packed.freeze auto in
+  let c = Array.make (Packed.n_counters p) 0 in
   let h1 = Option.get (Automaton.head_of auto 0x100) in
-  check Alcotest.int "enter t1" h1 (Packed.step p Automaton.nte 0x100);
+  check Alcotest.int "enter t1" h1 (Packed.step p c Automaton.nte 0x100);
   let s2 = Option.get (Automaton.next_in_trace auto h1 0x200) in
-  check Alcotest.int "in-trace" s2 (Packed.step p h1 0x200);
+  check Alcotest.int "in-trace" s2 (Packed.step p c h1 0x200);
   (* trace-to-trace transfer goes through the hash *)
   let h2 = Option.get (Automaton.head_of auto 0x400) in
-  check Alcotest.int "cross-trace" h2 (Packed.step p h1 0x400);
-  check Alcotest.int "cold pc to NTE" Automaton.nte (Packed.step p h1 0x9999);
+  check Alcotest.int "cross-trace" h2 (Packed.step p c h1 0x400);
+  check Alcotest.int "cold pc to NTE" Automaton.nte (Packed.step p c h1 0x9999);
+  (* one counter per step: the in-trace edge, or a span miss *)
+  let sum = Array.fold_left ( + ) 0 in
+  let ep = Packed.edge_profile p c in
+  check Alcotest.int "edge visits" 4 (sum ep.Packed.visits);
+  check Alcotest.int "edges taken" 1 (sum ep.Packed.taken);
+  check Alcotest.int "span misses" 3 (sum ep.Packed.misses);
+  check Alcotest.(list (pair int int)) "state counts"
+    [ (h1, 1); (s2, 1); (h2, 1) ]
+    (List.filter (fun (_, n) -> n > 0)
+       (List.mapi (fun s n -> (s, n)) (Array.to_list (Packed.state_counts p c))));
   let st = Packed.stats p in
   check Alcotest.int "steps" 4 st.Transition.steps;
   check Alcotest.int "in-trace hits" 1 st.Transition.in_trace_hits;
@@ -274,12 +285,13 @@ let test_stale_after_mutation () =
 
 let test_step_bad_state () =
   let p = Packed.freeze (Builder.build [ t1 ]) in
+  let c = Array.make (Packed.n_counters p) 0 in
   Alcotest.check_raises "way out of range"
     (Invalid_argument "Packed.step: state id outside the frozen image")
-    (fun () -> ignore (Packed.step p 9999 0x100));
+    (fun () -> ignore (Packed.step p c 9999 0x100));
   Alcotest.check_raises "negative"
     (Invalid_argument "Packed.step: state id outside the frozen image")
-    (fun () -> ignore (Packed.step p (-1) 0x100))
+    (fun () -> ignore (Packed.step p c (-1) 0x100))
 
 let test_empty_automaton () =
   let p = Packed.freeze (Automaton.create ()) in
@@ -287,7 +299,7 @@ let test_empty_automaton () =
   check Alcotest.int "no edges" 0 (Packed.n_edges p);
   check Alcotest.int "no heads" 0 (Packed.n_heads p);
   check Alcotest.int "everything is NTE" Automaton.nte
-    (Packed.step p Automaton.nte 0x100);
+    (Packed.step p (Array.make (Packed.n_counters p) 0) Automaton.nte 0x100);
   check Alcotest.int "miss counted" 1 (Packed.stats p).Transition.global_misses
 
 let test_state_insns () =

@@ -148,15 +148,15 @@ let test_pool_concurrent_shutdown () =
 
 (* ---------------- Profile ---------------- *)
 
-let profile_of_run stream =
+let run_profile stream =
   let rep = compiled (fixture_packed ()) in
   Array.iter (fun a -> Replayer.feed_addr rep ~insns:1 a) stream;
   (Profile.of_replayer rep, rep)
 
 let profile = Alcotest.testable Profile.pp Profile.equal
 
-let test_profile_of_replayer () =
-  let p, rep = profile_of_run (fixture_stream 40) in
+let test_of_replayer () =
+  let p, rep = run_profile (fixture_stream 40) in
   check Alcotest.int "covered" (Replayer.covered_insns rep) p.Profile.covered;
   check Alcotest.int "total" (Replayer.total_insns rep) p.Profile.total;
   check Alcotest.int "enters" (Replayer.trace_enters rep) p.Profile.enters;
@@ -169,15 +169,15 @@ let test_profile_of_replayer () =
     p.Profile.steps
 
 let test_profile_merge_identity () =
-  let p, _ = profile_of_run (fixture_stream 33) in
+  let p, _ = run_profile (fixture_stream 33) in
   check profile "left identity" p (Profile.merge Profile.empty p);
   check profile "right identity" p (Profile.merge p Profile.empty);
   check profile "merge_all" p (Profile.merge_all [ Profile.empty; p ])
 
 let test_profile_merge_assoc_comm () =
-  let a, _ = profile_of_run (fixture_stream 17) in
-  let b, _ = profile_of_run (fixture_stream 40) in
-  let c, _ = profile_of_run (Array.map (fun x -> x + 0x10) (fixture_stream 9)) in
+  let a, _ = run_profile (fixture_stream 17) in
+  let b, _ = run_profile (fixture_stream 40) in
+  let c, _ = run_profile (Array.map (fun x -> x + 0x10) (fixture_stream 9)) in
   check profile "commutative" (Profile.merge a b) (Profile.merge b a);
   check profile "associative"
     (Profile.merge (Profile.merge a b) c)
@@ -192,7 +192,7 @@ let test_profile_merge_assoc_comm () =
    profile algebra is additive over disjoint step ranges. *)
 let test_profile_split_merge () =
   let stream = fixture_stream 50 in
-  let whole, _ = profile_of_run stream in
+  let whole, _ = run_profile stream in
   List.iter
     (fun k ->
       let rep_a = compiled (fixture_packed ()) in
@@ -484,7 +484,7 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "of_replayer" `Quick test_profile_of_replayer;
+          Alcotest.test_case "of_replayer" `Quick test_of_replayer;
           Alcotest.test_case "merge identity" `Quick test_profile_merge_identity;
           Alcotest.test_case "merge assoc/comm" `Quick
             test_profile_merge_assoc_comm;

@@ -7,8 +7,10 @@
    a daemon booted on a mistuned drift reference rebuilds and hot-swaps
    under traffic, and the fleet profile still equals the sequential
    offline replay (honouring the recorded swap schedule) at jobs 1/2/4.
-   Plus units for the drift-trigger hysteresis and the TEAEP1 fleet
-   profile snapshot. *)
+   Plus the replay's own edge profile (compiled == step == a counting
+   walk over the flat image, on any layout and across a rebind), units
+   for the drift-trigger hysteresis, the TEAEP1 fleet edge profile, and
+   a daemon whose heap stays flat under retune. *)
 
 open Tea_isa
 module I = Insn
@@ -131,6 +133,60 @@ let prop_forced_swaps =
       && (p.covered, p.total, p.enters, p.exits, p.steps)
          = (p0.covered, p0.total, p0.enters, p0.exits, p0.steps))
 
+(* The replay is the profile: on flat, repacked and fused layouts, with
+   random feed_run seams and a rebind onto another layout mid-stream,
+   the compiled batch's edge profile equals the step-at-a-time one and
+   a counting walk over the flat image; and a snapshot (edge profile
+   included) is unchanged by the rebind itself. *)
+let edge_addrs = [| 0x100; 0x200; 0x300; 0x400; 0x500; 0x600; 0x700; 0x800; 0x900 |]
+
+let gen_edge_case =
+  let open QCheck.Gen in
+  let starts =
+    map
+      (fun picks ->
+        Array.of_list
+          (List.map (fun i -> edge_addrs.(i mod Array.length edge_addrs)) picks))
+      (list_size (int_range 2 150) (int_range 0 1000))
+  in
+  quad starts (list_size (int_range 0 6) (int_range 0 1000)) (int_range 0 1000)
+    (pair (int_range 0 2) (int_range 0 2))
+
+let prop_edge_profile =
+  QCheck.Test.make
+    ~name:"edge profile: compiled == step == flat collect, across seams and a rebind"
+    ~count:200 (QCheck.make gen_edge_case)
+    (fun (starts, rawseams, rawswap, (from_img, to_img)) ->
+      let len = Array.length starts in
+      let insns = Array.make len 1 in
+      let base = branchy () in
+      let repacked, fused = tuned_of base starts (len / 2) in
+      let ladder = [| base; repacked; fused |] in
+      let swap_at = rawswap mod (len + 1) in
+      let seams =
+        List.sort_uniq compare
+          (swap_at :: List.map (fun c -> c mod (len + 1)) rawseams)
+      in
+      let rep = make_rep ladder.(from_img) in
+      let pos = ref 0 and rebind_ok = ref true in
+      List.iter
+        (fun hi ->
+          Replayer.feed_run rep ~off:!pos ~insns starts ~len:(hi - !pos);
+          pos := hi;
+          if hi = swap_at then begin
+            let snap = Replayer.snapshot rep and ep = Replayer.edge_profile rep in
+            Replayer.rebind rep (engine_of ladder.(to_img));
+            rebind_ok :=
+              Replayer.snapshot rep = snap && Replayer.edge_profile rep = ep
+          end)
+        (seams @ [ len ]);
+      let step = make_rep ladder.(from_img) in
+      Array.iteri (fun i pc -> Replayer.feed_addr step ~insns:insns.(i) pc) starts;
+      let walk = Repack.collect base starts ~len in
+      !rebind_ok
+      && Replayer.edge_profile rep = walk
+      && Replayer.edge_profile step = walk)
+
 let test_rebind_basics () =
   let base = flat () in
   let starts = Array.map (fun i -> pool_addrs.(i mod 5)) (Array.init 40 Fun.id) in
@@ -245,6 +301,26 @@ let across_stream () =
             @ [ Pc_trace.Block
                   { start = List.nth [ 0x600; 0x800; 0x600; 0x700 ] (i mod 4); insns = 1 } ])))
 
+(* the fleet edge profile's oracle: a counting walk over the flat base
+   of every stream sent, demuxed into per-asid runs each entered from
+   NTE — the walks the daemon's replayers performed *)
+let collect_streams base streams =
+  List.fold_left
+    (fun acc s ->
+      List.fold_left
+        (fun acc (_, runs) ->
+          List.fold_left
+            (fun acc { Pc_trace.starts; len; _ } ->
+              Repack.merge acc (Repack.collect base starts ~len))
+            acc runs)
+        acc (Pc_trace.demux s))
+    (Repack.empty_profile base) streams
+
+let check_edge_profile what (expect : Repack.profile) (got : Repack.profile) =
+  check Alcotest.(array int) (what ^ " visits") expect.visits got.visits;
+  check Alcotest.(array int) (what ^ " taken") expect.taken got.taken;
+  check Alcotest.(array int) (what ^ " misses") expect.misses got.misses
+
 let send_frames fd s ~lo ~hi =
   let off = ref lo in
   while !off < hi do
@@ -260,7 +336,7 @@ let send_frames fd s ~lo ~hi =
 let run_swapping_daemon ~jobs =
   let base = branchy () in
   let drift = Drift.create ~threshold:0.2 [ (5000, 100) ] in
-  let retune = { Server.default_retune with up = 1; cooldown = 0 } in
+  let retune = { Server.up = 1; cooldown = 0 } in
   let srv =
     Server.create ~offline_check:true ~drift ~base ~retune ~jobs ~image:base
       (Frame.Unix_sock (sock_path ()))
@@ -278,7 +354,7 @@ let run_swapping_daemon ~jobs =
   let half = String.length across / 2 in
   let across_fd = Frame.connect addr in
   send_frames across_fd across ~lo:0 ~hi:half;
-  let sent = ref 0 in
+  let sent = ref [] in
   (* phase 1: traffic until the scrape shows the epoch bumped *)
   let deadline = 400 in
   let swapped = ref false in
@@ -286,7 +362,7 @@ let run_swapping_daemon ~jobs =
   while (not !swapped) && !tries < deadline do
     incr tries;
     ignore (Client.replay_string addr s);
-    incr sent;
+    sent := s :: !sent;
     (match epoch_gauge (Client.scrape addr) with
     | Some e when e >= 1 -> swapped := true
     | _ -> ignore (Unix.select [] [] [] 0.01))
@@ -295,18 +371,25 @@ let run_swapping_daemon ~jobs =
   (* phase 2: post-swap traffic replays on the new epoch *)
   for _ = 1 to 4 do
     ignore (Client.replay_string addr s2);
-    incr sent
+    sent := s2 :: !sent
   done;
   send_frames across_fd across ~lo:half ~hi:(String.length across);
   Frame.send across_fd Frame.tag_end "";
   (match Frame.recv across_fd with
-  | Some f when f.Frame.tag = Frame.tag_profile -> incr sent
+  | Some f when f.Frame.tag = Frame.tag_profile -> sent := across :: !sent
   | _ -> Alcotest.fail "the session open across the swap got no profile");
   Unix.close across_fd;
   Server.stop srv;
   Domain.join driver;
-  check Alcotest.int "all sessions completed" !sent (Server.completed srv);
+  check Alcotest.int "all sessions completed" (List.length !sent)
+    (Server.completed srv);
   if Server.epoch srv < 1 then Alcotest.fail "epoch not bumped";
+  (* the fleet edge profile spans the swap and the session open across
+     it: every epoch counted in the same original ids *)
+  check_edge_profile
+    (Printf.sprintf "fleet edge profile across swaps (jobs %d)" jobs)
+    (collect_streams base !sent)
+    (Server.fleet_edge_profile srv);
   (srv, Server.fleet_profile srv, Server.offline_profile srv)
 
 let test_daemon_swap_gate () =
@@ -323,12 +406,12 @@ let test_daemon_swap_gate () =
     [ 1; 2; 4 ]
 
 let test_fleet_edge_profile () =
-  (* satellite 1: the retained traffic round-trips as a TEAEP1 snapshot
-     over the flat base, equal to collecting the streams directly *)
+  (* the sessions' own replay counts, summed, equal collecting the sent
+     streams over the flat base — on a daemon that keeps no stream — and
+     round-trip as a TEAEP1 snapshot *)
   let base = flat () in
   let srv =
-    Server.create ~retain:true ~base ~jobs:1 ~image:base
-      (Frame.Unix_sock (sock_path ()))
+    Server.create ~jobs:1 ~image:base (Frame.Unix_sock (sock_path ()))
   in
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
   let driver = Domain.spawn (fun () -> Server.run ~until_sessions:2 srv) in
@@ -338,18 +421,48 @@ let test_fleet_edge_profile () =
   ignore (Client.replay_string (Server.addr srv) s2);
   Domain.join driver;
   let prof = Server.fleet_edge_profile srv in
-  let expect =
-    Retune.collect_segments (flat ())
-      (Retune.segments_of_raws [ s1; s2 ])
-  in
-  check
-    Alcotest.(array int)
-    "fleet edge profile visits" expect.Repack.visits prof.Repack.visits;
+  check_edge_profile "fleet edge profile" (collect_streams (flat ()) [ s1; s2 ])
+    prof;
   with_tmp ".teaep" @@ fun path ->
   Repack.save_profile path prof;
-  let back = Repack.load_profile path in
-  check Alcotest.(array int) "TEAEP1 round-trip" prof.Repack.visits
-    back.Repack.visits
+  check_edge_profile "TEAEP1 round-trip" prof (Repack.load_profile path)
+
+let test_heap_flat () =
+  (* a retune daemon whose trigger never fires keeps no served stream:
+     after K more sessions of a ~64 KiB stream its live heap grows by
+     far less than the bytes those sessions sent *)
+  let base = flat () in
+  let drift = Drift.create ~threshold:10.0 [ (1, 1) ] in
+  let retune = { Server.up = 1; cooldown = 0 } in
+  let srv =
+    Server.create ~drift ~base ~retune ~jobs:1 ~image:base
+      (Frame.Unix_sock (sock_path ()))
+  in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let driver = Domain.spawn (fun () -> Server.run srv) in
+  let rec sized n =
+    let s = stream_of [ 0x100; 0x200; 0x300; 0x400; 0x300; 0x500; 0x900 ] n in
+    if String.length s >= 65_536 then s else sized (2 * n)
+  in
+  let s = sized 16_384 in
+  let k = 12 in
+  let send n =
+    for _ = 1 to n do
+      ignore (Client.replay_string (Server.addr srv) s)
+    done;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let after_k = send k in
+  let after_2k = send k in
+  Server.stop srv;
+  Domain.join driver;
+  check Alcotest.int "sessions" (2 * k) (Server.completed srv);
+  check Alcotest.int "no swap" 0 (Server.epoch srv);
+  let growth = after_2k - after_k and budget = k * String.length s / 4 in
+  if growth >= budget then
+    Alcotest.failf "live heap grew %d bytes over %d sessions (budget %d)" growth
+      k budget
 
 let test_client_retry () =
   (* satellite 2: a client racing daemon startup connects once the
@@ -384,6 +497,7 @@ let () =
       ( "swap",
         [
           qtest prop_forced_swaps;
+          qtest prop_edge_profile;
           Alcotest.test_case "rebind basics" `Quick test_rebind_basics;
         ] );
       ( "trigger",
@@ -397,6 +511,8 @@ let () =
             test_daemon_swap_gate;
           Alcotest.test_case "fleet edge profile (TEAEP1)" `Quick
             test_fleet_edge_profile;
+          Alcotest.test_case "heap stays flat under retune" `Quick
+            test_heap_flat;
           Alcotest.test_case "client connect retry" `Quick test_client_retry;
         ] );
     ]
