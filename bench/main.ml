@@ -1278,18 +1278,16 @@ let run_retune ~smoke =
 
 (* ---- observability plane: the BENCH_observe.json trajectory ----
 
-   Two measurements. (1) Dispatch-tier profiler cost on the compiled
-   replay of micro:listscan's stream, per image (flat, repacked,
-   repacked+fused): a disabled series and an enabled series, sampled
-   interleaved so machine drift hits both, with the enabled run's hard
-   gate that the tier counters sum exactly to the blocks replayed —
-   attribution is total, never sampled-ish. A fourth row (fuse-loop)
-   replays micro:nested on its own tuned image, whose inner loop fuses,
-   and gates that its chain matchers fire. (2) Scrape latency against a
-   live daemon: sessions stream while tea_serve answers exposition
-   scrapes; each scrape is timed round-trip and the format is sanity
-   checked. Overhead numbers are machine-dependent and reported, not
-   gated (`bench telemetry` gates the disabled probe path). *)
+   Two measurements. (1) Dispatch tiers of the compiled replay of
+   micro:listscan's stream, per image (flat, repacked, repacked+fused),
+   read off the replayer's counters, with the hard gate that they sum
+   exactly to the blocks replayed — attribution is total, never
+   sampled. A fourth row (fuse-loop) replays micro:nested on its own
+   tuned image, whose inner loop fuses, and gates that its chain
+   matchers fire. (2) Scrape latency against a live daemon: sessions
+   stream while tea_serve answers exposition scrapes; each scrape is
+   timed round-trip and the format is sanity checked. Latencies are
+   machine-dependent and reported, not gated. *)
 
 let obs_engines =
   [
@@ -1301,41 +1299,23 @@ let obs_scrapes = 32
 let obs_sessions ~smoke = if smoke then 4 else 8
 
 let run_observe_engine ~workload ~engine img starts insns ~len =
-  let reps = reps_for len in
-  let sample = replay_sampler ~reps img starts insns ~len in
-  let best =
-    interleaved_best
-      [
-        sample;
-        (fun () ->
-          Tea_core.Tierstat.install ();
-          let dt = sample () in
-          ignore (Tea_core.Tierstat.uninstall ());
-          dt);
-      ]
-  in
-  (* one final instrumented replay whose snapshot we keep for the gate
-     and the report (per-run counts, not accumulated) *)
-  Tea_core.Tierstat.install ();
-  Tea_core.Replayer.feed_run (compiled_replayer img) ~insns starts ~len;
-  let snap = Tea_core.Tierstat.uninstall () in
+  let rep = compiled_replayer img in
+  Tea_core.Replayer.feed_run rep ~insns starts ~len;
+  let snap = Tea_core.Replayer.tiers rep in
   if Tea_core.Tierstat.total snap <> len then
     die
       "%s: tier counters sum to %d, expected %d blocks — dispatch \
        attribution is not total"
       engine (Tea_core.Tierstat.total snap) len;
-  let ns dt = 1e9 *. dt /. float_of_int (reps * len) in
-  Printf.printf
-    "%-9s tierstat off %6.1f ns/block, on %6.1f ns/block (+%.1f%%)  [tier \
-     sum == %d blocks]\n%!"
-    engine (ns best.(0)) (ns best.(1))
-    (100.0 *. ((best.(1) /. best.(0)) -. 1.0))
+  Printf.printf "%-9s %s  [tier sum == %d blocks]\n%!" engine
+    (String.concat " "
+       (List.init Tea_core.Tierstat.n_tiers (fun t ->
+            Printf.sprintf "%s=%d" (Tea_core.Tierstat.tier_name t)
+              snap.Tea_core.Tierstat.ts_totals.(t))))
     len;
-  let r = row workload engine and ri = rowi workload engine in
+  let ri = rowi workload engine in
   [
     ri "blocks" len;
-    r "disabled_ns_per_block" (ns best.(0));
-    r "enabled_ns_per_block" (ns best.(1));
     ri "fused_steps" (fused_steps img starts insns ~len);
     ri "chain_matchers"
       (Tea_core.Compiled.chained_states
@@ -1409,8 +1389,6 @@ let obs_check ~smoke rows =
     (fun (w, e) ->
       let v = value rows w e in
       expect (v "blocks" > 0.0) "%s: no blocks" e;
-      expect (v "disabled_ns_per_block" > 0.0) "%s: no disabled time" e;
-      expect (v "enabled_ns_per_block" > 0.0) "%s: no enabled time" e;
       ignore (v "fused_steps", v "chain_matchers");
       let tiers =
         List.init Tea_core.Tierstat.n_tiers (fun t ->
@@ -1452,8 +1430,8 @@ let run_observe ~smoke =
   let _, flat = record ~strategy:"mret" image in
   let starts, insns, len = capture image in
   progress
-    "[bench] observe: %d blocks from micro:listscan; tier-profiler overhead \
-     per engine, then live scrape latency..."
+    "[bench] observe: %d blocks from micro:listscan; dispatch tiers per \
+     engine, then live scrape latency..."
     len;
   let repacked, fused = tune flat starts ~len in
   (* listscan never fuses a chain, so no chain matcher would fire; the

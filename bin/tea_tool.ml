@@ -643,21 +643,17 @@ let replay_cmd =
         run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo
           ~fuse ~quantum ~schedule ~seed ~period ~at ~every obs
     | None ->
-        let body () =
+        let rep =
           run_replay name strategy_name traces_file config_name pc_trace
             engine jobs pgo fuse retune
         in
-        if not tiers then ignore (body ())
-        else begin
-          Tea_core.Tierstat.install ();
-          match body () with
-          | image ->
-              let snap = Tea_core.Tierstat.uninstall () in
-              print_string (Tea_report.Hotness.render ?image snap)
-          | exception e ->
-              ignore (Tea_core.Tierstat.uninstall ());
-              raise e
-        end
+        (* the final replayer's counters are the tier profile *)
+        if tiers then
+          Option.iter
+            (fun r ->
+              print_string
+                (Tea_report.Hotness.render (Tea_core.Replayer.tiers r)))
+            rep
   and run_replay name strategy_name traces_file config_name pc_trace engine
       jobs pgo fuse retune =
     (* every path below reads the trace once, so `--pc-trace -', a FIFO
@@ -684,7 +680,7 @@ let replay_cmd =
               Tea_core.Builder.build traces)
         in
         let swapped = ref None in
-        let profile, blocks, image =
+        let profile, blocks, rep =
           Probe.with_span "replay_pc_trace"
             ~post:(fun (p, _, _) ->
               [ ("sim_cycles", string_of_int p.Tea_parallel.Profile.cycles) ])
@@ -723,14 +719,20 @@ let replay_cmd =
                 Tea_core.Replayer.feed_run rep ~off:mid ~insns starts
                   ~len:(len - mid);
                 swapped := Some (tuned, mid, len);
-                (Tea_parallel.Profile.of_replayer rep, len, Some tuned)
+                (Tea_parallel.Profile.of_replayer rep, len, Some rep)
               end
               else if not (pgo || fuse) then
+                let kept = ref None in
+                let make img =
+                  let r = make_replayer img in
+                  kept := Some r;
+                  r
+                in
                 let p, blocks =
                   Tea_parallel.Pool.with_pool ~jobs:1 (fun pool ->
-                      Tea_parallel.Shard.replay_pc_trace pool packed path)
+                      Tea_parallel.Shard.replay_pc_trace pool packed ~make path)
                 in
-                (p, blocks, Some packed)
+                (p, blocks, !kept)
               else begin
                 let starts, insns, len =
                   Tea_parallel.Shard.load_pc_trace path
@@ -738,7 +740,7 @@ let replay_cmd =
                 let img = tune_image ~pgo ~fuse packed starts ~len in
                 let tuned = make_replayer img in
                 Tea_core.Replayer.feed_run tuned ~insns starts ~len;
-                (Tea_parallel.Profile.of_replayer tuned, len, Some img)
+                (Tea_parallel.Profile.of_replayer tuned, len, Some tuned)
               end
         in
         Printf.printf
@@ -750,13 +752,14 @@ let replay_cmd =
         (match !swapped with
         | Some (tuned, mid, len) -> print_retune_line tuned ~mid ~len
         | None -> ());
-        Option.iter
-          (fun p ->
+        (match Option.map Tea_core.Replayer.engine rep with
+        | Some (Tea_core.Replayer.Compiled c) ->
+            let p = Tea_core.Compiled.base c in
             if pgo then
               print_pgo_line p ~cycles:profile.Tea_parallel.Profile.cycles;
-            if fuse then print_fuse_line p)
-          image;
-        image
+            if fuse then print_fuse_line p
+        | _ -> ());
+        rep
     | None ->
         if jobs > 1 then
           or_die (Error "--jobs > 1 applies only to --pc-trace offline replay");
@@ -785,7 +788,7 @@ let replay_cmd =
             let p = Tea_core.Compiled.base c in
             if pgo then print_pgo_line p ~cycles:(Tea_core.Replayer.cycles rep);
             if fuse then print_fuse_line p;
-            Some p
+            Some rep
         | Tea_core.Replayer.Reference _ -> None)
   in
   Cmd.v
@@ -1653,73 +1656,63 @@ let serve_cmd =
     Fun.protect
       ~finally:(fun () -> Option.iter Tea_observe.Events.close events)
     @@ fun () ->
-    (* the dispatch-tier profiler is always on in the daemon: scrapes
-       must see tier counters without a restart *)
-    Tea_core.Tierstat.install ();
-    let finish_tiers () = Tea_core.Tierstat.uninstall () in
-    match
-      let srv =
-        Tea_serve.Server.create ~offline_check ?events ?drift ~base
-          ?retune:retune_cfg ~jobs ~image listen
-      in
-      Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
-      (* clients wait for this line before connecting *)
-      Printf.printf "serving %s on %s (%s engine%s%s%s, jobs %d)\n%!" name
-        (Tea_serve.Frame.pp_addr (Tea_serve.Server.addr srv))
-        (engine_name engine)
-        (if pgo then " +pgo" else "")
-        (if fuse then " +fuse" else "")
-        (if retune then " +retune" else "")
-        jobs;
-      Probe.with_span "serve_run" (fun () ->
-          Tea_serve.Server.run ?until_sessions:sessions srv);
-      let fleet = Tea_serve.Server.fleet_profile srv in
-      Printf.printf "served %d sessions (%d disconnected)\n"
-        (Tea_serve.Server.completed srv)
-        (Tea_serve.Server.disconnected srv);
-      Printf.printf "fleet: %s\n"
-        (Format.asprintf "%a" Tea_parallel.Profile.pp fleet);
-      (match Tea_serve.Server.drift_distance srv with
-      | Some (d, thr) ->
-          Printf.printf "drift: l1=%.4f threshold=%.2f (%s)\n" d thr
-            (if d > thr then "exceeded" else "ok")
-      | None -> ());
-      if retune then
-        Printf.printf "retune: %d hot swaps (%d ns paused)\n"
-          (Tea_serve.Server.epoch srv)
-          (Tea_serve.Server.swap_pause_ns srv);
-      (match save_fleet with
-      | Some path ->
-          Tea_opt.Repack.save_profile path
-            (Tea_serve.Server.fleet_edge_profile srv);
-          Printf.printf "wrote %s (TEAEP1 fleet edge profile)\n" path
-      | None -> ());
-      if obs.metrics then
-        print_string
-          (Tea_report.Stats.render ~title:"serve" (Tea_serve.Server.metrics srv));
-      if offline_check then
-        let offline =
-          Probe.with_span "serve_offline_check" @@ fun () ->
-          Tea_serve.Server.offline_profile srv
-        in
-        if Tea_parallel.Profile.equal fleet offline then
-          print_endline "serve gate: fleet == offline"
-        else begin
-          Printf.printf "offline: %s\n"
-            (Format.asprintf "%a" Tea_parallel.Profile.pp offline);
-          or_die
-            (Error
-               "serve gate failed: fleet profile diverged from sequential \
-                offline replay")
-        end
-    with
-    | () ->
-        let snap = finish_tiers () in
-        if obs.metrics then
-          print_string (Tea_report.Hotness.render ~image snap)
-    | exception e ->
-        ignore (finish_tiers ());
-        raise e
+    let srv =
+      Tea_serve.Server.create ~offline_check ?events ?drift ~base
+        ?retune:retune_cfg ~jobs ~image listen
+    in
+    Fun.protect ~finally:(fun () -> Tea_serve.Server.close srv) @@ fun () ->
+    (* clients wait for this line before connecting *)
+    Printf.printf "serving %s on %s (%s engine%s%s%s, jobs %d)\n%!" name
+      (Tea_serve.Frame.pp_addr (Tea_serve.Server.addr srv))
+      (engine_name engine)
+      (if pgo then " +pgo" else "")
+      (if fuse then " +fuse" else "")
+      (if retune then " +retune" else "")
+      jobs;
+    Probe.with_span "serve_run" (fun () ->
+        Tea_serve.Server.run ?until_sessions:sessions srv);
+    let fleet = Tea_serve.Server.fleet_profile srv in
+    Printf.printf "served %d sessions (%d disconnected)\n"
+      (Tea_serve.Server.completed srv)
+      (Tea_serve.Server.disconnected srv);
+    Printf.printf "fleet: %s\n"
+      (Format.asprintf "%a" Tea_parallel.Profile.pp fleet);
+    (match Tea_serve.Server.drift_distance srv with
+    | Some (d, thr) ->
+        Printf.printf "drift: l1=%.4f threshold=%.2f (%s)\n" d thr
+          (if d > thr then "exceeded" else "ok")
+    | None -> ());
+    if retune then
+      Printf.printf "retune: %d hot swaps (%d ns paused)\n"
+        (Tea_serve.Server.epoch srv)
+        (Tea_serve.Server.swap_pause_ns srv);
+    (match save_fleet with
+    | Some path ->
+        Tea_opt.Repack.save_profile path
+          (Tea_serve.Server.fleet_edge_profile srv);
+        Printf.printf "wrote %s (TEAEP1 fleet edge profile)\n" path
+    | None -> ());
+    if obs.metrics then
+      print_string
+        (Tea_report.Stats.render ~title:"serve" (Tea_serve.Server.metrics srv));
+    (if offline_check then
+       let offline =
+         Probe.with_span "serve_offline_check" @@ fun () ->
+         Tea_serve.Server.offline_profile srv
+       in
+       if Tea_parallel.Profile.equal fleet offline then
+         print_endline "serve gate: fleet == offline"
+       else begin
+         Printf.printf "offline: %s\n"
+           (Format.asprintf "%a" Tea_parallel.Profile.pp offline);
+         or_die
+           (Error
+              "serve gate failed: fleet profile diverged from sequential \
+               offline replay")
+       end);
+    (* tiers of the completed sessions, read off the fleet's counters *)
+    if obs.metrics then
+      print_string (Tea_report.Hotness.render (Tea_serve.Server.tiers srv))
   in
   Cmd.v
     (Cmd.info "serve"

@@ -18,9 +18,11 @@
    arguments
    [(addrs, counts, i, stop, cycles)], so the fast paths touch no
    mutable record at all. [counts] is the replayer's counter array
-   ({!Packed.n_counters}): each step bumps the counter of the edge it
-   took, an index captured at build time. The remaining accounting is
-   derived:
+   ({!Packed.n_counters}): each step bumps exactly one counter — the
+   edge it took, an index captured at build time, or on the hash path
+   its source's hash-hit or hash-miss counter — so the dispatch tiers
+   are read off the counters at report time, never counted here. The
+   remaining accounting is derived:
    [total] is the batch's instruction sum (a pure prefix sum computed
    once per [run]), [covered] is [total] minus the instructions of the
    rare steps that land in NTE (accumulated only on the hash-miss and
@@ -50,7 +52,6 @@ type ctx = {
   mutable g_hits : int;
   mutable g_miss : int;
   mutable fused_steps : int;
-  mutable tly : Tierstat.tally option;
   mutable hprobe : Tea_telemetry.Metrics.histogram option;
 }
 
@@ -90,12 +91,6 @@ type delta = {
    optimization, invisible to the cost model. *)
 let scan_cap = 8
 
-(* dispatch-tier attribution of one compiled-resolved step *)
-let[@inline] tally ctx s =
-  match ctx.tly with
-  | None -> ()
-  | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:s
-
 let base t = t.base
 let n_closures t = t.n_closures
 let degree_histogram t = t.degree_hist
@@ -114,10 +109,9 @@ let of_packed packed =
   let n_slots = Array.length offsets - 1 in
   let orig_of = raw.Packed.orig_of in
   (* counter indices ({!Packed.n_counters}): edges by flat-layout id,
-     then head entries, then span misses, by original state id *)
+     then hash hits, then hash misses, by original source state id *)
   let eo = Array.init (Array.length labels) (Packed.edge_orig packed) in
-  let heads0 = Array.length labels in
-  let misses0 = heads0 + n_slots in
+  let hits0 = Array.length labels in
   let nte = Automaton.nte in
   let edge_cost, miss_cost = Packed.resolution_costs packed in
   let ctx =
@@ -131,7 +125,6 @@ let of_packed packed =
       g_hits = 0;
       g_miss = 0;
       fused_steps = 0;
-      tly = None;
       hprobe = None;
     }
   in
@@ -142,9 +135,10 @@ let of_packed packed =
      probe the global trace-head hash — the same fall-back tier
      {!Packed.step} ends in, with the same charges. All the
      NTE-boundary accounting (uncovered, enters, exits) lives here and
-     in the NTE-edge actions; the hot paths never touch [ctx]. *)
-  let dispatch_hash prev mi miss_extra pc addrs counts i stop cycles =
-    Array.unsafe_set counts mi (1 + Array.unsafe_get counts mi);
+     in the NTE-edge actions; the hot paths never touch [ctx]. [hc] is
+     the source's hash-hit counter; its hash-miss counter is [n_slots]
+     above. *)
+  let dispatch_hash prev hc miss_extra pc addrs counts i stop cycles =
     let cycles = cycles + miss_extra + Packed.cost_hash_base in
     let idx = ref (Packed.hash_pc mask pc) in
     let found = ref (-2) in
@@ -160,21 +154,17 @@ let of_packed packed =
     (match ctx.hprobe with
     | None -> ()
     | Some h -> Tea_telemetry.Metrics.observe h !probes);
-    (match ctx.tly with
-    | None -> ()
-    | Some a ->
-        let tier = if !found >= 0 then Tierstat.t_hash else Tierstat.t_miss in
-        Tierstat.bump a ~tier ~state:prev);
     if !found >= 0 then begin
       let next = !found in
       ctx.g_hits <- ctx.g_hits + 1;
       if prev = nte then ctx.enters <- ctx.enters + 1;
-      let hi = heads0 + Array.unsafe_get orig_of next in
-      Array.unsafe_set counts hi (1 + Array.unsafe_get counts hi);
+      Array.unsafe_set counts hc (1 + Array.unsafe_get counts hc);
       (Array.unsafe_get nodes next) addrs counts (i + 1) stop cycles
     end
     else begin
       ctx.g_miss <- ctx.g_miss + 1;
+      let mi = hc + n_slots in
+      Array.unsafe_set counts mi (1 + Array.unsafe_get counts mi);
       ctx.uncovered <- ctx.uncovered + Array.unsafe_get ctx.ins i;
       if prev <> nte then ctx.exits <- ctx.exits + 1;
       (Array.unsafe_get nodes nte) addrs counts (i + 1) stop
@@ -189,16 +179,13 @@ let of_packed packed =
     let tgt = targets.(e) and cost = edge_cost.(e) and oe = eo.(e) in
     if tgt <> nte then
       if src <> nte then fun addrs counts i stop cycles ->
-        tally ctx src;
         Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
         (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
       else fun addrs counts i stop cycles ->
-        tally ctx src;
         ctx.enters <- ctx.enters + 1;
         Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
         (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
     else fun addrs counts i stop cycles ->
-      tally ctx src;
       ctx.uncovered <- ctx.uncovered + Array.unsafe_get ctx.ins i;
       if src <> nte then ctx.exits <- ctx.exits + 1;
       Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
@@ -215,9 +202,9 @@ let of_packed packed =
     incr n_closures;
     let lo = offsets.(s) and hi = offsets.(s + 1) in
     let deg = hi - lo in
-    let mc = miss_cost.(s) and mi = misses0 + orig_of.(s) in
+    let mc = miss_cost.(s) and hc = hits0 + orig_of.(s) in
     let miss pc addrs counts i stop cycles =
-      dispatch_hash s mi mc pc addrs counts i stop cycles
+      dispatch_hash s hc mc pc addrs counts i stop cycles
     in
     if deg = 0 then fun addrs counts i stop cycles ->
       if i >= stop then begin
@@ -356,16 +343,12 @@ let of_packed packed =
   let make_region s : node =
     incr n_closures;
     fun addrs counts i stop cycles ->
-      let tly = ctx.tly in
       let cur = ref s and j = ref i and cy = ref cycles in
       let live = ref true in
       while !live && !j < stop do
         let c = !cur in
         let pc = Array.unsafe_get addrs !j in
         if pc = Array.unsafe_get r_l0 c then begin
-          (match tly with
-          | None -> ()
-          | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:c);
           let ec0 = Array.unsafe_get r_ec0 c in
           cy := !cy + (ec0 land 0xff);
           let e0 = ec0 lsr 8 in
@@ -374,9 +357,6 @@ let of_packed packed =
           incr j
         end
         else if pc = Array.unsafe_get r_l1 c then begin
-          (match tly with
-          | None -> ()
-          | Some a -> Tierstat.bump a ~tier:Tierstat.t_compiled ~state:c);
           let ec1 = Array.unsafe_get r_ec1 c in
           cy := !cy + (ec1 land 0xff);
           let e1 = ec1 lsr 8 in
@@ -397,7 +377,7 @@ let of_packed packed =
           (* a region slot whose whole span just missed: exactly the
              interpreted span miss — on to the trace-head hash *)
           dispatch_hash c
-            (misses0 + Array.unsafe_get orig_of c)
+            (hits0 + Array.unsafe_get orig_of c)
             (Array.unsafe_get miss_cost c) pc addrs counts !j stop
             !cy
         else (Array.unsafe_get nodes c) addrs counts !j stop !cy
@@ -471,32 +451,6 @@ let of_packed packed =
                   incr e;
                   if !e = hi then e := lo
                 done;
-                (match ctx.tly with
-                | None -> ()
-                | Some a ->
-                    (* fixed-source attribution: the source of the edge
-                       at ring position e is the previous position's
-                       target, a property of the cycle — independent of
-                       how the match splits across batches *)
-                    if full > 0 then
-                      for e = lo to hi - 1 do
-                        let src =
-                          Array.unsafe_get ftgt
-                            (if e = lo then hi - 1 else e - 1)
-                        in
-                        Tierstat.bump_n a ~tier:Tierstat.t_compiled ~state:src
-                          full
-                      done;
-                    let e = ref (lo + p) in
-                    for _ = 1 to rem do
-                      let src =
-                        Array.unsafe_get ftgt
-                          (if !e = lo then hi - 1 else !e - 1)
-                      in
-                      Tierstat.bump a ~tier:Tierstat.t_compiled ~state:src;
-                      incr e;
-                      if !e = hi then e := lo
-                    done);
                 ctx.fused_steps <- ctx.fused_steps + m;
                 let last = if !q = lo then hi - 1 else !q - 1 in
                 (Array.unsafe_get nodes (Array.unsafe_get ftgt last))
@@ -528,16 +482,6 @@ let of_packed packed =
                   let oe = Array.unsafe_get fedge e in
                   Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe)
                 done;
-                (match ctx.tly with
-                | None -> ()
-                | Some a ->
-                    (* entry state sources the first matched edge; each
-                       later edge's source is the previous target *)
-                    let src = ref s in
-                    for e = lo + p to lo + p + m - 1 do
-                      Tierstat.bump a ~tier:Tierstat.t_compiled ~state:!src;
-                      src := Array.unsafe_get ftgt e
-                    done);
                 ctx.fused_steps <- ctx.fused_steps + m;
                 (Array.unsafe_get nodes
                    (Array.unsafe_get ftgt (lo + p + m - 1)))
@@ -584,7 +528,6 @@ let run t ~state ~counts ?(off = 0) addrs ins ~len =
   c.g_hits <- 0;
   c.g_miss <- 0;
   c.fused_steps <- 0;
-  c.tly <- Tierstat.tally ();
   (c.hprobe <-
      (match Tea_telemetry.Probe.metrics () with
      | None -> None
@@ -613,6 +556,5 @@ let run t ~state ~counts ?(off = 0) addrs ins ~len =
   in
   (* drop batch references so the context never pins a caller's arrays *)
   c.ins <- [||];
-  c.tly <- None;
   c.hprobe <- None;
   d

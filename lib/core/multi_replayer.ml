@@ -51,7 +51,7 @@ let rebind t make =
     t.table
 
 (* A cut models losing the translated-code context: the automaton drops to
-   NTE with {e no} accounting ([Replayer.set_state] bumps nothing), so a
+   NTE with {e no} step accounted ([Replayer.set_state] counts no step), so a
    forced eviction is never confused with an organic trace exit and
    coverage totals stay exact. *)
 let cut e = Replayer.set_state e.rep Automaton.nte

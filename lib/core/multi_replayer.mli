@@ -52,12 +52,10 @@ type feeder
 (** An incremental batching front-end over one {!t}: buffers consecutive
     same-asid block runs and flushes them through {!Replayer.feed_run}.
     Event-at-a-time producers (the serve daemon, streaming decoders) use
-    a feeder so they take the same batched compiled dispatch — and the
-    same {!Tierstat} dispatch-tier attribution — as offline file replay.
-    Equivalent to folding {!feed} (the feed_run == feed_addr property),
-    except that batched in-trace resolutions count in the [compiled]
-    tier where {!feed}'s {!Packed.step} counts [search]. Not
-    thread-safe: one feeder per producer. *)
+    a feeder so they take the same batched compiled dispatch as offline
+    file replay. Equivalent to folding {!feed} (the feed_run ==
+    feed_addr property), counters and so {!Tierstat} dispatch tiers
+    included. Not thread-safe: one feeder per producer. *)
 
 val feeder : ?buf:int -> t -> feeder
 (** [buf] is the run-buffer capacity in blocks (default 4096).

@@ -306,18 +306,20 @@ let slot_of_state t s =
 let edge_orig t e = t.edge_orig.(e)
 
 (* Edge counters, in original-id space: taken per flat-layout edge, then
-   head entries per state, then span misses per state. *)
+   hash hits per source state, then hash misses per source state. *)
 let n_counters t = n_edges t + (2 * n_slots t)
 
 let check_counters who t counts =
   if Array.length counts <> n_counters t then
     invalid_arg (who ^ ": counter array does not match the image")
 
+(* A span miss is a hash hit or a hash miss, so the TEAEP1 [misses] is
+   their sum and [visits] adds the edges taken. *)
 let edge_profile t counts =
   check_counters "Packed.edge_profile" t counts;
   let n = n_slots t and ne = n_edges t in
   let taken = Array.sub counts 0 ne in
-  let misses = Array.sub counts (ne + n) n in
+  let misses = Array.init n (fun o -> counts.(ne + o) + counts.(ne + n + o)) in
   let visits = Array.copy misses in
   for s = 0 to n - 1 do
     let o = t.orig_of.(s) in
@@ -326,19 +328,6 @@ let edge_profile t counts =
     done
   done;
   { visits; taken; misses }
-
-(* Steps that landed in each state: head entries plus resolved in-edges. *)
-let state_counts t counts =
-  check_counters "Packed.state_counts" t counts;
-  let n = n_slots t and ne = n_edges t in
-  let c = Array.sub counts ne n in
-  Array.iteri
-    (fun e tgt ->
-      let o = t.orig_of.(tgt) in
-      c.(o) <- c.(o) + counts.(t.edge_orig.(e)))
-    t.targets;
-  c.(Automaton.nte) <- 0;
-  c
 
 let reset_counters t =
   t.total_cycles <- 0;
@@ -401,10 +390,10 @@ let rec probe t keys vals mask pc i cost =
   else probe t keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
 
 (* Shared cold tail: hash the PC and probe for a trace head, charging the
-   hash-path costs and bumping the cross-trace counters and the head the
-   hash found. [state] is the dispatch source, only used for tier
-   attribution ([a]). *)
-let step_hash t counts m a ~state pc =
+   hash-path costs and bumping the cross-trace stats and the source's
+   hash-hit or hash-miss counter ([hc] is the hit counter's index; the
+   miss counter sits [n_slots] above it). *)
+let step_hash t counts m hc pc =
   let st = t.st in
   t.total_cycles <- t.total_cycles + cost_hash_base;
   let c0 = t.total_cycles in
@@ -424,11 +413,7 @@ let step_hash t counts m a ~state pc =
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.global_hit" 1);
-    (match a with
-    | None -> ()
-    | Some a -> Tierstat.bump a ~tier:Tierstat.t_hash ~state);
-    let hi = n_edges t + Array.unsafe_get t.orig_of found in
-    counts.(hi) <- counts.(hi) + 1;
+    counts.(hc) <- counts.(hc) + 1;
     found
   end
   else begin
@@ -436,28 +421,25 @@ let step_hash t counts m a ~state pc =
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.global_miss" 1);
-    (match a with
-    | None -> ()
-    | Some a -> Tierstat.bump a ~tier:Tierstat.t_miss ~state);
+    let mi = hc + n_slots t in
+    counts.(mi) <- counts.(mi) + 1;
     t.total_cycles <- t.total_cycles + Transition.cost_nte_miss;
     Automaton.nte
   end
 
 (* One dispatch for every layout: the hot prefix (empty on a flat image),
    then binary search over the sorted tail, then the hash path. The
-   charge is the layout's precomputed [edge_cost] / [miss_cost]; the
-   count goes to the resolved edge, or to the span miss (and the head the
-   hash found), in [counts]' original-id layout. *)
+   charge is the layout's precomputed [edge_cost] / [miss_cost]; one
+   count goes to the resolved edge, the hash hit or the hash miss, in
+   [counts]' original-id layout. *)
 let step t counts state pc =
   if state < 0 || state + 1 >= Array.length t.offsets then
     invalid_arg "Packed.step: state id outside the frozen image";
   let st = t.st in
   st.Transition.steps <- st.Transition.steps + 1;
   (* [m] is [None] whenever telemetry is off, so the disabled per-step
-     cost is one atomic load and the option matches below; same deal for
-     the tier tally [a]. *)
+     cost is one atomic load and the option matches below. *)
   let m = Tea_telemetry.Probe.metrics () in
-  let a = Tierstat.tally () in
   let lo = Array.unsafe_get t.offsets state in
   let hi = Array.unsafe_get t.offsets (state + 1) in
   let tl = lo + Array.unsafe_get t.hot_len state in
@@ -474,18 +456,13 @@ let step t counts state pc =
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.in_trace_hit" 1);
-    (match a with
-    | None -> ()
-    | Some a -> Tierstat.bump a ~tier:Tierstat.t_search ~state);
     let oe = Array.unsafe_get t.edge_orig e in
     counts.(oe) <- counts.(oe) + 1;
     Array.unsafe_get t.targets e
   end
   else begin
     t.total_cycles <- t.total_cycles + Array.unsafe_get t.miss_cost state;
-    let mi = n_edges t + n_slots t + Array.unsafe_get t.orig_of state in
-    counts.(mi) <- counts.(mi) + 1;
-    step_hash t counts m a ~state pc
+    step_hash t counts m (n_edges t + Array.unsafe_get t.orig_of state) pc
   end
 
 (* The precomputed resolution costs, for the passes that must charge

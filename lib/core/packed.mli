@@ -75,7 +75,7 @@ val step : t -> int array -> Automaton.state -> int -> Automaton.state
 (** [step t counts state pc] — the DFA transition on label [pc]. Same
     semantics as {!Transition.step}: in-trace edge first, then trace-head
     lookup, else NTE. Accumulates {!cycles} and {!stats}, and bumps the
-    step's edge counter in [counts] (see {!n_counters}) exactly as the
+    step's one counter in [counts] (see {!n_counters}) exactly as the
     {!Compiled} batch does. The in-trace resolution order is hot prefix
     (empty on a flat image), then binary search over the sorted tail; the
     charge comes from {!resolution_costs}.
@@ -166,10 +166,12 @@ val edge_orig : t -> int -> int
     Replay counts in one int array per replayer, in original-id space,
     so the counts mean the same on every layout and survive a hot swap
     untouched: [[0, n_edges)] times each flat-layout edge was resolved,
-    then per original state the hash hits that entered it as a trace
-    head, then per original state the span scans from it that found no
-    edge. Every step bumps one edge or miss counter (a hash hit also its
-    head); per-state counts and the edge profile derive from them. *)
+    then per original source state the span misses the trace-head hash
+    resolved (hash hits), then per original source state the span misses
+    it did not (hash misses). Every resolved block bumps exactly one
+    counter; the edge profile, per-state counts
+    ({!Replayer.state_counts}) and dispatch tiers
+    ({!Tierstat.of_counters}) derive from them. *)
 
 type edge_profile = {
   visits : int array;  (** per state: steps taken from it *)
@@ -183,10 +185,7 @@ val n_counters : t -> int
 val edge_profile : t -> int array -> edge_profile
 (** A counter array's edge profile, in original ids (the TEAEP1 layout):
     on any layout, {!Tea_opt.Repack.collect} over the flat image on the
-    same walks. @raise Invalid_argument on a wrong-length array. *)
-
-val state_counts : t -> int array -> int array
-(** Per original state id, the steps that landed in it (0 for NTE).
+    same walks. [misses] is hash hits plus hash misses.
     @raise Invalid_argument on a wrong-length array. *)
 
 val resolution_costs : t -> int array * int array

@@ -10,6 +10,9 @@ type t = {
   mutable counts : int array;
       (* reference: count per state id, grown on demand; compiled: the
          original-id edge counters ({!Packed.n_counters}) *)
+  bounds : int array;
+      (* compiled: per original state id, runs ended there minus runs
+         started there ([create] and [set_state]); empty for reference *)
   mutable state : Automaton.state;
   mutable covered : int;
   mutable total : int;
@@ -18,11 +21,12 @@ type t = {
   mutable zeros : int array; (* cached all-zero insns batch, grown on demand *)
 }
 
-let make engine auto counts =
+let make engine auto counts bounds =
   {
     engine;
     auto;
     counts;
+    bounds;
     state = Automaton.nte;
     covered = 0;
     total = 0;
@@ -33,11 +37,16 @@ let make engine auto counts =
 
 let create trans =
   make (Reference trans) (Some (Transition.automaton trans)) (Array.make 256 0)
+    [||]
 
+(* The first run starts at NTE. *)
 let create_compiled compiled =
   let base = Compiled.base compiled in
+  let bounds = Array.make (Packed.n_slots base) 0 in
+  bounds.(Automaton.nte) <- -1;
   make (Compiled compiled) (Packed.automaton base)
     (Array.make (Packed.n_counters base) 0)
+    bounds
 
 let engine t = t.engine
 
@@ -99,7 +108,9 @@ let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
    straight into it), applies the batch's deltas and flushes the same
    telemetry/stats {!Packed.step} bumps one at a time. In-trace hits are
    derived ([len - hash hits - hash misses]): every step resolves
-   in-span / on-chain, in the global hash, or not at all. *)
+   in-span / on-chain, in the global hash, or not at all — the three
+   dispatch tiers, whose totals an installed {!Tierstat} tally gets once
+   per batch. *)
 let run_compiled t c addrs ins ~off ~len =
   let base = Compiled.base c in
   let n_slots = Packed.n_slots base in
@@ -107,6 +118,8 @@ let run_compiled t c addrs ins ~off ~len =
     invalid_arg "Replayer.feed_run: state id outside the frozen image";
   let d = Compiled.run c ~state:t.state ~counts:t.counts ~off addrs ins ~len in
   let in_hits = len - d.Compiled.d_g_hits - d.Compiled.d_g_miss in
+  Tierstat.add_totals ~hash:d.Compiled.d_g_hits ~miss:d.Compiled.d_g_miss
+    ~compiled:in_hits;
   (match Tea_telemetry.Probe.metrics () with
   | None -> ()
   | Some m ->
@@ -182,8 +195,20 @@ let feed_run t ?(off = 0) ?insns addrs ~len =
           count m "replayer.trace_enters" (t.enters - enters0);
           count m "replayer.trace_exits" (t.exits - exits0))
 
+(* Run boundaries by original state id, off the hot path: the old state
+   ends a run, the new one starts one. An id outside the image counts
+   nothing (its run can take no step). *)
+let bound t s delta =
+  match t.engine with
+  | Compiled c when s < Array.length t.bounds ->
+      let o = Packed.orig_state (Compiled.base c) s in
+      t.bounds.(o) <- t.bounds.(o) + delta
+  | _ -> ()
+
 let set_state t s =
   if s < 0 then invalid_arg "Replayer.set_state: negative state id";
+  bound t t.state 1;
+  bound t s (-1);
   t.state <- s
 
 let state t = t.state
@@ -200,11 +225,25 @@ let trace_enters t = t.enters
 let trace_exits t = t.exits
 
 (* Per-state counts by original id: the reference engine's own, or
-   derived from the compiled engine's original-id edge counters. *)
+   derived from the compiled engine's counters. Within one run every
+   state but the first is landed in once more than it is left, so
+   landed = visits + run ends - run starts, where the current state ends
+   the last run. NTE's count is 0. *)
 let state_counts t =
   match t.engine with
   | Reference _ -> Array.copy t.counts
-  | Compiled c -> Packed.state_counts (Compiled.base c) t.counts
+  | Compiled c ->
+      let base = Compiled.base c in
+      let landed =
+        Array.map2 ( + ) (Packed.edge_profile base t.counts).Packed.visits
+          t.bounds
+      in
+      if t.state < Array.length landed then begin
+        let o = Packed.orig_state base t.state in
+        landed.(o) <- landed.(o) + 1
+      end;
+      landed.(Automaton.nte) <- 0;
+      landed
 
 let tbb_counts t =
   let counts = state_counts t in
@@ -218,6 +257,11 @@ let edge_profile t =
   match t.engine with
   | Compiled c -> Packed.edge_profile (Compiled.base c) t.counts
   | Reference _ -> invalid_arg "Replayer.edge_profile: reference engine"
+
+let tiers t =
+  match t.engine with
+  | Compiled c -> Tierstat.of_counters (Compiled.base c) t.counts
+  | Reference _ -> invalid_arg "Replayer.tiers: reference engine"
 
 let add_edge_counts t acc =
   match t.engine with

@@ -77,9 +77,11 @@ val state : t -> Automaton.state
 val set_state : t -> Automaton.state -> unit
 (** Overwrite the current automaton state without stepping — the NTE
     re-entry at a demuxed run's cut, and cross-execution resumption. No
-    accounting happens; coverage, enter/exit counters and stats are
-    untouched. The id is validated lazily: the compiled batch rejects
-    ids outside the frozen image on the next feed.
+    step is accounted; coverage, enter/exit counters and stats are
+    untouched. The compiled engine notes the run boundary (the old state
+    ends a run, the new one starts one) that {!state_counts} derives
+    from. The id is validated lazily: the compiled batch rejects ids
+    outside the frozen image on the next feed.
     @raise Invalid_argument on a negative id. *)
 
 val rebind : t -> engine -> unit
@@ -118,12 +120,20 @@ val tbb_counts : t -> (Automaton.state * int) list
     the parallel driver depends on that.) *)
 
 val state_counts : t -> int array
-(** The same counts as a fresh array indexed by original state id. *)
+(** The same counts as a fresh array indexed by original state id. On
+    the compiled engine they are derived: steps taken from each state
+    ({!Packed.edge_profile}'s [visits]) plus the run boundaries that
+    {!create_compiled} and {!set_state} count, off the hot path. *)
 
 val edge_profile : t -> Packed.edge_profile
 (** The compiled engine's own counts as an original-id edge profile:
     {!Tea_opt.Repack.collect} over the flat image on the same walks,
     whatever layouts (across {!rebind}) replayed them.
+    @raise Invalid_argument on a reference-engine replayer. *)
+
+val tiers : t -> Tierstat.snapshot
+(** The compiled engine's dispatch tiers ({!Tierstat.of_counters} over
+    its counters), by original state id on every layout.
     @raise Invalid_argument on a reference-engine replayer. *)
 
 val add_edge_counts : t -> int array -> unit

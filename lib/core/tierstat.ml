@@ -1,84 +1,21 @@
-(* Dispatch-tier profiler for replay over packed images.
+(* Dispatch tiers, read off a replayer's counter array.
 
-   Mirrors Tea_telemetry.Probe's global-installation pattern: a single
-   atomic installation, one tally per domain (registered lazily under a
-   mutex), and a static [None] fast path so replay loops pay one branch
-   on a hoisted immutable local when profiling is disabled.
+   Every resolved block bumps exactly one counter ({!Packed.n_counters}):
+   an in-span edge, a hash hit or a hash miss, the last two by original
+   source state. So the tier of each block, charged to its source, is a
+   pure function of the counters: compiled = visits - span misses, hash
+   and miss are the two per-state blocks. Nothing is counted per block
+   here.
 
-   Attribution is per resolved block: exactly one tier per step, charged
-   to the *source* state (slot id of the packed image) the dispatch ran
-   from. Slot ids are translated back to automaton state ids at report
-   boundaries via [Packed.orig_state]. *)
+   [install]/[uninstall] keep the totals-only tally the repository
+   benchmark reads: each compiled batch adds its three totals once. *)
 
-let n_tiers = 4
-let t_search = 0
-let t_hash = 1
-let t_miss = 2
-let t_compiled = 3
-let tier_names = [| "search"; "hash"; "miss"; "compiled" |]
+let n_tiers = 3
+let t_hash = 0
+let t_miss = 1
+let t_compiled = 2
+let tier_names = [| "hash"; "miss"; "compiled" |]
 let tier_name i = tier_names.(i)
-
-type tally = {
-  totals : int array; (* length n_tiers *)
-  mutable states : int array; (* flattened: state * n_tiers + tier *)
-}
-
-type installation = {
-  gen : int;
-  mu : Mutex.t;
-  mutable tallies : tally list; (* one per domain that profiled *)
-}
-
-let state : installation option Atomic.t = Atomic.make None
-let generation = ref 0
-
-let dls : (int * tally) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let enabled () = Atomic.get state <> None
-
-let install () =
-  match Atomic.get state with
-  | Some _ -> invalid_arg "Tierstat.install: already installed"
-  | None ->
-      incr generation;
-      Atomic.set state
-        (Some { gen = !generation; mu = Mutex.create (); tallies = [] })
-
-let tally () =
-  match Atomic.get state with
-  | None -> None
-  | Some g -> (
-      match Domain.DLS.get dls with
-      | Some (gen, a) when gen = g.gen -> Some a
-      | _ ->
-          let a =
-            { totals = Array.make n_tiers 0; states = Array.make 256 0 }
-          in
-          Mutex.lock g.mu;
-          g.tallies <- a :: g.tallies;
-          Mutex.unlock g.mu;
-          Domain.DLS.set dls (Some (g.gen, a));
-          Some a)
-
-let[@inline never] grow a idx =
-  let n = ref (Array.length a.states) in
-  while idx >= !n do
-    n := !n * 2
-  done;
-  let fresh = Array.make !n 0 in
-  Array.blit a.states 0 fresh 0 (Array.length a.states);
-  a.states <- fresh
-
-let[@inline] bump_n a ~tier ~state n =
-  Array.unsafe_set a.totals tier (n + Array.unsafe_get a.totals tier);
-  let idx = (state * n_tiers) + tier in
-  if idx >= Array.length a.states then grow a idx;
-  Array.unsafe_set a.states idx (n + Array.unsafe_get a.states idx)
-
-let[@inline] bump a ~tier ~state = bump_n a ~tier ~state 1
-
-(* ---- snapshots ---- *)
 
 type snapshot = {
   ts_totals : int array; (* length n_tiers *)
@@ -89,20 +26,24 @@ type snapshot = {
 let empty = { ts_totals = Array.make n_tiers 0; ts_states = [] }
 let total s = Array.fold_left ( + ) 0 s.ts_totals
 
-let snapshot_of_tally a =
-  let n_states = Array.length a.states / n_tiers in
+let of_counters image counts =
+  if Array.length counts <> Packed.n_counters image then
+    invalid_arg "Tierstat.of_counters: counter array does not match the image";
+  let ep = Packed.edge_profile image counts in
+  let ne = Packed.n_edges image in
+  let totals = Array.make n_tiers 0 in
   let rows = ref [] in
-  for st = n_states - 1 downto 0 do
-    let any = ref false in
-    for t = 0 to n_tiers - 1 do
-      if a.states.((st * n_tiers) + t) <> 0 then any := true
-    done;
-    if !any then
-      rows :=
-        (st, Array.init n_tiers (fun t -> a.states.((st * n_tiers) + t)))
-        :: !rows
+  for o = Packed.n_slots image - 1 downto 0 do
+    let row = Array.make n_tiers 0 in
+    row.(t_hash) <- counts.(ne + o);
+    row.(t_miss) <- ep.Packed.misses.(o) - row.(t_hash);
+    row.(t_compiled) <- ep.Packed.visits.(o) - ep.Packed.misses.(o);
+    if Array.exists (fun v -> v <> 0) row then begin
+      Array.iteri (fun t v -> totals.(t) <- totals.(t) + v) row;
+      rows := (o, row) :: !rows
+    end
   done;
-  { ts_totals = Array.copy a.totals; ts_states = !rows }
+  { ts_totals = totals; ts_states = !rows }
 
 let rec merge_rows a b =
   match (a, b) with
@@ -121,16 +62,24 @@ let merge a b =
 let merge_all = List.fold_left merge empty
 let equal (a : snapshot) (b : snapshot) = a = b
 
-let snapshot () =
-  match Atomic.get state with
-  | None -> empty
-  | Some g ->
-      Mutex.lock g.mu;
-      let ts = g.tallies in
-      Mutex.unlock g.mu;
-      merge_all (List.map snapshot_of_tally ts)
+(* ---- installed totals ---- *)
+
+let installed : int Atomic.t array option Atomic.t = Atomic.make None
+
+let install () =
+  let fresh = Some (Array.init n_tiers (fun _ -> Atomic.make 0)) in
+  if not (Atomic.compare_and_set installed None fresh) then
+    invalid_arg "Tierstat.install: already installed"
+
+let add_totals ~hash ~miss ~compiled =
+  match Atomic.get installed with
+  | None -> ()
+  | Some a ->
+      ignore (Atomic.fetch_and_add a.(t_hash) hash);
+      ignore (Atomic.fetch_and_add a.(t_miss) miss);
+      ignore (Atomic.fetch_and_add a.(t_compiled) compiled)
 
 let uninstall () =
-  let final = snapshot () in
-  Atomic.set state None;
-  final
+  match Atomic.exchange installed None with
+  | None -> empty
+  | Some a -> { ts_totals = Array.map Atomic.get a; ts_states = [] }

@@ -1,81 +1,66 @@
-(** Dispatch-tier profiler for replay over packed images.
+(** Dispatch tiers of replay over packed images, derived from the
+    replayer's counters.
 
-    When installed, {!Packed.step} and the {!Compiled} batch attribute
-    every resolved block to exactly one dispatch tier — the mechanism
-    that found the edge — charged to the source state (packed slot id)
-    the dispatch ran from:
+    Every resolved block bumps exactly one counter of the replayer's
+    counter array ({!Packed.n_counters}), so its dispatch tier — the
+    mechanism that found the edge — follows from which counter it was,
+    charged to the original id of the state the dispatch ran from:
 
-    - [search]: in-span hit of the step-at-a-time {!Packed.step}, by
-      hot-prefix scan or by binary search over the sorted tail (both
-      charged from the layout's one cost table);
-    - [hash]: global trace-head hash-table hit after the span missed;
+    - [hash]: the span missed and the global trace-head hash found the
+      target;
     - [miss]: unresolved — the replayer cut to the not-in-trace state;
-    - [compiled]: resolved by the closure-threaded compiled engine
-      ({!Compiled}) — straight-line compares (or a chain matcher) jumping
-      directly to the successor's closure, no tier ladder consulted.
+    - [compiled]: an in-span edge — compiled straight-line compares,
+      chain matchers, or {!Packed.step}'s span search.
 
-    Same global-installation shape as {!Tea_telemetry.Probe}: one
-    atomic installation, one {!tally} per domain, immutable mergeable
-    {!snapshot}s. Disabled ([install] not called) the loops pay one
-    predictable branch per step on a hoisted local — the same class of
-    cost the telemetry probes keep under the bench-gated 2% budget.
-
-    Per-state counts are in slot space; translate to automaton ids with
-    {!Packed.orig_state} when rendering (see {!Tea_report.Hotness}). *)
+    {!of_counters} is a pure function of the counters, so the rows are a
+    property of the automaton and the stream: the same on every layout
+    and across hot swaps, and summable across replayers like the
+    counters themselves. *)
 
 val n_tiers : int
 
-val t_search : int
 val t_hash : int
 val t_miss : int
 val t_compiled : int
 
 val tier_name : int -> string
-(** ["search" | "hash" | "miss" | "compiled"]. *)
-
-(** {2 Installation} *)
-
-val install : unit -> unit
-(** Enable profiling globally. Raises [Invalid_argument] if already
-    installed. *)
-
-val enabled : unit -> bool
-
-(** {2 Hot path} *)
-
-type tally
-(** A single domain's mutable tier counts. Not thread-safe; obtained
-    per domain via {!tally} and hoisted out of replay loops. *)
-
-val tally : unit -> tally option
-(** [None] when profiling is disabled — hoist per batch and branch on
-    the immutable local. *)
-
-val bump : tally -> tier:int -> state:int -> unit
-val bump_n : tally -> tier:int -> state:int -> int -> unit
-
-(** {2 Snapshots} *)
+(** ["hash" | "miss" | "compiled"]. *)
 
 type snapshot = {
   ts_totals : int array;  (** per-tier totals, length {!n_tiers} *)
   ts_states : (int * int array) list;
-      (** (state, per-tier counts), sorted by state, all-zero rows
-          omitted *)
+      (** (original state id, per-tier counts), sorted by state,
+          all-zero rows omitted *)
 }
+
+val of_counters : Packed.t -> int array -> snapshot
+(** [of_counters image counts] — the tiers of every block a counter
+    array recorded. [image] is any layout of the automaton the counters
+    were taken on. @raise Invalid_argument on a wrong-length array. *)
 
 val empty : snapshot
 
-val snapshot : unit -> snapshot
-(** Merged view of every domain's tally so far; {!empty} when disabled. *)
-
-val uninstall : unit -> snapshot
-(** Disable profiling and return the final merged snapshot. *)
-
 val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum — associative, commutative, [empty]-neutral, so
-    per-domain snapshots merge to the sequential totals. *)
+(** Pointwise sum — associative, commutative, [empty]-neutral. *)
 
 val merge_all : snapshot list -> snapshot
 val equal : snapshot -> snapshot -> bool
 val total : snapshot -> int
-(** Sum over tiers — equals total blocks resolved while enabled. *)
+(** Sum over tiers — equals the blocks resolved. *)
+
+(** {2 Installed totals}
+
+    A global, totals-only tally for the repository benchmark's replica:
+    while installed, every compiled batch ({!Replayer.feed_run}) adds
+    its tier totals once. Per-state rows come from {!of_counters}. *)
+
+val install : unit -> unit
+(** Start a fresh tally. Raises [Invalid_argument] if already
+    installed. *)
+
+val add_totals : hash:int -> miss:int -> compiled:int -> unit
+(** Add one batch's totals; a no-op when not installed. *)
+
+val uninstall : unit -> snapshot
+(** Stop the tally and return its totals ([ts_states] is empty);
+    {!empty} when not installed. *)

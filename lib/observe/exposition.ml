@@ -17,7 +17,7 @@ let fmt_float v =
 
 let quantiles = [ ("0.5", 0.5); ("0.95", 0.95); ("0.99", 0.99) ]
 
-let render ?tiers ?translate ?drift ?epoch (s : Metrics.snapshot) =
+let render ?tiers ?drift ?epoch (s : Metrics.snapshot) =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l) fmt in
   (* counters *)
@@ -57,7 +57,7 @@ let render ?tiers ?translate ?drift ?epoch (s : Metrics.snapshot) =
           quantiles)
       s.Metrics.s_histograms
   end;
-  (* dispatch tiers: per-tier totals (all six, zeros included, so the
+  (* dispatch tiers: per-tier totals (every tier, zeros included, so the
      scrape always answers "which tiers exist"), then per-state rows for
      states that resolved at least one block *)
   (match tiers with
@@ -68,13 +68,7 @@ let render ?tiers ?translate ?drift ?epoch (s : Metrics.snapshot) =
         line "tea_dispatch_tier_total{tier=\"%s\"} %d\n" (Tierstat.tier_name t)
           ts.Tierstat.ts_totals.(t)
       done;
-      let rows =
-        match translate with
-        | None -> ts.Tierstat.ts_states
-        | Some f ->
-            List.map (fun (st, row) -> (f st, row)) ts.Tierstat.ts_states
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
+      let rows = ts.Tierstat.ts_states in
       if rows <> [] then begin
         line "# TYPE tea_dispatch_state_total counter\n";
         List.iter

@@ -8,10 +8,11 @@
       inclusive integer upper bound; ["0"] for the [<= 0] bucket;
       ["+Inf"] closes the series) plus estimated
       [tea_histogram_quantile{...,q="0.5"|"0.95"|"0.99"}] rows;
-    - [tea_dispatch_tier_total{tier="..."}] — the six dispatch tiers,
+    - [tea_dispatch_tier_total{tier="..."}] — the three dispatch tiers,
       zeros included, when a {!Tea_core.Tierstat} snapshot is supplied;
       per-state [tea_dispatch_state_total{state="...",tier="..."}] rows
-      follow for every state that resolved a block;
+      (original state ids) follow for every state that resolved a
+      block;
     - [tea_drift_l1] / [tea_drift_threshold] gauges when a drift
       measurement is supplied;
     - a [tea_image_epoch] gauge when an image epoch is supplied (the
@@ -25,12 +26,9 @@
 
 val render :
   ?tiers:Tea_core.Tierstat.snapshot ->
-  ?translate:(int -> int) ->
   ?drift:float * float ->
   ?epoch:int ->
   Tea_telemetry.Metrics.snapshot ->
   string
-(** [translate] maps tier-snapshot state ids (packed slots) to automaton
-    ids (pass [Tea_core.Packed.orig_state image] for repacked images);
-    rows are re-sorted by translated id. [drift] is
-    [(distance, threshold)]. [epoch] is the current image epoch. *)
+(** [drift] is [(distance, threshold)]. [epoch] is the current image
+    epoch. *)

@@ -290,13 +290,18 @@ let load_profile path =
           shift := !shift + 7;
           if byte < 0x80 then stop := true
         done;
+        (* a 9-byte varint can set the sign bit *)
+        if !v < 0 then corrupt "negative value";
         !v
       in
       let n_slots = get_varint () in
       let n_edges = get_varint () in
-      if n_slots < 1 || n_slots > 0x40000000 || n_edges < 0
-         || n_edges > 0x40000000
-      then corrupt "implausible shape";
+      if n_slots < 1 || n_edges < 0 then corrupt "implausible shape";
+      (* every value takes at least one byte: never size an array beyond
+         what the file can hold *)
+      let left = in_channel_length ic - pos_in ic in
+      if n_slots > left / 2 || n_edges > left - (2 * n_slots) then
+        corrupt "array lengths exceed the file";
       let read_array n = Array.init n (fun _ -> get_varint ()) in
       let visits = read_array n_slots in
       let taken = read_array n_edges in

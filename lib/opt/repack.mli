@@ -78,9 +78,11 @@ val save_profile : string -> profile -> unit
     counts). Negative counts are clamped to 0. *)
 
 val load_profile : string -> profile
-(** Read a TEAEP1 file. @raise Failure on bad magic, truncation or
-    trailing bytes; shape-check against an image is the caller's job
-    (e.g. {!repack} raises if it does not match). *)
+(** Read a TEAEP1 file. @raise Failure on bad magic, truncation,
+    trailing bytes, a negative value, or array lengths the file is too
+    short to hold (so no allocation is sized from an untrusted length);
+    shape-check against an image is the caller's job (e.g. {!repack}
+    raises if it does not match). *)
 
 val pgo_replay :
   ?hot_prefix:int ->

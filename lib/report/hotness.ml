@@ -4,11 +4,10 @@
    state id), so deterministic runs render deterministically. *)
 
 module Tierstat = Tea_core.Tierstat
-module Packed = Tea_core.Packed
 
 let default_top = 10
 
-let render ?(top = default_top) ?image (s : Tierstat.snapshot) =
+let render ?(top = default_top) (s : Tierstat.snapshot) =
   let buf = Buffer.create 512 in
   let total = Tierstat.total s in
   Buffer.add_string buf "dispatch tiers\n";
@@ -23,16 +22,9 @@ let render ?(top = default_top) ?image (s : Tierstat.snapshot) =
     in
     Buffer.add_string buf
       (Printf.sprintf "blocks: %d  %s\n" total mix);
-    (* per-state rows, translated out of slot space when the image is
-       repacked so ids match the TBB mappings everywhere else *)
-    let translate =
-      match image with
-      | Some p when Packed.is_repacked p -> fun st -> Packed.orig_state p st
-      | _ -> fun st -> st
-    in
     let rows =
       List.map
-        (fun (st, row) -> (translate st, Array.fold_left ( + ) 0 row, row))
+        (fun (st, row) -> (st, Array.fold_left ( + ) 0 row, row))
         s.Tierstat.ts_states
       |> List.sort (fun (ia, ta, _) (ib, tb, _) ->
              let c = Int.compare tb ta in

@@ -198,16 +198,18 @@ let drift_distance t =
         ( Tea_observe.Drift.measure d fleet.P.Profile.counts,
           Tea_observe.Drift.threshold d )
 
+(* Completed sessions' dispatch tiers, read off their summed counters:
+   original ids, so the same rows on every epoch's layout. *)
+let tiers t = Core.Tierstat.of_counters t.image t.fleet_edges
+
 (* The scrape answer, also readable after [run] returns. Reads only
    driver-owned or mutex/merge-protected state (registry, pool snapshot,
-   the global tier snapshot, the fleet), so rendering between drain
-   cycles never pauses ingestion. Deterministic: a function of the
-   snapshots alone, so the post-run scrape text equals this rendered
-   after shutdown byte-for-byte. *)
+   the fleet counters, the fleet), so rendering between drain cycles
+   never pauses ingestion. Deterministic: a function of the snapshots
+   alone, so the post-run scrape text equals this rendered after
+   shutdown byte-for-byte. *)
 let exposition t =
-  Tea_observe.Exposition.render
-    ~tiers:(Core.Tierstat.snapshot ())
-    ~translate:(fun st -> Core.Packed.orig_state t.image st)
+  Tea_observe.Exposition.render ~tiers:(tiers t)
     ?drift:(drift_distance t)
     ?epoch:(Option.map (fun _ -> t.epoch) t.trigger)
     (metrics t)

@@ -174,11 +174,16 @@ val drift_distance : t -> (float * float) option
     [(distance, threshold)]; [None] when the server was created without
     [~drift] or no session has completed yet. *)
 
+val tiers : t -> Tea_core.Tierstat.snapshot
+(** The completed sessions' dispatch tiers, derived from the same summed
+    counters as {!fleet_edge_profile} ({!Tea_core.Tierstat.of_counters}):
+    rows by original state id, whatever layouts served them. *)
+
 val exposition : t -> string
 (** The Prometheus-style text exposition ({!Tea_observe.Exposition}) of
-    {!metrics}, the installed dispatch-tier snapshot
-    ({!Tea_core.Tierstat.snapshot}) and the drift gauge. This is exactly
-    the payload a {!Frame.tag_scrape} connection receives; because
+    {!metrics}, the dispatch tiers ({!tiers}) and the drift gauge. This
+    is exactly the payload a {!Frame.tag_scrape} connection receives;
+    because
     scrapes are pure observers (never counted as sessions, no metric
     bumps), a scrape issued after the last session completed returns
     this string byte-for-byte. *)

@@ -276,9 +276,9 @@ let prop_multi_asid_compiled =
 
 (* ---------------- dispatch-tier partition ---------------- *)
 
-(* With the profiler installed, a compiled replay attributes every block
-   to exactly one tier, and only to tiers compiled dispatch can reach:
-   compiled, hash, miss. *)
+(* A compiled replay attributes every block to exactly one of the
+   compiled, hash and miss tiers: the counters' tiers partition the
+   batch, and an installed tally's totals are the same. *)
 let test_tier_partition () =
   let w =
     QCheck.Gen.generate1 ~rand:(Random.State.make [| 42 |]) (QCheck.gen gen_workload)
@@ -288,25 +288,19 @@ let test_tier_partition () =
   List.iter
     (fun img ->
       Tierstat.install ();
-      let snap =
-        Fun.protect
-          ~finally:(fun () ->
-            if Tierstat.enabled () then ignore (Tierstat.uninstall ()))
-          (fun () ->
-            ignore (compiled_replayer img ~insns addrs ~len);
-            Tierstat.uninstall ())
+      let rep, installed =
+        match compiled_replayer img ~insns addrs ~len with
+        | rep -> (rep, Tierstat.uninstall ())
+        | exception e ->
+            ignore (Tierstat.uninstall ());
+            raise e
       in
+      let snap = Replayer.tiers rep in
       check Alcotest.int "tiers partition the batch" len (Tierstat.total snap);
-      Array.iteri
-        (fun tier n ->
-          if
-            tier <> Tierstat.t_compiled && tier <> Tierstat.t_hash
-            && tier <> Tierstat.t_miss
-          then
-            check Alcotest.int
-              (Printf.sprintf "tier %s unused" (Tierstat.tier_name tier))
-              0 n)
-        snap.Tierstat.ts_totals)
+      check
+        Alcotest.(array int)
+        "installed totals == counter totals" snap.Tierstat.ts_totals
+        installed.Tierstat.ts_totals)
     imgs
 
 (* ---------------- image statistics on a real capture ---------------- *)

@@ -1,14 +1,15 @@
 (* The live introspection plane: drift comparator, histogram quantiles,
    exposition rendering, the JSONL event log, the TEAEP1 edge-profile
-   codec, and the dispatch-tier profiler.
+   codec, and the dispatch tiers read off the replay counters.
 
-   The headline gate mirrors the daemon gate one level up: the tier
-   snapshot accumulated by a live tea_serve fleet (batched feeder drain,
-   jobs 1/2/4, flat and repacked+fused images) must equal — Tierstat
-   pointwise — the snapshot of replaying the same streams offline,
-   sequentially; and a scrape issued after the last session completed
-   must return the server's exposition byte-for-byte, because scrapes
-   are pure observers. *)
+   The headline gate mirrors the daemon gate one level up: the tiers of
+   a live tea_serve fleet (batched feeder drain, jobs 1/2/4, flat and
+   repacked+fused images) must equal — Tierstat pointwise — the tiers of
+   replaying the same streams offline, sequentially; and a scrape issued
+   after the last session completed must return the server's exposition
+   byte-for-byte, because scrapes are pure observers. The tier oracle
+   property checks {!Tierstat.of_counters} against a step-at-a-time
+   classification written here. *)
 
 open Tea_isa
 module I = Insn
@@ -58,8 +59,8 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
   really_input_string ic (in_channel_length ic)
 
-(* Install the global dispatch-tier profiler around [f]; always
-   uninstall, returning the final snapshot alongside [f]'s result. *)
+(* Install the global tier-totals tally around [f]; always uninstall,
+   returning the final snapshot alongside [f]'s result. *)
 let with_tierstat f =
   Tierstat.install ();
   match f () with
@@ -191,14 +192,12 @@ let test_exposition_render () =
   Metrics.observe_value reg "lat" 3;
   let tiers =
     {
-      Tierstat.ts_totals = [| 3; 0; 1; 4 |];
-      ts_states = [ (0, [| 3; 0; 0; 0 |]); (4, [| 0; 0; 1; 4 |]) ];
+      Tierstat.ts_totals = [| 0; 1; 7 |];
+      ts_states = [ (4, [| 0; 1; 4 |]); (10, [| 0; 0; 3 |]) ];
     }
   in
   let got =
-    Exposition.render ~tiers
-      ~translate:(fun st -> 10 - st)
-      ~drift:(0.5, 0.25) (Metrics.snapshot reg)
+    Exposition.render ~tiers ~drift:(0.5, 0.25) (Metrics.snapshot reg)
   in
   let expect =
     "# TYPE tea_counter counter\n\
@@ -214,14 +213,13 @@ let test_exposition_render () =
      tea_histogram_quantile{name=\"lat\",q=\"0.95\"} 4\n\
      tea_histogram_quantile{name=\"lat\",q=\"0.99\"} 4\n\
      # TYPE tea_dispatch_tier_total counter\n\
-     tea_dispatch_tier_total{tier=\"search\"} 3\n\
      tea_dispatch_tier_total{tier=\"hash\"} 0\n\
      tea_dispatch_tier_total{tier=\"miss\"} 1\n\
-     tea_dispatch_tier_total{tier=\"compiled\"} 4\n\
+     tea_dispatch_tier_total{tier=\"compiled\"} 7\n\
      # TYPE tea_dispatch_state_total counter\n\
-     tea_dispatch_state_total{state=\"6\",tier=\"miss\"} 1\n\
-     tea_dispatch_state_total{state=\"6\",tier=\"compiled\"} 4\n\
-     tea_dispatch_state_total{state=\"10\",tier=\"search\"} 3\n\
+     tea_dispatch_state_total{state=\"4\",tier=\"miss\"} 1\n\
+     tea_dispatch_state_total{state=\"4\",tier=\"compiled\"} 4\n\
+     tea_dispatch_state_total{state=\"10\",tier=\"compiled\"} 3\n\
      # TYPE tea_drift_l1 gauge\n\
      tea_drift_l1 0.5\n\
      # TYPE tea_drift_threshold gauge\n\
@@ -230,9 +228,7 @@ let test_exposition_render () =
   check Alcotest.string "rendered exposition" expect got;
   (* deterministic: a function of the snapshots alone *)
   check Alcotest.string "render is deterministic" got
-    (Exposition.render ~tiers
-       ~translate:(fun st -> 10 - st)
-       ~drift:(0.5, 0.25) (Metrics.snapshot reg));
+    (Exposition.render ~tiers ~drift:(0.5, 0.25) (Metrics.snapshot reg));
   check Alcotest.string "empty snapshot renders empty" ""
     (Exposition.render Metrics.empty)
 
@@ -280,7 +276,84 @@ let test_teaep_roundtrip () =
   write (String.sub bytes 0 (String.length bytes - 1));
   expect_failure "truncation" (fun () -> Repack.load_profile path);
   write (bytes ^ "\x00");
-  expect_failure "trailing bytes" (fun () -> Repack.load_profile path)
+  expect_failure "trailing bytes" (fun () -> Repack.load_profile path);
+  (* 2^30 - 1 slots in a 13-byte file: refused before any allocation *)
+  write "TEAEP1\xff\xff\xff\xff\x03\x00\x01";
+  expect_failure "inflated lengths" (fun () -> Repack.load_profile path);
+  (* a 9-byte varint that decodes negative *)
+  write "TEAEP1\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x00";
+  expect_failure "negative value" (fun () -> Repack.load_profile path)
+
+let varint v =
+  let b = Buffer.create 10 in
+  let v = ref v in
+  while !v land lnot 0x7f <> 0 do
+    Buffer.add_char b (Char.chr (0x80 lor (!v land 0x7f)));
+    v := !v lsr 7
+  done;
+  Buffer.add_char b (Char.chr !v);
+  Buffer.contents b
+
+(* A TEAEP1 file mangled one of three ways. *)
+type mangle =
+  | Truncate of int  (** keep this many bytes (mod the length) *)
+  | Flip of int * int  (** byte position (mod the length), bit *)
+  | Inflate of int * int  (** header lengths: slots, edges *)
+
+let gen_mangled =
+  let open QCheck.Gen in
+  let counts = array_size (int_range 1 12) (oneof [ int_range 0 300; int_bound max_int ]) in
+  let mangle =
+    oneof
+      [ map (fun n -> Truncate n) nat;
+        map2 (fun i b -> Flip (i, b)) nat (int_range 0 7);
+        map2
+          (fun a b -> Inflate (a, b))
+          (oneof [ int_range 1 64; int_range 1 0x40000000; int_bound max_int ])
+          (oneof [ int_range 0 64; int_range 0 0x40000000; int_bound max_int ]) ]
+  in
+  pair (triple counts counts counts) mangle
+
+let prop_teaep_hostile =
+  (* every mangled file is either refused with the loader's own Failure
+     or loads a profile that round-trips; no other exception, and no
+     allocation sized from a length the file cannot hold *)
+  QCheck.Test.make ~name:"mangled TEAEP1: typed Failure or a round-trip"
+    ~count:500 (QCheck.make gen_mangled)
+    (fun ((visits, taken, misses), mangle) ->
+      let misses = Array.init (Array.length visits) (fun i ->
+          misses.(i mod Array.length misses)) in
+      let prof = { Repack.visits; taken; misses } in
+      with_tmp ".teaep" @@ fun path ->
+      Repack.save_profile path prof;
+      let bytes = read_file path in
+      let n = String.length bytes in
+      let mangled =
+        match mangle with
+        | Truncate k -> String.sub bytes 0 (k mod n)
+        | Flip (i, bit) ->
+            let b = Bytes.of_string bytes in
+            let i = i mod n in
+            Bytes.set b i (Char.chr (Char.code bytes.[i] lxor (1 lsl bit)));
+            Bytes.to_string b
+        | Inflate (slots, edges) ->
+            let header =
+              String.length "TEAEP1"
+              + String.length (varint (Array.length visits))
+              + String.length (varint (Array.length taken))
+            in
+            "TEAEP1" ^ varint slots ^ varint edges
+            ^ String.sub bytes header (n - header)
+      in
+      let oc = open_out_bin path in
+      output_string oc mangled;
+      close_out oc;
+      match Repack.load_profile path with
+      | p ->
+          Repack.save_profile path p;
+          Repack.load_profile path = p
+      | exception Failure msg ->
+          String.starts_with ~prefix:"Repack.load_profile: " msg)
 
 (* ---------------- fixtures (the test_serve shape) ---------------- *)
 
@@ -292,6 +365,11 @@ let t1 =
 let t2 = Trace.linear ~id:1 ~kind:"test" [ block_at 0x400; block_at 0x300 ]
 
 let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
+
+let multi_tiers image m =
+  let acc = Array.make (Packed.n_counters image) 0 in
+  Multi.add_edge_counts m acc;
+  Tierstat.of_counters image acc
 
 let compiled img =
   Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
@@ -332,6 +410,8 @@ let count_blocks s =
        (fun (_, ev) -> match ev with Pc_trace.Block _ -> true | _ -> false)
        (stamped_of_bytes s))
 
+(* Sequential offline replay of one stream: its fleet profile and its
+   dispatch tiers, read off every asid's counters summed. *)
 let offline_of_bytes image s =
   with_tmp ".trc" @@ fun path ->
   let oc = open_out_bin path in
@@ -340,7 +420,7 @@ let offline_of_bytes image s =
   let m =
     Multi.replay_events (fun _ -> compiled image) path
   in
-  Profile.merge_all (List.map snd (Multi.snapshots m))
+  (Profile.merge_all (List.map snd (Multi.snapshots m)), multi_tiers image m)
 
 let sock_path () =
   let p = Filename.temp_file "tea_test_observe" ".sock" in
@@ -375,11 +455,12 @@ let mixed_streams () =
     v2 [ 0x300; 0x400 ];
     v3 ]
 
-(* ---------------- dispatch-tier profiler ---------------- *)
+(* ---------------- dispatch tiers ---------------- *)
 
 let prop_tier_sum =
-  (* every resolved block lands in exactly one tier, and the per-state
-     rows partition the totals *)
+  (* every resolved block lands in exactly one tier, the per-state rows
+     partition the totals, and the installed totals, the counters' totals
+     and the profile's in-trace / global-hit / global-miss counts agree *)
   let gen_events =
     let open QCheck.Gen in
     let block =
@@ -401,37 +482,26 @@ let prop_tier_sum =
       let s = bytes_of_events events in
       let blocks = count_blocks s in
       let image = fixture_tuned () in
-      let snap, () =
-        with_tierstat (fun () -> ignore (offline_of_bytes image s))
+      let installed, (p, snap) =
+        with_tierstat (fun () -> offline_of_bytes image s)
       in
       let state_sums = Array.make Tierstat.n_tiers 0 in
       List.iter
         (fun (_, row) ->
           Array.iteri (fun t v -> state_sums.(t) <- state_sums.(t) + v) row)
         snap.Tierstat.ts_states;
-      Tierstat.total snap = blocks && state_sums = snap.Tierstat.ts_totals)
-
-(* A tier snapshot with every in-trace resolution folded into one
-   column: event-at-a-time feeding steps the image ({!Packed.step}:
-   search), the batching feeder runs the compiled closures (compiled,
-   chain matchers included), and both resolve the hash and miss tiers
-   identically. *)
-let in_trace_folded (s : Tierstat.snapshot) =
-  let fold row =
-    Array.mapi
-      (fun t v ->
-        if t = Tierstat.t_compiled then row.(Tierstat.t_search) + v
-        else if t = Tierstat.t_search then 0
-        else v)
-      row
-  in
-  {
-    Tierstat.ts_totals = fold s.Tierstat.ts_totals;
-    ts_states = List.map (fun (st, row) -> (st, fold row)) s.Tierstat.ts_states;
-  }
+      let from_profile = Array.make Tierstat.n_tiers 0 in
+      from_profile.(Tierstat.t_hash) <- p.Profile.global_hits;
+      from_profile.(Tierstat.t_miss) <- p.Profile.global_misses;
+      from_profile.(Tierstat.t_compiled) <- p.Profile.in_trace_hits;
+      Tierstat.total snap = blocks
+      && state_sums = snap.Tierstat.ts_totals
+      && installed.Tierstat.ts_totals = snap.Tierstat.ts_totals
+      && from_profile = snap.Tierstat.ts_totals)
 
 let test_feeder_feed_tiers () =
-  (* event-at-a-time feeding and the batching feeder attribute every
+  (* event-at-a-time feeding ({!Packed.step}) and the batching feeder
+     (the compiled closures, chain matchers included) attribute every
      block to the same source state and the same in-trace / hash / miss
      resolution, on flat, repacked and fused images *)
   let evs = List.concat_map stamped_of_bytes (mixed_streams ()) in
@@ -440,30 +510,166 @@ let test_feeder_feed_tiers () =
   List.iter
     (fun image_of ->
       let image = image_of () in
-      let fed, () =
-        with_tierstat (fun () ->
-            let m = Multi.create (fun _ -> compiled image) in
-            List.iter (fun (asid, ev) -> Multi.feed m ~asid ev) evs)
+      let fed =
+        let m = Multi.create (fun _ -> compiled image) in
+        List.iter (fun (asid, ev) -> Multi.feed m ~asid ev) evs;
+        multi_tiers image m
       in
-      let batched, () =
-        with_tierstat (fun () ->
-            let m = Multi.create (fun _ -> compiled image) in
-            let f = Multi.feeder ~buf:3 m in
-            List.iter (fun (asid, ev) -> Multi.feeder_feed f ~asid ev) evs;
-            Multi.feeder_flush f)
+      let batched =
+        let m = Multi.create (fun _ -> compiled image) in
+        let f = Multi.feeder ~buf:3 m in
+        List.iter (fun (asid, ev) -> Multi.feeder_feed f ~asid ev) evs;
+        Multi.feeder_flush f;
+        multi_tiers image m
       in
-      check tierstat "feeder == feed" (in_trace_folded fed)
-        (in_trace_folded batched))
+      check tierstat "feeder == feed" fed batched)
     [ fixture_packed; fixture_repacked; fused ]
+
+(* The tier oracle: step the image one block at a time, classify each
+   step by the {!Packed.stats} counter it moved, and charge it to the
+   original id of the state it stepped from. At [swap_at] it crosses to
+   the other layout as {!Replayer.rebind} does. *)
+let oracle_tiers (from_img, to_img) ~swap_at starts =
+  let module T = Tea_core.Transition in
+  let rows = Hashtbl.create 16 in
+  let img = ref (Packed.dup from_img) in
+  let counts = Array.make (Packed.n_counters from_img) 0 in
+  let state = ref Tea_core.Automaton.nte in
+  Array.iteri
+    (fun i pc ->
+      if i = swap_at then begin
+        let o = Packed.orig_state !img !state in
+        img := Packed.dup to_img;
+        state := Packed.slot_of_state !img o
+      end;
+      let st = Packed.stats !img in
+      let hits = st.T.in_trace_hits and ghits = st.T.global_hits in
+      let src = Packed.orig_state !img !state in
+      state := Packed.step !img counts !state pc;
+      let tier =
+        if st.T.in_trace_hits > hits then Tierstat.t_compiled
+        else if st.T.global_hits > ghits then Tierstat.t_hash
+        else Tierstat.t_miss
+      in
+      let row =
+        match Hashtbl.find_opt rows src with
+        | Some r -> r
+        | None ->
+            let r = Array.make Tierstat.n_tiers 0 in
+            Hashtbl.add rows src r;
+            r
+      in
+      row.(tier) <- row.(tier) + 1)
+    starts;
+  let ts_states =
+    Hashtbl.fold (fun st row acc -> (st, row) :: acc) rows []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  let ts_totals = Array.make Tierstat.n_tiers 0 in
+  List.iter
+    (fun (_, row) -> Array.iteri (fun t v -> ts_totals.(t) <- ts_totals.(t) + v) row)
+    ts_states;
+  { Tierstat.ts_totals; ts_states }
+
+let oracle_addrs = [| 0x100; 0x200; 0x300; 0x400; 0x300; 0x900; 0x5000 |]
+
+(* flat, repacked and fused layouts tuned on a stream where the second
+   trace is hot, so repacking really renumbers states *)
+let oracle_ladder () =
+  let flat = fixture_packed () in
+  let skewed =
+    Array.init 70 (fun i ->
+        List.nth [ 0x100; 0x200; 0x300; 0x400; 0x300; 0x400; 0x300 ] (i mod 7))
+  in
+  let len = Array.length skewed in
+  let repacked = Repack.repack flat (Repack.collect flat skewed ~len) in
+  [| flat; repacked; Tea_opt.Fuse.fuse repacked |]
+
+let test_oracle_ladder () =
+  let l = oracle_ladder () in
+  check Alcotest.bool "the repacked layout renumbers states" true
+    (List.exists
+       (fun s -> Packed.orig_state l.(1) s <> s)
+       (List.init (Packed.n_slots l.(1)) Fun.id));
+  check Alcotest.bool "the fused layout has chains" true (Packed.is_fused l.(2))
+
+let prop_tier_oracle =
+  QCheck.Test.make
+    ~name:"of_counters == step oracle, across seams and a rebind" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (list_size (int_range 1 150) (int_range 0 1000))
+           (list_size (int_range 0 6) (int_range 0 1000))
+           (int_range 0 1000)
+           (pair (int_range 0 2) (int_range 0 2))))
+    (fun (picks, rawseams, rawswap, (from_i, to_i)) ->
+      let starts =
+        Array.of_list
+          (List.map (fun i -> oracle_addrs.(i mod Array.length oracle_addrs)) picks)
+      in
+      let len = Array.length starts in
+      let insns = Array.make len 1 in
+      let ladder = oracle_ladder () in
+      let swap_at = rawswap mod (len + 1) in
+      let seams =
+        List.sort_uniq compare
+          (swap_at :: List.map (fun c -> c mod (len + 1)) rawseams)
+      in
+      let rep = compiled ladder.(from_i) in
+      let pos = ref 0 in
+      List.iter
+        (fun hi ->
+          Replayer.feed_run rep ~off:!pos ~insns starts ~len:(hi - !pos);
+          pos := hi;
+          if hi = swap_at then
+            Replayer.rebind rep
+              (Replayer.Compiled
+                 (Tea_core.Compiled.of_packed (Packed.dup ladder.(to_i)))))
+        (seams @ [ len ]);
+      Tierstat.equal (Replayer.tiers rep)
+        (oracle_tiers (ladder.(from_i), ladder.(to_i)) ~swap_at starts))
+
+let test_one_counter_per_block () =
+  (* a hash-hit step and a hash-miss step each change exactly one
+     counter by one, on the step path and in a compiled batch alike *)
+  let image = fixture_packed () in
+  let h1 = Option.get (Packed.head_of image 0x100) in
+  let changed before after =
+    List.filter
+      (fun i -> before.(i) <> after.(i))
+      (List.init (Array.length before) Fun.id)
+    |> List.map (fun i -> after.(i) - before.(i))
+  in
+  let counters rep =
+    let acc = Array.make (Packed.n_counters image) 0 in
+    Replayer.add_edge_counts rep acc;
+    acc
+  in
+  List.iter
+    (fun (what, src, pc) ->
+      let step = Packed.dup image in
+      let c = Array.make (Packed.n_counters step) 0 in
+      ignore (Packed.step step c src pc);
+      check Alcotest.(list int) ("step: " ^ what) [ 1 ]
+        (changed (Array.make (Array.length c) 0) c);
+      let rep = compiled image in
+      Replayer.set_state rep src;
+      let before = counters rep in
+      Replayer.feed_run rep [| pc |] ~len:1;
+      check Alcotest.(list int) ("compiled: " ^ what) [ 1 ]
+        (changed before (counters rep)))
+    [ ("hash hit", Tea_core.Automaton.nte, 0x100);
+      ("hash miss", h1, 0x9999);
+      ("hash hit from a trace", h1, 0x400) ]
 
 (* ---------------- the live gate ---------------- *)
 
-(* Serve [streams] sequentially through a live daemon with the tier
-   profiler installed and a drift comparator attached; scrape before the
-   first session and after the last, and read the offline exposition
-   after the driver returned. *)
+(* Serve [streams] sequentially through a live daemon with a drift
+   comparator attached; scrape before the first session and after the
+   last, and read the tiers and the offline exposition after the driver
+   returned. *)
 let serve_observed ~jobs ~image ~drift streams =
-  with_tierstat @@ fun () ->
   let srv = Server.create ~jobs ~image ~drift (Frame.Unix_sock (sock_path ())) in
   Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
   let driver = Domain.spawn (fun () -> Server.run srv) in
@@ -475,7 +681,8 @@ let serve_observed ~jobs ~image ~drift streams =
   Server.stop srv;
   Domain.join driver;
   let expo = Server.exposition srv in
-  ( first,
+  ( Server.tiers srv,
+    first,
     last,
     expo,
     Server.drift_distance srv,
@@ -491,10 +698,9 @@ let test_live_equals_offline () =
         List.fold_left (fun acc s -> acc + count_blocks s) 0 streams
       in
       let ref_image = image_of () in
-      let offline_snap, offline_fleet =
-        with_tierstat (fun () ->
-            Profile.merge_all (List.map (offline_of_bytes ref_image) streams))
-      in
+      let offline = List.map (offline_of_bytes ref_image) streams in
+      let offline_fleet = Profile.merge_all (List.map fst offline) in
+      let offline_snap = Tierstat.merge_all (List.map snd offline) in
       check Alcotest.int "offline tier sum == blocks" blocks_expected
         (Tierstat.total offline_snap);
       List.iter
@@ -503,8 +709,7 @@ let test_live_equals_offline () =
           (* tune the comparator to the very profile this fleet will
              produce: the live gauge must come back exactly zero *)
           let drift = Drift.create offline_fleet.Profile.counts in
-          let live_snap, (first, last, expo, dd, m, completed, disconnected)
-              =
+          let live_snap, first, last, expo, dd, m, completed, disconnected =
             serve_observed ~jobs ~image ~drift streams
           in
           check tierstat
@@ -641,12 +846,19 @@ let () =
       ( "events",
         [ Alcotest.test_case "JSONL golden" `Quick test_events_golden ] );
       ( "teaep",
-        [ Alcotest.test_case "TEAEP1 round-trip" `Quick test_teaep_roundtrip ] );
+        [
+          Alcotest.test_case "TEAEP1 round-trip" `Quick test_teaep_roundtrip;
+          qtest prop_teaep_hostile;
+        ] );
       ( "tiers",
         [
           qtest prop_tier_sum;
           Alcotest.test_case "feeder == feed attribution" `Quick
             test_feeder_feed_tiers;
+          Alcotest.test_case "oracle layouts differ" `Quick test_oracle_ladder;
+          qtest prop_tier_oracle;
+          Alcotest.test_case "one counter per resolved block" `Quick
+            test_one_counter_per_block;
         ] );
       ( "daemon",
         [

@@ -251,16 +251,22 @@ let test_step_matches_reference_fixture () =
   let h2 = Option.get (Automaton.head_of auto 0x400) in
   check Alcotest.int "cross-trace" h2 (Packed.step p c h1 0x400);
   check Alcotest.int "cold pc to NTE" Automaton.nte (Packed.step p c h1 0x9999);
-  (* one counter per step: the in-trace edge, or a span miss *)
+  (* one counter per step: the in-trace edge, the source's hash hit, or
+     its hash miss *)
   let sum = Array.fold_left ( + ) 0 in
+  check Alcotest.int "one counter per step" 4 (sum c);
   let ep = Packed.edge_profile p c in
   check Alcotest.int "edge visits" 4 (sum ep.Packed.visits);
   check Alcotest.int "edges taken" 1 (sum ep.Packed.taken);
   check Alcotest.int "span misses" 3 (sum ep.Packed.misses);
-  check Alcotest.(list (pair int int)) "state counts"
-    [ (h1, 1); (s2, 1); (h2, 1) ]
-    (List.filter (fun (_, n) -> n > 0)
-       (List.mapi (fun s n -> (s, n)) (Array.to_list (Packed.state_counts p c))));
+  let ne = Packed.n_edges p and n = Packed.n_slots p in
+  let block base =
+    List.filter (fun (_, v) -> v > 0) (List.init n (fun o -> (o, c.(base + o))))
+  in
+  check Alcotest.(list (pair int int)) "hash hits by source"
+    [ (Automaton.nte, 1); (h1, 1) ] (block ne);
+  check Alcotest.(list (pair int int)) "hash misses by source" [ (h1, 1) ]
+    (block (ne + n));
   let st = Packed.stats p in
   check Alcotest.int "steps" 4 st.Transition.steps;
   check Alcotest.int "in-trace hits" 1 st.Transition.in_trace_hits;

@@ -20,6 +20,7 @@ module Builder = Tea_core.Builder
 module Automaton = Tea_core.Automaton
 module Packed = Tea_core.Packed
 module Replayer = Tea_core.Replayer
+module Tierstat = Tea_core.Tierstat
 module Pc_trace = Tea_core.Pc_trace
 module Repack = Tea_opt.Repack
 module Fuse = Tea_opt.Fuse
@@ -218,6 +219,44 @@ let test_rebind_basics () =
     "tbb counts survive swaps" (Replayer.tbb_counts rep0)
     (Replayer.tbb_counts rep)
 
+(* What `tea_tool replay <w> --pc-trace f -e compiled --tiers` prints,
+   with and without `--retune` (replay half, rebuild from the replayer's
+   own edge profile, rebind, finish): the per-state tier rows are a
+   property of the automaton and the stream, so a mid-stream layout swap
+   must leave them unchanged. *)
+let test_retune_tiers () =
+  List.iter
+    (fun (name, image) ->
+      let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
+      let dbt = Tea_dbt.Stardbt.record ~strategy image in
+      let packed =
+        Packed.freeze
+          (Builder.build (Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set))
+      in
+      let path = Filename.temp_file "tea_test_retune" ".trc" in
+      ignore (Tea_pinsim.Trace_capture.record image path);
+      let starts, insns, len = Shard.load_pc_trace path in
+      Sys.remove path;
+      let plain = make_rep packed in
+      Replayer.feed_run plain ~insns starts ~len;
+      let mid = len / 2 in
+      let rep = make_rep packed in
+      Replayer.feed_run rep ~insns starts ~len:mid;
+      let tuned = Retune.build ~profile:(Replayer.edge_profile rep) packed in
+      Replayer.rebind rep (engine_of tuned);
+      Replayer.feed_run rep ~off:mid ~insns starts ~len:(len - mid);
+      check Alcotest.bool (name ^ ": the swap renumbered states") true
+        (Repack.moved_states tuned > 0);
+      check
+        Alcotest.(list (pair int (array int)))
+        (name ^ ": --retune tier rows == plain")
+        (Replayer.tiers plain).Tierstat.ts_states
+        (Replayer.tiers rep).Tierstat.ts_states)
+    [ ("micro:listscan", Tea_workloads.Micro.list_scan ());
+      ( "181.mcf",
+        Tea_workloads.Spec2000.image
+          (Option.get (Tea_workloads.Spec2000.by_name "181.mcf")) ) ]
+
 (* ---------------- trigger hysteresis ---------------- *)
 
 let test_trigger_debounce () =
@@ -390,20 +429,74 @@ let run_swapping_daemon ~jobs =
     (Printf.sprintf "fleet edge profile across swaps (jobs %d)" jobs)
     (collect_streams base !sent)
     (Server.fleet_edge_profile srv);
-  (srv, Server.fleet_profile srv, Server.offline_profile srv)
+  (srv, Server.fleet_profile srv, Server.offline_profile srv, !sent)
 
 let test_daemon_swap_gate () =
   (* the acceptance gate: fleet == offline-sequential across the swap,
      at jobs 1/2/4 *)
   List.iter
     (fun jobs ->
-      let srv, fleet, offline = run_swapping_daemon ~jobs in
+      let srv, fleet, offline, _ = run_swapping_daemon ~jobs in
       check profile
         (Printf.sprintf "fleet == offline across swaps (jobs %d)" jobs)
         offline fleet;
       check Alcotest.bool "swap pause measured" true
         (Server.swap_pause_ns srv >= 0))
     [ 1; 2; 4 ]
+
+let state_rows text =
+  List.filter
+    (fun l -> String.starts_with ~prefix:"tea_dispatch_state_total" l)
+    (String.split_on_char '\n' text)
+
+let test_daemon_swap_tiers () =
+  (* the tiers a daemon exposes after hot-swapping to a different layout
+     are those of replaying the same streams offline on the flat image,
+     row for row, and their totals are the fleet profile's in-trace
+     hits, global hits and global misses *)
+  List.iter
+    (fun jobs ->
+      let srv, fleet, _, sent = run_swapping_daemon ~jobs in
+      let base = branchy () in
+      let rep = make_rep base in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (_, runs) ->
+              List.iter
+                (fun { Pc_trace.starts; insns; len } ->
+                  Replayer.set_state rep Automaton.nte;
+                  Replayer.feed_run rep ~insns starts ~len)
+                runs)
+            (Pc_trace.demux s))
+        sent;
+      (* the epoch the daemon swapped to, as its rebuild made it from
+         the first phase's traffic, numbers states differently *)
+      check Alcotest.bool "the swap renumbered states" true
+        (Repack.moved_states
+           (Retune.build ~profile:(collect_streams base [ List.hd (List.rev sent) ]) base)
+        > 0);
+      let offline = Replayer.tiers rep in
+      let live = Server.tiers srv in
+      check
+        Alcotest.(list (pair int (array int)))
+        (Printf.sprintf "tier rows == offline across swaps (jobs %d)" jobs)
+        offline.Tierstat.ts_states live.Tierstat.ts_states;
+      check
+        Alcotest.(list string)
+        "exposed state rows == offline"
+        (state_rows
+           (Tea_observe.Exposition.render ~tiers:offline
+              Tea_telemetry.Metrics.empty))
+        (state_rows (Server.exposition srv));
+      let tot = live.Tierstat.ts_totals in
+      check
+        Alcotest.(list int)
+        "tier totals == fleet hits / misses / in-trace"
+        [ fleet.Profile.global_hits; fleet.Profile.global_misses;
+          fleet.Profile.in_trace_hits ]
+        [ tot.(Tierstat.t_hash); tot.(Tierstat.t_miss); tot.(Tierstat.t_compiled) ])
+    [ 1; 2 ]
 
 let test_fleet_edge_profile () =
   (* the sessions' own replay counts, summed, equal collecting the sent
@@ -499,6 +592,8 @@ let () =
           qtest prop_forced_swaps;
           qtest prop_edge_profile;
           Alcotest.test_case "rebind basics" `Quick test_rebind_basics;
+          Alcotest.test_case "--retune tier rows == plain" `Quick
+            test_retune_tiers;
         ] );
       ( "trigger",
         [
@@ -509,6 +604,8 @@ let () =
         [
           Alcotest.test_case "gate: fleet == offline across swaps" `Quick
             test_daemon_swap_gate;
+          Alcotest.test_case "tiers == offline across swaps" `Quick
+            test_daemon_swap_tiers;
           Alcotest.test_case "fleet edge profile (TEAEP1)" `Quick
             test_fleet_edge_profile;
           Alcotest.test_case "heap stays flat under retune" `Quick
