@@ -6,17 +6,16 @@ type domain_stat = {
   d_units : int;
 }
 
-(* Per-worker counters. [w_tasks]/[w_busy]/[w_wait] are written only by
-   the owning worker and read by the driver after a [map] completed (the
-   queue mutex orders those accesses); [w_units] is an Atomic because
-   [add_units] may be called concurrently with the driver reading stats. *)
+(* One participant's counters: a worker's, or the caller entry that
+   inline batches account into. All four are Atomics because the caller
+   entry is shared by every driver that inlines at once; busy and wait
+   are integer nanoseconds so they can be summed atomically too. *)
 type wstat = {
   w_index : int;
-  mutable w_tasks : int;
-  mutable w_busy : float;
-  mutable w_wait : float;
+  w_tasks : int Atomic.t;
+  w_busy_ns : int Atomic.t;
+  w_wait_ns : int Atomic.t;
   w_units : int Atomic.t;
-  mutable w_domain : Domain.id option;
 }
 
 (* A queued task, tagged with its batch's completion counter. Each [map]
@@ -24,7 +23,7 @@ type wstat = {
    threads can have batches in flight on the same pool concurrently —
    a worker finishing a task decrements that task's own batch and wakes
    the drivers only when a whole batch drained. *)
-type job = { run : unit -> unit; batch : int ref (* guarded by [m] *) }
+type job = { run : wstat -> unit; batch : int ref (* guarded by [m] *) }
 
 type t = {
   jobs : int;
@@ -33,40 +32,56 @@ type t = {
   idle : Condition.t; (* broadcast whenever some batch fully completes *)
   q : job Queue.t;
   mutable closed : bool;
-  stats : wstat array;
+  stats : wstat array; (* the workers, then the caller entry *)
+  caller : wstat; (* the last entry of [stats]: inline tasks' slot *)
   mutable doms : unit Domain.t array; (* [||] for an inline pool *)
-  residual : int Atomic.t; (* units credited from outside any worker *)
+  residual : int Atomic.t; (* units credited from outside any task *)
 }
 
 let now () = Unix.gettimeofday ()
 
+let ns_since t0 = int_of_float ((now () -. t0) *. 1e9)
+
+let add a n = ignore (Atomic.fetch_and_add a n)
+
 let fresh_wstat i =
   {
     w_index = i;
-    w_tasks = 0;
-    w_busy = 0.0;
-    w_wait = 0.0;
+    w_tasks = Atomic.make 0;
+    w_busy_ns = Atomic.make 0;
+    w_wait_ns = Atomic.make 0;
     w_units = Atomic.make 0;
-    w_domain = None;
   }
 
-(* Worker body: wait for a task (counting the wait), run it (tasks catch
-   their own exceptions — see [map]), account, repeat until shutdown. *)
+(* The participant running a task on this domain, set for the task's
+   duration: what [add_units] credits. A worker sets it once for its
+   life; an inline batch sets the caller entry and restores the previous
+   value, so a task that maps on another pool nests correctly. *)
+let running : wstat option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* Run [f], accounting it to [ws] (the task's exception is caught, as
+   [map] reports it after the whole batch). *)
+let run_task ws f i =
+  let t0 = now () in
+  let r = try Ok (f i) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+  add ws.w_busy_ns (ns_since t0);
+  add ws.w_tasks 1;
+  r
+
+(* Worker body: wait for a task (counting the wait), run it, account,
+   repeat until shutdown. *)
 let rec worker_loop t ws =
   Mutex.lock t.m;
   let t0 = now () in
   while Queue.is_empty t.q && not t.closed do
     Condition.wait t.work t.m
   done;
-  ws.w_wait <- ws.w_wait +. (now () -. t0);
+  add ws.w_wait_ns (ns_since t0);
   if Queue.is_empty t.q then Mutex.unlock t.m (* closed: drain and exit *)
   else begin
     let job = Queue.pop t.q in
     Mutex.unlock t.m;
-    let t1 = now () in
-    job.run ();
-    ws.w_busy <- ws.w_busy +. (now () -. t1);
-    ws.w_tasks <- ws.w_tasks + 1;
+    job.run ws;
     Mutex.lock t.m;
     job.batch := !(job.batch) - 1;
     if !(job.batch) = 0 then Condition.broadcast t.idle;
@@ -83,7 +98,8 @@ let parse_jobs s =
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let n_workers = if jobs = 1 then 1 else jobs in
+  let n_workers = if jobs = 1 then 0 else jobs in
+  let stats = Array.init (n_workers + 1) fresh_wstat in
   let t =
     {
       jobs;
@@ -92,21 +108,18 @@ let create ~jobs =
       idle = Condition.create ();
       q = Queue.create ();
       closed = false;
-      stats = Array.init n_workers fresh_wstat;
+      stats;
+      caller = stats.(n_workers);
       doms = [||];
       residual = Atomic.make 0;
     }
   in
-  if jobs = 1 then
-    (* inline pool: the caller is worker 0 *)
-    t.stats.(0).w_domain <- Some (Domain.self ())
-  else
-    t.doms <-
-      Array.init jobs (fun i ->
-          Domain.spawn (fun () ->
-              let ws = t.stats.(i) in
-              ws.w_domain <- Some (Domain.self ());
-              worker_loop t ws));
+  t.doms <-
+    Array.init n_workers (fun i ->
+        Domain.spawn (fun () ->
+            let ws = t.stats.(i) in
+            Domain.DLS.set running (Some ws);
+            worker_loop t ws));
   t
 
 let jobs t = t.jobs
@@ -122,9 +135,8 @@ let reraise_first results =
     results
 
 let check_open t =
-  (* under [t.m] for the domained path; the inline pool has no workers to
-     race with, but the lock also serializes against a concurrent
-     [shutdown] flipping the flag mid-check *)
+  (* under [t.m]: serializes against a concurrent [shutdown] flipping
+     the flag mid-check *)
   Mutex.lock t.m;
   let closed = t.closed in
   Mutex.unlock t.m;
@@ -137,18 +149,15 @@ let map t ~f n =
     ~args:[ ("tasks", string_of_int n); ("jobs", string_of_int t.jobs) ]
   @@ fun () ->
   if n = 0 then [||]
-  else if t.jobs = 1 then begin
-    (* inline: run on the caller, still feeding the worker-0 counters so
-       [--jobs 1] and [--jobs n] report through the same channel *)
-    let ws = t.stats.(0) in
-    let results = Array.make n None in
-    for i = 0 to n - 1 do
-      let t0 = now () in
-      results.(i) <-
-        Some (try Ok (f i) with e -> Error (e, Printexc.get_raw_backtrace ()));
-      ws.w_busy <- ws.w_busy +. (now () -. t0);
-      ws.w_tasks <- ws.w_tasks + 1
-    done;
+  else if t.jobs = 1 || n = 1 then begin
+    (* inline when the pool has no workers or the batch has one task: a
+       lone task would only trade the caller's time for two cross-domain
+       wake-ups while the caller sleeps, so it runs here, accounted to
+       the caller entry *)
+    let prev = Domain.DLS.get running in
+    Domain.DLS.set running (Some t.caller);
+    let results = Array.init n (fun i -> Some (run_task t.caller f i)) in
+    Domain.DLS.set running prev;
     reraise_first results
   end
   else begin
@@ -164,15 +173,7 @@ let map t ~f n =
     end;
     for i = 0 to n - 1 do
       Queue.add
-        {
-          run =
-            (fun () ->
-              results.(i) <-
-                Some
-                  (try Ok (f i)
-                   with e -> Error (e, Printexc.get_raw_backtrace ())));
-          batch;
-        }
+        { run = (fun ws -> results.(i) <- Some (run_task ws f i)); batch }
         t.q
     done;
     Condition.broadcast t.work;
@@ -193,16 +194,11 @@ let map_list t f xs =
   Array.to_list (map t ~f:(fun i -> f arr.(i)) (Array.length arr))
 
 let add_units t n =
-  let self = Domain.self () in
-  let rec go i =
-    if i >= Array.length t.stats then
-      ignore (Atomic.fetch_and_add t.residual n)
-    else
-      match t.stats.(i).w_domain with
-      | Some id when id = self -> ignore (Atomic.fetch_and_add t.stats.(i).w_units n)
-      | _ -> go (i + 1)
-  in
-  go 0
+  match Domain.DLS.get running with
+  | Some ws when ws.w_index < Array.length t.stats && t.stats.(ws.w_index) == ws
+    ->
+      add ws.w_units n
+  | _ -> add t.residual n
 
 (* Idempotent under concurrency: the closed check and the [doms] grab
    both happen under [t.m], so exactly one caller observes the open pool
@@ -230,31 +226,33 @@ let domain_stats t =
        (fun ws ->
          {
            d_index = ws.w_index;
-           d_tasks = ws.w_tasks;
-           d_busy = ws.w_busy;
-           d_wait = ws.w_wait;
+           d_tasks = Atomic.get ws.w_tasks;
+           d_busy = float_of_int (Atomic.get ws.w_busy_ns) /. 1e9;
+           d_wait = float_of_int (Atomic.get ws.w_wait_ns) /. 1e9;
            d_units = Atomic.get ws.w_units;
          })
        t.stats)
 
 let residual_units t = Atomic.get t.residual
 
-(* The per-domain counters as a telemetry snapshot: worker indices are
+(* The per-domain counters as a telemetry snapshot: entry indices are
    zero-padded so the rendered rows sort numerically, and the wall-clock
-   seconds become integer microsecond counters (the snapshot algebra is
-   integer sums). These stay out of the {!Tea_telemetry.Probe} registry on
-   purpose — busy/wait are wall-clock and would break the determinism of
-   the probe counters a [--jobs n] run must share with [--jobs 1]. *)
+   nanoseconds become integer microsecond counters (the snapshot algebra
+   is integer sums). These stay out of the {!Tea_telemetry.Probe}
+   registry on purpose — busy/wait are wall-clock and would break the
+   determinism of the probe counters a [--jobs n] run must share with
+   [--jobs 1]. *)
 let metrics_snapshot t =
   let m = Tea_telemetry.Metrics.create () in
-  let us s = int_of_float (1e6 *. s) in
   Tea_telemetry.Metrics.count m "pool.jobs" t.jobs;
   Array.iter
     (fun ws ->
       let pre = Printf.sprintf "pool.domain%02d." ws.w_index in
-      Tea_telemetry.Metrics.count m (pre ^ "tasks") ws.w_tasks;
-      Tea_telemetry.Metrics.count m (pre ^ "busy_us") (us ws.w_busy);
-      Tea_telemetry.Metrics.count m (pre ^ "wait_us") (us ws.w_wait);
+      Tea_telemetry.Metrics.count m (pre ^ "tasks") (Atomic.get ws.w_tasks);
+      Tea_telemetry.Metrics.count m (pre ^ "busy_us")
+        (Atomic.get ws.w_busy_ns / 1000);
+      Tea_telemetry.Metrics.count m (pre ^ "wait_us")
+        (Atomic.get ws.w_wait_ns / 1000);
       Tea_telemetry.Metrics.count m (pre ^ "units") (Atomic.get ws.w_units))
     t.stats;
   Tea_telemetry.Metrics.count m "pool.residual_units" (Atomic.get t.residual);

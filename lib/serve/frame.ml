@@ -108,6 +108,27 @@ let read_exact fd b off len =
   done;
   !got = len
 
+let recv_chunk = 65536
+
+(* A payload of [n] bytes, [n] taken from an untrusted header: the
+   buffer starts at one read's worth and doubles (capped at [n]) only
+   once the bytes already read fill it, so a peer that claims 16 MiB and
+   hangs up costs one chunk, not the claim. *)
+let read_payload fd n =
+  let buf = ref (Bytes.create (min n recv_chunk)) in
+  let got = ref 0 in
+  while !got < n do
+    if !got = Bytes.length !buf then begin
+      let nb = Bytes.create (min n (2 * !got)) in
+      Bytes.blit !buf 0 nb 0 !got;
+      buf := nb
+    end;
+    let k = Unix.read fd !buf !got (Bytes.length !buf - !got) in
+    if k = 0 then raise (Corrupt "truncated frame payload");
+    got := !got + k
+  done;
+  Bytes.unsafe_to_string !buf
+
 let recv fd =
   let hdr = Bytes.create header_len in
   let k = Unix.read fd hdr 0 header_len in
@@ -118,10 +139,7 @@ let recv fd =
       raise (Corrupt "truncated frame header");
     let n = payload_len_at hdr 0 in
     if n > max_payload then raise (Corrupt "frame payload too large");
-    let payload = Bytes.create n in
-    if not (read_exact fd payload 0 n) then
-      raise (Corrupt "truncated frame payload");
-    Some { tag = Bytes.get hdr 0; payload = Bytes.unsafe_to_string payload }
+    Some { tag = Bytes.get hdr 0; payload = read_payload fd n }
   end
 
 (* ---- profile payloads ----
@@ -145,7 +163,9 @@ let get_varint s pos =
     let b = Char.code (String.unsafe_get s !pos) in
     incr pos;
     let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
+    (* every field is a count: a varint reaching the sign bit is hostile *)
+    if acc < 0 then raise (Corrupt "profile varint overflows")
+    else if b land 0x80 = 0 then acc
     else if shift > 56 then raise (Corrupt "profile varint too long")
     else go (shift + 7) acc
   in
@@ -174,7 +194,8 @@ let encode_profile (p : Tea_parallel.Profile.t) =
 let decode_profile s =
   let pos = ref 0 in
   let n_counts = get_varint s pos in
-  if n_counts < 0 || n_counts > max_payload then
+  (* each (state, count) pair takes at least two bytes *)
+  if n_counts > (String.length s - !pos) / 2 then
     raise (Corrupt "bad profile counts length");
   let counts =
     List.init n_counts (fun _ ->

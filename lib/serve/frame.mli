@@ -69,7 +69,9 @@ val send : Unix.file_descr -> char -> string -> unit
 
 val recv : Unix.file_descr -> frame option
 (** Read one whole frame from a blocking fd; [None] on clean EOF at a
-    frame boundary. @raise Corrupt on a malformed or truncated frame. *)
+    frame boundary. Memory follows the bytes that arrive, not the
+    header's length claim. @raise Corrupt on a malformed or truncated
+    frame. *)
 
 (** {2 Profile payloads} *)
 
@@ -79,7 +81,8 @@ val encode_profile : Tea_parallel.Profile.t -> string
     against an offline replay bit-for-bit. *)
 
 val decode_profile : string -> Tea_parallel.Profile.t
-(** @raise Corrupt on truncated or trailing bytes. *)
+(** @raise Corrupt on truncated or trailing bytes, a varint that
+    overflows, or a counts length the remaining bytes cannot hold. *)
 
 (** {2 Addresses} *)
 

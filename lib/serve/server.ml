@@ -3,12 +3,14 @@ module P = Tea_parallel
 module Metrics = Tea_telemetry.Metrics
 
 (* One connected client. The driver owns [fd]/[parser_] and queues each
-   data frame's payload, undecoded, on [pending]; a pool worker decodes
+   data frame's payload, undecoded, on [pending]; a drain task decodes
    [pending] through [dec] straight into [multi] during a
-   bulk-synchronous map cycle (the driver is blocked inside [Pool.map]
-   for the whole cycle, so queue, decoder and replayer are never touched
-   from two threads at once — the pool's mutex orders cycle N's worker
-   against cycle N+1's). *)
+   bulk-synchronous map cycle. A cycle with one ready session runs its
+   task on the driver itself; with several, pool workers run them while
+   the driver is blocked inside [Pool.map] for the whole cycle. Either
+   way queue, decoder and replayer are never touched from two threads at
+   once, and the pool's mutex orders cycle N's worker against cycle
+   N+1's. *)
 type session = {
   id : int;  (* 1-based accept order, for the event log *)
   fd : Unix.file_descr;
@@ -345,11 +347,13 @@ let rec accept_all t until_sessions =
         t.sessions <- t.sessions @ [ s ];
         accept_all t until_sessions
 
-(* ---- replay (pool workers, bulk-synchronous) ---- *)
+(* ---- replay (drain tasks, bulk-synchronous) ---- *)
 
-(* One session's task: decode its queued payloads straight into its
-   feeder, then flush, so a completed session's profile is always fully
-   materialized. The feeder batches consecutive same-asid blocks through
+(* One session's task, on a pool worker or, when it is the cycle's only
+   ready session, on the driver: decode its queued payloads straight
+   into its feeder, then flush, so a completed session's profile is
+   always fully materialized. Its blocks are credited to whichever pool
+   entry ran it. The feeder batches consecutive same-asid blocks through
    Replayer.feed_run — the same engine loops (and the same dispatch-tier
    attribution) offline replay takes. [evs] numbers stream positions for
    the swap schedule; swaps happen only between cycles, when every queued

@@ -21,7 +21,9 @@
       replayer ({!Tea_core.Multi_replayer.feeder_decode}), so sessions
       decode and replay {e in parallel across} the pool while each
       session's own bytes stay strictly ordered (one task per session
-      per cycle, ordered by the pool mutex);
+      per cycle, ordered by the pool mutex); a cycle with one ready
+      session runs its task on the driver, which would otherwise only
+      wait for it;
     - every drain cycle decodes everything queued before the next
       [select], so a session's undecoded bytes are bounded by the frames
       one socket read completes (the [serve.queue_depth] histogram

@@ -104,6 +104,76 @@ let test_pool_add_units () =
       check Alcotest.int "driver units on the residual" 7
         (Pool.residual_units pool))
 
+(* A one-task batch runs on the caller at every jobs: no worker is woken,
+   its units land on the caller entry (index [jobs], last), and a failure
+   leaves the pool usable. *)
+let test_pool_single_task_inline () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let workers () =
+            List.filter_map
+              (fun d ->
+                if d.Pool.d_index < jobs then Some (d.Pool.d_tasks, d.Pool.d_wait)
+                else None)
+              (Pool.domain_stats pool)
+          in
+          let caller () = List.nth (Pool.domain_stats pool) jobs in
+          (* a multi-task batch first, so the workers have run and waited *)
+          ignore (Pool.map pool ~f:(fun i -> Pool.add_units pool 1; i) 8);
+          let before = workers () in
+          let self = Domain.self () in
+          let r =
+            Pool.map pool
+              ~f:(fun i ->
+                Pool.add_units pool 5;
+                (Domain.self () = self, i))
+              1
+          in
+          check Alcotest.bool "ran on the caller's domain" true (fst r.(0));
+          Alcotest.check_raises "one-task exception reaches the caller"
+            (Failure "lone") (fun () ->
+              ignore (Pool.map pool ~f:(fun _ -> failwith "lone") 1));
+          check (Alcotest.array Alcotest.int) "reusable after a lone failure"
+            [| 42 |]
+            (Pool.map pool ~f:(fun _ -> 42) 1);
+          check
+            Alcotest.(list (pair int (float 0.0)))
+            "workers neither ran nor woke" before (workers ());
+          let c = caller () in
+          check Alcotest.int "caller entry index" jobs c.Pool.d_index;
+          check Alcotest.int "caller ran the lone tasks" 3 c.Pool.d_tasks;
+          check Alcotest.int "lone task's units on the caller" 5 c.Pool.d_units;
+          let units =
+            List.fold_left (fun a d -> a + d.Pool.d_units) 0
+              (Pool.domain_stats pool)
+          in
+          check Alcotest.int "entries sum to the units added in maps" 13 units;
+          check Alcotest.int "nothing on the residual" 0
+            (Pool.residual_units pool)))
+    [ 2; 4 ]
+
+(* Several drivers inlining one-task batches at once share the caller
+   entry: its counters must still be exact. *)
+let test_pool_concurrent_inline () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let driver () =
+            for _ = 1 to 200 do
+              ignore (Pool.map pool ~f:(fun _ -> Pool.add_units pool 3) 1)
+            done
+          in
+          let ds = List.init 3 (fun _ -> Domain.spawn driver) in
+          driver ();
+          List.iter Domain.join ds;
+          let c = List.hd (List.rev (Pool.domain_stats pool)) in
+          check Alcotest.int "caller tasks exact" 800 c.Pool.d_tasks;
+          check Alcotest.int "caller units exact" 2400 c.Pool.d_units;
+          check Alcotest.int "nothing on the residual" 0
+            (Pool.residual_units pool)))
+    [ 1; 2 ]
+
 let test_pool_shutdown () =
   let pool = Pool.create ~jobs:2 in
   ignore (Pool.map pool ~f:(fun i -> i) 3);
@@ -476,6 +546,10 @@ let () =
           Alcotest.test_case "map_list" `Quick test_pool_map_list;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "add_units accounting" `Quick test_pool_add_units;
+          Alcotest.test_case "one-task batch inline" `Quick
+            test_pool_single_task_inline;
+          Alcotest.test_case "concurrent inline drivers" `Quick
+            test_pool_concurrent_inline;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "concurrent drivers" `Quick
             test_pool_concurrent_drivers;

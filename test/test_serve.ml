@@ -142,6 +142,149 @@ let prop_profile_codec =
       let q = Frame.decode_profile (Frame.encode_profile p) in
       p.Profile.counts = q.Profile.counts && Profile.equal p q)
 
+(* A peer that claims a 16 MiB payload and hangs up must cost the bytes
+   it sent, not the claim. *)
+let test_frame_recv_hostile_length () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      let n = Frame.max_payload in
+      let hdr =
+        String.init 5 (fun i ->
+            if i = 0 then Frame.tag_data
+            else Char.chr ((n lsr (8 * (4 - i))) land 0xFF))
+      in
+      ignore (Unix.write_substring a hdr 0 5);
+      Unix.close a;
+      let before = Gc.allocated_bytes () in
+      Alcotest.check_raises "claimed 16 MiB, sent none"
+        (Frame.Corrupt "truncated frame payload") (fun () ->
+          ignore (Frame.recv b));
+      let used = Gc.allocated_bytes () -. before in
+      if used >= 1048576.0 then
+        Alcotest.failf "recv allocated %.0f bytes for an empty payload" used)
+
+(* Hostile bytes for the two wire parsers: a valid encoding, then
+   replaced by random bytes, truncated, bit-flipped or length-inflated. *)
+type mutation =
+  | Keep
+  | Random of string
+  | Truncate of int
+  | Flip of int * int
+  | Inflate of int
+
+let gen_mutation =
+  let open QCheck.Gen in
+  frequency
+    [ (1, return Keep);
+      (2, map (fun s -> Random s) (string_size (int_range 0 64)));
+      (2, map (fun k -> Truncate k) (int_range 0 400));
+      (3, map2 (fun p b -> Flip (p, b)) (int_range 0 400) (int_range 0 7));
+      (2, map (fun k -> Inflate k) (int_range 1 (1 lsl 30))) ]
+
+(* [inflate s k] raises the length claim [s] starts with by [k] *)
+let mutate ~inflate s = function
+  | Keep -> s
+  | Random r -> r
+  | Truncate k -> String.sub s 0 (min k (String.length s))
+  | Flip (p, bit) when String.length s > 0 ->
+      let b = Bytes.of_string s in
+      let p = p mod Bytes.length b in
+      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+      Bytes.to_string b
+  | Flip _ -> s
+  | Inflate k -> inflate s k
+
+(* the first frame's 4-byte big-endian length, raised by [k] *)
+let inflate_frame s k =
+  if String.length s < 5 then s
+  else
+    let b = Bytes.of_string s in
+    let n = Int32.to_int (Bytes.get_int32_be b 1) land 0xFFFFFFFF in
+    Bytes.set_int32_be b 1 (Int32.of_int (min 0xFFFFFFFF (n + k)));
+    Bytes.to_string b
+
+(* Any bytes in any chunking: the frames emitted, re-encoded, are
+   exactly the bytes the parser consumed (the rest stays pending), or the
+   parser raises Corrupt — nothing else. *)
+let prop_parser_hostile =
+  QCheck.Test.make ~name:"frame parser: hostile bytes, any chunking" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 6)
+              (pair (oneofl [ 'D'; 'E'; 'P'; 'X'; 'S'; 'M' ])
+                 (string_size (int_range 0 40))))
+           gen_mutation
+           (list_size (int_range 1 8) (int_range 1 20))))
+    (fun (frames, m, chunks) ->
+      let wire =
+        String.concat "" (List.map (fun (t, p) -> Frame.encode t p) frames)
+      in
+      let s = mutate ~inflate:inflate_frame wire m in
+      let p = Frame.parser_ () in
+      let got = ref [] in
+      let n = String.length s in
+      let rec feed off = function
+        | [] -> feed off chunks
+        | c :: rest when off < n ->
+            let k = min c (n - off) in
+            Frame.parser_feed p ~off ~len:k s (fun f -> got := f :: !got);
+            feed (off + k) rest
+        | _ -> ()
+      in
+      match feed 0 chunks with
+      | () ->
+          let consumed = n - Frame.parser_pending p in
+          let got = List.rev_map (fun f -> (f.Frame.tag, f.Frame.payload)) !got in
+          String.concat "" (List.map (fun (t, p) -> Frame.encode t p) got)
+          = String.sub s 0 consumed
+          && (m <> Keep || got = frames)
+      | exception Frame.Corrupt _ -> true)
+
+(* Every profile field is a count: a 9-byte varint that reaches the sign
+   bit must be refused, not decoded as a negative total. *)
+let test_profile_varint_overflow () =
+  let negative = String.make 8 '\xFF' ^ "\x7F" in
+  Alcotest.check_raises "sign-bit varint"
+    (Frame.Corrupt "profile varint overflows") (fun () ->
+      ignore (Frame.decode_profile ("\x00" ^ negative ^ String.make 9 '\x00')))
+
+(* LEB128, as the profile codec writes its counts length *)
+let varint n =
+  let b = Buffer.create 8 in
+  let v = ref n in
+  while !v >= 0x80 do
+    Buffer.add_char b (Char.chr (0x80 lor (!v land 0x7F)));
+    v := !v lsr 7
+  done;
+  Buffer.add_char b (Char.chr !v);
+  Buffer.contents b
+
+(* Any bytes: a decoded profile re-encodes to itself, or the decoder
+   raises Corrupt — nothing else. Inflation raises the leading counts
+   length. *)
+let prop_profile_hostile =
+  QCheck.Test.make ~name:"profile decode: hostile bytes" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_profile gen_mutation))
+    (fun (prof, m) ->
+      let nc = List.length prof.Profile.counts in
+      let inflate s k =
+        let h = String.length (varint nc) in
+        varint (nc + k) ^ String.sub s h (String.length s - h)
+      in
+      let s = mutate ~inflate (Frame.encode_profile prof) m in
+      match Frame.decode_profile s with
+      | q ->
+          let q' = Frame.decode_profile (Frame.encode_profile q) in
+          q.Profile.counts = q'.Profile.counts
+          && Profile.equal q q'
+          && (m <> Keep || Profile.equal prof q)
+      | exception Frame.Corrupt _ -> true)
+
 (* ---------------- streaming decoder ---------------- *)
 
 let gen_events =
@@ -532,6 +675,46 @@ let test_daemon_client_module () =
   check Alcotest.int "one completed" 1 (Server.completed srv);
   check Alcotest.int "three rejected" 3 (Server.disconnected srv)
 
+(* The pool's unit counters are the daemon's block accounting: every
+   drain task credits its blocks to the entry that ran it — the driver's
+   caller entry for a one-session cycle, a worker otherwise — so at jobs
+   2 the entries sum to serve.blocks and nothing lands on the residual. *)
+let test_daemon_pool_accounting () =
+  let image = fixture_packed () in
+  let srv = Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ())) in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let streams = mixed_streams () in
+  let driver =
+    Domain.spawn (fun () ->
+        Server.run ~until_sessions:(2 + List.length streams) srv)
+  in
+  let replay s = ignore (Client.replay_string ~chunk:3 (Server.addr srv) s) in
+  (* two sessions alone: one ready session per cycle, run on the driver *)
+  List.iter replay [ List.hd streams; List.nth streams 4 ];
+  (* then every stream at once, from two client domains *)
+  let half = List.filteri (fun i _ -> i mod 2 = 0) streams in
+  let other = Domain.spawn (fun () -> List.iter replay half) in
+  List.iter replay (List.filteri (fun i _ -> i mod 2 = 1) streams);
+  Domain.join other;
+  Domain.join driver;
+  let counters = (Server.metrics srv).Tea_telemetry.Metrics.s_counters in
+  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let units =
+    List.fold_left
+      (fun a (name, v) ->
+        if String.starts_with ~prefix:"pool.domain" name
+           && String.ends_with ~suffix:".units" name
+        then a + v
+        else a)
+      0 counters
+  in
+  let blocks = counter "serve.blocks" in
+  check Alcotest.bool "blocks served" true (blocks > 0);
+  check Alcotest.int "pool units == serve.blocks" blocks units;
+  check Alcotest.int "residual" 0 (counter "pool.residual_units");
+  check Alcotest.bool "the caller entry ran the lone sessions" true
+    (counter "pool.domain02.units" > 0)
+
 let prop_daemon_random_streams =
   (* satellite 4's differential: random event streams through concurrent
      sessions vs the sequential offline merge, cycling jobs 1/2/4 *)
@@ -560,7 +743,13 @@ let () =
             test_frame_roundtrip;
           Alcotest.test_case "hostile length" `Quick test_frame_hostile_length;
           Alcotest.test_case "fd send/recv" `Quick test_frame_fd_helpers;
+          Alcotest.test_case "recv: hostile length, bounded memory" `Quick
+            test_frame_recv_hostile_length;
           qtest prop_profile_codec;
+          qtest prop_parser_hostile;
+          qtest prop_profile_hostile;
+          Alcotest.test_case "profile varint overflow" `Quick
+            test_profile_varint_overflow;
         ] );
       ( "decoder",
         [
@@ -578,6 +767,8 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_daemon_disconnect_isolation;
           Alcotest.test_case "client module" `Quick test_daemon_client_module;
+          Alcotest.test_case "pool units == serve.blocks (jobs 2)" `Quick
+            test_daemon_pool_accounting;
           qtest prop_daemon_random_streams;
         ] );
     ]
