@@ -855,7 +855,7 @@ let run_ladder ~smoke =
    all bases at once), self-modifying code (periodic invalidation per
    base) and mid-trace interrupts (a periodic signal per base). Every row
    enforces its hard gate before it is timed — demuxed replay
-   (sequential [Multi_replayer] AND per-asid pool replay at jobs 2 and 4,
+   ([Multi_replayer] AND [Shard.replay_events] on pools of 2 and 4,
    over flat AND repack+fuse-tuned per-asid images) must produce per-asid
    Profile snapshots equal to replaying each asid's projection in
    isolation; any divergence exits 1. Timing is the sequential demuxed

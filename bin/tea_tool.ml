@@ -249,11 +249,11 @@ let jobs_conv =
 let jobs_arg =
   let doc =
     "Worker domains to run independent inputs on (1 = plain sequential \
-     path; must be >= 1): the asids of a --scenario stream, the benchmarks \
-     of a table, the sessions of serve. One --pc-trace stream is one \
-     sequential walk whatever $(docv) is. Stdout is byte-identical \
-     whatever $(docv) is; the per-domain observability counters go to \
-     stderr."
+     path; must be >= 1): the benchmarks of a table, the sessions of \
+     serve. One --pc-trace stream is one sequential walk whatever $(docv) \
+     is, and so is a --scenario stream, whose asids replay side by side \
+     in one pass. Stdout is byte-identical whatever $(docv) is; the \
+     per-domain observability counters go to stderr."
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -410,10 +410,9 @@ let make_replayer img =
    Adversarial replay scenarios: interleaved multi-asid streams,
    self-modifying code (periodic invalidation), mid-trace interrupts.
    The scenario is synthesized into a temporary PCTR3 event file, the
-   demuxed replay (sequential Multi_replayer at --jobs 1, one pool task
-   per asid at --jobs > 1) is gated against replaying each asid's
-   projection in isolation — full per-asid Profile equality, the PR's
-   hard gate — and one deterministic, jobs-invariant summary is
+   demuxed replay (one streaming Multi_replayer pass, whatever --jobs
+   is) is gated against replaying each asid's projection in isolation —
+   full per-asid Profile equality — and one deterministic summary is
    printed. *)
 
 let scenario_arg =
@@ -474,8 +473,8 @@ let every_arg =
   in
   Arg.(value & opt (some int) None & info [ "every" ] ~docv:"N" ~doc)
 
-let run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo ~fuse
-    ~quantum ~schedule ~seed ~period ~at ~every obs =
+let run_scenario ~kind ~name ~withs ~strategy_name ~pgo ~fuse
+    ~quantum ~schedule ~seed ~period ~at ~every =
   let module Scenario = Tea_workloads.Scenario in
   let kind_name =
     match kind with
@@ -532,8 +531,7 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo ~fuse
   in
   let streams = List.map fst prepared in
   let images = Array.of_list (List.map snd prepared) in
-  let img_for a = images.(a) in
-  let make a = make_replayer (img_for a) in
+  let make a = make_replayer images.(a) in
   let scn =
     match kind with
     | `Interleave ->
@@ -551,18 +549,14 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo ~fuse
   let n_events = Scenario.write_file file scn in
   let demuxed =
     Probe.with_span "scenario_demuxed" @@ fun () ->
-    with_jobs ~quiet:obs.quiet jobs (function
-      | None ->
-          Tea_core.Multi_replayer.snapshots
-            (Tea_core.Multi_replayer.replay_events make file)
-      | Some pool ->
-          Tea_parallel.Shard.replay_events pool img_for file)
+    Tea_core.Multi_replayer.snapshots
+      (Tea_core.Multi_replayer.replay_events make file)
   in
   let isolated =
     Probe.with_span "scenario_isolated" @@ fun () ->
     Tea_core.Multi_replayer.replay_isolated make file
   in
-  (* the hard gate: full per-asid snapshot equality, at any --jobs *)
+  (* the hard gate: full per-asid snapshot equality *)
   if
     List.length demuxed <> List.length isolated
     || not
@@ -640,8 +634,10 @@ let replay_cmd =
         if traces_file <> None then
           or_die (Error "--scenario records its own traces; drop --traces");
         ignore config_name;
-        run_scenario ~kind ~name ~withs ~strategy_name ~jobs ~pgo
-          ~fuse ~quantum ~schedule ~seed ~period ~at ~every obs
+        (* the scenario file is one stream, replayed in one pass *)
+        ignore jobs;
+        run_scenario ~kind ~name ~withs ~strategy_name ~pgo
+          ~fuse ~quantum ~schedule ~seed ~period ~at ~every
     | None ->
         let rep =
           run_replay name strategy_name traces_file config_name pc_trace

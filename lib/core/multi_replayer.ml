@@ -1,142 +1,155 @@
+(* A per-asid entry also holds that asid's feeder run buffer: blocks fed
+   through a {!feeder} but not yet replayed, [starts.(0..fill-1)]. *)
 type entry = {
+  asid : int;
   rep : Replayer.t;
   mutable invalidations : int;
   mutable interrupts : int;
+  mutable starts : int array;
+  mutable insns : int array;
+  mutable fill : int;
 }
 
 type t = {
-  mutable make : int -> Replayer.t; (* replaced in place by [rebind] *)
+  make : int -> Replayer.t;
   table : (int, entry) Hashtbl.t;
-  mutable cur_asid : int;
-  mutable cur : entry option; (* cache: table binding of [cur_asid] *)
+  mutable cur : entry; (* cache: the entry of the last block's asid *)
   mutable switches : int;
 }
 
-let create make =
-  { make; table = Hashtbl.create 8; cur_asid = 0; cur = None; switches = 0 }
+let new_entry asid rep =
+  { asid; rep; invalidations = 0; interrupts = 0; starts = [||]; insns = [||]; fill = 0 }
+
+(* What [cur] holds before the first block: never fed, never returned. *)
+let no_entry =
+  new_entry 0
+    (Replayer.create
+       (Transition.create Transition.config_no_global_local (Automaton.create ())))
+
+let create make = { make; table = Hashtbl.create 8; cur = no_entry; switches = 0 }
 
 (* The per-block path: one equality test when the stream stays in the same
-   address space, one hash probe on a context switch. Entries are created
-   lazily on the first {e block} of an asid — switch/invalidate/interrupt
-   records alone never materialize an automaton, so the asid set a stream
-   produces is exactly the set of asids that executed code (and matches
-   what isolated per-asid replay produces). *)
+   address space, one hash probe on a context switch, and no allocation
+   either way. Entries are created lazily on the first {e block} of an
+   asid — switch/invalidate/interrupt records alone never materialize an
+   automaton, so the asid set a stream produces is exactly the set of
+   asids that executed code (and matches what isolated per-asid replay
+   produces). *)
 let entry_for t asid =
-  match t.cur with
-  | Some e when asid = t.cur_asid -> e
-  | _ ->
-      let e =
-        match Hashtbl.find_opt t.table asid with
-        | Some e -> e
-        | None ->
-            let e = { rep = t.make asid; invalidations = 0; interrupts = 0 } in
-            Hashtbl.add t.table asid e;
-            e
-      in
-      t.cur_asid <- asid;
-      t.cur <- Some e;
-      e
+  let e = t.cur in
+  if e.asid = asid && e != no_entry then e
+  else begin
+    let e =
+      match Hashtbl.find t.table asid with
+      | e -> e
+      | exception Not_found ->
+          let e = new_entry asid (t.make asid) in
+          Hashtbl.add t.table asid e;
+          e
+    in
+    t.cur <- e;
+    e
+  end
 
-(* Hot image swap across the whole address-space table. Every live
-   replayer is rebound in place — entries, the [cur] cache and any
-   feeder holding an entry stay valid — and the factory is replaced so
-   asids that first appear after the swap are built over the new image.
-   The factory builds a whole replayer per asid only to donate its
-   engine; the throwaway is cheap next to the rebuild that precedes a
-   swap. *)
+let flush e =
+  if e.fill > 0 then begin
+    Replayer.feed_run e.rep ~insns:e.insns e.starts ~len:e.fill;
+    e.fill <- 0
+  end
+
+let flush_all t = Hashtbl.iter (fun _ e -> flush e) t.table
+
+(* Hot image swap across the whole address-space table: buffered runs
+   replay on the image they were fed under, then every live replayer is
+   rebound in place, so entries, the cache and any feeder stay valid.
+   [make] builds a whole replayer per asid only to donate its engine; the
+   throwaway is cheap next to the rebuild that precedes a swap. *)
 let rebind t make =
-  t.make <- make;
+  flush_all t;
   Hashtbl.iter
     (fun asid e -> Replayer.rebind e.rep (Replayer.engine (make asid)))
     t.table
 
-(* A cut models losing the translated-code context: the automaton drops to
-   NTE with {e no} step accounted ([Replayer.set_state] counts no step), so a
-   forced eviction is never confused with an organic trace exit and
-   coverage totals stay exact. *)
-let cut e = Replayer.set_state e.rep Automaton.nte
+(* A control record, as the decoder hands it over. A cut models losing
+   the translated-code context: the target's buffered run replays first,
+   then the automaton drops to NTE with {e no} step accounted
+   ([Replayer.set_state] counts no step), so a forced eviction is never
+   confused with an organic trace exit and coverage totals stay exact. A
+   switch only counts: the next block's asid does the routing. *)
+let ctl t ~asid ~tag ~arg =
+  if tag = Pc_trace.tag_switch then t.switches <- t.switches + 1
+  else
+    let invalidate = tag = Pc_trace.tag_invalidate in
+    match Hashtbl.find t.table (if invalidate then arg else asid) with
+    | exception Not_found -> () (* nothing translated for that asid yet *)
+    | e ->
+        flush e;
+        Replayer.set_state e.rep Automaton.nte;
+        if invalidate then e.invalidations <- e.invalidations + 1
+        else e.interrupts <- e.interrupts + 1
 
 let feed t ~asid ev =
   match (ev : Pc_trace.event) with
   | Block { start; insns } -> Replayer.feed_addr (entry_for t asid).rep ~insns start
-  | Switch { asid = a } ->
-      if a <> t.cur_asid || t.cur = None then begin
-        t.cur_asid <- a;
-        t.cur <- Hashtbl.find_opt t.table a
-      end;
-      t.switches <- t.switches + 1
-  | Invalidate { asid = target } -> (
-      match Hashtbl.find_opt t.table target with
-      | None -> () (* nothing translated for that asid yet *)
-      | Some e ->
-          cut e;
-          e.invalidations <- e.invalidations + 1)
-  | Interrupt -> (
-      match Hashtbl.find_opt t.table asid with
-      | None -> ()
-      | Some e ->
-          cut e;
-          e.interrupts <- e.interrupts + 1)
+  | Switch { asid = a } -> ctl t ~asid ~tag:Pc_trace.tag_switch ~arg:a
+  | Invalidate { asid = a } -> ctl t ~asid ~tag:Pc_trace.tag_invalidate ~arg:a
+  | Interrupt -> ctl t ~asid ~tag:Pc_trace.tag_interrupt ~arg:0
 
 let feed_run_buf = 4096
 
-(* Incremental batching front-end: buffers consecutive same-asid block
-   runs and flushes them through {!Replayer.feed_run}, so event-at-a-time
-   producers (the serve daemon's drain cycles, file replay) all take the
-   {e batched} engine loops — the same dispatch path, and therefore the
-   same dispatch-tier attribution, as offline replay. Equivalence with
-   event-at-a-time [feed] is the feed_run == feed_addr property. *)
-type feeder = {
-  f_t : t;
-  f_starts : int array;
-  f_insns : int array;
-  mutable f_fill : int;
-  mutable f_for : entry option;
-}
+(* A run buffer's first size. 256-word arrays are the largest the minor
+   heap takes, so an asid that runs few blocks costs two arrays that die
+   young, not the feeder's capacity. *)
+let first_buf = 256
+
+(* Incremental batching front-end: each asid's blocks collect in its own
+   run buffer and replay through {!Replayer.feed_run}, so event-at-a-time
+   producers (the serve daemon's drain cycles, file replay) take the
+   {e batched} engine loops however finely the stream interleaves — the
+   same dispatch path, and therefore the same dispatch-tier attribution,
+   as one asid replayed alone. Equivalence with event-at-a-time [feed] is
+   the feed_run == feed_addr property plus the invisibility of batch
+   seams. *)
+type feeder = { f_t : t; f_cap : int }
 
 let feeder ?(buf = feed_run_buf) t =
   if buf < 1 then invalid_arg "Multi_replayer.feeder: buf must be >= 1";
-  {
-    f_t = t;
-    f_starts = Array.make buf 0;
-    f_insns = Array.make buf 0;
-    f_fill = 0;
-    f_for = None;
-  }
+  { f_t = t; f_cap = buf }
 
-let feeder_flush f =
-  (match f.f_for with
-  | Some e when f.f_fill > 0 ->
-      Replayer.feed_run e.rep ~insns:f.f_insns f.f_starts ~len:f.f_fill
-  | _ -> ());
-  f.f_fill <- 0
+let feeder_flush f = flush_all f.f_t
+
+(* A full buffer replays; one below the capacity is then replaced by one
+   twice its size. *)
+let make_room f e =
+  flush e;
+  let n = Array.length e.starts in
+  if n < f.f_cap then begin
+    let n = min f.f_cap (max first_buf (2 * n)) in
+    e.starts <- Array.make n 0;
+    e.insns <- Array.make n 0
+  end
 
 (* The allocation-free hot path: producers that already hold the block's
    fields as ints (the streaming decoder in [feeder_decode]) feed them
    straight into the run buffer without ever boxing a [Pc_trace.event]. *)
 let feeder_block f ~asid ~start ~insns =
   let e = entry_for f.f_t asid in
-  (match f.f_for with
-  | Some e' when e' == e -> ()
-  | _ ->
-      feeder_flush f;
-      f.f_for <- Some e);
-  f.f_starts.(f.f_fill) <- start;
-  f.f_insns.(f.f_fill) <- insns;
-  f.f_fill <- f.f_fill + 1;
-  if f.f_fill = Array.length f.f_starts then feeder_flush f
+  if e.fill = Array.length e.starts then make_room f e;
+  let i = e.fill in
+  e.starts.(i) <- start;
+  e.insns.(i) <- insns;
+  e.fill <- i + 1
+
+let feeder_ctl f ~asid ~tag ~arg = ctl f.f_t ~asid ~tag ~arg
 
 let feeder_feed f ~asid ev =
   match (ev : Pc_trace.event) with
   | Block { start; insns } -> feeder_block f ~asid ~start ~insns
-  | ev ->
-      feeder_flush f;
-      f.f_for <- None;
-      feed f.f_t ~asid ev
+  | ev -> feed f.f_t ~asid ev
 
 (* The one decode-into-replay path: the daemon's drain task runs it on
-   every payload, file replay on every chunk. Blocks reach the run buffer
-   as unboxed ints; only control records build an event. *)
+   every payload, file replay on every chunk. Blocks and control records
+   reach the feeder as unboxed ints. *)
 let feeder_decode f dec ?off ?len s =
   let ctls = ref 0 and blocks = ref 0 in
   Pc_trace.decoder_feed_ints dec ?off ?len s
@@ -145,7 +158,7 @@ let feeder_decode f dec ?off ?len s =
       feeder_block f ~asid ~start ~insns)
     ~ctl:(fun ~asid ~tag ~arg ->
       incr ctls;
-      feeder_feed f ~asid (Pc_trace.event_of_ctl ~tag ~arg));
+      ctl f.f_t ~asid ~tag ~arg);
   (!ctls + !blocks, !blocks)
 
 let replay_chunk = 65536
@@ -156,18 +169,19 @@ let replay_file t path =
   let f = feeder t and dec = Pc_trace.decoder () in
   let s = Pc_trace.read_all path in
   let n = String.length s in
-  let off = ref 0 in
+  let off = ref 0 and blocks = ref 0 in
   while !off < n do
     let len = min replay_chunk (n - !off) in
-    ignore (feeder_decode f dec ~off:!off ~len s);
+    blocks := !blocks + snd (feeder_decode f dec ~off:!off ~len s);
     off := !off + len
   done;
   Pc_trace.decoder_finish dec;
-  feeder_flush f
+  feeder_flush f;
+  !blocks
 
 let replay_events make path =
   let t = create make in
-  replay_file t path;
+  ignore (replay_file t path);
   t
 
 let asids t =
@@ -175,8 +189,6 @@ let asids t =
 
 let replayer t asid =
   Option.map (fun e -> e.rep) (Hashtbl.find_opt t.table asid)
-
-let cur_asid t = t.cur_asid
 
 let switches t = t.switches
 

@@ -35,62 +35,75 @@ val create : (int -> Replayer.t) -> t
 
 val rebind : t -> (int -> Replayer.t) -> unit
 (** [rebind t make] hot-swaps every live per-asid replayer onto the
-    image the new factory builds — {!Replayer.rebind} in place, so
-    counts, states, stats and cycles carry across and any {!feeder}
-    stays valid — and installs [make] for asids that first appear later.
-    Call only at a batch boundary (after {!feeder_flush}); like
-    {!create}, the factory must hand each asid a private dup.
+    engine of [make asid] — {!Replayer.rebind} in place, so counts,
+    states, stats and cycles carry across and any {!feeder} stays valid.
+    Buffered feeder runs replay first, on the image they were fed under.
+    Asids that first appear later are still built by {!create}'s factory,
+    so a factory that must follow swaps reads the current image when it
+    is called. [make] must hand each asid a private dup.
     @raise Invalid_argument if any engine involved is [Reference] or the
     images disagree on slot count. *)
 
 val feed : t -> asid:int -> Pc_trace.event -> unit
 (** Route one event. [~asid] is the address space the event lands on
     (wire directly to {!Pc_trace.fold_events}); a block whose [~asid]
-    differs from the current one performs an implicit switch. *)
+    differs from the previous block's performs an implicit switch. Do not
+    mix with a {!feeder} that holds buffered blocks. *)
 
 type feeder
-(** An incremental batching front-end over one {!t}: buffers consecutive
-    same-asid block runs and flushes them through {!Replayer.feed_run}.
-    Event-at-a-time producers (the serve daemon, streaming decoders) use
-    a feeder so they take the same batched compiled dispatch as offline
-    file replay. Equivalent to folding {!feed} (the feed_run ==
-    feed_addr property), counters and so {!Tierstat} dispatch tiers
-    included. Not thread-safe: one feeder per producer. *)
+(** An incremental batching front-end over one {!t}: every asid gets its
+    own run buffer, which replays through {!Replayer.feed_run}. Blocks
+    join their asid's buffer, so batches stay long however finely the
+    stream interleaves. A buffer replays in four cases:
+    - it is full;
+    - {!feeder_flush};
+    - before an [Invalidate] aimed at its asid;
+    - before an [Interrupt] on its asid.
+    The cut itself ([set_state nte]) comes after that flush; a [Switch]
+    flushes nothing. Equivalent to folding {!feed} (the feed_run ==
+    feed_addr property plus the invisibility of batch seams), counters
+    and so dispatch tiers included.
+
+    A buffer starts small and doubles up to the capacity, so buffered
+    memory is at most live asids × capacity × 16 bytes. Nothing is
+    allocated per block or per switch. The buffers live in [t]'s
+    entries: use one feeder per [t], from one producer at a time. *)
 
 val feeder : ?buf:int -> t -> feeder
-(** [buf] is the run-buffer capacity in blocks (default 4096).
+(** [buf] is the per-asid run-buffer capacity in blocks (default 4096).
     @raise Invalid_argument if [buf < 1]. *)
 
 val feeder_feed : feeder -> asid:int -> Pc_trace.event -> unit
-(** Buffer one event. Non-block events and asid changes flush the
-    pending run first, preserving stream order. *)
+(** Buffer a block, or apply a control record by the flush rules above. *)
 
 val feeder_block : feeder -> asid:int -> start:int -> insns:int -> unit
 (** [feeder_feed f ~asid (Block { start; insns })] without constructing
-    the event — the allocation-free path for producers that hold the
-    fields unboxed (the daemon's drain cycle). *)
+    the event. *)
+
+val feeder_ctl : feeder -> asid:int -> tag:int -> arg:int -> unit
+(** A control record as {!Pc_trace.decoder_feed_ints} passes it, without
+    constructing the event. *)
 
 val feeder_flush : feeder -> unit
-(** Replay any buffered run now. Call at batch boundaries (end of a
-    drain cycle, end of stream) — a feeder holds no state besides the
-    pending run, so flushing is always safe. *)
+(** Replay every buffered run now. Call at batch boundaries (end of a
+    drain cycle, end of stream); flushing is always safe. *)
 
 val feeder_decode :
   feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int * int
 (** [feeder_decode f dec s] feeds [s.[off..off+len)] to the streaming
     decoder [dec] ({!Pc_trace.decoder_feed_ints}) and every event it
-    completes straight into [f]: blocks through {!feeder_block}, with no
-    event value built, control records through {!feeder_feed}. Returns
-    [(events, blocks)] completed by this chunk; a record cut at the end of
-    the chunk stays in [dec] for the next call. Does not flush [f].
+    completes straight into [f] through {!feeder_block} and
+    {!feeder_ctl}. Returns [(events, blocks)] completed by this chunk; a
+    record cut at the end of the chunk stays in [dec] for the next call.
+    Does not flush [f].
     @raise Pc_trace.Corrupt as {!Pc_trace.decoder_feed} — events before
     the bad record have been fed. *)
 
-val replay_file : t -> string -> unit
-(** Replay a trace file of any {!Pc_trace.format}: {!Pc_trace.read_all},
-    then {!feeder_decode} chunk by chunk, then {!Pc_trace.decoder_finish}
-    and {!feeder_flush}. Equivalent to folding {!feed} over
-    {!Pc_trace.fold_events}.
+val replay_file : t -> string -> int
+(** Replay a trace file of any {!Pc_trace.format} in one streaming pass:
+    {!Pc_trace.read_all}, then {!feeder_decode} chunk by chunk, then
+    {!Pc_trace.decoder_finish} and {!feeder_flush}. Returns the blocks
+    replayed. Equivalent to folding {!feed} over {!Pc_trace.fold_events}.
     @raise Pc_trace.Corrupt on bad framing, with the whole-file
     messages. *)
 
@@ -101,8 +114,6 @@ val asids : t -> int list
 (** Asids that executed at least one block, sorted. *)
 
 val replayer : t -> int -> Replayer.t option
-
-val cur_asid : t -> int
 
 val switches : t -> int
 (** Switch records routed (including self-switches). *)

@@ -414,64 +414,6 @@ let load path =
       n := i + 1);
   { starts; insns; len = !n }
 
-type bucket = {
-  mutable bs : int array;
-  mutable bi : int array;
-  mutable bn : int;
-  mutable runs : run list; (* newest first *)
-}
-
-let new_bucket () = { bs = [||]; bi = [||]; bn = 0; runs = [] }
-
-let cut b =
-  if b.bn > 0 then begin
-    b.runs <- { starts = b.bs; insns = b.bi; len = b.bn } :: b.runs;
-    b.bs <- [||];
-    b.bi <- [||];
-    b.bn <- 0
-  end
-
-let demux s =
-  let none = new_bucket () in
-  let buckets = Asid_map.create none and made = ref [] in
-  (* the current asid's bucket, so a block costs no lookup *)
-  let cur_asid = ref (-1) and cur = ref none in
-  let block ~asid ~start ~insns =
-    if asid <> !cur_asid then begin
-      if Asid_map.get buckets asid == none then begin
-        Asid_map.set buckets asid (new_bucket ());
-        made := asid :: !made
-      end;
-      cur := Asid_map.get buckets asid;
-      cur_asid := asid
-    end;
-    let b = !cur in
-    if b.bn = Array.length b.bs then begin
-      (* doubling, capped at the byte bound on blocks *)
-      let cap = min (String.length s) (max 1024 (2 * b.bn)) in
-      let bs = Array.make cap 0 and bi = Array.make cap 0 in
-      copy_ints b.bs bs b.bn;
-      copy_ints b.bi bi b.bn;
-      b.bs <- bs;
-      b.bi <- bi
-    end;
-    b.bs.(b.bn) <- start;
-    b.bi.(b.bn) <- insns;
-    b.bn <- b.bn + 1
-  in
-  (* a cut aimed at an asid with no blocks yet is a no-op, like the
-     demuxed replayer's cut of an unmaterialized entry *)
-  let ctl ~asid ~tag ~arg =
-    if tag = tag_invalidate then cut (Asid_map.get buckets arg)
-    else if tag = tag_interrupt then cut (Asid_map.get buckets asid)
-  in
-  decode_string s ~block ~ctl;
-  List.sort Int.compare !made
-  |> List.map (fun a ->
-         let b = Asid_map.get buckets a in
-         cut b;
-         (a, List.rev b.runs))
-
 (* ---- incremental decoding ----
 
    The daemon path: trace bytes arrive over a socket in arbitrary chunks

@@ -31,8 +31,8 @@
       destroy the delta/dictionary locality the coder feeds on. A stream
       starts in asid 0.
 
-    {b Decoding.} Every reader below — the whole-file folds, {!load},
-    {!demux} and the streaming decoder — runs one record kernel over a
+    {b Decoding.} Every reader below — the whole-file folds, {!load}
+    and the streaming decoder — runs one record kernel over a
     byte buffer: whole files are decoded in place from {!read_all}'s
     string, streams from the decoder's buffer. The kernel commits each
     record on its own and passes blocks to its consumer as unboxed ints,
@@ -138,16 +138,6 @@ val load : string -> run
     so that bounds the block count and the arrays never grow or copy.
     @raise Corrupt on bad framing. *)
 
-val demux : string -> (int * run list) list
-(** [demux bytes] splits a complete stream's bytes (any format, as
-    {!read_all} returns them) into per-asid runs, cut at every
-    invalidation of the asid and every interrupt on it. Sorted by asid,
-    runs in stream order; asids with no blocks are absent, and a cut aimed
-    at an asid with no blocks so far is a no-op (the lazy-entry rule of
-    {!Multi_replayer}). Each asid's arrays grow by doubling, capped at the
-    stream's block bound; the current asid's bucket is cached, so a block
-    costs no lookup. @raise Corrupt on bad framing. *)
-
 (** {2 Incremental (streaming) decoding}
 
     The replay-as-a-service ingestion path: trace bytes arrive over a
@@ -186,9 +176,6 @@ val tag_invalidate : int
 val tag_interrupt : int
 (** The [~tag] values {!decoder_feed_ints} passes for [Switch],
     [Invalidate] and [Interrupt]. *)
-
-val event_of_ctl : tag:int -> arg:int -> event
-(** The event a [(tag, arg)] control record stands for. *)
 
 val decoder_feed_ints :
   decoder ->

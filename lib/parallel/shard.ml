@@ -1,7 +1,8 @@
-module Automaton = Tea_core.Automaton
 module Packed = Tea_core.Packed
 module Replayer = Tea_core.Replayer
 module Pc_trace = Tea_core.Pc_trace
+module Multi_replayer = Tea_core.Multi_replayer
+module Vec = Tea_util.Vec
 
 let default_make p =
   Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup p))
@@ -33,24 +34,46 @@ let replay_pc_trace pool packed ?(make = default_make) path =
 
 type run = Pc_trace.run = { starts : int array; insns : int array; len : int }
 
-let load_events path = Pc_trace.demux (Pc_trace.read_all path)
+(* Per asid: the open run's blocks and the closed runs, newest first. *)
+type runs = { s : int Vec.t; i : int Vec.t; mutable closed : run list }
 
-(* One task per asid: its runs replay in stream order on one replayer,
-   each re-entering at NTE as the demuxed Multi_replayer cut does. *)
-let replay_events pool packed_for ?(make = default_make) path =
-  let asids =
-    Array.of_list
-      (List.map (fun (asid, runs) -> (asid, packed_for asid, runs))
-         (load_events path))
+let load_events path =
+  let tbl = Hashtbl.create 8 in
+  let cut a =
+    match Hashtbl.find_opt tbl a with
+    | Some r when not (Vec.is_empty r.s) ->
+        r.closed <-
+          { starts = Vec.to_array r.s; insns = Vec.to_array r.i; len = Vec.length r.s }
+          :: r.closed;
+        Vec.clear r.s;
+        Vec.clear r.i
+    | _ -> ()
   in
-  Pool.map pool (Array.length asids) ~f:(fun i ->
-      let asid, packed, runs = asids.(i) in
-      let rep = make packed in
-      List.iter
-        (fun r ->
-          Replayer.set_state rep Automaton.nte;
-          Replayer.feed_run rep ~insns:r.insns r.starts ~len:r.len;
-          Pool.add_units pool r.len)
-        runs;
-      (asid, Profile.of_replayer rep))
-  |> Array.to_list
+  Pc_trace.fold_events path () (fun () ~asid ev ->
+      match ev with
+      | Pc_trace.Block { start; insns } ->
+          let r =
+            match Hashtbl.find_opt tbl asid with
+            | Some r -> r
+            | None ->
+                let r = { s = Vec.create (); i = Vec.create (); closed = [] } in
+                Hashtbl.add tbl asid r;
+                r
+          in
+          Vec.push r.s start;
+          Vec.push r.i insns
+      | Pc_trace.Invalidate { asid = a } -> cut a
+      | Pc_trace.Interrupt -> cut asid
+      | Pc_trace.Switch _ -> ());
+  Hashtbl.fold (fun a _ acc -> a :: acc) tbl []
+  |> List.sort Int.compare
+  |> List.map (fun a ->
+         cut a;
+         (a, List.rev (Hashtbl.find tbl a).closed))
+
+(* One streaming pass on the caller: each asid's blocks collect in its
+   own run buffer, so batches stay long at any interleaving. *)
+let replay_events pool packed_for ?(make = default_make) path =
+  let m = Multi_replayer.create (fun asid -> make (packed_for asid)) in
+  Pool.add_units pool (Multi_replayer.replay_file m path);
+  Multi_replayer.snapshots m

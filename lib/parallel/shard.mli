@@ -1,13 +1,15 @@
-(** Offline replay of PC-trace files and arrays: independent inputs in
-    parallel, never one stream split.
+(** Offline replay of PC-trace files and arrays, each stream in one
+    sequential pass on the caller.
 
     A TEA replay is one sequential DFA walk per PC stream, and the trace
     format is delta- and dictionary-coded, so decoding one stream is
-    serial too. This module therefore parallelises only what is
-    independent: the asids of a PCTR3 file, each replayed on its own
-    replayer by one pool task. A single-asid file streams through one
-    replayer in {!Tea_core.Pc_trace.iter_chunks} batches; its profile is
-    the same at any job count because the same one walk produces it.
+    serial too. A single-asid file streams through one replayer in
+    {!Tea_core.Pc_trace.iter_chunks} batches. A PCTR3 file streams
+    through one {!Tea_core.Multi_replayer} feeder, which keeps a run
+    buffer per asid, so its asids replay side by side in long batches
+    with no whole-stream arrays. Either way the profile is the same at
+    any job count because the same one walk produces it; the pool only
+    counts the blocks ({!Pool.add_units}).
 
     {b Replayer factory.} Every replayer is built through the [make]
     factory (default: a compiled-engine replayer,
@@ -60,27 +62,25 @@ val replay_pc_trace :
 
 (** {2 Multi-asid event streams}
 
-    A v3 event stream is demuxed into per-asid runs, cut at every
-    invalidation/interrupt. Each asid is one pool task: its runs replay
-    in stream order on one replayer, each entered at NTE by
-    {!Tea_core.Replayer.set_state} (no accounting, as in the demuxed
-    {!Tea_core.Multi_replayer} cut). Asids share nothing, so nothing is
-    stitched, and each asid's profile is the same at any job count. *)
+    A v3 event stream carries per-asid runs, cut at every
+    invalidation/interrupt: after a cut the asid's replayer re-enters at
+    NTE by {!Tea_core.Replayer.set_state} (no accounting, as in the
+    demuxed {!Tea_core.Multi_replayer} cut). *)
 
 type run = Tea_core.Pc_trace.run = {
   starts : int array;
   insns : int array;
   len : int;
 }
-(** One contiguous single-asid block run; only [0..len-1] is valid
-    (arrays may be over-allocated). *)
+(** One contiguous single-asid block run. *)
 
 val load_events : string -> (int * run list) list
-(** Read a {!Tea_core.Pc_trace} file of any format and
-    {!Tea_core.Pc_trace.demux} it into per-asid runs, sorted by asid,
-    runs in stream order. Asids with no blocks are absent (matching
-    the lazy-entry rule of {!Tea_core.Multi_replayer}); a cut aimed at an
-    asid with no blocks so far is a no-op.
+(** Read a {!Tea_core.Pc_trace} file of any format into per-asid runs,
+    sorted by asid, runs in stream order: a fold over
+    {!Tea_core.Pc_trace.fold_events}, for reports and oracles, not for
+    replay. Asids with no blocks are absent (matching the lazy-entry rule
+    of {!Tea_core.Multi_replayer}); a cut aimed at an asid with no blocks
+    since its last cut is a no-op.
     @raise Tea_core.Pc_trace.Corrupt on bad framing. *)
 
 val replay_events :
@@ -89,12 +89,13 @@ val replay_events :
   ?make:(Tea_core.Packed.t -> Tea_core.Replayer.t) ->
   string ->
   (int * Profile.t) list
-(** [replay_events pool packed_for path] — {!load_events}, then replay
-    each asid's runs over [packed_for asid] on its own pool task
-    (replayers dup the image via [make]; a shared image per asid is
-    fine). The result, sorted by asid, equals
-    {!Tea_core.Multi_replayer.snapshots} of a sequential demuxed replay
-    over the same images, at any job count — the interleaved-replay hard
+(** [replay_events pool packed_for path] — one streaming
+    {!Tea_core.Multi_replayer.replay_file} pass on the caller, each asid
+    on a [make (packed_for asid)] replayer (replayers dup the image via
+    [make]; a shared image per asid is fine), then
+    {!Tea_core.Multi_replayer.snapshots}. The decoded blocks are credited
+    to {!Pool.add_units}. The result, sorted by asid, equals replaying
+    each asid's projection in isolation — the interleaved-replay hard
     gate.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with
     {!load_events}'s message for the same bytes. *)

@@ -95,7 +95,20 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 let factory_of img _asid =
   Core.Replayer.create_compiled (Core.Compiled.of_packed (Core.Packed.dup img))
 
-let session_factory t asid = factory_of t.image asid
+let max_session_asids = 256
+
+exception Too_many_address_spaces
+
+(* A session's factory builds on the image current when its asid first
+   runs a block, and refuses the asid past the cap: every asid costs a
+   compiled image and a run buffer, so one session cannot make the daemon
+   hold an unbounded number of them. *)
+let session_factory t =
+  let asids = ref 0 in
+  fun asid ->
+    if !asids = max_session_asids then raise Too_many_address_spaces;
+    incr asids;
+    factory_of t.image asid
 
 let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     addr =
@@ -323,10 +336,10 @@ let rec accept_all t until_sessions =
             parser_ = Frame.parser_ ();
             dec = Core.Pc_trace.decoder ();
             multi;
-            (* a run buffer of at most 256 words is a minor-heap
-               allocation: a session's largest per-session buffer then
-               dies young instead of cycling the major GC, which no
-               longer has kept streams to amortize against *)
+            (* run buffers of at most 256 words are minor-heap
+               allocations: a session's buffers then die young instead
+               of cycling the major GC, which no longer has kept streams
+               to amortize against *)
             fdr = Core.Multi_replayer.feeder ~buf:256 multi;
             pending = Queue.create ();
             pending_bytes = 0;
@@ -375,6 +388,10 @@ let drain_session t s =
       driver may have seen since, so the corrupt record is the error to
       report *)
    | Core.Pc_trace.Corrupt msg -> s.failed <- Some ("corrupt trace: " ^ msg)
+   | Too_many_address_spaces ->
+       fail_session s
+         (Printf.sprintf "too many address spaces (at most %d per session)"
+            max_session_asids)
    | e -> fail_session s ("replay error: " ^ Printexc.to_string e));
   Queue.clear s.pending;
   s.pending_bytes <- 0;
@@ -491,6 +508,7 @@ let swap_image t (img, prof) =
   List.iter
     (fun s ->
       if (not s.scrape) && s.failed = None then begin
+        (* asids that appear later build on [t.image] already *)
         Core.Multi_replayer.rebind s.multi (factory_of img);
         s.swapped <- (s.evs, t.epoch) :: s.swapped;
         incr rebound
@@ -672,31 +690,30 @@ let offline_profile t =
     invalid_arg "Server.offline_profile: created without ~offline_check:true";
   List.fold_left
     (fun acc (raw, epoch0, swaps) ->
-      let evs = ref [] in
-      let dec = Core.Pc_trace.decoder () in
-      Core.Pc_trace.decoder_feed dec raw (fun ~asid ev ->
-          evs := (asid, ev) :: !evs);
-      Core.Pc_trace.decoder_finish dec;
-      let events = Array.of_list (List.rev !evs) in
-      let m =
-        Core.Multi_replayer.create (factory_of (image_of_epoch t epoch0))
-      in
+      let img = ref (image_of_epoch t epoch0) in
+      let m = Core.Multi_replayer.create (fun a -> factory_of !img a) in
       let fdr = Core.Multi_replayer.feeder m in
-      let pending = ref swaps in
-      let rec maybe_swap i =
+      (* [i] numbers blocks and control records alike, as [s.evs] does;
+         a swap lands before the event at its index *)
+      let pending = ref swaps and i = ref 0 in
+      let rec next_event () =
         match !pending with
-        | (at, ep) :: rest when at <= i ->
-            Core.Multi_replayer.feeder_flush fdr;
-            Core.Multi_replayer.rebind m (factory_of (image_of_epoch t ep));
+        | (at, ep) :: rest when at <= !i ->
+            img := image_of_epoch t ep;
+            Core.Multi_replayer.rebind m (factory_of !img);
             pending := rest;
-            maybe_swap i
-        | _ -> ()
+            next_event ()
+        | _ -> incr i
       in
-      Array.iteri
-        (fun i (asid, ev) ->
-          maybe_swap i;
-          Core.Multi_replayer.feeder_feed fdr ~asid ev)
-        events;
+      let dec = Core.Pc_trace.decoder () in
+      Core.Pc_trace.decoder_feed_ints dec raw
+        ~block:(fun ~asid ~start ~insns ->
+          next_event ();
+          Core.Multi_replayer.feeder_block fdr ~asid ~start ~insns)
+        ~ctl:(fun ~asid ~tag ~arg ->
+          next_event ();
+          Core.Multi_replayer.feeder_ctl fdr ~asid ~tag ~arg);
+      Core.Pc_trace.decoder_finish dec;
       Core.Multi_replayer.feeder_flush fdr;
       P.Profile.merge acc
         (P.Profile.merge_all (List.map snd (Core.Multi_replayer.snapshots m))))

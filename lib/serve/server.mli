@@ -33,7 +33,12 @@
       echoed back; a {b mid-stream disconnect} (EOF, reset, bad framing,
       corrupt trace — the last found by the worker, with the same
       ["corrupt trace: ..."] message) discards the partial session —
-      other sessions and the fleet profile are untouched.
+      other sessions and the fleet profile are untouched;
+    - a session may name at most {!max_session_asids} address spaces:
+      the block that would create one more fails that session alone,
+      with a ["too many address spaces ..."] error reply. Each asid
+      holds a compiled image and a run buffer of up to 256 blocks, so
+      the cap bounds what one session can make the daemon hold.
 
     The daemon gate: the fleet profile of [n] concurrent sessions equals
     the merged profiles of replaying each session's stream offline,
@@ -101,6 +106,9 @@ val create :
     @raise Invalid_argument when [jobs < 1], or [retune] is given
     without [drift]/[base].
     @raise Unix.Unix_error when the address cannot be bound. *)
+
+val max_session_asids : int
+(** 256: the address spaces one session may run blocks in. *)
 
 val addr : t -> Frame.addr
 (** The bound address (with the real port for ephemeral TCP). *)

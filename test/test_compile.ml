@@ -236,7 +236,7 @@ let with_tmp f =
    (SMC) in one PCTR3 stream: demuxed replay through per-asid compiled
    engines must produce exactly the snapshots of replaying each asid's
    projection in isolation, one event (so one {!Packed.step}) at a time,
-   and demux-first sharding with compiled workers must merge to them. *)
+   and Shard.replay_events with compiled replayers must give them too. *)
 let prop_multi_asid_compiled =
   QCheck.Test.make ~name:"multi-asid demux: compiled == packed" ~count:25
     (QCheck.pair gen_workload gen_workload)

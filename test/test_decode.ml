@@ -2,17 +2,18 @@
 
    - Hostile varints (over-long, sign bit set where the writer never sets
      it) are typed [Corrupt] errors, with one message on every path.
-   - Decoding a block allocates nothing: the presized loader, the demux,
-     the int-callback streaming feed and the daemon's drain path (decode
-     straight into a compiled replayer) stay under a minor-words budget
-     per block (deterministic, untimed).
-   - The presized loader and the demux equal arrays built from the
-     whole-file folds, in arrays no larger than the file.
+   - Decoding a block allocates nothing: the presized loader, the
+     int-callback streaming feed and the one decode-into-replay path
+     (decode straight into per-asid compiled replayers, single- and
+     multi-asid) stay under a minor-words budget per block
+     (deterministic, untimed).
+   - The presized loader and the per-asid runs equal arrays built from
+     the whole-file folds, in arrays no larger than the file.
    - On truncated and bit-flipped input, whole-file and randomly chunked
      streaming decode agree: same events, or the same [Corrupt]. The
      streaming file replay agrees with the whole-file load it replaced,
-     and the per-asid replay with the demux: same blocks, or the same
-     [Corrupt]. *)
+     and the per-asid replay with the per-asid runs: same asids, or the
+     same [Corrupt]. *)
 
 module Pc_trace = Tea_core.Pc_trace
 module Multi = Tea_core.Multi_replayer
@@ -156,7 +157,7 @@ let test_hostile_varints () =
         [ 1; 2; 5; 1000 ];
       with_tmp (fun path ->
           write_bytes path bytes;
-          Alcotest.check_raises (name ^ ": demux") (Pc_trace.Corrupt msg)
+          Alcotest.check_raises (name ^ ": load_events") (Pc_trace.Corrupt msg)
             (fun () -> ignore (Shard.load_events path));
           Alcotest.check_raises (name ^ ": load") (Pc_trace.Corrupt msg)
             (fun () -> ignore (Shard.load_pc_trace path));
@@ -243,14 +244,6 @@ let test_allocation_budget () =
   words_per_block "load_pc_trace (PCTR2)" (fun () ->
       let _, _, len = Shard.load_pc_trace path in
       len);
-  let demuxed s () =
-    List.fold_left
-      (fun acc (_, runs) ->
-        List.fold_left (fun acc r -> acc + r.Pc_trace.len) acc runs)
-      0 (Pc_trace.demux s)
-  in
-  words_per_block "demux (PCTR2)" (demuxed v2);
-  words_per_block "demux (PCTR3)" (demuxed v3);
   let count s () =
     let n = ref 0 in
     feed_ints s
@@ -260,28 +253,39 @@ let test_allocation_budget () =
   in
   words_per_block "streaming feed (PCTR2)" (count v2);
   words_per_block "streaming feed (PCTR3)" (count v3);
-  (* the daemon's drain path: decode each payload straight into a feeder
-     over a compiled replayer. One untimed pass first: a fresh replayer's
-     set-up is paid once per session, not per block. *)
-  let rep =
-    Tea_core.Replayer.create_compiled (Tea_core.Compiled.of_packed (loop_image ()))
+  (* the one decode-into-replay path (daemon drain, file replay): decode
+     straight into a feeder over per-asid compiled replayers. One untimed
+     pass first: a fresh replayer's set-up is paid once per session, not
+     per block. *)
+  let image = loop_image () in
+  let compiled () =
+    Tea_core.Replayer.create_compiled
+      (Tea_core.Compiled.of_packed (Tea_core.Packed.dup image))
   in
-  let drain () =
-    let f = Multi.feeder (Multi.create (fun _ -> rep)) in
+  let drain m s () =
+    let f = Multi.feeder m in
     let dec = Pc_trace.decoder () in
-    let n = String.length v2 and blocks = ref 0 in
+    let n = String.length s and blocks = ref 0 in
     let off = ref 0 in
     while !off < n do
       let len = min 65536 (n - !off) in
-      blocks := !blocks + snd (Multi.feeder_decode f dec ~off:!off ~len v2);
+      blocks := !blocks + snd (Multi.feeder_decode f dec ~off:!off ~len s);
       off := !off + len
     done;
     Pc_trace.decoder_finish dec;
     Multi.feeder_flush f;
     !blocks
   in
-  ignore (drain ());
-  words_per_block "feeder_decode into a compiled replayer (PCTR2)" drain;
+  let rep = compiled () in
+  let single () = Multi.create (fun _ -> rep) in
+  ignore (drain (single ()) v2 ());
+  words_per_block "feeder_decode into a compiled replayer (PCTR2)" (fun () ->
+      drain (single ()) v2 ());
+  let reps = Array.init 3 (fun _ -> compiled ()) in
+  let multi () = Multi.create (fun a -> reps.(a)) in
+  ignore (drain (multi ()) v3 ());
+  words_per_block "feeder_decode into per-asid compiled replayers (PCTR3)"
+    (fun () -> drain (multi ()) v3 ());
   (* the benchmark replica's ingest: feed into the unboxed event queue *)
   words_per_block "streaming feed into Evq (PCTR3)" (fun () ->
       let q = Evq.create () in
@@ -326,8 +330,8 @@ let print_case (f, evs) =
     (match f with Pc_trace.V1 -> "v1" | Pc_trace.V2 -> "v2" | Pc_trace.V3 -> "v3")
     (List.length evs)
 
-(* The demux contract, straight from the event fold: per-asid runs cut
-   at invalidations of the asid and interrupts on it. *)
+(* The per-asid run contract, straight from the event fold: runs cut at
+   invalidations of the asid and interrupts on it. *)
 let reference_demux path =
   let open_ = Hashtbl.create 8 and closed = Hashtbl.create 8 in
   let cut a =
@@ -375,18 +379,17 @@ let prop_loaders_equal_folds =
             Ok (pairs { Pc_trace.starts; insns; len })
         | exception Pc_trace.Corrupt m -> Error m
       in
-      let runs = Pc_trace.demux s in
+      let runs = Shard.load_events path in
       List.iter
         (fun (_, rs) ->
           List.iter
             (fun r ->
               if not (fits r.Pc_trace.starts && fits r.Pc_trace.insns) then
-                QCheck.Test.fail_report "demux arrays exceed the byte count")
+                QCheck.Test.fail_report "load_events arrays exceed the byte count")
             rs)
         runs;
       loaded = single
-      && List.map (fun (a, rs) -> (a, List.map pairs rs)) runs = reference_demux path
-      && Shard.load_events path = runs)
+      && List.map (fun (a, rs) -> (a, List.map pairs rs)) runs = reference_demux path)
 
 (* ---------------- damaged input: whole file == streamed ---------------- *)
 

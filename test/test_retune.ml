@@ -340,8 +340,17 @@ let across_stream () =
             @ [ Pc_trace.Block
                   { start = List.nth [ 0x600; 0x800; 0x600; 0x700 ] (i mod 4); insns = 1 } ])))
 
+(* A stream's per-asid runs, cut at invalidations and interrupts. *)
+let runs_of_bytes s =
+  let path = Filename.temp_file "tea_test_retune" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc;
+  Shard.load_events path
+
 (* the fleet edge profile's oracle: a counting walk over the flat base
-   of every stream sent, demuxed into per-asid runs each entered from
+   of every stream sent, split into per-asid runs each entered from
    NTE — the walks the daemon's replayers performed *)
 let collect_streams base streams =
   List.fold_left
@@ -352,7 +361,7 @@ let collect_streams base streams =
             (fun acc { Pc_trace.starts; len; _ } ->
               Repack.merge acc (Repack.collect base starts ~len))
             acc runs)
-        acc (Pc_trace.demux s))
+        acc (runs_of_bytes s))
     (Repack.empty_profile base) streams
 
 let check_edge_profile what (expect : Repack.profile) (got : Repack.profile) =
@@ -468,7 +477,7 @@ let test_daemon_swap_tiers () =
                   Replayer.set_state rep Automaton.nte;
                   Replayer.feed_run rep ~insns starts ~len)
                 runs)
-            (Pc_trace.demux s))
+            (runs_of_bytes s))
         sent;
       (* the epoch the daemon swapped to, as its rebuild made it from
          the first phase's traffic, numbers states differently *)

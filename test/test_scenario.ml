@@ -1,5 +1,6 @@
 (* Adversarial replay scenarios: the PCTR3 event codec, the demuxing
-   Multi_replayer, demux-first sharding, and the scenario builders.
+   Multi_replayer and its per-asid run buffers, Shard.replay_events, and
+   the scenario builders.
 
    The headline property is the PR's hard gate — demuxed replay of an
    interleaved multi-asid stream must be observationally identical (full
@@ -340,6 +341,79 @@ let test_multi_demux_fixture () =
   check profile "asid 2 demux == isolated" (solo b_blocks)
     (List.assoc 2 (Multi.snapshots m))
 
+let snap_eq a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x, p) (y, q) -> x = y && Profile.equal p q)
+       a b
+
+(* The per-asid run buffers: a feeder of capacity 1-5 over random
+   multi-asid streams gives every asid the snapshot that event-at-a-time
+   [feed] and isolated replay give. The generator splices in the cases
+   the flush rules exist for: an invalidation aimed at a non-current asid
+   that still has buffered blocks, an interrupt right after a switch, and
+   a rebind after [feeder_flush] mid-stream. *)
+let gen_feeder_case =
+  let open QCheck.Gen in
+  let block =
+    map
+      (fun start -> Pc_trace.Block { start; insns = 1 })
+      (oneofl [ 0x100; 0x200; 0x300; 0x400; 0x500 ])
+  in
+  let asid = int_range 0 3 in
+  let blocks lo hi = list_size (int_range lo hi) block in
+  let piece =
+    frequency
+      [ (6, map (fun b -> [ b ]) block);
+        (1, map (fun asid -> [ Pc_trace.Switch { asid } ]) asid);
+        (1, map (fun asid -> [ Pc_trace.Invalidate { asid } ]) asid);
+        (1, return [ Pc_trace.Interrupt ]);
+        ( 1,
+          map3
+            (fun a mine other ->
+              [ Pc_trace.Switch { asid = a } ]
+              @ mine
+              @ [ Pc_trace.Switch { asid = (a + 1) mod 4 } ]
+              @ other
+              @ [ Pc_trace.Invalidate { asid = a } ])
+            asid (blocks 1 4) (blocks 0 3) );
+        ( 1,
+          map2
+            (fun a after -> (Pc_trace.Switch { asid = a } :: Pc_trace.Interrupt :: after))
+            asid (blocks 0 3) ) ]
+  in
+  triple (int_range 1 5) (map List.concat (list_size (int_range 0 40) piece)) (float_range 0.0 1.0)
+
+let prop_feeder_buffers =
+  QCheck.Test.make
+    ~name:"per-asid run buffers (buf 1-5) == feed == isolated, across a rebind"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (buf, evs, _) ->
+         Printf.sprintf "buf %d, %d events" buf (List.length evs))
+       gen_feeder_case)
+    (fun (buf, events, at) ->
+      with_tmp @@ fun path ->
+      write_v3 path events;
+      let stamped = read_stamped path in
+      let one_at_a_time = Multi.create fixture_make in
+      List.iter (fun (asid, ev) -> Multi.feed one_at_a_time ~asid ev) stamped;
+      let m = Multi.create fixture_make in
+      let f = Multi.feeder ~buf m in
+      let k = int_of_float (at *. float_of_int (List.length stamped)) in
+      List.iteri
+        (fun i (asid, ev) ->
+          if i = k then begin
+            Multi.feeder_flush f;
+            Multi.rebind m fixture_make
+          end;
+          Multi.feeder_feed f ~asid ev)
+        stamped;
+      Multi.feeder_flush f;
+      let buffered = Multi.snapshots m in
+      snap_eq buffered (Multi.snapshots one_at_a_time)
+      && snap_eq buffered (Multi.replay_isolated fixture_make path))
+
 (* ---------------- workload pipeline fixtures ----------------
 
    Four small generated workloads, each recorded (MRET) and captured
@@ -406,15 +480,9 @@ let stream_as asid wl =
   Scenario.stream ~asid ~name:wl.wl_name ~starts:wl.wl_stream.Scenario.starts
     ~insns:wl.wl_stream.Scenario.insns ~len:wl.wl_stream.Scenario.len
 
-let snap_eq a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x, p) (y, q) -> x = y && Profile.equal p q)
-       a b
-
 (* The gate, as a reusable assertion: write the scenario, replay demuxed
-   (sequential at jobs 1, demux-first sharding otherwise) and isolated,
-   compare full per-asid snapshots. *)
+   (Multi_replayer at jobs 1, Shard.replay_events on a pool otherwise)
+   and isolated, compare full per-asid snapshots. *)
 let gate_scenario ?(jobs = [ 1 ]) ~engine wls scn =
   let selected = Array.of_list wls in
   let img_for a = engine_of selected.(a) engine in
@@ -485,8 +553,8 @@ let test_interrupt_gate_all_engines () =
 
 (* Seam regression for the satellite audit: quantum 1 maximizes asid
    switches, so at jobs 4 nearly every chunk seam of a naive single-
-   stream shard would land on a switch boundary. Demux-first sharding
-   must keep the gate regardless. *)
+   stream shard would land on a switch boundary. Per-asid replay must
+   keep the gate regardless. *)
 let test_seam_on_switch_boundary () =
   let wls = Array.to_list (Lazy.force workloads) in
   let streams = List.mapi (fun a wl -> stream_as a wl) wls in
@@ -593,6 +661,7 @@ let () =
           Alcotest.test_case "smc golden" `Quick test_smc_golden;
           Alcotest.test_case "hand-interleaved demux" `Quick
             test_multi_demux_fixture;
+          qtest prop_feeder_buffers;
         ] );
       ( "scenario",
         [

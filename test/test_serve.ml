@@ -715,6 +715,64 @@ let test_daemon_pool_accounting () =
   check Alcotest.bool "the caller entry ran the lone sessions" true
     (counter "pool.domain02.units" > 0)
 
+(* a session naming [n] address spaces, one block in each *)
+let asid_storm n =
+  bytes_of_events
+    (List.concat
+       (List.init n (fun asid ->
+            [ Pc_trace.Switch { asid }; Pc_trace.Block { start = 0x100; insns = 1 } ])))
+
+let test_daemon_asid_cap () =
+  (* one asid past the cap fails that session alone; exactly the cap is
+     served, and the fleet is unperturbed *)
+  let cap = Server.max_session_asids in
+  let refusal = Printf.sprintf "too many address spaces (at most %d per session)" cap in
+  let streams = mixed_streams () @ [ asid_storm cap ] in
+  List.iter
+    (fun jobs ->
+      let image = fixture_packed () in
+      let fleet, offline, replies, errors =
+        serve_sessions ~jobs ~image ~corrupt:[ asid_storm (cap + 1) ] streams
+      in
+      check Alcotest.(list string) "the storm is refused" [ refusal ] errors;
+      check profile "a session of exactly the cap is served"
+        (offline_of_bytes image (asid_storm cap))
+        (List.nth replies (List.length streams - 1));
+      check profile
+        (Printf.sprintf "fleet == offline next to a storm (jobs %d)" jobs)
+        offline fleet;
+      check profile
+        (Printf.sprintf "fleet == independent reference (jobs %d)" jobs)
+        (Profile.merge_all (List.map (offline_of_bytes image) streams))
+        fleet)
+    [ 1; 2; 4 ];
+  (* the refused sessions leave nothing behind: after k more storms the
+     live heap has grown by less than one storm's asids would hold *)
+  let srv = Server.create ~jobs:1 ~image:(fixture_packed ()) (Frame.Unix_sock (sock_path ())) in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let driver = Domain.spawn (fun () -> Server.run srv) in
+  let storm = asid_storm (cap + 1) in
+  let send n =
+    for _ = 1 to n do
+      match Client.replay_string (Server.addr srv) storm with
+      | _ -> Alcotest.fail "a storm was served"
+      | exception Client.Server_error msg -> check Alcotest.string "refused" refusal msg
+    done;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let k = 8 in
+  let after_k = send k in
+  let after_2k = send k in
+  Server.stop srv;
+  Domain.join driver;
+  check Alcotest.int "every storm dropped" (2 * k) (Server.disconnected srv);
+  (* one asid's replayer alone holds its counters and a run buffer *)
+  let growth = after_2k - after_k and budget = cap * 1024 in
+  if growth >= budget then
+    Alcotest.failf "live heap grew %d bytes over %d refused storms (budget %d)"
+      growth k budget
+
 let prop_daemon_random_streams =
   (* satellite 4's differential: random event streams through concurrent
      sessions vs the sequential offline merge, cycling jobs 1/2/4 *)
@@ -770,5 +828,7 @@ let () =
           Alcotest.test_case "pool units == serve.blocks (jobs 2)" `Quick
             test_daemon_pool_accounting;
           qtest prop_daemon_random_streams;
+          Alcotest.test_case "asid cap: a storm fails alone, heap bounded" `Quick
+            test_daemon_asid_cap;
         ] );
     ]
