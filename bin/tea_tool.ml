@@ -248,9 +248,10 @@ let jobs_conv =
 
 let jobs_arg =
   let doc =
-    "Worker domains to run independent inputs on (1 = plain sequential \
-     path; must be >= 1): the benchmarks of a table, the sessions of \
-     serve. One --pc-trace stream is one sequential walk whatever $(docv) \
+    "Domains to run independent inputs on (1 = plain sequential path; \
+     must be >= 1): the benchmarks of a table; for serve, the event \
+     loops, each accepting, replaying and replying to its own sessions. \
+     One --pc-trace stream is one sequential walk whatever $(docv) \
      is, and so is a --scenario stream, whose asids replay side by side \
      in one pass. Stdout is byte-identical whatever $(docv) is; the \
      per-domain observability counters go to stderr."
@@ -1584,8 +1585,9 @@ let serve_cmd =
     let doc =
       "Closed-loop continuous PGO: when the drift gauge stays over \
        threshold, rebuild the repack+fuse ladder from the traffic seen so \
-       far in a background domain and hot-swap the image between two \
-       drain cycles, bumping the [tea_image_epoch] gauge and emitting a \
+       far in a background domain and hot-swap the image, each event \
+       loop rebinding its live sessions between two reads, bumping the \
+       [tea_image_epoch] gauge and emitting a \
        `swap' event. Needs a drift reference (--drift-profile or \
        --pgo/--fuse)."
     in

@@ -17,7 +17,7 @@ let fmt_float v =
 
 let quantiles = [ ("0.5", 0.5); ("0.95", 0.95); ("0.99", 0.99) ]
 
-let render ?tiers ?drift ?epoch (s : Metrics.snapshot) =
+let render ?tiers ?drift ?epoch ?(loops = [||]) (s : Metrics.snapshot) =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l) fmt in
   (* counters *)
@@ -88,6 +88,12 @@ let render ?tiers ?drift ?epoch (s : Metrics.snapshot) =
       line "tea_drift_l1 %s\n" (fmt_float d);
       line "# TYPE tea_drift_threshold gauge\n";
       line "tea_drift_threshold %s\n" (fmt_float threshold));
+  (* per-loop blocks: every loop, zeros included, so the scrape always
+     answers "which loops exist" *)
+  if loops <> [||] then begin
+    line "# TYPE tea_loop_blocks_total counter\n";
+    Array.iteri (fun i n -> line "tea_loop_blocks_total{loop=\"%d\"} %d\n" i n) loops
+  end;
   (* image epoch gauge: which generation of the hot-swapped image the
      daemon is dispatching through (0 = the image it booted with) *)
   (match epoch with

@@ -15,6 +15,9 @@
       block;
     - [tea_drift_l1] / [tea_drift_threshold] gauges when a drift
       measurement is supplied;
+    - [tea_loop_blocks_total{loop="..."}] — the blocks of the sessions
+      each daemon event loop completed, every loop, zeros included,
+      when [loops] is non-empty;
     - a [tea_image_epoch] gauge when an image epoch is supplied (the
       generation of the hot-swapped dispatch image; 0 = boot image).
 
@@ -28,7 +31,8 @@ val render :
   ?tiers:Tea_core.Tierstat.snapshot ->
   ?drift:float * float ->
   ?epoch:int ->
+  ?loops:int array ->
   Tea_telemetry.Metrics.snapshot ->
   string
 (** [drift] is [(distance, threshold)]. [epoch] is the current image
-    epoch. *)
+    epoch. [loops.(i)] is loop [i]'s block count (default: none). *)

@@ -2,36 +2,56 @@ module Core = Tea_core
 module P = Tea_parallel
 module Metrics = Tea_telemetry.Metrics
 
-(* One connected client. The driver owns [fd]/[parser_] and queues each
-   data frame's payload, undecoded, on [pending]; a drain task decodes
-   [pending] through [dec] straight into [multi] during a
-   bulk-synchronous map cycle. A cycle with one ready session runs its
-   task on the driver itself; with several, pool workers run them while
-   the driver is blocked inside [Pool.map] for the whole cycle. Either
-   way queue, decoder and replayer are never touched from two threads at
-   once, and the pool's mutex orders cycle N's worker against cycle
-   N+1's. *)
+(* Why a session was dropped: a closed set, one [serve.aborts.<reason>]
+   counter each. *)
+type abort = Corrupt | Bad_framing | Asid_cap | Disconnect | Shutdown
+
+let abort_name = function
+  | Corrupt -> "corrupt"
+  | Bad_framing -> "bad_framing"
+  | Asid_cap -> "asid_cap"
+  | Disconnect -> "disconnect"
+  | Shutdown -> "shutdown"
+
+(* One connected client, owned by the loop that accepted it: that loop
+   reads [fd], parses frames and decodes each data payload through [dec]
+   straight into [multi], so no field is ever touched from another
+   domain. *)
 type session = {
   id : int;  (* 1-based accept order, for the event log *)
   fd : Unix.file_descr;
   parser_ : Frame.parser_;
-  dec : Core.Pc_trace.decoder;  (* worker-side: holds a record cut at a payload end *)
+  dec : Core.Pc_trace.decoder;  (* holds a record cut at a payload end *)
   multi : Core.Multi_replayer.t;
-  fdr : Core.Multi_replayer.feeder;  (* batches drain-cycle events *)
-  pending : string Queue.t;  (* data payloads not yet decoded, in order *)
-  mutable pending_bytes : int;  (* their total length: the queue-depth gauge *)
+  fdr : Core.Multi_replayer.feeder;  (* batches a read's events *)
+  mutable fed : int;  (* payload bytes decoded since the last flush *)
   raw : Buffer.t option;  (* bytes kept for the offline differential *)
   epoch0 : int;  (* image epoch the session was accepted under *)
   mutable evs : int;  (* events decoded so far (swap-schedule positions) *)
   mutable swapped : (int * int) list;  (* (event index, new epoch), newest first *)
   mutable ended : bool;  (* end-of-stream frame received *)
-  mutable failed : string option;  (* first fatal error; session is dropped *)
+  mutable failed : (abort * string) option;  (* first fatal error; dropped *)
   mutable scrape : bool;  (* a metrics observer, not a replay session *)
   mutable counted : bool;  (* bumped serve.sessions_accepted yet? *)
   mutable opened : bool;  (* session_open event emitted yet? *)
   mutable bytes_in : int;
   mutable blocks : int;
-  mutable busy_ns : int;  (* wall time inside drain tasks *)
+  mutable busy_ns : int;  (* wall time decoding and replaying *)
+}
+
+(* One event loop. Its registry is written by the loop and read by
+   scrapes from any loop, both under [reg_m]; everything else but [live]
+   belongs to the loop alone. *)
+type loop = {
+  index : int;
+  reg : Metrics.t;
+  reg_m : Mutex.t;
+  mutable blocks : int;  (* completed sessions' blocks, under [reg_m] *)
+  live : int Atomic.t;  (* sessions held, read by every loop's accept *)
+  mutable sessions : session list;
+  mutable image : Core.Packed.t;  (* the epoch this loop replays on *)
+  mutable epoch : int;
+  chunk : Bytes.t;  (* socket read buffer *)
 }
 
 (* Closed-loop retune knobs: how the daemon turns a sustained drift
@@ -47,37 +67,45 @@ let default_retune =
     cooldown = Tea_observe.Trigger.default_cooldown;
   }
 
+type published = { p_epoch : int; p_image : Core.Packed.t }
+
 type t = {
-  mutable image : Core.Packed.t;  (* current epoch's dispatch image *)
-  pool : P.Pool.t;
+  loops : loop array;  (* loop 0 runs on [run]'s caller and coordinates *)
+  published : published Atomic.t;  (* the newest image; loops adopt it *)
   offline_check : bool;  (* keep streams and epoch images for the oracle *)
   base : Core.Packed.t option;  (* flat source image for rebuilds *)
   trigger : Tea_observe.Trigger.t option;  (* Some iff the closed loop is on *)
-  listen_fd : Unix.file_descr;
+  listen_fd : Unix.file_descr;  (* non-blocking, shared by every loop *)
   bound : Frame.addr;
   unix_path : string option;
-  stop_r : Unix.file_descr;  (* self-pipe: [stop] wakes a blocking select *)
+  stop_r : Unix.file_descr;  (* a byte left here wakes every loop to end *)
   stop_w : Unix.file_descr;
-  reg : Metrics.t;  (* driver-only; workers account into session fields *)
+  stop_req : bool Atomic.t;  (* [stop] called: drop live sessions *)
+  wake_r : Unix.file_descr;  (* another loop completed a session *)
+  wake_w : Unix.file_descr;
+  wake_pending : bool Atomic.t;  (* a wake byte is in flight *)
   events : Tea_observe.Events.t option;  (* None = no-op event log *)
-  mutable drift : Tea_observe.Drift.t option;  (* None = no drift monitor *)
+  drift : Tea_observe.Drift.t option Atomic.t;  (* None = no drift monitor *)
+  (* the coordinator's own state, loop 0 only *)
   mutable drift_over : bool;  (* above threshold at last measurement? *)
-  mutable epoch : int;  (* 0 = boot image; bumped by every swap *)
-  mutable epoch_images : (int * Core.Packed.t) list;  (* offline_check *)
-  mutable builder : Tea_opt.Retune.builder option;  (* rebuild in flight *)
-  mutable fleet_gen : int;  (* bumped per completion; trigger tick unit *)
+  mutable drift_dist : float;  (* that measurement *)
+  mutable measured_gen : int;  (* fleet_gen of that measurement *)
   mutable checked_gen : int;  (* fleet_gen last observed by the trigger *)
-  mutable swap_pause_ns : int;  (* cumulative wall time inside swaps *)
-  mutable drain_ns : int;  (* busy ns over completed sessions *)
-  mutable drain_blocks : int;  (* blocks over completed sessions *)
-  mutable sessions : session list;
-  mutable next_id : int;  (* monotonic session ids for the event log *)
-  mutable accepted : int;
-  mutable completed_n : int;
-  mutable disconnected_n : int;
+  mutable builder : Tea_opt.Retune.builder option;  (* rebuild in flight *)
+  swap_pause_ns : int Atomic.t;  (* publishing plus every loop's rebinds *)
+  next_id : int Atomic.t;  (* monotonic session ids for the event log *)
+  accepted : int Atomic.t;  (* connections taken, scrapes given back *)
+  settled : int Atomic.t;  (* sessions completed or dropped *)
+  disconnected_n : int Atomic.t;
+  (* the fleet: every field below is read and written under [fleet_m] *)
   fleet_m : Mutex.t;
   mutable fleet : P.Profile.t;
   fleet_edges : int array;  (* completed sessions' counters, summed *)
+  mutable fleet_gen : int;  (* bumped per completion; trigger tick unit *)
+  mutable completed_n : int;
+  mutable drain_ns : int;  (* busy ns over completed sessions *)
+  mutable drain_blocks : int;  (* blocks over completed sessions *)
+  mutable epoch_images : (int * Core.Packed.t) list;  (* offline_check *)
   mutable retained : (string * int * (int * int) list) list;
       (* offline_check only — completed streams, newest first: raw bytes,
          accept epoch, and the (event index, new epoch) swap schedule
@@ -88,10 +116,9 @@ type t = {
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* Per-asid replayer factory for a session's demuxed replay. Every
-   session (and the offline re-check) compiles its own dup of the shared
-   image, so compiled images — single-domain by construction — are never
-   shared across sessions or workers. *)
+(* Per-asid replayer factory. Every asid of every session (and of the
+   offline re-check) compiles its own dup of the shared image, so
+   compiled images — single-domain by construction — are never shared. *)
 let factory_of img _asid =
   Core.Replayer.create_compiled (Core.Compiled.of_packed (Core.Packed.dup img))
 
@@ -99,19 +126,21 @@ let max_session_asids = 256
 
 exception Too_many_address_spaces
 
-(* A session's factory builds on the image current when its asid first
-   runs a block, and refuses the asid past the cap: every asid costs a
-   compiled image and a run buffer, so one session cannot make the daemon
-   hold an unbounded number of them. *)
-let session_factory t =
+(* A session's factory builds on its loop's image when an asid first
+   runs a block — never on a newer published one, whose epoch the
+   session's swap schedule would not record — and refuses the asid past
+   the cap: every asid costs a compiled image and a run buffer, so one
+   session cannot make the daemon hold an unbounded number of them. *)
+let session_factory l =
   let asids = ref 0 in
   fun asid ->
     if !asids = max_session_asids then raise Too_many_address_spaces;
     incr asids;
-    factory_of t.image asid
+    factory_of l.image asid
 
 let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     addr =
+  if jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
   (match (retune, drift, base) with
   | Some _, None, _ ->
       invalid_arg "Server.create: retune requires a drift monitor"
@@ -152,9 +181,22 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     | a -> a
   in
   let stop_r, stop_w = Unix.pipe () in
+  let wake_r, wake_w = Unix.pipe () in
   {
-    image;
-    pool = P.Pool.create ~jobs;
+    loops =
+      Array.init jobs (fun index ->
+          {
+            index;
+            reg = Metrics.create ();
+            reg_m = Mutex.create ();
+            blocks = 0;
+            live = Atomic.make 0;
+            sessions = [];
+            image;
+            epoch = 0;
+            chunk = Bytes.create 65536;
+          });
+    published = Atomic.make { p_epoch = 0; p_image = image };
     offline_check;
     base;
     trigger =
@@ -167,45 +209,58 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     unix_path;
     stop_r;
     stop_w;
-    reg = Metrics.create ();
+    stop_req = Atomic.make false;
+    wake_r;
+    wake_w;
+    wake_pending = Atomic.make false;
     events;
-    drift;
+    drift = Atomic.make drift;
     drift_over = false;
-    epoch = 0;
-    epoch_images = (if offline_check then [ (0, image) ] else []);
-    builder = None;
-    fleet_gen = 0;
+    drift_dist = 0.0;
+    measured_gen = 0;
     checked_gen = 0;
-    swap_pause_ns = 0;
-    drain_ns = 0;
-    drain_blocks = 0;
-    sessions = [];
-    next_id = 0;
-    accepted = 0;
-    completed_n = 0;
-    disconnected_n = 0;
+    builder = None;
+    swap_pause_ns = Atomic.make 0;
+    next_id = Atomic.make 0;
+    accepted = Atomic.make 0;
+    settled = Atomic.make 0;
+    disconnected_n = Atomic.make 0;
     fleet_m = Mutex.create ();
     fleet = P.Profile.empty;
     fleet_edges = Array.make (Core.Packed.n_counters image) 0;
+    fleet_gen = 0;
+    completed_n = 0;
+    drain_ns = 0;
+    drain_blocks = 0;
+    epoch_images = (if offline_check then [ (0, image) ] else []);
     retained = [];
     closed = false;
   }
 
 let addr t = t.bound
 
-(* ---- observability (driver thread) ---- *)
+let with_fleet t f = Mutex.protect t.fleet_m f
 
-let fleet_profile t =
-  Mutex.lock t.fleet_m;
-  let p = t.fleet in
-  Mutex.unlock t.fleet_m;
-  p
+let with_reg l f = Mutex.protect l.reg_m (fun () -> f l.reg)
+
+(* ---- observability (any loop, any thread) ---- *)
+
+let fleet_profile t = with_fleet t (fun () -> t.fleet)
+
+(* Each loop's registry snapshot and block count, read under its lock:
+   a scrape waits for at most one metric update, never for a drain. *)
+let loop_stats t =
+  Array.map
+    (fun l -> with_reg l (fun reg -> (Metrics.snapshot reg, l.blocks)))
+    t.loops
 
 let metrics t =
-  Metrics.merge (Metrics.snapshot t.reg) (P.Pool.metrics_snapshot t.pool)
+  Metrics.merge_all (Array.to_list (Array.map fst (loop_stats t)))
+
+let loop_blocks t = Array.map snd (loop_stats t)
 
 let drift_distance t =
-  match t.drift with
+  match Atomic.get t.drift with
   | None -> None
   | Some d ->
       let fleet = fleet_profile t in
@@ -213,65 +268,64 @@ let drift_distance t =
         ( Tea_observe.Drift.measure d fleet.P.Profile.counts,
           Tea_observe.Drift.threshold d )
 
+let epoch t = (Atomic.get t.published).p_epoch
+
 (* Completed sessions' dispatch tiers, read off their summed counters:
    original ids, so the same rows on every epoch's layout. *)
-let tiers t = Core.Tierstat.of_counters t.image t.fleet_edges
+let tiers t =
+  let img = (Atomic.get t.published).p_image in
+  with_fleet t (fun () -> Core.Tierstat.of_counters img t.fleet_edges)
 
 (* The scrape answer, also readable after [run] returns. Reads only
-   driver-owned or mutex/merge-protected state (registry, pool snapshot,
-   the fleet counters, the fleet), so rendering between drain cycles
-   never pauses ingestion. Deterministic: a function of the snapshots
-   alone, so the post-run scrape text equals this rendered after
-   shutdown byte-for-byte. *)
+   lock-protected or atomic state, so rendering never waits for a drain.
+   Deterministic: a function of the snapshots alone, so the post-run
+   scrape text equals this rendered after shutdown byte-for-byte. *)
 let exposition t =
+  let stats = loop_stats t in
   Tea_observe.Exposition.render ~tiers:(tiers t)
     ?drift:(drift_distance t)
-    ?epoch:(Option.map (fun _ -> t.epoch) t.trigger)
-    (metrics t)
+    ?epoch:(Option.map (fun _ -> epoch t) t.trigger)
+    ~loops:(Array.map snd stats)
+    (Metrics.merge_all (Array.to_list (Array.map fst stats)))
 
 let emit_ev t kind fields =
   match t.events with
   | None -> ()
   | Some e -> Tea_observe.Events.emit e kind fields
 
-(* Re-measure drift against the fleet and event the threshold crossing
-   (upward edge only; dropping back below re-arms it). The crossing
-   event depends on completion order, so it lives in the event log only
-   — the exposition gauge is a pure function of the final fleet. *)
-let drift_check t =
-  match t.drift with
-  | None -> ()
-  | Some d ->
-      let dist =
-        Tea_observe.Drift.measure d (fleet_profile t).P.Profile.counts
-      in
-      if Tea_observe.Drift.exceeded d dist then begin
-        if not t.drift_over then
-          emit_ev t "drift_threshold"
-            [
-              ("distance", Tea_observe.Events.F dist);
-              ("threshold", Tea_observe.Events.F (Tea_observe.Drift.threshold d));
-            ];
-        t.drift_over <- true
-      end
-      else t.drift_over <- false
+(* ---- ingestion (the session's loop) ---- *)
 
-(* ---- ingestion (driver thread) ---- *)
-
-let fail_session s msg = if s.failed = None then s.failed <- Some msg
+let fail_session s reason msg =
+  if s.failed = None then s.failed <- Some (reason, msg)
 
 (* Deferred accounting: a connection only counts as an accepted session
    once its first frame proves it is one. Scrape connections are pure
    observers — they bump no counter and emit no event, so a scrape can
    never perturb the exposition it returns (post-run scrape text ==
    offline exposition is a hard test). *)
-let count_session t s =
+let count_session l s =
   if not s.counted then begin
     s.counted <- true;
-    Metrics.count t.reg "serve.sessions_accepted" 1
+    with_reg l (fun reg -> Metrics.count reg "serve.sessions_accepted" 1)
   end
 
-let on_frame t s (f : Frame.frame) =
+(* One step of a session's replay, timed, with what the trace makes the
+   replayer raise turned into the session's failure. The feeder batches
+   consecutive same-asid blocks through Replayer.feed_run — the same
+   engine loops offline replay takes. *)
+let replaying s f =
+  let t0 = now_ns () in
+  (try f () with
+  | Core.Pc_trace.Corrupt msg -> fail_session s Corrupt ("corrupt trace: " ^ msg)
+  | Too_many_address_spaces ->
+      fail_session s Asid_cap
+        (Printf.sprintf "too many address spaces (at most %d per session)"
+           max_session_asids)
+  (* a trace that drives the replayer into an error is a corrupt one *)
+  | e -> fail_session s Corrupt ("replay error: " ^ Printexc.to_string e));
+  s.busy_ns <- s.busy_ns + (now_ns () - t0)
+
+let on_frame t l s (f : Frame.frame) =
   if s.scrape then () (* observer: ignore anything after the scrape ask *)
   else if f.Frame.tag = Frame.tag_scrape && s.bytes_in = 0 && not s.ended
   then begin
@@ -280,58 +334,97 @@ let on_frame t s (f : Frame.frame) =
     with Unix.Unix_error _ | Sys_error _ -> ()
   end
   else begin
-    count_session t s;
-    Metrics.count t.reg "serve.frames" 1;
-    if s.ended then fail_session s "frame after end-of-stream"
-    else if f.Frame.tag = Frame.tag_data then begin
+    count_session l s;
+    let n = String.length f.Frame.payload in
+    let data = f.Frame.tag = Frame.tag_data && not s.ended in
+    with_reg l (fun reg ->
+        Metrics.count reg "serve.frames" 1;
+        if data then Metrics.count reg "serve.bytes_in" n);
+    if s.ended then fail_session s Bad_framing "frame after end-of-stream"
+    else if data then begin
       if not s.opened then begin
         s.opened <- true;
-        emit_ev t "session_open" [ ("session", Tea_observe.Events.I s.id) ]
+        emit_ev t "session_open"
+          [ ("session", Tea_observe.Events.I s.id);
+            ("loop", Tea_observe.Events.I l.index) ]
       end;
-      let n = String.length f.payload in
       s.bytes_in <- s.bytes_in + n;
-      Metrics.count t.reg "serve.bytes_in" n;
       (match s.raw with
       | Some b -> Buffer.add_string b f.payload
       | None -> ());
-      if n > 0 then begin
-        Queue.push f.payload s.pending;
-        s.pending_bytes <- s.pending_bytes + n
+      if n > 0 && s.failed = None then begin
+        s.fed <- s.fed + n;
+        replaying s (fun () ->
+            let evs, blocks =
+              Core.Multi_replayer.feeder_decode s.fdr s.dec f.Frame.payload
+            in
+            s.evs <- s.evs + evs;
+            s.blocks <- s.blocks + blocks)
       end
     end
     else if f.Frame.tag = Frame.tag_end then s.ended <- true
-    else fail_session s (Printf.sprintf "unexpected frame tag %C" f.Frame.tag)
+    else
+      fail_session s Bad_framing
+        (Printf.sprintf "unexpected frame tag %C" f.Frame.tag)
   end
 
-let read_session t chunk s =
-  match Unix.read s.fd chunk 0 (Bytes.length chunk) with
+(* Read once and decode what the read completed, then flush the feeder,
+   so the session's replayers sit at a well-defined stream position
+   whenever the loop is between reads: [evs] is then exact for the swap
+   schedule, and a completed session's profile is fully materialized.
+   Payloads decode in stream order, so a corrupt record is reported
+   ahead of a framing error later in the same read. *)
+let read_session t l s =
+  (match Unix.read s.fd l.chunk 0 (Bytes.length l.chunk) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      fail_session s "connection reset"
-  | 0 -> if not s.ended then fail_session s "eof before end-of-stream"
+      fail_session s Disconnect "connection reset"
+  | 0 -> if not s.ended then fail_session s Disconnect "eof before end-of-stream"
   | k -> (
       (* no copy of the read: the parser copies [chunk] into its own
          buffer before returning and hands out each payload as a fresh
          string, so nothing aliases [chunk] when the next read reuses it *)
-      try Frame.parser_feed s.parser_ ~len:k (Bytes.unsafe_to_string chunk) (on_frame t s)
-      with Frame.Corrupt msg -> fail_session s ("bad framing: " ^ msg))
+      try
+        Frame.parser_feed s.parser_ ~len:k (Bytes.unsafe_to_string l.chunk)
+          (on_frame t l s)
+      with Frame.Corrupt msg -> fail_session s Bad_framing ("bad framing: " ^ msg)));
+  if s.fed > 0 then begin
+    if s.failed = None then
+      replaying s (fun () -> Core.Multi_replayer.feeder_flush s.fdr);
+    with_reg l (fun reg -> Metrics.observe_value reg "serve.queue_depth" s.fed);
+    s.fed <- 0
+  end
 
-let accept_limit_reached t until_sessions =
-  match until_sessions with Some n -> t.accepted >= n | None -> false
+(* ---- accept (any loop) ---- *)
 
-let rec accept_all t until_sessions =
-  if not (accept_limit_reached t until_sessions) then
+(* Take one accept slot below the limit, or report the limit reached. *)
+let rec reserve t limit =
+  let a = Atomic.get t.accepted in
+  a < limit && (Atomic.compare_and_set t.accepted a (a + 1) || reserve t limit)
+
+let limit_reached t until_sessions =
+  match until_sessions with
+  | Some n -> Atomic.get t.accepted >= n
+  | None -> false
+
+(* Accept balancing: a loop holding more sessions than the least-loaded
+   loop leaves the connection to it. *)
+let busier_than_least t l =
+  let mine = Atomic.get l.live in
+  Array.exists (fun o -> Atomic.get o.live < mine) t.loops
+
+let accept_one t l until_sessions =
+  if reserve t (Option.value until_sessions ~default:max_int) then
     match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        accept_all t until_sessions
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        (* another loop took it *)
+        Atomic.decr t.accepted
     | fd, _ ->
-        t.accepted <- t.accepted + 1;
-        t.next_id <- t.next_id + 1;
-        let multi = Core.Multi_replayer.create (session_factory t) in
+        let multi = Core.Multi_replayer.create (session_factory l) in
         let s =
           {
-            id = t.next_id;
+            id = Atomic.fetch_and_add t.next_id 1 + 1;
             fd;
             parser_ = Frame.parser_ ();
             dec = Core.Pc_trace.decoder ();
@@ -341,10 +434,9 @@ let rec accept_all t until_sessions =
                of cycling the major GC, which no longer has kept streams
                to amortize against *)
             fdr = Core.Multi_replayer.feeder ~buf:256 multi;
-            pending = Queue.create ();
-            pending_bytes = 0;
+            fed = 0;
             raw = (if t.offline_check then Some (Buffer.create 4096) else None);
-            epoch0 = t.epoch;
+            epoch0 = l.epoch;
             evs = 0;
             swapped = [];
             ended = false;
@@ -357,113 +449,83 @@ let rec accept_all t until_sessions =
             busy_ns = 0;
           }
         in
-        t.sessions <- t.sessions @ [ s ];
-        accept_all t until_sessions
+        l.sessions <- l.sessions @ [ s ];
+        Atomic.incr l.live
 
-(* ---- replay (drain tasks, bulk-synchronous) ---- *)
+(* ---- completion / disconnect (the session's loop) ---- *)
 
-(* One session's task, on a pool worker or, when it is the cycle's only
-   ready session, on the driver: decode its queued payloads straight
-   into its feeder, then flush, so a completed session's profile is
-   always fully materialized. Its blocks are credited to whichever pool
-   entry ran it. The feeder batches consecutive same-asid blocks through
-   Replayer.feed_run — the same engine loops (and the same dispatch-tier
-   attribution) offline replay takes. [evs] numbers stream positions for
-   the swap schedule; swaps happen only between cycles, when every queued
-   payload has been decoded, so the count is exact there. *)
-let drain_session t s =
-  let t0 = now_ns () in
-  let n = ref 0 in
-  (try
-     while not (Queue.is_empty s.pending) do
-       let evs, blocks =
-         Core.Multi_replayer.feeder_decode s.fdr s.dec (Queue.pop s.pending)
-       in
-       s.evs <- s.evs + evs;
-       n := !n + blocks
-     done;
-     Core.Multi_replayer.feeder_flush s.fdr
-   with
-   (* the queued payloads precede, in the stream, whatever failure the
-      driver may have seen since, so the corrupt record is the error to
-      report *)
-   | Core.Pc_trace.Corrupt msg -> s.failed <- Some ("corrupt trace: " ^ msg)
-   | Too_many_address_spaces ->
-       fail_session s
-         (Printf.sprintf "too many address spaces (at most %d per session)"
-            max_session_asids)
-   | e -> fail_session s ("replay error: " ^ Printexc.to_string e));
-  Queue.clear s.pending;
-  s.pending_bytes <- 0;
-  P.Pool.add_units t.pool !n;
-  s.blocks <- s.blocks + !n;
-  s.busy_ns <- s.busy_ns + (now_ns () - t0)
+let wake_coordinator t l =
+  if l.index <> 0 && Option.is_some (Atomic.get t.drift)
+     && not (Atomic.exchange t.wake_pending true)
+  then
+    try ignore (Unix.write t.wake_w (Bytes.make 1 '\001') 0 1)
+    with Unix.Unix_error _ -> ()
 
-let drain_cycle t =
-  let ready = List.filter (fun s -> s.pending_bytes > 0) t.sessions in
-  if ready <> [] then begin
-    let arr = Array.of_list ready in
-    Array.iter
-      (fun s ->
-        Metrics.observe_value t.reg "serve.queue_depth" s.pending_bytes)
-      arr;
-    ignore
-      (P.Pool.map t.pool
-         ~f:(fun i -> drain_session t arr.(i))
-         (Array.length arr))
-  end
+let settle t until_sessions =
+  let n = Atomic.fetch_and_add t.settled 1 + 1 in
+  (* the last session of a bounded run: wake every loop to return *)
+  if until_sessions = Some n then
+    try ignore (Unix.write t.stop_w (Bytes.make 1 '\000') 0 1)
+    with Unix.Unix_error _ -> ()
 
-(* ---- completion / disconnect (driver thread) ---- *)
-
-let drop t s msg =
+let drop t l until_sessions s (reason, msg) =
   (* a connection that died before any frame still counts: it was a
      (failed) session, not a scrape *)
-  count_session t s;
+  count_session l s;
   (try Frame.send s.fd Frame.tag_error msg
    with Unix.Unix_error _ | Sys_error _ -> ());
   (try Unix.close s.fd with Unix.Unix_error _ -> ());
-  t.disconnected_n <- t.disconnected_n + 1;
-  Metrics.count t.reg "serve.disconnects" 1;
+  Atomic.incr t.disconnected_n;
+  with_reg l (fun reg ->
+      Metrics.count reg "serve.disconnects" 1;
+      Metrics.count reg ("serve.aborts." ^ abort_name reason) 1);
   emit_ev t "session_abort"
-    [ ("session", Tea_observe.Events.I s.id); ("reason", Tea_observe.Events.S msg) ]
+    [ ("session", Tea_observe.Events.I s.id);
+      ("loop", Tea_observe.Events.I l.index);
+      ("reason", Tea_observe.Events.S msg) ];
+  settle t until_sessions
 
-let complete t s =
+let complete t l until_sessions s =
   let prof =
     P.Profile.merge_all
       (List.map snd (Core.Multi_replayer.snapshots s.multi))
   in
-  Mutex.lock t.fleet_m;
-  t.fleet <- P.Profile.merge t.fleet prof;
-  Mutex.unlock t.fleet_m;
-  Core.Multi_replayer.add_edge_counts s.multi t.fleet_edges;
-  t.completed_n <- t.completed_n + 1;
-  t.fleet_gen <- t.fleet_gen + 1;
-  t.drain_ns <- t.drain_ns + s.busy_ns;
-  t.drain_blocks <- t.drain_blocks + s.blocks;
-  (match s.raw with
-  | Some b ->
-      t.retained <-
-        (Buffer.contents b, s.epoch0, List.rev s.swapped) :: t.retained
-  | None -> ());
-  Metrics.count t.reg "serve.sessions_completed" 1;
-  Metrics.count t.reg "serve.blocks" s.blocks;
-  Metrics.observe_value t.reg "serve.session_bytes" s.bytes_in;
-  Metrics.observe_value t.reg "serve.session_blocks" s.blocks;
-  if s.blocks > 0 then
-    Metrics.observe_value t.reg "serve.session_ns_per_block"
-      (s.busy_ns / s.blocks);
+  with_fleet t (fun () ->
+      t.fleet <- P.Profile.merge t.fleet prof;
+      Core.Multi_replayer.add_edge_counts s.multi t.fleet_edges;
+      t.completed_n <- t.completed_n + 1;
+      t.fleet_gen <- t.fleet_gen + 1;
+      t.drain_ns <- t.drain_ns + s.busy_ns;
+      t.drain_blocks <- t.drain_blocks + s.blocks;
+      match s.raw with
+      | Some b ->
+          t.retained <-
+            (Buffer.contents b, s.epoch0, List.rev s.swapped) :: t.retained
+      | None -> ());
+  with_reg l (fun reg ->
+      l.blocks <- l.blocks + s.blocks;
+      Metrics.count reg "serve.sessions_completed" 1;
+      Metrics.count reg "serve.blocks" s.blocks;
+      Metrics.observe_value reg "serve.session_bytes" s.bytes_in;
+      Metrics.observe_value reg "serve.session_blocks" s.blocks;
+      if s.blocks > 0 then
+        Metrics.observe_value reg "serve.session_ns_per_block"
+          (s.busy_ns / s.blocks));
   emit_ev t "session_close"
     [
       ("session", Tea_observe.Events.I s.id);
+      ("loop", Tea_observe.Events.I l.index);
       ("bytes", Tea_observe.Events.I s.bytes_in);
       ("blocks", Tea_observe.Events.I s.blocks);
     ];
-  drift_check t;
+  (* drift is measured by the coordinator, after the reply *)
   (try Frame.send s.fd Frame.tag_profile (Frame.encode_profile prof)
    with Unix.Unix_error _ | Sys_error _ -> ());
-  try Unix.close s.fd with Unix.Unix_error _ -> ()
+  (try Unix.close s.fd with Unix.Unix_error _ -> ());
+  wake_coordinator t l;
+  settle t until_sessions
 
-let finalize t =
+let finalize t l until_sessions =
   let live = ref [] in
   List.iter
     (fun s ->
@@ -471,170 +533,230 @@ let finalize t =
         (* an answered observer: close and vanish — it never counted as
            a session, so give its accept slot back *)
         (try Unix.close s.fd with Unix.Unix_error _ -> ());
-        t.accepted <- t.accepted - 1
+        Atomic.decr t.accepted
       end
       else
         match s.failed with
-        | Some msg -> drop t s msg
+        | Some f -> drop t l until_sessions s f
         | None ->
-            (* [drain_cycle] has decoded every queued payload *)
+            (* every read was decoded and flushed *)
             if s.ended then
               match Core.Pc_trace.decoder_finish s.dec with
-              | () -> complete t s
+              | () -> complete t l until_sessions s
               | exception Core.Pc_trace.Corrupt msg ->
-                  drop t s ("corrupt trace: " ^ msg)
+                  drop t l until_sessions s (Corrupt, "corrupt trace: " ^ msg)
             else live := s :: !live)
-    t.sessions;
-  t.sessions <- List.rev !live
+    l.sessions;
+  l.sessions <- List.rev !live;
+  Atomic.set l.live (List.length l.sessions)
 
-(* ---- closed-loop retune (driver thread) ---- *)
+(* ---- hot swap: publish (coordinator), adopt (every loop) ---- *)
 
-(* Install a freshly built image as the next epoch. Runs between drain
-   cycles, which is what makes it safe and exact: every queued payload is
-   decoded and every feeder flushed, so each session's [evs] counter is
+(* Rebind this loop's sessions onto the newest published image. Runs at
+   the top of an iteration, before anything is drained: every feeder was
+   flushed after its session's last read, so each session's [evs] is
    precisely the stream position the swap lands on — recorded in the
-   schedule the offline differential replays (the new image is kept for
-   it only under offline_check). Live replayers are rebound in place
-   (orig-id counters, stats and cycles carried over, the state
-   translated), and the drift monitor is re-referenced to the profile
-   the new layout was tuned for, so the gauge measures staleness of the
-   {e current} image, not the boot one. *)
-let swap_image t (img, prof) =
+   schedule the offline differential replays. Live replayers are rebound
+   in place (orig-id counters, stats and cycles carried over, the state
+   translated). A loop that slept through several swaps goes straight to
+   the newest epoch. *)
+let adopt t l =
+  let p = Atomic.get t.published in
+  if p.p_epoch <> l.epoch then begin
+    let t0 = now_ns () in
+    l.epoch <- p.p_epoch;
+    l.image <- p.p_image;
+    List.iter
+      (fun s ->
+        Core.Multi_replayer.rebind s.multi (factory_of p.p_image);
+        s.swapped <- (s.evs, p.p_epoch) :: s.swapped)
+      l.sessions;
+    ignore (Atomic.fetch_and_add t.swap_pause_ns (now_ns () - t0))
+  end
+
+(* Publish a freshly built image as the next epoch (the new image is
+   kept for the oracle only under offline_check), and re-reference the
+   drift monitor to the profile the new layout was tuned for, so the
+   gauge measures staleness of the {e current} image, not the boot one. *)
+let publish t (img, prof) =
   let t0 = now_ns () in
-  t.epoch <- t.epoch + 1;
-  t.image <- img;
-  if t.offline_check then t.epoch_images <- (t.epoch, img) :: t.epoch_images;
-  let rebound = ref 0 in
-  List.iter
-    (fun s ->
-      if (not s.scrape) && s.failed = None then begin
-        (* asids that appear later build on [t.image] already *)
-        Core.Multi_replayer.rebind s.multi (factory_of img);
-        s.swapped <- (s.evs, t.epoch) :: s.swapped;
-        incr rebound
-      end)
-    t.sessions;
-  (match t.drift with
+  let e = epoch t + 1 in
+  if t.offline_check then
+    with_fleet t (fun () -> t.epoch_images <- (e, img) :: t.epoch_images);
+  (match Atomic.get t.drift with
   | Some d ->
-      t.drift <-
-        Some
-          (Tea_observe.Drift.create ~k:(Tea_observe.Drift.k d)
-             ~threshold:(Tea_observe.Drift.threshold d)
-             (Tea_opt.Repack.visit_counts prof));
-      t.drift_over <- false
+      Atomic.set t.drift
+        (Some
+           (Tea_observe.Drift.create ~k:(Tea_observe.Drift.k d)
+              ~threshold:(Tea_observe.Drift.threshold d)
+              (Tea_opt.Repack.visit_counts prof)));
+      t.drift_over <- false;
+      (* measure the fleet against the new reference at once *)
+      t.measured_gen <- -1
   | None -> ());
+  Atomic.set t.published { p_epoch = e; p_image = img };
   let pause = now_ns () - t0 in
-  t.swap_pause_ns <- t.swap_pause_ns + pause;
-  Metrics.count t.reg "serve.swaps" 1;
+  ignore (Atomic.fetch_and_add t.swap_pause_ns pause);
+  with_reg t.loops.(0) (fun reg -> Metrics.count reg "serve.swaps" 1);
   emit_ev t "swap"
     [
-      ("epoch", Tea_observe.Events.I t.epoch);
-      ("sessions", Tea_observe.Events.I !rebound);
+      ("epoch", Tea_observe.Events.I e);
+      ( "sessions",
+        Tea_observe.Events.I
+          (Array.fold_left (fun a l -> a + Atomic.get l.live) 0 t.loops) );
       ("pause_ns", Tea_observe.Events.I pause);
     ]
 
-(* One retune tick, between drain cycles: harvest a finished background
-   rebuild (and swap), then — one observation per completed session, so
-   hysteresis is measured in sessions, not select wakeups — ask the
-   trigger whether to launch the next rebuild over a copy of the fleet's
-   edge counters so far. *)
-let retune_tick t =
-  match t.trigger with
-  | Some trig ->
-      (match t.builder with
-      | Some b -> (
-          match Tea_opt.Retune.poll b with
-          | None -> ()
-          | Some (Error e) ->
-              t.builder <- None;
-              emit_ev t "retune_failed"
-                [ ("error", Tea_observe.Events.S (Printexc.to_string e)) ]
-          | Some (Ok built) ->
-              t.builder <- None;
-              swap_image t built)
-      | None -> ());
-      if Option.is_none t.builder && t.fleet_gen > t.checked_gen then begin
-        let ticks = t.fleet_gen - t.checked_gen in
-        t.checked_gen <- t.fleet_gen;
-        match t.drift with
-        | None -> ()
-        | Some d ->
-            let dist =
-              Tea_observe.Drift.measure d (fleet_profile t).P.Profile.counts
-            in
-            let over = Tea_observe.Drift.exceeded d dist in
-            let fire = ref false in
-            for _ = 1 to ticks do
-              if Tea_observe.Trigger.observe trig over then fire := true
-            done;
-            if !fire then begin
-              let counts = Array.copy t.fleet_edges in
-              let base = Option.get t.base in
-              emit_ev t "retune_start"
-                [
-                  ("distance", Tea_observe.Events.F dist);
-                  ("streams", Tea_observe.Events.I t.completed_n);
-                ];
-              Metrics.count t.reg "serve.retunes" 1;
-              t.builder <-
-                Some
-                  (Tea_opt.Retune.launch (fun () ->
-                       let profile = Core.Packed.edge_profile base counts in
-                       (Tea_opt.Retune.build ~profile base, profile)))
-            end
-      end
+(* The coordinator's tick (loop 0): harvest a finished background
+   rebuild and publish it; then, once per batch of completions, measure
+   drift against the fleet — the one measurement per completion, off
+   every reply path — event its upward threshold crossing (dropping back
+   below re-arms it), and feed the trigger one observation per completed
+   session, so hysteresis is measured in sessions, not wake-ups. *)
+let coordinate t =
+  (match t.builder with
+  | Some b -> (
+      match Tea_opt.Retune.poll b with
+      | None -> ()
+      | Some (Error e) ->
+          t.builder <- None;
+          emit_ev t "retune_failed"
+            [ ("error", Tea_observe.Events.S (Printexc.to_string e)) ]
+      | Some (Ok built) ->
+          t.builder <- None;
+          publish t built)
+  | None -> ());
+  match Atomic.get t.drift with
   | None -> ()
+  | Some d -> (
+      let gen, fleet = with_fleet t (fun () -> (t.fleet_gen, t.fleet)) in
+      if gen > t.measured_gen then begin
+        t.measured_gen <- gen;
+        let dist = Tea_observe.Drift.measure d fleet.P.Profile.counts in
+        let over = Tea_observe.Drift.exceeded d dist in
+        if over && not t.drift_over then
+          emit_ev t "drift_threshold"
+            [
+              ("distance", Tea_observe.Events.F dist);
+              ("threshold", Tea_observe.Events.F (Tea_observe.Drift.threshold d));
+            ];
+        t.drift_over <- over;
+        t.drift_dist <- dist
+      end;
+      match t.trigger with
+      | Some trig when Option.is_none t.builder && t.measured_gen > t.checked_gen
+        ->
+          let ticks = t.measured_gen - t.checked_gen in
+          t.checked_gen <- t.measured_gen;
+          let fire = ref false in
+          for _ = 1 to ticks do
+            if Tea_observe.Trigger.observe trig t.drift_over then fire := true
+          done;
+          if !fire then begin
+            let counts, streams =
+              with_fleet t (fun () -> (Array.copy t.fleet_edges, t.completed_n))
+            in
+            let base = Option.get t.base in
+            emit_ev t "retune_start"
+              [
+                ("distance", Tea_observe.Events.F t.drift_dist);
+                ("streams", Tea_observe.Events.I streams);
+              ];
+            with_reg t.loops.(0) (fun reg -> Metrics.count reg "serve.retunes" 1);
+            t.builder <-
+              Some
+                (Tea_opt.Retune.launch (fun () ->
+                     let profile = Core.Packed.edge_profile base counts in
+                     (Tea_opt.Retune.build ~profile base, profile)))
+          end
+      | _ -> ())
 
-(* ---- the driver loop ---- *)
+(* ---- the event loops ---- *)
 
-let run ?until_sessions t =
-  let chunk = Bytes.create 65536 in
-  let stopping = ref false in
-  let finished = ref false in
+(* One loop: select over the stop pipe, the listener and this loop's own
+   sessions (plus the wake pipe on the coordinator); accept at most one
+   connection per wake; read, decode, replay, complete and reply for
+   every ready session of its own. *)
+let run_loop t l until_sessions =
+  let coord = l.index = 0 in
+  let stopping = ref false and finished = ref false in
+  (* skipped an accept last time round: leave the listener to the
+     less-loaded loop for one select, bounded so a stale balance can
+     delay a connection by a millisecond at most *)
+  let deferred = ref false in
   while not !finished do
+    adopt t l;
     let accepting =
-      (not !stopping) && not (accept_limit_reached t until_sessions)
+      (not !stopping) && not (limit_reached t until_sessions)
     in
+    let listening = accepting && not !deferred in
     let fds =
-      (t.stop_r :: (if accepting then [ t.listen_fd ] else []))
+      (t.stop_r :: (if coord then [ t.wake_r ] else []))
+      @ (if listening then [ t.listen_fd ] else [])
       @ List.filter_map
-          (fun s ->
-            (* every drain cycle decodes everything queued, so a
-               session's undecoded bytes are bounded by the frames one
-               read completes *)
-            if s.failed = None && not s.ended then Some s.fd else None)
-          t.sessions
+          (fun s -> if s.failed = None && not s.ended then Some s.fd else None)
+          l.sessions
     in
-    (* with a rebuild in flight, wake periodically so the finished
-       image gets swapped in even while no client is talking *)
-    let timeout = if Option.is_some t.builder then 0.02 else -1.0 in
+    (* with a rebuild in flight, the coordinator wakes periodically so
+       the finished image gets published even while no client talks *)
+    let timeout =
+      if accepting && !deferred then 0.001
+      else if coord && Option.is_some t.builder then 0.02
+      else -1.0
+    in
     let ready, _, _ =
       try Unix.select fds [] [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    if List.mem t.stop_r ready then begin
-      (try ignore (Unix.read t.stop_r chunk 0 64)
-       with Unix.Unix_error _ -> ());
-      stopping := true
+    deferred := false;
+    if List.mem t.stop_r ready && Atomic.get t.stop_req then stopping := true;
+    if coord && List.mem t.wake_r ready then begin
+      Atomic.set t.wake_pending false;
+      try ignore (Unix.read t.wake_r l.chunk 0 64) with Unix.Unix_error _ -> ()
     end;
-    if accepting && List.mem t.listen_fd ready then
-      accept_all t until_sessions;
-    List.iter
-      (fun s -> if List.memq s.fd ready then read_session t chunk s)
-      t.sessions;
-    drain_cycle t;
-    finalize t;
-    retune_tick t;
+    if listening && List.mem t.listen_fd ready then
+      if busier_than_least t l then deferred := true
+      else accept_one t l until_sessions;
+    List.iter (fun s -> if List.memq s.fd ready then read_session t l s) l.sessions;
+    finalize t l until_sessions;
+    if coord then coordinate t;
     if !stopping then begin
       List.iter
-        (fun s -> drop t s "server shutting down")
-        t.sessions;
-      t.sessions <- [];
+        (fun s -> drop t l until_sessions s (Shutdown, "server shutting down"))
+        l.sessions;
+      l.sessions <- [];
+      Atomic.set l.live 0;
       finished := true
     end
-    else if accept_limit_reached t until_sessions && t.sessions = [] then
-      finished := true
-  done;
+    else
+      match until_sessions with
+      | Some n when Atomic.get t.settled >= n -> finished := true
+      | _ -> ()
+  done
+
+let stop t =
+  Atomic.set t.stop_req true;
+  try ignore (Unix.write t.stop_w (Bytes.make 1 '\001') 0 1)
+  with Unix.Unix_error _ -> ()
+
+let run ?until_sessions t =
+  (* a loop that dies takes the others down with it instead of leaving
+     them serving behind a [run] that can no longer return *)
+  let guarded l () =
+    try run_loop t l until_sessions
+    with e ->
+      stop t;
+      raise e
+  in
+  let others =
+    Array.map (fun l -> Domain.spawn (guarded l))
+      (Array.sub t.loops 1 (Array.length t.loops - 1))
+  in
+  let first = try Ok (guarded t.loops.(0) ()) with e -> Error e in
+  Array.iter Domain.join others;
+  Result.iter_error raise first;
+  (* the completions of the last iteration, measured *)
+  coordinate t;
   (* a rebuild still in flight at shutdown: join its domain and discard
      the image — there is no traffic left to serve it to *)
   match t.builder with
@@ -643,51 +765,50 @@ let run ?until_sessions t =
       t.builder <- None
   | None -> ()
 
-let stop t =
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '\001') 0 1)
-  with Unix.Unix_error _ -> ()
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    Array.iter
+      (fun l ->
+        List.iter
+          (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
+          l.sessions;
+        l.sessions <- [])
+      t.loops;
     List.iter
-      (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
-      t.sessions;
-    t.sessions <- [];
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
-    (match t.unix_path with
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.listen_fd; t.stop_r; t.stop_w; t.wake_r; t.wake_w ];
+    match t.unix_path with
     | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | None -> ());
-    P.Pool.shutdown t.pool
+    | None -> ()
   end
 
 (* ---- results ---- *)
 
-let completed t = t.completed_n
+let completed t = with_fleet t (fun () -> t.completed_n)
 
-let disconnected t = t.disconnected_n
+let disconnected t = Atomic.get t.disconnected_n
 
-let epoch t = t.epoch
+let swap_pause_ns t = Atomic.get t.swap_pause_ns
 
-let swap_pause_ns t = t.swap_pause_ns
-
-let drain_totals t = (t.drain_ns, t.drain_blocks)
+let drain_totals t = with_fleet t (fun () -> (t.drain_ns, t.drain_blocks))
 
 let image_of_epoch t e =
-  match List.assoc_opt e t.epoch_images with Some img -> img | None -> t.image
+  match List.assoc_opt e t.epoch_images with
+  | Some img -> img
+  | None -> (Atomic.get t.published).p_image
 
 (* Sequential re-replay of every retained stream, honouring each
    session's recorded swap schedule: the stream enters on the image of
-   its accept epoch and is rebound at exactly the event indices the live
-   daemon swapped at. Cycles are the one profile component that depends
-   on the image layout, so replaying the same positions on the same
-   epochs is precisely what makes fleet == offline a bit-exact gate
-   across any number of swaps. *)
+   its accept epoch and is rebound at exactly the event indices its loop
+   swapped at. Cycles are the one profile component that depends on the
+   image layout, so replaying the same positions on the same epochs is
+   precisely what makes fleet == offline a bit-exact gate across any
+   number of swaps. *)
 let offline_profile t =
   if not t.offline_check then
     invalid_arg "Server.offline_profile: created without ~offline_check:true";
+  let retained = with_fleet t (fun () -> t.retained) in
   List.fold_left
     (fun acc (raw, epoch0, swaps) ->
       let img = ref (image_of_epoch t epoch0) in
@@ -717,9 +838,11 @@ let offline_profile t =
       Core.Multi_replayer.feeder_flush fdr;
       P.Profile.merge acc
         (P.Profile.merge_all (List.map snd (Core.Multi_replayer.snapshots m))))
-    P.Profile.empty (List.rev t.retained)
+    P.Profile.empty (List.rev retained)
 
 (* What [serve --save-fleet-profile] persists as TEAEP1 so the next
    daemon start can seed tuning from real traffic. The counters are
    layout-independent, so any epoch's image reads them. *)
-let fleet_edge_profile t = Core.Packed.edge_profile t.image t.fleet_edges
+let fleet_edge_profile t =
+  let img = (Atomic.get t.published).p_image in
+  with_fleet t (fun () -> Core.Packed.edge_profile img t.fleet_edges)

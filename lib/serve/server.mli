@@ -7,33 +7,37 @@
     image), and per-session profiles are associative, so they fold into
     one live {e fleet profile} exactly.
 
-    Architecture (the panda-il-trace shape: the producer pushes raw
-    bytes, the workers decode):
+    Architecture: [jobs] identical {b event loops}, one per domain, in
+    the panda-il-trace shape of one worker per core with no producer
+    ever blocked behind a consumer. Loop 0 runs on {!run}'s caller and
+    loops 1 to [jobs - 1] on spawned domains.
 
-    - a single {b driver} thread owns all I/O: it [select]s over the
-      listener, a stop pipe and every live session socket, accepts new
-      sessions, parses {!Frame}s and queues each data frame's payload,
-      undecoded, on a {b per-session byte queue} — about one byte per
-      block crosses to the workers, not a decoded event record;
-    - each cycle, every session with queued bytes becomes one task on a
-      {!Tea_parallel.Pool}: the task runs the session's incremental
-      {!Tea_core.Pc_trace.decoder} over its payloads straight into its
-      replayer ({!Tea_core.Multi_replayer.feeder_decode}), so sessions
-      decode and replay {e in parallel across} the pool while each
-      session's own bytes stay strictly ordered (one task per session
-      per cycle, ordered by the pool mutex); a cycle with one ready
-      session runs its task on the driver, which would otherwise only
-      wait for it;
-    - every drain cycle decodes everything queued before the next
-      [select], so a session's undecoded bytes are bounded by the frames
-      one socket read completes (the [serve.queue_depth] histogram
-      records them per task);
+    - every loop [select]s over the shared non-blocking listener, a stop
+      pipe and {e its own} sessions, and does everything for a session
+      it accepted: reading the socket, parsing {!Frame}s, decoding the
+      payloads of each read through the session's incremental
+      {!Tea_core.Pc_trace.decoder} straight into its replayer
+      ({!Tea_core.Multi_replayer.feeder_decode}), completion and the
+      reply. A session never crosses domains, and a short session never
+      waits for another session's replay. [serve.queue_depth] records
+      the payload bytes each read hands to the decoder;
+    - accept balancing: a loop accepts at most one connection per wake,
+      and leaves it to a less-loaded loop while it holds more live
+      sessions than the least-loaded one (the listener is
+      level-triggered, so that loop wakes too). Two sessions open at
+      once land on two different loops;
+    - shared state is small: the fleet profile, its edge counters and
+      the drain totals sit under one mutex, taken once per completion;
+      each loop keeps its own metrics registry under its own lock, and
+      a scrape, answered by whichever loop accepted it, merges them
+      without waiting for any loop's replay;
     - a completed session (end-of-stream frame received and every byte
       decoded) folds its profile into the fleet and gets the profile
       echoed back; a {b mid-stream disconnect} (EOF, reset, bad framing,
-      corrupt trace — the last found by the worker, with the same
-      ["corrupt trace: ..."] message) discards the partial session —
-      other sessions and the fleet profile are untouched;
+      corrupt trace, asid cap, shutdown) discards the partial session —
+      other sessions and the fleet profile are untouched — and bumps
+      exactly one [serve.aborts.<reason>] counter, so the family sums
+      to [serve.disconnects];
     - a session may name at most {!max_session_asids} address spaces:
       the block that would create one more fails that session alone,
       with a ["too many address spaces ..."] error reply. Each asid
@@ -45,18 +49,21 @@
     sequentially ({!Tea_parallel.Profile.equal} — property-tested at
     jobs 1/2/4, on flat and repacked+fused images).
 
-    {b Closed-loop continuous PGO.} With [~retune] the daemon re-tunes
-    itself: after each completed session the drift gauge is fed to a
-    {!Tea_observe.Trigger}; when it fires, a background domain rebuilds
-    the repack→fuse ladder from the {e flat base image} and the fleet
-    edge profile so far ({!fleet_edge_profile}, {!Tea_opt.Retune}) — no
-    served stream is kept — and the finished image is
-    hot-swapped in between two drain cycles — every live session's
-    replayers are rebound in place ({!Tea_core.Multi_replayer.rebind}),
-    the swap position is recorded per session, and the image {e epoch}
-    (0 = boot) is bumped, evented ([swap]) and exposed as a
-    [tea_image_epoch] gauge. Because every queued byte is decoded and
-    every feeder flushed at a drain-cycle boundary, {!offline_profile}
+    {b Closed-loop continuous PGO.} Loop 0 also {e coordinates}. After
+    completions (its own, or another loop's, which wakes it) it measures
+    drift once against the fleet and feeds the gauge to a
+    {!Tea_observe.Trigger}; when that fires, a background domain
+    rebuilds the repack→fuse ladder from the {e flat base image} and
+    the fleet edge profile so far ({!fleet_edge_profile},
+    {!Tea_opt.Retune}) — no served stream is kept. Loop 0 publishes the
+    finished image with its {e epoch} (0 = boot) in one atomic, events
+    it ([swap]) and exposes it as a [tea_image_epoch] gauge. Every loop
+    compares the published epoch with its own at the top of each
+    iteration, before it drains anything, and rebinds its live sessions
+    in place ({!Tea_core.Multi_replayer.rebind}), recording the swap
+    position per session; an asid a session opens later builds on its
+    loop's image, never on a newer one the session has not recorded.
+    Because every feeder is flushed after each read, {!offline_profile}
     can replay each stream against the exact same image at the exact
     same positions: fleet == offline stays bit-exact across any number
     of swaps. *)
@@ -84,7 +91,7 @@ val create :
   image:Tea_core.Packed.t ->
   Frame.addr ->
   t
-(** Bind, listen and spawn the worker pool. [offline_check] (default
+(** Bind and listen; {!run} starts the [jobs] event loops. [offline_check] (default
     false) keeps every completed session's raw bytes and every epoch's
     image (memory that grows with traffic) so {!offline_profile} can
     re-derive the fleet profile sequentially.
@@ -94,8 +101,8 @@ val create :
     [events] attaches a structured JSONL event log (session lifecycle,
     drift crossings, retune/swap); [drift] attaches a
     profile-drift comparator re-measured against the fleet profile
-    after every completed session. Both default to off — the disabled
-    path adds no work to the drain cycle.
+    after completions, by loop 0. Both default to off — the disabled
+    path adds no work to a session's replay or reply.
 
     [base] is the flat (unfused, unrepacked) source image rebuilds start
     from; [retune] enables the closed loop and requires both [drift] and
@@ -114,18 +121,21 @@ val addr : t -> Frame.addr
 (** The bound address (with the real port for ephemeral TCP). *)
 
 val run : ?until_sessions:int -> t -> unit
-(** The driver loop, on the calling thread. Returns after {!stop}, or —
-    with [until_sessions = n] — once [n] sessions have been accepted and
-    every accepted session terminated (completed or disconnected); the
-    listener stops accepting after the [n]th. Call once. *)
+(** Run the event loops: loop 0 on the calling thread, the others on
+    [jobs - 1] domains joined before returning. Returns after {!stop},
+    or — with [until_sessions = n] — once [n] sessions have been
+    accepted and every accepted session terminated (completed or
+    disconnected); the listener stops accepting after the [n]th. Call
+    once. *)
 
 val stop : t -> unit
-(** Ask a running {!run} to return (thread/domain-safe, returns
+(** Ask a running {!run} to return: every loop drops its live sessions
+    (reason [shutdown]) and ends (thread/domain-safe, returns
     immediately; idempotent). *)
 
 val close : t -> unit
-(** Release sockets and shut the pool down. Idempotent; call after
-    {!run} returned. *)
+(** Release the sockets and pipes. Idempotent; call after {!run}
+    returned. *)
 
 (** {2 Results and observability} *)
 
@@ -137,8 +147,8 @@ val completed : t -> int
 
 val disconnected : t -> int
 (** Sessions dropped mid-stream (EOF without end-of-stream frame, bad
-    framing, corrupt trace bytes). Their partial profiles are {e not} in
-    the fleet. *)
+    framing, corrupt trace bytes, asid cap, shutdown). Their partial
+    profiles are {e not} in the fleet. *)
 
 val offline_profile : t -> Tea_parallel.Profile.t
 (** Sequential reference replay: every kept completed-session stream
@@ -154,12 +164,13 @@ val epoch : t -> int
 (** Current image epoch: 0 until the first hot swap. *)
 
 val swap_pause_ns : t -> int
-(** Cumulative wall time spent inside swaps (epoch bump + rebinding
-    every live session) — the "stop" part of stop-the-fleet, measured. *)
+(** Cumulative wall time spent inside swaps (publishing each epoch, plus
+    every loop's rebinding of its live sessions) — the "stop" part of
+    stop-the-fleet, measured. *)
 
 val drain_totals : t -> int * int
 (** [(busy_ns, blocks)] summed over completed sessions — the decode
-    and replay work the pool did, excluding socket I/O and framing.
+    and replay work the loops did, excluding socket I/O and framing.
     Steady-state
     ns/block between two samples is the retune bench's throughput
     measure. *)
@@ -171,13 +182,18 @@ val fleet_edge_profile : t -> Tea_opt.Repack.profile
     payload. *)
 
 val metrics : t -> Tea_telemetry.Metrics.snapshot
-(** Registry counters ([serve.sessions_completed], [serve.bytes_in],
-    [serve.blocks], [serve.frames], [serve.disconnects], ...) and
+(** Every loop's registry, merged: counters ([serve.sessions_completed],
+    [serve.bytes_in], [serve.blocks], [serve.frames],
+    [serve.disconnects], [serve.aborts.<reason>] for [corrupt],
+    [bad_framing], [asid_cap], [disconnect] and [shutdown], ...) and
     per-session histograms ([serve.session_bytes],
     [serve.session_blocks], [serve.session_ns_per_block] (decode plus
-    replay), [serve.queue_depth] (undecoded bytes per session at each
-    drain cycle)) merged with the pool's per-domain counters.
-    Read when {!run} is not mid-cycle (e.g. after it returned). *)
+    replay), [serve.queue_depth] (payload bytes each read hands to the
+    decoder)). Safe to read at any time. *)
+
+val loop_blocks : t -> int array
+(** The blocks of the sessions each loop completed, by loop index; they
+    sum to [serve.blocks]. *)
 
 val drift_distance : t -> (float * float) option
 (** The last drift measurement against the attached comparator as
@@ -191,7 +207,8 @@ val tiers : t -> Tea_core.Tierstat.snapshot
 
 val exposition : t -> string
 (** The Prometheus-style text exposition ({!Tea_observe.Exposition}) of
-    {!metrics}, the dispatch tiers ({!tiers}) and the drift gauge. This
+    {!metrics}, the dispatch tiers ({!tiers}), the per-loop blocks
+    ({!loop_blocks}) and the drift gauge. This
     is exactly the payload a {!Frame.tag_scrape} connection receives;
     because
     scrapes are pure observers (never counted as sessions, no metric

@@ -377,10 +377,28 @@ let send_frames fd s ~lo ~hi =
     off := !off + k
   done
 
+(* Poll the daemon's counter [name] until it reaches [n]. *)
+let await_counter srv name n =
+  let rec go tries =
+    let v =
+      Option.value ~default:0
+        (Tea_telemetry.Metrics.find_counter (Server.metrics srv) name)
+    in
+    if v < n then
+      if tries = 0 then Alcotest.failf "%s stuck at %d, expected %d" name v n
+      else begin
+        ignore (Unix.select [] [] [] 0.002);
+        go (tries - 1)
+      end
+  in
+  go 2500
+
 (* a daemon that must swap: the drift reference points at a state the
    traffic never visits, so every completed session measures maximal
-   drift and the up=1 trigger fires immediately. One session stays open
-   across the swap, half sent before it and half after. *)
+   drift and the up=1 trigger fires immediately. One session per loop
+   stays open across the swap, half sent before it and half after:
+   loop 0 publishes the swap while the sessions on every other loop are
+   mid-stream. *)
 let run_swapping_daemon ~jobs =
   let base = branchy () in
   let drift = Drift.create ~threshold:0.2 [ (5000, 100) ] in
@@ -400,8 +418,10 @@ let run_swapping_daemon ~jobs =
   let s2 = stream_of [ 0x400; 0x300; 0x500 ] 30 in
   let across = across_stream () in
   let half = String.length across / 2 in
-  let across_fd = Frame.connect addr in
-  send_frames across_fd across ~lo:0 ~hi:half;
+  (* held open at once, the [jobs] sessions land on [jobs] loops *)
+  let across_fds = List.init jobs (fun _ -> Frame.connect addr) in
+  List.iter (fun fd -> send_frames fd across ~lo:0 ~hi:half) across_fds;
+  await_counter srv "serve.sessions_accepted" jobs;
   let sent = ref [] in
   (* phase 1: traffic until the scrape shows the epoch bumped *)
   let deadline = 400 in
@@ -421,16 +441,23 @@ let run_swapping_daemon ~jobs =
     ignore (Client.replay_string addr s2);
     sent := s2 :: !sent
   done;
-  send_frames across_fd across ~lo:half ~hi:(String.length across);
-  Frame.send across_fd Frame.tag_end "";
-  (match Frame.recv across_fd with
-  | Some f when f.Frame.tag = Frame.tag_profile -> sent := across :: !sent
-  | _ -> Alcotest.fail "the session open across the swap got no profile");
-  Unix.close across_fd;
+  List.iter
+    (fun fd ->
+      send_frames fd across ~lo:half ~hi:(String.length across);
+      Frame.send fd Frame.tag_end "";
+      (match Frame.recv fd with
+      | Some f when f.Frame.tag = Frame.tag_profile -> sent := across :: !sent
+      | _ -> Alcotest.fail "a session open across the swap got no profile");
+      Unix.close fd)
+    across_fds;
   Server.stop srv;
   Domain.join driver;
   check Alcotest.int "all sessions completed" (List.length !sent)
     (Server.completed srv);
+  Array.iteri
+    (fun i b ->
+      if b = 0 then Alcotest.failf "jobs %d: loop %d completed no session" jobs i)
+    (Server.loop_blocks srv);
   if Server.epoch srv < 1 then Alcotest.fail "epoch not bumped";
   (* the fleet edge profile spans the swap and the session open across
      it: every epoch counted in the same original ids *)

@@ -675,52 +675,166 @@ let test_daemon_client_module () =
   check Alcotest.int "one completed" 1 (Server.completed srv);
   check Alcotest.int "three rejected" 3 (Server.disconnected srv)
 
-(* The pool's unit counters are the daemon's block accounting: every
-   drain task credits its blocks to the entry that ran it — the driver's
-   caller entry for a one-session cycle, a worker otherwise — so at jobs
-   2 the entries sum to serve.blocks and nothing lands on the residual. *)
-let test_daemon_pool_accounting () =
-  let image = fixture_packed () in
-  let srv = Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ())) in
-  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
-  let streams = mixed_streams () in
-  let driver =
-    Domain.spawn (fun () ->
-        Server.run ~until_sessions:(2 + List.length streams) srv)
-  in
-  let replay s = ignore (Client.replay_string ~chunk:3 (Server.addr srv) s) in
-  (* two sessions alone: one ready session per cycle, run on the driver *)
-  List.iter replay [ List.hd streams; List.nth streams 4 ];
-  (* then every stream at once, from two client domains *)
-  let half = List.filteri (fun i _ -> i mod 2 = 0) streams in
-  let other = Domain.spawn (fun () -> List.iter replay half) in
-  List.iter replay (List.filteri (fun i _ -> i mod 2 = 1) streams);
-  Domain.join other;
-  Domain.join driver;
-  let counters = (Server.metrics srv).Tea_telemetry.Metrics.s_counters in
-  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let units =
-    List.fold_left
-      (fun a (name, v) ->
-        if String.starts_with ~prefix:"pool.domain" name
-           && String.ends_with ~suffix:".units" name
-        then a + v
-        else a)
-      0 counters
-  in
-  let blocks = counter "serve.blocks" in
-  check Alcotest.bool "blocks served" true (blocks > 0);
-  check Alcotest.int "pool units == serve.blocks" blocks units;
-  check Alcotest.int "residual" 0 (counter "pool.residual_units");
-  check Alcotest.bool "the caller entry ran the lone sessions" true
-    (counter "pool.domain02.units" > 0)
-
 (* a session naming [n] address spaces, one block in each *)
 let asid_storm n =
   bytes_of_events
     (List.concat
        (List.init n (fun asid ->
             [ Pc_trace.Switch { asid }; Pc_trace.Block { start = 0x100; insns = 1 } ])))
+
+let count_blocks s =
+  List.length
+    (List.filter
+       (fun (_, ev) -> match ev with Pc_trace.Block _ -> true | _ -> false)
+       (stamped_of_bytes s))
+
+(* Poll the daemon's counter [name] until it reaches [n]. *)
+let await_counter srv name n =
+  let rec go tries =
+    let v =
+      Option.value ~default:0
+        (Tea_telemetry.Metrics.find_counter (Server.metrics srv) name)
+    in
+    if v < n then
+      if tries = 0 then Alcotest.failf "%s stuck at %d, expected %d" name v n
+      else begin
+        ignore (Unix.select [] [] [] 0.002);
+        go (tries - 1)
+      end
+  in
+  go 2500
+
+let exposition_loops text =
+  List.filter_map
+    (fun line -> Scanf.sscanf_opt line "tea_loop_blocks_total{loop=%S} %d" (fun l n -> (l, n)))
+    (String.split_on_char '\n' text)
+
+(* Per-loop accounting: every loop credits the blocks of the sessions it
+   completed, so at jobs 2 the loops sum to serve.blocks; two sessions
+   held open at once land on different loops. *)
+let test_daemon_loop_accounting () =
+  let rounds = 8 in
+  let image = fixture_packed () in
+  let srv = Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ())) in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let streams = mixed_streams () in
+  let driver =
+    Domain.spawn (fun () ->
+        Server.run ~until_sessions:((2 * rounds) + List.length streams) srv)
+  in
+  let addr = Server.addr srv in
+  (* two sessions open at once, the second connecting only after the
+     first was accepted: half of each stream, then the rest. Eight
+     rounds, each landing one session on each loop. *)
+  let pair = [ List.hd streams; List.nth streams 4 ] in
+  for round = 1 to rounds do
+    let before = Server.loop_blocks srv in
+    let fds =
+      List.mapi
+        (fun i s ->
+          let fd = Frame.connect addr in
+          Frame.send fd Frame.tag_data (String.sub s 0 (String.length s / 2));
+          await_counter srv "serve.sessions_accepted" ((2 * (round - 1)) + i + 1);
+          fd)
+        pair
+    in
+    List.iter2
+      (fun fd s ->
+        let h = String.length s / 2 in
+        Frame.send fd Frame.tag_data (String.sub s h (String.length s - h));
+        Frame.send fd Frame.tag_end "";
+        (match Frame.recv fd with
+        | Some f when f.Frame.tag = Frame.tag_profile ->
+            check profile "held-open reply" (offline_of_bytes image s)
+              (Frame.decode_profile f.Frame.payload)
+        | _ -> Alcotest.fail "a held-open session got no profile");
+        Unix.close fd)
+      fds pair;
+    check
+      Alcotest.(list int)
+      (Printf.sprintf "round %d: two sessions held open at once, one per loop" round)
+      (List.sort compare (List.map count_blocks pair))
+      (List.sort compare
+         (Array.to_list (Array.mapi (fun i b -> b - before.(i)) (Server.loop_blocks srv))))
+  done;
+  (* then every stream at once, from two client domains *)
+  let replay s = ignore (Client.replay_string ~chunk:3 addr s) in
+  let half = List.filteri (fun i _ -> i mod 2 = 0) streams in
+  let other = Domain.spawn (fun () -> List.iter replay half) in
+  List.iter replay (List.filteri (fun i _ -> i mod 2 = 1) streams);
+  Domain.join other;
+  Domain.join driver;
+  let blocks =
+    Option.value ~default:0
+      (Tea_telemetry.Metrics.find_counter (Server.metrics srv) "serve.blocks")
+  in
+  check Alcotest.int "serve.blocks"
+    (List.fold_left (fun a s -> a + count_blocks s) 0 streams
+    + (rounds * List.fold_left (fun a s -> a + count_blocks s) 0 pair))
+    blocks;
+  check Alcotest.int "per-loop blocks sum to serve.blocks" blocks
+    (Array.fold_left ( + ) 0 (Server.loop_blocks srv));
+  check
+    Alcotest.(list (pair string int))
+    "the exposition carries every loop"
+    (List.mapi (fun i n -> (string_of_int i, n)) (Array.to_list (Server.loop_blocks srv)))
+    (exposition_loops (Server.exposition srv))
+
+(* One crafted client per abort reason: each drop bumps exactly one
+   serve.aborts.<reason> counter, and the family sums to
+   serve.disconnects. *)
+let test_daemon_abort_reasons () =
+  let image = fixture_packed () in
+  let srv = Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ())) in
+  Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+  let driver = Domain.spawn (fun () -> Server.run srv) in
+  let addr = Server.addr srv in
+  let refused what s =
+    match Client.replay_string ~chunk:7 addr s with
+    | _ -> Alcotest.failf "%s: served" what
+    | exception Client.Server_error msg -> msg
+  in
+  check Alcotest.string "corrupt" "corrupt trace: varint too long"
+    (refused "corrupt" (corrupt_stream ()));
+  check Alcotest.string "asid cap"
+    (Printf.sprintf "too many address spaces (at most %d per session)"
+       Server.max_session_asids)
+    (refused "asid cap" (asid_storm (Server.max_session_asids + 1)));
+  (* a data frame claiming more than the payload cap *)
+  let fd = Frame.connect addr in
+  ignore (Unix.write_substring fd "D\xFF\xFF\xFF\xFF" 0 5);
+  (match Frame.recv fd with
+  | Some f when f.Frame.tag = Frame.tag_error ->
+      check Alcotest.string "bad framing" "bad framing: frame payload too large"
+        f.Frame.payload
+  | _ -> Alcotest.fail "bad framing: expected an error reply");
+  Unix.close fd;
+  (* part of a stream, then a close with no end-of-stream frame *)
+  let s = List.hd (mixed_streams ()) in
+  let fd = Frame.connect addr in
+  Frame.send fd Frame.tag_data (String.sub s 0 20);
+  Unix.close fd;
+  await_counter srv "serve.disconnects" 4;
+  (* mid-stream when the daemon stops *)
+  let fd = Frame.connect addr in
+  Frame.send fd Frame.tag_data (String.sub s 0 20);
+  await_counter srv "serve.sessions_accepted" 5;
+  Server.stop srv;
+  Domain.join driver;
+  Unix.close fd;
+  let m = Server.metrics srv in
+  let counter name =
+    Option.value ~default:0 (Tea_telemetry.Metrics.find_counter m name)
+  in
+  let reasons = [ "corrupt"; "bad_framing"; "asid_cap"; "disconnect"; "shutdown" ] in
+  List.iter
+    (fun r -> check Alcotest.int ("serve.aborts." ^ r) 1 (counter ("serve.aborts." ^ r)))
+    reasons;
+  check Alcotest.int "the family sums to serve.disconnects"
+    (counter "serve.disconnects")
+    (List.fold_left (fun a r -> a + counter ("serve.aborts." ^ r)) 0 reasons);
+  check Alcotest.int "disconnected" 5 (Server.disconnected srv);
+  check Alcotest.int "completed" 0 (Server.completed srv)
 
 let test_daemon_asid_cap () =
   (* one asid past the cap fails that session alone; exactly the cap is
@@ -825,8 +939,10 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_daemon_disconnect_isolation;
           Alcotest.test_case "client module" `Quick test_daemon_client_module;
-          Alcotest.test_case "pool units == serve.blocks (jobs 2)" `Quick
-            test_daemon_pool_accounting;
+          Alcotest.test_case "loop blocks == serve.blocks (jobs 2)" `Quick
+            test_daemon_loop_accounting;
+          Alcotest.test_case "typed abort reasons" `Quick
+            test_daemon_abort_reasons;
           qtest prop_daemon_random_streams;
           Alcotest.test_case "asid cap: a storm fails alone, heap bounded" `Quick
             test_daemon_asid_cap;
