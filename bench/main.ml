@@ -38,10 +38,9 @@ let die fmt =
       exit 1)
     fmt
 
-(* A compiled-engine replayer over a private dup of [img]. *)
+(* A compiled-engine replayer over [img]. *)
 let compiled_replayer img =
-  Tea_core.Replayer.create_compiled
-    (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
+  Tea_core.Replayer.create_compiled (Tea_core.Compiled.of_packed img)
 
 (* ---- shared fixtures: workloads, recording, capture, tuning, timing ---- *)
 
@@ -107,7 +106,7 @@ let reps_for len = 1 + (2_000_000 / max 1 len)
 (* A sampler timing [reps] compiled replays of the stream over [img],
    compiled once outside the timed loop. *)
 let replay_sampler ~reps img starts insns ~len =
-  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+  let c = Tea_core.Compiled.of_packed img in
   fun () ->
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
@@ -121,10 +120,10 @@ let replay_sampler ~reps img starts insns ~len =
    own delta rather than the probe set, so the count is the same whether
    or not the harness runs under --telemetry/--metrics. *)
 let fused_steps img starts insns ~len =
-  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+  let c = Tea_core.Compiled.of_packed img in
   let counts = Array.make (Tea_core.Packed.n_counters img) 0 in
-  (Tea_core.Compiled.run c ~state:Tea_core.Automaton.nte ~counts starts insns
-     ~len)
+  (Tea_core.Compiled.run c (Tea_core.Compiled.rare ())
+     ~state:Tea_core.Automaton.nte ~counts starts insns ~len)
     .Tea_core.Compiled.d_fused_steps
 
 let run_tables ~benchmarks ~which =
@@ -218,13 +217,15 @@ let benchmarks () =
   let step_packed =
     let packed = Tea_core.Packed.freeze auto in
     let counts = Array.make (Tea_core.Packed.n_counters packed) 0 in
+    let cycles = ref 0 in
     let i = ref 0 in
     Test.make ~name:"table4/step-packed"
       (Staged.stage (fun () ->
            incr i;
            let pc = addrs.(!i mod n) in
            Sys.opaque_identity
-             (Tea_core.Packed.step packed counts Tea_core.Automaton.nte pc)))
+             (Tea_core.Packed.step packed counts cycles Tea_core.Automaton.nte
+                pc)))
   in
   [
     table1;
@@ -680,7 +681,7 @@ let ladder_workload name =
                     ri "moved_states" (Tea_opt.Repack.moved_states img);
                   ]
               | "fuse" ->
-                  let c = Tea_core.Compiled.of_packed (Tea_core.Packed.dup img) in
+                  let c = Tea_core.Compiled.of_packed img in
                   [
                     r "fused_step_fraction"
                       (float_of_int (fused_steps img starts insns ~len)
@@ -1318,8 +1319,7 @@ let run_observe_engine ~workload ~engine img starts insns ~len =
     ri "blocks" len;
     ri "fused_steps" (fused_steps img starts insns ~len);
     ri "chain_matchers"
-      (Tea_core.Compiled.chained_states
-         (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img)));
+      (Tea_core.Compiled.chained_states (Tea_core.Compiled.of_packed img));
   ]
   @ List.init Tea_core.Tierstat.n_tiers (fun t ->
         ri

@@ -400,11 +400,10 @@ let tune_image ?hot_prefix ~pgo ~fuse packed starts ~len =
   else if fuse then Probe.with_span "fuse" @@ fun () -> Tea_opt.Fuse.fuse packed
   else packed
 
-(* one fresh compiled replayer over a private dup of a shared image (what
-   Shard builds by default) *)
+(* one fresh compiled replayer over an image (what Shard builds by
+   default) *)
 let make_replayer img =
-  Tea_core.Replayer.create_compiled
-    (Tea_core.Compiled.of_packed (Tea_core.Packed.dup img))
+  Tea_core.Replayer.create_compiled (Tea_core.Compiled.of_packed img)
 
 (* ---- scenario mode ----
 
@@ -532,7 +531,8 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~pgo ~fuse
   in
   let streams = List.map fst prepared in
   let images = Array.of_list (List.map snd prepared) in
-  let make a = make_replayer images.(a) in
+  let compiled = Array.map Tea_core.Compiled.of_packed images in
+  let make a = Tea_core.Replayer.create_compiled compiled.(a) in
   let scn =
     match kind with
     | `Interleave ->
@@ -711,8 +711,7 @@ let replay_cmd =
                     packed
                 in
                 Tea_core.Replayer.rebind rep
-                  (Tea_core.Replayer.Compiled
-                     (Tea_core.Compiled.of_packed (Tea_core.Packed.dup tuned)));
+                  (Tea_core.Replayer.Compiled (Tea_core.Compiled.of_packed tuned));
                 Tea_core.Replayer.feed_run rep ~off:mid ~insns starts
                   ~len:(len - mid);
                 swapped := Some (tuned, mid, len);
@@ -1575,9 +1574,9 @@ let serve_cmd =
   let serve_engine_arg =
     engine_arg_of
       ~doc:
-        "Session replay engine: compiled (closure-threaded dispatch; each \
-         session compiles its own dup of the shared image) is the only \
-         value."
+        "Session replay engine: compiled (closure-threaded dispatch; the \
+         image is compiled once per epoch and shared by every session) is \
+         the only value."
       [ ("compiled", `Compiled) ]
       `Compiled
   in

@@ -14,9 +14,9 @@
    stream.
 
    The batch-loop state — cursor, batch bound, cycle accumulator, plus
-   the two loop-invariant arrays — is threaded through every closure as
-   arguments
-   [(addrs, counts, i, stop, cycles)], so the fast paths touch no
+   the two loop-invariant arrays and the replayer's rare-path record —
+   is threaded through every closure as arguments
+   [(r, addrs, counts, i, stop, cycles)], so the fast paths touch no
    mutable record at all. [counts] is the replayer's counter array
    ({!Packed.n_counters}): each step bumps exactly one counter — the
    edge it took, an index captured at build time, or on the hash path
@@ -25,10 +25,10 @@
    remaining accounting is derived:
    [total] is the batch's instruction sum (a pure prefix sum computed
    once per [run]), [covered] is [total] minus the instructions of the
-   rare steps that land in NTE (accumulated only on the hash-miss and
-   NTE-edge paths), and enters/exits only move on those same NTE
-   boundaries. Threading keeps every per-step quantity in registers at
-   the cost of one arity check per indirect jump.
+   rare steps that land in NTE (accumulated in [r] only on the
+   hash-miss and NTE-edge paths), and enters/exits only move on those
+   same NTE boundaries. Threading keeps every per-step quantity in
+   registers at the cost of one arity check per indirect jump.
 
    Batch bounding: every closure's first act is [i >= stop], and chain
    matchers never compare past [stop], so a run that would cross a
@@ -36,13 +36,14 @@
    the next [run] — exactly the property that keeps a trace file
    streamed in batches bit-identical to one whole-array run.
 
-   A compiled image owns one mutable rare-path context shared by all
-   its closures, so a [t] must not be run from two domains at once;
-   pool replay builds one per task (over a {!Packed.dup} sibling). *)
+   A compiled image is an immutable value: the closures capture only
+   arrays that never change after the build, and everything a batch
+   writes lives in the caller's [counts] and [r]. One image therefore
+   serves any number of replayers, on any number of domains at once. *)
 
-(* Rare-path accumulators and batch-return slots; the hot paths never
-   touch this record. *)
-type ctx = {
+(* Rare-path accumulators and batch-return slots, one record per
+   replayer; the hot paths never touch it. *)
+type rare = {
   mutable ins : int array; (* read only on NTE-landing steps *)
   mutable halt : int; (* final slot, written when i >= stop *)
   mutable halt_cycles : int; (* threaded cycle sum, written at halt *)
@@ -55,13 +56,26 @@ type ctx = {
   mutable hprobe : Tea_telemetry.Metrics.histogram option;
 }
 
-type node = int array -> int array -> int -> int -> int -> unit
-(* addrs -> counts -> i -> stop -> cycles *)
+let rare () =
+  {
+    ins = [||];
+    halt = Automaton.nte;
+    halt_cycles = 0;
+    uncovered = 0;
+    enters = 0;
+    exits = 0;
+    g_hits = 0;
+    g_miss = 0;
+    fused_steps = 0;
+    hprobe = None;
+  }
+
+type node = rare -> int array -> int array -> int -> int -> int -> unit
+(* r -> addrs -> counts -> i -> stop -> cycles *)
 
 type t = {
   base : Packed.t;
   nodes : node array; (* one dispatch closure per slot *)
-  ctx : ctx;
   n_closures : int;
   degree_hist : (int * int) list; (* (fan-out degree, states), sorted *)
   fallback_states : int; (* degree > scan_cap: minihash fallback *)
@@ -114,32 +128,20 @@ let of_packed packed =
   let hits0 = Array.length labels in
   let nte = Automaton.nte in
   let edge_cost, miss_cost = Packed.resolution_costs packed in
-  let ctx =
-    {
-      ins = [||];
-      halt = nte;
-      halt_cycles = 0;
-      uncovered = 0;
-      enters = 0;
-      exits = 0;
-      g_hits = 0;
-      g_miss = 0;
-      fused_steps = 0;
-      hprobe = None;
-    }
-  in
   let nodes : node array =
-    Array.make (max 1 n_slots) (fun _ _ _ _ _ -> ())
+    Array.make (max 1 n_slots) (fun _ _ _ _ _ _ -> ())
   in
   (* Shared cross-trace dispatch: the span missed (or was empty), so
      probe the global trace-head hash — the same fall-back tier
      {!Packed.step} ends in, with the same charges. All the
      NTE-boundary accounting (uncovered, enters, exits) lives here and
-     in the NTE-edge actions; the hot paths never touch [ctx]. [hc] is
+     in the NTE-edge actions; the hot paths never touch [r]. [hc] is
      the source's hash-hit counter; its hash-miss counter is [n_slots]
-     above. *)
-  let dispatch_hash prev hc miss_extra pc addrs counts i stop cycles =
-    let cycles = cycles + miss_extra + Packed.cost_hash_base in
+     above, and the source is NTE iff [hc = hits0] (NTE is pinned to
+     original id 0). Callers add the source's span-miss charge to
+     [cycles], so every argument stays in a register. *)
+  let dispatch_hash hc pc r addrs counts i stop cycles =
+    let cycles = cycles + Packed.cost_hash_base in
     let idx = ref (Packed.hash_pc mask pc) in
     let found = ref (-2) in
     let probes = ref 0 in
@@ -151,23 +153,23 @@ let of_packed packed =
       else idx := (!idx + 1) land mask
     done;
     let cycles = cycles + (!probes * Packed.cost_hash_probe) in
-    (match ctx.hprobe with
+    (match r.hprobe with
     | None -> ()
     | Some h -> Tea_telemetry.Metrics.observe h !probes);
     if !found >= 0 then begin
       let next = !found in
-      ctx.g_hits <- ctx.g_hits + 1;
-      if prev = nte then ctx.enters <- ctx.enters + 1;
+      r.g_hits <- r.g_hits + 1;
+      if hc = hits0 then r.enters <- r.enters + 1;
       Array.unsafe_set counts hc (1 + Array.unsafe_get counts hc);
-      (Array.unsafe_get nodes next) addrs counts (i + 1) stop cycles
+      (Array.unsafe_get nodes next) r addrs counts (i + 1) stop cycles
     end
     else begin
-      ctx.g_miss <- ctx.g_miss + 1;
+      r.g_miss <- r.g_miss + 1;
       let mi = hc + n_slots in
       Array.unsafe_set counts mi (1 + Array.unsafe_get counts mi);
-      ctx.uncovered <- ctx.uncovered + Array.unsafe_get ctx.ins i;
-      if prev <> nte then ctx.exits <- ctx.exits + 1;
-      (Array.unsafe_get nodes nte) addrs counts (i + 1) stop
+      r.uncovered <- r.uncovered + Array.unsafe_get r.ins i;
+      if hc <> hits0 then r.exits <- r.exits + 1;
+      (Array.unsafe_get nodes nte) r addrs counts (i + 1) stop
         (cycles + Transition.cost_nte_miss)
     end
   in
@@ -175,21 +177,21 @@ let of_packed packed =
      counter are all compile-time constants of the closure) and jump to
      the target's closure. Specialized on the NTE-ness of both ends so
      the common in-trace edge touches no rare-path state. *)
-  let edge_action src e : int array -> int array -> int -> int -> int -> unit =
+  let edge_action src e : node =
     let tgt = targets.(e) and cost = edge_cost.(e) and oe = eo.(e) in
     if tgt <> nte then
-      if src <> nte then fun addrs counts i stop cycles ->
+      if src <> nte then fun r addrs counts i stop cycles ->
         Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
-        (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
-      else fun addrs counts i stop cycles ->
-        ctx.enters <- ctx.enters + 1;
+        (Array.unsafe_get nodes tgt) r addrs counts (i + 1) stop (cycles + cost)
+      else fun r addrs counts i stop cycles ->
+        r.enters <- r.enters + 1;
         Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
-        (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
-    else fun addrs counts i stop cycles ->
-      ctx.uncovered <- ctx.uncovered + Array.unsafe_get ctx.ins i;
-      if src <> nte then ctx.exits <- ctx.exits + 1;
+        (Array.unsafe_get nodes tgt) r addrs counts (i + 1) stop (cycles + cost)
+    else fun r addrs counts i stop cycles ->
+      r.uncovered <- r.uncovered + Array.unsafe_get r.ins i;
+      if src <> nte then r.exits <- r.exits + 1;
       Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe);
-      (Array.unsafe_get nodes tgt) addrs counts (i + 1) stop (cycles + cost)
+      (Array.unsafe_get nodes tgt) r addrs counts (i + 1) stop (cycles + cost)
   in
   let n_closures = ref 0 in
   let deg_hist = Hashtbl.create 16 in
@@ -203,17 +205,17 @@ let of_packed packed =
     let lo = offsets.(s) and hi = offsets.(s + 1) in
     let deg = hi - lo in
     let mc = miss_cost.(s) and hc = hits0 + orig_of.(s) in
-    let miss pc addrs counts i stop cycles =
-      dispatch_hash s hc mc pc addrs counts i stop cycles
+    let miss pc r addrs counts i stop cycles =
+      dispatch_hash hc pc r addrs counts i stop (cycles + mc)
     in
-    if deg = 0 then fun addrs counts i stop cycles ->
+    if deg = 0 then fun r addrs counts i stop cycles ->
       if i >= stop then begin
-        ctx.halt <- s;
-        ctx.halt_cycles <- cycles
+        r.halt <- s;
+        r.halt_cycles <- cycles
       end
       else begin
         let pc = Array.unsafe_get addrs i in
-        miss pc addrs counts i stop cycles
+        miss pc r addrs counts i stop cycles
       end
     else if deg <= scan_cap then begin
       (* short linear scan over captured span copies, in span (profile)
@@ -222,17 +224,17 @@ let of_packed packed =
          member's fall-through, which always misses its one edge. *)
       let labs = Array.sub labels lo deg in
       let acts = Array.init deg (fun k -> edge_action s (lo + k)) in
-      fun addrs counts i stop cycles ->
+      fun r addrs counts i stop cycles ->
         if i >= stop then begin
-          ctx.halt <- s;
-          ctx.halt_cycles <- cycles
+          r.halt <- s;
+          r.halt_cycles <- cycles
         end
         else begin
           let pc = Array.unsafe_get addrs i in
           let k = ref 0 in
           while !k < deg && Array.unsafe_get labs !k <> pc do incr k done;
-          if !k < deg then (Array.unsafe_get acts !k) addrs counts i stop cycles
-          else miss pc addrs counts i stop cycles
+          if !k < deg then (Array.unsafe_get acts !k) r addrs counts i stop cycles
+          else miss pc r addrs counts i stop cycles
         end
     end
     else begin
@@ -253,10 +255,10 @@ let of_packed packed =
       let hkeys, hvals = Packed.build_hash pairs deg in
       let hmask = Array.length hkeys - 1 in
       let acts = Array.init deg (fun k -> edge_action s (lo + k)) in
-      fun addrs counts i stop cycles ->
+      fun r addrs counts i stop cycles ->
         if i >= stop then begin
-          ctx.halt <- s;
-          ctx.halt_cycles <- cycles
+          r.halt <- s;
+          r.halt_cycles <- cycles
         end
         else begin
           let pc = Array.unsafe_get addrs i in
@@ -269,8 +271,8 @@ let of_packed packed =
             else idx := (!idx + 1) land hmask
           done;
           if !found >= 0 then
-            (Array.unsafe_get acts !found) addrs counts i stop cycles
-          else miss pc addrs counts i stop cycles
+            (Array.unsafe_get acts !found) r addrs counts i stop cycles
+          else miss pc r addrs counts i stop cycles
         end
     end
   in
@@ -342,7 +344,7 @@ let of_packed packed =
   done;
   let make_region s : node =
     incr n_closures;
-    fun addrs counts i stop cycles ->
+    fun r addrs counts i stop cycles ->
       let cur = ref s and j = ref i and cy = ref cycles in
       let live = ref true in
       while !live && !j < stop do
@@ -367,8 +369,8 @@ let of_packed packed =
         else live := false
       done;
       if !j >= stop then begin
-        ctx.halt <- !cur;
-        ctx.halt_cycles <- !cy
+        r.halt <- !cur;
+        r.halt_cycles <- !cy
       end
       else begin
         let c = !cur in
@@ -376,11 +378,11 @@ let of_packed packed =
         if Array.unsafe_get r_l0 c <> npc then
           (* a region slot whose whole span just missed: exactly the
              interpreted span miss — on to the trace-head hash *)
-          dispatch_hash c
+          dispatch_hash
             (hits0 + Array.unsafe_get orig_of c)
-            (Array.unsafe_get miss_cost c) pc addrs counts !j stop
-            !cy
-        else (Array.unsafe_get nodes c) addrs counts !j stop !cy
+            pc r addrs counts !j stop
+            (!cy + Array.unsafe_get miss_cost c)
+        else (Array.unsafe_get nodes c) r addrs counts !j stop !cy
       end
   in
   let chained = ref 0 in
@@ -411,10 +413,10 @@ let of_packed packed =
             csum := !csum + fecost.(e)
           done;
           let csum = !csum in
-          fun addrs counts i stop cycles ->
+          fun r addrs counts i stop cycles ->
             if i >= stop then begin
-              ctx.halt <- s;
-              ctx.halt_cycles <- cycles
+              r.halt <- s;
+              r.halt_cycles <- cycles
             end
             else begin
               let j = ref i and q = ref (lo + p) in
@@ -427,7 +429,7 @@ let of_packed packed =
                 if !q = hi then q := lo
               done;
               let m = !j - i in
-              if m = 0 then base_run addrs counts i stop cycles
+              if m = 0 then base_run r addrs counts i stop cycles
               else begin
                 let cycles = ref cycles in
                 let l = hi - lo in
@@ -451,18 +453,18 @@ let of_packed packed =
                   incr e;
                   if !e = hi then e := lo
                 done;
-                ctx.fused_steps <- ctx.fused_steps + m;
+                r.fused_steps <- r.fused_steps + m;
                 let last = if !q = lo then hi - 1 else !q - 1 in
                 (Array.unsafe_get nodes (Array.unsafe_get ftgt last))
-                  addrs counts !j stop !cycles
+                  r addrs counts !j stop !cycles
               end
             end
         end
         else
-          fun addrs counts i stop cycles ->
+          fun r addrs counts i stop cycles ->
             if i >= stop then begin
-              ctx.halt <- s;
-              ctx.halt_cycles <- cycles
+              r.halt <- s;
+              r.halt_cycles <- cycles
             end
             else begin
               let j = ref i and q = ref (lo + p) in
@@ -474,7 +476,7 @@ let of_packed packed =
                 incr q
               done;
               let m = !j - i in
-              if m = 0 then base_run addrs counts i stop cycles
+              if m = 0 then base_run r addrs counts i stop cycles
               else begin
                 let cycles = ref cycles in
                 for e = lo + p to lo + p + m - 1 do
@@ -482,10 +484,10 @@ let of_packed packed =
                   let oe = Array.unsafe_get fedge e in
                   Array.unsafe_set counts oe (1 + Array.unsafe_get counts oe)
                 done;
-                ctx.fused_steps <- ctx.fused_steps + m;
+                r.fused_steps <- r.fused_steps + m;
                 (Array.unsafe_get nodes
                    (Array.unsafe_get ftgt (lo + p + m - 1)))
-                  addrs counts !j stop !cycles
+                  r addrs counts !j stop !cycles
               end
             end
   in
@@ -506,7 +508,6 @@ let of_packed packed =
   {
     base = packed;
     nodes;
-    ctx;
     n_closures = !n_closures;
     degree_hist;
     fallback_states = !fallback;
@@ -514,21 +515,20 @@ let of_packed packed =
     region_states = !region_members;
   }
 
-let run t ~state ~counts ?(off = 0) addrs ins ~len =
+let run t r ~state ~counts ?(off = 0) addrs ins ~len =
   (* the closures index [counts] unchecked *)
   if Array.length counts <> Packed.n_counters t.base then
     invalid_arg "Compiled.run: counter array does not match the image";
-  let c = t.ctx in
-  c.ins <- ins;
-  c.halt <- state;
-  c.halt_cycles <- 0;
-  c.uncovered <- 0;
-  c.enters <- 0;
-  c.exits <- 0;
-  c.g_hits <- 0;
-  c.g_miss <- 0;
-  c.fused_steps <- 0;
-  (c.hprobe <-
+  r.ins <- ins;
+  r.halt <- state;
+  r.halt_cycles <- 0;
+  r.uncovered <- 0;
+  r.enters <- 0;
+  r.exits <- 0;
+  r.g_hits <- 0;
+  r.g_miss <- 0;
+  r.fused_steps <- 0;
+  (r.hprobe <-
      (match Tea_telemetry.Probe.metrics () with
      | None -> None
      | Some m ->
@@ -540,21 +540,21 @@ let run t ~state ~counts ?(off = 0) addrs ins ~len =
     total := !total + Array.unsafe_get ins k
   done;
   let total = !total in
-  (Array.unsafe_get t.nodes state) addrs counts off (off + len) 0;
+  (Array.unsafe_get t.nodes state) r addrs counts off (off + len) 0;
   let d =
     {
-      d_state = c.halt;
-      d_covered = total - c.uncovered;
+      d_state = r.halt;
+      d_covered = total - r.uncovered;
       d_total = total;
-      d_enters = c.enters;
-      d_exits = c.exits;
-      d_g_hits = c.g_hits;
-      d_g_miss = c.g_miss;
-      d_fused_steps = c.fused_steps;
-      d_cycles = c.halt_cycles;
+      d_enters = r.enters;
+      d_exits = r.exits;
+      d_g_hits = r.g_hits;
+      d_g_miss = r.g_miss;
+      d_fused_steps = r.fused_steps;
+      d_cycles = r.halt_cycles;
     }
   in
-  (* drop batch references so the context never pins a caller's arrays *)
-  c.ins <- [||];
-  c.hprobe <- None;
+  (* drop batch references so the record never pins a caller's arrays *)
+  r.ins <- [||];
+  r.hprobe <- None;
   d

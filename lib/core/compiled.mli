@@ -27,21 +27,21 @@
     build time), so cycles remain a pure function of the replayed
     stream.
 
-    The batch-loop state (cursor, bound, cycle accumulator and the two
-    loop-invariant arrays) is threaded through the closures as
-    arguments, so the hot paths keep it in registers; every closure is
-    bounded by the threaded [stop], so replay over a compiled image in
-    batches is bit-identical to one whole-array run. A [t] owns one
-    mutable rare-path context shared by its closures: it must not be
-    run from two domains concurrently — build one per pool task over a
-    {!Packed.dup} sibling. *)
+    The batch-loop state (cursor, bound, cycle accumulator, the two
+    loop-invariant arrays and the caller's {!rare} record) is threaded
+    through the closures as arguments, so the hot paths keep it in
+    registers; every closure is bounded by the threaded [stop], so
+    replay over a compiled image in batches is bit-identical to one
+    whole-array run. A [t] is an immutable value: everything a batch
+    writes lives in the caller's counters and {!rare} record, so one
+    image serves any number of replayers, on any number of domains at
+    once. *)
 
 type t
 
 val of_packed : Packed.t -> t
 (** Compile a packed image. O(states + edges); the packed image is
-    retained as {!base} (stats and cycle counters keep accumulating
-    there). *)
+    retained as {!base}. *)
 
 val base : t -> Packed.t
 
@@ -63,8 +63,17 @@ type delta = {
     [len - d_g_hits - d_g_miss]: every step resolves in-span / on-chain,
     in the global hash, or not at all. *)
 
+type rare
+(** A replayer's rare-path accumulators (NTE boundaries, hash hits and
+    misses, fused steps, the batch's halt state and cycles), written by
+    {!run} and read back into its {!delta}. Each replayer allocates one
+    and passes it to every batch. *)
+
+val rare : unit -> rare
+
 val run :
   t ->
+  rare ->
   state:int ->
   counts:int array ->
   ?off:int ->
@@ -72,14 +81,15 @@ val run :
   int array ->
   len:int ->
   delta
-(** [run t ~state ~counts ~off addrs ins ~len] replays
+(** [run t r ~state ~counts ~off addrs ins ~len] replays
     [addrs.(off..off+len-1)] (with parallel per-block instruction
     counts [ins]) starting in slot [state], bumping each step's counter
-    in [counts] ({!Packed.n_counters}) exactly as {!Packed.step} does.
-    The caller validates [state], [off] and [len] ({!Replayer.feed_run}
-    does). Dispatch-tier attribution: every compiled-resolved step bumps
-    the [compiled] tier; hash resolutions bump [hash]/[miss] — a total
-    partition of the batch.
+    in [counts] ({!Packed.n_counters}) exactly as {!Packed.step} does;
+    the dispatch tiers are read off those counters
+    ({!Tierstat.of_counters}). [r] is the caller's own record: two
+    batches may run on one image at the same time only with distinct
+    [counts] and [r]. The caller validates [state], [off] and [len]
+    ({!Replayer.feed_run} does).
     @raise Invalid_argument when [counts] has the wrong length. *)
 
 (** {2 Image statistics} *)

@@ -61,14 +61,11 @@ let flush_all t = Hashtbl.iter (fun _ e -> flush e) t.table
 
 (* Hot image swap across the whole address-space table: buffered runs
    replay on the image they were fed under, then every live replayer is
-   rebound in place, so entries, the cache and any feeder stay valid.
-   [make] builds a whole replayer per asid only to donate its engine; the
-   throwaway is cheap next to the rebuild that precedes a swap. *)
-let rebind t make =
+   rebound in place onto the one shared engine, so entries, the cache
+   and any feeder stay valid. *)
+let rebind t engine =
   flush_all t;
-  Hashtbl.iter
-    (fun asid e -> Replayer.rebind e.rep (Replayer.engine (make asid)))
-    t.table
+  Hashtbl.iter (fun _ e -> Replayer.rebind e.rep engine) t.table
 
 (* A control record, as the decoder hands it over. A cut models losing
    the translated-code context: the target's buffered run replays first,

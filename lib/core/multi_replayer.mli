@@ -28,19 +28,17 @@ type t
 
 val create : (int -> Replayer.t) -> t
 (** [create make]: [make asid] builds the replayer for an asid on its
-    first block (e.g. [fun a -> Replayer.create_compiled
-    (Compiled.of_packed (Packed.dup (image_for a)))] — pass each asid a
-    {e dup} when images are shared: stats and cycles live on the
-    image). *)
+    first block (e.g. [fun _ -> Replayer.create_compiled c], every asid
+    over one shared compiled image [c]). *)
 
-val rebind : t -> (int -> Replayer.t) -> unit
-(** [rebind t make] hot-swaps every live per-asid replayer onto the
-    engine of [make asid] — {!Replayer.rebind} in place, so counts,
-    states, stats and cycles carry across and any {!feeder} stays valid.
-    Buffered feeder runs replay first, on the image they were fed under.
-    Asids that first appear later are still built by {!create}'s factory,
-    so a factory that must follow swaps reads the current image when it
-    is called. [make] must hand each asid a private dup.
+val rebind : t -> Replayer.engine -> unit
+(** [rebind t engine] hot-swaps every live per-asid replayer onto
+    [engine] — {!Replayer.rebind} in place, so counts, states, stats and
+    cycles carry across and any {!feeder} stays valid. Buffered feeder
+    runs replay first, on the image they were fed under. Asids that
+    first appear later are still built by {!create}'s factory, so a
+    factory that must follow swaps reads the current image when it is
+    called.
     @raise Invalid_argument if any engine involved is [Reference] or the
     images disagree on slot count. *)
 
@@ -141,4 +139,4 @@ val replay_isolated : (int -> Replayer.t) -> string -> (int * Replayer.snapshot)
     isolation; per-asid snapshots for asids that executed blocks, sorted.
     The reference side of the gate: must equal {!snapshots} of a demuxed
     {!replay_events} over the same file and factory (with the factory
-    handing out independent replayers, e.g. fresh [Packed.dup]s). *)
+    handing out a fresh replayer per call). *)

@@ -55,7 +55,8 @@ type fusion = {
      the identity on a flat image, and [edge_orig] its edge analogue
      (pooled edge -> its index in the flat image), which replay counts
      in.
-   No flat array mutates during replay; only the counter block does. *)
+   Nothing in [t] mutates after construction: replay writes only the
+   caller's counters and cycle accumulator. *)
 type t = {
   offsets : int array;
   labels : int array;
@@ -72,12 +73,10 @@ type t = {
   edge_orig : int array;
   edge_cost : int array;
   miss_cost : int array;
-  fusion : fusion option; (* immutable overlay; shared by {!dup} *)
+  fusion : fusion option; (* immutable overlay *)
   repacked : bool;
   mask : int; (* Array.length hash_keys - 1 *)
   auto : Automaton.t option;
-  st : Transition.stats;
-  mutable total_cycles : int;
 }
 
 (* Cost constants. A binary-search halving is a compare plus a conditional
@@ -221,8 +220,6 @@ let make_t ~offsets ~labels ~targets ~state_trace ~state_tbb ~state_start
     repacked;
     mask = Array.length hash_keys - 1;
     auto;
-    st = Transition.fresh_stats ();
-    total_cycles = 0;
   }
 
 let freeze auto =
@@ -269,11 +266,8 @@ let freeze auto =
     ~state_insns ~hash_keys ~hash_vals ~hot_len:(Array.make n_slots 0)
     ~orig_of:(identity n_slots) ~auto:(Some auto) ~repacked:false
 
-(* The flat arrays are immutable after freeze; only the counter block
-   mutates during replay. Sharing it across domains would race, so a
-   parallel driver gives each worker its own counters over the same
-   layout. *)
-let dup t = { t with st = Transition.fresh_stats (); total_cycles = 0 }
+(* An image is immutable, so a copy is the image itself. *)
+let dup t = t
 
 let n_slots t = Array.length t.offsets - 1
 
@@ -286,12 +280,6 @@ let n_heads t =
   Array.fold_left (fun acc k -> if k >= 0 then acc + 1 else acc) 0 t.hash_keys
 
 let automaton t = t.auto
-
-let stats t = t.st
-
-let cycles t = t.total_cycles
-
-let add_cycles t n = t.total_cycles <- t.total_cycles + n
 
 let is_repacked t = t.repacked
 
@@ -329,15 +317,6 @@ let edge_profile t counts =
   done;
   { visits; taken; misses }
 
-let reset_counters t =
-  t.total_cycles <- 0;
-  let st = t.st in
-  st.Transition.steps <- 0;
-  st.Transition.in_trace_hits <- 0;
-  st.Transition.cache_hits <- 0;
-  st.Transition.global_hits <- 0;
-  st.Transition.global_misses <- 0
-
 let state_insns t s =
   if s >= 0 && s < n_slots t then t.state_insns.(s) else 0
 
@@ -356,8 +335,9 @@ let head_of t pc =
 (* The hot path is written with tail-recursive helpers carrying their
    accumulators in arguments: without flambda a [ref] is a minor-heap
    allocation, and five of those per step cost more than the search itself.
-   A helper that charges ([probe]) does so into [total_cycles] at its
-   terminal case, so the accounting is identical to the obvious loop. *)
+   A helper that charges ([probe]) does so into the caller's [cycles] at
+   its terminal case, so the accounting is identical to the obvious
+   loop. *)
 
 (* Branchless lower bound over a sorted span. It charges nothing: the
    resolution cost comes from the [edge_cost]/[miss_cost] tables. *)
@@ -377,28 +357,27 @@ let rec scan_prefix labels pc i stop =
 
 (* Open-addressing probe; returns the head state or -1, charging one
    [cost_hash_probe] per slot examined (terminal slot included). *)
-let rec probe t keys vals mask pc i cost =
+let rec probe cycles keys vals mask pc i cost =
   let k = Array.unsafe_get keys i in
   if k = pc then begin
-    t.total_cycles <- t.total_cycles + cost;
+    cycles := !cycles + cost;
     Array.unsafe_get vals i
   end
   else if k < 0 then begin
-    t.total_cycles <- t.total_cycles + cost;
+    cycles := !cycles + cost;
     -1
   end
-  else probe t keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
+  else probe cycles keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
 
 (* Shared cold tail: hash the PC and probe for a trace head, charging the
-   hash-path costs and bumping the cross-trace stats and the source's
-   hash-hit or hash-miss counter ([hc] is the hit counter's index; the
-   miss counter sits [n_slots] above it). *)
-let step_hash t counts m hc pc =
-  let st = t.st in
-  t.total_cycles <- t.total_cycles + cost_hash_base;
-  let c0 = t.total_cycles in
+   hash-path costs and bumping the source's hash-hit or hash-miss
+   counter ([hc] is the hit counter's index; the miss counter sits
+   [n_slots] above it). *)
+let step_hash t counts cycles m hc pc =
+  cycles := !cycles + cost_hash_base;
+  let c0 = !cycles in
   let found =
-    probe t t.hash_keys t.hash_vals t.mask pc (hash_pc t.mask pc)
+    probe cycles t.hash_keys t.hash_vals t.mask pc (hash_pc t.mask pc)
       cost_hash_probe
   in
   (* [probe] charges [cost_hash_probe] (= 1) per slot examined, so the
@@ -407,9 +386,8 @@ let step_hash t counts m hc pc =
   | None -> ()
   | Some m ->
       Tea_telemetry.Metrics.observe_value m "packed.hash_probe_len"
-        ((t.total_cycles - c0) / cost_hash_probe));
+        ((!cycles - c0) / cost_hash_probe));
   if found >= 0 then begin
-    st.Transition.global_hits <- st.Transition.global_hits + 1;
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.global_hit" 1);
@@ -417,13 +395,12 @@ let step_hash t counts m hc pc =
     found
   end
   else begin
-    st.Transition.global_misses <- st.Transition.global_misses + 1;
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.global_miss" 1);
     let mi = hc + n_slots t in
     counts.(mi) <- counts.(mi) + 1;
-    t.total_cycles <- t.total_cycles + Transition.cost_nte_miss;
+    cycles := !cycles + Transition.cost_nte_miss;
     Automaton.nte
   end
 
@@ -432,11 +409,9 @@ let step_hash t counts m hc pc =
    charge is the layout's precomputed [edge_cost] / [miss_cost]; one
    count goes to the resolved edge, the hash hit or the hash miss, in
    [counts]' original-id layout. *)
-let step t counts state pc =
+let step t counts cycles state pc =
   if state < 0 || state + 1 >= Array.length t.offsets then
     invalid_arg "Packed.step: state id outside the frozen image";
-  let st = t.st in
-  st.Transition.steps <- st.Transition.steps + 1;
   (* [m] is [None] whenever telemetry is off, so the disabled per-step
      cost is one atomic load and the option matches below. *)
   let m = Tea_telemetry.Probe.metrics () in
@@ -451,8 +426,7 @@ let step t counts state pc =
       if Array.unsafe_get t.labels b = pc then b else -1
   in
   if e >= 0 then begin
-    st.Transition.in_trace_hits <- st.Transition.in_trace_hits + 1;
-    t.total_cycles <- t.total_cycles + Array.unsafe_get t.edge_cost e;
+    cycles := !cycles + Array.unsafe_get t.edge_cost e;
     (match m with
     | None -> ()
     | Some m -> Tea_telemetry.Metrics.count m "packed.in_trace_hit" 1);
@@ -461,8 +435,8 @@ let step t counts state pc =
     Array.unsafe_get t.targets e
   end
   else begin
-    t.total_cycles <- t.total_cycles + Array.unsafe_get t.miss_cost state;
-    step_hash t counts m (n_edges t + Array.unsafe_get t.orig_of state) pc
+    cycles := !cycles + Array.unsafe_get t.miss_cost state;
+    step_hash t counts cycles m (n_edges t + Array.unsafe_get t.orig_of state) pc
   end
 
 (* The precomputed resolution costs, for the passes that must charge
@@ -650,9 +624,7 @@ let with_fusion t (f : fusion) =
     if f.fcyc.(c) = 1 && f.ftgt.(hi - 1) <> owner.(lo) then
       fail "cyclic chain %d does not close on its first member" c
   done;
-  (* A fresh sibling (as {!dup}: own counters) carrying the overlay, so
-     attaching fusion never aliases live mutable state. *)
-  { (dup t) with fusion = Some f }
+  { t with fusion = Some f }
 
 let fusion_of t = t.fusion
 

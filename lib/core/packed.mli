@@ -20,12 +20,15 @@
     (use {!check} to detect staleness, or re-{!freeze}). This mirrors the
     reference engine's own [Transition.refresh] contract.
 
-    Counters use the same {!Transition.stats} record so the Table 2–4
-    drivers run unchanged on either engine. A packed image has no local
-    caches: resolutions the reference engine splits between [cache_hits]
-    and [global_hits] all land in [global_hits] here ([cache_hits] stays
-    0); [steps], [in_trace_hits] and [global_misses] match the reference
-    engine exactly.
+    An image is an immutable value: replay writes only the caller's
+    counter array ({!n_counters}) and cycle accumulator, so one image
+    serves any number of replayers on any number of domains. A
+    replayer's {!Transition.stats} are derived from its counters
+    ({!Replayer.stats}). A packed image has no local caches: resolutions
+    the reference engine splits between [cache_hits] and [global_hits]
+    all land in [global_hits] here ([cache_hits] stays 0); [steps],
+    [in_trace_hits] and [global_misses] match the reference engine
+    exactly.
 
     {2 Repacked images}
 
@@ -67,36 +70,23 @@ val freeze : Automaton.t -> t
 (** Compile the automaton's current contents. O(states + transitions). *)
 
 val dup : t -> t
-(** A sibling image sharing the same (immutable) flat arrays but with
-    fresh, zeroed {!stats} and {!cycles} counters. Siblings are safe to
-    step concurrently from different domains. O(1). *)
+(** The identity: an image is immutable, so it needs no copy. *)
 
-val step : t -> int array -> Automaton.state -> int -> Automaton.state
-(** [step t counts state pc] — the DFA transition on label [pc]. Same
-    semantics as {!Transition.step}: in-trace edge first, then trace-head
-    lookup, else NTE. Accumulates {!cycles} and {!stats}, and bumps the
-    step's one counter in [counts] (see {!n_counters}) exactly as the
-    {!Compiled} batch does. The in-trace resolution order is hot prefix
-    (empty on a flat image), then binary search over the sorted tail; the
-    charge comes from {!resolution_costs}.
-    @raise Invalid_argument on a state id the frozen image never
-    contained, or a [counts] array too short for the image. *)
-
-val stats : t -> Transition.stats
-
-val cycles : t -> int
-(** Simulated cycles spent in the transition function (packed cost model:
+val step :
+  t -> int array -> int ref -> Automaton.state -> int -> Automaton.state
+(** [step t counts cycles state pc] — the DFA transition on label [pc].
+    Same semantics as {!Transition.step}: in-trace edge first, then
+    trace-head lookup, else NTE. Bumps the step's one counter in
+    [counts] (see {!n_counters}) exactly as the {!Compiled} batch does,
+    and adds the step's simulated cycles to [cycles] (packed cost model:
     one cycle per binary-search halving or linear hot-prefix probe,
     {!cost_hash_base} plus one cycle per probe on the hash path, and the
-    engine-independent {!Transition.cost_nte_miss} on misses). *)
-
-val reset_counters : t -> unit
-(** Zero {!stats} and {!cycles}. *)
-
-val add_cycles : t -> int -> unit
-(** Charge simulated cycles computed outside {!step}. Used by
-    {!Replayer.feed_run}, whose compiled batch replicates the step costs
-    and flushes the accumulated cost once per batch. *)
+    engine-independent {!Transition.cost_nte_miss} on misses). The
+    in-trace resolution order is hot prefix (empty on a flat image),
+    then binary search over the sorted tail; the charge comes from
+    {!resolution_costs}.
+    @raise Invalid_argument on a state id the frozen image never
+    contained, or a [counts] array too short for the image. *)
 
 val automaton : t -> Automaton.t option
 (** The automaton this image was frozen from; [None] when the image was
@@ -220,8 +210,7 @@ type fusion = {
 }
 
 val with_fusion : t -> fusion -> t
-(** A fresh sibling of [t] (as {!dup}: own zeroed counters) carrying the
-    overlay.
+(** [t] with the overlay attached ([t] itself is unchanged).
     Validates the overlay against the base arrays: chain ids/positions
     in range and bijective onto pooled slots, NTE never chained, every
     chain edge an exact restatement of a 1-edge span ([fsig]/[ftgt]

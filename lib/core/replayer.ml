@@ -14,6 +14,8 @@ type t = {
       (* compiled: per original state id, runs ended there minus runs
          started there ([create] and [set_state]); empty for reference *)
   mutable state : Automaton.state;
+  rare : Compiled.rare; (* compiled: the batch's rare-path accumulators *)
+  cycles : int ref; (* compiled: simulated cycles, charged by every step *)
   mutable covered : int;
   mutable total : int;
   mutable enters : int;
@@ -28,6 +30,8 @@ let make engine auto counts bounds =
     counts;
     bounds;
     state = Automaton.nte;
+    rare = Compiled.rare ();
+    cycles = ref 0;
     covered = 0;
     total = 0;
     enters = 0;
@@ -95,28 +99,32 @@ let feed_addr t ?(insns = 0) addr =
       account_ref t prev (Transition.step trans prev addr) insns
   | Compiled c ->
       (* single-step path: the base image's interpreted step is
-         observationally identical (and updates the same stats and
-         counters), so the compiled closures stay batch-only *)
-      account t prev (Packed.step (Compiled.base c) t.counts prev addr) insns);
+         observationally identical (and bumps the same counters and
+         cycles), so the compiled closures stay batch-only *)
+      account t prev
+        (Packed.step (Compiled.base c) t.counts t.cycles prev addr)
+        insns);
   probe_step prev t.state
 
 let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
 
 (* Batch replay through the closure-threaded compiled image: the
    threading itself lives in {!Compiled}; this wrapper validates the
-   entry state, hands over the counter array (every closure writes
-   straight into it), applies the batch's deltas and flushes the same
-   telemetry/stats {!Packed.step} bumps one at a time. In-trace hits are
-   derived ([len - hash hits - hash misses]): every step resolves
-   in-span / on-chain, in the global hash, or not at all — the three
-   dispatch tiers, whose totals an installed {!Tierstat} tally gets once
-   per batch. *)
+   entry state, hands over the counter array and the rare-path record
+   (every closure writes straight into them), applies the batch's deltas
+   and flushes the same telemetry {!Packed.step} bumps one at a time.
+   In-trace hits are derived ([len - hash hits - hash misses]): every
+   step resolves in-span / on-chain, in the global hash, or not at all —
+   the three dispatch tiers, whose totals an installed {!Tierstat} tally
+   gets once per batch. *)
 let run_compiled t c addrs ins ~off ~len =
   let base = Compiled.base c in
   let n_slots = Packed.n_slots base in
   if t.state < 0 || t.state >= n_slots then
     invalid_arg "Replayer.feed_run: state id outside the frozen image";
-  let d = Compiled.run c ~state:t.state ~counts:t.counts ~off addrs ins ~len in
+  let d =
+    Compiled.run c t.rare ~state:t.state ~counts:t.counts ~off addrs ins ~len
+  in
   let in_hits = len - d.Compiled.d_g_hits - d.Compiled.d_g_miss in
   Tierstat.add_totals ~hash:d.Compiled.d_g_hits ~miss:d.Compiled.d_g_miss
     ~compiled:in_hits;
@@ -137,13 +145,7 @@ let run_compiled t c addrs ins ~off ~len =
   t.total <- t.total + d.Compiled.d_total;
   t.enters <- t.enters + d.Compiled.d_enters;
   t.exits <- t.exits + d.Compiled.d_exits;
-  let st = Packed.stats base in
-  st.Transition.steps <- st.Transition.steps + len;
-  st.Transition.in_trace_hits <- st.Transition.in_trace_hits + in_hits;
-  st.Transition.global_hits <- st.Transition.global_hits + d.Compiled.d_g_hits;
-  st.Transition.global_misses <-
-    st.Transition.global_misses + d.Compiled.d_g_miss;
-  Packed.add_cycles base d.Compiled.d_cycles
+  t.cycles := !(t.cycles) + d.Compiled.d_cycles
 
 let no_insns = [||]
 
@@ -273,15 +275,29 @@ let add_edge_counts t acc =
 
 let automaton t = t.auto
 
+(* The compiled engine's stats, read off its counters: every step bumps
+   exactly one, so steps are their sum, in-trace hits the edge block's,
+   hash hits and misses the two per-state blocks' (no local caches). *)
 let stats t =
   match t.engine with
   | Reference trans -> Transition.stats trans
-  | Compiled c -> Packed.stats (Compiled.base c)
+  | Compiled c ->
+      let base = Compiled.base c in
+      let ne = Packed.n_edges base and n = Packed.n_slots base in
+      let sum lo len = Array.fold_left ( + ) 0 (Array.sub t.counts lo len) in
+      let in_trace = sum 0 ne and hits = sum ne n and misses = sum (ne + n) n in
+      {
+        Transition.steps = in_trace + hits + misses;
+        in_trace_hits = in_trace;
+        cache_hits = 0;
+        global_hits = hits;
+        global_misses = misses;
+      }
 
 let cycles t =
   match t.engine with
   | Reference trans -> Transition.cycles trans
-  | Compiled c -> Packed.cycles (Compiled.base c)
+  | Compiled _ -> !(t.cycles)
 
 let trace_profile t id =
   match t.auto with
@@ -304,12 +320,13 @@ let transition t =
   | Reference trans -> trans
   | Compiled _ -> invalid_arg "Replayer.transition: compiled engine"
 
-(* Hot image swap. The edge counters are in original-id space and stay
-   as they are; the current state crosses the orig-id permutation (slot
-   [s] of the old image and slot [slot_of_state new (orig_state old s)]
-   of the new one are the same automaton state, NTE pinned to slot 0);
-   engine stats and cycles are carried additively onto the new image, so
-   a snapshot taken right after rebind equals one taken right before. *)
+(* Hot image swap. The edge counters (and so the stats derived from
+   them) are in original-id space and stay as they are, as do the
+   replayer's cycles; the current state crosses the orig-id permutation
+   (slot [s] of the old image and slot [slot_of_state new (orig_state
+   old s)] of the new one are the same automaton state, NTE pinned to
+   slot 0), so a snapshot taken right after rebind equals one taken
+   right before. *)
 let image_of_engine who = function
   | Compiled c -> Compiled.base c
   | Reference _ -> invalid_arg (who ^ ": reference engine cannot be swapped")
@@ -323,17 +340,6 @@ let rebind t engine' =
   then invalid_arg "Replayer.rebind: images describe different automata";
   if t.state <> Automaton.nte && t.state < Packed.n_slots old_img then
     t.state <- Packed.slot_of_state new_img (Packed.orig_state old_img t.state);
-  (* carry engine-side accounting onto the new image *)
-  let so = Packed.stats old_img and sn = Packed.stats new_img in
-  sn.Transition.steps <- sn.Transition.steps + so.Transition.steps;
-  sn.Transition.in_trace_hits <-
-    sn.Transition.in_trace_hits + so.Transition.in_trace_hits;
-  sn.Transition.cache_hits <- sn.Transition.cache_hits + so.Transition.cache_hits;
-  sn.Transition.global_hits <-
-    sn.Transition.global_hits + so.Transition.global_hits;
-  sn.Transition.global_misses <-
-    sn.Transition.global_misses + so.Transition.global_misses;
-  Packed.add_cycles new_img (Packed.cycles old_img);
   t.engine <- engine'
 
 (* Everything a replayer accumulates, as one immutable value. Every field

@@ -35,10 +35,11 @@ val create : Transition.t -> t
 (** A replayer on the reference engine. *)
 
 val create_compiled : Compiled.t -> t
-(** A replayer on the closure-threaded compiled engine. Stats and cycles
-    accumulate on the underlying packed image ({!Compiled.base}). Like
-    the compiled image itself, not safe to share across domains — build
-    one per worker over a {!Packed.dup} sibling. *)
+(** A replayer on the closure-threaded compiled engine. The replayer
+    owns everything replay accumulates — counters, cycles and the
+    batch's rare-path record — so any number of replayers, on any
+    number of domains, may share one compiled image. A replayer itself
+    is used from one domain at a time. *)
 
 val engine : t -> engine
 
@@ -90,13 +91,11 @@ val rebind : t -> engine -> unit
     losing any accumulated accounting: the edge counters are in
     original-id space and carry over as they are, the current state is
     translated through the orig-id permutation ({!Packed.orig_state} on
-    the old layout, {!Packed.slot_of_state} on the new), and the old
-    image's engine stats and simulated cycles are added onto the new
-    image's counters. A {!snapshot} or {!edge_profile} taken
-    immediately after [rebind] equals one taken immediately before.
-    The caller must hand over a private image ({!Compiled.of_packed} of
-    a {!Packed.dup} sibling) exactly as at creation — counters are
-    mutable and must not be shared.
+    the old layout, {!Packed.slot_of_state} on the new), and the stats
+    derived from the counters and the replayer's simulated cycles stay
+    as they are. A {!snapshot} or {!edge_profile} taken immediately
+    after [rebind] equals one taken immediately before. The new image
+    may be shared with any other replayer.
     @raise Invalid_argument when either engine is [Reference], or the
     images disagree on slot or edge count (different automata). *)
 
@@ -152,7 +151,11 @@ val automaton : t -> Automaton.t option
     reconstituted from bytes. *)
 
 val stats : t -> Transition.stats
-(** The engine's transition counters, whichever engine runs. *)
+(** The engine's transition counters, whichever engine runs. On the
+    compiled engine they are derived from the replayer's counters:
+    [steps] is their sum, [in_trace_hits] the edge counters' sum,
+    [global_hits] and [global_misses] the sums of the hash-hit and
+    hash-miss blocks ({!Packed.n_counters}); [cache_hits] is 0. *)
 
 val cycles : t -> int
 (** Simulated cycles spent in the engine's transition function. *)

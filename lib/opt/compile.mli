@@ -17,9 +17,8 @@
     (property-tested in [test_compile.ml]). *)
 
 val compile : Tea_core.Packed.t -> Tea_core.Compiled.t
-(** [compile packed] = {!Tea_core.Compiled.of_packed}. The compiled
-    image shares [packed]'s counters; it is single-domain — workers
-    compile their own {!Tea_core.Packed.dup} sibling. *)
+(** [compile packed] = {!Tea_core.Compiled.of_packed}: an immutable
+    image any number of replayers and domains may share. *)
 
 val compiled_replay :
   Tea_core.Packed.t ->
@@ -28,11 +27,10 @@ val compiled_replay :
   len:int ->
   Tea_core.Compiled.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [compiled_replay src addrs ~len] — side-by-side replay of one
-    stream: a step-at-a-time baseline ({!Tea_core.Replayer.feed_addr},
-    hence {!Tea_core.Packed.step}) over a {!Tea_core.Packed.dup} of
-    [src], then the same stream batched through the compiled dispatch of
-    another dup. Returns [(compiled, baseline_replayer,
-    compiled_replayer)]; [src]'s own counters are untouched. The two
+    stream through one compiled image of [src]: batched through its
+    compiled dispatch, and step at a time ({!Tea_core.Replayer.feed_addr},
+    hence {!Tea_core.Packed.step}) in a second replayer. Returns
+    [(compiled, baseline_replayer, compiled_replayer)]. The two
     replayers' snapshots must be equal — the compilation-is-identity
     gate. *)
 

@@ -205,9 +205,9 @@ let fuse ?(min_chain = default_min_chain) ?profile
 
 let fused_replay ?min_chain ?profile ?min_expected_run ?min_coverage src ?insns
     addrs ~len =
-  let baseline = Replayer.create_compiled (Compiled.of_packed (Packed.dup src)) in
+  let baseline = Replayer.create_compiled (Compiled.of_packed src) in
   Replayer.feed_run baseline ?insns addrs ~len;
   let fused = fuse ?min_chain ?profile ?min_expected_run ?min_coverage src in
-  let tuned = Replayer.create_compiled (Compiled.of_packed (Packed.dup fused)) in
+  let tuned = Replayer.create_compiled (Compiled.of_packed fused) in
   Replayer.feed_run tuned ?insns addrs ~len;
   (fused, baseline, tuned)

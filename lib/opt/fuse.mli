@@ -45,9 +45,9 @@ val fuse :
   ?min_coverage:float ->
   Tea_core.Packed.t ->
   Tea_core.Packed.t
-(** [fuse packed] — a fresh sibling image (own counters, as
-    {!Tea_core.Packed.dup}) carrying the fusion overlay; [packed] itself
-    is untouched. Returns [packed] unchanged when no chain meets
+(** [fuse packed] — [packed] with the fusion overlay attached
+    ({!Tea_core.Packed.with_fusion}); [packed] itself is untouched.
+    Returns [packed] unchanged when no chain meets
     [min_chain] (default {!default_min_chain}) and no cycle exists.
     O(states + edges).
 
@@ -80,8 +80,7 @@ val fused_replay :
   len:int ->
   Tea_core.Packed.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [fused_replay src addrs ~len] — side-by-side replay of one stream:
-    a compiled baseline over a {!Tea_core.Packed.dup} of [src], then the
-    same stream through a compiled dup of [fuse src]. Returns
-    [(fused, baseline_replayer, fused_replayer)]; [src]'s own counters
-    are untouched. The two replayers' snapshots must be equal — the
+    a compiled baseline over [src], then the same stream through the
+    compiled [fuse src]. Returns [(fused, baseline_replayer,
+    fused_replayer)]. The two replayers' snapshots must be equal — the
     fusion-is-identity gate the bench driver enforces. *)

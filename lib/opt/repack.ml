@@ -312,12 +312,10 @@ let load_profile path =
       { visits; taken; misses })
 
 let pgo_replay ?hot_prefix src ?insns addrs ~len =
-  let baseline = Replayer.create_compiled (Compiled.of_packed (Packed.dup src)) in
+  let baseline = Replayer.create_compiled (Compiled.of_packed src) in
   Replayer.feed_run baseline ?insns addrs ~len;
   let prof = collect src addrs ~len in
   let repacked = repack ?hot_prefix src prof in
-  let tuned =
-    Replayer.create_compiled (Compiled.of_packed (Packed.dup repacked))
-  in
+  let tuned = Replayer.create_compiled (Compiled.of_packed repacked) in
   Replayer.feed_run tuned ?insns addrs ~len;
   (repacked, baseline, tuned)

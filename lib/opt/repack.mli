@@ -92,8 +92,7 @@ val pgo_replay :
   len:int ->
   Tea_core.Packed.t * Tea_core.Replayer.t * Tea_core.Replayer.t
 (** [pgo_replay src addrs ~len] — the whole profile-guided cycle on one
-    stream: replay a compiled baseline over a {!Tea_core.Packed.dup} of
-    [src], {!collect}, {!repack}, replay again through a compiled dup of
-    the repacked image. Returns [(repacked, baseline_replayer,
-    repacked_replayer)] for side-by-side comparison; the counters of
-    [src] and of the returned image are untouched. *)
+    stream: replay a compiled baseline over [src], {!collect},
+    {!repack}, replay again over the compiled repacked image. Returns
+    [(repacked, baseline_replayer, repacked_replayer)] for side-by-side
+    comparison. *)

@@ -17,10 +17,8 @@ let build ?(fuse = true) ?hot_prefix ~profile src =
 
 (* -- the background builder -- *)
 
-type outcome = (Packed.t * Repack.profile, exn) result
-
-type builder = {
-  cell : outcome option Atomic.t;
+type 'a builder = {
+  cell : ('a, exn) result option Atomic.t;
   mutable dom : unit Domain.t option;
 }
 

@@ -35,20 +35,19 @@ val build :
     source, not the previous generation) or [profile]'s shape does not
     match [src]. *)
 
-type outcome = (Tea_core.Packed.t * Repack.profile, exn) result
-
-type builder
+type 'a builder
 (** A rebuild running in its own domain. OCaml values are shared-heap,
-    so the built image crosses back to the launching domain for free;
-    its mutable counters are untouched until the swap. *)
+    and images are immutable, so the built image (the daemon builds and
+    compiles it here, off its event loops) crosses back to the launching
+    domain for free. *)
 
-val launch : (unit -> Tea_core.Packed.t * Repack.profile) -> builder
-(** Spawn the rebuild. Exceptions are captured into the outcome. *)
+val launch : (unit -> 'a) -> 'a builder
+(** Spawn the rebuild. Exceptions are captured into the result. *)
 
-val poll : builder -> outcome option
+val poll : 'a builder -> ('a, exn) result option
 (** Nonblocking completion check; joins the finished domain on first
     success (idempotent afterwards). *)
 
-val await : builder -> outcome
+val await : 'a builder -> ('a, exn) result
 (** Block until the rebuild finishes (used at daemon shutdown so no
     domain leaks). *)

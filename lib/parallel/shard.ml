@@ -1,11 +1,9 @@
-module Packed = Tea_core.Packed
 module Replayer = Tea_core.Replayer
 module Pc_trace = Tea_core.Pc_trace
 module Multi_replayer = Tea_core.Multi_replayer
 module Vec = Tea_util.Vec
 
-let default_make p =
-  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup p))
+let default_make p = Replayer.create_compiled (Tea_core.Compiled.of_packed p)
 
 let replay_arrays pool packed ?(make = default_make) ?insns starts ~len =
   if len < 0 || len > Array.length starts then

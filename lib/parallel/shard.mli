@@ -14,8 +14,7 @@
     {b Replayer factory.} Every replayer is built through the [make]
     factory (default: a compiled-engine replayer,
     {!Tea_core.Replayer.create_compiled} over
-    {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup} sibling).
-    It must dup — never share mutable counters — and its engine must be
+    {!Tea_core.Compiled.of_packed} of the image). Its engine must be
     observationally identical to the packed one. Batch seams are
     invisible to the profile: superstate and compiled-region matching in
     {!Tea_core.Replayer.feed_run} ends at each batch's end and resumes
@@ -91,8 +90,8 @@ val replay_events :
   (int * Profile.t) list
 (** [replay_events pool packed_for path] — one streaming
     {!Tea_core.Multi_replayer.replay_file} pass on the caller, each asid
-    on a [make (packed_for asid)] replayer (replayers dup the image via
-    [make]; a shared image per asid is fine), then
+    on a [make (packed_for asid)] replayer (a shared image per asid is
+    fine), then
     {!Tea_core.Multi_replayer.snapshots}. The decoded blocks are credited
     to {!Pool.add_units}. The result, sorted by asid, equals replaying
     each asid's projection in isolation — the interleaved-replay hard

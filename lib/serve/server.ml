@@ -49,7 +49,7 @@ type loop = {
   mutable blocks : int;  (* completed sessions' blocks, under [reg_m] *)
   live : int Atomic.t;  (* sessions held, read by every loop's accept *)
   mutable sessions : session list;
-  mutable image : Core.Packed.t;  (* the epoch this loop replays on *)
+  mutable image : Core.Compiled.t;  (* the epoch this loop replays on *)
   mutable epoch : int;
   chunk : Bytes.t;  (* socket read buffer *)
 }
@@ -67,7 +67,7 @@ let default_retune =
     cooldown = Tea_observe.Trigger.default_cooldown;
   }
 
-type published = { p_epoch : int; p_image : Core.Packed.t }
+type published = { p_epoch : int; p_image : Core.Compiled.t }
 
 type t = {
   loops : loop array;  (* loop 0 runs on [run]'s caller and coordinates *)
@@ -91,7 +91,9 @@ type t = {
   mutable drift_dist : float;  (* that measurement *)
   mutable measured_gen : int;  (* fleet_gen of that measurement *)
   mutable checked_gen : int;  (* fleet_gen last observed by the trigger *)
-  mutable builder : Tea_opt.Retune.builder option;  (* rebuild in flight *)
+  mutable builder :
+    (Core.Compiled.t * Tea_opt.Repack.profile) Tea_opt.Retune.builder option;
+      (* rebuild in flight *)
   swap_pause_ns : int Atomic.t;  (* publishing plus every loop's rebinds *)
   next_id : int Atomic.t;  (* monotonic session ids for the event log *)
   accepted : int Atomic.t;  (* connections taken, scrapes given back *)
@@ -105,7 +107,7 @@ type t = {
   mutable completed_n : int;
   mutable drain_ns : int;  (* busy ns over completed sessions *)
   mutable drain_blocks : int;  (* blocks over completed sessions *)
-  mutable epoch_images : (int * Core.Packed.t) list;  (* offline_check *)
+  mutable epoch_images : (int * Core.Compiled.t) list;  (* offline_check *)
   mutable retained : (string * int * (int * int) list) list;
       (* offline_check only — completed streams, newest first: raw bytes,
          accept epoch, and the (event index, new epoch) swap schedule
@@ -116,27 +118,22 @@ type t = {
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* Per-asid replayer factory. Every asid of every session (and of the
-   offline re-check) compiles its own dup of the shared image, so
-   compiled images — single-domain by construction — are never shared. *)
-let factory_of img _asid =
-  Core.Replayer.create_compiled (Core.Compiled.of_packed (Core.Packed.dup img))
-
 let max_session_asids = 256
 
 exception Too_many_address_spaces
 
-(* A session's factory builds on its loop's image when an asid first
-   runs a block — never on a newer published one, whose epoch the
-   session's swap schedule would not record — and refuses the asid past
-   the cap: every asid costs a compiled image and a run buffer, so one
-   session cannot make the daemon hold an unbounded number of them. *)
+(* A session's factory builds a replayer over its loop's compiled image
+   when an asid first runs a block — never over a newer published one,
+   whose epoch the session's swap schedule would not record — and
+   refuses the asid past the cap: every asid costs its counters and a
+   run buffer, so one session cannot make the daemon hold an unbounded
+   number of them. *)
 let session_factory l =
   let asids = ref 0 in
-  fun asid ->
+  fun _asid ->
     if !asids = max_session_asids then raise Too_many_address_spaces;
     incr asids;
-    factory_of l.image asid
+    Core.Replayer.create_compiled l.image
 
 let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     addr =
@@ -182,6 +179,8 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
   in
   let stop_r, stop_w = Unix.pipe () in
   let wake_r, wake_w = Unix.pipe () in
+  (* the one compiled image of epoch 0, shared by every loop and asid *)
+  let compiled = Core.Compiled.of_packed image in
   {
     loops =
       Array.init jobs (fun index ->
@@ -192,11 +191,11 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
             blocks = 0;
             live = Atomic.make 0;
             sessions = [];
-            image;
+            image = compiled;
             epoch = 0;
             chunk = Bytes.create 65536;
           });
-    published = Atomic.make { p_epoch = 0; p_image = image };
+    published = Atomic.make { p_epoch = 0; p_image = compiled };
     offline_check;
     base;
     trigger =
@@ -232,7 +231,7 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     completed_n = 0;
     drain_ns = 0;
     drain_blocks = 0;
-    epoch_images = (if offline_check then [ (0, image) ] else []);
+    epoch_images = (if offline_check then [ (0, compiled) ] else []);
     retained = [];
     closed = false;
   }
@@ -273,7 +272,7 @@ let epoch t = (Atomic.get t.published).p_epoch
 (* Completed sessions' dispatch tiers, read off their summed counters:
    original ids, so the same rows on every epoch's layout. *)
 let tiers t =
-  let img = (Atomic.get t.published).p_image in
+  let img = Core.Compiled.base (Atomic.get t.published).p_image in
   with_fleet t (fun () -> Core.Tierstat.of_counters img t.fleet_edges)
 
 (* The scrape answer, also readable after [run] returns. Reads only
@@ -557,9 +556,9 @@ let finalize t l until_sessions =
    flushed after its session's last read, so each session's [evs] is
    precisely the stream position the swap lands on — recorded in the
    schedule the offline differential replays. Live replayers are rebound
-   in place (orig-id counters, stats and cycles carried over, the state
-   translated). A loop that slept through several swaps goes straight to
-   the newest epoch. *)
+   in place onto the epoch's one compiled image (orig-id counters and
+   cycles kept, the state translated). A loop that slept through several
+   swaps goes straight to the newest epoch. *)
 let adopt t l =
   let p = Atomic.get t.published in
   if p.p_epoch <> l.epoch then begin
@@ -568,14 +567,14 @@ let adopt t l =
     l.image <- p.p_image;
     List.iter
       (fun s ->
-        Core.Multi_replayer.rebind s.multi (factory_of p.p_image);
+        Core.Multi_replayer.rebind s.multi (Core.Replayer.Compiled p.p_image);
         s.swapped <- (s.evs, p.p_epoch) :: s.swapped)
       l.sessions;
     ignore (Atomic.fetch_and_add t.swap_pause_ns (now_ns () - t0))
   end
 
-(* Publish a freshly built image as the next epoch (the new image is
-   kept for the oracle only under offline_check), and re-reference the
+(* Publish a freshly built and compiled image as the next epoch (the new
+   image is kept for the oracle only under offline_check), and re-reference the
    drift monitor to the profile the new layout was tuned for, so the
    gauge measures staleness of the {e current} image, not the boot one. *)
 let publish t (img, prof) =
@@ -663,11 +662,14 @@ let coordinate t =
                 ("streams", Tea_observe.Events.I streams);
               ];
             with_reg t.loops.(0) (fun reg -> Metrics.count reg "serve.retunes" 1);
+            (* the epoch's one compile runs here, off every loop *)
             t.builder <-
               Some
                 (Tea_opt.Retune.launch (fun () ->
                      let profile = Core.Packed.edge_profile base counts in
-                     (Tea_opt.Retune.build ~profile base, profile)))
+                     ( Core.Compiled.of_packed
+                         (Tea_opt.Retune.build ~profile base),
+                       profile )))
           end
       | _ -> ())
 
@@ -812,7 +814,9 @@ let offline_profile t =
   List.fold_left
     (fun acc (raw, epoch0, swaps) ->
       let img = ref (image_of_epoch t epoch0) in
-      let m = Core.Multi_replayer.create (fun a -> factory_of !img a) in
+      let m =
+        Core.Multi_replayer.create (fun _ -> Core.Replayer.create_compiled !img)
+      in
       let fdr = Core.Multi_replayer.feeder m in
       (* [i] numbers blocks and control records alike, as [s.evs] does;
          a swap lands before the event at its index *)
@@ -821,7 +825,7 @@ let offline_profile t =
         match !pending with
         | (at, ep) :: rest when at <= !i ->
             img := image_of_epoch t ep;
-            Core.Multi_replayer.rebind m (factory_of !img);
+            Core.Multi_replayer.rebind m (Core.Replayer.Compiled !img);
             pending := rest;
             next_event ()
         | _ -> incr i
@@ -844,5 +848,5 @@ let offline_profile t =
    daemon start can seed tuning from real traffic. The counters are
    layout-independent, so any epoch's image reads them. *)
 let fleet_edge_profile t =
-  let img = (Atomic.get t.published).p_image in
+  let img = Core.Compiled.base (Atomic.get t.published).p_image in
   with_fleet t (fun () -> Core.Packed.edge_profile img t.fleet_edges)

@@ -1,11 +1,13 @@
 (** [tea_serve]: the replay-as-a-service daemon.
 
     One long-lived process serves many concurrent PC-trace sessions
-    against a {e single shared read-only} {!Tea_core.Packed.t} image —
-    the ROADMAP's "millions of users" story: a session is cheap (one
-    {!Tea_core.Multi_replayer} over a {!Tea_core.Packed.dup} of the
-    image), and per-session profiles are associative, so they fold into
-    one live {e fleet profile} exactly.
+    against a {e single shared read-only} image — the ROADMAP's
+    "millions of users" story. Each image epoch is compiled once
+    ({!Tea_core.Compiled.t}, an immutable value) and that one compiled
+    image serves every session, asid and event loop: a session is cheap
+    (one {!Tea_core.Multi_replayer} whose per-asid replayers own only
+    their counters), and per-session profiles are associative, so they
+    fold into one live {e fleet profile} exactly.
 
     Architecture: [jobs] identical {b event loops}, one per domain, in
     the panda-il-trace shape of one worker per core with no producer
@@ -41,8 +43,8 @@
     - a session may name at most {!max_session_asids} address spaces:
       the block that would create one more fails that session alone,
       with a ["too many address spaces ..."] error reply. Each asid
-      holds a compiled image and a run buffer of up to 256 blocks, so
-      the cap bounds what one session can make the daemon hold.
+      holds its counters and a run buffer of up to 256 blocks, so the
+      cap bounds what one session can make the daemon hold.
 
     The daemon gate: the fleet profile of [n] concurrent sessions equals
     the merged profiles of replaying each session's stream offline,
@@ -55,9 +57,10 @@
     {!Tea_observe.Trigger}; when that fires, a background domain
     rebuilds the repack→fuse ladder from the {e flat base image} and
     the fleet edge profile so far ({!fleet_edge_profile},
-    {!Tea_opt.Retune}) — no served stream is kept. Loop 0 publishes the
-    finished image with its {e epoch} (0 = boot) in one atomic, events
-    it ([swap]) and exposes it as a [tea_image_epoch] gauge. Every loop
+    {!Tea_opt.Retune}) and compiles it — no served stream is kept, and
+    no loop compiles. Loop 0 publishes the finished compiled image with
+    its {e epoch} (0 = boot) in one atomic, events it ([swap]) and
+    exposes it as a [tea_image_epoch] gauge. Every loop
     compares the published epoch with its own at the top of each
     iteration, before it drains anything, and rebinds its live sessions
     in place ({!Tea_core.Multi_replayer.rebind}), recording the swap
@@ -95,9 +98,9 @@ val create :
     false) keeps every completed session's raw bytes and every epoch's
     image (memory that grows with traffic) so {!offline_profile} can
     re-derive the fleet profile sequentially.
-    Each session's per-asid replayers run on the compiled engine: a
-    private {!Tea_core.Compiled.of_packed} of a {!Tea_core.Packed.dup}
-    of the current image per asid.
+    [image] is compiled here, once ({!Tea_core.Compiled.of_packed});
+    every per-asid replayer of every session replays over the current
+    epoch's one compiled image.
     [events] attaches a structured JSONL event log (session lifecycle,
     drift crossings, retune/swap); [drift] attaches a
     profile-drift comparator re-measured against the fleet profile

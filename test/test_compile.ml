@@ -7,9 +7,11 @@
    many short batches; TBB-identical to the reference engine; sharded
    replay through compiled workers must merge to the sequential profile
    at jobs 1/2/4; demuxed multi-asid replay through compiled engines
-   must match step-at-a-time isolated per-asid replay; and the
-   dispatch-tier attribution of a compiled replay must stay a total
-   partition of the blocks replayed. *)
+   must match step-at-a-time isolated per-asid replay; replayers sharing
+   one compiled image, interleaved or on two domains at once, must each
+   equal a replayer on its own image; and the dispatch-tier attribution
+   of a compiled replay must stay a total partition of the blocks
+   replayed. *)
 
 open Tea_isa
 module I = Insn
@@ -115,7 +117,7 @@ let variants w addrs ~len =
   let tuned = Repack.repack flat (Repack.collect flat addrs ~len) in
   (auto, [ flat; tuned; Fuse.fuse tuned ])
 
-let compiled_make img = Replayer.create_compiled (Compile.compile (Packed.dup img))
+let compiled_make img = Replayer.create_compiled (Compile.compile img)
 
 (* The oracle every batch property compares against: the same image
    stepped one address at a time ({!Replayer.feed_addr} on a compiled
@@ -204,6 +206,129 @@ let prop_compiled_feed_addr =
           Replayer.snapshot one = Replayer.snapshot batched
           && Replayer.state one = Replayer.state batched)
         imgs)
+
+(* ---------------- one compiled image, many replayers ---------------- *)
+
+let listscan_fixture () =
+  let image = Tea_workloads.Micro.list_scan () in
+  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
+  let dbt = Tea_dbt.Stardbt.record ~strategy image in
+  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
+  let flat = Packed.freeze (Builder.build traces) in
+  let path = Filename.temp_file "tea_compile" ".trc" in
+  let _ = Tea_pinsim.Trace_capture.record image path in
+  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
+  Sys.remove path;
+  (flat, starts, insns, len)
+
+let counters_of img rep =
+  let acc = Array.make (Packed.n_counters img) 0 in
+  Replayer.add_edge_counts rep acc;
+  acc
+
+(* A compiled image is an immutable value: [n] replayers sharing one,
+   fed their own streams in randomly interleaved batches and all rebound
+   onto one shared image of another layout at a random batch, must each
+   equal a replayer on images built for it alone and one stepping
+   ({!Packed.step}) a block at a time on its own images — snapshot,
+   cycles, raw counters and state. *)
+let prop_shared_image =
+  QCheck.Test.make ~name:"replayers sharing one compiled image == own images"
+    ~count:100
+    (QCheck.pair gen_workload QCheck.small_nat)
+    (fun (w, seed) ->
+      let addrs, insns, len = arrays_of_stream w.w_stream in
+      (* the flat and the repacked+fused layouts, built afresh per call *)
+      let layouts () =
+        let _, imgs = variants w addrs ~len in
+        (List.hd imgs, List.nth imgs 2)
+      in
+      let from_img, to_img = layouts () in
+      let rand = Random.State.make [| seed |] in
+      let n = 3 in
+      (* replayer [k] replays the stream rotated by [k * len / n] *)
+      let streams =
+        Array.init n (fun k ->
+            let r = k * len / n in
+            let rot a = Array.init len (fun i -> a.((i + r) mod len)) in
+            (rot addrs, rot insns))
+      in
+      let pos = Array.make n 0 and sched = ref [] in
+      while Array.exists (fun p -> p < len) pos do
+        let k = Random.State.int rand n in
+        let b = min (1 + Random.State.int rand 7) (len - pos.(k)) in
+        if b > 0 then begin
+          sched := (k, pos.(k), b) :: !sched;
+          pos.(k) <- pos.(k) + b
+        end
+      done;
+      let sched = List.rev !sched in
+      let at = Random.State.int rand (List.length sched + 1) in
+      let shared_from = Compile.compile from_img
+      and shared_to = Compile.compile to_img in
+      let shared = Array.init n (fun _ -> Replayer.create_compiled shared_from) in
+      let alone () =
+        let f, t = layouts () in
+        (compiled_make f, Replayer.Compiled (Compile.compile t))
+      in
+      let own = Array.init n (fun _ -> alone ()) in
+      let step = Array.init n (fun _ -> alone ()) in
+      List.iteri
+        (fun i (k, off, b) ->
+          if i = at then
+            for j = 0 to n - 1 do
+              Replayer.rebind shared.(j) (Replayer.Compiled shared_to);
+              Replayer.rebind (fst own.(j)) (snd own.(j));
+              Replayer.rebind (fst step.(j)) (snd step.(j))
+            done;
+          let a, ins = streams.(k) in
+          Replayer.feed_run shared.(k) ~off ~insns:ins a ~len:b;
+          Replayer.feed_run (fst own.(k)) ~off ~insns:ins a ~len:b;
+          for j = off to off + b - 1 do
+            Replayer.feed_addr (fst step.(k)) ~insns:ins.(j) a.(j)
+          done)
+        sched;
+      let same a b =
+        Replayer.snapshot a = Replayer.snapshot b
+        && Replayer.cycles a = Replayer.cycles b
+        && counters_of from_img a = counters_of from_img b
+        && Replayer.state a = Replayer.state b
+      in
+      List.for_all
+        (fun k -> same shared.(k) (fst own.(k)) && same shared.(k) (fst step.(k)))
+        (List.init n Fun.id))
+
+(* Two domains replaying one compiled image at the same time, in short
+   batches so both keep crossing every closure shape: each result equals
+   the same replay run alone. *)
+let test_shared_image_domains () =
+  let flat, starts, insns, len = listscan_fixture () in
+  let tuned =
+    let r = Repack.repack flat (Repack.collect flat starts ~len) in
+    Fuse.fuse r
+  in
+  List.iter
+    (fun img ->
+      let c = Compile.compile img in
+      let rot r a = Array.init len (fun i -> a.((i + r) mod len)) in
+      let replay r =
+        let a = rot r starts and ins = rot r insns in
+        let rep = Replayer.create_compiled c in
+        for _ = 1 to 4 do
+          let off = ref 0 in
+          while !off < len do
+            let b = min 61 (len - !off) in
+            Replayer.feed_run rep ~off:!off ~insns:ins a ~len:b;
+            off := !off + b
+          done
+        done;
+        (Replayer.snapshot rep, Replayer.cycles rep, counters_of img rep)
+      in
+      let alone = List.map replay [ 0; len / 3 ] in
+      let d = List.map (fun r -> Domain.spawn (fun () -> replay r)) [ 0; len / 3 ] in
+      let together = List.map Domain.join d in
+      check Alcotest.bool "concurrent == alone" true (alone = together))
+    [ flat; tuned ]
 
 (* ---------------- sharded replay through compiled workers ------------ *)
 
@@ -305,22 +430,10 @@ let test_tier_partition () =
 
 (* ---------------- image statistics on a real capture ---------------- *)
 
-let listscan_fixture () =
-  let image = Tea_workloads.Micro.list_scan () in
-  let strategy = Option.get (Tea_traces.Registry.by_name "mret") in
-  let dbt = Tea_dbt.Stardbt.record ~strategy image in
-  let traces = Tea_traces.Trace_set.to_list dbt.Tea_dbt.Stardbt.set in
-  let flat = Packed.freeze (Builder.build traces) in
-  let path = Filename.temp_file "tea_compile" ".trc" in
-  let _ = Tea_pinsim.Trace_capture.record image path in
-  let starts, insns, len = Tea_parallel.Shard.load_pc_trace path in
-  Sys.remove path;
-  (flat, starts, insns, len)
-
 let test_image_stats () =
   let flat, starts, insns, len = listscan_fixture () in
   let tuned = Repack.repack flat (Repack.collect flat starts ~len) in
-  let c = Compile.compile (Packed.dup tuned) in
+  let c = Compile.compile tuned in
   check Alcotest.bool "one closure per state at least" true
     (Compiled.n_closures c >= Packed.n_slots (Compiled.base c));
   (* listscan is bimodal-branchy: its loop states land in the
@@ -356,6 +469,9 @@ let () =
           qtest prop_compiled_feed_addr;
           qtest prop_sharded_compiled_replay;
           qtest prop_multi_asid_compiled;
+          qtest prop_shared_image;
+          Alcotest.test_case "two domains, one image" `Quick
+            test_shared_image_domains;
         ] );
       ( "attribution",
         [ Alcotest.test_case "tier partition" `Quick test_tier_partition ] );

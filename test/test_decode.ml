@@ -260,7 +260,7 @@ let test_allocation_budget () =
   let image = loop_image () in
   let compiled () =
     Tea_core.Replayer.create_compiled
-      (Tea_core.Compiled.of_packed (Tea_core.Packed.dup image))
+      (Tea_core.Compiled.of_packed image)
   in
   let drain m s () =
     let f = Multi.feeder m in

@@ -372,7 +372,7 @@ let multi_tiers image m =
   Tierstat.of_counters image acc
 
 let compiled img =
-  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+  Replayer.create_compiled (Tea_core.Compiled.of_packed img)
 
 let fixture_starts () =
   Array.init 60 (fun i ->
@@ -526,31 +526,37 @@ let test_feeder_feed_tiers () =
     [ fixture_packed; fixture_repacked; fused ]
 
 (* The tier oracle: step the image one block at a time, classify each
-   step by the {!Packed.stats} counter it moved, and charge it to the
-   original id of the state it stepped from. At [swap_at] it crosses to
-   the other layout as {!Replayer.rebind} does. *)
+   step from the image's own tables (the source's span holds the PC, or
+   the trace-head hash does, or neither), and charge it to the original
+   id of the state it stepped from. At [swap_at] it crosses to the other
+   layout as {!Replayer.rebind} does. *)
 let oracle_tiers (from_img, to_img) ~swap_at starts =
-  let module T = Tea_core.Transition in
+  let in_span img s pc =
+    let r = Packed.to_raw img in
+    let found = ref false in
+    for e = r.Packed.offsets.(s) to r.Packed.offsets.(s + 1) - 1 do
+      if r.Packed.labels.(e) = pc then found := true
+    done;
+    !found
+  in
   let rows = Hashtbl.create 16 in
-  let img = ref (Packed.dup from_img) in
+  let img = ref from_img in
   let counts = Array.make (Packed.n_counters from_img) 0 in
   let state = ref Tea_core.Automaton.nte in
   Array.iteri
     (fun i pc ->
       if i = swap_at then begin
         let o = Packed.orig_state !img !state in
-        img := Packed.dup to_img;
+        img := to_img;
         state := Packed.slot_of_state !img o
       end;
-      let st = Packed.stats !img in
-      let hits = st.T.in_trace_hits and ghits = st.T.global_hits in
       let src = Packed.orig_state !img !state in
-      state := Packed.step !img counts !state pc;
       let tier =
-        if st.T.in_trace_hits > hits then Tierstat.t_compiled
-        else if st.T.global_hits > ghits then Tierstat.t_hash
+        if in_span !img !state pc then Tierstat.t_compiled
+        else if Packed.head_of !img pc <> None then Tierstat.t_hash
         else Tierstat.t_miss
       in
+      state := Packed.step !img counts (ref 0) !state pc;
       let row =
         match Hashtbl.find_opt rows src with
         | Some r -> r
@@ -625,7 +631,7 @@ let prop_tier_oracle =
           if hi = swap_at then
             Replayer.rebind rep
               (Replayer.Compiled
-                 (Tea_core.Compiled.of_packed (Packed.dup ladder.(to_i)))))
+                 (Tea_core.Compiled.of_packed ladder.(to_i))))
         (seams @ [ len ]);
       Tierstat.equal (Replayer.tiers rep)
         (oracle_tiers (ladder.(from_i), ladder.(to_i)) ~swap_at starts))
@@ -648,9 +654,8 @@ let test_one_counter_per_block () =
   in
   List.iter
     (fun (what, src, pc) ->
-      let step = Packed.dup image in
-      let c = Array.make (Packed.n_counters step) 0 in
-      ignore (Packed.step step c src pc);
+      let c = Array.make (Packed.n_counters image) 0 in
+      ignore (Packed.step image c (ref 0) src pc);
       check Alcotest.(list int) ("step: " ^ what) [ 1 ]
         (changed (Array.make (Array.length c) 0) c);
       let rep = compiled image in

@@ -26,7 +26,8 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let block_at addr = Block.make Block.Branch [ (addr, I.Jmp (I.Abs 0)) ]
 
-(* A compiled-engine replayer over [img] (stats accumulate on [img]). *)
+(* A compiled-engine replayer over [img] (stats derive from its own
+   counters). *)
 let compiled img = Replayer.create_compiled (Compiled.of_packed img)
 
 (* Fixtures shared with test_core: T1 cycles 0x100->0x200->0x300->0x100,
@@ -243,14 +244,16 @@ let test_step_matches_reference_fixture () =
   let auto = Builder.build [ t1; t2 ] in
   let p = Packed.freeze auto in
   let c = Array.make (Packed.n_counters p) 0 in
+  let cy = ref 0 in
   let h1 = Option.get (Automaton.head_of auto 0x100) in
-  check Alcotest.int "enter t1" h1 (Packed.step p c Automaton.nte 0x100);
+  check Alcotest.int "enter t1" h1 (Packed.step p c cy Automaton.nte 0x100);
   let s2 = Option.get (Automaton.next_in_trace auto h1 0x200) in
-  check Alcotest.int "in-trace" s2 (Packed.step p c h1 0x200);
+  check Alcotest.int "in-trace" s2 (Packed.step p c cy h1 0x200);
   (* trace-to-trace transfer goes through the hash *)
   let h2 = Option.get (Automaton.head_of auto 0x400) in
-  check Alcotest.int "cross-trace" h2 (Packed.step p c h1 0x400);
-  check Alcotest.int "cold pc to NTE" Automaton.nte (Packed.step p c h1 0x9999);
+  check Alcotest.int "cross-trace" h2 (Packed.step p c cy h1 0x400);
+  check Alcotest.int "cold pc to NTE" Automaton.nte
+    (Packed.step p c cy h1 0x9999);
   (* one counter per step: the in-trace edge, the source's hash hit, or
      its hash miss *)
   let sum = Array.fold_left ( + ) 0 in
@@ -267,16 +270,30 @@ let test_step_matches_reference_fixture () =
     [ (Automaton.nte, 1); (h1, 1) ] (block ne);
   check Alcotest.(list (pair int int)) "hash misses by source" [ (h1, 1) ]
     (block (ne + n));
-  let st = Packed.stats p in
+  check Alcotest.bool "cycles charged" true (!cy > 0);
+  (* the same four steps through a replayer over the image: its stats
+     are derived from its own counters, its cycles are its own *)
+  let r = compiled p in
+  Replayer.feed_addr r 0x100;
+  Replayer.feed_addr r 0x200;
+  Replayer.set_state r h1;
+  Replayer.feed_addr r 0x400;
+  Replayer.set_state r h1;
+  Replayer.feed_addr r 0x9999;
+  let st = Replayer.stats r in
   check Alcotest.int "steps" 4 st.Transition.steps;
   check Alcotest.int "in-trace hits" 1 st.Transition.in_trace_hits;
   check Alcotest.int "global hits" 2 st.Transition.global_hits;
   check Alcotest.int "misses" 1 st.Transition.global_misses;
   check Alcotest.int "no caches" 0 st.Transition.cache_hits;
-  check Alcotest.bool "cycles charged" true (Packed.cycles p > 0);
-  Packed.reset_counters p;
-  check Alcotest.int "reset" 0 (Packed.stats p).Transition.steps;
-  check Alcotest.int "reset cycles" 0 (Packed.cycles p)
+  check Alcotest.int "replayer cycles" !cy (Replayer.cycles r);
+  let total = Array.make (Packed.n_counters p) 0 in
+  Replayer.add_edge_counts r total;
+  check Alcotest.(array int) "replayer counters" c total;
+  (* nothing lives on the image: a fresh replayer over it reads zero *)
+  let fresh = compiled p in
+  check Alcotest.int "reset" 0 (Replayer.stats fresh).Transition.steps;
+  check Alcotest.int "reset cycles" 0 (Replayer.cycles fresh)
 
 let test_stale_after_mutation () =
   let auto = Builder.build [ t1 ] in
@@ -294,10 +311,10 @@ let test_step_bad_state () =
   let c = Array.make (Packed.n_counters p) 0 in
   Alcotest.check_raises "way out of range"
     (Invalid_argument "Packed.step: state id outside the frozen image")
-    (fun () -> ignore (Packed.step p c 9999 0x100));
+    (fun () -> ignore (Packed.step p c (ref 0) 9999 0x100));
   Alcotest.check_raises "negative"
     (Invalid_argument "Packed.step: state id outside the frozen image")
-    (fun () -> ignore (Packed.step p c (-1) 0x100))
+    (fun () -> ignore (Packed.step p c (ref 0) (-1) 0x100))
 
 let test_empty_automaton () =
   let p = Packed.freeze (Automaton.create ()) in
@@ -305,8 +322,11 @@ let test_empty_automaton () =
   check Alcotest.int "no edges" 0 (Packed.n_edges p);
   check Alcotest.int "no heads" 0 (Packed.n_heads p);
   check Alcotest.int "everything is NTE" Automaton.nte
-    (Packed.step p (Array.make (Packed.n_counters p) 0) Automaton.nte 0x100);
-  check Alcotest.int "miss counted" 1 (Packed.stats p).Transition.global_misses
+    (Packed.step p (Array.make (Packed.n_counters p) 0) (ref 0) Automaton.nte
+       0x100);
+  let r = compiled p in
+  Replayer.feed_addr r 0x100;
+  check Alcotest.int "miss counted" 1 (Replayer.stats r).Transition.global_misses
 
 let test_state_insns () =
   let auto = Builder.build [ t1 ] in
@@ -388,7 +408,7 @@ let check_chunked_equals_whole name auto path =
   List.iter
     (fun (kind, image) ->
       let chunked = streamed image path in
-      let whole = compiled (Packed.dup image) in
+      let whole = compiled image in
       Replayer.feed_run whole ~insns starts ~len;
       check Alcotest.bool
         (Printf.sprintf "%s %s: chunked replay == whole-array feed_run" name
@@ -678,9 +698,9 @@ let prop_teapk_fuzz =
       | img ->
           let addrs, insns = fuzz_stream img f.f_seed in
           let len = Array.length addrs in
-          let batched = compiled (Packed.dup img) in
+          let batched = compiled img in
           Replayer.feed_run batched ~insns addrs ~len;
-          let stepped = compiled (Packed.dup img) in
+          let stepped = compiled img in
           Array.iteri
             (fun i a -> Replayer.feed_addr stepped ~insns:insns.(i) a)
             addrs;

@@ -330,7 +330,7 @@ let gen_workload =
 
 (* The oracle: the image stepped one address at a time. *)
 let sequential_profile packed ~starts ~insns ~len =
-  let rep = compiled (Packed.dup packed) in
+  let rep = compiled packed in
   for i = 0 to len - 1 do
     Replayer.feed_addr rep ~insns:insns.(i) starts.(i)
   done;

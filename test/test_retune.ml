@@ -75,10 +75,10 @@ let tuned_of base starts len =
 
 (* ---------------- forced mid-stream swaps, offline ---------------- *)
 
-let engine_of img = Replayer.Compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+let engine_of img = Replayer.Compiled (Tea_core.Compiled.of_packed img)
 
 let make_rep img =
-  Replayer.create_compiled (Tea_core.Compiled.of_packed (Packed.dup img))
+  Replayer.create_compiled (Tea_core.Compiled.of_packed img)
 
 (* segment bounds from sorted distinct cut positions *)
 let segments_of_cuts cuts len =

@@ -24,7 +24,7 @@ module Profile = Tea_parallel.Profile
 module Shard = Tea_parallel.Shard
 
 (* A compiled-engine replayer over a private dup of [img]. *)
-let compiled img = Replayer.create_compiled (Compiled.of_packed (Packed.dup img))
+let compiled img = Replayer.create_compiled (Compiled.of_packed img)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -263,9 +263,8 @@ let t2 = Trace.linear ~id:1 ~kind:"test" [ block_at 0x400; block_at 0x300 ]
 
 let fixture_packed () = Packed.freeze (Builder.build [ t1; t2 ])
 
-let fixture_make =
-  let img = lazy (fixture_packed ()) in
-  fun _ -> compiled (Lazy.force img)
+let fixture_compiled = lazy (Compiled.of_packed (fixture_packed ()))
+let fixture_make _ = Replayer.create_compiled (Lazy.force fixture_compiled)
 
 let feed_blocks m asid addrs =
   List.iter
@@ -405,7 +404,7 @@ let prop_feeder_buffers =
         (fun i (asid, ev) ->
           if i = k then begin
             Multi.feeder_flush f;
-            Multi.rebind m fixture_make
+            Multi.rebind m (Replayer.Compiled (Lazy.force fixture_compiled))
           end;
           Multi.feeder_feed f ~asid ev)
         stamped;
@@ -413,6 +412,45 @@ let prop_feeder_buffers =
       let buffered = Multi.snapshots m in
       snap_eq buffered (Multi.snapshots one_at_a_time)
       && snap_eq buffered (Multi.replay_isolated fixture_make path))
+
+(* An asid storm over one shared compiled image: opening an asid costs
+   its replayer — counters, run boundaries and a small constant — plus
+   its feeder's 256-block run buffers, never a compile. 64 four-block
+   traces give 257 slots, so a per-asid compile (closures, region
+   tables) would cost several times the bound. *)
+let test_asid_cost_bound () =
+  let img =
+    Packed.freeze
+      (Builder.build
+         (List.init 64 (fun id ->
+              Trace.linear ~id ~kind:"test"
+                (List.init 4 (fun k -> block_at (0x10000 + (id * 0x100) + (k * 0x10)))))))
+  in
+  let c = Compiled.of_packed img in
+  let m = Multi.create (fun _ -> Replayer.create_compiled c) in
+  let f = Multi.feeder ~buf:256 m in
+  let open_asid asid =
+    Multi.feeder_block f ~asid ~start:0x10000 ~insns:1;
+    Multi.feeder_flush f
+  in
+  open_asid 0;
+  let n = 255 in
+  let before = Gc.allocated_bytes () in
+  for asid = 1 to n do
+    open_asid asid
+  done;
+  let per_asid = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  let array k = float_of_int ((k + 1) * (Sys.word_size / 8)) in
+  let bound =
+    array (Packed.n_counters img)
+    +. array (Packed.n_slots img)
+    +. (2. *. array 256) +. 1024.
+  in
+  check Alcotest.int "every asid replayed its block" (n + 1)
+    (List.length (Multi.asids m));
+  if per_asid > bound then
+    Alcotest.failf "%.0f bytes allocated per new asid, bound %.0f" per_asid
+      bound
 
 (* ---------------- workload pipeline fixtures ----------------
 
@@ -662,6 +700,8 @@ let () =
           Alcotest.test_case "hand-interleaved demux" `Quick
             test_multi_demux_fixture;
           qtest prop_feeder_buffers;
+          Alcotest.test_case "asid storm: per-asid allocation bounded" `Quick
+            test_asid_cost_bound;
         ] );
       ( "scenario",
         [

@@ -438,7 +438,7 @@ let offline_of_bytes image s =
     Multi.replay_events
       (fun _ ->
         Replayer.create_compiled
-          (Tea_core.Compiled.of_packed (Packed.dup image)))
+          (Tea_core.Compiled.of_packed image))
       path
   in
   Profile.merge_all (List.map snd (Multi.snapshots m))
