@@ -691,8 +691,6 @@ let ladder_workload name =
                     ri "fused_states" (Tea_core.Packed.fused_edges img);
                     ri "closures" (Tea_core.Compiled.n_closures c);
                     ri "chain_matchers" (Tea_core.Compiled.chained_states c);
-                    ri "minihash_fallback_states"
-                      (Tea_core.Compiled.fallback_states c);
                   ]
               | _ -> []
             in
@@ -744,7 +742,6 @@ let ladder_summary ~smoke rows =
       rowi "*" "config" "min_chain" Tea_opt.Fuse.default_min_chain;
       row "*" "config" "min_expected_run" Tea_opt.Fuse.default_min_expected_run;
       row "*" "config" "min_coverage" Tea_opt.Fuse.default_min_coverage;
-      rowi "*" "config" "scan_cap" Tea_core.Compiled.scan_cap;
     ]
 
 (* every rung's metrics, beyond the sim_cycles and ns_per_block all carry *)
@@ -753,7 +750,7 @@ let ladder_rung_metrics = function
   | "fuse" ->
       [
         "fused_step_fraction"; "chains"; "cyclic_chains"; "fused_states";
-        "closures"; "chain_matchers"; "minihash_fallback_states";
+        "closures"; "chain_matchers";
       ]
   | _ -> []
 
@@ -801,8 +798,7 @@ let ladder_check ~smoke rows =
   expect
     (let c = value rows "*" "config" "min_coverage" in
      c > 0.0 && c <= 1.0)
-    "min_coverage outside (0, 1]";
-  expect (value rows "*" "config" "scan_cap" >= 2.0) "scan_cap < 2"
+    "min_coverage outside (0, 1]"
 
 let ladder_spec =
   {

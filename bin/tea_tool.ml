@@ -229,8 +229,8 @@ let engine_arg =
   engine_arg_of
     ~doc:
       "Transition engine: reference (paper-faithful edge lists + B+ tree, \
-       honours --config) or compiled (closure-threaded dispatch \
-       specialized from a flat-array packed image; identical observables, \
+       honours --config) or compiled (one transition loop \
+       compiled from a flat-array packed image; identical observables, \
        fastest host replay)."
     [ ("reference", `Reference); ("compiled", `Compiled) ]
     `Reference
@@ -1024,10 +1024,10 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Closure-threaded compilation: record, specialize the packed \
-          image's dispatch into preapplied closures (optionally after \
-          --pgo repacking and --fuse chain fusion), and verify the \
-          compiled replay is identical")
+         "Dispatch compilation: record, compile the packed image's \
+          dispatch into one transition loop plus fused-chain matchers \
+          (optionally after --pgo repacking and --fuse chain fusion), and \
+          verify the compiled replay is identical")
     Term.(
       const run $ workload_arg $ strategy_arg $ pgo_arg $ fuse_arg
       $ hot_prefix_arg $ out_arg $ obs_term)
@@ -1574,7 +1574,7 @@ let serve_cmd =
   let serve_engine_arg =
     engine_arg_of
       ~doc:
-        "Session replay engine: compiled (closure-threaded dispatch; the \
+        "Session replay engine: compiled (one transition loop; the \
          image is compiled once per epoch and shared by every session) is \
          the only value."
       [ ("compiled", `Compiled) ]

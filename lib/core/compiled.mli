@@ -1,41 +1,39 @@
-(** Closure-threaded compiled dispatch over a packed image.
+(** Compiled dispatch over a packed image.
 
-    [of_packed] specializes every state of a {!Packed} image (any
-    TEAPK1/2/3 layout — it composes with repacking and fusion) into a
-    preapplied OCaml closure that tests its successor PCs with
-    straight-line compares in span (profile) order and tail-calls the
-    successor's closure directly: no slot lookup, no tier ladder, no
-    per-step image indirection. Shapes by fan-out degree:
+    [of_packed] compiles a {!Packed} image (any TEAPK1/2/3 layout — it
+    composes with repacking and fusion) into two mechanisms:
 
-    - degree 0: straight to the global trace-head hash;
-    - degree up to 8: a short linear scan over captured span copies;
-    - degree > 8: a per-state O(1) minihash finds the edge (wall-clock
-      only — the simulated charge is still the edge's);
-    - fused-chain members: a single matcher closure that compares the
+    - one transition loop, shared by every state no fused chain fronts:
+      the paper's two-level lookup — the state's own edges, then the
+      global trace-head hash, else NTE — with slot, cursor and cycle
+      sum in registers. In-trace fan-out-1/2 states whose successors
+      are all in-trace (see {!region_states}) resolve by one or two
+      inline compares against flat tables; every other state (fan-out
+      0, spans touching NTE, fan-out 3 and up) scans its span in span
+      (profile) order; a miss probes the trace-head hash inline;
+    - one matcher closure per fused-chain member, which compares the
       incoming PC run against the chain signature and accounts in bulk,
-      falling through to the state's ordinary closure on a mismatch;
-    - degree-1/2 states whose successors are all in-trace: compiled
-      together into a straight-line region (see {!region_states}) — a
-      register-resident compare loop over shared flat tables that
-      crosses whole stretches of monomorphic and bimodal states
-      without a single indirect jump.
+      falling through to the loop at the member's hash probe on a
+      mismatch.
+
+    Control leaves the loop only for a chain-fronted state or at the
+    batch bound, so cold code (hash hits, NTE) costs no indirect jump.
 
     Replay through the compiled image is observationally identical to
     stepping the image with {!Packed.step} — TBB mapping, coverage,
     enter/exit counters, stats and simulated cycles (the per-step
-    charges are captured from the image's {!Packed.resolution_costs} at
-    build time), so cycles remain a pure function of the replayed
-    stream.
+    charges are read from the image's {!Packed.resolution_costs}), so
+    cycles remain a pure function of the replayed stream.
 
-    The batch-loop state (cursor, bound, cycle accumulator, the two
-    loop-invariant arrays and the caller's {!rare} record) is threaded
-    through the closures as arguments, so the hot paths keep it in
-    registers; every closure is bounded by the threaded [stop], so
-    replay over a compiled image in batches is bit-identical to one
-    whole-array run. A [t] is an immutable value: everything a batch
-    writes lives in the caller's counters and {!rare} record, so one
-    image serves any number of replayers, on any number of domains at
-    once. *)
+    The batch-loop state (slot, cursor, bound, cycle accumulator, the
+    two loop-invariant arrays and the caller's {!rare} record) is
+    threaded through every jump as arguments, so the hot paths keep it
+    in registers; the loop and every matcher are bounded by the
+    threaded [stop], so replay over a compiled image in batches is
+    bit-identical to one whole-array run. A [t] is an immutable value:
+    everything a batch writes lives in the caller's counters and
+    {!rare} record, so one image serves any number of replayers, on any
+    number of domains at once. *)
 
 type t
 
@@ -94,30 +92,22 @@ val run :
 
 (** {2 Image statistics} *)
 
-val scan_cap : int
-(** Largest fan-out dispatched by inline compares / linear scan; above
-    it states fall back to the minihash shape. *)
-
 val n_closures : t -> int
-(** Dispatch closures built: one per state, plus one chain matcher per
-    fused-chain member. *)
+(** Dispatch closures built: the transition loop, plus one chain
+    matcher per fused-chain member. *)
 
 val degree_histogram : t -> (int * int) list
 (** [(fan-out degree, number of states)], sorted by degree. *)
-
-val fallback_states : t -> int
-(** States with degree > {!scan_cap} (minihash fallback shape). *)
 
 val chained_states : t -> int
 (** States fronted by a fused-chain matcher closure. *)
 
 val region_states : t -> int
-(** States compiled into the straight-line region: in-trace fan-out-1/2
-    states whose successors are all in-trace (and that no fused-chain
-    matcher fronts). Their closures run a shared tight loop that tests
-    each PC against the current slot's one or two successor labels and
-    steps within flat tables — cursor, slot and cycle sum stay in
-    registers, and control leaves only at a span miss (straight to the
-    trace-head hash), a slot outside the region, or the batch bound.
-    Since the loop compares exactly the span the interpreted scan
-    would, at exactly its cost, observables are untouched. *)
+(** States the transition loop resolves by inline compares: in-trace
+    fan-out-1/2 states whose successors are all in-trace (and that no
+    fused-chain matcher fronts). The loop tests each PC against such a
+    state's one or two successor labels and steps within flat tables;
+    on a miss it goes straight to the trace-head hash, since the whole
+    span was just compared. Since the compares cover exactly the span
+    the interpreted scan would, at exactly its cost, observables are
+    untouched. *)

@@ -1,5 +1,8 @@
 (* A per-asid entry also holds that asid's feeder run buffer: blocks fed
-   through a {!feeder} but not yet replayed, [starts.(0..fill-1)]. *)
+   through a {!feeder} but not yet replayed, [starts.(0..fill-1)]. Entries
+   whose buffer took a block since the last [flush_all] sit on an
+   intrusive stack threaded through [next]; an entry off the stack links
+   to itself. *)
 type entry = {
   asid : int;
   rep : Replayer.t;
@@ -8,25 +11,41 @@ type entry = {
   mutable starts : int array;
   mutable insns : int array;
   mutable fill : int;
+  mutable next : entry;
 }
 
 type t = {
   make : int -> Replayer.t;
   table : (int, entry) Hashtbl.t;
   mutable cur : entry; (* cache: the entry of the last block's asid *)
+  mutable dirty : entry; (* top of the stack of buffered entries *)
   mutable switches : int;
 }
 
+(* What [cur] holds before the first block, and the bottom of the dirty
+   stack: never fed, never returned. *)
+let rec no_entry =
+  {
+    asid = 0;
+    rep =
+      Replayer.create
+        (Transition.create Transition.config_no_global_local (Automaton.create ()));
+    invalidations = 0;
+    interrupts = 0;
+    starts = [||];
+    insns = [||];
+    fill = 0;
+    next = no_entry;
+  }
+
+(* zero counts and empty buffers, as [no_entry]'s; off the stack *)
 let new_entry asid rep =
-  { asid; rep; invalidations = 0; interrupts = 0; starts = [||]; insns = [||]; fill = 0 }
+  let e = { no_entry with asid; rep } in
+  e.next <- e;
+  e
 
-(* What [cur] holds before the first block: never fed, never returned. *)
-let no_entry =
-  new_entry 0
-    (Replayer.create
-       (Transition.create Transition.config_no_global_local (Automaton.create ())))
-
-let create make = { make; table = Hashtbl.create 8; cur = no_entry; switches = 0 }
+let create make =
+  { make; table = Hashtbl.create 8; cur = no_entry; dirty = no_entry; switches = 0 }
 
 (* The per-block path: one equality test when the stream stays in the same
    address space, one hash probe on a context switch, and no allocation
@@ -57,7 +76,14 @@ let flush e =
     e.fill <- 0
   end
 
-let flush_all t = Hashtbl.iter (fun _ e -> flush e) t.table
+(* Touches only the entries that took a block since the last call. *)
+let flush_all t =
+  while t.dirty != no_entry do
+    let e = t.dirty in
+    t.dirty <- e.next;
+    e.next <- e;
+    flush e
+  done
 
 (* Hot image swap across the whole address-space table: buffered runs
    replay on the image they were fed under, then every live replayer is
@@ -130,7 +156,12 @@ let make_room f e =
    fields as ints (the streaming decoder in [feeder_decode]) feed them
    straight into the run buffer without ever boxing a [Pc_trace.event]. *)
 let feeder_block f ~asid ~start ~insns =
-  let e = entry_for f.f_t asid in
+  let t = f.f_t in
+  let e = entry_for t asid in
+  if e.next == e then begin
+    e.next <- t.dirty;
+    t.dirty <- e
+  end;
   if e.fill = Array.length e.starts then make_room f e;
   let i = e.fill in
   e.starts.(i) <- start;

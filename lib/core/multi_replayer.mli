@@ -84,7 +84,9 @@ val feeder_ctl : feeder -> asid:int -> tag:int -> arg:int -> unit
 
 val feeder_flush : feeder -> unit
 (** Replay every buffered run now. Call at batch boundaries (end of a
-    drain cycle, end of stream); flushing is always safe. *)
+    drain cycle, end of stream); flushing is always safe. Costs one step
+    per asid that took a block since the last flush, however many asids
+    [t] holds. *)
 
 val feeder_decode :
   feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int * int

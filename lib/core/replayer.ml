@@ -108,8 +108,8 @@ let feed_addr t ?(insns = 0) addr =
 
 let feed t (b : Block.t) = feed_addr t ~insns:(Block.n_insns b) b.Block.start
 
-(* Batch replay through the closure-threaded compiled image: the
-   threading itself lives in {!Compiled}; this wrapper validates the
+(* Batch replay through the compiled image: the dispatch itself
+   lives in {!Compiled}; this wrapper validates the
    entry state, hands over the counter array and the rare-path record
    (every closure writes straight into them), applies the batch's deltas
    and flushes the same telemetry {!Packed.step} bumps one at a time.

@@ -14,9 +14,8 @@
       per-state edge lists plus B+ tree / linked-list containers with
       their simulated-cycle cost model — the differential oracle;
     - the {b compiled} engine ({!Compiled}), a flat-array {!Packed} image
-      (flat, repacked or fused) specialized into closure-threaded
-      dispatch — each state a preapplied closure jumping straight to its
-      successor's closure. Batches ({!feed_run}) run the closures;
+      (flat, repacked or fused) compiled into one transition loop plus
+      fused-chain matchers. Batches ({!feed_run}) run the loop;
       single addresses ({!feed_addr}) step the underlying image with
       {!Packed.step}.
 
@@ -35,7 +34,7 @@ val create : Transition.t -> t
 (** A replayer on the reference engine. *)
 
 val create_compiled : Compiled.t -> t
-(** A replayer on the closure-threaded compiled engine. The replayer
+(** A replayer on the compiled engine. The replayer
     owns everything replay accumulates — counters, cycles and the
     batch's rare-path record — so any number of replayers, on any
     number of domains, may share one compiled image. A replayer itself

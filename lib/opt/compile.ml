@@ -25,8 +25,6 @@ let describe c =
   List.iter
     (fun (deg, n) -> line "  fan-out %d: %d states" deg n)
     (Compiled.degree_histogram c);
-  line "  minihash fallback states (fan-out > %d): %d" Compiled.scan_cap
-    (Compiled.fallback_states c);
   line "  straight-line region states: %d" (Compiled.region_states c);
   line "  fused-chain matcher closures: %d" (Compiled.chained_states c);
   Buffer.contents buf

@@ -1,15 +1,16 @@
-(** Closure-threading compilation of a frozen {!Tea_core.Packed} image —
-    the pipeline wrapper over {!Tea_core.Compiled}.
+(** Dispatch compilation of a frozen {!Tea_core.Packed} image — the
+    pipeline wrapper over {!Tea_core.Compiled}.
 
     Where {!Repack} reorders the image for locality and {!Fuse} overlays
     superstate chains, this pass leaves the image alone and specializes
-    its {e dispatch}: every state becomes a preapplied OCaml closure
-    testing its (span-ordered, hence profile-ordered after repacking)
-    successor PCs with straight-line compares and tail-calling the
-    successor's closure directly. It consumes any TEAPK1/2/3 image, so
-    it composes with both other passes — compile the repacked-and-fused
-    image to stack all three wins; fused chains compile into a single
-    bulk-accounting matcher closure.
+    its {e dispatch}: every state no chain fronts resolves in one
+    register-resident transition loop — inline compares for in-trace
+    fan-out-1/2 states, a span scan in span (hence profile, after
+    repacking) order for the rest, the trace-head hash probed inline on
+    a miss — and every fused-chain member compiles into a single
+    bulk-accounting matcher closure. It consumes any TEAPK1/2/3 image,
+    so it composes with both other passes — compile the
+    repacked-and-fused image to stack all three wins.
 
     Compilation is observationally the identity: TBB mappings, coverage,
     enter/exit counters, stats and simulated cycles are exactly those of
@@ -36,5 +37,5 @@ val compiled_replay :
 
 val describe : Tea_core.Compiled.t -> string
 (** Human-readable image statistics: closure count, fan-out-degree
-    histogram, minihash-fallback and chain-matcher counts — the
+    histogram, region and chain-matcher counts — the
     [tea_tool info] compiled section. *)

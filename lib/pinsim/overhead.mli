@@ -7,7 +7,7 @@
     - No Global / Local: linked-list container + per-state local caches;
     - Global / No Local: B+ tree, no caches;
     - Global / Local: both (the configuration behind Tables 2 and 3);
-    - Compiled: the closure-threaded {!Tea_core.Compiled} dispatch over a
+    - Compiled: the compiled {!Tea_core.Compiled} dispatch over a
       flat-array {!Tea_core.Packed} image — our beyond-paper column
       showing what the transition function costs once compiled. Its host
       ns/block win is deliberately excluded from Table 4's simulated

@@ -8,7 +8,7 @@
 type engine = [ `Reference | `Compiled ]
 (** Which transition engine drives the replayer: the paper-faithful
     {!Tea_core.Transition} (configured by [?transition]) or the
-    closure-threaded {!Tea_core.Compiled} dispatch over a flat-array
+    compiled {!Tea_core.Compiled} dispatch over a flat-array
     {!Tea_core.Packed} image (which ignores [?transition] — it has no
     container/cache knobs). *)
 

@@ -244,7 +244,7 @@ let table4 ?pool ?pgo ?fuse ?fuel benches =
 
 let render_table4 rows =
   (* The "Compiled" engine column goes beyond the paper's three reference
-     configurations: same DFA, closure-threaded dispatch over a
+     configurations: same DFA, compiled dispatch over a
      flat-array image. Its host ns/block win is deliberately excluded
      from these simulated ratios. *)
   let header =

@@ -191,6 +191,8 @@ let prop_compiled_feed_addr =
   QCheck.Test.make ~name:"compiled feed_run == repeated feed_addr" ~count:100
     (QCheck.pair gen_workload (QCheck.int_range 1 7))
     (fun (w, batch) ->
+      (* the shrinker steps below the range; a 0-block batch never ends *)
+      let batch = max 1 batch in
       let addrs, insns, len = arrays_of_stream w.w_stream in
       let _, imgs = variants w addrs ~len in
       List.for_all
@@ -330,6 +332,163 @@ let test_shared_image_domains () =
       check Alcotest.bool "concurrent == alone" true (alone = together))
     [ flat; tuned ]
 
+(* ---------------- high fan-out images ----------------
+
+   Images built straight from raw arrays, so every span shape the
+   transition loop resolves occurs: each state, NTE included, gets 0..12
+   edges (a third of them a single edge instead, so chains form), any
+   edge may target NTE, and a random subset of PCs are trace heads. The
+   stream walks the image, mostly taking one of the current state's
+   edges, otherwise any PC of the pool — a head, another state's label,
+   or one no table knows. *)
+
+let fan_pool = 16
+
+let fan_pc i = 0x4000 + (0x10 * i)
+
+type fan = { f_img : Packed.t; f_addrs : int array; f_insns : int array }
+
+let gen_fan rand =
+  let open QCheck.Gen in
+  let n = int_range 2 14 rand in
+  let spans =
+    Array.init n (fun _ ->
+        let deg = if int_range 0 2 rand = 0 then 1 else int_range 0 12 rand in
+        let pool = Array.init fan_pool Fun.id in
+        shuffle_a pool rand;
+        let labels = Array.sub pool 0 deg in
+        Array.sort compare labels;
+        Array.map
+          (fun l ->
+            (fan_pc l, if int_range 0 3 rand = 0 then Automaton.nte else int_range 1 (n - 1) rand))
+          labels)
+  in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun s sp -> offsets.(s + 1) <- offsets.(s) + Array.length sp) spans;
+  let edges = Array.concat (Array.to_list spans) in
+  let heads =
+    List.filter_map
+      (fun l -> if int_range 0 2 rand = 0 then Some (fan_pc l, int_range 1 (n - 1) rand) else None)
+      (List.init fan_pool Fun.id)
+  in
+  let hash_keys, hash_vals = Packed.build_hash heads n in
+  let img =
+    Packed.of_raw
+      {
+        Packed.offsets;
+        labels = Array.map fst edges;
+        targets = Array.map snd edges;
+        state_trace = Array.init n (fun s -> if s = Automaton.nte then -1 else 0);
+        state_tbb = Array.init n Fun.id;
+        state_start = Array.init n (fun s -> if s = Automaton.nte then 0 else fan_pc s);
+        state_insns = Array.init n (fun s -> if s = Automaton.nte then 0 else 1 + (s mod 3));
+        hash_keys;
+        hash_vals;
+        hot_len = Array.make n 0;
+        orig_of = Array.init n Fun.id;
+      }
+  in
+  let len = int_range 0 300 rand in
+  let counts = Array.make (Packed.n_counters img) 0 and cycles = ref 0 in
+  let st = ref Automaton.nte in
+  let f_addrs =
+    Array.init len (fun _ ->
+        let sp = spans.(!st) in
+        let pc =
+          if Array.length sp > 0 && int_range 0 9 rand < 7 then
+            fst sp.(int_range 0 (Array.length sp - 1) rand)
+          else fan_pc (int_range 0 (fan_pool + 1) rand)
+        in
+        st := Packed.step img counts cycles !st pc;
+        pc)
+  in
+  { f_img = img; f_addrs; f_insns = Array.init len (fun _ -> int_range 0 4 rand) }
+
+let arb_fan =
+  QCheck.make
+    ~print:(fun f ->
+      Printf.sprintf "slots=%d edges=%d stream=%d" (Packed.n_slots f.f_img)
+        (Packed.n_edges f.f_img) (Array.length f.f_addrs))
+    gen_fan
+
+(* flat, repacked, and both fused with single-member chains allowed, so
+   as many states as possible sit behind a matcher *)
+let fan_variants f =
+  let len = Array.length f.f_addrs in
+  let tuned = Repack.repack f.f_img (Repack.collect f.f_img f.f_addrs ~len) in
+  [ f.f_img; tuned; Fuse.fuse ~min_chain:1 f.f_img; Fuse.fuse ~min_chain:1 tuned ]
+
+(* The loop's scan and inline hash probe against {!Packed.step} one
+   block at a time: raw counters and cycles straight from the step, the
+   snapshot and state from a replayer stepping it; the compiled side
+   runs the whole stream in one batch and again chopped into batches of
+   1..9 blocks. *)
+let prop_fanout_equals_step =
+  QCheck.Test.make ~name:"fan-out 0-12: compiled == Packed.step" ~count:200
+    (QCheck.pair arb_fan (QCheck.int_range 1 9))
+    (fun (f, batch) ->
+      let batch = max 1 batch in
+      let addrs = f.f_addrs and insns = f.f_insns in
+      let len = Array.length addrs in
+      List.for_all
+        (fun img ->
+          let counts = Array.make (Packed.n_counters img) 0 and cycles = ref 0 in
+          let st = ref Automaton.nte in
+          Array.iter (fun pc -> st := Packed.step img counts cycles !st pc) addrs;
+          let one = stepped img ~insns addrs ~len in
+          let whole = compiled_replayer img ~insns addrs ~len in
+          let chopped = compiled_make img in
+          let off = ref 0 in
+          while !off < len do
+            let n = min batch (len - !off) in
+            Replayer.feed_run chopped ~off:!off ~insns addrs ~len:n;
+            off := !off + n
+          done;
+          List.for_all
+            (fun rep ->
+              counters_of img rep = counts
+              && Replayer.cycles rep = !cycles
+              && Replayer.state rep = !st
+              && Replayer.snapshot rep = Replayer.snapshot one)
+            [ whole; chopped ])
+        (fan_variants f))
+
+(* The generator reaches what the property is for: over a fixed sample,
+   every degree 0..12 occurs both touching NTE (as source or target) and
+   not, chains form, and a chain member sees a PC off its chain (the
+   matcher's zero-length fall-through into the loop). *)
+let test_fan_coverage () =
+  let rand = Random.State.make [| 7 |] in
+  let nte_deg = Array.make 13 false and plain_deg = Array.make 13 false in
+  let falls = ref 0 in
+  for _ = 1 to 300 do
+    let f = gen_fan rand in
+    let raw = Packed.to_raw f.f_img in
+    for s = 0 to Packed.n_slots f.f_img - 1 do
+      let lo = raw.Packed.offsets.(s) and hi = raw.Packed.offsets.(s + 1) in
+      let touches = ref (s = Automaton.nte) in
+      for e = lo to hi - 1 do
+        if raw.Packed.targets.(e) = Automaton.nte then touches := true
+      done;
+      (if !touches then nte_deg else plain_deg).(hi - lo) <- true
+    done;
+    let fused = Fuse.fuse ~min_chain:1 f.f_img in
+    match Packed.fusion_of fused with
+    | None -> ()
+    | Some fu ->
+        let counts = Array.make (Packed.n_counters fused) 0 in
+        let st = ref Automaton.nte in
+        Array.iter
+          (fun pc ->
+            if fu.Packed.fchain.(!st) >= 0 && pc <> raw.Packed.labels.(raw.Packed.offsets.(!st))
+            then incr falls;
+            st := Packed.step fused counts (ref 0) !st pc)
+          f.f_addrs
+  done;
+  check Alcotest.(array bool) "every degree touches NTE" (Array.make 13 true) nte_deg;
+  check Alcotest.(array bool) "every degree stays in-trace" (Array.make 13 true) plain_deg;
+  check Alcotest.bool "chain members fall through" true (!falls > 0)
+
 (* ---------------- sharded replay through compiled workers ------------ *)
 
 let prop_sharded_compiled_replay =
@@ -434,12 +593,14 @@ let test_image_stats () =
   let flat, starts, insns, len = listscan_fixture () in
   let tuned = Repack.repack flat (Repack.collect flat starts ~len) in
   let c = Compile.compile tuned in
-  check Alcotest.bool "one closure per state at least" true
-    (Compiled.n_closures c >= Packed.n_slots (Compiled.base c));
-  (* listscan is bimodal-branchy: its loop states land in the
-     straight-line region, not behind chain matchers *)
+  (* every slot no chain fronts dispatches in the one transition loop:
+     the only other closures are the chain matchers *)
+  check Alcotest.int "every unchained slot is a region slot"
+    (1 + Compiled.chained_states c)
+    (Compiled.n_closures c);
+  (* listscan is bimodal-branchy: its loop states resolve by the
+     region's inline compares, not behind chain matchers *)
   check Alcotest.bool "region states found" true (Compiled.region_states c > 0);
-  check Alcotest.int "no minihash fallback" 0 (Compiled.fallback_states c);
   let d = Compile.describe c in
   check Alcotest.bool "describe mentions the region" true
     (let needle = "straight-line region states" in
@@ -470,6 +631,8 @@ let () =
           qtest prop_sharded_compiled_replay;
           qtest prop_multi_asid_compiled;
           qtest prop_shared_image;
+          qtest prop_fanout_equals_step;
+          Alcotest.test_case "fan-out generator coverage" `Quick test_fan_coverage;
           Alcotest.test_case "two domains, one image" `Quick
             test_shared_image_domains;
         ] );

@@ -489,9 +489,11 @@ let check_golden_file name actual =
       end
 
 (* The text dump `tea_tool replay micro:listscan --engine=compiled --pgo
-   --metrics` produces: the flat profiling replay and the repacked replay
-   back to back, alongside the counters metrics_listscan.txt already
-   freezes. Every counter is simulated-time or event-count, so the
+   --metrics` produces: the repacked replay only, alongside the counters
+   metrics_listscan.txt already freezes. The flat profile comes from
+   {!Repack.collect} over the captured stream, which records no
+   telemetry, so [replayer.steps] 30012 is one pass over listscan's
+   30 012 blocks. Every counter is simulated-time or event-count, so the
    rendering is stable byte for byte. *)
 let test_metrics_repack_golden () =
   let image = Tea_workloads.Micro.list_scan () in
