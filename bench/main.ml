@@ -857,7 +857,9 @@ let run_ladder ~smoke =
    Profile snapshots equal to replaying each asid's projection in
    isolation; any divergence exits 1. Timing is the sequential demuxed
    replay of the synthesized event file over the flat images (decode
-   included), best-of-5 after one warmup. *)
+   included). Every row is timed in the same alternated rounds, as the
+   ladder's rungs are, and reports its minimum over 5 rounds after one
+   warmup. *)
 
 module Scenario = Tea_workloads.Scenario
 
@@ -908,9 +910,10 @@ let scn_snap_eq a b =
        (fun (x, p) (y, q) -> x = y && Tea_parallel.Profile.equal p q)
        a b
 
-let run_scenario_row ~label (preps : scn_prep array) scn =
-  let file = Filename.temp_file "tea_scn" ".trc" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+(* Write one row's event file and enforce its gate; return a sampler
+   timing [reps] sequential demuxed replays of it and the rows for its
+   best time. *)
+let scenario_row ~label (preps : scn_prep array) file scn =
   let n_events = Scenario.write_file file scn in
   let gate engine img_for =
     let make a = compiled_replayer (img_for a) in
@@ -942,30 +945,29 @@ let run_scenario_row ~label (preps : scn_prep array) scn =
   let n_runs = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 runs in
   let make_flat a = compiled_replayer preps.(a).sp_flat in
   let reps = 1 + (500_000 / max 1 n_events) in
-  let best =
-    interleaved_best
-      [
-        (fun () ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            ignore (Tea_core.Multi_replayer.replay_events make_flat file)
-          done;
-          Unix.gettimeofday () -. t0);
-      ]
+  let sample () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Tea_core.Multi_replayer.replay_events make_flat file)
+    done;
+    Unix.gettimeofday () -. t0
   in
-  let ns = 1e9 *. best.(0) /. float_of_int (reps * n_events) in
-  Printf.printf
-    "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
-     [gate ok]\n%!"
-    label (List.length runs) n_events blocks n_runs ns;
-  let r = rowi label "flat" in
-  [
-    r "asids" (List.length runs);
-    r "events" n_events;
-    r "blocks" blocks;
-    r "runs" n_runs;
-    row label "flat" "ns_per_event" ns;
-  ]
+  let rows best =
+    let ns = 1e9 *. best /. float_of_int (reps * n_events) in
+    Printf.printf
+      "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
+       [gate ok]\n%!"
+      label (List.length runs) n_events blocks n_runs ns;
+    let r = rowi label "flat" in
+    [
+      r "asids" (List.length runs);
+      r "events" n_events;
+      r "blocks" blocks;
+      r "runs" n_runs;
+      row label "flat" "ns_per_event" ns;
+    ]
+  in
+  (sample, rows)
 
 let scn_check ~smoke rows =
   let n_bases = List.length (scn_bases ~smoke) in
@@ -1013,11 +1015,14 @@ let run_scenario ~smoke =
             Scenario.interrupt ~every:(interrupt_every s) s ))
         streams
   in
-  let rows =
-    List.concat_map
-      (fun (label, scn) -> run_scenario_row ~label preps scn)
-      scenarios
+  let files = List.map (fun _ -> Filename.temp_file "tea_scn" ".trc") scenarios in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove files) @@ fun () ->
+  let gated =
+    List.map2 (fun (label, scn) file -> scenario_row ~label preps file scn) scenarios files
   in
+  (* every row is sampled once per round, so machine drift hits them alike *)
+  let best = interleaved_best (List.map fst gated) in
+  let rows = List.concat (List.mapi (fun i (_, rows) -> rows best.(i)) gated) in
   write_bench scenario_spec ~bench:"scenario" ~smoke rows
 
 (* ---- closed-loop continuous PGO: the BENCH_retune.json trajectory ----

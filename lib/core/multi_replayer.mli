@@ -78,34 +78,31 @@ val feeder_block : feeder -> asid:int -> start:int -> insns:int -> unit
 (** [feeder_feed f ~asid (Block { start; insns })] without constructing
     the event. *)
 
-val feeder_ctl : feeder -> asid:int -> tag:int -> arg:int -> unit
-(** A control record as {!Pc_trace.decoder_feed_ints} passes it, without
-    constructing the event. *)
-
 val feeder_flush : feeder -> unit
 (** Replay every buffered run now. Call at batch boundaries (end of a
-    drain cycle, end of stream); flushing is always safe. Costs one step
+    read, end of stream); flushing is always safe. Costs one step
     per asid that took a block since the last flush, however many asids
     [t] holds. *)
 
 val feeder_decode :
-  feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int * int
-(** [feeder_decode f dec s] feeds [s.[off..off+len)] to the streaming
-    decoder [dec] ({!Pc_trace.decoder_feed_ints}) and every event it
-    completes straight into [f] through {!feeder_block} and
-    {!feeder_ctl}. Returns [(events, blocks)] completed by this chunk; a
-    record cut at the end of the chunk stays in [dec] for the next call.
-    Does not flush [f].
-    @raise Pc_trace.Corrupt as {!Pc_trace.decoder_feed} — events before
-    the bad record have been fed. *)
+  feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int
+(** The one decode-into-replay path, run by every daemon session and
+    every file replay. [feeder_decode f dec s] buffers [s.[off..off+len)]
+    in [dec] and drives its kernel over [f]'s run buffers: each block
+    decodes straight into its asid's buffer, and the step between runs
+    makes room or applies a control record by the flush rules above.
+    Returns the blocks completed; a record cut at the end of [s] stays
+    in [dec]. Does not flush [f].
+    @raise Pc_trace.Corrupt as {!Pc_trace.decoder_feed}, after feeding
+    every record before the bad one. *)
 
-val replay_file : t -> string -> int
-(** Replay a trace file of any {!Pc_trace.format} in one streaming pass:
-    {!Pc_trace.read_all}, then {!feeder_decode} chunk by chunk, then
-    {!Pc_trace.decoder_finish} and {!feeder_flush}. Returns the blocks
-    replayed. Equivalent to folding {!feed} over {!Pc_trace.fold_events}.
-    @raise Pc_trace.Corrupt on bad framing, with the whole-file
-    messages. *)
+val replay_file : t -> Pc_trace.decoder -> string -> int
+(** [replay_file t dec path]: {!feeder_decode} of the file through
+    [dec] in chunks, then {!Pc_trace.decoder_finish} and {!feeder_flush};
+    returns the blocks replayed. With a {!Pc_trace.decoder} it equals
+    folding {!feed} over {!Pc_trace.fold_events}; a
+    {!Pc_trace.single_decoder} rejects control records as {!Pc_trace.fold}
+    does. @raise Pc_trace.Corrupt with the whole-file messages. *)
 
 val replay_events : (int -> Replayer.t) -> string -> t
 (** [create] + [replay_file]. *)
@@ -114,9 +111,6 @@ val asids : t -> int list
 (** Asids that executed at least one block, sorted. *)
 
 val replayer : t -> int -> Replayer.t option
-
-val switches : t -> int
-(** Switch records routed (including self-switches). *)
 
 val invalidations : t -> int -> int
 (** Invalidations that landed on an existing asid ([0] for unknown). *)
@@ -130,15 +124,10 @@ val snapshots : t -> (int * Replayer.snapshot) list
 val add_edge_counts : t -> int array -> unit
 (** {!Replayer.add_edge_counts} of every asid's replayer into [acc]. *)
 
-val project : string -> (int * Pc_trace.event list) list
-(** Per-asid projection of a trace file, sorted by asid: each asid keeps
-    its blocks and interrupts in stream order plus every invalidation
-    targeting it; switches are dropped. Asids that only ever appear as a
-    switch target (no block, interrupt or invalidation) do not appear. *)
-
 val replay_isolated : (int -> Replayer.t) -> string -> (int * Replayer.snapshot) list
-(** Replay each asid's {!project}ion through a fresh replayer, in
-    isolation; per-asid snapshots for asids that executed blocks, sorted.
+(** Replay each asid's projection of the file (its blocks and interrupts
+    in stream order plus every invalidation targeting it) through a fresh
+    replayer, in isolation; per-asid snapshots for asids that executed blocks, sorted.
     The reference side of the gate: must equal {!snapshots} of a demuxed
     {!replay_events} over the same file and factory (with the factory
     handing out a fresh replayer per call). *)

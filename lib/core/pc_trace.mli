@@ -31,16 +31,18 @@
       destroy the delta/dictionary locality the coder feeds on. A stream
       starts in asid 0.
 
-    {b Decoding.} Every reader below — the whole-file folds, {!load}
-    and the streaming decoder — runs one record kernel over a
-    byte buffer: whole files are decoded in place from {!read_all}'s
-    string, streams from the decoder's buffer. The kernel commits each
-    record on its own and passes blocks to its consumer as unboxed ints,
-    so decoding a block allocates nothing; only the [event]-valued
-    entry points ({!fold_events}, {!decoder_feed}) build values. Varints
-    are at most 9 bytes (63 bits); a longer one, a negative instruction
-    count or a negative asid operand is [Corrupt], with the same message
-    on the whole-file and the streaming path. *)
+    {b Decoding.} One kernel ({!decode_blocks}) decodes every trace: it
+    writes the current asid's block records straight into a caller's run
+    buffer, with no call per block, and stops at any other record. A
+    step ({!decode_step}) takes over there: it decodes a control record
+    or raises a corrupt one. Every reader below alternates the two, whole
+    files in place in {!read_all}'s string and streams in the decoder's
+    buffer, so decoding a block allocates nothing; only the
+    [event]-valued readers ({!fold_events}, {!decoder_feed}) build
+    values. Varints are at most 9 bytes (63 bits); a longer one, a
+    negative instruction count or a negative asid operand is [Corrupt],
+    with the same message on every path, after every record before it
+    has been delivered. *)
 
 type format = V1 | V2 | V3
 
@@ -112,19 +114,6 @@ val fold_events : string -> 'a -> ('a -> asid:int -> event -> 'a) -> 'a
 val length : string -> int
 (** Number of block records (events not counted). *)
 
-val iter_chunks :
-  ?chunk:int ->
-  string ->
-  (starts:int array -> insns:int array -> len:int -> unit) ->
-  unit
-(** Decode the file in blocks of up to [chunk] (default 4096) records into
-    reused parallel arrays; only [starts.(0..len-1)] / [insns.(0..len-1)]
-    are valid per call. This is the batched front half of
-    {!Replayer.feed_run}. Single-stream view: same acceptance rules as
-    {!fold} — a v3 file with events is rejected rather than chunked with
-    its asid boundaries erased (demultiplex with {!fold_events} or
-    [Multi_replayer] first). @raise Corrupt on bad framing. *)
-
 (** {2 Unboxed consumers} *)
 
 type run = { starts : int array; insns : int array; len : int }
@@ -171,26 +160,42 @@ val decoder_feed :
     decoder is then poisoned and must be discarded.
     @raise Invalid_argument on a bad substring or a finished decoder. *)
 
+val single_decoder : unit -> decoder
+(** A decoder with {!fold}'s acceptance rules: a v3 control record is
+    [Corrupt] once its operand is decoded. *)
+
+(** {2 The kernel}
+
+    After each {!decoder_input}, alternate {!decode_blocks} and
+    {!decode_step} until the step returns {!step_end}. *)
+
+val decoder_input : decoder -> ?off:int -> ?len:int -> string -> unit
+(** Buffer [s.[off..off+len)] and sniff the magic; decode nothing. *)
+
+val decode_blocks : decoder -> int array -> int array -> int -> int
+(** [decode_blocks d starts insns fill] decodes the current asid's block
+    records into [starts.(fill..)] and [insns.(fill..)] and returns the
+    new fill. It stops at a control record, a corrupt record, the end of
+    input, or a complete block record with no room left.
+    @raise Invalid_argument if [fill] is outside the arrays. *)
+
+val decode_step : decoder -> int
+(** Take the record {!decode_blocks} stopped at: a control record's tag
+    ({!decoder_asid} is then the asid it lands on, {!decoder_arg} its
+    operand); {!step_full} if a block waits for room; {!step_end} if no
+    complete record is left. @raise Corrupt on a corrupt record. *)
+
 val tag_switch : int
 val tag_invalidate : int
 val tag_interrupt : int
-(** The [~tag] values {!decoder_feed_ints} passes for [Switch],
-    [Invalidate] and [Interrupt]. *)
+val step_full : int
+val step_end : int
 
-val decoder_feed_ints :
-  decoder ->
-  ?off:int ->
-  ?len:int ->
-  string ->
-  block:(asid:int -> start:int -> insns:int -> unit) ->
-  ctl:(asid:int -> tag:int -> arg:int -> unit) ->
-  unit
-(** {!decoder_feed} without event values: [block] gets each block's
-    fields, [ctl] each event's tag and operand ([arg] is the target asid
-    of a switch or invalidation, [0] for an interrupt). [~asid] is
-    stamped as in {!decoder_feed}. Decoding allocates nothing per
-    record, so the cost is the callbacks'. Same errors as
-    {!decoder_feed}. *)
+val decoder_asid : decoder -> int
+
+val decoder_arg : decoder -> int
+(** The target asid of a switch or an invalidation, [0] for an
+    interrupt. *)
 
 val decoder_finish : decoder -> unit
 (** Declare end-of-stream. Idempotent.
@@ -205,5 +210,6 @@ val decoder_pending : decoder -> int
 (** Buffered bytes not yet decoded ([0] exactly at a record boundary). *)
 
 val replay : Transition.t -> string -> Replayer.t
-(** Replay a TEA against a trace file: the offline half of the
-    cross-system workflow (reference engine, record-at-a-time). *)
+(** Replay a TEA against a trace file with {!fold}'s acceptance rules:
+    the offline half of the cross-system workflow (reference engine, one
+    {!Replayer.feed_run} per decoded run). *)

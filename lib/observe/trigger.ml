@@ -1,6 +1,6 @@
 (* Hysteresis around a boolean signal. The drift gauge is noisy — a
    fleet profile hovering at the threshold flips the comparison every
-   drain cycle — and a rebuild costs a repack+fuse pass, so the retune
+   few sessions — and a rebuild costs a repack+fuse pass, so the retune
    loop must not fire on every edge. Classic two-sided debounce: demand
    [up] consecutive over-threshold observations to fire, then hold a
    [cooldown] of observations before re-arming, during which nothing

@@ -2,7 +2,7 @@
 
     {!Drift} is a pure gauge and {!Exposition} a pure renderer; acting
     on the gauge needs debounce, or a profile oscillating around the
-    threshold would thrash image rebuilds every drain cycle. A trigger
+    threshold would thrash image rebuilds every few sessions. A trigger
     fires only after [up] {e consecutive} over-threshold observations,
     then ignores the next [cooldown] observations entirely (no streak
     accumulates while cooling) before re-arming. Pure counters — the

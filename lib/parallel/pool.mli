@@ -1,7 +1,7 @@
 (** A persistent Domain-based worker pool (OCaml 5 [Domain]s).
 
-    The table drivers and the per-asid PC-trace replay both reduce to the
-    same shape: [n] independent tasks, results wanted in task order. The
+    The table drivers reduce to one shape: [n] independent tasks, results
+    wanted in task order. The
     pool spawns its domains once and reuses them across every {!map} —
     domain spawn is milliseconds, a table-sweep task is seconds, but the
     ablation and bench paths map dozens of times and a respawn per map
@@ -12,8 +12,7 @@
     sequential code path, not a one-worker simulation of it) or when the
     batch has one task. A lone task gains nothing from a worker: the
     caller would only sleep through it, after paying two cross-domain
-    wake-ups (signal the worker, wait for its broadcast back). That is
-    the common case of the daemon's drain cycle, one ready session. So a
+    wake-ups (signal the worker, wait for its broadcast back). So a
     one-task batch is neither queued nor signalled, and [jobs >= 2]
     still spawns exactly [jobs] workers for the batches of two or more.
 

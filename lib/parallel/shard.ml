@@ -23,12 +23,10 @@ let load_pc_trace path =
 
 let replay_pc_trace pool packed ?(make = default_make) path =
   let rep = make packed in
-  let blocks = ref 0 in
-  Pc_trace.iter_chunks path (fun ~starts ~insns ~len ->
-      Replayer.feed_run rep ~insns starts ~len;
-      blocks := !blocks + len);
-  Pool.add_units pool !blocks;
-  (Profile.of_replayer rep, !blocks)
+  let m = Multi_replayer.create (fun _ -> rep) in
+  let blocks = Multi_replayer.replay_file m (Pc_trace.single_decoder ()) path in
+  Pool.add_units pool blocks;
+  (Profile.of_replayer rep, blocks)
 
 type run = Pc_trace.run = { starts : int array; insns : int array; len : int }
 
@@ -73,5 +71,5 @@ let load_events path =
    own run buffer, so batches stay long at any interleaving. *)
 let replay_events pool packed_for ?(make = default_make) path =
   let m = Multi_replayer.create (fun asid -> make (packed_for asid)) in
-  Pool.add_units pool (Multi_replayer.replay_file m path);
+  Pool.add_units pool (Multi_replayer.replay_file m (Pc_trace.decoder ()) path);
   Multi_replayer.snapshots m

@@ -3,11 +3,10 @@
 
     A TEA replay is one sequential DFA walk per PC stream, and the trace
     format is delta- and dictionary-coded, so decoding one stream is
-    serial too. A single-asid file streams through one replayer in
-    {!Tea_core.Pc_trace.iter_chunks} batches. A PCTR3 file streams
-    through one {!Tea_core.Multi_replayer} feeder, which keeps a run
-    buffer per asid, so its asids replay side by side in long batches
-    with no whole-stream arrays. Either way the profile is the same at
+    serial too. Every file streams through one
+    {!Tea_core.Multi_replayer} feeder, which keeps a run buffer per asid
+    (one for a single-asid file), so asids replay side by side in long
+    batches with no whole-stream arrays. The profile is the same at
     any job count because the same one walk produces it; the pool only
     counts the blocks ({!Pool.add_units}).
 
@@ -51,11 +50,11 @@ val replay_pc_trace :
   string ->
   Profile.t * int
 (** Stream a single-stream {!Tea_core.Pc_trace} file through one
-    [make packed] replayer on the caller, one
-    {!Tea_core.Replayer.feed_run} per {!Tea_core.Pc_trace.iter_chunks}
-    batch, so memory is per batch, not per trace. Returns the profile and
-    the block count, and credits the blocks to {!Pool.add_units}. The
-    profile equals one [feed_run] over {!load_pc_trace}'s arrays.
+    [make packed] replayer on the caller: the one-asid case of the
+    feeder, with a {!Tea_core.Pc_trace.single_decoder}, so memory is per
+    run buffer, not per trace. Returns the profile and the block count,
+    and credits the blocks to {!Pool.add_units}. The profile equals one
+    [feed_run] over {!load_pc_trace}'s arrays.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with
     {!load_pc_trace}'s message for the same bytes. *)
 

@@ -28,8 +28,8 @@ val push_block : t -> asid:int -> start:int -> insns:int -> unit
     is warm. *)
 
 val push_ctl : t -> asid:int -> tag:int -> arg:int -> unit
-(** [push] of a control record as {!Tea_core.Pc_trace.decoder_feed_ints}
-    passes it; the decoder's tags are {!tag_switch}, {!tag_invalidate}
+(** [push] of a control record as {!Tea_core.Pc_trace.decode_step}
+    returns it; the decoder's tags are {!tag_switch}, {!tag_invalidate}
     and {!tag_interrupt}. *)
 
 (** {2 Head-record accessors}

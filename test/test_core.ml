@@ -698,9 +698,7 @@ let test_pc_trace_empty_stream () =
   let w = Pc_trace.open_writer path in
   Pc_trace.close_writer w;
   check Alcotest.int "no records" 0 (Pc_trace.length path);
-  let chunks = ref 0 in
-  Pc_trace.iter_chunks path (fun ~starts:_ ~insns:_ ~len:_ -> incr chunks);
-  check Alcotest.int "no chunks flushed" 0 !chunks;
+  check Alcotest.int "no blocks loaded" 0 (Pc_trace.load path).Pc_trace.len;
   Sys.remove path
 
 let test_pc_trace_truncated_file () =
@@ -838,30 +836,6 @@ let test_pc_trace_writer_misuse () =
       Pc_trace.write w ~start:0x100 ~insns:1);
   Sys.remove path
 
-let test_pc_trace_iter_chunks () =
-  let path = Filename.temp_file "tea_pc" ".trc" in
-  let w = Pc_trace.open_writer path in
-  let n = 10 in
-  for i = 1 to n do
-    Pc_trace.write w ~start:(0x1000 * i) ~insns:i
-  done;
-  Pc_trace.close_writer w;
-  (* a chunk size that does not divide n exercises the final partial flush *)
-  let seen = ref [] and lens = ref [] in
-  Pc_trace.iter_chunks ~chunk:4 path (fun ~starts ~insns ~len ->
-      lens := len :: !lens;
-      for i = 0 to len - 1 do
-        seen := (starts.(i), insns.(i)) :: !seen
-      done);
-  Sys.remove path;
-  check Alcotest.(list int) "chunk lengths" [ 4; 4; 2 ] (List.rev !lens);
-  check Alcotest.(list (pair int int)) "all records in order"
-    (List.init n (fun i -> (0x1000 * (i + 1), i + 1)))
-    (List.rev !seen);
-  Alcotest.check_raises "bad chunk size"
-    (Invalid_argument "Pc_trace.iter_chunks: chunk must be positive") (fun () ->
-      Pc_trace.iter_chunks ~chunk:0 path (fun ~starts:_ ~insns:_ ~len:_ -> ()))
-
 let test_pc_trace_offline_replay_equivalence () =
   (* capture once, replay offline: identical coverage and profile to the
      live replay *)
@@ -992,7 +966,6 @@ let () =
           Alcotest.test_case "empty stream" `Quick test_pc_trace_empty_stream;
           Alcotest.test_case "truncated file" `Quick test_pc_trace_truncated_file;
           Alcotest.test_case "writer misuse" `Quick test_pc_trace_writer_misuse;
-          Alcotest.test_case "iter_chunks" `Quick test_pc_trace_iter_chunks;
           Alcotest.test_case "offline replay" `Quick test_pc_trace_offline_replay_equivalence;
           Alcotest.test_case "v1/v2 roundtrip" `Quick test_pctr2_both_formats_roundtrip;
           Alcotest.test_case "v2 size win" `Quick test_pctr2_size_win;

@@ -176,9 +176,10 @@ let test_v3_corruption () =
       expect_corrupt "mid-run truncation" (fun () ->
           ignore (Pc_trace.length path)))
 
-(* The iter_chunks/Shard audit outcome: the single-stream view refuses a
-   v3 event stream (chunking it would erase asid boundaries and cut
-   points), while a pure block-stream v3 file still works everywhere. *)
+(* The single-stream view refuses a v3 event stream (replaying it as one
+   stream would erase asid boundaries and cut points), whole-file and
+   streamed alike, while a pure block-stream v3 file still works
+   everywhere. *)
 let test_v3_single_stream_view () =
   with_tmp (fun path ->
       write_v3 path
@@ -187,8 +188,10 @@ let test_v3_single_stream_view () =
           Pc_trace.Block { start = 0x200; insns = 1 } ];
       expect_corrupt "fold on event stream" (fun () ->
           Pc_trace.fold path () (fun () ~start:_ ~insns:_ -> ()));
-      expect_corrupt "iter_chunks on event stream" (fun () ->
-          Pc_trace.iter_chunks path (fun ~starts:_ ~insns:_ ~len:_ -> ())));
+      expect_corrupt "load on event stream" (fun () -> ignore (Pc_trace.load path));
+      expect_corrupt "single-stream decoder on event stream" (fun () ->
+          Pc_trace.decoder_feed (Pc_trace.single_decoder ()) (Pc_trace.read_all path)
+            (fun ~asid:_ _ -> ())));
   with_tmp (fun path ->
       write_v3 path
         [ Pc_trace.Block { start = 0x100; insns = 1 };
