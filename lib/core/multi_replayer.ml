@@ -1,16 +1,13 @@
-(* A per-asid entry also holds that asid's feeder run buffer: blocks fed
-   through a {!feeder} but not yet replayed, [starts.(0..fill-1)]. Entries
-   whose buffer took a block since the last [flush_all] sit on an
-   intrusive stack threaded through [next]; an entry off the stack links
-   to itself. *)
+(* A per-asid entry also holds that asid's feeder run buffer, its lane:
+   blocks fed through a {!feeder} but not yet replayed. Entries whose
+   lane took a block since the last [flush_all] sit on an intrusive stack
+   threaded through [next]; an entry off the stack links to itself. *)
 type entry = {
   asid : int;
   rep : Replayer.t;
   mutable invalidations : int;
   mutable interrupts : int;
-  mutable starts : int array;
-  mutable insns : int array;
-  mutable fill : int;
+  lane : Pc_trace.lane;
   mutable next : entry;
 }
 
@@ -19,6 +16,8 @@ type t = {
   table : (int, entry) Hashtbl.t;
   mutable cur : entry; (* cache: the entry of the last block's asid *)
   mutable dirty : entry; (* top of the stack of buffered entries *)
+  mutable route : Pc_trace.lane array;
+      (* the kernel's route: the dirty entries' lanes, by asid *)
 }
 
 (* What [cur] holds before the first block, and the bottom of the dirty
@@ -31,20 +30,20 @@ let rec no_entry =
         (Transition.create Transition.config_no_global_local (Automaton.create ()));
     invalidations = 0;
     interrupts = 0;
-    starts = [||];
-    insns = [||];
-    fill = 0;
+    lane = Pc_trace.no_lane;
     next = no_entry;
   }
 
-(* zero counts and empty buffers, as [no_entry]'s; off the stack *)
+(* zero counts and an empty lane of its own; off the stack *)
 let new_entry asid rep =
-  let e = { no_entry with asid; rep } in
+  let e =
+    { no_entry with asid; rep; lane = { starts = [||]; insns = [||]; fill = 0 } }
+  in
   e.next <- e;
   e
 
 let create make =
-  { make; table = Hashtbl.create 8; cur = no_entry; dirty = no_entry }
+  { make; table = Hashtbl.create 8; cur = no_entry; dirty = no_entry; route = [||] }
 
 (* The per-block path: one equality test when the stream stays in the same
    address space, one hash probe on a context switch, and no allocation
@@ -70,9 +69,41 @@ let entry_for t asid =
   end
 
 let flush e =
-  if e.fill > 0 then begin
-    Replayer.feed_run e.rep ~insns:e.insns e.starts ~len:e.fill;
-    e.fill <- 0
+  let l = e.lane in
+  if l.fill > 0 then begin
+    Replayer.feed_run e.rep ~insns:l.insns l.starts ~len:l.fill;
+    l.fill <- 0
+  end
+
+(* The route equals the dirty stack: an entry's lane is routed exactly
+   while the entry is on the stack, so a flush reaches every lane the
+   kernel wrote. Asids from [route_cap] on are never routed (the kernel
+   stops at a switch to them, as to any unrouted asid), and a lone entry
+   on the stack leaves the table empty: a one-asid stream never switches
+   into another lane, so it allocates no table. The table grows on
+   demand, routing every entry on the stack as it does. *)
+let route_cap = 4096
+
+let push t e =
+  e.next <- t.dirty;
+  t.dirty <- e;
+  let a = e.asid in
+  if a < Array.length t.route then t.route.(a) <- e.lane
+  else if a < route_cap && (e.next != no_entry || Array.length t.route > 0)
+  then begin
+    let rec widest x m =
+      if x == no_entry then m
+      else widest x.next (if x.asid < route_cap then max m x.asid else m)
+    in
+    let r = Array.make (min route_cap (2 * (widest e 0 + 1))) Pc_trace.no_lane in
+    let rec fill x =
+      if x != no_entry then begin
+        if x.asid < Array.length r then r.(x.asid) <- x.lane;
+        fill x.next
+      end
+    in
+    fill e;
+    t.route <- r
   end
 
 (* Touches only the entries that took a block since the last call. *)
@@ -81,6 +112,7 @@ let flush_all t =
     let e = t.dirty in
     t.dirty <- e.next;
     e.next <- e;
+    if e.asid < Array.length t.route then t.route.(e.asid) <- Pc_trace.no_lane;
     flush e
   done
 
@@ -143,11 +175,12 @@ let feeder_flush f = flush_all f.f_t
    twice its size. *)
 let make_room f e =
   flush e;
-  let n = Array.length e.starts in
+  let l = e.lane in
+  let n = Array.length l.starts in
   if n < f.f_cap then begin
     let n = min f.f_cap (max first_buf (2 * n)) in
-    e.starts <- Array.make n 0;
-    e.insns <- Array.make n 0
+    l.starts <- Array.make n 0;
+    l.insns <- Array.make n 0
   end
 
 (* The entry a block of [asid] goes to, on the dirty stack and with room
@@ -155,49 +188,51 @@ let make_room f e =
 let room_for f asid =
   let t = f.f_t in
   let e = entry_for t asid in
-  if e.next == e then begin
-    e.next <- t.dirty;
-    t.dirty <- e
-  end;
-  if e.fill = Array.length e.starts then make_room f e;
+  if e.next == e then push t e;
+  if e.lane.fill = Array.length e.lane.starts then make_room f e;
   e
 
 (* One block from a producer that holds its fields as ints, without
    boxing a [Pc_trace.event]. *)
 let feeder_block f ~asid ~start ~insns =
-  let e = room_for f asid in
-  let i = e.fill in
-  e.starts.(i) <- start;
-  e.insns.(i) <- insns;
-  e.fill <- i + 1
+  let l = (room_for f asid).lane in
+  let i = l.fill in
+  l.starts.(i) <- start;
+  l.insns.(i) <- insns;
+  l.fill <- i + 1
 
 let feeder_feed f ~asid ev =
   match (ev : Pc_trace.event) with
   | Block { start; insns } -> feeder_block f ~asid ~start ~insns
   | ev -> feed f.f_t ~asid ev
 
+(* The current asid's lane if it is routed, else the empty lane: the
+   kernel then stops at the asid's first block, and the entry is looked
+   up, or made, only for an asid that runs code. *)
+let lane_of t dec =
+  let a = Pc_trace.decoder_asid dec in
+  if a < Array.length t.route then t.route.(a) else Pc_trace.no_lane
+
 (* The one decode-into-replay path, for every session a daemon event
-   loop serves and every file replay: the kernel decodes each run of
-   blocks straight into its asid's run buffer, and the step between runs
-   makes room or applies a control record. A run starts on [no_entry]'s
-   empty buffer, so the kernel stops at its first block and the entry is
-   looked up, or made, only for an asid that runs code. *)
+   loop serves and every file replay: the kernel decodes each asid's
+   blocks straight into its lane and takes the switches to routed asids
+   itself; the step between its calls makes room or applies a control
+   record. *)
+let rec drain f dec lane blocks =
+  let t = f.f_t in
+  let blocks = blocks + Pc_trace.decode_blocks dec t.route lane in
+  let step = Pc_trace.decode_step dec in
+  if step = Pc_trace.step_full then
+    drain f dec (room_for f (Pc_trace.decoder_asid dec)).lane blocks
+  else if step = Pc_trace.step_end then blocks
+  else begin
+    ctl t ~asid:(Pc_trace.decoder_asid dec) ~tag:step ~arg:(Pc_trace.decoder_arg dec);
+    drain f dec (lane_of t dec) blocks
+  end
+
 let feeder_decode f dec ?off ?len s =
   Pc_trace.decoder_input dec ?off ?len s;
-  let rec go e blocks =
-    let fill = Pc_trace.decode_blocks dec e.starts e.insns e.fill in
-    let blocks = blocks + (fill - e.fill) in
-    if fill > e.fill then e.fill <- fill;
-    let step = Pc_trace.decode_step dec in
-    let asid = Pc_trace.decoder_asid dec in
-    if step = Pc_trace.step_full then go (room_for f asid) blocks
-    else if step = Pc_trace.step_end then blocks
-    else begin
-      ctl f.f_t ~asid ~tag:step ~arg:(Pc_trace.decoder_arg dec);
-      go no_entry blocks
-    end
-  in
-  go no_entry 0
+  drain f dec (lane_of f.f_t dec) 0
 
 let replay_chunk = 65536
 

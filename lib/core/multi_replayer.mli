@@ -7,7 +7,9 @@
     event stream onto one {!Replayer} per asid:
 
     - {b context switch} is O(1) — a cached current-entry pointer, one
-      hash probe on switch, one equality test per block;
+      hash probe on switch, one equality test per block; the
+      {!feeder_decode} path takes most switches inside the decode kernel
+      itself, through a route table of the asids' run buffers;
     - {b lazy creation} — an asid's automaton materializes on its first
       block, never on a bare switch/invalidate/interrupt, so the asid set
       equals the set of address spaces that executed code;
@@ -65,7 +67,16 @@ type feeder
     A buffer starts small and doubles up to the capacity, so buffered
     memory is at most live asids × capacity × 16 bytes. Nothing is
     allocated per block or per switch. The buffers live in [t]'s
-    entries: use one feeder per [t], from one producer at a time. *)
+    entries: use one feeder per [t], from one producer at a time.
+
+    Each buffer is a {!Pc_trace.lane}, and [t] keeps the kernel's route
+    table equal to the stack of buffers that took a block since the last
+    flush: an asid's lane is routed exactly while its buffer is on that
+    stack (pushed by its first block, popped by the next flush), so the
+    decode kernel takes a switch to it without stopping and a flush still
+    reaches every lane the kernel wrote. Asids from 4096 on are never
+    routed, and a lone buffer on the stack leaves the table unallocated
+    (a one-asid stream allocates none); the table grows on demand. *)
 
 val feeder : ?buf:int -> t -> feeder
 (** [buf] is the per-asid run-buffer capacity in blocks (default 4096).
@@ -88,11 +99,13 @@ val feeder_decode :
   feeder -> Pc_trace.decoder -> ?off:int -> ?len:int -> string -> int
 (** The one decode-into-replay path, run by every daemon session and
     every file replay. [feeder_decode f dec s] buffers [s.[off..off+len)]
-    in [dec] and drives its kernel over [f]'s run buffers: each block
-    decodes straight into its asid's buffer, and the step between runs
-    makes room or applies a control record by the flush rules above.
-    Returns the blocks completed; a record cut at the end of [s] stays
-    in [dec]. Does not flush [f].
+    in [dec] and drives its kernel over [f]'s run buffers with [t]'s
+    route: each block decodes straight into its asid's buffer, a switch
+    to a routed asid never leaves the kernel, and the step between
+    kernel calls makes room, opens an asid's buffer or applies a control
+    record by the flush rules above. Returns the blocks completed, across
+    every buffer; a record cut at the end of [s] stays in [dec]. Does
+    not flush [f].
     @raise Pc_trace.Corrupt as {!Pc_trace.decoder_feed}, after feeding
     every record before the bad one. *)
 

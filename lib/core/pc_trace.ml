@@ -270,10 +270,36 @@ let register d delta insns =
     d.next <- d.next + 1
   end
 
-(* The kernel. Blocks commit straight into the caller's arrays; any other
-   record stops it. *)
-let decode_blocks d starts insns fill =
+type lane = { mutable starts : int array; mutable insns : int array; mutable fill : int }
+
+let no_lane = { starts = [||]; insns = [||]; fill = 0 }
+
+(* Each asid runs its own delta chain: a switch parks the outgoing asid's
+   [prev] and restores the incoming one's. Real streams switch among a
+   few small asids every few blocks, so those index an array. *)
+let switch_to d a =
+  let o = d.asid in
+  if o >= 4096 then Hashtbl.replace d.far o d.prev
+  else begin
+    if o >= Array.length d.parked then begin
+      let lo = Array.make (min 4096 (2 * (o + 1))) 0 in
+      Array.blit d.parked 0 lo 0 (Array.length d.parked);
+      d.parked <- lo
+    end;
+    d.parked.(o) <- d.prev
+  end;
+  d.asid <- a;
+  d.prev <-
+    (if a < Array.length d.parked then d.parked.(a)
+     else Option.value ~default:0 (Hashtbl.find_opt d.far a))
+
+(* The kernel's loop over one lane: blocks commit straight into the
+   lane's arrays, and any other record stops it. Returns the blocks
+   written. *)
+let fill_lane d lane =
+  let starts = lane.starts and insns = lane.insns in
   let cap = min (Array.length starts) (Array.length insns) in
+  let fill = lane.fill in
   if fill < 0 || fill > cap then invalid_arg "Pc_trace.decode_blocks: bad fill";
   let n = ref fill and mark = ref d.pos in
   d.stop <- stop_end;
@@ -323,26 +349,34 @@ let decode_blocks d starts insns fill =
        d.pos <- !mark;
        d.stop <- stop_bad;
        d.err <- msg);
-  !n
+  lane.fill <- !n;
+  !n - fill
 
-(* Each asid runs its own delta chain: a switch parks the outgoing asid's
-   [prev] and restores the incoming one's. Real streams switch among a
-   few small asids every few blocks, so those index an array. *)
-let switch_to d a =
-  let o = d.asid in
-  if o >= 4096 then Hashtbl.replace d.far o d.prev
-  else begin
-    if o >= Array.length d.parked then begin
-      let lo = Array.make (min 4096 (2 * (o + 1))) 0 in
-      Array.blit d.parked 0 lo 0 (Array.length d.parked);
-      d.parked <- lo
-    end;
-    d.parked.(o) <- d.prev
-  end;
-  d.asid <- a;
-  d.prev <-
-    (if a < Array.length d.parked then d.parked.(a)
-     else Option.value ~default:0 (Hashtbl.find_opt d.far a))
+(* The lane of the control record at [d.pos] if it is a complete switch
+   to a routed asid: the record is consumed and the delta chain
+   switched. Anything else leaves [d.pos] at the record, for the step. *)
+let route_switch d route =
+  let p = d.pos in
+  match if varint d = tag_switch then varint d else -1 with
+  | a when a >= 0 && a < Array.length route && route.(a) != no_lane ->
+      if a <> d.asid then switch_to d a;
+      route.(a)
+  | _ ->
+      d.pos <- p;
+      no_lane
+  | exception (Need_more | Corrupt _) ->
+      d.pos <- p;
+      no_lane
+
+(* The kernel: lane by lane, taking the routed switches in between. *)
+let rec decode_lanes d route lane blocks =
+  let blocks = blocks + fill_lane d lane in
+  if d.stop <> stop_ctl || d.single then blocks
+  else
+    let next = route_switch d route in
+    if next == no_lane then blocks else decode_lanes d route next blocks
+
+let decode_blocks d route lane = decode_lanes d route lane 0
 
 let step_full = 0 and step_end = -1
 
@@ -377,8 +411,10 @@ let decoder_arg d = d.arg
 (* Alternate kernel and step until no complete record is left, handing
    each run of blocks to [run] and each control record to [ctl]. *)
 let drive d starts insns ~run ~ctl =
+  let lane = { starts; insns; fill = 0 } in
   let rec go () =
-    let n = decode_blocks d starts insns 0 in
+    lane.fill <- 0;
+    let n = decode_blocks d [||] lane in
     if n > 0 then run ~asid:d.asid starts insns n;
     let s = decode_step d in
     if s = step_full then go ()

@@ -33,9 +33,11 @@
 
     {b Decoding.} One kernel ({!decode_blocks}) decodes every trace: it
     writes the current asid's block records straight into a caller's run
-    buffer, with no call per block, and stops at any other record. A
-    step ({!decode_step}) takes over there: it decodes a control record
-    or raises a corrupt one. Every reader below alternates the two, whole
+    buffer (a {!lane}), with no call per block. A caller's route table
+    lets it take a context switch itself and carry on in the incoming
+    asid's lane; any other record stops it. A step ({!decode_step})
+    takes over there: it decodes a control record or raises a corrupt
+    one. Every reader below alternates the two, whole
     files in place in {!read_all}'s string and streams in the decoder's
     buffer, so decoding a block allocates nothing; only the
     [event]-valued readers ({!fold_events}, {!decoder_feed}) build
@@ -116,6 +118,15 @@ val length : string -> int
 
 (** {2 Unboxed consumers} *)
 
+type lane = {
+  mutable starts : int array;
+  mutable insns : int array;
+  mutable fill : int;
+}
+(** A run buffer the kernel writes into: blocks [0..fill-1] of
+    [starts] and [insns] are decoded; the capacity is the shorter
+    array's length. *)
+
 type run = { starts : int array; insns : int array; len : int }
 (** One contiguous single-asid block run; only [0..len-1] is valid
     (arrays may be over-allocated). *)
@@ -172,12 +183,32 @@ val single_decoder : unit -> decoder
 val decoder_input : decoder -> ?off:int -> ?len:int -> string -> unit
 (** Buffer [s.[off..off+len)] and sniff the magic; decode nothing. *)
 
-val decode_blocks : decoder -> int array -> int array -> int -> int
-(** [decode_blocks d starts insns fill] decodes the current asid's block
-    records into [starts.(fill..)] and [insns.(fill..)] and returns the
-    new fill. It stops at a control record, a corrupt record, the end of
-    input, or a complete block record with no room left.
-    @raise Invalid_argument if [fill] is outside the arrays. *)
+val no_lane : lane
+(** The empty lane: it holds no block, and a route slot that holds it is
+    unrouted. Never written. *)
+
+val decode_blocks : decoder -> lane array -> lane -> int
+(** [decode_blocks d route lane] decodes the current asid's block
+    records into [lane] from its [fill] on, advancing [fill], and
+    returns the blocks decoded in every lane it wrote.
+
+    A complete switch record to an asid [a] with
+    [0 <= a < Array.length route] and [route.(a) != no_lane] is {e
+    routed}: the kernel parks the outgoing asid's delta chain, restores
+    [a]'s, and carries on into [route.(a)] without stopping, so each
+    asid's blocks land in its own lane. Routing assumes every lane in
+    [route] belongs to its asid; an empty route ([[||]]) makes the kernel
+    write one lane.
+
+    The kernel stops at any other control record — a switch to an
+    unrouted asid or one beyond the table, a switch whose operand is
+    negative, over-long or cut off, an invalidation, an interrupt, and
+    every control record of a {!single_decoder} — and at a corrupt
+    record, the end of input, or a complete block record with no room
+    left in the current lane. The step then takes that record exactly
+    as if no route existed, with the same checks, messages and error
+    order.
+    @raise Invalid_argument if a lane's [fill] is outside its arrays. *)
 
 val decode_step : decoder -> int
 (** Take the record {!decode_blocks} stopped at: a control record's tag

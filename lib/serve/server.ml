@@ -39,14 +39,19 @@ type session = {
 }
 
 (* One event loop. Its registry is written by the loop and read by
-   scrapes from any loop, both under [reg_m]; everything else but [live]
-   belongs to the loop alone. *)
+   scrapes from any loop, both under [reg_m]; everything else but [live],
+   [inbox] and the wake pipe belongs to the loop alone. *)
 type loop = {
   index : int;
   reg : Metrics.t;
   reg_m : Mutex.t;
   mutable blocks : int;  (* completed sessions' blocks, under [reg_m] *)
-  live : int Atomic.t;  (* sessions held, read by every loop's accept *)
+  live : int Atomic.t;
+      (* sessions held or handed over, read by every loop's accept *)
+  inbox : (int * Unix.file_descr) list Atomic.t;
+      (* (id, fd) of connections other loops accepted for this one *)
+  wake_r : Unix.file_descr;  (* a hand-off, or a completion for loop 0 *)
+  wake_w : Unix.file_descr;  (* non-blocking: a full pipe already wakes *)
   mutable sessions : session list;
   mutable image : Core.Compiled.t;  (* the epoch this loop replays on *)
   mutable epoch : int;
@@ -80,9 +85,7 @@ type t = {
   stop_r : Unix.file_descr;  (* a byte left here wakes every loop to end *)
   stop_w : Unix.file_descr;
   stop_req : bool Atomic.t;  (* [stop] called: drop live sessions *)
-  wake_r : Unix.file_descr;  (* another loop completed a session *)
-  wake_w : Unix.file_descr;
-  wake_pending : bool Atomic.t;  (* a wake byte is in flight *)
+  wake_pending : bool Atomic.t;  (* a completion's wake byte is in flight *)
   events : Tea_observe.Events.t option;  (* None = no-op event log *)
   drift : Tea_observe.Drift.t option Atomic.t;  (* None = no drift monitor *)
   (* the coordinator's own state, loop 0 only *)
@@ -177,18 +180,22 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     | a -> a
   in
   let stop_r, stop_w = Unix.pipe () in
-  let wake_r, wake_w = Unix.pipe () in
   (* the one compiled image of epoch 0, shared by every loop and asid *)
   let compiled = Core.Compiled.of_packed image in
   {
     loops =
       Array.init jobs (fun index ->
+          let wake_r, wake_w = Unix.pipe () in
+          Unix.set_nonblock wake_w;
           {
             index;
             reg = Metrics.create ();
             reg_m = Mutex.create ();
             blocks = 0;
             live = Atomic.make 0;
+            inbox = Atomic.make [];
+            wake_r;
+            wake_w;
             sessions = [];
             image = compiled;
             epoch = 0;
@@ -208,8 +215,6 @@ let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     stop_r;
     stop_w;
     stop_req = Atomic.make false;
-    wake_r;
-    wake_w;
     wake_pending = Atomic.make false;
     events;
     drift = Atomic.make drift;
@@ -403,11 +408,55 @@ let limit_reached t until_sessions =
   | Some n -> Atomic.get t.accepted >= n
   | None -> false
 
-(* Accept balancing: a loop holding more sessions than the least-loaded
-   loop leaves the connection to it. *)
-let busier_than_least t l =
-  let mine = Atomic.get l.live in
-  Array.exists (fun o -> Atomic.get o.live < mine) t.loops
+let wake l =
+  try ignore (Unix.write l.wake_w (Bytes.make 1 '\001') 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* A connection this loop accepted, or took from its inbox; [live]
+   already counts it. *)
+let open_session t l (id, fd) =
+  let multi = Core.Multi_replayer.create (session_factory l) in
+  let s =
+    {
+      id;
+      fd;
+      parser_ = Frame.parser_ ();
+      dec = Core.Pc_trace.decoder ();
+      multi;
+      (* run buffers of at most 256 words are minor-heap allocations: a
+         session's buffers then die young instead of cycling the major
+         GC, which no longer has kept streams to amortize against *)
+      fdr = Core.Multi_replayer.feeder ~buf:256 multi;
+      fed = 0;
+      raw = (if t.offline_check then Some (Buffer.create 4096) else None);
+      epoch0 = l.epoch;
+      swapped = [];
+      ended = false;
+      failed = None;
+      scrape = false;
+      counted = false;
+      opened = false;
+      bytes_in = 0;
+      blocks = 0;
+      busy_ns = 0;
+    }
+  in
+  l.sessions <- l.sessions @ [ s ]
+
+(* Accept balancing: the loop whose accept wins keeps the connection
+   unless another loop holds fewer sessions; then it hands the connection
+   to the least-loaded loop through that loop's inbox and wakes it,
+   counting it in that loop's [live] at once, so the next accept sees the
+   new balance. *)
+let least_loaded t l =
+  Array.fold_left
+    (fun best o -> if Atomic.get o.live < Atomic.get best.live then o else best)
+    l t.loops
+
+let rec hand_over target conn =
+  let q = Atomic.get target.inbox in
+  if not (Atomic.compare_and_set target.inbox q (conn :: q)) then
+    hand_over target conn
 
 let accept_one t l until_sessions =
   if reserve t (Option.value until_sessions ~default:max_int) then
@@ -417,44 +466,27 @@ let accept_one t l until_sessions =
         (* another loop took it *)
         Atomic.decr t.accepted
     | fd, _ ->
-        let multi = Core.Multi_replayer.create (session_factory l) in
-        let s =
-          {
-            id = Atomic.fetch_and_add t.next_id 1 + 1;
-            fd;
-            parser_ = Frame.parser_ ();
-            dec = Core.Pc_trace.decoder ();
-            multi;
-            (* run buffers of at most 256 words are minor-heap
-               allocations: a session's buffers then die young instead
-               of cycling the major GC, which no longer has kept streams
-               to amortize against *)
-            fdr = Core.Multi_replayer.feeder ~buf:256 multi;
-            fed = 0;
-            raw = (if t.offline_check then Some (Buffer.create 4096) else None);
-            epoch0 = l.epoch;
-            swapped = [];
-            ended = false;
-            failed = None;
-            scrape = false;
-            counted = false;
-            opened = false;
-            bytes_in = 0;
-            blocks = 0;
-            busy_ns = 0;
-          }
-        in
-        l.sessions <- l.sessions @ [ s ];
-        Atomic.incr l.live
+        let conn = (Atomic.fetch_and_add t.next_id 1 + 1, fd) in
+        let target = least_loaded t l in
+        Atomic.incr target.live;
+        if target == l then open_session t l conn
+        else begin
+          hand_over target conn;
+          wake target
+        end
+
+(* The connections other loops handed to this one, in accept order. *)
+let take_inbox t l =
+  match Atomic.get l.inbox with
+  | [] -> ()
+  | _ -> List.iter (open_session t l) (List.rev (Atomic.exchange l.inbox []))
 
 (* ---- completion / disconnect (the session's loop) ---- *)
 
 let wake_coordinator t l =
   if l.index <> 0 && Option.is_some (Atomic.get t.drift)
      && not (Atomic.exchange t.wake_pending true)
-  then
-    try ignore (Unix.write t.wake_w (Bytes.make 1 '\001') 0 1)
-    with Unix.Unix_error _ -> ()
+  then wake t.loops.(0)
 
 let settle t until_sessions =
   let n = Atomic.fetch_and_add t.settled 1 + 1 in
@@ -542,8 +574,9 @@ let finalize t l until_sessions =
                   drop t l until_sessions s (Corrupt, "corrupt trace: " ^ msg)
             else live := s :: !live)
     l.sessions;
-  l.sessions <- List.rev !live;
-  Atomic.set l.live (List.length l.sessions)
+  let kept = List.rev !live in
+  ignore (Atomic.fetch_and_add l.live (List.length kept - List.length l.sessions));
+  l.sessions <- kept
 
 (* ---- hot swap: publish (coordinator), adopt (every loop) ---- *)
 
@@ -671,59 +704,54 @@ let coordinate t =
 
 (* ---- the event loops ---- *)
 
-(* One loop: select over the stop pipe, the listener and this loop's own
-   sessions (plus the wake pipe on the coordinator); accept at most one
-   connection per wake; read, decode, replay, complete and reply for
-   every ready session of its own. *)
+(* Drop every session of this loop, and every connection handed to it,
+   with reason [shutdown]. *)
+let shut_down t l until_sessions =
+  take_inbox t l;
+  List.iter
+    (fun s -> drop t l until_sessions s (Shutdown, "server shutting down"))
+    l.sessions;
+  ignore (Atomic.fetch_and_add l.live (-List.length l.sessions));
+  l.sessions <- []
+
+(* One loop: select over the stop pipe, its wake pipe, the listener and
+   its own sessions; accept at most one connection per wake; take the
+   connections handed to it; read, decode, replay, complete and reply
+   for every ready session of its own. *)
 let run_loop t l until_sessions =
   let coord = l.index = 0 in
   let stopping = ref false and finished = ref false in
-  (* skipped an accept last time round: leave the listener to the
-     less-loaded loop for one select, bounded so a stale balance can
-     delay a connection by a millisecond at most *)
-  let deferred = ref false in
   while not !finished do
     adopt t l;
-    let accepting =
+    let listening =
       (not !stopping) && not (limit_reached t until_sessions)
     in
-    let listening = accepting && not !deferred in
     let fds =
-      (t.stop_r :: (if coord then [ t.wake_r ] else []))
-      @ (if listening then [ t.listen_fd ] else [])
+      (t.stop_r :: l.wake_r :: (if listening then [ t.listen_fd ] else []))
       @ List.filter_map
           (fun s -> if s.failed = None && not s.ended then Some s.fd else None)
           l.sessions
     in
     (* with a rebuild in flight, the coordinator wakes periodically so
        the finished image gets published even while no client talks *)
-    let timeout =
-      if accepting && !deferred then 0.001
-      else if coord && Option.is_some t.builder then 0.02
-      else -1.0
-    in
+    let timeout = if coord && Option.is_some t.builder then 0.02 else -1.0 in
     let ready, _, _ =
       try Unix.select fds [] [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    deferred := false;
     if List.mem t.stop_r ready && Atomic.get t.stop_req then stopping := true;
-    if coord && List.mem t.wake_r ready then begin
-      Atomic.set t.wake_pending false;
-      try ignore (Unix.read t.wake_r l.chunk 0 64) with Unix.Unix_error _ -> ()
+    if List.mem l.wake_r ready then begin
+      if coord then Atomic.set t.wake_pending false;
+      try ignore (Unix.read l.wake_r l.chunk 0 (Bytes.length l.chunk))
+      with Unix.Unix_error _ -> ()
     end;
-    if listening && List.mem t.listen_fd ready then
-      if busier_than_least t l then deferred := true
-      else accept_one t l until_sessions;
+    take_inbox t l;
+    if listening && List.mem t.listen_fd ready then accept_one t l until_sessions;
     List.iter (fun s -> if List.memq s.fd ready then read_session t l s) l.sessions;
     finalize t l until_sessions;
     if coord then coordinate t;
     if !stopping then begin
-      List.iter
-        (fun s -> drop t l until_sessions s (Shutdown, "server shutting down"))
-        l.sessions;
-      l.sessions <- [];
-      Atomic.set l.live 0;
+      shut_down t l until_sessions;
       finished := true
     end
     else
@@ -753,6 +781,8 @@ let run ?until_sessions t =
   let first = try Ok (guarded t.loops.(0) ()) with e -> Error e in
   Array.iter Domain.join others;
   Result.iter_error raise first;
+  (* a connection handed to a loop that had already ended *)
+  Array.iter (fun l -> shut_down t l until_sessions) t.loops;
   (* the completions of the last iteration, measured *)
   coordinate t;
   (* a rebuild still in flight at shutdown: join its domain and discard
@@ -766,16 +796,15 @@ let run ?until_sessions t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
     Array.iter
       (fun l ->
-        List.iter
-          (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
-          l.sessions;
-        l.sessions <- [])
+        List.iter (fun s -> close_fd s.fd) l.sessions;
+        l.sessions <- [];
+        List.iter (fun (_, fd) -> close_fd fd) (Atomic.exchange l.inbox []);
+        List.iter close_fd [ l.wake_r; l.wake_w ])
       t.loops;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.listen_fd; t.stop_r; t.stop_w; t.wake_r; t.wake_w ];
+    List.iter close_fd [ t.listen_fd; t.stop_r; t.stop_w ];
     match t.unix_path with
     | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
     | None -> ()

@@ -15,7 +15,7 @@
     loops 1 to [jobs - 1] on spawned domains.
 
     - every loop [select]s over the shared non-blocking listener, a stop
-      pipe and {e its own} sessions, and does everything for a session
+      pipe, its own wake pipe and {e its own} sessions, and does everything for a session
       it accepted: reading the socket, parsing {!Frame}s, decoding the
       payloads of each read through the session's incremental
       {!Tea_core.Pc_trace.decoder} straight into its replayer
@@ -23,11 +23,13 @@
       reply. A session never crosses domains, and a short session never
       waits for another session's replay. [serve.queue_depth] records
       the payload bytes each read hands to the decoder;
-    - accept balancing: a loop accepts at most one connection per wake,
-      and leaves it to a less-loaded loop while it holds more live
-      sessions than the least-loaded one (the listener is
-      level-triggered, so that loop wakes too). Two sessions open at
-      once land on two different loops;
+    - accept balancing: a loop accepts at most one connection per wake.
+      The loop whose [accept] wins keeps the connection unless another
+      loop holds fewer live sessions; then it hands the connection to
+      the least-loaded loop through that loop's lock-free inbox and
+      per-loop wake pipe, counting it in that loop's live sessions at
+      once. No connection waits on a timer. Two sessions open at once
+      land on two different loops;
     - shared state is small: the fleet profile, its edge counters and
       the drain totals sit under one mutex, taken once per completion;
       each loop keeps its own metrics registry under its own lock, and
@@ -133,12 +135,15 @@ val run : ?until_sessions:int -> t -> unit
 
 val stop : t -> unit
 (** Ask a running {!run} to return: every loop drops its live sessions
-    (reason [shutdown]) and ends (thread/domain-safe, returns
-    immediately; idempotent). *)
+    and the connections handed to it but not yet taken (reason
+    [shutdown]) and ends; a connection handed to a loop that had already
+    ended is dropped the same way before {!run} returns
+    (thread/domain-safe, returns immediately; idempotent). *)
 
 val close : t -> unit
-(** Release the sockets and pipes. Idempotent; call after {!run}
-    returned. *)
+(** Release the sockets, the stop pipe and every loop's wake pipe, and
+    close any connection still in an inbox. Idempotent; call after
+    {!run} returned. *)
 
 (** {2 Results and observability} *)
 

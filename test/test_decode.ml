@@ -19,7 +19,14 @@
      the input and any buffer size, gives the snapshots of feeding the
      fold's events one at a time, and a single-stream file replay gives
      a fold replay's profile: or both the same [Corrupt]. Non-canonical
-     and negative tokens are pinned as fixed cases. *)
+     and negative tokens are pinned as fixed cases.
+   - Switches the kernel routes itself equal the step's: over raw PCTR3
+     streams switching every 1-16 blocks among asids 0-9, 5000 and
+     [max_int], with non-canonical and negative tokens, a quarter of
+     them damaged, lanes of 1-9 blocks and route tables rebuilt at each
+     piece, routing plus step gives the empty route's per-asid blocks,
+     stops, last asid and [Corrupt] message; and the feeder, flushed
+     after random pieces, still equals feeding one event at a time. *)
 
 module Pc_trace = Tea_core.Pc_trace
 module Multi = Tea_core.Multi_replayer
@@ -222,11 +229,12 @@ let words_per_block name f =
    record on top: what an int-level stream consumer would write. *)
 let feed_ints s ~block ~ctl =
   let d = Pc_trace.decoder () in
-  let starts = Array.make 256 0 and insns = Array.make 256 0 in
+  let lane = { Pc_trace.starts = Array.make 256 0; insns = Array.make 256 0; fill = 0 } in
   let rec drain () =
-    let m = Pc_trace.decode_blocks d starts insns 0 in
+    lane.fill <- 0;
+    let m = Pc_trace.decode_blocks d [||] lane in
     for i = 0 to m - 1 do
-      block ~asid:(Pc_trace.decoder_asid d) ~start:starts.(i) ~insns:insns.(i)
+      block ~asid:(Pc_trace.decoder_asid d) ~start:lane.starts.(i) ~insns:lane.insns.(i)
     done;
     let step = Pc_trace.decode_step d in
     if step = Pc_trace.step_full then drain ()
@@ -518,8 +526,9 @@ let fed_one_by_one s =
       Ok (Multi.snapshots m, count_blocks evs)
 
 (* [s] through [feeder_decode] in pieces of the given sizes (cycled),
-   into run buffers of at most [cap] blocks. *)
-let fed_by_kernel ~cap sizes s =
+   into run buffers of at most [cap] blocks, flushing the feeder after
+   the pieces [flush] picks, as a daemon does after each read. *)
+let fed_by_kernel ?(flush = fun _ -> false) ~cap sizes s =
   corrupt_msg (fun () ->
       let m = Multi.create make_rep in
       let f = Multi.feeder ~buf:cap m and dec = Pc_trace.decoder () in
@@ -529,6 +538,7 @@ let fed_by_kernel ~cap sizes s =
       while !off < n do
         let k = min (max 1 sizes.(!i mod Array.length sizes)) (n - !off) in
         blocks := !blocks + Multi.feeder_decode f dec ~off:!off ~len:k s;
+        if flush !i then Multi.feeder_flush f;
         off := !off + k;
         incr i
       done;
@@ -623,6 +633,211 @@ let test_kernel_hostile () =
           check Alcotest.bool (name ^ ": replays") true (replays_agree_with_loads path)))
     kernel_hostile
 
+(* ---------------- routed switches == the step's ---------------- *)
+
+(* Raw PCTR3 bytes, written here rather than by [Pc_trace]'s writer so a
+   stream can hold what the writer never emits: a switch every 1-16
+   blocks among asids 0-9, 5000 and [max_int], switch tokens written as
+   non-canonical 2-byte varints, negative asids and tokens, and random
+   deltas and dictionary back-references. *)
+let gen_routing_stream =
+  let open QCheck.Gen in
+  let varint b v =
+    let rec go v =
+      if v >= 0 && v < 0x80 then Buffer.add_char b (Char.chr v)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (v land 0x7F)));
+        go (v lsr 7)
+      end
+    in
+    go v
+  in
+  let asid = frequency [ (8, int_range 0 9); (1, oneofl [ 5000; max_int ]) ] in
+  let token b t canonical =
+    if canonical then varint b t
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor t));
+      Buffer.add_char b '\000'
+    end
+  in
+  (* one record after a run of blocks: mostly a switch *)
+  let control =
+    frequency
+      [ (12, map2 (fun a c b -> token b Pc_trace.tag_switch c; varint b a) asid (frequencyl [ (5, true); (1, false) ]));
+        (2, map (fun a b -> token b Pc_trace.tag_invalidate true; varint b a) asid);
+        (2, return (fun b -> token b Pc_trace.tag_interrupt true));
+        (1, return (fun b -> token b Pc_trace.tag_switch true; Buffer.add_string b minus_one));
+        (1, return (fun b -> Buffer.add_string b (ff8 ^ "\x40"))) ]
+  in
+  (* deltas stay non-negative, so every start address is one a program
+     could have *)
+  let block = triple (int_range 0 64) (int_range 0 9) (int_range 0 99) in
+  list_size (int_range 0 40) (pair (list_size (int_range 1 16) block) control)
+  >|= fun turns ->
+  let b = Buffer.create 256 in
+  Buffer.add_string b "PCTR3\n";
+  let defined = ref 0 in
+  List.iter
+    (fun (blocks, ctl) ->
+      List.iter
+        (fun (delta, insns, pick) ->
+          (* a back-reference to a defined pair, or a literal *)
+          if !defined > 0 && pick < 60 then varint b (4 + (pick mod !defined))
+          else begin
+            varint b 0;
+            varint b (delta lsl 1);
+            varint b insns;
+            incr defined
+          end)
+        blocks;
+      ctl b)
+    turns;
+  Buffer.contents b
+
+(* A quarter of the streams truncated or bit-flipped. *)
+let gen_routing_case =
+  let open QCheck.Gen in
+  let damage s =
+    let n = String.length s in
+    frequency
+      [ (3, return s);
+        (1, map (fun k -> String.sub s 0 k) (int_range 0 n));
+        ( 1,
+          map2
+            (fun pos bit ->
+              let b = Bytes.of_string s in
+              if n > 0 then
+                Bytes.set b (pos mod n)
+                  (Char.chr (Char.code s.[pos mod n] lxor (1 lsl bit)));
+              Bytes.to_string b)
+            nat (int_range 0 7) ) ]
+  in
+  let table =
+    (* a route table's length and the asids it routes, one per piece *)
+    pair (oneofl [ 0; 3; 10; 5001 ]) (list_size (int_range 0 6) (int_range 0 9))
+  in
+  quad
+    (gen_routing_stream >>= damage)
+    (list_size (int_range 1 6) (int_range 1 40))
+    (list_size (int_range 1 4) table)
+    (array_size (return 11) (int_range 1 9))
+
+(* What a run of the kernel saw: each asid's blocks in order, every stop
+   other than a switch with the blocks decoded before it, the last
+   asid, and the outcome. *)
+type routed = {
+  blocks : (int * (int * int) list) list;
+  stops : (int * int * int * int) list;
+  last : int;
+  result : (unit, string) result;
+}
+
+(* Drive the kernel over [s], fed in pieces of [sizes] (cycled). Before
+   each piece the route table is rebuilt from [tables] (cycled): a table
+   of length [len] routing asids [routed], each to a lane of [caps.(a)]
+   blocks; a lane leaves the route with its blocks taken, as a flush
+   does. Every other asid decodes into a lane of [caps.(10)] blocks. A
+   switch the step returns must be to an unrouted asid. [tables = []]
+   drives the empty route. *)
+let drive_routed ~tables ~caps sizes s =
+  let d = Pc_trace.decoder () in
+  let lane cap = { Pc_trace.starts = Array.make cap 0; insns = Array.make cap 0; fill = 0 } in
+  let lanes = Array.init 10 (fun a -> lane caps.(a)) and other = lane caps.(10) in
+  let out = Hashtbl.create 8 in
+  let take a (l : Pc_trace.lane) =
+    for i = 0 to l.fill - 1 do
+      Hashtbl.replace out a
+        ((l.starts.(i), l.insns.(i)) :: Option.value ~default:[] (Hashtbl.find_opt out a))
+    done;
+    l.fill <- 0
+  in
+  let route = ref [||] in
+  let lane_of a =
+    if a >= 0 && a < Array.length !route && !route.(a) != Pc_trace.no_lane then !route.(a)
+    else other
+  in
+  let total = ref 0 and stops = ref [] in
+  let rec drain () =
+    let a0 = Pc_trace.decoder_asid d in
+    let l0 = lane_of a0 in
+    total := !total + Pc_trace.decode_blocks d !route l0;
+    if l0 == other then take a0 other;
+    let step = Pc_trace.decode_step d in
+    let a = Pc_trace.decoder_asid d in
+    if step = Pc_trace.step_full then begin
+      take a (lane_of a);
+      drain ()
+    end
+    else if step <> Pc_trace.step_end then begin
+      if step = Pc_trace.tag_switch then begin
+        if lane_of a != other then
+          QCheck.Test.fail_reportf "the step took a switch to routed asid %d" a
+      end
+      else stops := (step, a, Pc_trace.decoder_arg d, !total) :: !stops;
+      drain ()
+    end
+  in
+  let tables = Array.of_list tables and sizes = Array.of_list sizes in
+  let unroute () =
+    Array.iteri (fun a l -> if l != Pc_trace.no_lane then take a l) !route;
+    route := [||]
+  in
+  let result =
+    match
+      let n = String.length s and off = ref 0 and i = ref 0 in
+      while !off < n do
+        if Array.length tables > 0 then begin
+          unroute ();
+          let len, routed = tables.(!i mod Array.length tables) in
+          let r = Array.make len Pc_trace.no_lane in
+          List.iter (fun a -> if a < len then r.(a) <- lanes.(a)) routed;
+          route := r
+        end;
+        let k = min sizes.(!i mod Array.length sizes) (n - !off) in
+        Pc_trace.decoder_input d ~off:!off ~len:k s;
+        drain ();
+        off := !off + k;
+        incr i
+      done;
+      Pc_trace.decoder_finish d
+    with
+    | () -> Ok ()
+    | exception Pc_trace.Corrupt m -> Error m
+  in
+  unroute ();
+  {
+    blocks =
+      Hashtbl.fold (fun a l acc -> (a, List.rev l) :: acc) out [] |> List.sort compare;
+    stops = List.rev !stops;
+    last = Pc_trace.decoder_asid d;
+    result;
+  }
+
+let print_routing (s, sizes, tables, caps) =
+  Printf.sprintf "%S in chunks %s, tables %s, lanes %s" s
+    (String.concat "," (List.map string_of_int sizes))
+    (String.concat "; "
+       (List.map
+          (fun (len, r) ->
+            Printf.sprintf "%d:[%s]" len (String.concat "," (List.map string_of_int r)))
+          tables))
+    (String.concat "," (Array.to_list (Array.map string_of_int caps)))
+
+let prop_routing_equals_step =
+  QCheck.Test.make
+    ~name:"routed switches == the step's (asids 0-9, 5000, max_int; lanes of 1-9 blocks)"
+    ~count:500
+    (QCheck.make ~print:print_routing gen_routing_case)
+    (fun (s, sizes, tables, caps) ->
+      let routed = drive_routed ~tables ~caps sizes s in
+      let plain = drive_routed ~tables:[] ~caps sizes s in
+      if routed <> plain then QCheck.Test.fail_report "routed run differs from the empty route";
+      (* the feeder keeps its route equal to its dirty stack across
+         flushes after random pieces: the per-asid replays equal feeding
+         one event at a time *)
+      let flush i = caps.(i mod 11) mod 2 = 0 in
+      fed_by_kernel ~flush ~cap:caps.(0) sizes s = fed_one_by_one s)
+
 let () =
   Alcotest.run "tea_decode"
     [
@@ -635,5 +850,6 @@ let () =
           qtest prop_damaged_whole_equals_streamed;
           Alcotest.test_case "non-canonical and negative tokens" `Quick test_kernel_hostile;
           qtest prop_kernel_equals_feed;
+          qtest prop_routing_equals_step;
         ] );
     ]

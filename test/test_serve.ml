@@ -836,6 +836,62 @@ let test_daemon_abort_reasons () =
   check Alcotest.int "disconnected" 5 (Server.disconnected srv);
   check Alcotest.int "completed" 0 (Server.completed srv)
 
+(* Shutdown reaches connections in flight between loops. With one
+   session held open on one loop, a loop whose accept wins hands new
+   connections to the other; a burst of connections racing a [stop]
+   leaves some handed to a loop that is already shutting down, or has
+   ended. Every connection the daemon took is dropped with reason
+   [shutdown] and answered before [run] returns. A burst client sends
+   nothing, so [close] resets one the daemon never took, while one it
+   took and closed unanswered would read a clean end of file. *)
+let test_daemon_shutdown_hand_off () =
+  let image = fixture_packed () in
+  let s = List.hd (mixed_streams ()) in
+  for round = 1 to 6 do
+    let srv = Server.create ~jobs:2 ~image (Frame.Unix_sock (sock_path ())) in
+    Fun.protect ~finally:(fun () -> Server.close srv) @@ fun () ->
+    let serving = Domain.spawn (fun () -> Server.run srv) in
+    let held = Frame.connect (Server.addr srv) in
+    Frame.send held Frame.tag_data (String.sub s 0 20);
+    await_counter srv "serve.sessions_accepted" 1;
+    let burst = List.init 40 (fun _ -> Frame.connect (Server.addr srv)) in
+    Server.stop srv;
+    Domain.join serving;
+    let at = Printf.sprintf "round %d: %s" round in
+    let answered =
+      List.filter
+        (fun fd ->
+          match Unix.select [ fd ] [] [] 0.0 with
+          | [], _, _ -> false
+          | _ -> (
+              match Frame.recv fd with
+              | Some f when f.Frame.tag = Frame.tag_error ->
+                  check Alcotest.string (at "shutdown reply") "server shutting down"
+                    f.Frame.payload;
+                  true
+              | _ -> Alcotest.fail (at "expected the shutdown reply")))
+        (held :: burst)
+    in
+    Server.close srv;
+    List.iter
+      (fun fd ->
+        if not (List.memq fd answered) then
+          match Unix.read fd (Bytes.create 1) 0 1 with
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+          | _ -> Alcotest.fail (at "a connection the daemon took went unanswered"))
+      burst;
+    List.iter Unix.close (held :: burst);
+    let counter name =
+      Option.value ~default:0
+        (Tea_telemetry.Metrics.find_counter (Server.metrics srv) name)
+    in
+    let n = List.length answered in
+    check Alcotest.bool (at "the held session answered") true (List.memq held answered);
+    check Alcotest.int (at "serve.aborts.shutdown") n (counter "serve.aborts.shutdown");
+    check Alcotest.int (at "serve.sessions_accepted") n (counter "serve.sessions_accepted");
+    check Alcotest.int (at "disconnected") n (Server.disconnected srv)
+  done
+
 let test_daemon_asid_cap () =
   (* one asid past the cap fails that session alone; exactly the cap is
      served, and the fleet is unperturbed *)
@@ -944,6 +1000,8 @@ let () =
           Alcotest.test_case "typed abort reasons" `Quick
             test_daemon_abort_reasons;
           qtest prop_daemon_random_streams;
+          Alcotest.test_case "shutdown drops handed-over connections" `Quick
+            test_daemon_shutdown_hand_off;
           Alcotest.test_case "asid cap: a storm fails alone, heap bounded" `Quick
             test_daemon_asid_cap;
         ] );
