@@ -855,11 +855,13 @@ let run_ladder ~smoke =
    ([Multi_replayer] AND [Shard.replay_events] on pools of 2 and 4,
    over flat AND repack+fuse-tuned per-asid images) must produce per-asid
    Profile snapshots equal to replaying each asid's projection in
-   isolation; any divergence exits 1. Timing is the sequential demuxed
-   replay of the synthesized event file over the flat images (decode
-   included). Every row is timed in the same alternated rounds, as the
-   ladder's rungs are, and reports its minimum over 5 rounds after one
-   warmup. *)
+   isolation; any divergence exits 1. Timing is the demuxed replay of
+   the synthesized event file over the flat images (decode included):
+   sequential ([Multi_replayer], jobs 1) and pipelined
+   ([Shard.replay_events] on a pool of 2, one worker decoding and the
+   other replaying; its own jobs-2 row). Every row is timed in the same
+   alternated rounds, as the ladder's rungs are, and reports its minimum
+   over 5 rounds after one warmup. *)
 
 module Scenario = Tea_workloads.Scenario
 
@@ -910,10 +912,10 @@ let scn_snap_eq a b =
        (fun (x, p) (y, q) -> x = y && Tea_parallel.Profile.equal p q)
        a b
 
-(* Write one row's event file and enforce its gate; return a sampler
-   timing [reps] sequential demuxed replays of it and the rows for its
-   best time. *)
-let scenario_row ~label (preps : scn_prep array) file scn =
+(* Write one row's event file and enforce its gate; return samplers
+   timing [reps] demuxed replays of it, sequential and on [pool], and the
+   rows for their best times. *)
+let scenario_row ~label ~pool (preps : scn_prep array) file scn =
   let n_events = Scenario.write_file file scn in
   let gate engine img_for =
     let make a = compiled_replayer (img_for a) in
@@ -945,29 +947,36 @@ let scenario_row ~label (preps : scn_prep array) file scn =
   let n_runs = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 runs in
   let make_flat a = compiled_replayer preps.(a).sp_flat in
   let reps = 1 + (500_000 / max 1 n_events) in
-  let sample () =
+  let timed replay () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
-      ignore (Tea_core.Multi_replayer.replay_events make_flat file)
+      ignore (replay ())
     done;
     Unix.gettimeofday () -. t0
   in
-  let rows best =
-    let ns = 1e9 *. best /. float_of_int (reps * n_events) in
+  let sequential () = Tea_core.Multi_replayer.replay_events make_flat file in
+  let pipelined () =
+    Tea_parallel.Shard.replay_events pool
+      (fun a -> preps.(a).sp_flat)
+      ~make:compiled_replayer file
+  in
+  let rows best best2 =
+    let ns b = 1e9 *. b /. float_of_int (reps * n_events) in
     Printf.printf
       "%-24s %d asids  %7d events  %7d blocks in %3d runs  %6.1f ns/event  \
-       [gate ok]\n%!"
-      label (List.length runs) n_events blocks n_runs ns;
+       %6.1f at jobs 2  [gate ok]\n%!"
+      label (List.length runs) n_events blocks n_runs (ns best) (ns best2);
     let r = rowi label "flat" in
     [
       r "asids" (List.length runs);
       r "events" n_events;
       r "blocks" blocks;
       r "runs" n_runs;
-      row label "flat" "ns_per_event" ns;
+      row label "flat" "ns_per_event" (ns best);
+      row ~jobs:2 label "flat" "ns_per_event" (ns best2);
     ]
   in
-  (sample, rows)
+  ([ timed sequential; timed pipelined ], rows)
 
 let scn_check ~smoke rows =
   let n_bases = List.length (scn_bases ~smoke) in
@@ -978,6 +987,9 @@ let scn_check ~smoke rows =
         "%s: events < blocks or no blocks" w;
       expect (v "runs" >= 1.0) "%s: no runs" w;
       expect (v "ns_per_event" > 0.0) "%s: no time" w;
+      expect
+        (value ~jobs:2 rows w "flat" "ns_per_event" > 0.0)
+        "%s: no jobs-2 time" w;
       let want = if String.starts_with ~prefix:"interleave" w then n_bases else 1 in
       expect (v "asids" = float_of_int want) "%s: %g asids, expected %d" w
         (v "asids") want)
@@ -1017,12 +1029,18 @@ let run_scenario ~smoke =
   in
   let files = List.map (fun _ -> Filename.temp_file "tea_scn" ".trc") scenarios in
   Fun.protect ~finally:(fun () -> List.iter Sys.remove files) @@ fun () ->
+  Tea_parallel.Pool.with_pool ~jobs:2 @@ fun pool ->
   let gated =
-    List.map2 (fun (label, scn) file -> scenario_row ~label preps file scn) scenarios files
+    List.map2
+      (fun (label, scn) file -> scenario_row ~label ~pool preps file scn)
+      scenarios files
   in
   (* every row is sampled once per round, so machine drift hits them alike *)
-  let best = interleaved_best (List.map fst gated) in
-  let rows = List.concat (List.mapi (fun i (_, rows) -> rows best.(i)) gated) in
+  let best = interleaved_best (List.concat_map fst gated) in
+  let rows =
+    List.concat
+      (List.mapi (fun i (_, rows) -> rows best.(2 * i) best.((2 * i) + 1)) gated)
+  in
   write_bench scenario_spec ~bench:"scenario" ~smoke rows
 
 (* ---- closed-loop continuous PGO: the BENCH_retune.json trajectory ----

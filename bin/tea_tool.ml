@@ -248,12 +248,13 @@ let jobs_conv =
 
 let jobs_arg =
   let doc =
-    "Domains to run independent inputs on (1 = plain sequential path; \
-     must be >= 1): the benchmarks of a table; for serve, the event \
-     loops, each accepting, replaying and replying to its own sessions. \
-     One --pc-trace stream is one sequential walk whatever $(docv) \
-     is, and so is a --scenario stream, whose asids replay side by side \
-     in one pass. Stdout is byte-identical whatever $(docv) is; the \
+    "Domains to run on (1 = plain sequential path; must be >= 1): the \
+     benchmarks of a table; for serve, the event loops, each accepting, \
+     replaying and replying to its own sessions. A plain compiled \
+     --pc-trace replay and a --scenario replay read one stream in one \
+     pass: from 2 on, one domain decodes it and a second replays the \
+     decoded runs (other replays run on one domain). Stdout is \
+     byte-identical whatever $(docv) is; the \
      per-domain observability counters go to stderr."
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -410,8 +411,8 @@ let make_replayer img =
    Adversarial replay scenarios: interleaved multi-asid streams,
    self-modifying code (periodic invalidation), mid-trace interrupts.
    The scenario is synthesized into a temporary PCTR3 event file, the
-   demuxed replay (one streaming Multi_replayer pass, whatever --jobs
-   is) is gated against replaying each asid's projection in isolation —
+   demuxed replay (one streaming Shard.replay_events pass on the --jobs
+   pool) is gated against replaying each asid's projection in isolation —
    full per-asid Profile equality — and one deterministic summary is
    printed. *)
 
@@ -473,7 +474,7 @@ let every_arg =
   in
   Arg.(value & opt (some int) None & info [ "every" ] ~docv:"N" ~doc)
 
-let run_scenario ~kind ~name ~withs ~strategy_name ~pgo ~fuse
+let run_scenario ~kind ~name ~withs ~strategy_name ~pgo ~fuse ~jobs
     ~quantum ~schedule ~seed ~period ~at ~every =
   let module Scenario = Tea_workloads.Scenario in
   let kind_name =
@@ -550,8 +551,10 @@ let run_scenario ~kind ~name ~withs ~strategy_name ~pgo ~fuse
   let n_events = Scenario.write_file file scn in
   let demuxed =
     Probe.with_span "scenario_demuxed" @@ fun () ->
-    Tea_core.Multi_replayer.snapshots
-      (Tea_core.Multi_replayer.replay_events make file)
+    Tea_parallel.Pool.with_pool ~jobs (fun pool ->
+        Tea_parallel.Shard.replay_events pool
+          (fun a -> images.(a))
+          ~make:make_replayer file)
   in
   let isolated =
     Probe.with_span "scenario_isolated" @@ fun () ->
@@ -635,10 +638,8 @@ let replay_cmd =
         if traces_file <> None then
           or_die (Error "--scenario records its own traces; drop --traces");
         ignore config_name;
-        (* the scenario file is one stream, replayed in one pass *)
-        ignore jobs;
         run_scenario ~kind ~name ~withs ~strategy_name ~pgo
-          ~fuse ~quantum ~schedule ~seed ~period ~at ~every
+          ~fuse ~jobs ~quantum ~schedule ~seed ~period ~at ~every
     | None ->
         let rep =
           run_replay name strategy_name traces_file config_name pc_trace
@@ -669,9 +670,7 @@ let replay_cmd =
     let engine_name = engine_name engine in
     match pc_trace with
     | Some path ->
-        (* fully offline: no program execution, just the trace file. One
-           stream is one sequential walk, so this path serves every
-           --jobs *)
+        (* fully offline: no program execution, just the trace file *)
         let auto =
           Probe.with_span "build_automaton" (fun () ->
               Tea_core.Builder.build traces)
@@ -725,7 +724,7 @@ let replay_cmd =
                   r
                 in
                 let p, blocks =
-                  Tea_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+                  Tea_parallel.Pool.with_pool ~jobs (fun pool ->
                       Tea_parallel.Shard.replay_pc_trace pool packed ~make path)
                 in
                 (p, blocks, !kept)

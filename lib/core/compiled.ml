@@ -100,6 +100,10 @@ let degree_histogram t = t.degree_hist
 let chained_states t = t.chained_states
 let region_states t = t.region_states
 
+(* A static block: the marker {!of_packed}'s compares hold for "no
+   label". *)
+let no_label = "no label"
+
 let of_packed packed =
   let raw = Packed.to_raw packed in
   let offsets = raw.Packed.offsets in
@@ -130,8 +134,11 @@ let of_packed packed =
      did before edges were counted); [npc] marks every other slot. A
      bimodal state that alternates successors (the listscan pattern)
      stays in the loop on both arms, where a matcher betting on one
-     static hot path would mispredict every other step. *)
-  let npc = min_int in
+     static hot path would mispredict every other step. Every int can
+     be a block address (a stream's deltas may run below zero), so [npc]
+     is no int: a pointer, which no tagged int compares equal to, while
+     the compares stay single word compares. *)
+  let npc : int = Obj.magic no_label in
   let r_l0 = Array.make n_slots npc in
   let r_t0 = Array.make n_slots 0 in
   let r_ec0 = Array.make n_slots 0 in
@@ -150,8 +157,7 @@ let of_packed packed =
       && deg >= 1
       && deg <= 2
       && targets.(lo) <> nte
-      && labels.(lo) <> npc
-      && (deg = 1 || (targets.(lo + 1) <> nte && labels.(lo + 1) <> npc))
+      && (deg = 1 || targets.(lo + 1) <> nte)
     then begin
       incr region_members;
       r_l0.(s) <- labels.(lo);
@@ -251,8 +257,9 @@ let of_packed packed =
       while !found = -2 do
         incr probes;
         let key = Array.unsafe_get keys !idx in
-        if key = pc then found := Array.unsafe_get vals !idx
-        else if key < 0 then found := -1
+        (* empty (-1) first, as {!Packed.step}: a negative PC misses *)
+        if key < 0 then found := -1
+        else if key = pc then found := Array.unsafe_get vals !idx
         else idx := (!idx + 1) land mask
       done;
       (match r.hprobe with

@@ -11,8 +11,51 @@ type entry = {
   mutable next : entry;
 }
 
+(* The relay: a bounded ring that hands filled lanes from the feeder
+   (the producer, which decodes) to a second domain that replays them
+   (the consumer). A slot holds one replayer's run and a cut flag; the
+   producer swaps a lane's arrays with a free slot's, so a hand-over
+   copies and allocates nothing. [head] counts the slots ever filled and
+   [tail] the slots ever replayed; each has one writer at a time, so the
+   ring needs no lock. The slots replay in stream order, so an asid's
+   runs and cuts keep their order. *)
+type slot = {
+  mutable s_rep : Replayer.t;
+  mutable s_starts : int array;
+  mutable s_insns : int array;
+  mutable s_fill : int;
+  mutable s_cut : bool; (* drop to NTE after the run, as [ctl]'s cut *)
+}
+
+(* Who replays the ring: the consumer once it has claimed it; before
+   that, the producer one slot at a time ([helping]) whenever it must
+   wait; nobody once the consumer raised. *)
+let unclaimed = 0
+let by_consumer = 1
+let helping = 2
+let dropped = 3
+
+(* How the producer's stream ended. *)
+let open_ = 0
+let ended = 1
+let aborted = 2
+
+type relay = {
+  ring : slot array; (* a power of two *)
+  head : int Atomic.t;
+  tail : int Atomic.t;
+  owner : int Atomic.t;
+  fin : int Atomic.t;
+  credit : int -> unit; (* blocks replayed, on the domain that replayed them *)
+  m : Mutex.t;
+  cv : Condition.t;
+  p_asleep : bool Atomic.t;
+  c_asleep : bool Atomic.t;
+}
+
 type t = {
   make : int -> Replayer.t;
+  relay : relay option; (* where [flush] hands runs; [None]: replay here *)
   table : (int, entry) Hashtbl.t;
   mutable cur : entry; (* cache: the entry of the last block's asid *)
   mutable dirty : entry; (* top of the stack of buffered entries *)
@@ -42,8 +85,205 @@ let new_entry asid rep =
   e.next <- e;
   e
 
-let create make =
-  { make; table = Hashtbl.create 8; cur = no_entry; dirty = no_entry; route = [||] }
+let feed_run_buf = 4096
+
+let slots = 8
+
+(* The ring of the last relay drained, for the next one: the slots'
+   arrays are allocated once, not paged in afresh for every file. *)
+let spare_ring = Atomic.make None
+
+(* A fresh ring is allocated here, on the domain that creates the relay,
+   not on the producer: a large array a worker frees stays in that
+   worker's malloc arena. *)
+let relay credit =
+  let slot _ =
+    {
+      s_rep = no_entry.rep;
+      s_starts = Array.make feed_run_buf 0;
+      s_insns = Array.make feed_run_buf 0;
+      s_fill = 0;
+      s_cut = false;
+    }
+  in
+  {
+    ring =
+      (match Atomic.exchange spare_ring None with
+      | Some ring -> ring
+      | None -> Array.init slots slot);
+    head = Atomic.make 0;
+    tail = Atomic.make 0;
+    owner = Atomic.make unclaimed;
+    fin = Atomic.make open_;
+    credit;
+    m = Mutex.create ();
+    cv = Condition.create ();
+    p_asleep = Atomic.make false;
+    c_asleep = Atomic.make false;
+  }
+
+(* A waiting side spins about one slot's work (some 30 us at a few ns
+   a block), long enough for a partner running on another core to
+   publish; past that the partner has lost its core, and spinning on
+   would burn the time slices it needs, so the side sleeps. A sleeper
+   is woken once half the ring is ready for it, so two sides sharing a
+   core switch once per half ring, not once per slot. *)
+let spins = 1 lsl 10
+
+let half = slots / 2
+
+(* Wait until [ready ()]; a sleeper waits until [enough ()]. A sleeper
+   raises its flag before its last check and the other side reads the
+   flag after publishing, and both are sequentially consistent atomics,
+   so a wake-up is never lost. *)
+let await r asleep ~ready ~enough =
+  let rec spin n =
+    ready ()
+    || n > 0
+       && begin
+            Domain.cpu_relax ();
+            spin (n - 1)
+          end
+  in
+  if not (spin spins) then begin
+    Mutex.lock r.m;
+    Atomic.set asleep true;
+    while not (enough ()) do
+      Condition.wait r.cv r.m
+    done;
+    Atomic.set asleep false;
+    Mutex.unlock r.m
+  end
+
+let wake r =
+  Mutex.lock r.m;
+  Condition.broadcast r.cv;
+  Mutex.unlock r.m
+
+let replay_slot r i =
+  let s = r.ring.(i land (slots - 1)) in
+  if s.s_fill > 0 then begin
+    Replayer.feed_run s.s_rep ~insns:s.s_insns s.s_starts ~len:s.s_fill;
+    r.credit s.s_fill
+  end;
+  if s.s_cut then Replayer.set_state s.s_rep Automaton.nte
+
+(* The producer replays the oldest slot itself if the consumer has not
+   claimed the ring; true if it did. *)
+let help r =
+  Atomic.get r.owner = unclaimed
+  && Atomic.compare_and_set r.owner unclaimed helping
+  && begin
+       let i = Atomic.get r.tail in
+       replay_slot r i;
+       Atomic.set r.tail (i + 1);
+       Atomic.set r.owner unclaimed;
+       if Atomic.get r.c_asleep then wake r;
+       true
+     end
+
+(* The producer, to publish slot [h]: true once the slot is free, false
+   if the consumer raised. It waits only for a consumer that has claimed
+   the ring, so it never waits for one that has not started. *)
+let rec room r h =
+  h - Atomic.get r.tail < slots
+  ||
+  let o = Atomic.get r.owner in
+  if o = by_consumer then begin
+    let free n () = h - Atomic.get r.tail <= slots - n || Atomic.get r.owner <> by_consumer in
+    await r r.p_asleep ~ready:(free 1) ~enough:(free half);
+    room r h
+  end
+  else o <> dropped && (ignore (help r); room r h)
+
+(* The feeder's flush point with a relay: hand lane [l]'s run (and the
+   cut after it) to the ring, taking the free slot's arrays in
+   exchange. *)
+let hand r rep (l : Pc_trace.lane) ~cut =
+  let h = Atomic.get r.head in
+  if room r h then begin
+    let s = r.ring.(h land (slots - 1)) in
+    s.s_rep <- rep;
+    s.s_fill <- l.fill;
+    s.s_cut <- cut;
+    if l.fill > 0 then begin
+      let starts = s.s_starts and insns = s.s_insns in
+      s.s_starts <- l.starts;
+      s.s_insns <- l.insns;
+      l.starts <- starts;
+      l.insns <- insns
+    end;
+    Atomic.set r.head (h + 1);
+    if Atomic.get r.c_asleep && h + 1 - Atomic.get r.tail >= half then wake r
+  end;
+  l.fill <- 0
+
+(* Past the stream's last hand-over, a producer whose consumer has not
+   claimed the ring replays what is left, so its task alone finishes the
+   replay. *)
+let rec help_out r = if Atomic.get r.tail < Atomic.get r.head && help r then help_out r
+
+(* The producer's end of stream: [ended] after its last hand-over,
+   [aborted] on an exception, which releases the consumer at once. *)
+let finish r how =
+  Atomic.set r.fin how;
+  if Atomic.get r.c_asleep then wake r
+
+let rec consume r i =
+  if i < Atomic.get r.head then begin
+    replay_slot r i;
+    Atomic.set r.tail (i + 1);
+    if Atomic.get r.p_asleep && Atomic.get r.head - (i + 1) <= slots - half then
+      wake r;
+    consume r (i + 1)
+  end
+  else begin
+    (* [fin] before [head]: a producer that has ended published its last
+       slot before [fin] *)
+    let fin = Atomic.get r.fin in
+    if fin = aborted then ()
+    else if i < Atomic.get r.head then consume r i
+    else if fin = open_ then begin
+      let filled n () = Atomic.get r.head - i >= n || Atomic.get r.fin <> open_ in
+      await r r.c_asleep ~ready:(filled 1) ~enough:(filled half);
+      consume r i
+    end
+  end
+
+let relay_drain r =
+  (* one CAS claims the ring, once a slot the producer is replaying is
+     done; a producer that raised releases the consumer unclaimed *)
+  let rec claim () =
+    let o = Atomic.get r.owner in
+    if o = unclaimed then Atomic.compare_and_set r.owner unclaimed by_consumer || claim ()
+    else begin
+      let released () = Atomic.get r.owner <> helping || Atomic.get r.fin = aborted in
+      await r r.c_asleep ~ready:released ~enough:released;
+      Atomic.get r.fin <> aborted && claim ()
+    end
+  in
+  (if claim () then
+     try consume r (Atomic.get r.tail)
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       (* the producer stops handing over and drops the rest *)
+       Atomic.set r.owner dropped;
+       if Atomic.get r.p_asleep then wake r;
+       Printexc.raise_with_backtrace e bt);
+  (* the stream has ended or aborted, so the producer is done with the
+     slots *)
+  Array.iter (fun s -> s.s_rep <- no_entry.rep) r.ring;
+  Atomic.set spare_ring (Some r.ring)
+
+let create ?relay make =
+  {
+    make;
+    relay;
+    table = Hashtbl.create 8;
+    cur = no_entry;
+    dirty = no_entry;
+    route = [||];
+  }
 
 (* The per-block path: one equality test when the stream stays in the same
    address space, one hash probe on a context switch, and no allocation
@@ -68,12 +308,14 @@ let entry_for t asid =
     e
   end
 
-let flush e =
+let flush t e =
   let l = e.lane in
-  if l.fill > 0 then begin
-    Replayer.feed_run e.rep ~insns:l.insns l.starts ~len:l.fill;
-    l.fill <- 0
-  end
+  if l.fill > 0 then
+    match t.relay with
+    | None ->
+        Replayer.feed_run e.rep ~insns:l.insns l.starts ~len:l.fill;
+        l.fill <- 0
+    | Some r -> hand r e.rep l ~cut:false
 
 (* The route equals the dirty stack: an entry's lane is routed exactly
    while the entry is on the stack, so a flush reaches every lane the
@@ -113,7 +355,7 @@ let flush_all t =
     t.dirty <- e.next;
     e.next <- e;
     if e.asid < Array.length t.route then t.route.(e.asid) <- Pc_trace.no_lane;
-    flush e
+    flush t e
   done
 
 (* Hot image swap across the whole address-space table: buffered runs
@@ -121,6 +363,7 @@ let flush_all t =
    rebound in place onto the one shared engine, so entries, the cache
    and any feeder stay valid. *)
 let rebind t engine =
+  if t.relay <> None then invalid_arg "Multi_replayer.rebind: t has a relay";
   flush_all t;
   Hashtbl.iter (fun _ e -> Replayer.rebind e.rep engine) t.table
 
@@ -136,8 +379,11 @@ let ctl t ~asid ~tag ~arg =
     match Hashtbl.find t.table (if invalidate then arg else asid) with
     | exception Not_found -> () (* nothing translated for that asid yet *)
     | e ->
-        flush e;
-        Replayer.set_state e.rep Automaton.nte;
+        (match t.relay with
+        | None ->
+            flush t e;
+            Replayer.set_state e.rep Automaton.nte
+        | Some r -> hand r e.rep e.lane ~cut:true);
         if invalidate then e.invalidations <- e.invalidations + 1
         else e.interrupts <- e.interrupts + 1
 
@@ -147,8 +393,6 @@ let feed t ~asid ev =
   | Switch { asid = a } -> ctl t ~asid ~tag:Pc_trace.tag_switch ~arg:a
   | Invalidate { asid = a } -> ctl t ~asid ~tag:Pc_trace.tag_invalidate ~arg:a
   | Interrupt -> ctl t ~asid ~tag:Pc_trace.tag_interrupt ~arg:0
-
-let feed_run_buf = 4096
 
 (* A run buffer's first size. 256-word arrays are the largest the minor
    heap takes, so an asid that runs few blocks costs two arrays that die
@@ -174,7 +418,7 @@ let feeder_flush f = flush_all f.f_t
 (* A full buffer replays; one below the capacity is then replaced by one
    twice its size. *)
 let make_room f e =
-  flush e;
+  flush f.f_t e;
   let l = e.lane in
   let n = Array.length l.starts in
   if n < f.f_cap then begin
@@ -238,9 +482,8 @@ let replay_chunk = 65536
 
 (* Fed in chunks so the decoder's buffer stays one chunk long instead of
    holding a second copy of the file. *)
-let replay_file t dec path =
+let stream t dec s =
   let f = feeder t in
-  let s = Pc_trace.read_all path in
   let n = String.length s in
   let off = ref 0 and blocks = ref 0 in
   while !off < n do
@@ -251,6 +494,30 @@ let replay_file t dec path =
   Pc_trace.decoder_finish dec;
   feeder_flush f;
   !blocks
+
+(* With a relay, the stream's end (or its exception) releases the
+   consumer. *)
+let relayed t replay =
+  match t.relay with
+  | None -> replay ()
+  | Some r -> (
+      match
+        let blocks = replay () in
+        help_out r;
+        blocks
+      with
+      | blocks ->
+          finish r ended;
+          blocks
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          finish r aborted;
+          Printexc.raise_with_backtrace e bt)
+
+let replay_string t dec s = relayed t (fun () -> stream t dec s)
+
+let replay_file t dec path =
+  relayed t (fun () -> stream t dec (Pc_trace.read_all path))
 
 let replay_events make path =
   let t = create make in

@@ -28,10 +28,54 @@
 
 type t
 
-val create : (int -> Replayer.t) -> t
+type relay
+(** A bounded single-producer, single-consumer ring of filled run
+    buffers, for offline file replay on two domains: the domain running
+    {!replay_file} (or {!replay_string}) decodes, a second running
+    {!relay_drain} replays.
+
+    A [t] created with a relay keeps the feeder's one flush point (see
+    {!feeder}) but hands each buffer it would replay to the ring, in
+    stream order, instead of replaying it: the flush swaps the buffer's
+    arrays for a free slot's, so a hand-over copies and allocates
+    nothing. A cut (an [Invalidate] or [Interrupt]) goes into the ring
+    too, as a flag on its asid's slot, so its [set_state nte] runs on the
+    consumer after that asid's buffered run. One consumer replays the
+    slots in order, so every asid's runs and cuts keep their order. The
+    ring holds 8 slots of 4096 blocks (0.5 MiB); a drained relay's ring
+    is kept for the next relay.
+
+    Neither side waits for a side that is not running. The consumer
+    claims the ring with one CAS when it starts. Until then, a producer
+    that finds the ring full replays its oldest slot itself, and past the
+    stream's end it replays what is left, so the producer's task alone
+    finishes the replay when the consumer's cannot start (another
+    caller's batch holding the pool's other worker, say). A waiting side
+    spins for about one slot's work in [Domain.cpu_relax] rounds, then
+    sleeps until half the ring is ready for it.
+
+    A relay is for one offline stream: the daemon's sessions
+    ({!feeder_decode} with {!feeder_flush} per read, {!rebind}) replay in
+    place on a [t] without one. Read the replayers ({!snapshots},
+    {!replayer}, ...) only after both the replay and {!relay_drain}
+    returned. *)
+
+val relay : (int -> unit) -> relay
+(** [relay credit]: a relay whose replays call [credit n] with each
+    run's length [n], on the domain that replayed it. *)
+
+val relay_drain : relay -> unit
+(** The consumer: claim the ring and replay its slots in order until the
+    producer's {!replay_file} ends. Returns early when the producer
+    raised; if a replay here raises, the producer drops the rest of the
+    stream and the exception is re-raised here. *)
+
+val create : ?relay:relay -> (int -> Replayer.t) -> t
 (** [create make]: [make asid] builds the replayer for an asid on its
     first block (e.g. [fun _ -> Replayer.create_compiled c], every asid
-    over one shared compiled image [c]). *)
+    over one shared compiled image [c]). With [~relay], runs replay on the
+    relay's consumer instead of in place; [make] still runs on the
+    decoding domain. *)
 
 val rebind : t -> Replayer.engine -> unit
 (** [rebind t engine] hot-swaps every live per-asid replayer onto
@@ -41,14 +85,15 @@ val rebind : t -> Replayer.engine -> unit
     first appear later are still built by {!create}'s factory, so a
     factory that must follow swaps reads the current image when it is
     called.
-    @raise Invalid_argument if any engine involved is [Reference] or the
-    images disagree on slot count. *)
+    @raise Invalid_argument if any engine involved is [Reference], the
+    images disagree on slot count, or [t] has a relay. *)
 
 val feed : t -> asid:int -> Pc_trace.event -> unit
 (** Route one event. [~asid] is the address space the event lands on
     (wire directly to {!Pc_trace.fold_events}); a block whose [~asid]
     differs from the previous block's performs an implicit switch. Do not
-    mix with a {!feeder} that holds buffered blocks. *)
+    mix with a {!feeder} that holds buffered blocks, nor use on a [t]
+    with a relay. *)
 
 type feeder
 (** An incremental batching front-end over one {!t}: every asid gets its
@@ -112,10 +157,16 @@ val feeder_decode :
 val replay_file : t -> Pc_trace.decoder -> string -> int
 (** [replay_file t dec path]: {!feeder_decode} of the file through
     [dec] in chunks, then {!Pc_trace.decoder_finish} and {!feeder_flush};
-    returns the blocks replayed. With a {!Pc_trace.decoder} it equals
+    returns the blocks decoded. With a {!Pc_trace.decoder} it equals
     folding {!feed} over {!Pc_trace.fold_events}; a
     {!Pc_trace.single_decoder} rejects control records as {!Pc_trace.fold}
-    does. @raise Pc_trace.Corrupt with the whole-file messages. *)
+    does. With a relay, the runs are handed over rather than replayed,
+    and the end of the stream, or its exception, releases the relay's
+    consumer. @raise Pc_trace.Corrupt with the whole-file messages. *)
+
+val replay_string : t -> Pc_trace.decoder -> string -> int
+(** {!replay_file} of a trace already read into a string (for a relay,
+    the producer then allocates no file-sized buffer). *)
 
 val replay_events : (int -> Replayer.t) -> string -> t
 (** [create] + [replay_file]. *)

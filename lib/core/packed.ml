@@ -326,11 +326,11 @@ let head_of t pc =
   let keys = t.hash_keys and mask = t.mask in
   let rec go i =
     let k = Array.unsafe_get keys i in
-    if k = pc then Some (Array.unsafe_get t.hash_vals i)
-    else if k < 0 then None
+    if k < 0 then None
+    else if k = pc then Some (Array.unsafe_get t.hash_vals i)
     else go ((i + 1) land mask)
   in
-  if pc < 0 then None else go (hash_pc mask pc)
+  go (hash_pc mask pc)
 
 (* The hot path is written with tail-recursive helpers carrying their
    accumulators in arguments: without flambda a [ref] is a minor-heap
@@ -356,16 +356,18 @@ let rec scan_prefix labels pc i stop =
   else scan_prefix labels pc (i + 1) stop
 
 (* Open-addressing probe; returns the head state or -1, charging one
-   [cost_hash_probe] per slot examined (terminal slot included). *)
+   [cost_hash_probe] per slot examined (terminal slot included). An empty
+   slot's key is -1, so the empty test comes first: a negative PC, which
+   no head has, then misses like any other absent PC. *)
 let rec probe cycles keys vals mask pc i cost =
   let k = Array.unsafe_get keys i in
-  if k = pc then begin
-    cycles := !cycles + cost;
-    Array.unsafe_get vals i
-  end
-  else if k < 0 then begin
+  if k < 0 then begin
     cycles := !cycles + cost;
     -1
+  end
+  else if k = pc then begin
+    cycles := !cycles + cost;
+    Array.unsafe_get vals i
   end
   else probe cycles keys vals mask pc ((i + 1) land mask) (cost + cost_hash_probe)
 

@@ -21,11 +21,38 @@ let load_pc_trace path =
   let { Pc_trace.starts; insns; len } = Pc_trace.load path in
   (starts, insns, len)
 
+(* One streaming pass over [path] through [make]'s replayers, each asid's
+   blocks collecting in its own run buffer. On a pool of two or more
+   workers one task decodes and hands the filled buffers through a relay
+   to a second task that replays them; otherwise both run on the
+   caller. *)
+let replay_file pool dec make path =
+  if Pool.jobs pool < 2 then begin
+    let m = Multi_replayer.create make in
+    let blocks = Multi_replayer.replay_file m dec path in
+    Pool.add_units pool blocks;
+    (m, blocks)
+  end
+  else begin
+    (* read here: a file-sized buffer freed by a worker would stay in
+       that worker's malloc arena *)
+    let s = Pc_trace.read_all path in
+    let relay = Multi_replayer.relay (Pool.add_units pool) in
+    let m = Multi_replayer.create ~relay make in
+    let blocks =
+      Pool.map pool 2 ~f:(fun task ->
+          if task = 0 then Multi_replayer.replay_string m dec s
+          else begin
+            Multi_replayer.relay_drain relay;
+            0
+          end)
+    in
+    (m, blocks.(0))
+  end
+
 let replay_pc_trace pool packed ?(make = default_make) path =
   let rep = make packed in
-  let m = Multi_replayer.create (fun _ -> rep) in
-  let blocks = Multi_replayer.replay_file m (Pc_trace.single_decoder ()) path in
-  Pool.add_units pool blocks;
+  let _, blocks = replay_file pool (Pc_trace.single_decoder ()) (fun _ -> rep) path in
   (Profile.of_replayer rep, blocks)
 
 type run = Pc_trace.run = { starts : int array; insns : int array; len : int }
@@ -67,9 +94,8 @@ let load_events path =
          cut a;
          (a, List.rev (Hashtbl.find tbl a).closed))
 
-(* One streaming pass on the caller: each asid's blocks collect in its
-   own run buffer, so batches stay long at any interleaving. *)
 let replay_events pool packed_for ?(make = default_make) path =
-  let m = Multi_replayer.create (fun asid -> make (packed_for asid)) in
-  Pool.add_units pool (Multi_replayer.replay_file m (Pc_trace.decoder ()) path);
+  let m, _ =
+    replay_file pool (Pc_trace.decoder ()) (fun asid -> make (packed_for asid)) path
+  in
   Multi_replayer.snapshots m

@@ -1,14 +1,21 @@
-(** Offline replay of PC-trace files and arrays, each stream in one
-    sequential pass on the caller.
+(** Offline replay of PC-trace files and arrays.
 
     A TEA replay is one sequential DFA walk per PC stream, and the trace
     format is delta- and dictionary-coded, so decoding one stream is
-    serial too. Every file streams through one
+    serial too: a stream is never split. Its two stages are pipelined
+    instead. Every file streams through one
     {!Tea_core.Multi_replayer} feeder, which keeps a run buffer per asid
     (one for a single-asid file), so asids replay side by side in long
-    batches with no whole-stream arrays. The profile is the same at
-    any job count because the same one walk produces it; the pool only
-    counts the blocks ({!Pool.add_units}).
+    batches with no whole-stream arrays. On a pool of one job the caller
+    decodes and replays in turn. On a pool of two or more jobs a file
+    replay is one {!Pool.map} of two tasks: one decodes and hands the
+    filled run buffers through a {!Tea_core.Multi_replayer.relay} to the
+    other, which replays them in stream order (so, like {!Pool.map}, a
+    file replay must not run in a task of the same pool). The pool's job
+    count alone chooses. The profile is the same at any job count, because the
+    same one walk produces it, and so is a [Corrupt] message. The
+    replayed blocks are credited to {!Pool.add_units} on the domain that
+    replayed them.
 
     {b Replayer factory.} Every replayer is built through the [make]
     factory (default: a compiled-engine replayer,
@@ -50,11 +57,12 @@ val replay_pc_trace :
   string ->
   Profile.t * int
 (** Stream a single-stream {!Tea_core.Pc_trace} file through one
-    [make packed] replayer on the caller: the one-asid case of the
-    feeder, with a {!Tea_core.Pc_trace.single_decoder}, so memory is per
-    run buffer, not per trace. Returns the profile and the block count,
-    and credits the blocks to {!Pool.add_units}. The profile equals one
-    [feed_run] over {!load_pc_trace}'s arrays.
+    [make packed] replayer (built on the caller): the one-asid case of
+    the feeder, with a {!Tea_core.Pc_trace.single_decoder}, so memory is
+    per run buffer, not per trace. Decode and replay are pipelined on a
+    pool of two or more jobs (see above). Returns the profile and the
+    block count, and credits the blocks to {!Pool.add_units}. The
+    profile equals one [feed_run] over {!load_pc_trace}'s arrays.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with
     {!load_pc_trace}'s message for the same bytes. *)
 
@@ -88,11 +96,13 @@ val replay_events :
   string ->
   (int * Profile.t) list
 (** [replay_events pool packed_for path] — one streaming
-    {!Tea_core.Multi_replayer.replay_file} pass on the caller, each asid
-    on a [make (packed_for asid)] replayer (a shared image per asid is
-    fine), then
-    {!Tea_core.Multi_replayer.snapshots}. The decoded blocks are credited
-    to {!Pool.add_units}. The result, sorted by asid, equals replaying
+    {!Tea_core.Multi_replayer} pass, each asid on a
+    [make (packed_for asid)] replayer (a shared image per asid is fine;
+    [make] runs on the decoding domain), then
+    {!Tea_core.Multi_replayer.snapshots}. Decode and replay are
+    pipelined on a pool of two or more jobs (see above), a cut's
+    [set_state] replaying after its asid's buffered run. The replayed
+    blocks are credited to {!Pool.add_units}. The result, sorted by asid, equals replaying
     each asid's projection in isolation — the interleaved-replay hard
     gate.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with

@@ -209,6 +209,81 @@ let prop_compiled_feed_addr =
           && Replayer.state one = Replayer.state batched)
         imgs)
 
+(* ---------------- negative block addresses ----------------
+
+   No trace holds a negative address, but a stream can: its deltas may
+   run below zero. An empty hash slot's key is -1, so the probe must test
+   for the empty slot before comparing keys, and the compares' "no
+   label" marker must equal no int at all. Batched, one-step and
+   reference replay must agree on every negative address, -1 and
+   [min_int] included. *)
+
+let negatives = [ -1; -2; -3; -7; -0x1000; min_int; min_int + 1 ]
+
+(* Snapshot and state of the batched and the stepped compiled replay
+   agree, and both match the reference engine's engine-invariant
+   fields. *)
+let negative_agree auto img addrs =
+  let len = Array.length addrs in
+  let insns = Array.init len (fun i -> 1 + (i mod 3)) in
+  let one = stepped img ~insns addrs ~len in
+  let batched = compiled_replayer img ~insns addrs ~len in
+  let reference =
+    Replayer.create (Transition.create Transition.config_global_local auto)
+  in
+  Replayer.feed_run reference ~insns addrs ~len;
+  Replayer.snapshot one = Replayer.snapshot batched
+  && Replayer.state one = Replayer.state batched
+  && Replayer.tbb_counts reference = Replayer.tbb_counts batched
+  && Replayer.covered_insns reference = Replayer.covered_insns batched
+  && Replayer.trace_enters reference = Replayer.trace_enters batched
+  && Replayer.trace_exits reference = Replayer.trace_exits batched
+
+let test_negative_addresses () =
+  (* a three-block loop at 0, 1, 2: its region slots compare 0..2 *)
+  let auto =
+    Builder.build
+      [ Trace.linear ~id:0 ~kind:"test" ~cycle:true
+          [ block_at 0x0; block_at 0x1; block_at 0x2 ] ]
+  in
+  let flat = Packed.freeze auto in
+  let imgs = [ flat; Fuse.fuse flat ] in
+  let streams =
+    [ [| -1 |]; [| 57; -1; 33; -1; 0; 1 |]; [| 0; -1; 0 |]; [| -7; -3 |];
+      [| min_int |]; [| 0; 1; min_int; 2; 0; 1; 2; -1; 0; 1; 2 |] ]
+    @ List.map (fun a -> [| 0; 1; 2; a; 0; a; a; 1; 2; 0 |]) negatives
+  in
+  List.iter
+    (fun addrs ->
+      List.iteri
+        (fun k img ->
+          check Alcotest.bool
+            (Printf.sprintf "[%s] on image %d"
+               (String.concat "; " (Array.to_list (Array.map string_of_int addrs)))
+               k)
+            true
+            (negative_agree auto img addrs))
+        imgs)
+    streams
+
+(* The generated workloads with a fifth of their addresses negative. *)
+let prop_negative_addresses =
+  QCheck.Test.make ~name:"negative addresses: feed_run == feed_addr == reference"
+    ~count:100
+    (QCheck.pair gen_workload (QCheck.int_range 0 1000))
+    (fun (w, salt) ->
+      let addrs, _, len = arrays_of_stream w.w_stream in
+      let addrs =
+        Array.mapi
+          (fun i a ->
+            if (i + salt) mod 5 = 0 then
+              List.nth negatives ((i + salt) mod List.length negatives)
+            else a)
+          addrs
+      in
+      let auto, imgs = variants w addrs ~len in
+      List.for_all (fun img -> negative_agree auto img addrs) imgs)
+
 (* ---------------- one compiled image, many replayers ---------------- *)
 
 let listscan_fixture () =
@@ -628,6 +703,8 @@ let () =
           qtest prop_compiled_is_identity;
           qtest prop_compiled_equals_reference;
           qtest prop_compiled_feed_addr;
+          Alcotest.test_case "negative block addresses" `Quick test_negative_addresses;
+          qtest prop_negative_addresses;
           qtest prop_sharded_compiled_replay;
           qtest prop_multi_asid_compiled;
           qtest prop_shared_image;

@@ -669,9 +669,9 @@ let gen_routing_stream =
         (1, return (fun b -> token b Pc_trace.tag_switch true; Buffer.add_string b minus_one));
         (1, return (fun b -> Buffer.add_string b (ff8 ^ "\x40"))) ]
   in
-  (* deltas stay non-negative, so every start address is one a program
-     could have *)
-  let block = triple (int_range 0 64) (int_range 0 9) (int_range 0 99) in
+  (* deltas run below zero too, so start addresses reach -1 and beyond:
+     batched and one-step replay must agree on them *)
+  let block = triple (int_range (-64) 64) (int_range 0 9) (int_range 0 99) in
   list_size (int_range 0 40) (pair (list_size (int_range 1 16) block) control)
   >|= fun turns ->
   let b = Buffer.create 256 in
@@ -685,7 +685,7 @@ let gen_routing_stream =
           if !defined > 0 && pick < 60 then varint b (4 + (pick mod !defined))
           else begin
             varint b 0;
-            varint b (delta lsl 1);
+            varint b (if delta >= 0 then delta lsl 1 else ((-delta) lsl 1) - 1);
             varint b insns;
             incr defined
           end)

@@ -414,6 +414,185 @@ let test_shard_pc_trace () =
                 seq par))
         [ 1; 3 ])
 
+(* ---------------- Pipelined offline replay ----------------
+
+   On a pool of two or more workers, Shard's file replays decode on one
+   task and replay on a second, through a Multi_replayer relay of 8
+   slots of 4096 blocks. Whatever the format, interleaving, cuts and
+   damage, the result must be the inline (jobs 1) one: the same
+   profiles, or the same [Corrupt] message, and the pool replays
+   correctly afterwards. *)
+
+let ring_blocks = 8 * 4096
+
+let with_trace_file f =
+  let path = Filename.temp_file "tea_test_relay" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [len] blocks of the fixture's looping stream in [fmt]; a v3 stream
+   also switches among asids 0-3 and carries invalidations and
+   interrupts, all drawn from [seed]. *)
+let write_relay_stream path ~fmt ~len ~seed =
+  let rand = Random.State.make [| seed |] in
+  let w = Pc_trace.open_writer ~format:fmt path in
+  let lap = fixture_stream 8 in
+  for i = 0 to len - 1 do
+    if fmt = Pc_trace.V3 then begin
+      match Random.State.int rand 40 with
+      | 0 | 1 -> Pc_trace.switch_asid w (Random.State.int rand 4)
+      | 2 -> Pc_trace.invalidate w (Random.State.int rand 4)
+      | 3 -> Pc_trace.interrupt w
+      | _ -> ()
+    end;
+    let start =
+      if Random.State.int rand 50 = 0 then 0x999 + Random.State.int rand 4
+      else lap.(i mod 8)
+    in
+    Pc_trace.write w ~start ~insns:(Random.State.int rand 4)
+  done;
+  Pc_trace.close_writer w
+
+(* Truncate the file, or flip one of its bits. *)
+let damage_file path ~seed kind =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rand = Random.State.make [| seed; 1 |] in
+  let n = String.length s in
+  let s =
+    match kind with
+    | `Cut -> String.sub s 0 (Random.State.int rand (n + 1))
+    | `Flip when n > 0 ->
+        let b = Bytes.of_string s and i = Random.State.int rand n in
+        Bytes.set b i
+          (Char.chr (Char.code s.[i] lxor (1 lsl Random.State.int rand 8)));
+        Bytes.to_string b
+    | `Flip | `Whole -> s
+  in
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let corrupt_or f =
+  match f () with v -> Ok v | exception Pc_trace.Corrupt m -> Error m
+
+(* Both Shard file replays of [path] on [pool]. *)
+let shard_replays pool path =
+  let packed = fixture_packed () in
+  ( corrupt_or (fun () -> Shard.replay_pc_trace pool packed path),
+    corrupt_or (fun () -> Shard.replay_events pool (fun _ -> packed) path) )
+
+let replays_equal (single_a, events_a) (single_b, events_b) =
+  let single =
+    match (single_a, single_b) with
+    | Ok (p, n), Ok (q, m) -> n = m && Profile.equal p q
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  let events =
+    match (events_a, events_b) with
+    | Ok a, Ok b ->
+        List.length a = List.length b
+        && List.for_all2 (fun (x, p) (y, q) -> x = y && Profile.equal p q) a b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  single && events
+
+let gen_relay_case =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (2, oneofl [ 0; 1; 4095; 4096; 4097 ]);
+        (1, oneofl [ ring_blocks; (3 * ring_blocks) + 1 ]);
+        (3, int_range 0 20_000) ]
+  in
+  quad
+    (oneofl [ Pc_trace.V1; Pc_trace.V2; Pc_trace.V3 ])
+    len nat
+    (frequencyl [ (3, `Whole); (1, `Cut); (1, `Flip) ])
+
+let print_relay_case (fmt, len, seed, dmg) =
+  Printf.sprintf "%s, %d blocks, seed %d, %s"
+    (match fmt with Pc_trace.V1 -> "v1" | V2 -> "v2" | V3 -> "v3")
+    len seed
+    (match dmg with `Whole -> "whole" | `Cut -> "truncated" | `Flip -> "bit-flipped")
+
+let test_relay_equals_inline () =
+  Pool.with_pool ~jobs:1 @@ fun p1 ->
+  Pool.with_pool ~jobs:2 @@ fun p2 ->
+  Pool.with_pool ~jobs:4 @@ fun p4 ->
+  (* a good v3 file every case replays afterwards, on the same pools *)
+  with_trace_file @@ fun good ->
+  write_relay_stream good ~fmt:Pc_trace.V3 ~len:(ring_blocks + 17) ~seed:7;
+  let good_inline = shard_replays p1 good in
+  QCheck.Test.check_exn
+    (QCheck.Test.make
+       ~name:"Shard file replays on pools of 2 and 4 == a pool of 1" ~count:60
+       (QCheck.make ~print:print_relay_case gen_relay_case)
+       (fun (fmt, len, seed, dmg) ->
+         with_trace_file @@ fun path ->
+         write_relay_stream path ~fmt ~len ~seed;
+         damage_file path ~seed dmg;
+         let inline = shard_replays p1 path in
+         List.for_all
+           (fun pool ->
+             replays_equal inline (shard_replays pool path)
+             || QCheck.Test.fail_reportf "jobs %d differs from jobs 1"
+                  (Pool.jobs pool))
+           [ p2; p4 ]
+         && List.for_all
+              (fun pool ->
+                replays_equal good_inline (shard_replays pool good)
+                || QCheck.Test.fail_reportf "jobs %d: a good file replays wrong afterwards"
+                     (Pool.jobs pool))
+              [ p2; p4 ]))
+
+(* Another caller's batch holds one worker of a jobs-2 pool, so the
+   replay's consumer task cannot start: its producer must replay every
+   run itself. The holder is released only once every block has been
+   credited, so a producer that waited for the consumer would hang here
+   (the test gives up after a minute). *)
+let test_relay_held_worker () =
+  with_trace_file @@ fun path ->
+  let len = (3 * ring_blocks) + 5 in
+  write_relay_stream path ~fmt:Pc_trace.V2 ~len ~seed:3;
+  let packed = fixture_packed () in
+  let inline =
+    Pool.with_pool ~jobs:1 (fun p -> Shard.replay_pc_trace p packed path)
+  in
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let held = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Pool.map pool 2 ~f:(fun i ->
+            if i = 1 then begin
+              Atomic.set held true;
+              while not (Atomic.get release) do
+                Unix.sleepf 0.001
+              done
+            end))
+  in
+  while not (Atomic.get held) do
+    Unix.sleepf 0.001
+  done;
+  let replay = Domain.spawn (fun () -> Shard.replay_pc_trace pool packed path) in
+  let credited () =
+    List.fold_left (fun a d -> a + d.Pool.d_units) 0 (Pool.domain_stats pool)
+  in
+  let t0 = Unix.gettimeofday () in
+  while credited () < len && Unix.gettimeofday () -. t0 < 60.0 do
+    Unix.sleepf 0.001
+  done;
+  let done_alone = credited () = len in
+  Atomic.set release true;
+  ignore (Domain.join holder);
+  let par, blocks = Domain.join replay in
+  check Alcotest.bool "the producer replayed every block with one worker held"
+    true done_alone;
+  check Alcotest.int "block count" (snd inline) blocks;
+  check profile "held-worker replay == jobs 1" (fst inline) par
+
 (* ---------------- Replayer satellites ---------------- *)
 
 (* feed_run ~off replays exactly the sub-array, for both engines. *)
@@ -571,6 +750,10 @@ let () =
           Alcotest.test_case "fixture 4-way" `Quick test_shard_fixture;
           Alcotest.test_case "validation" `Quick test_shard_validation;
           Alcotest.test_case "pc-trace file" `Quick test_shard_pc_trace;
+          Alcotest.test_case "file replays: jobs 2 and 4 == jobs 1" `Quick
+            test_relay_equals_inline;
+          Alcotest.test_case "one worker held by another caller" `Quick
+            test_relay_held_worker;
         ] );
       ( "replayer",
         [
