@@ -89,6 +89,8 @@ let feed_run_buf = 4096
 
 let slots = 8
 
+let relay_blocks = slots * feed_run_buf
+
 (* The ring of the last relay drained, for the next one: the slots'
    arrays are allocated once, not paged in afresh for every file. *)
 let spare_ring = Atomic.make None

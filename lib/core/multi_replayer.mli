@@ -64,6 +64,11 @@ val relay : (int -> unit) -> relay
 (** [relay credit]: a relay whose replays call [credit n] with each
     run's length [n], on the domain that replayed it. *)
 
+val relay_blocks : int
+(** The ring's capacity in blocks: its slots times a run buffer's
+    capacity. A block record takes at least one byte, so a stream of
+    fewer bytes holds fewer blocks than the ring. *)
+
 val relay_drain : relay -> unit
 (** The consumer: claim the ring and replay its slots in order until the
     producer's {!replay_file} ends. Returns early when the producer

@@ -293,9 +293,56 @@ let switch_to d a =
     (if a < Array.length d.parked then d.parked.(a)
      else Option.value ~default:0 (Hashtbl.find_opt d.far a))
 
+(* The kernel's steady state: a v2/v3 stream in a loop is almost all
+   dictionary tokens, so they take a loop of their own that keeps the
+   position, the delta chain and the fill in locals, raises nothing, and
+   writes [d.pos] and [d.prev] back once, when it leaves. It takes a
+   token [base <= t < next] written in one byte, or in two when both
+   are in the buffer: a dictionary past 124 pairs writes most of its
+   tokens in two, and paying an exit per two-byte token would cost more
+   than the loop saves. It leaves at anything else, for the per-record
+   path below: a full lane, the end of input, a literal (which grows
+   [next] and may reallocate the dictionary), a control token, an
+   undefined token, and a token of three or more bytes. Returns the
+   fill. *)
+let fill_tokens d starts insns cap fill =
+  let buf = d.buf and len = d.len and base = d.base and next = d.next in
+  let ddelta = d.ddelta and dinsns = d.dinsns in
+  let p = ref d.pos and prev = ref d.prev and n = ref fill in
+  let t = ref 0 and q = ref 0 in
+  while
+    !n < cap && !p < len
+    && begin
+         let c = Char.code (Bytes.unsafe_get buf !p) in
+         if c < 0x80 then begin
+           t := c;
+           q := !p + 1
+         end
+         else if !p + 1 < len then begin
+           (* a second continuation bit makes the token too wide *)
+           let c2 = Char.code (Bytes.unsafe_get buf (!p + 1)) in
+           t := if c2 < 0x80 then (c land 0x7F) lor (c2 lsl 7) else -1;
+           q := !p + 2
+         end
+         else t := -1;
+         !t >= base && !t < next
+       end
+  do
+    let start = !prev + Array.unsafe_get ddelta !t in
+    prev := start;
+    Array.unsafe_set starts !n start;
+    Array.unsafe_set insns !n (Array.unsafe_get dinsns !t);
+    incr n;
+    p := !q
+  done;
+  d.pos <- !p;
+  d.prev <- !prev;
+  !n
+
 (* The kernel's loop over one lane: blocks commit straight into the
-   lane's arrays, and any other record stops it. Returns the blocks
-   written. *)
+   lane's arrays, and any other record stops it. Between the token loop's
+   runs, one record at a time takes the general reader, with every check.
+   Returns the blocks written. *)
 let fill_lane d lane =
   let starts = lane.starts and insns = lane.insns in
   let cap = min (Array.length starts) (Array.length insns) in
@@ -306,18 +353,12 @@ let fill_lane d lane =
   (if d.sniffed then
    try
      while d.pos < d.len do
+       (* a v1 record is a bare literal *)
+       if d.fmt <> V1 then n := fill_tokens d starts insns cap !n;
        let p = d.pos in
        mark := p;
-       (* a v1 record is a bare literal; a token is one byte in the
-          steady state, read inline *)
-       let t =
-         if d.fmt = V1 then tok_literal
-         else if Bytes.unsafe_get d.buf p < '\x80' then begin
-           d.pos <- p + 1;
-           Char.code (Bytes.unsafe_get d.buf p)
-         end
-         else varint d
-       in
+       if p >= d.len then raise_notrace Need_more;
+       let t = if d.fmt = V1 then tok_literal else varint d in
        if t >= d.base then begin
          (* [next] never exceeds the dictionary arrays' length *)
          if t >= d.next then corrupt "bad dictionary token";

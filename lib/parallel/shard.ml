@@ -24,19 +24,21 @@ let load_pc_trace path =
 (* One streaming pass over [path] through [make]'s replayers, each asid's
    blocks collecting in its own run buffer. On a pool of two or more
    workers one task decodes and hands the filled buffers through a relay
-   to a second task that replays them; otherwise both run on the
-   caller. *)
+   to a second task that replays them. Otherwise both run on the
+   caller, and so they do for a file of fewer bytes than the relay's
+   ring holds blocks: such a file holds fewer blocks than the ring, so
+   the two worker wake-ups would cost more than the overlap saves. *)
 let replay_file pool dec make path =
-  if Pool.jobs pool < 2 then begin
+  (* read here: a file-sized buffer freed by a worker would stay in
+     that worker's malloc arena *)
+  let s = Pc_trace.read_all path in
+  if Pool.jobs pool < 2 || String.length s < Multi_replayer.relay_blocks then begin
     let m = Multi_replayer.create make in
-    let blocks = Multi_replayer.replay_file m dec path in
+    let blocks = Multi_replayer.replay_string m dec s in
     Pool.add_units pool blocks;
     (m, blocks)
   end
   else begin
-    (* read here: a file-sized buffer freed by a worker would stay in
-       that worker's malloc arena *)
-    let s = Pc_trace.read_all path in
     let relay = Multi_replayer.relay (Pool.add_units pool) in
     let m = Multi_replayer.create ~relay make in
     let blocks =

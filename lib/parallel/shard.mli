@@ -11,11 +11,16 @@
     replay is one {!Pool.map} of two tasks: one decodes and hands the
     filled run buffers through a {!Tea_core.Multi_replayer.relay} to the
     other, which replays them in stream order (so, like {!Pool.map}, a
-    file replay must not run in a task of the same pool). The pool's job
-    count alone chooses. The profile is the same at any job count, because the
-    same one walk produces it, and so is a [Corrupt] message. The
-    replayed blocks are credited to {!Pool.add_units} on the domain that
-    replayed them.
+    file replay must not run in a task of the same pool). A small file
+    replays on the caller at any job count: one of fewer bytes than
+    {!Tea_core.Multi_replayer.relay_blocks} holds fewer blocks than the
+    relay's ring, so waking two workers for it would cost more than the
+    overlap saves. The pool's job count and the file's byte count alone
+    choose, and the profile is the same either way, because the same one
+    walk produces it, and so is a [Corrupt] message. The replayed blocks
+    are credited to {!Pool.add_units} on the domain that replayed them
+    (for an inline replay, outside any task: the pool's residual
+    units).
 
     {b Replayer factory.} Every replayer is built through the [make]
     factory (default: a compiled-engine replayer,

@@ -26,7 +26,15 @@
      them damaged, lanes of 1-9 blocks and route tables rebuilt at each
      piece, routing plus step gives the empty route's per-asid blocks,
      stops, last asid and [Corrupt] message; and the feeder, flushed
-     after random pieces, still equals feeding one event at a time. *)
+     after random pieces, still equals feeding one event at a time.
+   - The kernel agrees with a reference decoder written here from the
+     format alone: over raw v1, v2 and v3 streams whose dictionaries
+     pass 124 and 16 380 pairs (tokens of one, two and three bytes),
+     with literals between tokens, non-canonical two-byte tokens, tokens
+     one past the dictionary and cuts at each byte of a two-byte token,
+     [fold_events], chunked [decoder_feed] and randomly split
+     [feeder_decode] into lanes that fill on two-byte tokens give the
+     reference's events, or its [Corrupt] message. *)
 
 module Pc_trace = Tea_core.Pc_trace
 module Multi = Tea_core.Multi_replayer
@@ -202,6 +210,13 @@ let block_at i =
 
 let v2_events = List.init n_blocks block_at
 
+(* a loop of 1000 blocks at scattered addresses: 1000 dictionary pairs,
+   so most tokens take two bytes *)
+let wide_events =
+  List.init n_blocks (fun i ->
+      let k = i mod 1000 in
+      Pc_trace.Block { start = 0x8048000 + (k * k * 31 mod 65536 * 16); insns = 1 + (k mod 5) })
+
 (* three asids switching every 8 blocks, with rare cuts *)
 let v3_events =
   List.concat
@@ -269,11 +284,18 @@ let loop_image () =
 let test_allocation_budget () =
   let v2 = bytes_of_events Pc_trace.V2 v2_events in
   let v3 = bytes_of_events Pc_trace.V3 v3_events in
+  let wide = bytes_of_events Pc_trace.V2 wide_events in
+  check Alcotest.bool "the wide stream's tokens take two bytes" true
+    (String.length wide > 3 * n_blocks / 2);
   with_tmp @@ fun path ->
-  write_bytes path v2;
-  words_per_block "load_pc_trace (PCTR2)" (fun () ->
-      let _, _, len = Shard.load_pc_trace path in
-      len);
+  let load name s =
+    write_bytes path s;
+    words_per_block name (fun () ->
+        let _, _, len = Shard.load_pc_trace path in
+        len)
+  in
+  load "load_pc_trace (PCTR2, two-byte tokens)" wide;
+  load "load_pc_trace (PCTR2)" v2;
   let count s () =
     let n = ref 0 in
     feed_ints s
@@ -319,6 +341,9 @@ let test_allocation_budget () =
   ignore (drain (single ()) v2 ());
   words_per_block "feeder_decode into a compiled replayer (PCTR2)" (fun () ->
       drain (single ()) v2 ());
+  ignore (drain (single ()) wide ());
+  words_per_block "feeder_decode into a compiled replayer (PCTR2, two-byte tokens)"
+    (fun () -> drain (single ()) wide ());
   let reps = Array.init 3 (fun _ -> compiled ()) in
   let multi () = Multi.create (fun a -> reps.(a)) in
   ignore (drain (multi ()) v3 ());
@@ -515,10 +540,11 @@ let make_rep _ = Tea_core.Replayer.create_compiled (Lazy.force compiled_image)
 let count_blocks evs =
   List.length (List.filter (function _, Pc_trace.Block _ -> true | _ -> false) evs)
 
-(* The reference: every event of the whole-file fold through [Multi.feed],
-   one at a time; per-asid snapshots and the block count. *)
-let fed_one_by_one s =
-  match whole s with
+(* The reference: every event of the whole-file fold (or of [decode])
+   through [Multi.feed], one at a time; per-asid snapshots and the block
+   count. *)
+let fed_one_by_one ?(decode = whole) s =
+  match decode s with
   | Error m -> Error m
   | Ok evs ->
       let m = Multi.create make_rep in
@@ -838,6 +864,247 @@ let prop_routing_equals_step =
       let flush i = caps.(i mod 11) mod 2 = 0 in
       fed_by_kernel ~flush ~cap:caps.(0) sizes s = fed_one_by_one s)
 
+(* ---------------- the kernel == an independent decoder ---------------- *)
+
+exception Bad of string
+
+(* A decoder written from the format as [Pc_trace]'s interface gives it,
+   calling no [Pc_trace] decode function: the events of a whole string,
+   each stamped with the asid it lands on, or the message of the first
+   bad record. *)
+let reference_decode s : outcome =
+  let n = String.length s and pos = ref 0 in
+  let rec varint acc shift =
+    if !pos >= n then raise (Bad "truncated varint");
+    let c = Char.code s.[!pos] in
+    incr pos;
+    let acc = acc lor ((c land 0x7F) lsl shift) in
+    if c < 0x80 then acc
+    else if shift = 56 then raise (Bad "varint too long")
+    else varint acc (shift + 7)
+  in
+  let nonneg what =
+    match varint 0 0 with v when v < 0 -> raise (Bad ("negative " ^ what)) | v -> v
+  in
+  (* magic, first dictionary token (0: none) *)
+  let formats = [ ("TEAPC1\n", 0); ("PCTR2\n", 1); ("PCTR3\n", 4) ] in
+  match List.find_opt (fun (m, _) -> String.starts_with ~prefix:m s) formats with
+  | None when List.exists (fun (m, _) -> String.starts_with ~prefix:s m) formats ->
+      Error "truncated header"
+  | None -> Error "bad magic"
+  | Some (m, base) -> (
+      pos := String.length m;
+      let dict = Hashtbl.create 64 and parked = Hashtbl.create 8 in
+      let asid = ref 0 and prev = ref 0 and out = ref [] in
+      let emit ev = out := (!asid, ev) :: !out in
+      let block (delta, insns) =
+        prev := !prev + delta;
+        emit (Pc_trace.Block { start = !prev; insns })
+      in
+      match
+        while !pos < n do
+          match if base = 0 then 0 else varint 0 0 with
+          | 0 ->
+              let z = varint 0 0 in
+              let pair = ((z lsr 1) lxor -(z land 1), nonneg "instruction count") in
+              if base > 0 && Hashtbl.length dict < 1 lsl 20 then
+                Hashtbl.add dict (base + Hashtbl.length dict) pair;
+              block pair
+          | t when t >= base -> (
+              match Hashtbl.find_opt dict t with
+              | Some pair -> block pair
+              | None -> raise (Bad "bad dictionary token"))
+          | 3 -> emit Pc_trace.Interrupt
+          | 2 -> emit (Pc_trace.Invalidate { asid = nonneg "asid" })
+          | 1 ->
+              let a = nonneg "asid" in
+              Hashtbl.replace parked !asid !prev;
+              asid := a;
+              prev := Option.value ~default:0 (Hashtbl.find_opt parked a);
+              emit (Pc_trace.Switch { asid = a })
+          | _ -> raise (Bad "bad dictionary token")
+        done
+      with
+      | () -> Ok (List.rev !out)
+      | exception Bad msg -> Error msg)
+
+let raw_varint b v =
+  let rec go v =
+    if v >= 0 && v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7F)));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+type damage = Intact | Past_dictionary | Cut_two_byte of int | Cut | Flip
+
+(* Raw bytes, so a stream can hold what the writer never emits. [pairs]
+   literals define the dictionary first; past 124 (v3) or 127 (v2) pairs
+   tokens take two bytes, and past 16 380 three. Then up to 300 records
+   drawn from [seed]: tokens to low, random and recent pairs, tokens
+   below 128 written non-canonically in two bytes, literals between
+   them, and v3 events. [damage] then appends a token one past the
+   dictionary and one more record, cuts the stream at byte [k] (0-2) of
+   one of its two-byte tokens, cuts it anywhere, or flips a bit. *)
+let reference_stream (fmt, pairs, seed, damage) =
+  let r = Random.State.make [| seed |] in
+  let int n = Random.State.int r n in
+  let b = Buffer.create 1024 in
+  let base = match fmt with Pc_trace.V1 -> 0 | V2 -> 1 | V3 -> 4 in
+  Buffer.add_string b (match fmt with V1 -> "TEAPC1\n" | V2 -> "PCTR2\n" | V3 -> "PCTR3\n");
+  let defined = ref 0 and two_byte = ref [] in
+  let literal () =
+    if base > 0 then raw_varint b 0;
+    let delta = int 129 - 64 in
+    raw_varint b (if delta >= 0 then 2 * delta else (-2 * delta) - 1);
+    raw_varint b (int 300);
+    if base > 0 then incr defined
+  in
+  let token t =
+    let at = Buffer.length b in
+    raw_varint b t;
+    if Buffer.length b - at = 2 then two_byte := at :: !two_byte
+  in
+  for _ = 1 to pairs do
+    literal ()
+  done;
+  for _ = 1 to int 300 do
+    let d = !defined in
+    match int 12 with
+    | 0 | 1 -> literal ()
+    | 2 when base = 4 -> (
+        match int 3 with
+        | 0 -> raw_varint b 1; raw_varint b (if int 8 = 0 then 5000 else int 4)
+        | 1 -> raw_varint b 2; raw_varint b (int 4)
+        | _ -> raw_varint b 3)
+    | 3 when d > 0 ->
+        let t = base + int (min d (0x80 - base)) in
+        two_byte := Buffer.length b :: !two_byte;
+        Buffer.add_char b (Char.chr (0x80 lor t));
+        Buffer.add_char b '\000'
+    | k when d > 0 ->
+        token
+          (base
+          + if k mod 3 = 0 then int (min d 124) else if k mod 3 = 1 then int d else d - 1 - int (min d 300))
+    | _ -> literal ()
+  done;
+  let s = Buffer.contents b in
+  let n = String.length s in
+  match damage with
+  | Intact -> s
+  | Past_dictionary ->
+      if base > 0 then token (base + !defined);
+      literal ();
+      Buffer.contents b
+  | Cut_two_byte k -> (
+      match !two_byte with
+      | [] -> s
+      | l -> String.sub s 0 (List.nth l (int (List.length l)) + k))
+  | Cut -> String.sub s 0 (int (n + 1))
+  | Flip ->
+      let b = Bytes.of_string s and i = int n in
+      Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl int 8)));
+      Bytes.to_string b
+
+let gen_reference_case =
+  let open QCheck.Gen in
+  let stream =
+    quad
+      (frequencyl [ (1, Pc_trace.V1); (2, Pc_trace.V2); (2, Pc_trace.V3) ])
+      (frequency
+         [ (3, int_range 0 100); (3, int_range 125 400); (1, int_range 16_381 16_600) ])
+      nat
+      (frequency
+         [ (5, return Intact);
+           (1, return Past_dictionary);
+           (2, map (fun k -> Cut_two_byte k) (int_range 0 2));
+           (1, return Cut);
+           (1, return Flip) ])
+  in
+  triple stream
+    (list_size (int_range 1 6) (frequency [ (3, int_range 1 40); (1, int_range 1 5000) ]))
+    (frequency [ (3, int_range 1 9); (1, return 4096) ])
+
+let print_reference_case ((fmt, pairs, seed, damage), sizes, cap) =
+  Printf.sprintf "%s, %d pairs, seed %d, %s, chunks %s, buffers of %d"
+    (match fmt with Pc_trace.V1 -> "v1" | V2 -> "v2" | V3 -> "v3")
+    pairs seed
+    (match damage with
+    | Intact -> "intact"
+    | Past_dictionary -> "a token past the dictionary"
+    | Cut_two_byte k -> Printf.sprintf "cut at byte %d of a two-byte token" k
+    | Cut -> "cut"
+    | Flip -> "bit-flipped")
+    (String.concat "," (List.map string_of_int sizes))
+    cap
+
+let prop_kernel_equals_reference =
+  QCheck.Test.make
+    ~name:"fold_events, chunked stream and feeder_decode == a reference decoder"
+    ~count:200
+    (QCheck.make ~print:print_reference_case gen_reference_case)
+    (fun (case, sizes, cap) ->
+      let s = reference_stream case in
+      let expected = reference_decode s in
+      (whole s = expected || QCheck.Test.fail_report "fold_events differs")
+      && (streamed sizes s = expected || QCheck.Test.fail_report "decoder_feed differs")
+      && fed_by_kernel ~cap sizes s = fed_one_by_one ~decode:reference_decode s)
+
+(* Two-byte tokens at the token loop's edges, in v2 and v3: a lane that
+   fills on one, input cut at each byte of the last ones, and tokens one
+   past the dictionary in one byte and in two. *)
+let test_two_byte_tokens () =
+  let stream fmt pairs tail =
+    let b = Buffer.create 1024 in
+    Buffer.add_string b (if fmt = Pc_trace.V2 then "PCTR2\n" else "PCTR3\n");
+    for i = 1 to pairs do
+      Buffer.add_string b "\000";
+      raw_varint b (2 * i);
+      raw_varint b (i mod 7)
+    done;
+    Buffer.add_string b tail;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (fmt, name, base) ->
+      (* 140 pairs: tokens [base] to [base + 139]; 128 on take two bytes *)
+      let tokens = "\x85\x01\x06\x82\x01\x85\x00\x86\x01" in
+      let token t =
+        let b = Buffer.create 4 in
+        raw_varint b t;
+        Buffer.contents b
+      in
+      let cases =
+        [ ("tokens of one and two bytes", stream fmt 140 tokens);
+          ( "a one-byte token past the dictionary",
+            stream fmt 20 ("\x06\x85\x00" ^ token (base + 20) ^ "\x06") );
+          ( "a two-byte token past the dictionary",
+            stream fmt 140 (tokens ^ token (base + 140) ^ "\x06") );
+          ("the last pair by a two-byte token", stream fmt 140 (tokens ^ token (base + 139))) ]
+      in
+      List.iter
+        (fun (what, s) ->
+          let n = String.length s in
+          for cut = n - 14 to n do
+            let s = String.sub s 0 cut in
+            let at = Printf.sprintf "%s, %s, cut at %d of %d" name what cut n in
+            let expected = reference_decode s in
+            check outcome (at ^ ": fold_events") expected (whole s);
+            check outcome (at ^ ": streamed") expected (streamed [ cut - 3; 1 ] s);
+            List.iter
+              (fun cap ->
+                check Alcotest.bool
+                  (Printf.sprintf "%s: feeder with buffers of %d" at cap)
+                  true
+                  (fed_by_kernel ~cap [ cut - 5; 2; 1 ] s
+                  = fed_one_by_one ~decode:reference_decode s))
+              [ 1; 2; 3; 4; 131 ]
+          done)
+        cases)
+    [ (Pc_trace.V2, "v2", 1); (Pc_trace.V3, "v3", 4) ]
+
 let () =
   Alcotest.run "tea_decode"
     [
@@ -851,5 +1118,8 @@ let () =
           Alcotest.test_case "non-canonical and negative tokens" `Quick test_kernel_hostile;
           qtest prop_kernel_equals_feed;
           qtest prop_routing_equals_step;
+          Alcotest.test_case "two-byte tokens at the token loop's edges" `Quick
+            test_two_byte_tokens;
+          qtest prop_kernel_equals_reference;
         ] );
     ]

@@ -15,6 +15,7 @@ module Packed = Tea_core.Packed
 module Compiled = Tea_core.Compiled
 module Replayer = Tea_core.Replayer
 module Pc_trace = Tea_core.Pc_trace
+module Multi_replayer = Tea_core.Multi_replayer
 module Pool = Tea_parallel.Pool
 module Profile = Tea_parallel.Profile
 module Shard = Tea_parallel.Shard
@@ -418,12 +419,13 @@ let test_shard_pc_trace () =
 
    On a pool of two or more workers, Shard's file replays decode on one
    task and replay on a second, through a Multi_replayer relay of 8
-   slots of 4096 blocks. Whatever the format, interleaving, cuts and
-   damage, the result must be the inline (jobs 1) one: the same
+   slots of 4096 blocks, for files of at least that many bytes; smaller
+   files replay on the caller. Whatever the format, interleaving, cuts
+   and damage, the result must be the inline (jobs 1) one: the same
    profiles, or the same [Corrupt] message, and the pool replays
    correctly afterwards. *)
 
-let ring_blocks = 8 * 4096
+let ring_blocks = Multi_replayer.relay_blocks
 
 let with_trace_file f =
   let path = Filename.temp_file "tea_test_relay" ".trc" in
@@ -452,7 +454,9 @@ let write_relay_stream path ~fmt ~len ~seed =
   done;
   Pc_trace.close_writer w
 
-(* Truncate the file, or flip one of its bits. *)
+(* Truncate the file, keeping at least [ring_blocks] bytes of a file that
+   has them, so it still goes through the relay; or flip one of its
+   bits. *)
 let damage_file path ~seed kind =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -461,7 +465,9 @@ let damage_file path ~seed kind =
   let n = String.length s in
   let s =
     match kind with
-    | `Cut -> String.sub s 0 (Random.State.int rand (n + 1))
+    | `Cut ->
+        let keep = if n >= ring_blocks then ring_blocks else 0 in
+        String.sub s 0 (keep + Random.State.int rand (n - keep + 1))
     | `Flip when n > 0 ->
         let b = Bytes.of_string s and i = Random.State.int rand n in
         Bytes.set b i
@@ -499,13 +505,16 @@ let replays_equal (single_a, events_a) (single_b, events_b) =
   in
   single && events
 
+(* Every block record takes at least one byte, so these files all reach
+   the relay. *)
 let gen_relay_case =
   let open QCheck.Gen in
   let len =
-    frequency
-      [ (2, oneofl [ 0; 1; 4095; 4096; 4097 ]);
-        (1, oneofl [ ring_blocks; (3 * ring_blocks) + 1 ]);
-        (3, int_range 0 20_000) ]
+    map (( + ) ring_blocks)
+      (frequency
+         [ (2, oneofl [ 0; 1; 4095; 4096; 4097 ]);
+           (1, oneofl [ ring_blocks; (2 * ring_blocks) + 1 ]);
+           (3, int_range 0 20_000) ])
   in
   quad
     (oneofl [ Pc_trace.V1; Pc_trace.V2; Pc_trace.V3 ])
@@ -546,7 +555,43 @@ let test_relay_equals_inline () =
                 replays_equal good_inline (shard_replays pool good)
                 || QCheck.Test.fail_reportf "jobs %d: a good file replays wrong afterwards"
                      (Pool.jobs pool))
-              [ p2; p4 ]))
+              [ p2; p4 ]));
+  (* an inline replay credits its blocks outside any task *)
+  check Alcotest.int "every replay on pools of 2 and 4 went through the relay" 0
+    (Pool.residual_units p2 + Pool.residual_units p4)
+
+(* A file of fewer bytes than the ring holds blocks replays on the
+   caller at any job count, crediting its blocks outside any task; one
+   of that many bytes or more goes through the relay. Past the first
+   lap, every block of the fixture's stream is a one-byte token, so a
+   file of any size from a few dozen bytes on is written exactly. *)
+let test_small_file_inline () =
+  with_trace_file @@ fun path ->
+  let write blocks =
+    let w = Pc_trace.open_writer path in
+    Array.iter (fun start -> Pc_trace.write w ~start ~insns:1) (fixture_stream blocks);
+    Pc_trace.close_writer w;
+    (Unix.stat path).Unix.st_size
+  in
+  let lap = write 16 in
+  Pool.with_pool ~jobs:1 @@ fun p1 ->
+  List.iter
+    (fun bytes ->
+      check Alcotest.int "file size" bytes (write (16 + bytes - lap));
+      let inline = shard_replays p1 path in
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs @@ fun pool ->
+          let got = shard_replays pool path in
+          check Alcotest.bool
+            (Printf.sprintf "%d bytes, jobs %d == jobs 1" bytes jobs)
+            true (replays_equal inline got);
+          check Alcotest.int
+            (Printf.sprintf "%d bytes, jobs %d: blocks replayed on the caller" bytes jobs)
+            (if bytes < ring_blocks then 2 * (16 + bytes - lap) else 0)
+            (Pool.residual_units pool))
+        [ 2; 4 ])
+    [ ring_blocks - 1; ring_blocks; ring_blocks + 1 ]
 
 (* Another caller's batch holds one worker of a jobs-2 pool, so the
    replay's consumer task cannot start: its producer must replay every
@@ -754,6 +799,8 @@ let () =
             test_relay_equals_inline;
           Alcotest.test_case "one worker held by another caller" `Quick
             test_relay_held_worker;
+          Alcotest.test_case "files below the ring's size replay inline" `Quick
+            test_small_file_inline;
         ] );
       ( "replayer",
         [
