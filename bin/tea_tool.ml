@@ -50,7 +50,7 @@ let or_die = function
 module Probe = Tea_telemetry.Probe
 module Span = Tea_telemetry.Span
 
-type obs = { trace_out : string option; metrics : bool; quiet : bool }
+type obs = { trace_out : string option; metrics : bool }
 
 let obs_term =
   let telemetry =
@@ -70,13 +70,7 @@ let obs_term =
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let quiet =
-    let doc = "Suppress the per-domain pool counters printed to stderr." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-  in
-  Term.(
-    const (fun trace_out metrics quiet -> { trace_out; metrics; quiet })
-    $ telemetry $ metrics $ quiet)
+  Term.(const (fun trace_out metrics -> { trace_out; metrics }) $ telemetry $ metrics)
 
 (* Run a subcommand body under the requested observability: install the
    probe set (with a span sink if --telemetry was given), wrap the body in
@@ -248,14 +242,13 @@ let jobs_conv =
 
 let jobs_arg =
   let doc =
-    "Domains to run on (1 = plain sequential path; must be >= 1): the \
-     benchmarks of a table; for serve, the event loops, each accepting, \
-     replaying and replying to its own sessions. A plain compiled \
-     --pc-trace replay and a --scenario replay read one stream in one \
-     pass: from 2 on, one domain decodes it and a second replays the \
-     decoded runs (other replays run on one domain). Stdout is \
-     byte-identical whatever $(docv) is; the \
-     per-domain observability counters go to stderr."
+    "Domains to run on, the calling one counted (1 = plain sequential \
+     path; 1 to 126): the benchmarks of a table; for serve, the event \
+     loops, each accepting, replaying and replying to its own sessions. \
+     A plain compiled --pc-trace replay and a --scenario replay read one \
+     stream in one pass: from 2 on, the calling domain decodes it and a \
+     second replays the decoded runs (other replays run on one domain). \
+     Stdout is byte-identical whatever $(docv) is."
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -307,20 +300,10 @@ let retune_arg =
   in
   Arg.(value & flag & info [ "retune" ] ~doc)
 
-(* Run [f] with [Some pool] (dumping the pool's per-domain counters on
-   stderr afterwards, unless --quiet) or with [None] for the sequential
-   path. *)
-let with_jobs ?(quiet = false) jobs f =
-  if jobs < 1 then or_die (Error "--jobs must be >= 1")
-  else if jobs = 1 then f None
-  else
-    Tea_parallel.Pool.with_pool ~jobs (fun pool ->
-        let r = f (Some pool) in
-        if not quiet then
-          prerr_string
-            (Tea_report.Stats.render ~title:"pool domains"
-               (Tea_parallel.Pool.metrics_snapshot pool));
-        r)
+(* Run [f] with [Some pool], or with [None] for the sequential path. *)
+let with_jobs jobs f =
+  if jobs = 1 then f None
+  else Tea_parallel.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
 (* One deterministic summary line for any --pgo replay. Everything on it
    (layout shape, simulated cycles) is jobs-invariant, keeping stdout
@@ -1437,7 +1420,7 @@ let tables_cmd =
   let run benchmarks jobs pgo fuse obs =
     with_obs obs "tables" @@ fun () ->
     let benchmarks = all_benchmarks benchmarks in
-    with_jobs ~quiet:obs.quiet jobs (fun pool ->
+    with_jobs jobs (fun pool ->
         let open Tea_report.Experiments in
         let benches = prepare ?pool ~benchmarks () in
         print_string (render_table1 (table1 ?pool benches));
@@ -1457,7 +1440,7 @@ let table1_cmd =
   let run benchmarks jobs obs =
     with_obs obs "table1" @@ fun () ->
     let benchmarks = all_benchmarks benchmarks in
-    with_jobs ~quiet:obs.quiet jobs (fun pool ->
+    with_jobs jobs (fun pool ->
         let open Tea_report.Experiments in
         let benches = prepare ?pool ~benchmarks () in
         print_string (render_table1 (table1 ?pool benches)))
@@ -1470,7 +1453,7 @@ let table4_cmd =
   let run benchmarks jobs pgo fuse obs =
     with_obs obs "table4" @@ fun () ->
     let benchmarks = all_benchmarks benchmarks in
-    with_jobs ~quiet:obs.quiet jobs (fun pool ->
+    with_jobs jobs (fun pool ->
         let open Tea_report.Experiments in
         let benches = prepare ?pool ~benchmarks () in
         print_string (render_table4 (table4 ?pool ~pgo ~fuse benches)))

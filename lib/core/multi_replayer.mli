@@ -42,17 +42,16 @@ type relay
     too, as a flag on its asid's slot, so its [set_state nte] runs on the
     consumer after that asid's buffered run. One consumer replays the
     slots in order, so every asid's runs and cuts keep their order. The
-    ring holds 8 slots of 4096 blocks (0.5 MiB); a drained relay's ring
-    is kept for the next relay.
+    ring holds 8 slots of 4096 blocks (0.5 MiB).
 
     Neither side waits for a side that is not running. The consumer
     claims the ring with one CAS when it starts. Until then, a producer
     that finds the ring full replays its oldest slot itself, and past the
     stream's end it replays what is left, so the producer's task alone
-    finishes the replay when the consumer's cannot start (another
-    caller's batch holding the pool's other worker, say). A waiting side
-    spins for about one slot's work in [Domain.cpu_relax] rounds, then
-    sleeps until half the ring is ready for it.
+    finishes the replay when the consumer's cannot start (other callers'
+    batches holding every worker of the pool, say). A waiting side spins
+    for about one slot's work in [Domain.cpu_relax] rounds, then sleeps
+    until half the ring is ready for it.
 
     A relay is for one offline stream: the daemon's sessions
     ({!feeder_decode} with {!feeder_flush} per read, {!rebind}) replay in
@@ -60,9 +59,8 @@ type relay
     {!replayer}, ...) only after both the replay and {!relay_drain}
     returned. *)
 
-val relay : (int -> unit) -> relay
-(** [relay credit]: a relay whose replays call [credit n] with each
-    run's length [n], on the domain that replayed it. *)
+val relay : unit -> relay
+(** A fresh relay, its ring allocated on the calling domain. *)
 
 val relay_blocks : int
 (** The ring's capacity in blocks: its slots times a run buffer's

@@ -5,7 +5,9 @@ module Vec = Tea_util.Vec
 
 let default_make p = Replayer.create_compiled (Tea_core.Compiled.of_packed p)
 
-let replay_arrays pool packed ?(make = default_make) ?insns starts ~len =
+(* [_pool] is unused: the benchmark's replica and the tests call this
+   with the pool they replay files on *)
+let replay_arrays _pool packed ?(make = default_make) ?insns starts ~len =
   if len < 0 || len > Array.length starts then
     invalid_arg "Shard.replay_arrays: len out of range";
   (match insns with
@@ -14,7 +16,6 @@ let replay_arrays pool packed ?(make = default_make) ?insns starts ~len =
   | _ -> ());
   let rep = make packed in
   Replayer.feed_run rep ?insns starts ~len;
-  Pool.add_units pool len;
   Profile.of_replayer rep
 
 let load_pc_trace path =
@@ -23,23 +24,21 @@ let load_pc_trace path =
 
 (* One streaming pass over [path] through [make]'s replayers, each asid's
    blocks collecting in its own run buffer. On a pool of two or more
-   workers one task decodes and hands the filled buffers through a relay
-   to a second task that replays them. Otherwise both run on the
-   caller, and so they do for a file of fewer bytes than the relay's
-   ring holds blocks: such a file holds fewer blocks than the ring, so
-   the two worker wake-ups would cost more than the overlap saves. *)
+   jobs the caller decodes and hands the filled buffers through a relay
+   to one worker that replays them. Otherwise the caller does both in
+   turn, and so it does for a file of fewer bytes than the relay's ring
+   holds blocks: such a file holds fewer blocks than the ring, so the
+   worker's wake-up would cost more than the overlap saves. *)
 let replay_file pool dec make path =
   (* read here: a file-sized buffer freed by a worker would stay in
      that worker's malloc arena *)
   let s = Pc_trace.read_all path in
   if Pool.jobs pool < 2 || String.length s < Multi_replayer.relay_blocks then begin
     let m = Multi_replayer.create make in
-    let blocks = Multi_replayer.replay_string m dec s in
-    Pool.add_units pool blocks;
-    (m, blocks)
+    (m, Multi_replayer.replay_string m dec s)
   end
   else begin
-    let relay = Multi_replayer.relay (Pool.add_units pool) in
+    let relay = Multi_replayer.relay () in
     let m = Multi_replayer.create ~relay make in
     let blocks =
       Pool.map pool 2 ~f:(fun task ->

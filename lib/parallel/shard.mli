@@ -8,19 +8,16 @@
     (one for a single-asid file), so asids replay side by side in long
     batches with no whole-stream arrays. On a pool of one job the caller
     decodes and replays in turn. On a pool of two or more jobs a file
-    replay is one {!Pool.map} of two tasks: one decodes and hands the
-    filled run buffers through a {!Tea_core.Multi_replayer.relay} to the
-    other, which replays them in stream order (so, like {!Pool.map}, a
-    file replay must not run in a task of the same pool). A small file
-    replays on the caller at any job count: one of fewer bytes than
+    replay is one {!Pool.map} of two tasks: the caller runs the first,
+    which decodes and hands the filled run buffers through a
+    {!Tea_core.Multi_replayer.relay} to the second, which a worker runs,
+    replaying them in stream order. A small file replays on the caller
+    at any job count: one of fewer bytes than
     {!Tea_core.Multi_replayer.relay_blocks} holds fewer blocks than the
-    relay's ring, so waking two workers for it would cost more than the
+    relay's ring, so waking a worker for it would cost more than the
     overlap saves. The pool's job count and the file's byte count alone
     choose, and the profile is the same either way, because the same one
-    walk produces it, and so is a [Corrupt] message. The replayed blocks
-    are credited to {!Pool.add_units} on the domain that replayed them
-    (for an inline replay, outside any task: the pool's residual
-    units).
+    walk produces it, and so is a [Corrupt] message.
 
     {b Replayer factory.} Every replayer is built through the [make]
     factory (default: a compiled-engine replayer,
@@ -43,8 +40,7 @@ val replay_arrays :
 (** [replay_arrays pool packed ~insns starts ~len] — replay
     [starts.(0..len-1)] from NTE in one {!Tea_core.Replayer.feed_run} on
     the caller. [insns] is the parallel per-block instruction-count array
-    (coverage counts 0 per block when absent). The replayed blocks are
-    credited to {!Pool.add_units}.
+    (coverage counts 0 per block when absent). The pool is unused.
     @raise Invalid_argument when [len] exceeds either array. *)
 
 val load_pc_trace : string -> int array * int array * int
@@ -66,8 +62,8 @@ val replay_pc_trace :
     the feeder, with a {!Tea_core.Pc_trace.single_decoder}, so memory is
     per run buffer, not per trace. Decode and replay are pipelined on a
     pool of two or more jobs (see above). Returns the profile and the
-    block count, and credits the blocks to {!Pool.add_units}. The
-    profile equals one [feed_run] over {!load_pc_trace}'s arrays.
+    block count. The profile equals one [feed_run] over
+    {!load_pc_trace}'s arrays.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with
     {!load_pc_trace}'s message for the same bytes. *)
 
@@ -106,9 +102,8 @@ val replay_events :
     [make] runs on the decoding domain), then
     {!Tea_core.Multi_replayer.snapshots}. Decode and replay are
     pipelined on a pool of two or more jobs (see above), a cut's
-    [set_state] replaying after its asid's buffered run. The replayed
-    blocks are credited to {!Pool.add_units}. The result, sorted by asid, equals replaying
-    each asid's projection in isolation — the interleaved-replay hard
-    gate.
+    [set_state] replaying after its asid's buffered run. The result,
+    sorted by asid, equals replaying each asid's projection in isolation
+    — the interleaved-replay hard gate.
     @raise Tea_core.Pc_trace.Corrupt on bad framing, with
     {!load_events}'s message for the same bytes. *)

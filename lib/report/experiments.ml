@@ -21,9 +21,6 @@ type bench = {
 let pmap ?pool f xs =
   match pool with None -> List.map f xs | Some p -> Pool.map_list p f xs
 
-let credit ?pool n =
-  match pool with None -> () | Some p -> Pool.add_units p n
-
 let prepare ?pool ?benchmarks ?config ?fuel () =
   let profiles =
     match benchmarks with
@@ -48,8 +45,6 @@ let prepare ?pool ?benchmarks ?config ?fuel () =
             (name, Stardbt.record ?config ?fuel ~strategy image))
           Registry.all
       in
-      credit ?pool
-        (List.fold_left (fun acc (_, r) -> acc + r.Stardbt.total_insns) 0 dbt);
       { profile; image; dbt })
     profiles
 
@@ -143,7 +138,6 @@ let table2 ?pool ?fuel benches =
       let traces = mret_traces b in
       let dbt_result = List.assoc "mret" b.dbt in
       let res, _rep = Tea_pinsim.Pintool_replay.replay ?fuel ~traces b.image in
-      credit ?pool res.Tea_pinsim.Pintool_replay.total_insns;
       {
         t2_name = b.profile.Proggen.name;
         tea_coverage = res.Tea_pinsim.Pintool_replay.coverage;
@@ -206,7 +200,6 @@ let table3 ?pool ?fuel benches =
       let res, _online =
         Tea_pinsim.Pintool_record.record ?fuel ~strategy:mret b.image
       in
-      credit ?pool res.Tea_pinsim.Pintool_record.total_insns;
       {
         t3_name = b.profile.Proggen.name;
         pin_coverage = res.Tea_pinsim.Pintool_record.coverage;

@@ -28,8 +28,6 @@ val rate : int -> float -> string
 val render : ?title:string -> Tea_telemetry.Metrics.snapshot -> string
 (** ASCII rendering of a telemetry snapshot: a counter table and, when
     present, a histogram table (count, sum, non-empty log2 buckets). The
-    one sink for every metrics surface — `tea_tool --metrics`, the pool's
-    per-domain counters ({!Tea_parallel.Pool.metrics_snapshot}, printed to
-    stderr so parallel stdout stays byte-identical to sequential), and the
+    one sink for every metrics surface — `tea_tool --metrics` and the
     bench harness. Deterministic input renders deterministically (golden
     tested). *)

@@ -140,6 +140,11 @@ let session_factory l =
 let create ?(offline_check = false) ?events ?drift ?base ?retune ~jobs ~image
     addr =
   if jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
+  (* the loops' domains and the retune builder within the runtime's 128 *)
+  if jobs > P.Pool.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Server.create: jobs must be <= %d (the runtime's domain limit)"
+         P.Pool.max_jobs);
   (match (retune, drift, base) with
   | Some _, None, _ ->
       invalid_arg "Server.create: retune requires a drift monitor"

@@ -115,7 +115,8 @@ val create :
 
     A [Unix_sock] path is unlinked first; [Tcp] port 0 binds an
     ephemeral port (read it back with {!addr}).
-    @raise Invalid_argument when [jobs < 1], or [retune] is given
+    @raise Invalid_argument when [jobs] is outside
+    [1..Tea_parallel.Pool.max_jobs], or [retune] is given
     without [drift]/[base].
     @raise Unix.Unix_error when the address cannot be bound. *)
 

@@ -19,6 +19,8 @@ module Multi_replayer = Tea_core.Multi_replayer
 module Pool = Tea_parallel.Pool
 module Profile = Tea_parallel.Profile
 module Shard = Tea_parallel.Shard
+module Probe = Tea_telemetry.Probe
+module Span = Tea_telemetry.Span
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -47,23 +49,31 @@ let fixture_stream n =
 
 let test_pool_map_order () =
   Pool.with_pool ~jobs:3 (fun pool ->
-      let r = Pool.map pool ~f:(fun i -> i * i) 100 in
+      let calls = Atomic.make 0 in
+      let r =
+        Pool.map pool
+          ~f:(fun i ->
+            Atomic.incr calls;
+            i * i)
+          100
+      in
       check (Alcotest.array Alcotest.int) "squares in index order"
         (Array.init 100 (fun i -> i * i))
         r;
-      let tasks =
-        List.fold_left (fun a d -> a + d.Pool.d_tasks) 0 (Pool.domain_stats pool)
-      in
-      check Alcotest.int "every task ran exactly once" 100 tasks)
+      check Alcotest.int "every task ran exactly once" 100 (Atomic.get calls))
 
 let test_pool_inline () =
   Pool.with_pool ~jobs:1 (fun pool ->
       check Alcotest.int "jobs" 1 (Pool.jobs pool);
-      let r = Pool.map pool ~f:(fun i -> i + 1) 5 in
-      check (Alcotest.array Alcotest.int) "inline results" [| 1; 2; 3; 4; 5 |] r;
-      match Pool.domain_stats pool with
-      | [ d ] -> check Alcotest.int "inline tasks counted" 5 d.Pool.d_tasks
-      | ds -> Alcotest.failf "expected 1 stat entry, got %d" (List.length ds))
+      let self = Domain.self () in
+      let r = Pool.map pool ~f:(fun i -> (Domain.self () = self, i + 1)) 5 in
+      check
+        Alcotest.(array (pair bool int))
+        "inline results, on the caller's domain"
+        [| (true, 1); (true, 2); (true, 3); (true, 4); (true, 5) |]
+        r;
+      check Alcotest.int "one stat entry: the callers'" 1
+        (List.length (Pool.domain_stats pool)))
 
 let test_pool_map_list () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -88,49 +98,22 @@ let test_pool_exception () =
             [| 0; 1; 2; 3 |] r))
     [ 1; 2 ]
 
-let test_pool_add_units () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      ignore
-        (Pool.map pool
-           ~f:(fun i ->
-             Pool.add_units pool (i + 1);
-             i)
-           10);
-      (* from outside any worker: lands on the residual counter *)
-      Pool.add_units pool 7;
-      let worker_units =
-        List.fold_left (fun a d -> a + d.Pool.d_units) 0 (Pool.domain_stats pool)
-      in
-      check Alcotest.int "task units all credited" 55 worker_units;
-      check Alcotest.int "driver units on the residual" 7
-        (Pool.residual_units pool))
-
 (* A one-task batch runs on the caller at every jobs: no worker is woken,
-   its units land on the caller entry (index [jobs], last), and a failure
-   leaves the pool usable. *)
+   so no worker's busy time moves, and a failure leaves the pool usable. *)
 let test_pool_single_task_inline () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
+          (* every entry but the last, the callers' *)
           let workers () =
-            List.filter_map
-              (fun d ->
-                if d.Pool.d_index < jobs then Some (d.Pool.d_tasks, d.Pool.d_wait)
-                else None)
-              (Pool.domain_stats pool)
+            List.rev (List.tl (List.rev (Pool.domain_stats pool)))
+            |> List.map (fun d -> d.Pool.d_busy)
           in
-          let caller () = List.nth (Pool.domain_stats pool) jobs in
-          (* a multi-task batch first, so the workers have run and waited *)
-          ignore (Pool.map pool ~f:(fun i -> Pool.add_units pool 1; i) 8);
+          (* a multi-task batch first, so the workers have run *)
+          ignore (Pool.map pool ~f:(fun i -> i) 8);
           let before = workers () in
           let self = Domain.self () in
-          let r =
-            Pool.map pool
-              ~f:(fun i ->
-                Pool.add_units pool 5;
-                (Domain.self () = self, i))
-              1
-          in
+          let r = Pool.map pool ~f:(fun i -> (Domain.self () = self, i)) 1 in
           check Alcotest.bool "ran on the caller's domain" true (fst r.(0));
           Alcotest.check_raises "one-task exception reaches the caller"
             (Failure "lone") (fun () ->
@@ -139,41 +122,9 @@ let test_pool_single_task_inline () =
             [| 42 |]
             (Pool.map pool ~f:(fun _ -> 42) 1);
           check
-            Alcotest.(list (pair int (float 0.0)))
-            "workers neither ran nor woke" before (workers ());
-          let c = caller () in
-          check Alcotest.int "caller entry index" jobs c.Pool.d_index;
-          check Alcotest.int "caller ran the lone tasks" 3 c.Pool.d_tasks;
-          check Alcotest.int "lone task's units on the caller" 5 c.Pool.d_units;
-          let units =
-            List.fold_left (fun a d -> a + d.Pool.d_units) 0
-              (Pool.domain_stats pool)
-          in
-          check Alcotest.int "entries sum to the units added in maps" 13 units;
-          check Alcotest.int "nothing on the residual" 0
-            (Pool.residual_units pool)))
+            Alcotest.(list (float 0.0))
+            "no worker ran a lone task" before (workers ())))
     [ 2; 4 ]
-
-(* Several drivers inlining one-task batches at once share the caller
-   entry: its counters must still be exact. *)
-let test_pool_concurrent_inline () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let driver () =
-            for _ = 1 to 200 do
-              ignore (Pool.map pool ~f:(fun _ -> Pool.add_units pool 3) 1)
-            done
-          in
-          let ds = List.init 3 (fun _ -> Domain.spawn driver) in
-          driver ();
-          List.iter Domain.join ds;
-          let c = List.hd (List.rev (Pool.domain_stats pool)) in
-          check Alcotest.int "caller tasks exact" 800 c.Pool.d_tasks;
-          check Alcotest.int "caller units exact" 2400 c.Pool.d_units;
-          check Alcotest.int "nothing on the residual" 0
-            (Pool.residual_units pool)))
-    [ 1; 2 ]
 
 let test_pool_shutdown () =
   let pool = Pool.create ~jobs:2 in
@@ -188,8 +139,9 @@ let test_pool_shutdown () =
       ignore (Pool.create ~jobs:0))
 
 (* Pool lifecycle hardening: several driver domains mapping on one pool
-   at once (each map owns a private batch counter), and shutdown racing
-   shutdown (exactly one caller joins the workers). *)
+   at once, in batches of 20 and of one (each map owns a private batch
+   counter, and a caller may run another caller's task), and shutdown
+   racing shutdown (exactly one caller joins the workers). *)
 let test_pool_concurrent_drivers () =
   List.iter
     (fun jobs ->
@@ -199,7 +151,10 @@ let test_pool_concurrent_drivers () =
               let r = Pool.map pool ~f:(fun i -> (d * 1000) + (round * i)) 20 in
               let expect = Array.init 20 (fun i -> (d * 1000) + (round * i)) in
               if r <> expect then
-                Alcotest.failf "driver %d round %d: wrong batch results" d round
+                Alcotest.failf "driver %d round %d: wrong batch results" d round;
+              if Pool.map pool ~f:(fun i -> (d * 1000) + round + i) 1
+                 <> [| (d * 1000) + round |]
+              then Alcotest.failf "driver %d round %d: wrong one-task result" d round
             done
           in
           let ds = List.init 3 (fun d -> Domain.spawn (driver (d + 1))) in
@@ -369,13 +324,7 @@ let test_shard_fixture () =
   let seq = sequential_profile packed ~starts ~insns ~len:1000 in
   Pool.with_pool ~jobs:4 (fun pool ->
       let par = Shard.replay_arrays pool packed ~insns starts ~len:1000 in
-      check profile "4-way shard == sequential" seq par;
-      let units =
-        Pool.residual_units pool
-        + List.fold_left (fun a d -> a + d.Pool.d_units) 0
-            (Pool.domain_stats pool)
-      in
-      check Alcotest.int "every block credited exactly once" 1000 units)
+      check profile "4-way shard == sequential" seq par)
 
 let test_shard_validation () =
   let packed = fixture_packed () in
@@ -417,8 +366,8 @@ let test_shard_pc_trace () =
 
 (* ---------------- Pipelined offline replay ----------------
 
-   On a pool of two or more workers, Shard's file replays decode on one
-   task and replay on a second, through a Multi_replayer relay of 8
+   On a pool of two or more jobs, Shard's file replays decode on the
+   caller and replay on a worker, through a Multi_replayer relay of 8
    slots of 4096 blocks, for files of at least that many bytes; smaller
    files replay on the caller. Whatever the format, interleaving, cuts
    and damage, the result must be the inline (jobs 1) one: the same
@@ -488,6 +437,21 @@ let shard_replays pool path =
   ( corrupt_or (fun () -> Shard.replay_pc_trace pool packed path),
     corrupt_or (fun () -> Shard.replay_events pool (fun _ -> packed) path) )
 
+(* The [Pool.map] batches [f] opens, counted on a span sink. *)
+let with_map_count f =
+  let sink = Span.create () in
+  Probe.install ~spans:sink ();
+  Fun.protect ~finally:(fun () -> ignore (Probe.uninstall ())) @@ fun () ->
+  f (fun () ->
+      List.length
+        (List.filter (fun e -> e.Span.e_name = "pool.map") (Span.events sink)))
+
+(* [shard_replays] and the number of [Pool.map] batches they opened. *)
+let shard_replays_maps maps pool path =
+  let before = maps () in
+  let r = shard_replays pool path in
+  (r, maps () - before)
+
 let replays_equal (single_a, events_a) (single_b, events_b) =
   let single =
     match (single_a, single_b) with
@@ -528,6 +492,7 @@ let print_relay_case (fmt, len, seed, dmg) =
     (match dmg with `Whole -> "whole" | `Cut -> "truncated" | `Flip -> "bit-flipped")
 
 let test_relay_equals_inline () =
+  with_map_count @@ fun maps ->
   Pool.with_pool ~jobs:1 @@ fun p1 ->
   Pool.with_pool ~jobs:2 @@ fun p2 ->
   Pool.with_pool ~jobs:4 @@ fun p4 ->
@@ -544,25 +509,30 @@ let test_relay_equals_inline () =
          write_relay_stream path ~fmt ~len ~seed;
          damage_file path ~seed dmg;
          let inline = shard_replays p1 path in
+         (* each of the two replays maps its decode and replay tasks *)
+         let relayed pool path =
+           let r, n = shard_replays_maps maps pool path in
+           if n <> 2 then
+             QCheck.Test.fail_reportf "jobs %d: %d pool maps, not the relay's 2"
+               (Pool.jobs pool) n;
+           r
+         in
          List.for_all
            (fun pool ->
-             replays_equal inline (shard_replays pool path)
+             replays_equal inline (relayed pool path)
              || QCheck.Test.fail_reportf "jobs %d differs from jobs 1"
                   (Pool.jobs pool))
            [ p2; p4 ]
          && List.for_all
               (fun pool ->
-                replays_equal good_inline (shard_replays pool good)
+                replays_equal good_inline (relayed pool good)
                 || QCheck.Test.fail_reportf "jobs %d: a good file replays wrong afterwards"
                      (Pool.jobs pool))
-              [ p2; p4 ]));
-  (* an inline replay credits its blocks outside any task *)
-  check Alcotest.int "every replay on pools of 2 and 4 went through the relay" 0
-    (Pool.residual_units p2 + Pool.residual_units p4)
+              [ p2; p4 ]))
 
 (* A file of fewer bytes than the ring holds blocks replays on the
-   caller at any job count, crediting its blocks outside any task; one
-   of that many bytes or more goes through the relay. Past the first
+   caller at any job count, mapping no task; one of that many bytes or
+   more goes through the relay. Past the first
    lap, every block of the fixture's stream is a one-byte token, so a
    file of any size from a few dozen bytes on is written exactly. *)
 let test_small_file_inline () =
@@ -574,6 +544,7 @@ let test_small_file_inline () =
     (Unix.stat path).Unix.st_size
   in
   let lap = write 16 in
+  with_map_count @@ fun maps ->
   Pool.with_pool ~jobs:1 @@ fun p1 ->
   List.iter
     (fun bytes ->
@@ -582,22 +553,22 @@ let test_small_file_inline () =
       List.iter
         (fun jobs ->
           Pool.with_pool ~jobs @@ fun pool ->
-          let got = shard_replays pool path in
+          let got, n = shard_replays_maps maps pool path in
           check Alcotest.bool
             (Printf.sprintf "%d bytes, jobs %d == jobs 1" bytes jobs)
             true (replays_equal inline got);
           check Alcotest.int
-            (Printf.sprintf "%d bytes, jobs %d: blocks replayed on the caller" bytes jobs)
-            (if bytes < ring_blocks then 2 * (16 + bytes - lap) else 0)
-            (Pool.residual_units pool))
+            (Printf.sprintf "%d bytes, jobs %d: pool maps" bytes jobs)
+            (if bytes < ring_blocks then 0 else 2)
+            n)
         [ 2; 4 ])
     [ ring_blocks - 1; ring_blocks; ring_blocks + 1 ]
 
-(* Another caller's batch holds one worker of a jobs-2 pool, so the
-   replay's consumer task cannot start: its producer must replay every
-   run itself. The holder is released only once every block has been
-   credited, so a producer that waited for the consumer would hang here
-   (the test gives up after a minute). *)
+(* Other callers' batches hold every worker of a jobs-2 pool, so the
+   replay's consumer task cannot start on one: the replay's caller
+   decodes, its producer replays every run itself, and the caller then
+   runs the drained consumer. A producer that waited for the consumer
+   would hang here (the test gives up after a minute). *)
 let test_relay_held_worker () =
   with_trace_file @@ fun path ->
   let len = (3 * ring_blocks) + 5 in
@@ -607,34 +578,45 @@ let test_relay_held_worker () =
     Pool.with_pool ~jobs:1 (fun p -> Shard.replay_pc_trace p packed path)
   in
   Pool.with_pool ~jobs:2 @@ fun pool ->
-  let held = Atomic.make false and release = Atomic.make false in
-  let holder =
-    Domain.spawn (fun () ->
-        Pool.map pool 2 ~f:(fun i ->
-            if i = 1 then begin
-              Atomic.set held true;
-              while not (Atomic.get release) do
-                Unix.sleepf 0.001
-              done
-            end))
+  let release = Atomic.make false in
+  let wait_for a =
+    while not (Atomic.get a) do
+      Unix.sleepf 0.001
+    done
   in
-  while not (Atomic.get held) do
-    Unix.sleepf 0.001
-  done;
-  let replay = Domain.spawn (fun () -> Shard.replay_pc_trace pool packed path) in
-  let credited () =
-    List.fold_left (fun a d -> a + d.Pool.d_units) 0 (Pool.domain_stats pool)
+  (* each holder's caller runs its task 0 until a worker has taken its
+     task 1, which holds that worker *)
+  let holder () =
+    let held = Atomic.make false in
+    let d =
+      Domain.spawn (fun () ->
+          Pool.map pool 2 ~f:(fun i ->
+              if i = 1 then begin
+                Atomic.set held true;
+                wait_for release
+              end
+              else wait_for held))
+    in
+    wait_for held;
+    d
+  in
+  let holders = List.init (List.length (Pool.domain_stats pool) - 1) (fun _ -> holder ()) in
+  let finished = Atomic.make false in
+  let replay =
+    Domain.spawn (fun () ->
+        let r = Shard.replay_pc_trace pool packed path in
+        Atomic.set finished true;
+        r)
   in
   let t0 = Unix.gettimeofday () in
-  while credited () < len && Unix.gettimeofday () -. t0 < 60.0 do
+  while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 60.0 do
     Unix.sleepf 0.001
   done;
-  let done_alone = credited () = len in
+  let done_alone = Atomic.get finished in
   Atomic.set release true;
-  ignore (Domain.join holder);
+  List.iter (fun d -> ignore (Domain.join d)) holders;
   let par, blocks = Domain.join replay in
-  check Alcotest.bool "the producer replayed every block with one worker held"
-    true done_alone;
+  check Alcotest.bool "the replay returned with every worker held" true done_alone;
   check Alcotest.int "block count" (snd inline) blocks;
   check profile "held-worker replay == jobs 1" (fst inline) par
 
@@ -757,7 +739,12 @@ let test_pool_parse_jobs () =
   ok "1" 1;
   ok "8" 8;
   ok " 4 " 4;
-  List.iter rejected [ "0"; "-1"; "-42"; ""; "two"; "1.5"; "1x" ]
+  ok "126" 126;
+  List.iter rejected [ "0"; "-1"; "-42"; ""; "two"; "1.5"; "1x"; "127"; "1000" ];
+  (* rejected before a worker is spawned *)
+  Alcotest.check_raises "jobs above the runtime's domain limit"
+    (Invalid_argument "Pool.create: jobs must be <= 126 (the runtime's domain limit)")
+    (fun () -> ignore (Pool.create ~jobs:1000))
 
 let () =
   Alcotest.run "tea_parallel"
@@ -769,11 +756,8 @@ let () =
           Alcotest.test_case "inline jobs=1" `Quick test_pool_inline;
           Alcotest.test_case "map_list" `Quick test_pool_map_list;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "add_units accounting" `Quick test_pool_add_units;
           Alcotest.test_case "one-task batch inline" `Quick
             test_pool_single_task_inline;
-          Alcotest.test_case "concurrent inline drivers" `Quick
-            test_pool_concurrent_inline;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "concurrent drivers" `Quick
             test_pool_concurrent_drivers;

@@ -639,6 +639,16 @@ let test_daemon_disconnect_isolation () =
   in
   check profile "disconnects do not perturb the fleet" clean rude
 
+(* A loop count the runtime cannot run is rejected before a socket is
+   bound or a loop built. *)
+let test_daemon_jobs_limit () =
+  let path = sock_path () in
+  Alcotest.check_raises "jobs above the runtime's domain limit"
+    (Invalid_argument "Server.create: jobs must be <= 126 (the runtime's domain limit)")
+    (fun () ->
+      ignore (Server.create ~jobs:1000 ~image:(fixture_packed ()) (Frame.Unix_sock path)));
+  check Alcotest.bool "no socket bound" false (Sys.file_exists path)
+
 let test_daemon_client_module () =
   (* the Client convenience wrapper against a live daemon *)
   let image = fixture_packed () in
@@ -995,6 +1005,8 @@ let () =
           Alcotest.test_case "disconnect isolation" `Quick
             test_daemon_disconnect_isolation;
           Alcotest.test_case "client module" `Quick test_daemon_client_module;
+          Alcotest.test_case "jobs above the domain limit" `Quick
+            test_daemon_jobs_limit;
           Alcotest.test_case "loop blocks == serve.blocks (jobs 2)" `Quick
             test_daemon_loop_accounting;
           Alcotest.test_case "typed abort reasons" `Quick
